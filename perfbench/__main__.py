@@ -1,0 +1,8 @@
+"""``python -m perfbench`` (with ``PYTHONPATH=src``, from the repo root)."""
+
+import sys
+
+from perfbench.cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())
