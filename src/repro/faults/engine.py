@@ -47,7 +47,7 @@ from repro.service.dispatch import (DispatchContext, DispatchPolicy,
                                     dispatch_candidates, make_policy)
 from repro.service.fleet import (_build_nodes, _mirror_power_state,
                                  _resolve_fleet, _TelemetryMirror)
-from repro.service.node import NodePowerModel
+from repro.service.node import NodePowerModel, books_close_at
 from repro.service.report import (FaultStats, ServiceError, ServiceReport,
                                   TenantStats, quantile, rollup_classes)
 from repro.service.spec import FleetSpec
@@ -190,11 +190,12 @@ def simulate_faulty_service(stream: ArrivalStream,
     if engine not in ("auto", "event", "loop"):
         raise ServiceError(
             f"unknown engine {engine!r}: pass 'auto', 'event', or 'loop'")
+    from repro.service.engine import event_core_unsupported
+    engine_reason = event_core_unsupported(None, faults=True)
     if engine == "event":
-        from repro.service.engine import event_core_unsupported
         raise ServiceError(
             "engine='event' cannot serve this configuration: "
-            f"{event_core_unsupported(None, faults=True)} "
+            f"{engine_reason} "
             "(use engine='auto' to fall back to the reference loop)")
     fleet = _resolve_fleet(fleet, n_nodes, model)
     n_nodes = fleet.n_nodes
@@ -627,10 +628,7 @@ def simulate_faulty_service(stream: ArrivalStream,
             execute_batch(batch, batch.release_at)
 
     # -- close the books ----------------------------------------------
-    end = max(last_completion, times[-1])
-    for node in nodes:
-        if node.on and node.busy_until > end:
-            end = node.busy_until
+    end = books_close_at(nodes, max(last_completion, times[-1]))
     # a crash that struck a powered-on node after the serving window
     # still closed that node's energy interval at the crash instant;
     # the fleet (and the telemetry mirror) must integrate idle draw on
@@ -700,6 +698,7 @@ def simulate_faulty_service(stream: ArrivalStream,
         fleet=fleet.to_dict(),
     )
     report.engine = "loop"
+    report.engine_reason = engine_reason if engine == "auto" else None
     if rec is not None:
         rec.end_run(end, report)
     if mirror is not None:

@@ -294,6 +294,11 @@ class PowerAwarePacking(DispatchPolicy):
     bound, spills to the least-loaded powered-on node (bounding the
     worst-case wait by the fleet-wide minimum backlog, not by an
     unlucky rotation).
+
+    The per-node cost rates are constants of the node list, so they
+    are computed once per list (not per arrival) and cached on the
+    policy; a node list must not change its members or their models
+    while a policy instance is routing over it.
     """
 
     name = "power_aware"
@@ -305,42 +310,55 @@ class PowerAwarePacking(DispatchPolicy):
         if pack_backlog_seconds < 0:
             raise ServiceError("pack bound cannot be negative")
         self.pack_backlog_seconds = pack_backlog_seconds
+        # (node list, its per-node cost rates, all rates equal); keyed
+        # by list identity — holding the list keeps its id from being
+        # recycled by a later fleet
+        self._rated: tuple = (None, [], True)
+
+    def _rate(self, nodes: Sequence[FleetNode]) -> None:
+        """Cache ``nodes``' marginal-cost rates (the same arithmetic as
+        :meth:`DispatchContext.marginal_cost_rate`) and whether they
+        are all one class."""
+        rates = [(m.peak_watts - m.idle_watts) / m.speed_factor
+                 for m in (node.model for node in nodes)]
+        self._rated = (nodes, rates, all(r == rates[0] for r in rates[1:]))
 
     def route(self, ctx: DispatchContext) -> int:
         nodes = ctx.nodes
         on_ids = ctx.on_ids
+        if self._rated[0] is not nodes:
+            self._rate(nodes)
+        _, rates, one_class = self._rated
         bound = ctx.now + self.pack_backlog_seconds
-        first = on_ids[0]
-        best = first
-        best_backlog = nodes[first].busy_until
-        candidates = [first] if best_backlog <= bound else []
-        for i in on_ids[1:]:
+        # one scan finds the packable nodes (on a one-class fleet only
+        # the first is kept) and the lowest-index least-loaded node to
+        # spill to when there are none
+        spill = on_ids[0]
+        spill_backlog = nodes[spill].busy_until
+        packable = []
+        for i in on_ids:
             b = nodes[i].busy_until
             if b <= bound:
-                candidates.append(i)
-            elif b < best_backlog:
-                best, best_backlog = i, b
-        if not candidates:
-            return best  # spill: least-loaded powered-on node
-        base_rate = ctx.marginal_cost_rate(candidates[0])
-        if all(ctx.marginal_cost_rate(i) == base_rate
-               for i in candidates[1:]):
-            # single-class fast path: first packable node in index
-            # order, exactly the classic packing rule
-            for i in candidates:
-                if ctx.fits_sla(i):
+                if not one_class:
+                    packable.append(i)
+                elif ctx.fits_sla(i):
+                    # the classic packing rule: first packable node in
+                    # index order that meets the SLA — stop right here
                     return i
-            return candidates[0]
-        rates = sorted({ctx.marginal_cost_rate(i) for i in candidates})
-        for rate in rates:
-            for i in candidates:
-                if ctx.marginal_cost_rate(i) == rate \
-                        and ctx.fits_sla(i):
+                elif not packable:
+                    packable.append(i)
+            elif b < spill_backlog:
+                spill, spill_backlog = i, b
+        if not packable:
+            return spill
+        if one_class:
+            return packable[0]  # nothing fits: first packable anyway
+        for rate in sorted({rates[i] for i in packable}):
+            for i in packable:
+                if rates[i] == rate and ctx.fits_sla(i):
                     return i
-        for i in candidates:  # nothing fits: cheapest class anyway
-            if ctx.marginal_cost_rate(i) == rates[0]:
-                return i
-        raise ServiceError("unreachable: packing lost its candidates")
+        # nothing fits: cheapest class anyway, lowest index within it
+        return min(packable, key=rates.__getitem__)
 
 
 class CostAware(DispatchPolicy):

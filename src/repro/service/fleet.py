@@ -47,7 +47,8 @@ import numpy as np
 from repro.service.autoscale import Autoscaler
 from repro.service.dispatch import (DispatchContext, DispatchPolicy,
                                     dispatch_candidates, make_policy)
-from repro.service.node import FleetNode, NodePowerModel
+from repro.service.node import (FleetNode, NodePowerModel,
+                                books_close_at)
 from repro.service.report import (ServiceError, ServiceReport, TenantStats,
                                   quantile, rollup_classes)
 from repro.service.spec import FleetSpec
@@ -109,6 +110,7 @@ class _TelemetryMirror:
         self.devices = []
         self.models = [node.model for node in fleet_nodes]
         self._spans: list = [None] * len(fleet_nodes)
+        self._drained_until = 0.0  # end of the latest drain window
         for i, node in enumerate(fleet_nodes):
             device = Device(self.sim, f"svc.{node.name}",
                             initial_power_watts=(node.model.idle_watts
@@ -145,17 +147,27 @@ class _TelemetryMirror:
         series = self.devices[i].power_series
         drain_watts = (model.drain_joules / model.drain_seconds
                        if model.drain_seconds > 0 else 0.0)
+        drained = now + model.drain_seconds
         series.record(now, drain_watts)
-        series.record(now + model.drain_seconds, 0.0)
+        series.record(drained, 0.0)
+        self._drained_until = max(self._drained_until, drained)
         span = self._spans[i]
         if span is not None:
             self.collector.stack.close(span, now, {})
             self._spans[i] = None
 
     def finish(self, end: float, report: ServiceReport) -> None:
-        self.sim.clock.advance_to(max(end, self.sim.now))
+        # a drain window still in flight when the books close: the
+        # closed form charged its whole lump at power-off, so the
+        # meters run on to the end of it — with the nodes that are
+        # still on going dark at ``end``, where their books closed
+        draining = self._drained_until > end
+        self.sim.clock.advance_to(max(end, self._drained_until,
+                                      self.sim.now))
         for i, span in enumerate(self._spans):
             if span is not None:
+                if draining:
+                    self.devices[i].power_series.record(end, 0.0)
                 self.collector.stack.close(span, end, {})
                 self._spans[i] = None
         self.collector.count("svc.queries_completed",
@@ -193,8 +205,9 @@ def simulate_service(stream: ArrivalStream,
     :class:`ServiceError` with the fallback reason if the configuration
     needs the loop); ``"loop"`` always runs the reference loop.  Both
     engines produce byte-identical reports — the one picked is recorded
-    in :attr:`ServiceReport.engine` (runtime metadata, excluded from
-    serialization).
+    in :attr:`ServiceReport.engine`, and why ``"auto"`` fell back to
+    the loop in :attr:`ServiceReport.engine_reason` (runtime metadata,
+    excluded from serialization).
 
     Passing a :class:`~repro.faults.schedule.FaultSchedule` as
     ``faults`` hands the run to the chaos engine
@@ -338,6 +351,7 @@ def simulate_service(stream: ArrivalStream,
     report = _assemble_report(stream, fleet, policy, nodes, latencies,
                               admitted, last_completion, times[-1])
     report.engine = "loop"
+    report.engine_reason = reason if engine == "auto" else None
     report.latencies = latencies
     if rec is not None:
         rec.end_run(report.makespan_seconds, report, latencies=latencies)
@@ -359,7 +373,7 @@ def _assemble_report(stream: ArrivalStream,
     engines share, so quantile math and energy rollups cannot drift
     between them."""
     tenant_idx = stream.tenant_index
-    end = max(last_completion, last_arrival)
+    end = books_close_at(nodes, max(last_completion, last_arrival))
     node_stats = [node.finalize(end) for node in nodes]
 
     lat = latencies[admitted]

@@ -21,7 +21,7 @@ path price Joules identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, Optional, Sequence
 
 from repro.service.report import NodeStats, ServiceError
 
@@ -369,3 +369,18 @@ class FleetNode:
             crashes=self.crashes,
             node_class=self.node_class,
         )
+
+
+def books_close_at(nodes: Sequence[FleetNode], end: float) -> float:
+    """The instant a run's books can close: ``end`` (its last arrival
+    or completion), pushed out to the drain of every powered-on pipe.
+
+    The two differ when a node booted at the last autoscaler epoch is
+    still inside its atomic boot window when the stream ends and never
+    serves: the boot lump is already charged, so the fleet runs on to
+    the end of that window rather than finalizing mid-boot.
+    """
+    for node in nodes:
+        if node.on and node.busy_until > end:
+            end = node.busy_until
+    return end

@@ -39,10 +39,10 @@ DEFAULT_TIMELINE_SAMPLES = 1024
 
 def _integrate_clipped(series: "TimeSeries", t0: float, t1: float) -> float:
     """Integrate a power series over ``[t0, t1]`` clipped to its domain."""
-    times = series.times
-    if not times or t1 <= times[0] or t1 <= t0:
+    if not len(series) or t1 <= t0:
         return 0.0
-    return series.integrate(max(t0, times[0]), t1)
+    first = series.first_time
+    return series.integrate(max(t0, first), t1) if t1 > first else 0.0
 
 
 def _downsample(times: list[float], values: list[float],
@@ -125,7 +125,7 @@ class TelemetryCollector:
         devices = self.devices()
         if devices:
             end = max(d.sim.now for d in devices)
-            start = min(d.power_series.times[0] if len(d.power_series)
+            start = min(d.power_series.first_time if len(d.power_series)
                         else 0.0 for d in devices)
         else:
             start = end = 0.0

@@ -25,6 +25,7 @@ from repro.service import (DEFAULT_CLASSES, DEFAULT_TENANTS, Autoscaler,
                            FleetSpec, NodePowerModel, PVCPolicy,
                            QEDPolicy, ServiceError, build_stream,
                            make_policy, simulate_service)
+from repro.service.dispatch import DispatchPolicy
 from repro.service.engine import event_core_unsupported
 from repro.service.workload import ArrivalStream
 from repro.telemetry import capture
@@ -131,6 +132,40 @@ class TestByteIdentity:
         assert auto.to_dict() == event.to_dict()
 
 
+class TestBootWindowAtStreamEnd:
+    """A node booted at the last autoscaler epoch (t=210, 20 s boot)
+    is still booting when these streams end (~221 s / ~227 s) and
+    never serves; the run used to die with "finalize at T precedes
+    backlog drain".  The books now close at the end of that boot
+    window, on every engine."""
+
+    @pytest.mark.parametrize("seed", [20, 22])
+    def test_default_run_completes_on_both_engines(self, seed):
+        stream = build_stream(10_000, seed=seed)
+        assert stream.duration_seconds < 230.0
+        loop = simulate_service(stream, engine="loop")
+        event = simulate_service(stream, engine="event")
+        assert loop.makespan_seconds == 230.0
+        assert loop.to_dict() == event.to_dict()
+
+    @pytest.mark.parametrize("seed", [20, 22])
+    def test_batched_and_observed_runs_complete(self, seed):
+        stream = build_stream(10_000, seed=seed)
+        plain = simulate_service(stream)
+        batched = simulate_service(stream,
+                                   policy=QEDPolicy(inner=PVCPolicy()))
+        assert batched.queries_completed == len(stream)
+        with record() as rec:
+            recorded = simulate_service(stream)
+        assert recorded.to_dict() == plain.to_dict()
+        assert rec.finalize().replayed_energy_joules() == pytest.approx(
+            plain.energy_joules, rel=1e-9)
+        with capture() as col:
+            simulate_service(stream)
+        metered = sum(d.energy_joules for d in col.finalize().devices)
+        assert metered == pytest.approx(plain.energy_joules, rel=1e-9)
+
+
 class TestEngineSelection:
     """The engine= API: validation, explicit errors, auto-fallback."""
 
@@ -200,6 +235,87 @@ class TestEngineSelection:
         assert "batch" in event_core_unsupported(QEDPolicy())
         assert "no vectorized kernel" in event_core_unsupported(
             _UnknownRouter())
+
+
+class _SelectOnlyRouter(DispatchPolicy):
+    """A third-party router the event core has no kernel for."""
+
+    name = "first_on"
+
+    def select(self, nodes, on_ids, now, service_s):
+        return on_ids[0]
+
+
+class TestEngineReason:
+    """``engine="auto"`` says why it fell back: one test per reason
+    :func:`event_core_unsupported` can give."""
+
+    def _auto(self, stream, **kwargs):
+        return simulate_service(stream, fleet=_fleet("homogeneous"),
+                                engine="auto", **kwargs)
+
+    def test_none_on_the_event_core(self, stream):
+        report = self._auto(stream)
+        assert (report.engine, report.engine_reason) == ("event", None)
+
+    def test_none_on_an_explicit_loop(self, stream):
+        loop, _, _ = _run(stream, "power_aware", "homogeneous", "loop")
+        assert (loop.engine, loop.engine_reason) == ("loop", None)
+        schedule = build_fault_schedule(
+            horizon_seconds=stream.duration_seconds, seed=3,
+            fleet=_fleet("homogeneous"))
+        faulty = simulate_faulty_service(
+            stream, schedule, fleet=_fleet("homogeneous"), engine="loop")
+        assert (faulty.engine, faulty.engine_reason) == ("loop", None)
+
+    def test_excluded_from_dict_and_equality(self, stream):
+        with record():
+            fallback = self._auto(stream)
+        loop, _, _ = _run(stream, "power_aware", "homogeneous", "loop")
+        assert fallback.engine_reason is not None
+        assert "engine_reason" not in fallback.to_dict()
+        assert fallback == loop
+
+    def test_faults(self, stream):
+        schedule = build_fault_schedule(
+            horizon_seconds=stream.duration_seconds, seed=3,
+            fleet=_fleet("homogeneous"))
+        report = self._auto(stream, faults=schedule)
+        assert report.engine == "loop"
+        assert report.engine_reason == \
+            event_core_unsupported(None, faults=True)
+        assert "fault schedules" in report.engine_reason
+
+    def test_telemetry(self, stream):
+        with capture():
+            report = self._auto(stream)
+        assert "telemetry capture" in report.engine_reason
+
+    def test_flight_recording(self, stream):
+        with record():
+            report = self._auto(stream)
+        assert "flight recording" in report.engine_reason
+
+    def test_batch_tenant_under_admission_limit(self):
+        from dataclasses import replace
+        tenants = (DEFAULT_TENANTS[0],
+                   replace(DEFAULT_TENANTS[1], batch=True))
+        batchy = build_stream(2_000, tenants=tenants, seed=0)
+        report = self._auto(batchy, admission_limit_seconds=5.0)
+        assert report.engine == "loop"
+        assert "admission-exempt" in report.engine_reason
+        # without the limit the same stream stays on the event core
+        assert self._auto(batchy).engine_reason is None
+
+    def test_batching_policy(self, stream):
+        report = self._auto(stream, policy=QEDPolicy(hold_seconds=0.2))
+        assert "batches arrivals" in report.engine_reason
+
+    def test_no_vectorized_kernel(self, stream):
+        report = self._auto(stream, policy=_SelectOnlyRouter())
+        assert report.engine == "loop"
+        assert report.engine_reason == \
+            "policy 'first_on' has no vectorized kernel"
 
 
 class _UnknownRouter:

@@ -17,7 +17,7 @@ byte-identical ServiceReport.
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.faults import build_fault_schedule, simulate_faulty_service
@@ -78,6 +78,9 @@ def test_every_query_is_accounted_for(queries, n_nodes, seed, intensity):
 @settings(max_examples=20, deadline=None)
 @given(queries=query_counts, n_nodes=node_counts, seed=seeds,
        intensity=intensities)
+# the autoscaler powers node002 off at t=90.0 and the run ends at
+# 90.31, inside the 0.5 s drain window whose lump is already charged
+@example(queries=88, n_nodes=3, seed=302, intensity=0.0)
 def test_metered_energy_matches_closed_form(queries, n_nodes, seed,
                                             intensity):
     stream, schedule, retry, shed = _case(queries, n_nodes, seed,

@@ -1,5 +1,7 @@
 """Property-based tests: simulation determinism and energy invariants."""
 
+import bisect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from repro.hardware.proportionality import proportionality_index
 from repro.hardware.server import BaseLoad
 from repro.hardware.meter import EnergyMeter
 from repro.sim import Simulation, TimeSeries
+from repro.sim.tracing import _VECTORIZE_FROM_SEGMENTS
 
 delays = st.lists(st.floats(min_value=0.0, max_value=100.0,
                             allow_nan=False), min_size=1, max_size=20)
@@ -114,3 +117,76 @@ def test_proportionality_index_bounds(raw):
     # mixes land in between
     mixed = [0.5 * i + 0.5 * c for i, c in zip(ideal, constant)]
     assert 0.0 < proportionality_index(utils, mixed) < 1.0
+
+
+# -- TimeSeries.integrate: the vectorized path is the scalar loop ------
+
+def _scalar_integrate(times, values, t0, t1):
+    """The pre-vectorization ``TimeSeries.integrate`` loop, kept here
+    as the reference the numpy path must reproduce bit for bit."""
+    total = 0.0
+    idx = bisect.bisect_right(times, t0) - 1
+    cursor = t0
+    while cursor < t1:
+        seg_end = times[idx + 1] if idx + 1 < len(times) else t1
+        seg_end = min(seg_end, t1)
+        total += values[idx] * (seg_end - cursor)
+        cursor = seg_end
+        idx += 1
+    return total
+
+
+#: (gap to the previous sample, value); a zero gap re-records at the
+#: same timestamp, which overwrites
+_step = st.tuples(
+    st.sampled_from([0.0, 0.25, 1.0])
+    | st.floats(min_value=0.0, max_value=20.0, allow_nan=False),
+    st.floats(min_value=-500.0, max_value=500.0, allow_nan=False))
+#: short series stay on the scalar branch; the long ones (hypothesis
+#: rarely grows a list that far unasked) reach the numpy branch even
+#: after same-timestamp overwrites thin them out
+steps = st.lists(_step, min_size=1, max_size=40) \
+    | st.lists(_step, min_size=2 * _VECTORIZE_FROM_SEGMENTS,
+               max_size=4 * _VECTORIZE_FROM_SEGMENTS)
+
+#: (t0 fraction, t1 fraction, snap t0 to a sample, snap t1 to a
+#: sample, seconds past the last sample added to t1)
+queries = st.lists(
+    st.tuples(st.floats(min_value=0.0, max_value=1.0),
+              st.floats(min_value=0.0, max_value=1.0),
+              st.booleans(), st.booleans(),
+              st.sampled_from([0.0, 0.0, 3.5, 1e6])),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps, queries, st.integers(min_value=1, max_value=4))
+def test_integrate_is_bit_identical_to_the_scalar_loop(step_list, query_list,
+                                                       n_chunks):
+    ts = TimeSeries()
+    t = 0.0
+    chunk = -(-len(step_list) // n_chunks)
+    for at in range(0, len(step_list), chunk):
+        # record() between rounds of integrate(): a stale array cache
+        # (appended sample or same-timestamp overwrite) would show
+        for gap, value in step_list[at:at + chunk]:
+            t += gap
+            ts.record(t, value)
+        times, values = ts.times, ts.values
+        first, last = times[0], times[-1]
+
+        def point(fraction, snap):
+            x = first + fraction * (last - first)
+            if snap:
+                x = times[min(bisect.bisect_left(times, x), len(times) - 1)]
+            return x
+
+        spans = [(first, last), (first, last + 7.0)]
+        for f0, f1, snap0, snap1, past in query_list:
+            a, b = sorted((point(f0, snap0), point(f1, snap1)))
+            spans.append((a, b + past))
+        for t0, t1 in spans:
+            got = ts.integrate(t0, t1)
+            want = _scalar_integrate(times, values, t0, t1)
+            # float.hex: equal bits, not just ==  (tells -0.0 from 0.0)
+            assert got.hex() == float(want).hex(), (t0, t1, len(times))
