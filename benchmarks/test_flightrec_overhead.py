@@ -7,35 +7,49 @@ to ``finalize()``.  (Off, it is one module-global read per emission
 site and unmeasurable — and the closed-form reports are byte-identical
 either way, which ``tests/integration/test_flightrec.py`` pins.)
 
-This guard simulates the same small serving point with recording off
-and on — finalize included, since operators always pay it — and
-asserts the recorded run stays within 5% of the unrecorded one
-(min-of-N wall times, interleaved to decorrelate host noise).  Both
-arms land in ``BENCH_core.json`` as ``host_seconds`` rows (points
-``off``/``on``), which the regression engine records and reports but
-never gates on — wall clock is not this repo's claim.
+This guard serves the same stream with recording off and on —
+finalize included, since operators always pay it — and asserts the
+recorded run stays within 5% of the unrecorded one (min-of-N wall
+times, interleaved to decorrelate host noise).  Both arms run
+``engine="loop"``: a recorder sends ``engine="auto"`` back to the
+reference loop, so an "auto" baseline on the event core would measure
+the fallback, not the recorder.  Both arms land in ``BENCH_core.json``
+as ``host_seconds`` rows (points ``off``/``on``), which the regression
+engine records and reports but never gates on — wall clock is not this
+repo's claim.
 """
 
 from __future__ import annotations
 
 import time
+from functools import cache
 
 from conftest import observatory_recorder
 from repro.flightrec import record
-from repro.runner import get_experiment
-
-#: the svc_smoke point function at its own defaults: one 350k-query
-#: stream on 16 autoscaled power_aware nodes (bare call_point skips
-#: the spec layer's CI-sized queries override — more queries, more
-#: hot-path signal per measured second)
-SMOKE_KNOBS = {"policy": "power_aware"}
+from repro.service import (Autoscaler, FleetSpec, NodePowerModel,
+                           build_stream, simulate_service)
 
 ROUNDS = 5
 MAX_OVERHEAD = 0.05
 
 
+@cache
+def _stream():
+    """The svc_smoke point's stream at its own defaults (350k queries:
+    more hot-path signal per measured second), built once, off the
+    clock."""
+    return build_stream(350_000, seed=2009)
+
+
 def _simulate_point() -> None:
-    get_experiment("svc_smoke").call_point(SMOKE_KNOBS, seed=2009)
+    # the svc_smoke fleet: 16 autoscaled power_aware commodity nodes
+    model = NodePowerModel.from_server("commodity")
+    simulate_service(
+        _stream(), fleet=FleetSpec.homogeneous(16, model),
+        policy="power_aware",
+        autoscaler=Autoscaler(model, epoch_seconds=30.0,
+                              target_utilization=0.55, min_nodes=2),
+        engine="loop")
 
 
 def _recorded_point() -> None:

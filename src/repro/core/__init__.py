@@ -22,8 +22,6 @@ from repro.core.experiments import (
     Figure2Result,
     figure1_point,
     figure2_point,
-    run_figure1,
-    run_figure2,
 )
 from repro.core.coordination import DvfsGovernor, PowerCoordinator
 from repro.core.report import format_table
@@ -42,7 +40,5 @@ __all__ = [
     "figure2_point",
     "format_table",
     "perf_per_watt",
-    "run_figure1",
-    "run_figure2",
     "sweep_knob",
 ]

@@ -6,20 +6,16 @@ path.
 
 The sweep *machinery* lives in :mod:`repro.runner`: this module only
 defines the physics of a single sweep point (:func:`figure1_point`,
-:func:`figure2_point`) and the figure-level result containers.  The
-historical entry points :func:`run_figure1` / :func:`run_figure2` are
-kept as deprecated shims that route through a serial
-:class:`~repro.runner.Runner`.
+:func:`figure2_point`) and the figure-level result containers.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 from repro.core.profiler import EnergyProfile, ProfilePoint
-from repro.hardware.profiles import FIG1_DISK_COUNTS, dl785
+from repro.hardware.profiles import dl785
 from repro.sim import Simulation
 from repro.storage.manager import StorageManager
 from repro.workloads.scan_workload import ScanReport, run_scan
@@ -106,38 +102,6 @@ def figure1_point(disks: int,
         scale=logical_scale_factor / physical_scale_factor)
 
 
-def run_figure1(disk_counts: Sequence[int] = FIG1_DISK_COUNTS,
-                physical_scale_factor: float = 0.002,
-                logical_scale_factor: float = 300.0,
-                streams: int = 6,
-                queries_per_stream: int = 3,
-                parallelism: int = 4,
-                spindle_groups: int = 12) -> Figure1Result:
-    """Deprecated: reproduce Figure 1 through a serial, uncached Runner.
-
-    Prefer building the spec yourself — it unlocks the process pool and
-    the on-disk result cache::
-
-        from repro.runner import ExperimentSpec, Runner
-        run = Runner(workers=4).run(ExperimentSpec("fig1"))
-        result = run.aggregate()          # a Figure1Result
-    """
-    warnings.warn("run_figure1 is deprecated; use repro.runner "
-                  "(ExperimentSpec('fig1') + Runner) instead",
-                  DeprecationWarning, stacklevel=2)
-    from repro.runner import ExperimentSpec, Runner
-    spec = ExperimentSpec("fig1", knobs={
-        "disks": list(disk_counts),
-        "physical_scale_factor": physical_scale_factor,
-        "logical_scale_factor": logical_scale_factor,
-        "streams": streams,
-        "queries_per_stream": queries_per_stream,
-        "parallelism": parallelism,
-        "spindle_groups": spindle_groups,
-    })
-    return Runner(workers=1, cache=False).run(spec).aggregate()
-
-
 @dataclass
 class Figure2Result:
     """Uncompressed vs. compressed scan on the flash node."""
@@ -194,21 +158,3 @@ def figure2_point(compressed: bool, scale_factor: float = 0.002,
     """One Figure 2 configuration (a thin alias of :func:`run_scan`)."""
     return run_scan(compressed=compressed, scale_factor=scale_factor,
                     dvfs_fraction=dvfs_fraction, seed=seed)
-
-
-def run_figure2(scale_factor: float = 0.002,
-                seed: int = 2009) -> Figure2Result:
-    """Deprecated: reproduce Figure 2 through a serial, uncached Runner.
-
-    Prefer ``Runner().run(ExperimentSpec("fig2"))`` — see
-    :func:`run_figure1` for the pattern.
-    """
-    warnings.warn("run_figure2 is deprecated; use repro.runner "
-                  "(ExperimentSpec('fig2') + Runner) instead",
-                  DeprecationWarning, stacklevel=2)
-    from repro.runner import ExperimentSpec, Runner
-    spec = ExperimentSpec("fig2",
-                          knobs={"compressed": [False, True],
-                                 "scale_factor": scale_factor},
-                          seed=seed)
-    return Runner(workers=1, cache=False).run(spec).aggregate()

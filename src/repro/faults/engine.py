@@ -44,12 +44,9 @@ from repro.faults.policies import RetryPolicy, ShedPolicy
 from repro.faults.schedule import FaultError, FaultSchedule
 from repro.service.autoscale import Autoscaler
 from repro.service.dispatch import (DispatchContext, DispatchPolicy,
-                                    dispatch_candidates, make_policy)
-from repro.service.fleet import (_build_nodes, _mirror_power_state,
-                                 _resolve_fleet, _TelemetryMirror)
-from repro.service.node import NodePowerModel, books_close_at
-from repro.service.report import (FaultStats, ServiceError, ServiceReport,
-                                  TenantStats, quantile, rollup_classes)
+                                    dispatch_candidates)
+from repro.service.fleet import _assemble_report, _prepare
+from repro.service.report import FaultStats, ServiceReport
 from repro.service.spec import FleetSpec
 from repro.service.workload import ArrivalStream
 
@@ -60,35 +57,6 @@ _PENDING, _COMPLETED, _REJECTED, _LOST = 0, 1, 2, 3
 # a released batch dispatches onto the post-fault fleet
 _PRIO_FAULT, _PRIO_REDISPATCH, _PRIO_RELEASE = 0, 1, 2
 _EMPTY: frozenset = frozenset()
-
-
-class _FaultMirror(_TelemetryMirror):
-    """The healthy mirror, taught about crashes.
-
-    The fault engine always passes the execution's busy draw to
-    ``serve`` explicitly (a throttled node runs below peak; the base
-    mirror handles that since PVC landed), and ``crash`` drops the
-    device to zero watts with no drain rectangle — the node just
-    stops drawing power.
-    """
-
-    def crash(self, i: int, now: float) -> None:
-        self.devices[i].power_series.record(now, 0.0)
-        span = self._spans[i]
-        if span is not None:
-            self.collector.stack.close(span, now, {})
-            self._spans[i] = None
-
-    def sync(self, nodes) -> None:
-        _mirror_power_state(self, nodes)
-
-    def finish(self, end: float, report: ServiceReport) -> None:
-        super().finish(end, report)
-        faults = report.faults
-        if faults is not None:
-            for key, value in faults.to_dict().items():
-                if isinstance(value, int):
-                    self.collector.count(f"fault.{key}", value)
 
 
 def _merge_windows(windows: list[tuple[float, float]]) \
@@ -116,19 +84,15 @@ def simulate_faulty_service(stream: ArrivalStream,
                             retry: Optional[RetryPolicy] = None,
                             shed: Optional[ShedPolicy] = None,
                             engine: str = "auto",
-                            n_nodes: Optional[int] = None,
-                            model: Optional[NodePowerModel] = None,
                             **policy_kwargs) -> ServiceReport:
     """Serve ``stream`` on a fleet while ``schedule`` breaks it.
 
     ``fleet`` is a :class:`~repro.service.spec.FleetSpec` (default: 16
-    calibrated ``commodity`` nodes); the legacy ``n_nodes=``/``model=``
-    pair still works as a deprecated homogeneous shim (removal
-    announced for 2.0).  Chaos runs always execute on the reference
-    loop — fault windows rewrite per-node history, which the vectorized
-    event core of :mod:`repro.service.engine` cannot replay — so
-    ``engine`` accepts ``"auto"``/``"loop"`` (both run the loop) and
-    rejects ``"event"``.  On a
+    calibrated ``commodity`` nodes).  Chaos runs always execute on the
+    reference loop — fault windows rewrite per-node history, which the
+    vectorized event core of :mod:`repro.service.engine` cannot replay
+    — so ``engine`` accepts ``"auto"``/``"loop"`` (both run the loop)
+    and rejects ``"event"``.  On a
     heterogeneous fleet every fault prices against the struck node's
     *own* power curve — a throttled wimpy node's busy draw follows the
     cubic DVFS rule on its class's idle/peak watts, a crashed node
@@ -187,46 +151,13 @@ def simulate_faulty_service(stream: ArrivalStream,
     ...                            + report.queries_lost)
     True
     """
-    if engine not in ("auto", "event", "loop"):
-        raise ServiceError(
-            f"unknown engine {engine!r}: pass 'auto', 'event', or 'loop'")
-    from repro.service.engine import event_core_unsupported
-    engine_reason = event_core_unsupported(None, faults=True)
-    if engine == "event":
-        raise ServiceError(
-            "engine='event' cannot serve this configuration: "
-            f"{engine_reason} "
-            "(use engine='auto' to fall back to the reference loop)")
-    fleet = _resolve_fleet(fleet, n_nodes, model)
-    n_nodes = fleet.n_nodes
-    if len(stream) == 0:
-        raise ServiceError("empty arrival stream")
-    if schedule.n_nodes != n_nodes:
-        raise FaultError(
-            f"schedule covers {schedule.n_nodes} nodes but the fleet has "
-            f"{n_nodes}")
-    policy = make_policy(policy, **policy_kwargs)
-    if policy.autoscaled and autoscaler is None:
-        autoscaler = Autoscaler(fleet.classes[0].model)
-    if not policy.autoscaled:
-        autoscaler = None
+    run = _prepare(stream, fleet, policy, policy_kwargs, autoscaler,
+                   engine, faults=schedule)
+    policy, autoscaler, nodes, on_ids, mirror, rec = run[:6]
     if retry is None:
         retry = RetryPolicy()
-
-    nodes = _build_nodes(fleet)
-    on_ids = list(range(n_nodes))
+    n_nodes = len(nodes)
     models = [node.model for node in nodes]
-
-    from repro.telemetry import current_collector
-    collector = current_collector()
-    mirror = (None if collector is None else
-              _FaultMirror(collector, nodes, start_on=True))
-
-    from repro.flightrec.context import current_recorder
-    rec = current_recorder()
-    if rec is not None:
-        rec.begin_run("chaos", stream, nodes, policy.name,
-                      autoscaler is not None)
     rec_detail = rec is not None and rec.detail
     batching = policy.batching
     dvfs = policy.dvfs
@@ -628,79 +559,17 @@ def simulate_faulty_service(stream: ArrivalStream,
             execute_batch(batch, batch.release_at)
 
     # -- close the books ----------------------------------------------
-    end = books_close_at(nodes, max(last_completion, times[-1]))
-    # a crash that struck a powered-on node after the serving window
-    # still closed that node's energy interval at the crash instant;
-    # the fleet (and the telemetry mirror) must integrate idle draw on
-    # the survivors out to the same instant or the books won't balance
-    for crashed_at, _repair_at in crash_intervals:
-        if crashed_at > end:
-            end = crashed_at
+    # every execution still pending ends by ``last_completion``
     for i in range(n_nodes):
-        settle(i, end)
+        settle(i, last_completion)
     if int((state == _PENDING).sum()):  # pragma: no cover - invariant
         raise FaultError("internal: arrivals left unresolved")
-    node_stats = [node.finalize(end) for node in nodes]
-
     completed = state == _COMPLETED
-    rejected = state == _REJECTED
-    crash_lost = state == _LOST
-    stats.queries_lost = int(crash_lost.sum())
+    lost = state == _LOST
+    stats.queries_lost = int(lost.sum())
     stats.queries_recovered = int((was_crashed & completed).sum())
     stats.emergency_boots += (autoscaler.emergency_boots
                               if autoscaler is not None else 0)
-    stats.node_seconds_lost = sum(
-        max(0.0, min(repair, end) - crashed)
-        for crashed, repair in crash_intervals)
-    stats.downtime_fraction = (stats.node_seconds_lost / (n_nodes * end)
-                               if end > 0 else 0.0)
-
-    lat = latencies[completed]
-    if lat.size:
-        p50, p95, p99 = np.quantile(lat, [0.50, 0.95, 0.99])
-        mean = float(lat.mean())
-    else:
-        p50 = p95 = p99 = mean = 0.0
-    tenants = []
-    for ti, tenant in enumerate(stream.tenants):
-        mask = tenant_idx == ti
-        t_lat = np.sort(latencies[mask & completed])
-        samples = t_lat.tolist()
-        tenants.append(TenantStats(
-            tenant=tenant.name,
-            completed=int(t_lat.size),
-            rejected=int((mask & rejected).sum()),
-            crashed=int((mask & crash_lost).sum()),
-            mean_latency_seconds=float(t_lat.mean()) if samples else 0.0,
-            p50_latency_seconds=quantile(samples, 0.50) if samples else 0.0,
-            p95_latency_seconds=quantile(samples, 0.95) if samples else 0.0,
-            p99_latency_seconds=quantile(samples, 0.99) if samples else 0.0,
-            sla_p95_seconds=tenant.sla_p95_seconds,
-        ))
-
-    report = ServiceReport(
-        policy=policy.name,
-        n_nodes=n_nodes,
-        queries_offered=n,
-        queries_completed=int(completed.sum()),
-        queries_rejected=int(rejected.sum()),
-        makespan_seconds=end,
-        energy_joules=sum(s.energy_joules for s in node_stats),
-        p50_latency_seconds=float(p50),
-        p95_latency_seconds=float(p95),
-        p99_latency_seconds=float(p99),
-        mean_latency_seconds=mean,
-        node_seconds_on=sum(s.on_seconds for s in node_stats),
-        tenants=tenants,
-        nodes=node_stats,
-        faults=stats,
-        classes=rollup_classes(node_stats),
-        fleet=fleet.to_dict(),
-    )
-    report.engine = "loop"
-    report.engine_reason = engine_reason if engine == "auto" else None
-    if rec is not None:
-        rec.end_run(end, report)
-    if mirror is not None:
-        mirror.finish(end, report)
-    return report
+    return _assemble_report(run, latencies, completed, last_completion,
+                            lost=lost, faults=stats,
+                            crash_intervals=crash_intervals)

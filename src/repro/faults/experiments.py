@@ -22,8 +22,7 @@ from typing import Any, Mapping, Optional, Sequence
 from repro.faults.engine import simulate_faulty_service
 from repro.faults.policies import RetryPolicy, ShedPolicy
 from repro.faults.schedule import FaultError, FaultMix, build_fault_schedule
-from repro.service.autoscale import Autoscaler
-from repro.service.dispatch import make_policy, policy_knob_names
+from repro.service.experiments import _policy_and_autoscaler
 from repro.service.node import NodePowerModel
 from repro.service.report import ServiceReport
 from repro.service.spec import FleetSpec
@@ -61,8 +60,8 @@ def chaos_point(policy: str = "power_aware",
     disables admission shedding; ``intensity`` scales every fault rate
     at once — the ``chaos_frontier`` sweep axis.
     """
-    model = NodePowerModel.from_server(profile)
-    fleet = FleetSpec.homogeneous(nodes, model)
+    fleet = FleetSpec.homogeneous(nodes,
+                                  NodePowerModel.from_server(profile))
     stream = build_stream(queries, seed=seed)
     schedule = build_fault_schedule(
         nodes, stream.duration_seconds * horizon_slack, seed=seed,
@@ -81,18 +80,10 @@ def chaos_point(policy: str = "power_aware",
                         timeout_detect_seconds=timeout_detect_seconds)
     shed = (ShedPolicy(slack_fraction=shed_slack_fraction)
             if shed_slack_fraction is not None else None)
-    accepted = policy_knob_names(policy)
-    candidate: dict[str, Any] = {
+    dispatch, autoscaler = _policy_and_autoscaler(policy, fleet, {
         "pack_backlog_seconds": pack_backlog_seconds,
-        "admission_limit_seconds": admission_limit_seconds}
-    dispatch = make_policy(policy, **{k: v for k, v in candidate.items()
-                                      if k in accepted})
-    autoscaler = Autoscaler(
-        model,
-        epoch_seconds=epoch_seconds,
-        target_utilization=target_utilization,
-        min_nodes=min_nodes,
-    ) if dispatch.autoscaled else None
+        "admission_limit_seconds": admission_limit_seconds,
+    }, epoch_seconds, target_utilization, min_nodes)
     return simulate_faulty_service(
         stream, schedule, fleet=fleet, policy=dispatch,
         autoscaler=autoscaler, retry=retry, shed=shed)

@@ -192,8 +192,9 @@ class FlightRecorder:
         attempts: list = [1] * n
         dvfs_nodes: set[int] = set()
 
-        for k, i, start, freq, busy_watts in self.dvfs_serves:
-            done = start + service[k] / (speed[i] * freq)
+        def put_span(k, i, start, done, busy_watts, freq) -> None:
+            """One finished execution: query ``k``'s span columns and
+            their numpy shadows."""
             node_col[k] = i
             start_col[k] = start
             completion[k] = done
@@ -204,7 +205,12 @@ class FlightRecorder:
             start_np[k] = start
             comp_np[k] = done
             freq_np[k] = freq
-            dvfs_nodes.add(i)
+            if freq < 1.0:
+                dvfs_nodes.add(i)
+
+        for k, i, start, freq, busy_watts in self.dvfs_serves:
+            put_span(k, i, start, start + service[k] / (speed[i] * freq),
+                     busy_watts, freq)
 
         batches: dict[str, list] = {
             "members": [], "first": [], "release_at": [],
@@ -237,20 +243,9 @@ class FlightRecorder:
             batches["frequency"].append(freq)
             if flush is not None:
                 flush["batch"] = bid
-            if freq < 1.0:
-                dvfs_nodes.add(i)
             for m in members:
-                node_col[m] = i
-                start_col[m] = start
-                completion[m] = done
-                watts_col[m] = busy_watts
-                freq_col[m] = freq
-                state[m] = DONE
+                put_span(m, i, start, done, busy_watts, freq)
                 batch_col[m] = bid
-                lane_np[m] = i
-                start_np[m] = start
-                comp_np[m] = done
-                freq_np[m] = freq
 
         for members, i, release_at, start, done, combined, freq, \
                 busy_watts in self.batch_serves:
@@ -258,19 +253,7 @@ class FlightRecorder:
                     and members[0] not in flush_by_first:
                 # a degenerate solo release is the un-batched engine
                 # event: record it as a plain (or downclocked) serve
-                k = members[0]
-                node_col[k] = i
-                start_col[k] = start
-                completion[k] = done
-                watts_col[k] = busy_watts
-                freq_col[k] = freq
-                state[k] = DONE
-                lane_np[k] = i
-                start_np[k] = start
-                comp_np[k] = done
-                freq_np[k] = freq
-                if freq < 1.0:
-                    dvfs_nodes.add(i)
+                put_span(members[0], i, start, done, busy_watts, freq)
             else:
                 add_batch(members, i, release_at, start, done, combined,
                           freq, busy_watts)
@@ -286,18 +269,7 @@ class FlightRecorder:
                 if isinstance(who, tuple):
                     # degenerate solo release under chaos: plain serve
                     who = who[0]
-                node_col[who] = i
-                start_col[who] = start
-                completion[who] = end
-                watts_col[who] = busy_watts
-                freq_col[who] = freq
-                state[who] = DONE
-                lane_np[who] = i
-                start_np[who] = start
-                comp_np[who] = end
-                freq_np[who] = freq
-                if freq < 1.0:
-                    dvfs_nodes.add(i)
+                put_span(who, i, start, end, busy_watts, freq)
 
         for t, kind, node, ti, query, data in self.events:
             if kind == RETRY:

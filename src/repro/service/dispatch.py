@@ -21,11 +21,8 @@ workload-management agenda sketches:
   estimated latency fits the arrival's SLA slack.
 
 Routing decisions read a :class:`DispatchContext` — one documented
-dataclass instead of the legacy positional ``(nodes, on_ids, now,
-service_s)`` tuple — via :meth:`DispatchPolicy.route`.  Third-party
-policies that still override the legacy :meth:`DispatchPolicy.select`
-keep working: the base ``route`` delegates to ``select`` when a
-subclass implements only the old protocol.
+dataclass — via :meth:`DispatchPolicy.route`, the one routing method
+every policy implements.
 
 Beyond routing, a policy may opt into two *execution* hooks (see
 POLICIES.md for the author's guide):
@@ -75,7 +72,7 @@ class DispatchContext:
     ``nodes`` is the whole fleet (indexable by the returned id) and
     ``on_ids`` the ascending candidate indices the policy may choose
     from.  ``sla_seconds`` is the arriving tenant's p95 target when the
-    engine knows it (``None`` from legacy call sites), which is what
+    engine knows it (``None`` when the caller does not), which is what
     lets class-aware policies trade a slower-but-cheaper node against
     the arrival's latency budget.
     """
@@ -159,10 +156,8 @@ class DispatchPolicy:
     (:meth:`offer` and friends); both default off, so plain routing
     policies never pay for them.
 
-    Subclasses implement :meth:`route` (preferred: reads a
-    :class:`DispatchContext`) or the legacy positional :meth:`select`;
-    each base method delegates to the other, so either protocol alone
-    is a complete policy.
+    Subclasses implement :meth:`route`, which reads a
+    :class:`DispatchContext`.
     """
 
     name = "base"
@@ -182,23 +177,8 @@ class DispatchPolicy:
     def route(self, ctx: DispatchContext) -> int:
         """Index (into ``ctx.nodes``) of the node to serve this
         arrival."""
-        if type(self).select is DispatchPolicy.select:
-            raise ServiceError(
-                f"policy {self.name!r} implements neither route() nor "
-                "select()")
-        return self.select(ctx.nodes, ctx.on_ids, ctx.now,
-                           ctx.service_seconds)
-
-    def select(self, nodes: Sequence[FleetNode], on_ids: Sequence[int],
-               now: float, service_s: float) -> int:
-        """Legacy positional entry point (kept for third-party
-        policies and direct callers); new policies override
-        :meth:`route` instead."""
-        if type(self).route is DispatchPolicy.route:
-            raise ServiceError(
-                f"policy {self.name!r} implements neither route() nor "
-                "select()")
-        return self.route(DispatchContext(nodes, on_ids, now, service_s))
+        raise ServiceError(
+            f"policy {self.name!r} does not implement route()")
 
     def admits(self, node: FleetNode, now: float) -> bool:
         """Whether the routed arrival is admitted (else: rejected)."""
@@ -255,8 +235,8 @@ class RoundRobin(DispatchPolicy):
         super().__init__(admission_limit_seconds)
         self._next = 0
 
-    def select(self, nodes: Sequence[FleetNode], on_ids: Sequence[int],
-               now: float, service_s: float) -> int:
+    def route(self, ctx: DispatchContext) -> int:
+        on_ids = ctx.on_ids
         chosen = on_ids[self._next % len(on_ids)]
         self._next += 1
         return chosen
@@ -268,8 +248,9 @@ class LeastLoaded(DispatchPolicy):
 
     name = "least_loaded"
 
-    def select(self, nodes: Sequence[FleetNode], on_ids: Sequence[int],
-               now: float, service_s: float) -> int:
+    def route(self, ctx: DispatchContext) -> int:
+        nodes = ctx.nodes
+        on_ids = ctx.on_ids
         best = on_ids[0]
         best_backlog = nodes[best].busy_until
         for i in on_ids[1:]:

@@ -44,7 +44,8 @@ from dataclasses import dataclass, replace
 from typing import Any, Mapping, Optional, Sequence
 
 from repro.service.autoscale import Autoscaler
-from repro.service.dispatch import make_policy, policy_knob_names
+from repro.service.dispatch import (DispatchPolicy, make_policy,
+                                    policy_knob_names)
 from repro.service.fleet import simulate_service
 from repro.service.node import NodePowerModel
 from repro.service.report import (ServiceError, ServiceReport,
@@ -73,11 +74,26 @@ def composition_fleet(composition: str) -> FleetSpec:
     return FleetSpec.of(**dict(parts))
 
 
-def _dispatch_for(policy: str, knobs: Mapping[str, Any]):
-    """Build the policy, passing only the knobs its factory declares."""
-    accepted = policy_knob_names(policy)
-    return make_policy(policy, **{k: v for k, v in knobs.items()
-                                  if k in accepted})
+def _policy_and_autoscaler(policy, fleet: FleetSpec,
+                           knobs: Mapping[str, Any],
+                           epoch_seconds: float,
+                           target_utilization: float,
+                           min_nodes: int):
+    """What one sweep point serves with: the dispatch policy — a
+    registered name built from just the ``knobs`` its factory declares,
+    or a ready instance — and the autoscaler, when the policy wants
+    one."""
+    if not isinstance(policy, DispatchPolicy):
+        accepted = policy_knob_names(policy)
+        policy = make_policy(policy, **{k: v for k, v in knobs.items()
+                                        if k in accepted})
+    autoscaler = Autoscaler(
+        fleet.classes[0].model,
+        epoch_seconds=epoch_seconds,
+        target_utilization=target_utilization,
+        min_nodes=min_nodes,
+    ) if policy.autoscaled else None
+    return policy, autoscaler
 
 
 def service_point(policy: str = "power_aware",
@@ -100,20 +116,14 @@ def service_point(policy: str = "power_aware",
     :func:`~repro.service.dispatch.policy_knob_names`, so each policy
     only sees the knobs its factory declares.
     """
-    model = NodePowerModel.from_server(profile)
-    fleet = FleetSpec.homogeneous(nodes, model)
+    fleet = FleetSpec.homogeneous(nodes,
+                                  NodePowerModel.from_server(profile))
     stream = build_stream(queries, seed=seed)
-    dispatch = _dispatch_for(policy, {
+    dispatch, autoscaler = _policy_and_autoscaler(policy, fleet, {
         "pack_backlog_seconds": pack_backlog_seconds,
         "admission_limit_seconds": admission_limit_seconds,
         "sla_slack_fraction": sla_slack_fraction,
-    })
-    autoscaler = Autoscaler(
-        model,
-        epoch_seconds=epoch_seconds,
-        target_utilization=target_utilization,
-        min_nodes=min_nodes,
-    ) if dispatch.autoscaled else None
+    }, epoch_seconds, target_utilization, min_nodes)
     return simulate_service(stream, fleet=fleet, policy=dispatch,
                             autoscaler=autoscaler)
 
@@ -148,17 +158,11 @@ def hetero_point(composition: str = "mixed",
                 sla_p95_seconds=t.sla_p95_seconds * sla_scale)
         for t in DEFAULT_TENANTS)
     stream = build_stream(queries, tenants=tenants, seed=seed)
-    dispatch = _dispatch_for(policy, {
+    dispatch, autoscaler = _policy_and_autoscaler(policy, fleet, {
         "pack_backlog_seconds": pack_backlog_seconds,
         "admission_limit_seconds": admission_limit_seconds,
         "sla_slack_fraction": sla_slack_fraction,
-    })
-    autoscaler = Autoscaler(
-        fleet.classes[0].model,
-        epoch_seconds=epoch_seconds,
-        target_utilization=target_utilization,
-        min_nodes=min_nodes,
-    ) if dispatch.autoscaled else None
+    }, epoch_seconds, target_utilization, min_nodes)
     return simulate_service(stream, fleet=fleet, policy=dispatch,
                             autoscaler=autoscaler)
 
@@ -232,18 +236,14 @@ def pvc_qed_point(config: str = "power_aware",
     Pareto knob: small headroom hugs the baseline latency, large
     headroom buys the deepest Joules/query cuts.
     """
-    model = NodePowerModel.from_server(profile)
-    fleet = FleetSpec.homogeneous(nodes, model)
+    fleet = FleetSpec.homogeneous(nodes,
+                                  NodePowerModel.from_server(profile))
     stream = build_stream(queries, seed=seed)
-    dispatch = _pvc_qed_policy(
-        config, sla_headroom, hold_seconds, shared_fraction, max_batch,
-        pack_backlog_seconds, admission_limit_seconds)
-    autoscaler = Autoscaler(
-        model,
-        epoch_seconds=epoch_seconds,
-        target_utilization=target_utilization,
-        min_nodes=min_nodes,
-    ) if dispatch.autoscaled else None
+    dispatch, autoscaler = _policy_and_autoscaler(
+        _pvc_qed_policy(config, sla_headroom, hold_seconds,
+                        shared_fraction, max_batch, pack_backlog_seconds,
+                        admission_limit_seconds),
+        fleet, {}, epoch_seconds, target_utilization, min_nodes)
     return simulate_service(stream, fleet=fleet, policy=dispatch,
                             autoscaler=autoscaler)
 
@@ -282,21 +282,15 @@ def mega_point(policy: str = "power_aware",
     the reference core — same report, reference wall-clock — which is
     what the calibration experiment uses to price the speedup.
     """
-    model = NodePowerModel.from_server(profile)
-    fleet = FleetSpec.homogeneous(nodes, model)
+    fleet = FleetSpec.homogeneous(nodes,
+                                  NodePowerModel.from_server(profile))
     stream = build_stream(queries, tenants=_mega_tenants(load),
                           seed=seed)
-    dispatch = _dispatch_for(policy, {
+    dispatch, autoscaler = _policy_and_autoscaler(policy, fleet, {
         "pack_backlog_seconds": pack_backlog_seconds,
         "admission_limit_seconds": admission_limit_seconds,
         "sla_slack_fraction": sla_slack_fraction,
-    })
-    autoscaler = Autoscaler(
-        model,
-        epoch_seconds=epoch_seconds,
-        target_utilization=target_utilization,
-        min_nodes=min_nodes,
-    ) if dispatch.autoscaled else None
+    }, epoch_seconds, target_utilization, min_nodes)
     return simulate_service(stream, fleet=fleet, policy=dispatch,
                             autoscaler=autoscaler, engine=engine)
 
@@ -414,13 +408,9 @@ def mega_calibration_point(policy: str = "power_aware",
         # autoscalers are stateful, and a shared instance would leak
         # one engine's cursor into the other's run
         fleet = FleetSpec.homogeneous(nodes, model)
-        dispatch = _dispatch_for(policy, knobs)
-        autoscaler = Autoscaler(
-            model,
-            epoch_seconds=epoch_seconds,
-            target_utilization=target_utilization,
-            min_nodes=min_nodes,
-        ) if dispatch.autoscaled else None
+        dispatch, autoscaler = _policy_and_autoscaler(
+            policy, fleet, knobs, epoch_seconds, target_utilization,
+            min_nodes)
         start = perf_counter()
         report = simulate_service(stream, fleet=fleet, policy=dispatch,
                                   autoscaler=autoscaler, engine=engine)

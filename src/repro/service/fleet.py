@@ -32,59 +32,28 @@ transition into the device step functions, and opens a root
 node — so ``python -m repro.runner trace svc_policies`` shows the same
 per-node timelines and Joules any metered experiment would.
 
-The legacy ``n_nodes=``/``model=`` parameters still work as deprecated
-shims that build a homogeneous :class:`FleetSpec` (they warn on use,
-like the :mod:`repro` facade's PEP 562 shims warn on access).
+Every interpreter of that pass — the loop, the batched (QED) loop, the
+event core, and the chaos engine of :mod:`repro.faults.engine` —
+enters through :func:`_prepare` (validate the run, pick the engine,
+build nodes and observers) and leaves through :func:`_assemble_report`
+(close the books, fold the report), so the serving semantics around
+the per-query arithmetic are stated once.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.service.autoscale import Autoscaler
 from repro.service.dispatch import (DispatchContext, DispatchPolicy,
                                     dispatch_candidates, make_policy)
-from repro.service.node import (FleetNode, NodePowerModel,
-                                books_close_at)
-from repro.service.report import (ServiceError, ServiceReport, TenantStats,
-                                  quantile, rollup_classes)
+from repro.service.node import FleetNode, books_close_at
+from repro.service.report import (FaultStats, ServiceError, ServiceReport,
+                                  TenantStats, quantile, rollup_classes)
 from repro.service.spec import FleetSpec
 from repro.service.workload import ArrivalStream
-
-
-def _resolve_fleet(fleet: Optional[FleetSpec],
-                   n_nodes: Optional[int],
-                   model: Optional[NodePowerModel],
-                   default_nodes: int = 16) -> FleetSpec:
-    """The v2 surface contract: ``fleet=`` is primary, the legacy
-    ``n_nodes=``/``model=`` pair is a deprecated shim building a
-    homogeneous spec, and mixing the two is an error."""
-    if fleet is not None:
-        if n_nodes is not None or model is not None:
-            raise ServiceError(
-                "pass either fleet= or the deprecated n_nodes=/model= "
-                "shims, not both")
-        if not isinstance(fleet, FleetSpec):
-            raise ServiceError(
-                f"fleet must be a FleetSpec, got {type(fleet).__name__}")
-        return fleet
-    if n_nodes is None and model is None:
-        return FleetSpec.homogeneous(default_nodes)
-    warnings.warn(
-        "the n_nodes=/model= parameters are deprecated and will be "
-        "removed in 2.0; pass fleet=FleetSpec.homogeneous(n, model) "
-        "(or FleetSpec.of(...)) instead",
-        DeprecationWarning, stacklevel=3)
-    return FleetSpec.homogeneous(
-        n_nodes if n_nodes is not None else default_nodes, model)
-
-
-def _build_nodes(fleet: FleetSpec) -> list[FleetNode]:
-    return [FleetNode(name, model, on=True, node_class=class_name)
-            for name, class_name, model in fleet.members()]
 
 
 class _TelemetryMirror:
@@ -95,11 +64,14 @@ class _TelemetryMirror:
     recorded directly; the shared clock only advances once, at
     :meth:`finish`, to the fleet's end time.  Every node carries its
     own :class:`NodePowerModel`, so a heterogeneous fleet's devices
-    draw their class's watts.
+    draw their class's watts.  The chaos engine drives the same mirror:
+    it passes every execution's busy draw to :meth:`serve` explicitly
+    (a throttled node runs below peak) and reports crashes through
+    :meth:`crash`.
     """
 
-    def __init__(self, collector, fleet_nodes: Sequence[FleetNode],
-                 start_on: bool) -> None:
+    def __init__(self, collector,
+                 fleet_nodes: Sequence[FleetNode]) -> None:
         from repro.hardware.device import Device
         from repro.hardware.meter import EnergyMeter
         from repro.sim import Simulation
@@ -113,13 +85,11 @@ class _TelemetryMirror:
         self._drained_until = 0.0  # end of the latest drain window
         for i, node in enumerate(fleet_nodes):
             device = Device(self.sim, f"svc.{node.name}",
-                            initial_power_watts=(node.model.idle_watts
-                                                 if start_on else 0.0))
+                            initial_power_watts=node.model.idle_watts)
             self.meter.attach(device)
             self.devices.append(device)
-            if start_on:
-                self._spans[i] = collector.stack.open(
-                    f"svc.{node.name}.on", 0.0, {}, root=True)
+            self._spans[i] = collector.stack.open(
+                f"svc.{node.name}.on", 0.0, {}, root=True)
 
     def serve(self, i: int, start: float, end: float,
               busy_watts: Optional[float] = None) -> None:
@@ -151,10 +121,31 @@ class _TelemetryMirror:
         series.record(now, drain_watts)
         series.record(drained, 0.0)
         self._drained_until = max(self._drained_until, drained)
+        self._close_span(i, now)
+
+    def crash(self, i: int, now: float) -> None:
+        """The node just stops drawing power: zero watts from ``now``,
+        no drain rectangle."""
+        self.devices[i].power_series.record(now, 0.0)
+        self._close_span(i, now)
+
+    def _close_span(self, i: int, now: float) -> None:
         span = self._spans[i]
         if span is not None:
             self.collector.stack.close(span, now, {})
             self._spans[i] = None
+
+    def sync(self, nodes: Sequence[FleetNode]) -> None:
+        """Propagate autoscaler on/off flips into the devices."""
+        for i, node in enumerate(nodes):
+            span_open = self._spans[i] is not None
+            if node.on and not span_open:
+                # power_on happened this epoch step, at node.on_since
+                self.power_on(i, node.on_since)
+            elif not node.on and span_open:
+                # power_off left busy_until at off-time + drain window
+                self.power_off(
+                    i, node.busy_until - node.model.drain_seconds)
 
     def finish(self, end: float, report: ServiceReport) -> None:
         # a drain window still in flight when the books close: the
@@ -165,15 +156,101 @@ class _TelemetryMirror:
         self.sim.clock.advance_to(max(end, self._drained_until,
                                       self.sim.now))
         for i, span in enumerate(self._spans):
-            if span is not None:
-                if draining:
-                    self.devices[i].power_series.record(end, 0.0)
-                self.collector.stack.close(span, end, {})
-                self._spans[i] = None
+            if span is not None and draining:
+                self.devices[i].power_series.record(end, 0.0)
+            self._close_span(i, end)
         self.collector.count("svc.queries_completed",
                              report.queries_completed)
         self.collector.count("svc.queries_rejected",
                              report.queries_rejected)
+        if report.faults is not None:
+            for key, value in report.faults.to_dict().items():
+                if isinstance(value, int):
+                    self.collector.count(f"fault.{key}", value)
+
+
+class _Run(NamedTuple):
+    """One validated run, as :func:`_prepare` hands it to whichever
+    interpreter serves it; ``run[:6]`` is what a per-query loop reads."""
+
+    policy: DispatchPolicy
+    autoscaler: Optional[Autoscaler]
+    nodes: list[FleetNode]
+    #: indices of the powered-on nodes (mutated as the run scales)
+    on_ids: list[int]
+    mirror: Optional[_TelemetryMirror]
+    #: the installed :class:`~repro.flightrec.recorder.FlightRecorder`
+    rec: Optional[object]
+    stream: ArrivalStream
+    fleet: FleetSpec
+    #: ``"event"`` or ``"loop"``
+    engine: str
+    engine_reason: Optional[str]
+
+
+def _choose_engine(engine: str, policy: DispatchPolicy, collector, rec,
+                   stream: ArrivalStream,
+                   faults: bool) -> tuple[str, Optional[str]]:
+    """Pick the serving core: ``(ServiceReport.engine,
+    ServiceReport.engine_reason)``."""
+    from repro.service.engine import event_core_unsupported
+    reason = event_core_unsupported(policy, collector, rec, faults=faults,
+                                    stream=stream)
+    if reason is None and engine != "loop":
+        return "event", None
+    if engine == "event":
+        raise ServiceError(
+            f"engine='event' cannot serve this configuration: {reason} "
+            "(use engine='auto' to fall back to the reference loop)")
+    return "loop", reason if engine == "auto" else None
+
+
+def _prepare(stream: ArrivalStream, fleet: Optional[FleetSpec], policy,
+             policy_kwargs: dict, autoscaler: Optional[Autoscaler],
+             engine: str, faults=None) -> _Run:
+    """The front door every interpreter enters through: validate the
+    run, pick the engine, build the nodes and the observers.
+
+    ``faults`` is the chaos engine's
+    :class:`~repro.faults.schedule.FaultSchedule` (None on a healthy
+    run)."""
+    if engine not in ("auto", "event", "loop"):
+        raise ServiceError(
+            f"unknown engine {engine!r}: pass 'auto', 'event', or 'loop'")
+    if fleet is None:
+        fleet = FleetSpec.homogeneous(16)
+    elif not isinstance(fleet, FleetSpec):
+        raise ServiceError(
+            f"fleet must be a FleetSpec, got {type(fleet).__name__}")
+    if len(stream) == 0:
+        raise ServiceError("empty arrival stream")
+    if faults is not None and faults.n_nodes != fleet.n_nodes:
+        from repro.faults.schedule import FaultError
+        raise FaultError(
+            f"schedule covers {faults.n_nodes} nodes but the fleet has "
+            f"{fleet.n_nodes}")
+    policy = make_policy(policy, **policy_kwargs)
+    if not policy.autoscaled:
+        autoscaler = None
+    elif autoscaler is None:
+        autoscaler = Autoscaler(fleet.classes[0].model)
+
+    from repro.flightrec.context import current_recorder
+    from repro.telemetry import current_collector
+    collector = current_collector()
+    rec = current_recorder()
+    engine, engine_reason = _choose_engine(engine, policy, collector, rec,
+                                           stream, faults is not None)
+
+    nodes = [FleetNode(name, model, on=True, node_class=class_name)
+             for name, class_name, model in fleet.members()]
+    mirror = (None if collector is None
+              else _TelemetryMirror(collector, nodes))
+    if rec is not None:
+        rec.begin_run("fleet" if faults is None else "chaos", stream,
+                      nodes, policy.name, autoscaler is not None)
+    return _Run(policy, autoscaler, nodes, list(range(len(nodes))),
+                mirror, rec, stream, fleet, engine, engine_reason)
 
 
 def simulate_service(stream: ArrivalStream,
@@ -184,16 +261,12 @@ def simulate_service(stream: ArrivalStream,
                      retry=None,
                      shed=None,
                      engine: str = "auto",
-                     n_nodes: Optional[int] = None,
-                     model: Optional[NodePowerModel] = None,
                      **policy_kwargs) -> ServiceReport:
     """Serve ``stream`` on the ``fleet``; returns the report.
 
     ``fleet`` is a :class:`~repro.service.spec.FleetSpec` (default: 16
-    calibrated ``commodity`` nodes); the legacy ``n_nodes=``/``model=``
-    pair still works as a deprecated shim for a homogeneous fleet
-    (removal announced for 2.0).  ``policy`` may be a registered name
-    or a ready :class:`DispatchPolicy`.  An ``autoscaler`` is only
+    calibrated ``commodity`` nodes).  ``policy`` may be a registered
+    name or a ready :class:`DispatchPolicy`.  An ``autoscaler`` is only
     engaged when the policy declares ``autoscaled`` (packing); the
     all-on baselines keep the whole fleet powered, which is exactly the
     §2.4 non-proportionality problem the packing policy exists to fix.
@@ -219,68 +292,29 @@ def simulate_service(stream: ArrivalStream,
     degradation.  The returned report then carries a
     :class:`~repro.service.report.FaultStats` ledger.
     """
-    if engine not in ("auto", "event", "loop"):
-        raise ServiceError(
-            f"unknown engine {engine!r}: pass 'auto', 'event', or 'loop'")
     if faults is not None:
         from repro.faults.engine import simulate_faulty_service
-        # resolve the fleet here so a deprecated n_nodes=/model= call
-        # warns at *this* frame's caller, not at the delegation below
         return simulate_faulty_service(
-            stream, faults, fleet=_resolve_fleet(fleet, n_nodes, model),
-            policy=policy, autoscaler=autoscaler, retry=retry, shed=shed,
-            engine=engine, **policy_kwargs)
+            stream, faults, fleet=fleet, policy=policy,
+            autoscaler=autoscaler, retry=retry, shed=shed, engine=engine,
+            **policy_kwargs)
     if retry is not None or shed is not None:
         raise ServiceError("retry/shed policies only apply to a fault "
                            "run: pass a FaultSchedule as faults=")
-    fleet = _resolve_fleet(fleet, n_nodes, model)
-    if len(stream) == 0:
-        raise ServiceError("empty arrival stream")
-    policy = make_policy(policy, **policy_kwargs)
-    if policy.autoscaled and autoscaler is None:
-        autoscaler = Autoscaler(fleet.classes[0].model)
-    if not policy.autoscaled:
-        autoscaler = None
+    run = _prepare(stream, fleet, policy, policy_kwargs, autoscaler,
+                   engine)
+    policy, autoscaler, nodes, on_ids, mirror, rec = run[:6]
 
-    nodes = _build_nodes(fleet)
-    n_total = len(nodes)
-    on_ids = list(range(n_total))
-
-    from repro.telemetry import current_collector
-    collector = current_collector()
-
-    from repro.flightrec.context import current_recorder
-    rec = current_recorder()
-
-    from repro.service.engine import event_core_unsupported, serve_event
-    reason = event_core_unsupported(policy, collector, rec,
-                                    stream=stream)
-    if engine == "event" and reason is not None:
-        raise ServiceError(
-            f"engine='event' cannot serve this configuration: {reason} "
-            "(use engine='auto' to fall back to the reference loop)")
-    use_event = reason is None and engine != "loop"
+    if run.engine == "event":
+        # resolved per call: perfbench's traced pass replaces the
+        # module attribute for the duration of one repetition
+        from repro.service.engine import serve_event
+        return _assemble_report(run, *serve_event(
+            stream, run.fleet, policy, autoscaler, nodes, on_ids))
 
     cols = stream.columns()
     n = len(cols)
     tenant_idx = cols.tenant_index
-
-    if use_event:
-        latencies, admitted, last_completion = serve_event(
-            stream, fleet, policy, autoscaler, nodes, on_ids)
-        report = _assemble_report(stream, fleet, policy, nodes,
-                                  latencies, admitted, last_completion,
-                                  float(cols.times[-1]))
-        report.engine = "event"
-        report.latencies = latencies
-        return report
-
-    mirror = (None if collector is None else
-              _TelemetryMirror(collector, nodes, start_on=True))
-    if rec is not None:
-        rec.begin_run("fleet", stream, nodes, policy.name,
-                      autoscaler is not None)
-
     times, services, slas = cols.lists()
     latencies = np.empty(n)
     admitted = np.ones(n, dtype=bool)
@@ -296,8 +330,8 @@ def simulate_service(stream: ArrivalStream,
 
     if policy.batching:
         last_completion = _serve_batched(
-            policy, nodes, on_ids, autoscaler, mirror, rec, times,
-            services, tenant_idx, slas, latencies, admitted, batch_list)
+            run, times, services, tenant_idx, slas, latencies, admitted,
+            batch_list)
     else:
         last_completion = 0.0
         dvfs = policy.dvfs
@@ -310,7 +344,7 @@ def simulate_service(stream: ArrivalStream,
                 autoscaler.step(next_epoch, nodes, on_ids)
                 next_epoch += epoch
                 if mirror is not None:
-                    _mirror_power_state(mirror, nodes)
+                    mirror.sync(nodes)
             s = services[k]
             if autoscaler is not None:
                 autoscaler.observe(s)
@@ -348,84 +382,111 @@ def simulate_service(stream: ArrivalStream,
             if mirror is not None:
                 mirror.serve(i, start, node.busy_until, busy_watts)
 
-    report = _assemble_report(stream, fleet, policy, nodes, latencies,
-                              admitted, last_completion, times[-1])
-    report.engine = "loop"
-    report.engine_reason = reason if engine == "auto" else None
-    report.latencies = latencies
-    if rec is not None:
-        rec.end_run(report.makespan_seconds, report, latencies=latencies)
-    if mirror is not None:
-        mirror.finish(report.makespan_seconds, report)
-    return report
+    return _assemble_report(run, latencies, admitted, last_completion)
 
 
-def _assemble_report(stream: ArrivalStream,
-                     fleet: FleetSpec,
-                     policy: DispatchPolicy,
-                     nodes: Sequence[FleetNode],
+def _assemble_report(run: _Run,
                      latencies: np.ndarray,
-                     admitted: np.ndarray,
+                     completed: np.ndarray,
                      last_completion: float,
-                     last_arrival: float) -> ServiceReport:
-    """Finalize the fleet and fold the run into a
-    :class:`ServiceReport` — the single assembly tail both serving
-    engines share, so quantile math and energy rollups cannot drift
-    between them."""
-    tenant_idx = stream.tenant_index
-    end = books_close_at(nodes, max(last_completion, last_arrival))
+                     lost: Optional[np.ndarray] = None,
+                     faults: Optional[FaultStats] = None,
+                     crash_intervals: Sequence[tuple[float, float]] = ()
+                     ) -> ServiceReport:
+    """Close the books and fold the run into a :class:`ServiceReport`
+    — the single tail every interpreter shares, so quantile math and
+    energy rollups cannot drift between them.
+
+    ``latencies`` holds one entry per arrival, read only where
+    ``completed`` is set.  The chaos engine also passes its ``lost``
+    mask (crash-lost arrivals; everything neither completed nor lost
+    was rejected), its ``faults`` ledger — closed here, once the end
+    of the run is known — and the ``(crashed_at, repaired_at)``
+    intervals behind it.  A healthy run that completes nothing is a
+    :class:`ServiceError`; a chaos run reports zeros, because losing
+    everything is a result there.
+    """
+    stream, nodes = run.stream, run.nodes
+    cols = stream.columns()
+    end = books_close_at(nodes,
+                         max(last_completion, float(cols.times[-1])))
+    if faults is not None:
+        # a crash that struck a powered-on node after the serving
+        # window still closed that node's energy interval at the crash
+        # instant; the fleet (and the telemetry mirror) must integrate
+        # idle draw on the survivors out to the same instant or the
+        # books won't balance
+        for crashed_at, _repair_at in crash_intervals:
+            if crashed_at > end:
+                end = crashed_at
+        faults.node_seconds_lost = sum(
+            max(0.0, min(repair, end) - crashed)
+            for crashed, repair in crash_intervals)
+        faults.downtime_fraction = (
+            faults.node_seconds_lost / (len(nodes) * end)
+            if end > 0 else 0.0)
     node_stats = [node.finalize(end) for node in nodes]
 
-    lat = latencies[admitted]
-    if lat.size == 0:
+    lat = latencies[completed]
+    if lat.size:
+        p50, p95, p99 = np.quantile(lat, [0.50, 0.95, 0.99])
+        mean = float(lat.mean())
+    elif faults is None:
         raise ServiceError("policy admitted no queries")
-    p50, p95, p99 = np.quantile(lat, [0.50, 0.95, 0.99])
+    else:
+        p50 = p95 = p99 = mean = 0.0
+    rejected = ~completed if lost is None else ~(completed | lost)
+    tenant_idx = cols.tenant_index
     tenants = []
     for ti, tenant in enumerate(stream.tenants):
         mask = tenant_idx == ti
-        t_lat = np.sort(latencies[mask & admitted])
-        t_rejected = int((mask & ~admitted).sum())
-        if t_lat.size == 0:
+        t_lat = np.sort(latencies[mask & completed])
+        samples = t_lat.tolist()
+        if not samples and faults is None:
             raise ServiceError(
                 f"tenant {tenant.name!r} completed no queries")
-        samples = t_lat.tolist()
         tenants.append(TenantStats(
             tenant=tenant.name,
-            completed=int(t_lat.size),
-            rejected=t_rejected,
-            mean_latency_seconds=float(t_lat.mean()),
-            p50_latency_seconds=quantile(samples, 0.50),
-            p95_latency_seconds=quantile(samples, 0.95),
-            p99_latency_seconds=quantile(samples, 0.99),
+            completed=len(samples),
+            rejected=int((mask & rejected).sum()),
+            crashed=0 if lost is None else int((mask & lost).sum()),
+            mean_latency_seconds=float(t_lat.mean()) if samples else 0.0,
+            p50_latency_seconds=quantile(samples, 0.50) if samples else 0.0,
+            p95_latency_seconds=quantile(samples, 0.95) if samples else 0.0,
+            p99_latency_seconds=quantile(samples, 0.99) if samples else 0.0,
             sla_p95_seconds=tenant.sla_p95_seconds,
         ))
 
-    return ServiceReport(
-        policy=policy.name,
+    report = ServiceReport(
+        policy=run.policy.name,
         n_nodes=len(nodes),
         queries_offered=len(latencies),
-        queries_completed=int(admitted.sum()),
-        queries_rejected=int((~admitted).sum()),
+        queries_completed=int(completed.sum()),
+        queries_rejected=int(rejected.sum()),
         makespan_seconds=end,
         energy_joules=sum(s.energy_joules for s in node_stats),
         p50_latency_seconds=float(p50),
         p95_latency_seconds=float(p95),
         p99_latency_seconds=float(p99),
-        mean_latency_seconds=float(lat.mean()),
+        mean_latency_seconds=mean,
         node_seconds_on=sum(s.on_seconds for s in node_stats),
         tenants=tenants,
         nodes=node_stats,
+        faults=faults,
         classes=rollup_classes(node_stats),
-        fleet=fleet.to_dict(),
+        fleet=run.fleet.to_dict(),
+        engine=run.engine,
+        engine_reason=run.engine_reason,
+        latencies=latencies,
     )
+    if run.rec is not None:
+        run.rec.end_run(end, report, latencies=latencies)
+    if run.mirror is not None:
+        run.mirror.finish(end, report)
+    return report
 
 
-def _serve_batched(policy: DispatchPolicy,
-                   nodes: Sequence[FleetNode],
-                   on_ids: list[int],
-                   autoscaler: Optional[Autoscaler],
-                   mirror: Optional[_TelemetryMirror],
-                   rec,
+def _serve_batched(run: _Run,
                    times: list[float],
                    services: list[float],
                    tenant_idx,
@@ -452,6 +513,7 @@ def _serve_batched(policy: DispatchPolicy,
     Returns the last completion instant (mutates ``latencies``,
     ``admitted``, the nodes, and ``on_ids`` in place).
     """
+    policy, autoscaler, nodes, on_ids, mirror, rec = run[:6]
     n = len(times)
     inf = float("inf")
     epoch = autoscaler.epoch_seconds if autoscaler is not None else 0.0
@@ -470,7 +532,7 @@ def _serve_batched(policy: DispatchPolicy,
             autoscaler.step(next_epoch, nodes, on_ids)
             next_epoch += epoch
             if mirror is not None:
-                _mirror_power_state(mirror, nodes)
+                mirror.sync(nodes)
 
     def execute(batch) -> None:
         nonlocal last_completion
@@ -536,17 +598,3 @@ def _serve_batched(policy: DispatchPolicy,
     for batch in policy.flush():
         execute(batch)
     return last_completion
-
-
-def _mirror_power_state(mirror: _TelemetryMirror,
-                        nodes: Sequence[FleetNode]) -> None:
-    """Propagate autoscaler on/off flips into the mirror devices."""
-    for i, node in enumerate(nodes):
-        span_open = mirror._spans[i] is not None
-        if node.on and not span_open:
-            # power_on happened this epoch step, at node.on_since
-            mirror.power_on(i, node.on_since)
-        elif not node.on and span_open:
-            # power_off left busy_until at off-time + drain window
-            mirror.power_off(
-                i, node.busy_until - node.model.drain_seconds)

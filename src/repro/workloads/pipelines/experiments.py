@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
-from repro.service.autoscale import Autoscaler
-from repro.service.dispatch import make_policy
+from repro.service.experiments import _policy_and_autoscaler
 from repro.service.fleet import simulate_service
 from repro.service.node import NodePowerModel
 from repro.service.spec import FleetSpec
@@ -120,15 +119,10 @@ def etl_point(mode: str = "eager",
 
     fleet = FleetSpec.homogeneous(
         nodes, NodePowerModel.from_server(profile))
-    dispatch = make_policy(policy,
-                           pack_backlog_seconds=pack_backlog_seconds,
-                           admission_limit_seconds=admission_limit_seconds)
-    autoscaler = Autoscaler(
-        fleet.classes[0].model,
-        epoch_seconds=epoch_seconds,
-        target_utilization=target_utilization,
-        min_nodes=min_nodes,
-    ) if dispatch.autoscaled else None
+    dispatch, autoscaler = _policy_and_autoscaler(policy, fleet, {
+        "pack_backlog_seconds": pack_backlog_seconds,
+        "admission_limit_seconds": admission_limit_seconds,
+    }, epoch_seconds, target_utilization, min_nodes)
 
     pipeline = default_pipeline(etl_scale, freshness_sla_seconds)
 

@@ -12,7 +12,6 @@ the reference loop.  A hypothesis property test extends the identity
 to adversarial random streams the named experiments would never build.
 """
 
-import warnings
 
 import numpy as np
 import pytest
@@ -237,13 +236,13 @@ class TestEngineSelection:
             _UnknownRouter())
 
 
-class _SelectOnlyRouter(DispatchPolicy):
+class _FirstOnRouter(DispatchPolicy):
     """A third-party router the event core has no kernel for."""
 
     name = "first_on"
 
-    def select(self, nodes, on_ids, now, service_s):
-        return on_ids[0]
+    def route(self, ctx):
+        return ctx.on_ids[0]
 
 
 class TestEngineReason:
@@ -312,7 +311,7 @@ class TestEngineReason:
         assert "batches arrivals" in report.engine_reason
 
     def test_no_vectorized_kernel(self, stream):
-        report = self._auto(stream, policy=_SelectOnlyRouter())
+        report = self._auto(stream, policy=_FirstOnRouter())
         assert report.engine == "loop"
         assert report.engine_reason == \
             "policy 'first_on' has no vectorized kernel"
@@ -341,12 +340,6 @@ class TestReportMetadata:
             cols.sla_seconds,
             np.array([t.sla_p95_seconds
                       for t in stream.tenants])[stream.tenant_index])
-
-    def test_deprecated_shims_announce_removal(self, stream):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            simulate_service(stream, n_nodes=4, model=MODEL)
-        assert any("removed in 2.0" in str(w.message) for w in caught)
 
 
 @st.composite

@@ -3,7 +3,6 @@ the replay machinery for random I/O and shared passes."""
 
 import pytest
 
-from repro.core.experiments import run_figure1, run_figure2
 from repro.core.profiler import sweep_knob
 from repro.hardware.profiles import commodity
 from repro.relational.executor import ExecutionContext, Executor
@@ -12,15 +11,27 @@ from repro.relational.operators.base import IoRequest
 from repro.relational.plan import preview_pipelines
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import DataType
+from repro.runner import ExperimentSpec, Runner
 from repro.sim import Simulation
 from repro.storage.manager import StorageManager
 from repro.workloads.joulesort import run_joulesort
 from repro.units import KIB, MB
 
 
+def run_figure(experiment: str, knobs: dict):
+    return Runner(workers=1, cache=False).run(
+        ExperimentSpec(experiment, knobs=knobs)).aggregate()
+
+
+#: the tiny Figure 1 settings (two disk counts, one query per stream)
+TINY_FIG1 = {"disks": [6, 24], "streams": 2, "queries_per_stream": 1,
+             "physical_scale_factor": 0.0005,
+             "logical_scale_factor": 1.0, "spindle_groups": 6}
+
+
 class TestFigureApis:
     def test_run_figure2_structure(self):
-        result = run_figure2(scale_factor=0.001)
+        result = run_figure("fig2", {"scale_factor": 0.001})
         assert result.inversion_holds
         assert result.speedup > 1.5
         rows = result.rows()
@@ -28,22 +39,14 @@ class TestFigureApis:
         assert rows[1][0] == "compressed"
 
     def test_run_figure1_tiny_settings(self):
-        result = run_figure1(disk_counts=(6, 24), streams=2,
-                             queries_per_stream=1,
-                             physical_scale_factor=0.0005,
-                             logical_scale_factor=1.0,
-                             spindle_groups=6)
+        result = run_figure("fig1", TINY_FIG1)
         assert result.fastest_disks == 24
         assert len(result.rows()) == 2
         times = [r.makespan_seconds for r in result.reports]
         assert times[1] < times[0]
 
     def test_profile_rows_exposed(self):
-        result = run_figure1(disk_counts=(6, 24), streams=2,
-                             queries_per_stream=1,
-                             physical_scale_factor=0.0005,
-                             logical_scale_factor=1.0,
-                             spindle_groups=6)
+        result = run_figure("fig1", TINY_FIG1)
         gain, drop = result.tradeoff()
         assert isinstance(gain, float)
         assert 0.0 <= drop < 1.0

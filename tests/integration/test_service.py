@@ -1,9 +1,9 @@
 """Integration tests for fleet serving: the acceptance energy/SLA
 ordering through the real Runner, cache and JSON transport of the new
 report types, the telemetry mirror's exactness against the metered
-devices, and the v2 facade (eager reports, lazy deprecated shims)."""
+devices, and the facade (eager reports, no v1 entry points)."""
 
-import warnings
+import importlib
 
 import pytest
 
@@ -140,6 +140,24 @@ class TestTelemetryMirror:
             report.queries_rejected
 
 
+@pytest.mark.parametrize("module, name", [
+    ("repro", "run_figure1"),
+    ("repro", "run_figure2"),
+    ("repro.core", "run_figure1"),
+    ("repro.core", "run_figure2"),
+    ("repro.core.experiments", "run_figure1"),
+    ("repro.core.experiments", "run_figure2"),
+    ("repro.workloads", "run_scan_experiment"),
+    ("repro.workloads", "run_throughput_test"),
+    ("repro.workloads.scan_workload", "run_scan_experiment"),
+    ("repro.workloads.throughput", "run_throughput_test"),
+    ("repro.observatory.dashboard", "_SERIES_LIGHT"),
+    ("repro.observatory.dashboard", "_SERIES_DARK"),
+])
+def test_v1_gone(module, name):
+    assert not hasattr(importlib.import_module(module), name)
+
+
 class TestFacade:
     def test_reports_export_eagerly_from_repro(self):
         import repro
@@ -149,31 +167,15 @@ class TestFacade:
         assert repro.ServiceReport is ServiceReport
         assert repro.ServiceSweepResult is ServiceSweepResult
 
-    def test_deprecated_shims_resolve_lazily_without_warning(self):
-        import repro
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fig1 = repro.run_figure1  # resolving must not warn
-        from repro.core.experiments import run_figure1
-        assert fig1 is run_figure1
-        assert "run_figure1" in dir(repro)
-
-    def test_workloads_shims_resolve_lazily_without_warning(self):
-        import repro.workloads as workloads
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            shim = workloads.run_scan_experiment
-        from repro.workloads.scan_workload import run_scan_experiment
-        assert shim is run_scan_experiment
-
     def test_unknown_attribute_still_raises(self):
         import repro
         with pytest.raises(AttributeError):
             repro.run_figure7
 
     def test_no_internal_module_imports_deprecated_entry_points(self):
-        """The v2 acceptance clause: shims resolve only on attribute
-        access, so importing the facade must not materialize them."""
+        """The 2.0 acceptance clause: importing the facade is clean
+        under ``-W error::DeprecationWarning`` and the v1 entry points
+        are not on it."""
         import os
         import pathlib
         import subprocess

@@ -18,8 +18,8 @@ from repro.workloads import (
     q6,
     q10_spec,
     run_oltp_stream,
-    run_scan_experiment,
-    run_throughput_test,
+    run_scan,
+    run_throughput,
     throughput_mix,
     tpch_schemas,
 )
@@ -137,9 +137,9 @@ class TestThroughputDriver:
         server, array = dl785(sim, n_disks=12, spindle_groups=12)
         storage = StorageManager(sim)
         db = generate_tpch(storage, array, scale_factor=0.0005)
-        report = run_throughput_test(sim, server, throughput_mix(db),
-                                     streams=2, queries_per_stream=2,
-                                     scale=100.0)
+        report = run_throughput(sim, server, throughput_mix(db),
+                                streams=2, queries_per_stream=2,
+                                scale=100.0)
         assert report.queries_completed == 4
         assert len(report.query_seconds) == 4
         assert report.makespan_seconds > 0
@@ -153,9 +153,9 @@ class TestThroughputDriver:
             server, array = dl785(sim, n_disks=n, spindle_groups=6)
             storage = StorageManager(sim)
             db = generate_tpch(storage, array, scale_factor=0.0005)
-            report = run_throughput_test(sim, server, throughput_mix(db),
-                                         streams=2, queries_per_stream=2,
-                                         scale=2000.0)
+            report = run_throughput(sim, server, throughput_mix(db),
+                                    streams=2, queries_per_stream=2,
+                                    scale=2000.0)
             return report.makespan_seconds
 
         assert makespan(24) < makespan(6)
@@ -164,27 +164,27 @@ class TestThroughputDriver:
         sim = Simulation()
         server, _array = dl785(sim, n_disks=6)
         with pytest.raises(WorkloadError):
-            run_throughput_test(sim, server, [], streams=1)
+            run_throughput(sim, server, [], streams=1)
 
 
 class TestScanExperiment:
     def test_uncompressed_matches_paper_numbers(self):
-        report = run_scan_experiment(compressed=False, scale_factor=0.001)
+        report = run_scan(compressed=False, scale_factor=0.001)
         assert report.total_seconds == pytest.approx(10.0, rel=0.05)
         assert report.cpu_seconds == pytest.approx(3.2, rel=0.05)
         assert report.energy_joules == pytest.approx(338.0, rel=0.05)
         assert report.compression_ratio == pytest.approx(1.0, abs=0.02)
 
     def test_compressed_is_faster_but_hungrier(self):
-        plain = run_scan_experiment(compressed=False, scale_factor=0.001)
-        packed = run_scan_experiment(compressed=True, scale_factor=0.001)
+        plain = run_scan(compressed=False, scale_factor=0.001)
+        packed = run_scan(compressed=True, scale_factor=0.001)
         assert packed.total_seconds < 0.7 * plain.total_seconds
         assert packed.energy_joules > 1.15 * plain.energy_joules
         assert packed.cpu_seconds > plain.cpu_seconds
         assert packed.compression_ratio < 0.7
 
     def test_energy_efficiency_metric(self):
-        report = run_scan_experiment(compressed=False, scale_factor=0.001)
+        report = run_scan(compressed=False, scale_factor=0.001)
         assert report.energy_efficiency == pytest.approx(
             1.0 / report.energy_joules)
 

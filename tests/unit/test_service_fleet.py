@@ -4,11 +4,11 @@ accounting, workload streams, dispatch policies, and the autoscaler."""
 import pytest
 
 from repro.errors import ReproError
-from repro.service import (Autoscaler, FleetNode, FleetSpec, LeastLoaded,
-                           NodePowerModel, PowerAwarePacking, QueryClass,
-                           RoundRobin, ServiceError, ServiceReport,
-                           Tenant, build_stream, make_policy,
-                           simulate_service)
+from repro.service import (Autoscaler, DispatchContext, FleetNode,
+                           FleetSpec, LeastLoaded, NodePowerModel,
+                           PowerAwarePacking, QueryClass, RoundRobin,
+                           ServiceError, ServiceReport, Tenant,
+                           build_stream, make_policy, simulate_service)
 from repro.service.report import NodeStats, TenantStats, quantile
 
 
@@ -173,32 +173,36 @@ class TestDispatchPolicies:
             out.append(node)
         return out
 
+    @staticmethod
+    def ctx(nodes, on_ids):
+        return DispatchContext(nodes, on_ids, 0.0, 1.0)
+
     def test_round_robin_rotates(self):
         nodes = self.nodes([0, 0, 0])
         policy = RoundRobin()
-        picks = [policy.select(nodes, [0, 1, 2], 0.0, 1.0)
+        picks = [policy.route(self.ctx(nodes, [0, 1, 2]))
                  for _ in range(6)]
         assert picks == [0, 1, 2, 0, 1, 2]
 
     def test_least_loaded_takes_smallest_backlog(self):
         nodes = self.nodes([5.0, 1.0, 3.0])
-        assert LeastLoaded().select(nodes, [0, 1, 2], 0.0, 1.0) == 1
+        assert LeastLoaded().route(self.ctx(nodes, [0, 1, 2])) == 1
 
     def test_packing_fills_first_underbound_node(self):
         nodes = self.nodes([0.1, 0.0, 0.0])
         policy = PowerAwarePacking(pack_backlog_seconds=0.2)
-        assert policy.select(nodes, [0, 1, 2], 0.0, 1.0) == 0
+        assert policy.route(self.ctx(nodes, [0, 1, 2])) == 0
 
     def test_packing_spills_to_least_loaded(self):
         nodes = self.nodes([5.0, 2.0, 3.0])
         policy = PowerAwarePacking(pack_backlog_seconds=0.2)
-        assert policy.select(nodes, [0, 1, 2], 0.0, 1.0) == 1
+        assert policy.route(self.ctx(nodes, [0, 1, 2])) == 1
 
     def test_packing_skips_powered_off_nodes(self):
         nodes = self.nodes([4.0, 0.0, 0.0])
         policy = PowerAwarePacking(pack_backlog_seconds=0.2)
         # node 1 is off: on_ids excludes it
-        assert policy.select(nodes, [0, 2], 0.0, 1.0) == 2
+        assert policy.route(self.ctx(nodes, [0, 2])) == 2
 
     def test_admission_limit_rejects_deep_backlog(self):
         nodes = self.nodes([10.0])

@@ -2,7 +2,7 @@
 ``FleetSpec`` composition and hashing, the node-class registry, the
 ``DispatchContext`` routing protocol and ``cost_aware`` policy, the
 class-aware autoscaler, per-class report rollups, per-class fault
-lanes, and the deprecated ``n_nodes=``/``model=`` shims."""
+lanes, and the absence of the v1 ``n_nodes=``/``model=`` knobs."""
 
 import warnings
 
@@ -205,17 +205,8 @@ class TestPolicyProtocol:
         with pytest.raises(ServiceError, match="already constructed"):
             make_policy(CostAware(), sla_slack_fraction=0.5)
 
-    def test_select_only_third_party_policy_still_routes(self):
-        class Legacy(DispatchPolicy):
-            name = "legacy"
-
-            def select(self, nodes, on_ids, now, service_s):
-                return on_ids[-1]
-
-        ctx = DispatchContext([FleetNode("a", cheap_model(), on=True),
-                               FleetNode("b", cheap_model(), on=True)],
-                              [0, 1], 0.0, 1.0)
-        assert Legacy().route(ctx) == 1
+    def test_positional_select_protocol_is_gone(self):
+        assert not hasattr(DispatchPolicy, "select")
 
     def test_neither_protocol_is_an_error(self):
         class Hollow(DispatchPolicy):
@@ -223,7 +214,7 @@ class TestPolicyProtocol:
 
         ctx = DispatchContext([FleetNode("a", cheap_model(), on=True)],
                               [0], 0.0, 1.0)
-        with pytest.raises(ServiceError, match="neither route"):
+        with pytest.raises(ServiceError, match="does not implement route"):
             Hollow().route(ctx)
 
 
@@ -345,28 +336,24 @@ class TestPerClassFaultLanes:
 
 
 class TestDeprecatedShims:
-    def test_simulate_service_n_nodes_warns_and_matches_fleet(self):
-        stream = build_stream(300, seed=1)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            old = simulate_service(stream, n_nodes=4, policy="round_robin")
-        new = simulate_service(stream, fleet=FleetSpec.homogeneous(4),
-                               policy="round_robin")
-        assert old.energy_joules == new.energy_joules
-        assert old.p95_latency_seconds == new.p95_latency_seconds
-
-    def test_simulate_faulty_service_shim_warns(self):
-        stream = build_stream(200, seed=1)
-        schedule = build_fault_schedule(
-            2, horizon_seconds=stream.duration_seconds, seed=0)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            simulate_faulty_service(stream, schedule, n_nodes=2,
-                                    policy="round_robin")
-
     def test_fleet_and_shims_are_mutually_exclusive(self):
+        """``fleet=`` next to a v1 knob: the knob is no parameter any
+        more, so it is refused as an unknown policy knob."""
         stream = build_stream(100, seed=1)
-        with pytest.raises(ServiceError, match="not both"):
+        with pytest.raises(ServiceError, match="unknown knob"):
             simulate_service(stream, fleet=FleetSpec.homogeneous(2),
                              n_nodes=2)
+
+    @pytest.mark.parametrize("knob", ["n_nodes", "model"])
+    def test_v1_fleet_knob_is_gone(self, knob):
+        stream = build_stream(100, seed=1)
+        schedule = build_fault_schedule(
+            2, horizon_seconds=stream.duration_seconds, seed=0)
+        for faults in (None, schedule):  # both entry points
+            with pytest.raises(ServiceError, match="unknown knob"):
+                simulate_service(stream, fleet=FleetSpec.homogeneous(2),
+                                 faults=faults, policy="round_robin",
+                                 **{knob: 2})
 
     def test_fleet_must_be_a_spec(self):
         stream = build_stream(100, seed=1)
