@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import ConsolidationError
+from repro.records import Record
 from repro.relational.executor import Executor
 from repro.relational.operators import Operator
 
@@ -61,7 +62,7 @@ def poisson_arrivals(mix: Sequence[PlanBuilder], n: int,
 
 
 @dataclass
-class ScheduleReport:
+class ScheduleReport(Record):
     """Outcome of one scheduling policy run."""
 
     policy: str
@@ -85,22 +86,6 @@ class ScheduleReport:
         :func:`repro.core.metrics.energy_efficiency`."""
         from repro.core.metrics import energy_efficiency
         return energy_efficiency(float(self.completed), self.energy_joules)
-
-    def to_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "completed": self.completed,
-            "makespan_seconds": self.makespan_seconds,
-            "energy_joules": self.energy_joules,
-            "mean_latency_seconds": self.mean_latency_seconds,
-            "max_latency_seconds": self.max_latency_seconds,
-            "spin_down_count": self.spin_down_count,
-            "latencies": list(self.latencies),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScheduleReport":
-        return cls(**dict(data))
 
 
 def run_fifo(sim: "Simulation", server: "Server", executor: Executor,

@@ -12,10 +12,10 @@ defines the physics of a single sweep point (:func:`figure1_point`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.core.profiler import EnergyProfile, ProfilePoint
 from repro.hardware.profiles import dl785
+from repro.records import Record
 from repro.sim import Simulation
 from repro.storage.manager import StorageManager
 from repro.workloads.scan_workload import ScanReport, run_scan
@@ -25,7 +25,7 @@ from repro.workloads.tpch_queries import throughput_mix
 
 
 @dataclass
-class Figure1Result:
+class Figure1Result(Record):
     """Time and energy efficiency vs. number of disks."""
 
     disk_counts: list[int]
@@ -62,18 +62,6 @@ class Figure1Result:
             for n, r in zip(self.disk_counts, self.reports)
         ]
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "disk_counts": list(self.disk_counts),
-            "reports": [r.to_dict() for r in self.reports],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Figure1Result":
-        return cls(disk_counts=list(data["disk_counts"]),
-                   reports=[ThroughputReport.from_dict(r)
-                            for r in data["reports"]])
-
 
 def figure1_point(disks: int,
                   physical_scale_factor: float = 0.002,
@@ -103,7 +91,7 @@ def figure1_point(disks: int,
 
 
 @dataclass
-class Figure2Result:
+class Figure2Result(Record):
     """Uncompressed vs. compressed scan on the flash node."""
 
     uncompressed: ScanReport
@@ -137,19 +125,6 @@ class Figure2Result:
              self.compressed.cpu_seconds,
              self.compressed.energy_joules),
         ]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "uncompressed": self.uncompressed.to_dict(),
-            "compressed": self.compressed.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Figure2Result":
-        return cls(
-            uncompressed=ScanReport.from_dict(data["uncompressed"]),
-            compressed=ScanReport.from_dict(data["compressed"]),
-        )
 
 
 def figure2_point(compressed: bool, scale_factor: float = 0.002,

@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.errors import ReproError
+from repro.records import Record
 
 
 @dataclass(frozen=True)
-class ProfilePoint:
+class ProfilePoint(Record):
     """One evaluated knob setting.
 
     >>> p = ProfilePoint(knob_value=12, seconds=2.0,
@@ -49,21 +50,9 @@ class ProfilePoint:
         """Work per Joule."""
         return self.work_done / self.energy_joules
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "knob_value": self.knob_value,
-            "seconds": self.seconds,
-            "energy_joules": self.energy_joules,
-            "work_done": self.work_done,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ProfilePoint":
-        return cls(**data)
-
 
 @dataclass
-class EnergyProfile:
+class EnergyProfile(Record):
     """A full sweep plus its derived summary.
 
     Two disk counts, where the smaller one is slower but thriftier —
@@ -108,29 +97,10 @@ class EnergyProfile:
         drop = 1.0 - eff.performance / fast.performance
         return gain, drop
 
-    def diminishing_returns_value(self) -> Any:
-        """Knob value where marginal performance stops paying for
-        marginal power: the last setting (in sweep order) whose
-        efficiency is within a hair of the maximum."""
-        best = self.best_efficiency()
-        return best.knob_value
-
     def rows(self) -> list[tuple]:
         """(knob, seconds, watts, efficiency) rows for reporting."""
         return [(p.knob_value, p.seconds, p.average_power_watts,
                  p.efficiency) for p in self.points]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "knob_name": self.knob_name,
-            "points": [p.to_dict() for p in self.points],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "EnergyProfile":
-        return cls(knob_name=data["knob_name"],
-                   points=[ProfilePoint.from_dict(p)
-                           for p in data["points"]])
 
 
 def sweep_knob(knob_name: str, values: Sequence[Any],

@@ -17,11 +17,12 @@ operator's handbook (OPERATIONS.md) reads chaos reports against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.faults.engine import simulate_faulty_service
 from repro.faults.policies import RetryPolicy, ShedPolicy
 from repro.faults.schedule import FaultError, FaultMix, build_fault_schedule
+from repro.records import Record
 from repro.service.experiments import _policy_and_autoscaler
 from repro.service.node import NodePowerModel
 from repro.service.report import ServiceReport
@@ -90,7 +91,7 @@ def chaos_point(policy: str = "power_aware",
 
 
 @dataclass
-class ChaosSweepResult:
+class ChaosSweepResult(Record):
     """A fault-intensity sweep folded into one frontier.
 
     The chaos analogue of
@@ -143,17 +144,6 @@ class ChaosSweepResult:
                 "met" if r.surviving_slas_met else "MISSED",
             ))
         return out
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"intensities": list(self.intensities),
-                "reports": [r.to_dict() for r in self.reports]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ChaosSweepResult":
-        return cls(
-            intensities=list(data.get("intensities", [])),
-            reports=[ServiceReport.from_dict(r)
-                     for r in data.get("reports", [])])
 
 
 def chaos_aggregate(points: Sequence[Any]) -> ChaosSweepResult:

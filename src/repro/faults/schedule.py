@@ -39,11 +39,12 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator
 
 import numpy as np
 
 from repro.errors import ReproError
+from repro.records import Record
 
 #: fault kinds a schedule may carry, in lane order (the integer lane
 #: index seeds the kind's PCG64 sub-stream, so adding a kind never
@@ -56,7 +57,7 @@ class FaultError(ReproError):
 
 
 @dataclass(frozen=True)
-class FaultEvent:
+class FaultEvent(Record):
     """One scheduled fault on one node.
 
     ``severity`` is kind-specific: the DVFS fraction for ``throttle``
@@ -91,17 +92,9 @@ class FaultEvent:
     def end(self) -> float:
         return self.start + self.duration
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"kind": self.kind, "node": self.node, "start": self.start,
-                "duration": self.duration, "severity": self.severity}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultEvent":
-        return cls(**dict(data))
-
 
 @dataclass(frozen=True)
-class FaultSchedule:
+class FaultSchedule(Record):
     """A time-ordered, reproducible fault plan for one fleet run.
 
     >>> quiet = FaultSchedule(n_nodes=4, horizon_seconds=100.0)
@@ -158,21 +151,6 @@ class FaultSchedule:
                 f"{self.horizon_seconds:.0f}s")
 
     # -- identity ------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "n_nodes": self.n_nodes,
-            "horizon_seconds": self.horizon_seconds,
-            "seed": self.seed,
-            "events": [e.to_dict() for e in self.events],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultSchedule":
-        payload = dict(data)
-        payload["events"] = tuple(FaultEvent.from_dict(e)
-                                  for e in data.get("events", []))
-        return cls(**payload)
 
     def schedule_hash(self) -> str:
         """Stable SHA-256 of the canonical JSON form — the identity a

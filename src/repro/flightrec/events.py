@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Optional
 
+from repro.records import RecordError
+
 # -- event kinds -----------------------------------------------------
 #: node lifecycle: powered on (data: reason = initial | scale_up |
 #: emergency | repair), powered off into a drain window, crashed
@@ -245,6 +247,8 @@ class FlightRecording:
     # -- serialization -------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
+        # columnar: the tables serialize column by column and events as
+        # rows, not field by field, so this codec stays explicit.
         # query columns may be numpy arrays (the recorder's all-plain
         # fast path defers list materialization to here — see
         # ``FlightRecorder.finalize``); serialize them as plain lists
@@ -258,11 +262,20 @@ class FlightRecording:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FlightRecording":
-        queries = {c: list(data["queries"][c]) for c in _QUERY_COLUMNS}
-        batches = {c: list(data["batches"][c]) for c in _BATCH_COLUMNS}
-        return cls(
-            meta=dict(data["meta"]),
-            queries=queries,
-            batches=batches,
-            events=[FleetEvent.from_row(row) for row in data["events"]],
-        )
+        # columnar (see to_dict); a missing table or column, or a row
+        # of the wrong arity, is a malformed payload, not a crash
+        try:
+            queries = {c: list(data["queries"][c])
+                       for c in _QUERY_COLUMNS}
+            batches = {c: list(data["batches"][c])
+                       for c in _BATCH_COLUMNS}
+            return cls(
+                meta=dict(data["meta"]),
+                queries=queries,
+                batches=batches,
+                events=[FleetEvent.from_row(row)
+                        for row in data["events"]],
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RecordError(
+                f"malformed flight recording: {exc!r}") from None

@@ -56,6 +56,8 @@ class TenantSLO:
     breached: bool = False
 
     def to_dict(self) -> dict[str, Any]:
+        # columnar: burn windows flatten into parallel ``burn``/``t``
+        # arrays for the console; a one-way export, never read back
         return {
             "tenant": self.tenant,
             "sla_seconds": self.sla_seconds,
@@ -106,6 +108,7 @@ class SLOMonitor:
         return any(t.breached for t in self._tenants)
 
     def to_dict(self) -> dict[str, Any]:
+        # bulk: a one-way export of an analysis object, not a dataclass
         return {
             "window_seconds": self.window_seconds,
             "error_budget": self.error_budget,

@@ -151,12 +151,6 @@ class Cpu(Device):
             for _ in range(parallelism):
                 self.cores.release()
 
-    def seconds_for_cycles(self, cycles: float, parallelism: int = 1) -> float:
-        """Service time for ``cycles`` at the current P-state (no queueing)."""
-        if cycles < 0:
-            raise HardwareError(f"{self.name}: negative cycle count {cycles}")
-        return cycles / (self.effective_frequency_hz * max(1, parallelism))
-
     # -- power ---------------------------------------------------------------
     def _dynamic_range_watts(self) -> float:
         return ((self.spec.peak_watts - self.spec.idle_watts)

@@ -125,10 +125,6 @@ class Dram(Device):
         finally:
             self._mark_idle()
 
-    def access_seconds(self, nbytes: int) -> float:
-        """Service time for an access (no queueing)."""
-        return nbytes / self.spec.bandwidth_bytes_per_s
-
     # -- energy helpers -------------------------------------------------------
     def residency_watts(self, nbytes: int) -> float:
         """Background power attributable to keeping ``nbytes`` resident.

@@ -64,12 +64,6 @@ class RaidArray:
             return per_member * (self.width - 1)
         return per_member * self.width
 
-    def _data_members(self) -> int:
-        """Members carrying data (not parity) in one full stripe."""
-        if self.level is RaidLevel.RAID5:
-            return self.width - 1
-        return self.width
-
     def _split(self, nbytes: int) -> list[int]:
         """Partition a request into per-member byte counts.
 

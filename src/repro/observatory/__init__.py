@@ -10,9 +10,7 @@ append-only, diffable time series:
   (``BENCH_<suite>.json``) of :class:`BenchRecord` rows — simulated
   seconds, Joules, Joules/record, records/s/W, telemetry counters,
   git SHA, spec hash, and host metadata per sweep point;
-* :class:`Recorder` builds records from ``RunResult``/report objects,
-  and :class:`ObservatorySink` does the same live off the runner's
-  event stream (riding beside :class:`~repro.telemetry.TelemetrySink`);
+* :class:`Recorder` builds records from ``RunResult``/report objects;
 * :func:`compare_store` selects a last-N-median baseline per metric
   and produces a typed :class:`RegressionReport` (simulated metrics
   default to exact-to-1e-9 tolerance; host wall-clock is recorded but
@@ -41,7 +39,7 @@ from repro.observatory.record import (
     point_label,
     point_metrics,
 )
-from repro.observatory.recorder import ObservatorySink, Recorder
+from repro.observatory.recorder import Recorder
 from repro.observatory.regression import (
     DEFAULT_BASELINE_WINDOW,
     DEFAULT_POLICIES,
@@ -61,7 +59,6 @@ __all__ = [
     "HISTORY_PREFIX",
     "HistoryStore",
     "MetricPolicy",
-    "ObservatorySink",
     "Recorder",
     "RegressionFinding",
     "RegressionReport",

@@ -19,6 +19,7 @@ from typing import Iterator, Optional
 
 from repro.errors import ReproError
 from repro.observatory.record import BenchRecord
+from repro.records import RecordError
 from repro.runner.spec import canonical_json
 
 HISTORY_PREFIX = "BENCH_"
@@ -104,7 +105,7 @@ class HistoryStore:
                     continue
                 try:
                     yield BenchRecord.from_dict(json.loads(line))
-                except (json.JSONDecodeError, KeyError, TypeError):
+                except (json.JSONDecodeError, RecordError):
                     continue
 
     def load(self, suite: str) -> list[BenchRecord]:

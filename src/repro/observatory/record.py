@@ -21,6 +21,8 @@ import subprocess
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Sequence
 
+from repro.records import Record
+
 SCHEMA_VERSION = 1
 
 #: attribute names probed, in order, to find a report's work-unit count
@@ -122,7 +124,7 @@ def utc_now_iso() -> str:
 
 
 @dataclass
-class BenchRecord:
+class BenchRecord(Record):
     """One benchmark point's measurements plus provenance.
 
     ``seq`` is the record's position in its suite's history file; it is
@@ -152,38 +154,3 @@ class BenchRecord:
 
     def metric(self, name: str) -> Optional[float]:
         return self.metrics.get(name)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "version": self.version,
-            "suite": self.suite,
-            "benchmark": self.benchmark,
-            "point": self.point,
-            "metrics": {k: v for k, v in sorted(self.metrics.items())},
-            "counters": {k: v for k, v in sorted(self.counters.items())},
-            "record_unit": self.record_unit,
-            "spec_hash": self.spec_hash,
-            "git_sha": self.git_sha,
-            "host": {k: v for k, v in sorted(self.host.items())},
-            "recorded_at": self.recorded_at,
-            "seq": self.seq,
-            "timelines": list(self.timelines),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "BenchRecord":
-        return cls(
-            suite=data["suite"],
-            benchmark=data["benchmark"],
-            point=data.get("point", "defaults"),
-            metrics=dict(data.get("metrics", {})),
-            counters=dict(data.get("counters", {})),
-            record_unit=data.get("record_unit", "record"),
-            spec_hash=data.get("spec_hash", ""),
-            git_sha=data.get("git_sha", "unknown"),
-            host=dict(data.get("host", {})),
-            recorded_at=data.get("recorded_at", ""),
-            seq=data.get("seq", -1),
-            timelines=list(data.get("timelines", [])),
-            version=data.get("version", SCHEMA_VERSION),
-        )

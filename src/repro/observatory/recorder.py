@@ -1,24 +1,18 @@
 """Turning live results into history records.
 
-Two producers feed the ledger:
+One producer feeds the ledger: hand a :class:`Recorder` a finished
+:class:`~repro.runner.runner.RunResult` (or a bare report object) and
+it appends one :class:`BenchRecord` per point.  This is what
+``benchmarks/conftest.py`` and the ``observatory record`` CLI use.
 
-* :class:`Recorder` — call-style: hand it a finished
-  :class:`~repro.runner.runner.RunResult` (or a bare report object)
-  and it appends one :class:`BenchRecord` per point.  This is what
-  ``benchmarks/conftest.py`` and the ``observatory record`` CLI use.
-* :class:`ObservatorySink` — event-style: an ordinary runner event
-  sink (compose it with :class:`~repro.telemetry.TelemetrySink` or the
-  printing sink via ``forward=``) that accumulates ``PointFinished`` /
-  ``PointTraced`` events and appends the whole run on ``RunFinished``.
-
-Both share the metric extraction in :mod:`repro.observatory.record`
-and both downsample traced power timelines to a plot-friendly size
-before storage — the ledger keeps trends, not raw traces.
+Metric extraction lives in :mod:`repro.observatory.record`; traced
+power timelines are downsampled to a plot-friendly size before storage
+— the ledger keeps trends, not raw traces.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.observatory.history import HistoryStore
 from repro.observatory.record import (
@@ -129,98 +123,3 @@ class Recorder:
             joules=joules, host_seconds=host_seconds, report=report,
             trace=trace, spec_hash=spec_hash)
         return self.store.append(record)
-
-
-class ObservatorySink:
-    """Event sink that records a run into the ledger as it finishes.
-
-    Rides the same event stream as the telemetry and printing sinks::
-
-        sink = ObservatorySink(Recorder("histories", suite="ci"),
-                               benchmark="fig2",
-                               forward=TelemetrySink())
-        Runner(trace=True, on_event=sink).run(spec)
-        sink.appended        # the BenchRecords written
-
-    Points accumulate from ``PointFinished``/``PointTraced`` and the
-    ledger is written once, on ``RunFinished`` — the sweep-axis labels
-    need every point's knobs, and a half-recorded run would poison the
-    baseline window.
-    """
-
-    def __init__(self, recorder: Recorder,
-                 benchmark: Optional[str] = None,
-                 spec: Any = None,
-                 forward: Optional[Callable[[Any], None]] = None):
-        self.recorder = recorder
-        self.benchmark = benchmark
-        self.spec = spec
-        self.forward = forward
-        self.experiment: Optional[str] = None
-        self.spec_hash: str = ""
-        self.appended: list[BenchRecord] = []
-        self._points: dict[int, dict[str, Any]] = {}
-        self._traces: dict[int, Any] = {}
-        self._reports: dict[int, Any] = {}
-
-    def __call__(self, event: Any) -> None:
-        from repro.runner.events import (
-            PointFinished,
-            PointTraced,
-            RunFinished,
-            RunStarted,
-        )
-        if isinstance(event, RunStarted):
-            self.experiment = event.experiment
-            self.spec_hash = event.spec_hash
-            self._points.clear()
-            self._traces.clear()
-            self.appended = []
-        elif isinstance(event, PointFinished):
-            self._points[event.index] = {
-                "knobs": dict(event.knobs),
-                "sim_seconds": event.sim_seconds,
-                "joules": event.joules,
-                "host_seconds": event.host_seconds,
-            }
-        elif isinstance(event, PointTraced):
-            self._traces[event.index] = event.trace
-        elif isinstance(event, RunFinished):
-            self._flush()
-        if self.forward is not None:
-            self.forward(event)
-
-    def attach_report(self, index: int, report: Any) -> None:
-        """Optionally supply a point's report so work-unit metrics
-        (Joules/record, records/s/W) appear; events alone carry only
-        seconds and Joules."""
-        self._reports[index] = report
-
-    def _flush(self) -> None:
-        if self.spec is not None:
-            axes = sorted(self.spec.sweep_axes())
-        else:
-            axes = self._varying_knobs()
-        name = self.benchmark or self.experiment or "run"
-        for index in sorted(self._points):
-            info = self._points[index]
-            record = self.recorder.build(
-                name, point=point_label(info["knobs"], axes),
-                sim_seconds=info["sim_seconds"],
-                joules=info["joules"],
-                host_seconds=info["host_seconds"],
-                report=self._reports.get(index),
-                trace=self._traces.get(index),
-                spec_hash=self.spec_hash)
-            self.appended.append(self.recorder.store.append(record))
-
-    def _varying_knobs(self) -> list[str]:
-        """Without a spec, infer the sweep axes: knobs whose values
-        differ across the collected points."""
-        if len(self._points) <= 1:
-            return []
-        seen: dict[str, set] = {}
-        for info in self._points.values():
-            for knob, value in info["knobs"].items():
-                seen.setdefault(knob, set()).add(repr(value))
-        return sorted(k for k, values in seen.items() if len(values) > 1)

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from repro.observatory.history import HistoryStore
 from repro.observatory.record import BenchRecord
+from repro.records import Record
 
 DEFAULT_BASELINE_WINDOW = 5
 
@@ -61,9 +62,6 @@ class MetricPolicy:
     abs_tol: float = EXACT_ABS_TOL
     direction: str = EITHER
     gate: bool = True
-
-    def widened(self, rel_tol: float) -> "MetricPolicy":
-        return replace(self, rel_tol=rel_tol)
 
 
 #: the built-in metric policies; unknown metrics fall back to exact /
@@ -105,7 +103,7 @@ def baseline_of(values: Sequence[float],
 
 
 @dataclass(frozen=True)
-class RegressionFinding:
+class RegressionFinding(Record):
     """One (series, metric) comparison outcome."""
 
     suite: str
@@ -134,32 +132,16 @@ class RegressionFinding:
     def fails_gate(self) -> bool:
         return self.gate and self.verdict in (REGRESSION, CHANGED, MISSING)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "suite": self.suite,
-            "benchmark": self.benchmark,
-            "point": self.point,
-            "metric": self.metric,
-            "baseline": self.baseline,
-            "current": self.current,
-            "delta": self.delta,
-            "delta_pct": self.delta_pct,
-            "verdict": self.verdict,
-            "gate": self.gate,
-        }
+    DERIVED_KEYS = ("delta", "delta_pct")
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RegressionFinding":
-        return cls(suite=data["suite"], benchmark=data["benchmark"],
-                   point=data["point"], metric=data["metric"],
-                   baseline=data.get("baseline"),
-                   current=data.get("current"),
-                   verdict=data["verdict"],
-                   gate=data.get("gate", True))
+    def to_dict(self) -> dict[str, Any]:
+        # derived keys: the drift, precomputed for ``compare --json``
+        return {**super().to_dict(), "delta": self.delta,
+                "delta_pct": self.delta_pct}
 
 
 @dataclass
-class RegressionReport:
+class RegressionReport(Record):
     """Every finding of one comparison pass, worst first."""
 
     findings: list[RegressionFinding] = field(default_factory=list)
@@ -175,9 +157,6 @@ class RegressionReport:
 
     def regressions(self) -> list[RegressionFinding]:
         return [f for f in self.findings if f.fails_gate]
-
-    def improvements(self) -> list[RegressionFinding]:
-        return [f for f in self.findings if f.verdict == IMPROVEMENT]
 
     @property
     def has_regressions(self) -> bool:
@@ -203,19 +182,13 @@ class RegressionReport:
                  f"{f.delta_pct:+.3f}%" if f.baseline else "-")
                 for f in self.findings if f.verdict != OK]
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "window": self.window,
-            "has_regressions": self.has_regressions,
-            "counts": self.counts(),
-            "findings": [f.to_dict() for f in self.findings],
-        }
+    DERIVED_KEYS = ("has_regressions", "counts")
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RegressionReport":
-        return cls(findings=[RegressionFinding.from_dict(f)
-                             for f in data.get("findings", [])],
-                   window=data.get("window", DEFAULT_BASELINE_WINDOW))
+    def to_dict(self) -> dict[str, Any]:
+        # derived keys: the gate verdict and per-verdict tallies
+        return {**super().to_dict(),
+                "has_regressions": self.has_regressions,
+                "counts": self.counts()}
 
 
 def _within(policy: MetricPolicy, baseline: float, current: float) -> bool:

@@ -12,13 +12,12 @@ from repro.optimizer.cost import CostModel, PlanCost
 from repro.optimizer.objective import Objective, WeightedObjective, score
 from repro.optimizer.planner import Planner, QuerySpec
 from repro.optimizer.knobs import SystemKnobs
-from repro.optimizer.advisor import DesignAdvisor, DesignChoice
+from repro.optimizer.advisor import DesignAdvisor
 
 __all__ = [
     "ColumnStats",
     "CostModel",
     "DesignAdvisor",
-    "DesignChoice",
     "Objective",
     "PlanCost",
     "Planner",

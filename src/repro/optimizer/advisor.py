@@ -16,7 +16,7 @@ Two decisions the paper shows matter for energy:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import OptimizerError
@@ -40,15 +40,6 @@ class CodecChoice:
         if self.plain_bytes == 0:
             return 1.0
         return self.compressed_bytes / self.plain_bytes
-
-
-@dataclass
-class DesignChoice:
-    """The advisor's overall recommendation."""
-
-    codecs: dict[str, str] = field(default_factory=dict)
-    width: Optional[int] = None
-    details: dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass

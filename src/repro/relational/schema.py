@@ -6,7 +6,7 @@ the non-NULL fields, so row-store tables have realistic physical sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from repro.errors import SchemaError
@@ -134,18 +134,3 @@ class TableSchema:
     def __repr__(self) -> str:
         cols = ", ".join(f"{c.name} {c.dtype.value}" for c in self.columns)
         return f"TableSchema({self.name!r}: {cols})"
-
-
-@dataclass
-class TableStatsSnapshot:
-    """Physical statistics the optimizer reads from the catalog."""
-
-    row_count: int = 0
-    total_bytes: int = 0
-    column_bytes: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def average_row_bytes(self) -> float:
-        if self.row_count == 0:
-            return 0.0
-        return self.total_bytes / self.row_count

@@ -116,42 +116,19 @@ def _fig2_aggregate(points: Sequence["PointResult"]) -> Any:
                          compressed=by_codec[True])
 
 
-def _svc_aggregate(points: Sequence["PointResult"]) -> Any:
-    from repro.service.experiments import svc_aggregate
-    return svc_aggregate(points)
-
-
-def _chaos_aggregate(points: Sequence["PointResult"]) -> Any:
-    from repro.faults.experiments import chaos_aggregate
-    return chaos_aggregate(points)
-
-
-def _hetero_aggregate(points: Sequence["PointResult"]) -> Any:
-    from repro.service.experiments import hetero_aggregate
-    return hetero_aggregate(points)
-
-
-def _pvc_qed_aggregate(points: Sequence["PointResult"]) -> Any:
-    from repro.service.experiments import pvc_qed_aggregate
-    return pvc_qed_aggregate(points)
-
-
-def _etl_aggregate(points: Sequence["PointResult"]) -> Any:
-    from repro.workloads.pipelines.experiments import etl_aggregate
-    return etl_aggregate(points)
-
-
 def _register_builtin_experiments() -> None:
     from repro.consolidation.experiments import batching_point
     from repro.core.experiments import figure1_point, figure2_point
-    from repro.faults.experiments import chaos_point
+    from repro.faults.experiments import chaos_aggregate, chaos_point
     from repro.hardware.profiles import FIG1_DISK_COUNTS
-    from repro.service.experiments import (hetero_point,
+    from repro.service.experiments import (hetero_aggregate, hetero_point,
                                            mega_calibration_point,
-                                           mega_point, pvc_qed_point,
-                                           service_point)
+                                           pvc_qed_aggregate,
+                                           pvc_qed_point, service_point,
+                                           svc_aggregate)
     from repro.workloads.duty_cycle import run_duty_cycle
-    from repro.workloads.pipelines.experiments import etl_point
+    from repro.workloads.pipelines.experiments import (etl_aggregate,
+                                                       etl_point)
     from repro.workloads.scan_workload import run_scan
 
     register_experiment(ExperimentDef(
@@ -232,7 +209,7 @@ def _register_builtin_experiments() -> None:
             "queries": 350_000,
             **_SVC_DEFAULTS,
         },
-        aggregate=_svc_aggregate,
+        aggregate=svc_aggregate,
         profile="commodity",
     ))
     register_experiment(ExperimentDef(
@@ -245,7 +222,7 @@ def _register_builtin_experiments() -> None:
             "queries": 20_000,
             **_SVC_DEFAULTS,
         },
-        aggregate=_svc_aggregate,
+        aggregate=svc_aggregate,
         profile="commodity",
     ))
     register_experiment(ExperimentDef(
@@ -258,7 +235,7 @@ def _register_builtin_experiments() -> None:
             **_SVC_DEFAULTS,
             "nodes": [8, 16, 32, 64],
         },
-        aggregate=_svc_aggregate,
+        aggregate=svc_aggregate,
         profile="commodity",
     ))
     register_experiment(ExperimentDef(
@@ -278,7 +255,7 @@ def _register_builtin_experiments() -> None:
             "epoch_seconds": 30.0,
             "min_nodes": 2,
         },
-        aggregate=_hetero_aggregate,
+        aggregate=hetero_aggregate,
         profile="commodity",
     ))
     register_experiment(ExperimentDef(
@@ -302,7 +279,7 @@ def _register_builtin_experiments() -> None:
             "epoch_seconds": 30.0,
             "min_nodes": 2,
         },
-        aggregate=_pvc_qed_aggregate,
+        aggregate=pvc_qed_aggregate,
         profile="commodity",
     ))
     register_experiment(ExperimentDef(
@@ -323,7 +300,7 @@ def _register_builtin_experiments() -> None:
             "policy": "power_aware",
             **_SVC_DEFAULTS,
         },
-        aggregate=_etl_aggregate,
+        aggregate=etl_aggregate,
         profile="commodity",
     ))
     _MEGA_DEFAULTS = {
@@ -339,7 +316,7 @@ def _register_builtin_experiments() -> None:
         name="svc_mega",
         title="Serving: fleet-scale dispatch sweep, 10M queries x 256 "
               "nodes on the vectorized array-of-events core",
-        point_fn=mega_point,
+        point_fn=service_point,
         defaults={
             "policy": ["round_robin", "least_loaded", "power_aware"],
             "queries": 10_000_000,
@@ -347,14 +324,14 @@ def _register_builtin_experiments() -> None:
             "engine": "auto",
             **_MEGA_DEFAULTS,
         },
-        aggregate=_svc_aggregate,
+        aggregate=svc_aggregate,
         profile="commodity",
     ))
     register_experiment(ExperimentDef(
         name="svc_mega_smoke",
         title="Serving: scaled-down svc_mega for CI smoke / "
               "observatory gating (same fleet and load shape)",
-        point_fn=mega_point,
+        point_fn=service_point,
         defaults={
             "policy": ["round_robin", "least_loaded", "power_aware"],
             "queries": 200_000,
@@ -362,7 +339,7 @@ def _register_builtin_experiments() -> None:
             "engine": "auto",
             **_MEGA_DEFAULTS,
         },
-        aggregate=_svc_aggregate,
+        aggregate=svc_aggregate,
         profile="commodity",
     ))
     register_experiment(ExperimentDef(
@@ -408,7 +385,7 @@ def _register_builtin_experiments() -> None:
             "intensity": 1.0,
             **_CHAOS_DEFAULTS,
         },
-        aggregate=_chaos_aggregate,
+        aggregate=chaos_aggregate,
         profile="commodity",
     ))
     register_experiment(ExperimentDef(
@@ -422,7 +399,7 @@ def _register_builtin_experiments() -> None:
             "intensity": [0.5, 1.0, 2.0],
             **_CHAOS_DEFAULTS,
         },
-        aggregate=_chaos_aggregate,
+        aggregate=chaos_aggregate,
         profile="commodity",
     ))
     register_experiment(ExperimentDef(

@@ -11,13 +11,17 @@ output all share one code path.
 
 from __future__ import annotations
 
-from typing import Any, ClassVar, Protocol, runtime_checkable
+from typing import Any, Mapping, Protocol, runtime_checkable
+
+from repro.records import RecordError
 
 
 @runtime_checkable
 class Report(Protocol):
     """Anything with a JSON-safe to_dict/from_dict round trip."""
 
+    # the protocol itself: what :class:`~repro.records.Record` (or an
+    # explicit columnar codec) must provide
     def to_dict(self) -> dict[str, Any]: ...
 
     @classmethod
@@ -64,11 +68,16 @@ def encode_report(report: Report) -> dict[str, Any]:
     return {"type": name, "data": report.to_dict()}
 
 
-def decode_report(payload: dict[str, Any]) -> Any:
-    cls = REPORT_TYPES.get(payload["type"])
+def decode_report(payload: Mapping[str, Any]) -> Any:
+    name = payload.get("type") if isinstance(payload, Mapping) else None
+    if not isinstance(name, str) or "data" not in payload:
+        raise RecordError(
+            "report payload must be an object with a 'type' name and "
+            "'data'")
+    cls = REPORT_TYPES.get(name)
     if cls is None:
-        raise KeyError(
-            f"unknown report type {payload['type']!r}; register it with "
+        raise RecordError(
+            f"unknown report type {name!r}; register it with "
             "repro.runner.register_report")
     return cls.from_dict(payload["data"])
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Sequence, Union
 
 from repro.errors import ReproError
+from repro.records import RecordError
 from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache, point_key
 from repro.flightrec.events import FlightRecording
 from repro.runner.events import (
@@ -64,6 +65,8 @@ class PointResult:
         runs serialize to the same bytes.  Telemetry traces and flight
         recordings are sim-time-deterministic, so traced/recorded
         points carry theirs."""
+        # bulk: a type-tagged polymorphic report plus optional payload
+        # keys, so this stays explicit (RunResult.from_dict inverts it)
         out = {
             "index": self.index,
             "knobs": {k: v for k, v in sorted(self.knobs.items())},
@@ -131,6 +134,8 @@ class RunResult:
         ]
 
     def to_dict(self) -> dict[str, Any]:
+        # bulk + derived keys: the spec with defaults resolved, its
+        # hash, and the explicit per-point dicts
         return {
             "spec": self.spec.canonical(),
             "spec_hash": self.spec.spec_hash(),
@@ -142,18 +147,22 @@ class RunResult:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunResult":
-        spec = ExperimentSpec.from_dict(data["spec"])
-        points = [
-            PointResult(
-                index=p["index"], knobs=dict(p["knobs"]), seed=p["seed"],
-                report=decode_report(p["report"]),
-                sim_seconds=p["sim_seconds"], joules=p["joules"],
-                telemetry=(TelemetryTrace.from_dict(p["telemetry"])
-                           if "telemetry" in p else None),
-                recording=(FlightRecording.from_dict(p["flightrec"])
-                           if p.get("flightrec") else None))
-            for p in data["points"]
-        ]
+        # bulk (see to_dict): "spec_hash" is derived and ignored
+        try:
+            spec = ExperimentSpec.from_dict(data["spec"])
+            points = [
+                PointResult(
+                    index=p["index"], knobs=dict(p["knobs"]),
+                    seed=p["seed"], report=decode_report(p["report"]),
+                    sim_seconds=p["sim_seconds"], joules=p["joules"],
+                    telemetry=(TelemetryTrace.from_dict(p["telemetry"])
+                               if "telemetry" in p else None),
+                    recording=(FlightRecording.from_dict(p["flightrec"])
+                               if p.get("flightrec") else None))
+                for p in data["points"]
+            ]
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise RecordError(f"malformed run result: {exc!r}") from None
         return cls(spec=spec, points=points)
 
 
@@ -263,11 +272,14 @@ class Runner:
             payload = self.cache.get(key) if self.cache else None
             if payload is not None and payload_matches(
                     payload, task, trace=self.trace, record=self.record):
-                results[index] = self._finish(
-                    spec, index, total, payload, cache_hit=True,
-                    host_seconds=0.0)
-            else:
-                pending.append((index, task, key))
+                try:
+                    results[index] = self._finish(
+                        spec, index, total, payload, cache_hit=True,
+                        host_seconds=0.0)
+                    continue
+                except RecordError:
+                    pass  # valid JSON, wrong shape: a miss like any other
+            pending.append((index, task, key))
 
         if pending:
             if self.workers > 1 and len(pending) > 1:

@@ -14,9 +14,10 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from repro.errors import ReproError
+from repro.records import Record
 
 
 class SpecError(ReproError):
@@ -47,7 +48,7 @@ def stable_hash(obj: Any) -> str:
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(Record):
     """One experiment plus the knob grid to sweep it over.
 
     ``knobs`` overrides the experiment's registered defaults; a
@@ -131,24 +132,6 @@ class ExperimentSpec:
             raise SpecError(f"seed must be an int, got {seed!r}")
         return seed
 
-    # -- serialization -----------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "experiment": self.experiment,
-            "knobs": {name: value
-                      for name, value in sorted(self.knobs.items())},
-            "profile": self.profile,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
-        return cls(experiment=data["experiment"],
-                   knobs=dict(data.get("knobs", {})),
-                   profile=data.get("profile", ""),
-                   seed=data.get("seed", DEFAULT_SEED))
-
     def describe(self) -> str:
         axes = self.sweep_axes()
         n = 1
@@ -157,6 +140,3 @@ class ExperimentSpec:
         sweep = ", ".join(f"{k}x{len(v)}" for k, v in axes.items())
         return (f"{self.experiment}: {n} point(s)"
                 + (f" ({sweep})" if sweep else ""))
-
-    def iter_point_ids(self) -> Iterator[tuple[int, dict[str, Any]]]:
-        yield from enumerate(self.points())

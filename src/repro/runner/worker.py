@@ -112,9 +112,10 @@ def payload_matches(payload: Mapping[str, Any], task: PointTask,
     and, for traced runs, a stored trace (likewise a stored flight
     recording for recorded runs)."""
     experiment, knobs, seed = task
-    return (payload.get("experiment") == experiment
+    return (isinstance(payload, Mapping)
+            and payload.get("experiment") == experiment
             and payload.get("seed") == seed
             and payload.get("knobs") == knobs
-            and "report" in payload
+            and {"report", "sim_seconds", "joules"} <= payload.keys()
             and (not trace or "telemetry" in payload)
             and (not record or "flightrec" in payload))

@@ -33,7 +33,7 @@ or, the registered sweeps::
     python -m repro.runner run svc_pvc_qed    # PVC x QED Pareto frontier
 """
 
-from repro.service.autoscale import Autoscaler, calibrated_drain_joules
+from repro.service.autoscale import Autoscaler
 from repro.service.dispatch import (DISPATCH_POLICIES, CostAware,
                                     DispatchContext, DispatchPolicy,
                                     LeastLoaded, PowerAwarePacking,
@@ -85,7 +85,6 @@ __all__ = [
     "Tenant",
     "TenantStats",
     "build_stream",
-    "calibrated_drain_joules",
     "make_policy",
     "node_class_model",
     "policy_knob_names",

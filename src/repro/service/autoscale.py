@@ -18,25 +18,14 @@ crash-boot gate use each candidate's *own* break-even time — a wimpy
 node with a small boot lump is worth cycling in outages a beefy node
 should ride out.  On a single-class fleet every rule degenerates to
 the classic count-based behavior, bit for bit.
-
-:func:`calibrated_drain_joules` closes the loop with the metered
-layer: it executes a real
-:class:`~repro.storage.partitioner.ConsolidationPlan` through
-:func:`~repro.consolidation.migration.execute_consolidation` on
-simulated disks and prices the fleet model's drain lump from the
-metered migration energy, so the fast fleet path and the per-device
-simulation agree on what powering a node down actually costs.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.service.node import FleetNode, NodePowerModel
 from repro.service.report import ServiceError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.hardware.disk import HardDisk
 
 
 class Autoscaler:
@@ -283,34 +272,3 @@ class Autoscaler:
                     log["drained"].append(i)
             elif log is not None:
                 log["rejected"].append([i, "backlog"])
-
-
-def calibrated_drain_joules(
-        sim, disks: Sequence["HardDisk"],
-        resident_bytes: int = 64 * 1024 * 1024) -> float:
-    """Meter what draining one node's state actually costs.
-
-    Builds a one-move :class:`~repro.storage.partitioner.ConsolidationPlan`
-    (evacuate ``resident_bytes`` of hot state off the released device,
-    then spin it down) and executes it against real simulated disks via
-    :func:`~repro.consolidation.migration.execute_consolidation`.  The
-    metered migration energy is the drain lump a
-    :class:`NodePowerModel` should charge per power-off.
-    """
-    from repro.consolidation.migration import execute_consolidation
-    from repro.storage.partitioner import ConsolidationPlan, Move
-
-    if len(disks) < 2:
-        raise ServiceError("drain calibration needs a source and a target "
-                           "disk")
-    source, target = disks[0], disks[1]
-    plan = ConsolidationPlan(
-        assignments={"resident": target.spec.name},
-        moves=[Move(partition="resident", source=source.spec.name,
-                    target=target.spec.name, size_bytes=resident_bytes)],
-        devices_kept=[target.spec.name],
-        devices_released=[source.spec.name],
-    )
-    outcome = execute_consolidation(
-        sim, plan, {d.spec.name: d for d in disks})
-    return outcome.migration_energy_joules

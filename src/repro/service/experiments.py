@@ -31,11 +31,12 @@ frequency governor, the QED batcher, and their composition — and
 states the acceptance verdict: some mechanism config strictly beats
 the baseline on Joules/query while every tenant SLA holds.
 
-:func:`mega_point` is the fleet-scale point — 10M+ queries over 256+
-nodes, tractable because ``engine="auto"`` routes onto the vectorized
-array-of-events core — and :func:`mega_calibration_point` races both
-engines on one stream, proves their reports byte-identical, and
-returns a :class:`MegaCalibrationReport` pricing the speedup.
+``svc_mega`` is :func:`service_point` at fleet scale — 10M+ queries
+over 256+ nodes at ``load=30``, tractable because ``engine="auto"``
+routes onto the vectorized array-of-events core — and
+:func:`mega_calibration_point` races both engines on one stream, proves
+their reports byte-identical, and returns a
+:class:`MegaCalibrationReport` pricing the speedup.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Mapping, Optional, Sequence
 
+from repro.records import Record
 from repro.service.autoscale import Autoscaler
 from repro.service.dispatch import (DispatchPolicy, make_policy,
                                     policy_knob_names)
@@ -96,6 +98,16 @@ def _policy_and_autoscaler(policy, fleet: FleetSpec,
     return policy, autoscaler
 
 
+def _scaled_tenants(load: float):
+    """The :data:`DEFAULT_TENANTS` mix with every arrival rate
+    multiplied by ``load`` — the per-tenant SLAs stay untouched, so
+    the stream is *denser*, not *tighter*."""
+    if load <= 0:
+        raise ServiceError("load multiplier must be positive")
+    return tuple(replace(t, rate_per_s=t.rate_per_s * load)
+                 for t in DEFAULT_TENANTS)
+
+
 def service_point(policy: str = "power_aware",
                   queries: int = 350_000,
                   nodes: int = 16,
@@ -106,6 +118,8 @@ def service_point(policy: str = "power_aware",
                   target_utilization: float = 0.55,
                   epoch_seconds: float = 30.0,
                   min_nodes: int = 2,
+                  load: float = 1.0,
+                  engine: str = "auto",
                   seed: int = 0) -> Any:
     """Serve one generated multi-tenant stream under one policy.
 
@@ -115,17 +129,25 @@ def service_point(policy: str = "power_aware",
     experiment.  Policy knobs are filtered through
     :func:`~repro.service.dispatch.policy_knob_names`, so each policy
     only sees the knobs its factory declares.
+
+    ``load`` multiplies every tenant's arrival rate (per-tenant SLAs
+    stay at their defaults) so a 256-node ``svc_mega`` fleet actually
+    has work; that scale is only tractable because ``engine="auto"``
+    routes eligible configurations onto the vectorized array-of-events
+    core (:mod:`repro.service.engine`).  ``engine="loop"`` forces the
+    reference core — same report, reference wall-clock.
     """
     fleet = FleetSpec.homogeneous(nodes,
                                   NodePowerModel.from_server(profile))
-    stream = build_stream(queries, seed=seed)
+    stream = build_stream(queries, tenants=_scaled_tenants(load),
+                          seed=seed)
     dispatch, autoscaler = _policy_and_autoscaler(policy, fleet, {
         "pack_backlog_seconds": pack_backlog_seconds,
         "admission_limit_seconds": admission_limit_seconds,
         "sla_slack_fraction": sla_slack_fraction,
     }, epoch_seconds, target_utilization, min_nodes)
     return simulate_service(stream, fleet=fleet, policy=dispatch,
-                            autoscaler=autoscaler)
+                            autoscaler=autoscaler, engine=engine)
 
 
 def hetero_point(composition: str = "mixed",
@@ -248,55 +270,8 @@ def pvc_qed_point(config: str = "power_aware",
                             autoscaler=autoscaler)
 
 
-def _mega_tenants(load: float):
-    """The :data:`DEFAULT_TENANTS` mix with every arrival rate
-    multiplied by ``load`` — the mega experiments keep the per-tenant
-    SLAs untouched so the stream is *denser*, not *tighter*."""
-    if load <= 0:
-        raise ServiceError("load multiplier must be positive")
-    return tuple(replace(t, rate_per_s=t.rate_per_s * load)
-                 for t in DEFAULT_TENANTS)
-
-
-def mega_point(policy: str = "power_aware",
-               queries: int = 10_000_000,
-               nodes: int = 256,
-               load: float = 30.0,
-               profile: str = "commodity",
-               engine: str = "auto",
-               pack_backlog_seconds: float = 0.2,
-               admission_limit_seconds: Optional[float] = None,
-               sla_slack_fraction: float = 1.0,
-               target_utilization: float = 0.55,
-               epoch_seconds: float = 30.0,
-               min_nodes: int = 2,
-               seed: int = 0) -> Any:
-    """Serve one fleet-scale multi-tenant stream under one policy.
-
-    The ``svc_mega`` scale point: tens of millions of queries over
-    hundreds of nodes, which is only tractable because ``engine="auto"``
-    routes eligible configurations onto the vectorized array-of-events
-    core (:mod:`repro.service.engine`).  ``load`` multiplies every
-    tenant's arrival rate so a 256-node fleet actually has work;
-    per-tenant SLAs stay at their defaults.  ``engine="loop"`` forces
-    the reference core — same report, reference wall-clock — which is
-    what the calibration experiment uses to price the speedup.
-    """
-    fleet = FleetSpec.homogeneous(nodes,
-                                  NodePowerModel.from_server(profile))
-    stream = build_stream(queries, tenants=_mega_tenants(load),
-                          seed=seed)
-    dispatch, autoscaler = _policy_and_autoscaler(policy, fleet, {
-        "pack_backlog_seconds": pack_backlog_seconds,
-        "admission_limit_seconds": admission_limit_seconds,
-        "sla_slack_fraction": sla_slack_fraction,
-    }, epoch_seconds, target_utilization, min_nodes)
-    return simulate_service(stream, fleet=fleet, policy=dispatch,
-                            autoscaler=autoscaler, engine=engine)
-
-
 @dataclass
-class MegaCalibrationReport:
+class MegaCalibrationReport(Record):
     """Both engines over one stream: proof of identity, price of each.
 
     ``loop_seconds`` and ``event_seconds`` are host wall-clock and vary
@@ -330,33 +305,11 @@ class MegaCalibrationReport:
         return (self.loop_seconds / self.event_seconds
                 if self.event_seconds > 0 else float("inf"))
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"policy": self.policy,
-                "queries": self.queries,
-                "nodes": self.nodes,
-                "loop_seconds": self.loop_seconds,
-                "event_seconds": self.event_seconds,
-                "speedup": self.speedup,
-                "identical": self.identical,
-                "makespan_seconds": self.makespan_seconds,
-                "energy_joules": self.energy_joules,
-                "queries_completed": self.queries_completed,
-                "p95_latency_seconds": self.p95_latency_seconds}
+    DERIVED_KEYS = ("speedup",)
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MegaCalibrationReport":
-        return cls(
-            policy=str(data.get("policy", "power_aware")),
-            queries=int(data.get("queries", 0)),
-            nodes=int(data.get("nodes", 0)),
-            loop_seconds=float(data.get("loop_seconds", 0.0)),
-            event_seconds=float(data.get("event_seconds", 0.0)),
-            identical=bool(data.get("identical", True)),
-            makespan_seconds=float(data.get("makespan_seconds", 0.0)),
-            energy_joules=float(data.get("energy_joules", 0.0)),
-            queries_completed=int(data.get("queries_completed", 0)),
-            p95_latency_seconds=float(
-                data.get("p95_latency_seconds", 0.0)))
+    def to_dict(self) -> dict[str, Any]:
+        # derived key: the headline ratio rides along for ledger readers
+        return {**super().to_dict(), "speedup": self.speedup}
 
 
 def mega_calibration_point(policy: str = "power_aware",
@@ -395,7 +348,7 @@ def mega_calibration_point(policy: str = "power_aware",
             "with --no-trace)")
 
     model = NodePowerModel.from_server(profile)
-    stream = build_stream(queries, tenants=_mega_tenants(load),
+    stream = build_stream(queries, tenants=_scaled_tenants(load),
                           seed=seed)
     knobs = {
         "pack_backlog_seconds": pack_backlog_seconds,
@@ -443,7 +396,7 @@ def svc_aggregate(points: Sequence[Any]) -> ServiceSweepResult:
 
 
 @dataclass
-class HeteroSweepResult:
+class HeteroSweepResult(Record):
     """A composition × load × SLA sweep folded into one frontier.
 
     Parallel arrays: point *k* ran ``compositions[k]`` at load
@@ -543,24 +496,9 @@ class HeteroSweepResult:
             "sla_scale": relaxed,
         }
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"compositions": list(self.compositions),
-                "loads": list(self.loads),
-                "sla_scales": list(self.sla_scales),
-                "reports": [r.to_dict() for r in self.reports]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "HeteroSweepResult":
-        return cls(
-            compositions=list(data.get("compositions", [])),
-            loads=list(data.get("loads", [])),
-            sla_scales=list(data.get("sla_scales", [])),
-            reports=[ServiceReport.from_dict(r)
-                     for r in data.get("reports", [])])
-
 
 @dataclass
-class PVCQEDSweepResult:
+class PVCQEDSweepResult(Record):
     """A mechanism × SLA-headroom sweep folded into a Pareto frontier.
 
     Parallel arrays: point *k* ran mechanism ``configs[k]`` with
@@ -649,19 +587,6 @@ class PVCQEDSweepResult:
             "dominates_power_aware": report.joules_per_query
             < base.joules_per_query,
         }
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"configs": list(self.configs),
-                "sla_headrooms": list(self.sla_headrooms),
-                "reports": [r.to_dict() for r in self.reports]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PVCQEDSweepResult":
-        return cls(
-            configs=list(data.get("configs", [])),
-            sla_headrooms=list(data.get("sla_headrooms", [])),
-            reports=[ServiceReport.from_dict(r)
-                     for r in data.get("reports", [])])
 
 
 def pvc_qed_aggregate(points: Sequence[Any]) -> PVCQEDSweepResult:

@@ -20,14 +20,15 @@ path price Joules identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
+from repro.records import Record
 from repro.service.report import NodeStats, ServiceError
 
 
 @dataclass(frozen=True)
-class NodePowerModel:
+class NodePowerModel(Record):
     """Utilization-linear power curve plus power-cycling costs."""
 
     name: str = "node"
@@ -146,26 +147,6 @@ class NodePowerModel:
             drain_seconds=drain_seconds,
             drain_joules=model.cycle_joules * (1.0 - boot_share),
         )
-
-    def with_drain_joules(self, joules: float) -> "NodePowerModel":
-        """A copy with the drain lump replaced (metered calibration)."""
-        return replace(self, drain_joules=joules)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "idle_watts": self.idle_watts,
-            "peak_watts": self.peak_watts,
-            "boot_seconds": self.boot_seconds,
-            "boot_joules": self.boot_joules,
-            "drain_seconds": self.drain_seconds,
-            "drain_joules": self.drain_joules,
-            "speed_factor": self.speed_factor,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "NodePowerModel":
-        return cls(**dict(data))
 
 
 class FleetNode:

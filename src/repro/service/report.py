@@ -18,10 +18,11 @@ SLA across dispatch policies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Any, Optional
 
 from repro.core.metrics import energy_efficiency
 from repro.errors import ReproError
+from repro.records import Record
 
 
 class ServiceError(ReproError):
@@ -46,7 +47,7 @@ def quantile(sorted_values: list[float], q: float) -> float:
 
 
 @dataclass
-class TenantStats:
+class TenantStats(Record):
     """One tenant's SLA ledger for a serving run.
 
     ``crashed`` counts arrivals lost to node crashes after every retry
@@ -75,26 +76,9 @@ class TenantStats:
         return self.survived and \
             self.p95_latency_seconds <= self.sla_p95_seconds
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "tenant": self.tenant,
-            "completed": self.completed,
-            "rejected": self.rejected,
-            "crashed": self.crashed,
-            "mean_latency_seconds": self.mean_latency_seconds,
-            "p50_latency_seconds": self.p50_latency_seconds,
-            "p95_latency_seconds": self.p95_latency_seconds,
-            "p99_latency_seconds": self.p99_latency_seconds,
-            "sla_p95_seconds": self.sla_p95_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TenantStats":
-        return cls(**dict(data))
-
 
 @dataclass
-class NodeStats:
+class NodeStats(Record):
     """One node's duty ledger: how long it was up, busy, and booting."""
 
     node: str
@@ -114,25 +98,9 @@ class NodeStats:
             return 0.0
         return self.busy_seconds / self.on_seconds
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "node": self.node,
-            "completed": self.completed,
-            "on_seconds": self.on_seconds,
-            "busy_seconds": self.busy_seconds,
-            "energy_joules": self.energy_joules,
-            "boots": self.boots,
-            "crashes": self.crashes,
-            "node_class": self.node_class,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "NodeStats":
-        return cls(**dict(data))
-
 
 @dataclass
-class ClassStats:
+class ClassStats(Record):
     """One node class's rollup: the composition-level duty ledger.
 
     The heterogeneous-fleet reading of the §2.4 story lives here: which
@@ -167,22 +135,6 @@ class ClassStats:
                 "Joules/query undefined")
         return self.energy_joules / self.completed
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "node_class": self.node_class,
-            "count": self.count,
-            "completed": self.completed,
-            "on_seconds": self.on_seconds,
-            "busy_seconds": self.busy_seconds,
-            "energy_joules": self.energy_joules,
-            "boots": self.boots,
-            "crashes": self.crashes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ClassStats":
-        return cls(**dict(data))
-
 
 def rollup_classes(nodes: list[NodeStats]) -> list["ClassStats"]:
     """Fold per-node ledgers into per-class rows (first-seen order)."""
@@ -207,7 +159,7 @@ def rollup_classes(nodes: list[NodeStats]) -> list["ClassStats"]:
 
 
 @dataclass
-class FaultStats:
+class FaultStats(Record):
     """The chaos ledger of one serving run.
 
     Injected-fault counts cover events the engine actually applied;
@@ -243,31 +195,9 @@ class FaultStats:
     #: node_seconds_lost / (n_nodes * makespan)
     downtime_fraction: float = 0.0
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "crashes": self.crashes,
-            "recoveries": self.recoveries,
-            "throttle_windows": self.throttle_windows,
-            "disk_failures": self.disk_failures,
-            "timeout_windows": self.timeout_windows,
-            "faults_skipped": self.faults_skipped,
-            "queries_lost": self.queries_lost,
-            "queries_recovered": self.queries_recovered,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "queries_shed": self.queries_shed,
-            "emergency_boots": self.emergency_boots,
-            "node_seconds_lost": self.node_seconds_lost,
-            "downtime_fraction": self.downtime_fraction,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultStats":
-        return cls(**dict(data))
-
 
 @dataclass
-class ServiceReport:
+class ServiceReport(Record):
     """Outcome of serving one arrival stream under one dispatch policy."""
 
     policy: str
@@ -385,48 +315,9 @@ class ServiceReport:
             for t in self.tenants
         ]
 
-    # -- serialization ------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "policy": self.policy,
-            "n_nodes": self.n_nodes,
-            "queries_offered": self.queries_offered,
-            "queries_completed": self.queries_completed,
-            "queries_rejected": self.queries_rejected,
-            "makespan_seconds": self.makespan_seconds,
-            "energy_joules": self.energy_joules,
-            "p50_latency_seconds": self.p50_latency_seconds,
-            "p95_latency_seconds": self.p95_latency_seconds,
-            "p99_latency_seconds": self.p99_latency_seconds,
-            "mean_latency_seconds": self.mean_latency_seconds,
-            "node_seconds_on": self.node_seconds_on,
-            "tenants": [t.to_dict() for t in self.tenants],
-            "nodes": [n.to_dict() for n in self.nodes],
-            "faults": (self.faults.to_dict()
-                       if self.faults is not None else None),
-            "classes": [c.to_dict() for c in self.classes],
-            "fleet": self.fleet,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ServiceReport":
-        payload = dict(data)
-        payload["tenants"] = [TenantStats.from_dict(t)
-                              for t in data.get("tenants", [])]
-        payload["nodes"] = [NodeStats.from_dict(n)
-                            for n in data.get("nodes", [])]
-        faults = data.get("faults")
-        payload["faults"] = (FaultStats.from_dict(faults)
-                             if faults is not None else None)
-        payload["classes"] = [ClassStats.from_dict(c)
-                              for c in data.get("classes", [])]
-        payload["fleet"] = data.get("fleet")
-        return cls(**payload)
-
 
 @dataclass
-class ServiceSweepResult:
+class ServiceSweepResult(Record):
     """A policy sweep folded into one comparable result.
 
     The serving analogue of :class:`~repro.core.experiments.Figure1Result`:
@@ -478,11 +369,3 @@ class ServiceSweepResult:
              "met" if r.slas_met else "MISSED")
             for r in self.reports
         ]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"reports": [r.to_dict() for r in self.reports]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ServiceSweepResult":
-        return cls(reports=[ServiceReport.from_dict(r)
-                            for r in data.get("reports", [])])

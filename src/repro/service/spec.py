@@ -44,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, Optional
 
+from repro.records import Record
 from repro.service.node import NodePowerModel
 from repro.service.report import ServiceError
 
@@ -53,7 +54,7 @@ WIMPY_SPEED_FACTOR = 0.45
 
 
 @dataclass(frozen=True)
-class NodeClass:
+class NodeClass(Record):
     """``count`` identical serving nodes sharing one power model."""
 
     name: str
@@ -72,24 +73,9 @@ class NodeClass:
         """Speed-1 node-equivalents this class contributes."""
         return self.count * self.model.speed_factor
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "count": self.count,
-            "model": self.model.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "NodeClass":
-        return cls(
-            name=data["name"],
-            count=data["count"],
-            model=NodePowerModel.from_dict(data["model"]),
-        )
-
 
 @dataclass(frozen=True)
-class FleetSpec:
+class FleetSpec(Record):
     """An ordered composition of node classes — the fleet, declared.
 
     Node indices run class by class in declaration order (``beefy``
@@ -155,14 +141,16 @@ class FleetSpec:
             for name, count in counts.items() if count != 0)
         return cls(classes=classes)
 
+    DERIVED_KEYS = ("hash",)
+
     def to_dict(self) -> dict[str, Any]:
-        return {"classes": [c.to_dict() for c in self.classes],
-                "hash": self.fleet_hash()}
+        # derived key: the composition's own hash, checked on the way in
+        return {**super().to_dict(), "hash": self.fleet_hash()}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FleetSpec":
-        spec = cls(classes=tuple(NodeClass.from_dict(c)
-                                 for c in data["classes"]))
+        # derived key: verifies the hash ``to_dict`` emitted
+        spec = super().from_dict(data)
         expected = data.get("hash")
         if expected is not None and expected != spec.fleet_hash():
             raise ServiceError(
@@ -175,8 +163,7 @@ class FleetSpec:
         same discipline as :meth:`~repro.runner.ExperimentSpec.
         spec_hash`, so specs key caches and provenance records."""
         from repro.runner.spec import stable_hash
-        return stable_hash({"classes": [c.to_dict()
-                                        for c in self.classes]})
+        return stable_hash(super().to_dict())
 
 
 #: registered class name -> model factory (resolved lazily: calibration

@@ -181,13 +181,6 @@ class ArrivalStream:
         """Span from time zero to the last arrival."""
         return float(self.times[-1]) if len(self.times) else 0.0
 
-    @property
-    def offered_load_node_seconds_per_s(self) -> float:
-        """Mean service demand per wall second (node-equivalents)."""
-        if self.duration_seconds <= 0:
-            raise ServiceError("empty stream has no offered load")
-        return float(self.service_seconds.sum()) / self.duration_seconds
-
 
 def _tenant_counts(tenants: Sequence[Tenant], total: int) -> list[int]:
     """Split ``total`` arrivals across tenants proportional to rate

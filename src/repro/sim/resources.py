@@ -84,11 +84,6 @@ class Resource:
         self._last_change = now
 
     @property
-    def in_use(self) -> int:
-        """Units currently granted."""
-        return self._in_use
-
-    @property
     def queue_length(self) -> int:
         """Requests waiting for a unit."""
         return len(self._waiting)

@@ -143,11 +143,6 @@ class ColumnFile:
                 for seg_list, dtype in zip(segment_lists, dtypes)]
             yield from zip(*decoded)
 
-    def scan_segments(self, column: str) -> Iterator[ColumnSegment]:
-        """Iterate the sealed segments of one column."""
-        self.seal()
-        yield from self._segment_list(column)
-
     def _segment_list(self, column: str) -> list[ColumnSegment]:
         try:
             return self._segments[column]

@@ -54,14 +54,6 @@ class TelemetrySink:
                 totals[name] = totals.get(name, 0.0) + joules
         return dict(sorted(totals.items()))
 
-    def counter_totals(self) -> dict[str, float]:
-        """Counters summed across every traced point."""
-        totals: dict[str, float] = {}
-        for trace in self.traces.values():
-            for name, value in trace.counters.items():
-                totals[name] = totals.get(name, 0.0) + value
-        return dict(sorted(totals.items()))
-
     def summary_rows(self) -> list[tuple]:
         """(point, duration s, metered J, busy-time J, top device) rows."""
         rows = []

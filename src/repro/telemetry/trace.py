@@ -22,13 +22,14 @@ Two accountings appear side by side, matching the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import Iterator
 
 from repro.errors import ReproError
+from repro.records import Record
 
 
 @dataclass
-class SpanNode:
+class SpanNode(Record):
     """One finalized span with per-device energy attribution."""
 
     name: str
@@ -62,32 +63,9 @@ class SpanNode:
         for child in self.children:
             yield from child.walk(depth + 1)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "started_at": self.started_at,
-            "ended_at": self.ended_at,
-            "device_joules": {k: v for k, v
-                              in sorted(self.device_joules.items())},
-            "active_joules": {k: v for k, v
-                              in sorted(self.active_joules.items())},
-            "children": [c.to_dict() for c in self.children],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SpanNode":
-        return cls(
-            name=data["name"],
-            started_at=data["started_at"],
-            ended_at=data["ended_at"],
-            device_joules=dict(data.get("device_joules", {})),
-            active_joules=dict(data.get("active_joules", {})),
-            children=[cls.from_dict(c) for c in data.get("children", [])],
-        )
-
 
 @dataclass
-class DeviceTimeline:
+class DeviceTimeline(Record):
     """One device's power timeline and energy totals over the capture.
 
     ``times``/``watts`` are the device's power step function (possibly
@@ -104,32 +82,9 @@ class DeviceTimeline:
     busy_seconds: float = 0.0
     n_raw_samples: int = 0
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "times": list(self.times),
-            "watts": list(self.watts),
-            "energy_joules": self.energy_joules,
-            "active_energy_joules": self.active_energy_joules,
-            "busy_seconds": self.busy_seconds,
-            "n_raw_samples": self.n_raw_samples,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "DeviceTimeline":
-        return cls(
-            name=data["name"],
-            times=list(data.get("times", [])),
-            watts=list(data.get("watts", [])),
-            energy_joules=data.get("energy_joules", 0.0),
-            active_energy_joules=data.get("active_energy_joules", 0.0),
-            busy_seconds=data.get("busy_seconds", 0.0),
-            n_raw_samples=data.get("n_raw_samples", 0),
-        )
-
 
 @dataclass
-class TelemetryTrace:
+class TelemetryTrace(Record):
     """Everything one traced run captured."""
 
     started_at: float = 0.0
@@ -184,25 +139,3 @@ class TelemetryTrace:
         """Pre-order traversal of every span in every tree."""
         for root in self.spans:
             yield from root.walk()
-
-    # -- serialization -----------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "started_at": self.started_at,
-            "ended_at": self.ended_at,
-            "devices": [d.to_dict() for d in self.devices],
-            "spans": [s.to_dict() for s in self.spans],
-            "counters": {k: v for k, v in sorted(self.counters.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TelemetryTrace":
-        return cls(
-            started_at=data.get("started_at", 0.0),
-            ended_at=data.get("ended_at", 0.0),
-            devices=[DeviceTimeline.from_dict(d)
-                     for d in data.get("devices", [])],
-            spans=[SpanNode.from_dict(s) for s in data.get("spans", [])],
-            counters=dict(data.get("counters", {})),
-        )

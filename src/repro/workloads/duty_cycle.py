@@ -11,17 +11,17 @@ Two machine kinds are supported: the calibrated ``commodity`` profile
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any
+from dataclasses import dataclass
 
 from repro.errors import WorkloadError
 from repro.hardware.profiles import commodity
 from repro.hardware.proportionality import IdealProportionalDevice
+from repro.records import Record
 from repro.sim import Simulation
 
 
 @dataclass
-class DutyCycleReport:
+class DutyCycleReport(Record):
     """Average power and useful work at one utilization level."""
 
     kind: str                 # "real" | "ideal"
@@ -33,20 +33,6 @@ class DutyCycleReport:
     @property
     def energy_joules(self) -> float:
         return self.average_watts * self.window_seconds
-
-    @property
-    def work_per_joule(self) -> float:
-        """Busy-seconds of useful work bought per Joule."""
-        if self.energy_joules <= 0 or self.work_seconds <= 0:
-            return 0.0
-        return self.work_seconds / self.energy_joules
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "DutyCycleReport":
-        return cls(**data)
 
 
 def _real_window(utilization: float, window_seconds: float,

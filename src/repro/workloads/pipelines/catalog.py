@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping
 
+from repro.records import Record
 from repro.workloads.pipelines.spec import PipelineError
 
 
 @dataclass(frozen=True)
-class DatasetVersion:
+class DatasetVersion(Record):
     """One published dataset version (one load-stage completion)."""
 
     dataset: str
@@ -49,24 +49,9 @@ class DatasetVersion:
     #: tasks the publishing stage completed
     tasks: int
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "dataset": self.dataset,
-            "version": self.version,
-            "pipeline": self.pipeline,
-            "stage": self.stage,
-            "produced_at_seconds": self.produced_at_seconds,
-            "fresh": self.fresh,
-            "tasks": self.tasks,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "DatasetVersion":
-        return cls(**dict(data))
-
 
 @dataclass
-class DatasetCatalog:
+class DatasetCatalog(Record):
     """An append-only manifest of published dataset versions."""
 
     entries: list[DatasetVersion] = field(default_factory=list)
@@ -97,16 +82,6 @@ class DatasetCatalog:
     def fresh(self, dataset: str) -> bool:
         """Whether the latest version of ``dataset`` met freshness."""
         return self.latest(dataset).fresh
-
-    # -- serialization ------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"entries": [e.to_dict() for e in self.entries]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "DatasetCatalog":
-        return cls(entries=[DatasetVersion.from_dict(e)
-                            for e in data.get("entries", ())])
 
     def save(self, path: str) -> None:
         """Write the manifest as JSON (the ``manifest.json`` idiom)."""

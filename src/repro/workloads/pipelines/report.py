@@ -18,14 +18,15 @@ eager's burst-at-peak premium vs. what delay and consolidation save.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Any, Optional
 
+from repro.records import Record
 from repro.service.report import ServiceReport
 from repro.workloads.pipelines.spec import PipelineError
 
 
 @dataclass
-class StageStats:
+class StageStats(Record):
     """One stage's measured outcome.
 
     ``attribution_start/end_seconds`` bound the fleet-time window the
@@ -60,28 +61,9 @@ class StageStats:
     def met_deadline(self) -> bool:
         return self.completion_seconds <= self.deadline_seconds
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "stage": self.stage,
-            "kind": self.kind,
-            "tenant": self.tenant,
-            "tasks": self.tasks,
-            "completed": self.completed,
-            "release_seconds": self.release_seconds,
-            "completion_seconds": self.completion_seconds,
-            "deadline_seconds": self.deadline_seconds,
-            "busy_joules": self.busy_joules,
-            "attribution_start_seconds": self.attribution_start_seconds,
-            "attribution_end_seconds": self.attribution_end_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StageStats":
-        return cls(**dict(data))
-
 
 @dataclass
-class EtlReport:
+class EtlReport(Record):
     """Outcome of one pipeline run alongside interactive traffic."""
 
     pipeline: str
@@ -119,11 +101,6 @@ class EtlReport:
         return self.freshness_sla_seconds - self.completion_seconds
 
     @property
-    def batch_busy_joules(self) -> float:
-        """Marginal busy energy of all batch work."""
-        return sum(s.busy_joules for s in self.stages)
-
-    @property
     def batch_tenant_names(self) -> set[str]:
         return {s.tenant for s in self.stages}
 
@@ -134,20 +111,6 @@ class EtlReport:
         return all(t.sla_met for t in self.service.tenants
                    if t.tenant not in batch)
 
-    @property
-    def batch_slas_met(self) -> bool:
-        """Whether every stage tenant's deadline-bearing budget held."""
-        batch = self.batch_tenant_names
-        return all(t.sla_met for t in self.service.tenants
-                   if t.tenant in batch)
-
-    def stage_stats(self, name: str) -> StageStats:
-        for s in self.stages:
-            if s.stage == name:
-                return s
-        raise PipelineError(
-            f"report for {self.pipeline!r} has no stage {name!r}")
-
     def rows(self) -> list[tuple]:
         """Per-stage rows for the table printers."""
         return [
@@ -157,42 +120,13 @@ class EtlReport:
             for s in self.stages
         ]
 
-    # -- serialization ------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "pipeline": self.pipeline,
-            "pipeline_hash": self.pipeline_hash,
-            "mode": self.mode,
-            "freshness_sla_seconds": self.freshness_sla_seconds,
-            "completion_seconds": self.completion_seconds,
-            "freshness_met": self.freshness_met,
-            "precedence_violations": self.precedence_violations,
-            "stages": [s.to_dict() for s in self.stages],
-            "plan": self.plan,
-            "catalog": list(self.catalog),
-            "service": (self.service.to_dict()
-                        if self.service is not None else None),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "EtlReport":
-        payload = dict(data)
-        payload["stages"] = [StageStats.from_dict(s)
-                             for s in data.get("stages", ())]
-        service = data.get("service")
-        payload["service"] = (ServiceReport.from_dict(service)
-                              if service is not None else None)
-        payload["catalog"] = list(data.get("catalog", ()))
-        return cls(**payload)
-
 
 #: mode ordering for sweep aggregation (baseline first)
 ETL_MODES: tuple[str, ...] = ("none", "eager", "delayed", "consolidated")
 
 
 @dataclass
-class EtlSweepResult:
+class EtlSweepResult(Record):
     """The ``svc_etl`` mode × load grid, folded.
 
     Parallel arrays (like the hetero and PVC/QED sweeps): point ``i``
@@ -267,19 +201,3 @@ class EtlSweepResult:
                         "met" if r.freshness_met else "MISSED",
                         "met" if r.interactive_slas_met else "MISSED"))
         return out
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "modes": list(self.modes),
-            "loads": list(self.loads),
-            "reports": [r.to_dict() for r in self.reports],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "EtlSweepResult":
-        return cls(
-            modes=list(data.get("modes", ())),
-            loads=list(data.get("loads", ())),
-            reports=[EtlReport.from_dict(r)
-                     for r in data.get("reports", ())],
-        )

@@ -53,10 +53,11 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
+from repro.records import Record
 from repro.service.spec import FleetSpec
 from repro.workloads.pipelines.spec import (PipelineError, PipelineSpec,
                                             Stage)
@@ -66,7 +67,7 @@ MODES: tuple[str, ...] = ("eager", "delayed", "consolidated")
 
 
 @dataclass(frozen=True)
-class PlannedStage:
+class PlannedStage(Record):
     """One stage's planned release window."""
 
     stage: str
@@ -77,21 +78,9 @@ class PlannedStage:
     #: node-equivalents the estimate assumed the stage can occupy
     parallelism: float
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "stage": self.stage,
-            "release_seconds": self.release_seconds,
-            "duration_estimate_seconds": self.duration_estimate_seconds,
-            "parallelism": self.parallelism,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PlannedStage":
-        return cls(**dict(data))
-
 
 @dataclass(frozen=True)
-class StagePlan:
+class StagePlan(Record):
     """A pipeline's planned releases under one scheduling mode."""
 
     pipeline: str
@@ -121,26 +110,6 @@ class StagePlan:
         """Estimated absolute completion of the last stage."""
         return max(p.release_seconds + p.duration_estimate_seconds
                    for p in self.stages)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "pipeline": self.pipeline,
-            "mode": self.mode,
-            "start_seconds": self.start_seconds,
-            "deadline_seconds": self.deadline_seconds,
-            "stages": [p.to_dict() for p in self.stages],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StagePlan":
-        return cls(
-            pipeline=data["pipeline"],
-            mode=data["mode"],
-            start_seconds=data["start_seconds"],
-            deadline_seconds=data["deadline_seconds"],
-            stages=tuple(PlannedStage.from_dict(p)
-                         for p in data.get("stages", ())),
-        )
 
 
 @dataclass(frozen=True)

@@ -53,9 +53,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Optional
 
 from repro.errors import ReproError
+from repro.records import Record
 
 
 class PipelineError(ReproError):
@@ -68,7 +69,7 @@ KINDS: tuple[str, ...] = ("extract", "clean", "transform", "join",
 
 
 @dataclass(frozen=True)
-class Stage:
+class Stage(Record):
     """One pipeline step: ``tasks`` identical units of batch work.
 
     ``inputs`` names the stages whose outputs this stage consumes (its
@@ -123,30 +124,9 @@ class Stage:
             return None
         return self.dataset if self.dataset is not None else self.name
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "tasks": self.tasks,
-            "seconds_per_task": self.seconds_per_task,
-            "inputs": list(self.inputs),
-            "dataset": self.dataset,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Stage":
-        return cls(
-            name=data["name"],
-            kind=data["kind"],
-            tasks=data["tasks"],
-            seconds_per_task=data["seconds_per_task"],
-            inputs=tuple(data.get("inputs", ())),
-            dataset=data.get("dataset"),
-        )
-
 
 @dataclass(frozen=True)
-class PipelineSpec:
+class PipelineSpec(Record):
     """A named stage DAG with one freshness SLA.
 
     ``freshness_sla_seconds`` is the absolute complete-by instant on
@@ -243,32 +223,10 @@ cycle through stage 'a'
         """Whole-pipeline demand in speed-1 node-seconds."""
         return sum(s.work_seconds for s in self.stages)
 
-    @property
-    def total_tasks(self) -> int:
-        return sum(s.tasks for s in self.stages)
-
     def datasets(self) -> tuple[tuple[str, str], ...]:
         """``(dataset, stage)`` pairs the pipeline's loads publish."""
         return tuple((s.published_dataset, s.name) for s in self.stages
                      if s.published_dataset is not None)
-
-    # -- serialization ------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "freshness_sla_seconds": self.freshness_sla_seconds,
-            "stages": [s.to_dict() for s in self.stages],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PipelineSpec":
-        return cls(
-            name=data["name"],
-            freshness_sla_seconds=data["freshness_sla_seconds"],
-            stages=tuple(Stage.from_dict(s)
-                         for s in data.get("stages", ())),
-        )
 
     @property
     def pipeline_hash(self) -> str:

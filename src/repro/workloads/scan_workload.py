@@ -11,11 +11,12 @@ not consume any power").
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.errors import WorkloadError
 from repro.hardware.profiles import flash_scan_node
+from repro.records import Record
 from repro.relational.executor import ExecutionContext, Executor
 from repro.relational.operators import TableScan
 from repro.relational.operators.base import CostParameters
@@ -48,7 +49,7 @@ COMPRESSED_CODECS = {
 
 
 @dataclass
-class ScanReport:
+class ScanReport(Record):
     """One configuration's measurements (paper-scale units)."""
 
     compressed: bool
@@ -66,13 +67,6 @@ class ScanReport:
         if self.energy_joules <= 0:
             return 0.0
         return 1.0 / self.energy_joules
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ScanReport":
-        return cls(**data)
 
 
 def run_scan(compressed: bool = False,

@@ -8,9 +8,10 @@ the paper plots (work done per Joule).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.errors import WorkloadError
+from repro.records import Record
 from repro.relational.executor import ExecutionContext, Executor
 from repro.relational.operators import Operator
 from repro.relational.operators.base import CostParameters
@@ -24,7 +25,7 @@ PlanBuilder = Callable[[], Operator]
 
 
 @dataclass
-class ThroughputReport:
+class ThroughputReport(Record):
     """Outcome of one throughput test."""
 
     streams: int
@@ -59,20 +60,6 @@ class ThroughputReport:
         if self.energy_joules <= 0:
             return 0.0
         return self.queries_completed / self.energy_joules
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "streams": self.streams,
-            "queries_completed": self.queries_completed,
-            "makespan_seconds": self.makespan_seconds,
-            "energy_joules": self.energy_joules,
-            "breakdown_joules": dict(self.breakdown_joules),
-            "query_seconds": list(self.query_seconds),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ThroughputReport":
-        return cls(**data)
 
 
 def run_throughput(sim: "Simulation", server: "Server",

@@ -50,10 +50,6 @@ class TpchDatabase:
         except KeyError:
             raise WorkloadError(f"no TPC-H table named {name!r}") from None
 
-    def total_scan_bytes(self) -> int:
-        """Physical bytes of the whole database."""
-        return sum(t.scan_bytes() for t in self.tables.values())
-
 
 def _row_counts(scale_factor: float) -> dict[str, int]:
     return {

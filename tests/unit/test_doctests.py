@@ -6,6 +6,7 @@ import doctest
 
 import pytest
 
+from repro import records
 from repro.core import metrics, profiler
 from repro.faults import engine, policies, schedule
 from repro.service import pvc, qed
@@ -16,7 +17,8 @@ from repro.workloads.pipelines import spec as etl_spec
 
 @pytest.mark.parametrize("module",
                          [metrics, profiler, schedule, policies, engine,
-                          pvc, qed, etl_spec, etl_schedule, etl_catalog],
+                          pvc, qed, etl_spec, etl_schedule, etl_catalog,
+                          records],
                          ids=lambda m: m.__name__)
 def test_module_doctests(module):
     result = doctest.testmod(module, verbose=False)

@@ -1,8 +1,8 @@
-"""Unit tests: Recorder and the event-driven ObservatorySink."""
+"""Unit tests: the ledger Recorder."""
 
 from __future__ import annotations
 
-from repro.observatory import HistoryStore, ObservatorySink, Recorder
+from repro.observatory import HistoryStore, Recorder
 from repro.observatory.recorder import timelines_of
 from repro.runner import ExperimentSpec, Runner
 from repro.telemetry import TelemetryTrace
@@ -57,49 +57,3 @@ class TestRecorder:
         assert len(tl["times"]) <= 64
         assert tl["times"][0] == 0.0 and tl["times"][-1] == 999.0
         assert tl["energy_joules"] == 999.0
-
-
-class TestObservatorySink:
-    def test_sink_records_a_traced_run(self, tmp_path):
-        spec = ExperimentSpec("proportionality", knobs=SWEEP_KNOBS)
-        seen = []
-        sink = ObservatorySink(Recorder(tmp_path, suite="unit"),
-                               spec=spec, forward=seen.append)
-        Runner(cache=False, trace=True, on_event=sink).run(spec)
-        assert len(sink.appended) == 2
-        assert sink.appended[0].point == "utilization=0.25"
-        # traced run: counters/timelines may be empty but the spec hash
-        # and metrics must be populated from the event stream
-        assert sink.appended[0].spec_hash == spec.spec_hash()
-        assert sink.appended[0].metrics["sim_seconds"] > 0
-        # forward chaining kept the downstream sink fed
-        assert seen, "forwarded events expected"
-
-    def test_sink_infers_axes_without_a_spec(self, tmp_path):
-        spec = ExperimentSpec("proportionality", knobs=SWEEP_KNOBS)
-        sink = ObservatorySink(Recorder(tmp_path, suite="unit"))
-        Runner(cache=False, on_event=sink).run(spec)
-        assert [r.point for r in sink.appended] == [
-            "utilization=0.25", "utilization=0.75"]
-
-    def test_sink_single_point_label_is_defaults(self, tmp_path):
-        spec = ExperimentSpec("proportionality",
-                              knobs={"utilization": 0.5,
-                                     "window_seconds": 10.0})
-        sink = ObservatorySink(Recorder(tmp_path, suite="unit"))
-        Runner(cache=False, on_event=sink).run(spec)
-        assert [r.point for r in sink.appended] == ["defaults"]
-
-    def test_sink_matches_recorder_output(self, tmp_path):
-        """Event-driven and call-style recording agree on content."""
-        spec = ExperimentSpec("proportionality", knobs=SWEEP_KNOBS)
-        sink = ObservatorySink(Recorder(tmp_path / "a", suite="s"),
-                               spec=spec)
-        result = Runner(cache=False, on_event=sink).run(spec)
-        direct = Recorder(tmp_path / "b", suite="s").record_run(result)
-        for via_sink, via_call in zip(sink.appended, direct):
-            assert via_sink.point == via_call.point
-            assert via_sink.metrics["joules"] == \
-                via_call.metrics["joules"]
-            assert via_sink.metrics["sim_seconds"] == \
-                via_call.metrics["sim_seconds"]

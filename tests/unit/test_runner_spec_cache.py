@@ -144,6 +144,33 @@ class TestResultCache:
         bumped = Runner(workers=1, cache=cache).run(spec)
         assert bumped.cache_hits == 0
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda p: p["report"].update(data=[1, 2, 3]),
+        lambda p: p["report"]["data"].pop("energy_joules"),
+        lambda p: p["report"]["data"].update(joules_per_parsec=1.0),
+        lambda p: p["report"]["data"].update(query_seconds={"a": 1}),
+        lambda p: p["report"].update(type="NoSuchReport"),
+        lambda p: p.update(report=["ThroughputReport"]),
+        lambda p: p.pop("joules"),
+    ], ids=["list-for-object", "missing-key", "unknown-key",
+            "object-for-list", "unknown-type", "untyped-report",
+            "no-joules"])
+    def test_wrong_shaped_entry_resimulates(self, tmp_path, corrupt):
+        """Valid JSON of the wrong shape is a miss, not a traceback:
+        the point re-simulates and the entry is overwritten."""
+        spec = ExperimentSpec("unit_toy")
+        cache = ResultCache(tmp_path / "c")
+        first = Runner(workers=1, cache=cache).run(spec)
+        key = point_key("unit_toy", spec.points()[0], spec.seed)
+        payload = cache.get(key)
+        corrupt(payload)
+        cache.put(key, payload)
+        again = Runner(workers=1, cache=cache).run(spec)
+        assert [p.cache_hit for p in again.points] == [False, True]
+        assert again.to_json() == first.to_json()
+        healed = Runner(workers=1, cache=cache).run(spec)
+        assert healed.cache_hits == 2
+
 
 class TestReportRoundTrip:
     CASES = [
