@@ -1,22 +1,25 @@
-"""Flight-recorder overhead guard.
+"""Flight-recorder guard: a recorded run stays on the fast path.
 
 Recording is a runtime opt-in, so the recorder must be close to free
-even when it is on: the hot path appends small tuples to per-lane
-lists and defers every object build, dict merge, and derived column
-to ``finalize()``.  (Off, it is one module-global read per emission
-site and unmeasurable — and the closed-form reports are byte-identical
-either way, which ``tests/integration/test_flightrec.py`` pins.)
+even when it is on.  It is, by construction: the serving engines emit
+the same per-query ``(node, end)`` columns whether or not anyone is
+watching, and the recorder takes them once the run is over — every
+span, object build and derived column is ``finalize()``'s.  (Off, it
+is one module-global read per emission site — and the closed-form
+reports are byte-identical either way, which
+``tests/integration/test_flightrec.py`` pins.)
 
-This guard serves the same stream with recording off and on —
-finalize included, since operators always pay it — and asserts the
-recorded run stays within 5% of the unrecorded one (min-of-N wall
-times, interleaved to decorrelate host noise).  Both arms run
-``engine="loop"``: a recorder sends ``engine="auto"`` back to the
-reference loop, so an "auto" baseline on the event core would measure
-the fallback, not the recorder.  Both arms land in ``BENCH_core.json``
-as ``host_seconds`` rows (points ``off``/``on``), which the regression
-engine records and reports but never gates on — wall clock is not this
-repo's claim.
+This guard serves the same stream with recording off and on, both on
+``engine="auto"``, and asserts what is deterministic: the recorded run
+is served by the event core, and its ``ServiceReport`` equals the
+unrecorded one byte for byte.  The wall-clock ratio is *measured*, not
+asserted, here — a 5 % bound on min-of-5 wall times was flaky on
+shared hosts; the calibrated number is perfbench's
+``flightrec.overhead_ratio`` (``python -m perfbench --trace``, workload
+``fleet_observed``).  Both arms still land in ``BENCH_core.json`` as
+``host_seconds`` rows (points ``off``/``on``, finalize included, since
+operators always pay it), which the regression engine records and
+reports but never gates on — wall clock is not this repo's claim.
 """
 
 from __future__ import annotations
@@ -27,10 +30,9 @@ from functools import cache
 from conftest import observatory_recorder
 from repro.flightrec import record
 from repro.service import (Autoscaler, FleetSpec, NodePowerModel,
-                           build_stream, simulate_service)
+                           ServiceReport, build_stream, simulate_service)
 
 ROUNDS = 5
-MAX_OVERHEAD = 0.05
 
 
 @cache
@@ -41,27 +43,22 @@ def _stream():
     return build_stream(350_000, seed=2009)
 
 
-def _simulate_point() -> None:
+def _simulate_point() -> ServiceReport:
     # the svc_smoke fleet: 16 autoscaled power_aware commodity nodes
     model = NodePowerModel.from_server("commodity")
-    simulate_service(
+    return simulate_service(
         _stream(), fleet=FleetSpec.homogeneous(16, model),
         policy="power_aware",
         autoscaler=Autoscaler(model, epoch_seconds=30.0,
                               target_utilization=0.55, min_nodes=2),
-        engine="loop")
+        engine="auto")
 
 
-def _recorded_point() -> None:
+def _recorded_point() -> ServiceReport:
     with record() as recorder:
-        _simulate_point()
+        report = _simulate_point()
     recorder.finalize()
-
-
-#: re-measure on a miss: shared-host throttling is transient and
-#: multiplicative (±5-10% swings), while a real regression shows up
-#: in every attempt — so retrying filters noise without hiding cost
-ATTEMPTS = 3
+    return report
 
 
 def _measure() -> tuple[float, float]:
@@ -79,23 +76,18 @@ def _measure() -> tuple[float, float]:
     return min(off_times), min(on_times)
 
 
-def test_flightrec_overhead_under_five_percent():
-    _simulate_point()  # warm imports and caches outside the clock
-    _recorded_point()
-    for attempt in range(ATTEMPTS):
-        off, on = _measure()
-        overhead = on / off - 1.0
-        print(f"\nflightrec overhead[{attempt}]: off={off:.4f}s "
-              f"on={on:.4f}s ({overhead:+.2%})")
-        if overhead < MAX_OVERHEAD:
-            break
+def test_flightrec_recorded_run_stays_on_the_event_core():
+    plain = _simulate_point()  # also warms imports and caches
+    recorded = _recorded_point()
+    assert (plain.engine, recorded.engine) == ("event", "event")
+    assert recorded.engine_reason is None
+    assert recorded.to_dict() == plain.to_dict()
+    off, on = _measure()
+    print(f"\nflightrec overhead: off={off:.4f}s on={on:.4f}s "
+          f"({on / off - 1.0:+.2%}, finalize included)")
     recorder = observatory_recorder()
     if recorder is not None:
         for point, seconds in (("off", off), ("on", on)):
             recorder.store.append(recorder.build(
                 "flightrec_overhead", point=point,
                 host_seconds=seconds))
-    assert overhead < MAX_OVERHEAD, (
-        f"flight recording costs {overhead:.2%} (> {MAX_OVERHEAD:.0%}) "
-        f"in every one of {ATTEMPTS} attempts: "
-        f"unrecorded {off:.4f}s vs recorded {on:.4f}s")

@@ -4,9 +4,10 @@ Recording is *off* by default: :func:`current_recorder` returns
 ``None`` and every emission site in the serving and chaos engines
 reduces to one module-global read plus one ``is None`` test — the same
 zero-cost-when-off contract :mod:`repro.telemetry.context` established
-(the overhead guard in ``benchmarks/test_flightrec_overhead.py`` holds
-the *enabled* cost under 5 %; disabled it is unmeasurable, and the
-closed-form reports stay byte-identical either way).
+(enabled, a recorded healthy run still runs on the event core —
+``benchmarks/test_flightrec_overhead.py`` asserts it; disabled the cost
+is unmeasurable, and the closed-form reports stay byte-identical
+either way).
 
 This module deliberately imports nothing from the rest of the package,
 so any engine module can hook into it without creating import cycles.

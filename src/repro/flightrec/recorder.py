@@ -2,25 +2,28 @@
 
 Hot-path philosophy (the telemetry collector's, applied to the fleet):
 the serving engines never build event objects per query.  The common
-case — a healthy, full-speed execution — costs one preallocated list
-store (``serve_lane[k] = node``); its span is reconstructed vectorized
-at :meth:`FlightRecorder.finalize` from the engine's own latency
-array.  Rarer executions (downclocked, batched, under faults) append
-one small tuple to a recorder-owned *lane* (``dvfs_serves``,
+case — a healthy, full-speed execution — costs the recorder nothing
+while the run is in flight: both serving cores emit a per-query node
+lane whether or not anyone is watching, ``serve_lane`` *is* that lane,
+handed over when the pass returns, and each span is reconstructed
+vectorized at :meth:`FlightRecorder.finalize` from the engine's own
+latency array.  Rarer executions (downclocked, batched, under faults)
+append one small tuple to a *lane* (``dvfs_serves``,
 ``batch_serves``, ``fault_serves``), and cold decisions go to the raw
 ``events`` list — everything derivable (execution ends, latencies,
 SLA breaches, DVFS shift windows, batch join-up) is derived once, in
 ``finalize``, from those lanes plus the arrival arrays captured at
 :meth:`FlightRecorder.begin_run`.  With no recorder installed every
-site is one module-global read; with one installed the per-query cost
-is one list store, which is what keeps a recorded run inside the 5 %
-overhead gate (``benchmarks/test_flightrec_overhead.py``).
+site is one module-global read; with one installed a recorded run is
+still an event-core run — ``benchmarks/test_flightrec_overhead.py``
+asserts that, and perfbench's ``flightrec.overhead_ratio`` carries the
+wall-clock number.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -43,12 +46,13 @@ class FlightRecorder:
 
     def __init__(self, detail: bool = False) -> None:
         self.detail = detail
-        #: healthy plain executions: per-query node index (-1 =
-        #: not plain-served), preallocated by :meth:`begin_run` so the
-        #: engine's hot path pays one list store per query; spans are
-        #: reconstructed vectorized at :meth:`finalize` from the
-        #: engine's own latency array (see :meth:`end_run`)
-        self.serve_lane: list[int] = []
+        #: healthy plain executions: per-query node index (-1 = not
+        #: plain-served), one entry per arrival — all -1 from
+        #: :meth:`begin_run`, replaced by the serving pass's own lane
+        #: column on a healthy run; spans are reconstructed vectorized
+        #: at :meth:`finalize` from the engine's own latency array
+        #: (see :meth:`end_run`)
+        self.serve_lane: Sequence[int] = []
         #: healthy downclocked executions: (query, node, start,
         #: frequency, busy_watts)
         self.dvfs_serves: list[tuple] = []
@@ -134,9 +138,14 @@ class FlightRecorder:
 
         # parallel numpy shadows of the span columns, kept current by
         # every lane below so the derived-event pass stays vectorized
-        lane_np = (np.asarray(self.serve_lane, dtype=np.int64)
-                   if len(self.serve_lane) == n
-                   else np.full(n, -1, dtype=np.int64))
+        if len(self.serve_lane) != n:
+            from repro.errors import ReproError
+            raise ReproError(
+                f"flight recorder's serve lane holds "
+                f"{len(self.serve_lane)} entries for a stream of {n} "
+                "arrivals")
+        # a copy: the lanes below write their nodes into it
+        lane_np = np.array(self.serve_lane, dtype=np.int64)
         start_np = np.full(n, np.nan)
         comp_np = np.full(n, np.nan)
         freq_np = np.ones(n)

@@ -42,11 +42,22 @@ Floating-point order is load-bearing everywhere: heaps compare exact
 ``busy_until`` values, interval accumulators add in arrival order, and
 no sum is ever re-associated.
 
+**Observers cost the kernels nothing.**  A kernel calls no hook: per
+query it emits a completion instant and the serving node
+(:class:`ServedColumns`; latencies are ``ends - times``, one
+vectorized subtraction per chunk), and after it returns the installed
+flight recorder takes the node lane and the telemetry mirror derives
+every device's power series from the same columns — so a recorded or
+telemetry-captured run is an event-core run.  The reference loop
+emits the identical columns, which is what makes a recording or trace
+equal between the engines dict for dict.
+
 Configurations the core cannot reproduce exactly — batching policies
-(QED's hold/release protocol), fault schedules, telemetry capture, and
-flight recording, all of which hook per-query engine internals — are
-declined by :func:`event_core_unsupported`, and ``engine="auto"``
-falls back to the reference loop.
+(QED's hold/release protocol), fault schedules, admission-exempt batch
+tenants under an admission limit, third-party routers, and
+``record(detail=True)`` (per-arrival candidate tables need the live
+``DispatchContext``) — are declined by :func:`event_core_unsupported`,
+and ``engine="auto"`` falls back to the reference loop.
 """
 
 from __future__ import annotations
@@ -77,7 +88,6 @@ _VECTOR_ROUTERS = (RoundRobin, LeastLoaded, PowerAwarePacking, CostAware)
 
 
 def event_core_unsupported(policy: DispatchPolicy,
-                           collector=None,
                            recorder=None,
                            faults: bool = False,
                            stream: Optional[ArrivalStream] = None
@@ -90,12 +100,8 @@ def event_core_unsupported(policy: DispatchPolicy,
     """
     if faults:
         return "fault schedules replay on the reference loop"
-    if collector is not None:
-        return ("telemetry capture needs the reference loop's "
-                "device mirror")
-    if recorder is not None:
-        return ("flight recording needs the reference loop's "
-                "event hooks")
+    if recorder is not None and recorder.detail:
+        return "detail recording needs per-arrival candidate tables"
     if stream is not None and policy.admission_limit_seconds is not None \
             and any(t.batch for t in stream.tenants):
         return ("batch tenants are admission-exempt, which the event "
@@ -109,49 +115,109 @@ def event_core_unsupported(policy: DispatchPolicy,
     return None
 
 
+class ServedColumns:
+    """What a serving pass emits per query, in arrival order — the one
+    input the latency array, the flight recording and the telemetry
+    mirror's power series are all derived from.
+
+    A pass appends one completion instant (NaN = rejected) and one
+    *lane* (the node of a full-speed serve, ``-1`` = rejected or
+    downclocked) per query and hands them over a chunk at a time
+    through :meth:`flush`; rejections and downclocked executions, the
+    rare rows that carry more than that, go to ``rejected`` and
+    ``dvfs``.  The full-length ``ends``/``lanes`` columns and the
+    ``dvfs`` rows are only kept when an observer will read them.
+    """
+
+    __slots__ = ("cols", "rec", "mirror", "latencies", "ends", "lanes",
+                 "rejected", "dvfs")
+
+    def __init__(self, cols, rec=None, mirror=None) -> None:
+        """``cols`` is the stream's ``StreamColumns``; ``rec`` /
+        ``mirror`` the run's installed flight recorder and telemetry
+        mirror, if any (an autoscaled pass calls ``mirror.sync(nodes,
+        k)`` after every epoch step, ahead of arrival ``k``)."""
+        n = len(cols)
+        observed = rec is not None or mirror is not None
+        self.cols = cols
+        self.rec = rec
+        self.mirror = mirror
+        self.latencies = np.empty(n)
+        self.ends = np.empty(n) if observed else None
+        self.lanes = np.empty(n, dtype=np.int64) if observed else None
+        #: ``(query, node it was routed to)`` per rejection
+        self.rejected: list[tuple[int, int]] = []
+        #: ``(query, node, start, frequency, busy_watts)`` per
+        #: downclocked execution — the flight recorder's own row
+        self.dvfs: Optional[list[tuple]] = [] if observed else None
+
+    def flush(self, where: slice, ends: list[float], lanes) -> None:
+        """File one chunk: ``latency = end - arrival`` is the
+        subtraction a per-query loop would do, done once per chunk."""
+        chunk = np.array(ends, dtype=np.float64)
+        self.latencies[where] = chunk - self.cols.times[where]
+        if self.ends is not None:
+            self.ends[where] = chunk
+            self.lanes[where] = lanes
+
+    def hand_over(self) -> np.ndarray:
+        """Give the installed observers their columns; returns the
+        admitted mask.  ``rejected`` becomes the recorder's ``reject``
+        rows here (the reference loop files its own as it goes and
+        leaves the list empty)."""
+        times, tenant = self.cols.times, self.cols.tenant_index
+        if self.rec is not None:
+            self.rec.serve_lane = self.lanes
+            self.rec.dvfs_serves = self.dvfs
+            self.rec.events.extend(
+                (float(times[k]), "reject", i, int(tenant[k]), k, {})
+                for k, i in self.rejected)
+        if self.mirror is not None:
+            self.mirror.served(times, self.lanes, self.ends, self.dvfs)
+        return ~np.isnan(self.latencies)
+
+
 def serve_event(stream: ArrivalStream,
                 fleet: FleetSpec,
                 policy: DispatchPolicy,
                 autoscaler: Optional[Autoscaler],
                 nodes: Sequence[FleetNode],
-                on_ids: list[int]) -> tuple[np.ndarray, np.ndarray, float]:
+                on_ids: list[int],
+                rec=None,
+                mirror=None) -> tuple[np.ndarray, np.ndarray, float]:
     """Run the event core; returns ``(latencies, admitted,
     last_completion)``.
 
     ``nodes``/``on_ids`` are the live fleet (mutated in place, exactly
     as the reference loop mutates them); the caller finalizes the
     nodes and assembles the report, so both engines share one tail.
+    ``rec`` / ``mirror`` are the run's installed flight recorder and
+    telemetry mirror: they receive the kernel's columns once it
+    returns, and cost the kernel nothing per query.
     """
-    reason = event_core_unsupported(policy)
+    reason = event_core_unsupported(policy, recorder=rec)
     if reason is not None:  # pragma: no cover - guarded by the caller
         raise ServiceError(f"event core cannot run this config: {reason}")
     cols = stream.columns()
-    n = len(cols)
     pvc = policy if type(policy) is PVCPolicy else None
     router = policy.inner if pvc is not None else policy
     pvc_tables = None if pvc is None else _pvc_tables(pvc, nodes)
-    latencies = np.empty(n)
-    rejected: list[int] = []
+    out = ServedColumns(cols, rec, mirror)
 
     rt = type(router)
     if rt is RoundRobin:
         last = _run_round_robin(cols, router, pvc, pvc_tables, nodes,
-                                on_ids, latencies, rejected)
+                                on_ids, out)
     elif rt is LeastLoaded:
         last = _run_least_loaded(cols, router, pvc, pvc_tables, nodes,
-                                 on_ids, latencies, rejected)
+                                 on_ids, out)
     elif rt is PowerAwarePacking:
         last = _run_power_aware(cols, router, pvc, pvc_tables, nodes,
-                                on_ids, autoscaler, latencies, rejected)
+                                on_ids, autoscaler, out)
     else:
         last = _run_cost_aware(cols, fleet, router, pvc, pvc_tables,
-                               nodes, on_ids, autoscaler, latencies,
-                               rejected)
-
-    admitted = np.ones(n, dtype=bool)
-    if rejected:
-        admitted[np.array(rejected, dtype=np.int64)] = False
-    return latencies, admitted, last
+                               nodes, on_ids, autoscaler, out)
+    return out.latencies, out.hand_over(), last
 
 
 # -- shared pieces ----------------------------------------------------
@@ -159,7 +225,8 @@ def serve_event(stream: ArrivalStream,
 def _pvc_tables(pvc: PVCPolicy, nodes: Sequence[FleetNode]) -> list[list]:
     """Per-node downclock constants, one row per sub-unity step.
 
-    Each row is ``(f, speed_factor * f, busy_watts - idle_watts)`` with
+    Each row is ``(f, speed_factor * f, busy_watts - idle_watts,
+    busy_watts)`` with
     ``busy_watts = idle + (peak - idle) * f**3`` — the exact
     expressions the reference engine evaluates per arrival
     (``fleet.py``'s cubic draw and ``FleetNode.serve_active``'s scaled
@@ -178,7 +245,7 @@ def _pvc_tables(pvc: PVCPolicy, nodes: Sequence[FleetNode]) -> list[list]:
             for f in steps:
                 busy_watts = model.idle_watts + pmi * f ** 3
                 rows.append((f, model.speed_factor * f,
-                             busy_watts - model.idle_watts))
+                             busy_watts - model.idle_watts, busy_watts))
             by_model[model] = rows
         table.append(rows)
     return table
@@ -197,7 +264,7 @@ def _epoch_setup(autoscaler: Optional[Autoscaler]) -> tuple[float, float,
 # -- round_robin ------------------------------------------------------
 
 def _run_round_robin(cols, router: RoundRobin, pvc, pvc_tables,
-                     nodes, on_ids, latencies, rejected) -> float:
+                     nodes, on_ids, out: ServedColumns) -> float:
     """Closed-form rotation: node at slot ``j`` serves the arrival
     lane ``(j - next) % n_on :: n_on``, so every pipe runs as an
     independent scalar recurrence over a strided slice (round_robin is
@@ -214,6 +281,8 @@ def _run_round_robin(cols, router: RoundRobin, pvc, pvc_tables,
     outer = pvc.admission_limit_seconds if pvc is not None else None
     headroom = pvc.sla_headroom if pvc is not None else 0.0
     nan = float("nan")
+    rejected = out.rejected
+    dvfs = out.dvfs
     last_completion = 0.0
 
     for slot in range(n_on):
@@ -228,8 +297,8 @@ def _run_round_robin(cols, router: RoundRobin, pvc, pvc_tables,
         bu = node.busy_until
         ib = il = ia = 0.0
         cnt = 0
-        lats: list[float] = []
-        append = lats.append
+        ends: list[float] = []
+        append = ends.append
         if pvc is None and limit is None:
             # the hot homogeneous path: pure FCFS pipe recurrence
             if sf == 1.0:
@@ -237,21 +306,21 @@ def _run_round_robin(cols, router: RoundRobin, pvc, pvc_tables,
                     start = bu if bu > t else t
                     bu = start + s
                     ib += s
-                    append(bu - t)
+                    append(bu)
             else:
                 for t, s in zip(tl, sl):
                     scaled = s / sf
                     start = bu if bu > t else t
                     bu = start + scaled
                     ib += scaled
-                    append(bu - t)
+                    append(bu)
             il = ib  # serve() adds the same sequence to both lanes
-            cnt = len(lats)
+            cnt = len(ends)
         elif pvc is None:
             for off, (t, s) in enumerate(zip(tl, sl)):
                 backlog = bu - t if bu > t else 0.0
                 if backlog > limit:
-                    rejected.append(first + off * n_on)
+                    rejected.append((first + off * n_on, i))
                     append(nan)
                     continue
                 scaled = s / sf
@@ -260,7 +329,7 @@ def _run_round_robin(cols, router: RoundRobin, pvc, pvc_tables,
                 ib += scaled
                 il += scaled
                 cnt += 1
-                append(bu - t)
+                append(bu)
         else:
             ql = slas[first::n_on].tolist()
             steps = pvc_tables[i]
@@ -268,7 +337,7 @@ def _run_round_robin(cols, router: RoundRobin, pvc, pvc_tables,
                 backlog = bu - t if bu > t else 0.0
                 if (outer is not None and backlog > outer) or \
                         (limit is not None and backlog > limit):
-                    rejected.append(first + off * n_on)
+                    rejected.append((first + off * n_on, i))
                     append(nan)
                     continue
                 budget = q * headroom
@@ -290,8 +359,11 @@ def _run_round_robin(cols, router: RoundRobin, pvc, pvc_tables,
                     bu = start + scaled
                     ib += scaled
                     ia += picked[2] * scaled
+                    if dvfs is not None:
+                        dvfs.append((first + off * n_on, i, start,
+                                     picked[0], picked[3]))
                 cnt += 1
-                append(bu - t)
+                append(bu)
         node.busy_until = bu
         node._interval_busy = ib
         node._interval_linear_busy = il
@@ -299,14 +371,21 @@ def _run_round_robin(cols, router: RoundRobin, pvc, pvc_tables,
         node.completed = cnt
         if cnt and bu > last_completion:
             last_completion = bu
-        latencies[first::n_on] = lats
+        out.flush(slice(first, None, n_on), ends, i)
+    # the strided lanes filed every query under its slot's node and the
+    # rare rows slot by slot: restore the lane's meaning and arrival
+    # order
+    rejected.sort()
+    if dvfs is not None:
+        dvfs.sort()
+        out.lanes[[row[0] for row in rejected + dvfs]] = -1
     return last_completion
 
 
 # -- least_loaded -----------------------------------------------------
 
 def _run_least_loaded(cols, router: LeastLoaded, pvc, pvc_tables,
-                      nodes, on_ids, latencies, rejected) -> float:
+                      nodes, on_ids, out: ServedColumns) -> float:
     """Join-the-shortest-queue off a ``(busy_until, index)`` heap: the
     root is exactly the reference scan's first-strict-minimum, and
     only the served root ever changes, so the heap is never stale."""
@@ -327,22 +406,27 @@ def _run_least_loaded(cols, router: LeastLoaded, pvc, pvc_tables,
     ia_l = [0.0] * len(nodes)
     cnt_l = [0] * len(nodes)
     nan = float("nan")
+    rejected = out.rejected
+    emit_dvfs = None if out.dvfs is None else out.dvfs.append
     last_completion = 0.0
 
     for a in range(0, n, CHUNK):
         tl = times[a:a + CHUNK].tolist()
         sl = services[a:a + CHUNK].tolist()
         ql = slas[a:a + CHUNK].tolist()
-        lats: list[float] = []
-        append = lats.append
+        ends: list[float] = []
+        append = ends.append
+        lanes: list[int] = []
+        lane_append = lanes.append
         for t, s, q in zip(tl, sl, ql):
             bu, i = heap[0]
             if check:
                 backlog = bu - t if bu > t else 0.0
                 if (outer is not None and backlog > outer) or \
                         (limit is not None and backlog > limit):
-                    rejected.append(a + len(lats))
+                    rejected.append((a + len(ends), i))
                     append(nan)
+                    lane_append(-1)
                     continue
             sf = sf_of[i]
             if pvc is None:
@@ -350,6 +434,7 @@ def _run_least_loaded(cols, router: LeastLoaded, pvc, pvc_tables,
                 start = bu if bu > t else t
                 end = start + scaled
                 il_l[i] += scaled
+                lane_append(i)
             else:
                 backlog = bu - t if bu > t else 0.0
                 budget = q * headroom
@@ -364,19 +449,24 @@ def _run_least_loaded(cols, router: LeastLoaded, pvc, pvc_tables,
                     start = bu if bu > t else t
                     end = start + scaled
                     il_l[i] += scaled
+                    lane_append(i)
                 else:
                     scaled = s / picked[1]
                     start = bu if bu > t else t
                     end = start + scaled
                     ia_l[i] += picked[2] * scaled
+                    lane_append(-1)
+                    if emit_dvfs is not None:
+                        emit_dvfs((a + len(ends), i, start, picked[0],
+                                   picked[3]))
             heapreplace(heap, (end, i))
             bus[i] = end
             ib_l[i] += scaled
             cnt_l[i] += 1
-            append(end - t)
+            append(end)
             if end > last_completion:
                 last_completion = end
-        latencies[a:a + len(lats)] = lats
+        out.flush(slice(a, a + len(ends)), ends, lanes)
 
     for i in on_ids:
         node = nodes[i]
@@ -391,8 +481,8 @@ def _run_least_loaded(cols, router: LeastLoaded, pvc, pvc_tables,
 # -- power_aware ------------------------------------------------------
 
 def _run_power_aware(cols, router: PowerAwarePacking, pvc, pvc_tables,
-                     nodes, on_ids, autoscaler, latencies,
-                     rejected) -> float:
+                     nodes, on_ids, autoscaler,
+                     out: ServedColumns) -> float:
     """Packing over two lazy heaps.
 
     ``waiting`` orders nodes past the pack bound by ``busy_until``;
@@ -443,14 +533,19 @@ def _run_power_aware(cols, router: PowerAwarePacking, pvc, pvc_tables,
     rebuild()
     epoch, next_epoch, demand = _epoch_setup(autoscaler)
     nan = float("nan")
+    rejected = out.rejected
+    emit_dvfs = None if out.dvfs is None else out.dvfs.append
+    mirror = out.mirror
     last_completion = 0.0
 
     for a in range(0, n, CHUNK):
         tl = times[a:a + CHUNK].tolist()
         sl = services[a:a + CHUNK].tolist()
         ql = slas[a:a + CHUNK].tolist()
-        lats: list[float] = []
-        append = lats.append
+        ends: list[float] = []
+        append = ends.append
+        lanes: list[int] = []
+        lane_append = lanes.append
         for t, s, q in zip(tl, sl, ql):
             if t >= next_epoch:
                 while t >= next_epoch:
@@ -458,6 +553,8 @@ def _run_power_aware(cols, router: PowerAwarePacking, pvc, pvc_tables,
                     autoscaler.step(next_epoch, nodes, on_ids)
                     demand = 0.0
                     next_epoch += epoch
+                    if mirror is not None:
+                        mirror.sync(nodes, a + len(ends))
                 rebuild()
             if autoscaler is not None:
                 demand += s
@@ -510,14 +607,16 @@ def _run_power_aware(cols, router: PowerAwarePacking, pvc, pvc_tables,
                 backlog = bu - t if bu > t else 0.0
                 if (outer is not None and backlog > outer) or \
                         (limit is not None and backlog > limit):
-                    rejected.append(a + len(lats))
+                    rejected.append((a + len(ends), chosen))
                     append(nan)
+                    lane_append(-1)
                     continue
             if pvc is None:
                 scaled = s / sf_of[chosen]
                 start = bu if bu > t else t
                 end = start + scaled
                 node._interval_linear_busy += scaled
+                lane_append(chosen)
             else:
                 backlog = bu - t if bu > t else 0.0
                 budget = q * headroom
@@ -532,15 +631,20 @@ def _run_power_aware(cols, router: PowerAwarePacking, pvc, pvc_tables,
                     start = bu if bu > t else t
                     end = start + scaled
                     node._interval_linear_busy += scaled
+                    lane_append(chosen)
                 else:
                     scaled = s / picked[1]
                     start = bu if bu > t else t
                     end = start + scaled
                     node._interval_active_joules += picked[2] * scaled
+                    lane_append(-1)
+                    if emit_dvfs is not None:
+                        emit_dvfs((a + len(ends), chosen, start,
+                                   picked[0], picked[3]))
             node.busy_until = end
             node._interval_busy += scaled
             node.completed += 1
-            append(end - t)
+            append(end)
             if end > last_completion:
                 last_completion = end
             if where[chosen] == 1:
@@ -549,7 +653,7 @@ def _run_power_aware(cols, router: PowerAwarePacking, pvc, pvc_tables,
                     heappush(waiting, (end, chosen))
             else:
                 heappush(waiting, (end, chosen))
-        latencies[a:a + len(lats)] = lats
+        out.flush(slice(a, a + len(ends)), ends, lanes)
 
     if autoscaler is not None:
         autoscaler._epoch_demand_seconds = demand
@@ -633,8 +737,8 @@ class _Block:
 
 
 def _run_cost_aware(cols, fleet: FleetSpec, router: CostAware, pvc,
-                    pvc_tables, nodes, on_ids, autoscaler, latencies,
-                    rejected) -> float:
+                    pvc_tables, nodes, on_ids, autoscaler,
+                    out: ServedColumns) -> float:
     """Marginal-Joules routing over per-class segment trees.
 
     Within a class every node shares the arrival's marginal cost and
@@ -675,14 +779,19 @@ def _run_cost_aware(cols, fleet: FleetSpec, router: CostAware, pvc,
     rebuild()
     epoch, next_epoch, demand = _epoch_setup(autoscaler)
     nan = float("nan")
+    rejected = out.rejected
+    emit_dvfs = None if out.dvfs is None else out.dvfs.append
+    mirror = out.mirror
     last_completion = 0.0
 
     for a in range(0, n, CHUNK):
         tl = times[a:a + CHUNK].tolist()
         sl = services[a:a + CHUNK].tolist()
         ql = slas[a:a + CHUNK].tolist()
-        lats: list[float] = []
-        append = lats.append
+        ends: list[float] = []
+        append = ends.append
+        lanes: list[int] = []
+        lane_append = lanes.append
         for t, s, q in zip(tl, sl, ql):
             if t >= next_epoch:
                 while t >= next_epoch:
@@ -690,6 +799,8 @@ def _run_cost_aware(cols, fleet: FleetSpec, router: CostAware, pvc,
                     autoscaler.step(next_epoch, nodes, on_ids)
                     demand = 0.0
                     next_epoch += epoch
+                    if mirror is not None:
+                        mirror.sync(nodes, a + len(ends))
                 rebuild()
             if autoscaler is not None:
                 demand += s
@@ -727,14 +838,16 @@ def _run_cost_aware(cols, fleet: FleetSpec, router: CostAware, pvc,
                 backlog = bu - t if bu > t else 0.0
                 if (outer is not None and backlog > outer) or \
                         (limit is not None and backlog > limit):
-                    rejected.append(a + len(lats))
+                    rejected.append((a + len(ends), chosen))
                     append(nan)
+                    lane_append(-1)
                     continue
             if pvc is None:
                 scaled = s / node.model.speed_factor
                 start = bu if bu > t else t
                 end = start + scaled
                 node._interval_linear_busy += scaled
+                lane_append(chosen)
             else:
                 backlog = bu - t if bu > t else 0.0
                 pvc_budget = q * headroom
@@ -749,19 +862,24 @@ def _run_cost_aware(cols, fleet: FleetSpec, router: CostAware, pvc,
                     start = bu if bu > t else t
                     end = start + scaled
                     node._interval_linear_busy += scaled
+                    lane_append(chosen)
                 else:
                     scaled = s / picked[1]
                     start = bu if bu > t else t
                     end = start + scaled
                     node._interval_active_joules += picked[2] * scaled
+                    lane_append(-1)
+                    if emit_dvfs is not None:
+                        emit_dvfs((a + len(ends), chosen, start,
+                                   picked[0], picked[3]))
             node.busy_until = end
             node._interval_busy += scaled
             node.completed += 1
-            append(end - t)
+            append(end)
             if end > last_completion:
                 last_completion = end
             block.update(chosen, end)
-        latencies[a:a + len(lats)] = lats
+        out.flush(slice(a, a + len(ends)), ends, lanes)
 
     if autoscaler is not None:
         autoscaler._epoch_demand_seconds = demand

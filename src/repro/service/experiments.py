@@ -342,10 +342,10 @@ def mega_calibration_point(policy: str = "power_aware",
     if current_collector() is not None or current_recorder() is not None:
         raise ServiceError(
             "the engine calibration races engine='event' against "
-            "engine='loop', and the event core cannot host telemetry "
-            "or flight-recording observers: run svc_mega_calibration "
-            "without --trace/--record (the observatory records it "
-            "with --no-trace)")
+            "engine='loop' in one point, and a telemetry collector or "
+            "flight recorder holds exactly one run: run "
+            "svc_mega_calibration without --trace/--record (the "
+            "observatory records it with --no-trace)")
 
     model = NodePowerModel.from_server(profile)
     stream = build_stream(queries, tenants=_scaled_tenants(load),

@@ -14,20 +14,26 @@ follows from the utilization-linear power identity in
 
 Two serving cores implement that pass.  The **reference loop** below
 walks one arrival at a time through ``policy.route`` and is the
-semantic ground truth every hook (telemetry, flight recording,
-batching, faults) runs on.  The **event core**
+semantic ground truth: batching, detail recording (per-arrival
+candidate tables) and third-party routers run on it, and the chaos
+engine is its fault-aware sibling.  The **event core**
 (:mod:`repro.service.engine`) replays the identical arithmetic over
 the stream's columnar arrays with O(log n) routing structures, ~10-30x
 faster, and is picked automatically (``engine="auto"``) whenever the
 configuration allows; the two are byte-identical by contract (see the
-engine-equivalence suite).
+engine-equivalence suite).  Watching a run does not change which core
+serves it: both emit the same per-query ``(node, end)`` columns
+(:class:`~repro.service.engine.ServedColumns`), and the flight
+recording and the telemetry power series are derived from those
+columns after the pass — neither core calls an observer per query.
 
 Telemetry is mirrored, not sacrificed: when a
 :func:`repro.telemetry.capture` collector is installed, the fleet
 builds one real :class:`~repro.sim.Simulation` +
 :class:`~repro.hardware.meter.EnergyMeter` + one
-:class:`~repro.hardware.device.Device` per node, replays every power
-transition into the device step functions, and opens a root
+:class:`~repro.hardware.device.Device` per node, builds every device's
+power step function from the run's transitions once the pass is over,
+and opens a root
 :class:`~repro.telemetry.spans.EnergySpan` per powered-on interval per
 node — so ``python -m repro.runner trace svc_policies`` shows the same
 per-node timelines and Joules any metered experiment would.
@@ -49,6 +55,7 @@ import numpy as np
 from repro.service.autoscale import Autoscaler
 from repro.service.dispatch import (DispatchContext, DispatchPolicy,
                                     dispatch_candidates, make_policy)
+from repro.service.engine import ServedColumns, event_core_unsupported
 from repro.service.node import FleetNode, books_close_at
 from repro.service.report import (FaultStats, ServiceError, ServiceReport,
                                   TenantStats, quantile, rollup_classes)
@@ -59,15 +66,19 @@ from repro.service.workload import ArrivalStream
 class _TelemetryMirror:
     """Replays fleet power transitions into real metered devices.
 
-    Per-node transitions are time-ordered (a FCFS pipe starts queries
-    in dispatch order), so each device's power step function is
-    recorded directly; the shared clock only advances once, at
-    :meth:`finish`, to the fleet's end time.  Every node carries its
-    own :class:`NodePowerModel`, so a heterogeneous fleet's devices
-    draw their class's watts.  The chaos engine drives the same mirror:
-    it passes every execution's busy draw to :meth:`serve` explicitly
-    (a throttled node runs below peak) and reports crashes through
-    :meth:`crash`.
+    Nothing is written to a device while the run is in flight.  Every
+    power transition is a two-sample *step* — the draw from ``t0`` and
+    the draw it falls back to at ``t1`` — and the mirror only logs
+    them: boots, drains and crashes as they happen, executions either
+    one :meth:`serve` call at a time (the batched and chaos loops,
+    whose executions can be shared or truncated, pass each window and
+    its busy draw explicitly) or, for the healthy per-query passes, as
+    the whole run's ``(node, end)`` columns through :meth:`served`.
+    :meth:`finish` then builds each device's power step function in
+    one pass, in the order a per-query replay would have recorded it,
+    and advances the shared clock once, to the fleet's end time.
+    Every node carries its own :class:`NodePowerModel`, so a
+    heterogeneous fleet's devices draw their class's watts.
     """
 
     def __init__(self, collector,
@@ -83,6 +94,11 @@ class _TelemetryMirror:
         self.models = [node.model for node in fleet_nodes]
         self._spans: list = [None] * len(fleet_nodes)
         self._drained_until = 0.0  # end of the latest drain window
+        #: logged steps ``(k, node, t0, watts0, t1, watts1)``; ``k`` is
+        #: the arrival the step precedes when executions arrive as
+        #: columns (0 otherwise: log order is replay order)
+        self._steps: list[tuple] = []
+        self._served: Optional[tuple] = None
         for i, node in enumerate(fleet_nodes):
             device = Device(self.sim, f"svc.{node.name}",
                             initial_power_watts=node.model.idle_watts)
@@ -93,40 +109,45 @@ class _TelemetryMirror:
 
     def serve(self, i: int, start: float, end: float,
               busy_watts: Optional[float] = None) -> None:
-        """Record one execution window; ``busy_watts`` overrides the
+        """Log one execution window; ``busy_watts`` overrides the
         peak draw for downclocked (PVC) or throttled executions."""
         model = self.models[i]
-        series = self.devices[i].power_series
-        series.record(start, model.peak_watts
-                      if busy_watts is None else busy_watts)
-        series.record(end, model.idle_watts)
+        self._steps.append(
+            (0, i, start,
+             model.peak_watts if busy_watts is None else busy_watts,
+             end, model.idle_watts))
 
-    def power_on(self, i: int, now: float) -> None:
+    def served(self, times: np.ndarray, lanes: np.ndarray,
+               ends: np.ndarray, dvfs: list[tuple]) -> None:
+        """Take a healthy pass's executions as columns: per query its
+        arrival, the node of a full-speed serve (``-1`` = none) and the
+        completion instant, plus the ``(query, node, start, frequency,
+        busy_watts)`` rows of the downclocked ones."""
+        self._served = (times, lanes, ends, dvfs)
+
+    def power_on(self, i: int, now: float, k: int = 0) -> None:
         model = self.models[i]
-        series = self.devices[i].power_series
         boot_watts = (model.boot_joules / model.boot_seconds
                       if model.boot_seconds > 0 else 0.0)
-        series.record(now, boot_watts)
-        series.record(now + model.boot_seconds, model.idle_watts)
+        self._steps.append((k, i, now, boot_watts,
+                            now + model.boot_seconds, model.idle_watts))
         self._spans[i] = self.collector.stack.open(
             f"{self.devices[i].name}.on", now, {}, root=True)
         self.collector.count("svc.boots")
 
-    def power_off(self, i: int, now: float) -> None:
+    def power_off(self, i: int, now: float, k: int = 0) -> None:
         model = self.models[i]
-        series = self.devices[i].power_series
         drain_watts = (model.drain_joules / model.drain_seconds
                        if model.drain_seconds > 0 else 0.0)
         drained = now + model.drain_seconds
-        series.record(now, drain_watts)
-        series.record(drained, 0.0)
+        self._steps.append((k, i, now, drain_watts, drained, 0.0))
         self._drained_until = max(self._drained_until, drained)
         self._close_span(i, now)
 
     def crash(self, i: int, now: float) -> None:
         """The node just stops drawing power: zero watts from ``now``,
         no drain rectangle."""
-        self.devices[i].power_series.record(now, 0.0)
+        self._steps.append((0, i, now, 0.0, now, 0.0))
         self._close_span(i, now)
 
     def _close_span(self, i: int, now: float) -> None:
@@ -135,19 +156,69 @@ class _TelemetryMirror:
             self.collector.stack.close(span, now, {})
             self._spans[i] = None
 
-    def sync(self, nodes: Sequence[FleetNode]) -> None:
-        """Propagate autoscaler on/off flips into the devices."""
+    def sync(self, nodes: Sequence[FleetNode], k: int = 0) -> None:
+        """Log the autoscaler's on/off flips; a pass that reports its
+        executions through :meth:`served` says which arrival ``k`` the
+        epoch step ran ahead of."""
         for i, node in enumerate(nodes):
             span_open = self._spans[i] is not None
             if node.on and not span_open:
                 # power_on happened this epoch step, at node.on_since
-                self.power_on(i, node.on_since)
+                self.power_on(i, node.on_since, k)
             elif not node.on and span_open:
                 # power_off left busy_until at off-time + drain window
                 self.power_off(
-                    i, node.busy_until - node.model.drain_seconds)
+                    i, node.busy_until - node.model.drain_seconds, k)
+
+    def _replay(self) -> None:
+        """Build every device's power series from the logged steps and
+        the served columns.
+
+        Per node the steps replay in ``(k, log order)`` with the
+        column executions last within their ``k``.  A step's ``t1`` is
+        the node's ``busy_until`` once it is taken (a completion, the
+        end of a boot or drain window), so a column execution — whose
+        start the kernels do not emit — starts at ``max(previous
+        step's t1, arrival)``: the FCFS pipe's own rule, and an exact
+        selection, not arithmetic.
+        """
+        steps = np.array(self._steps, dtype=np.float64).reshape(-1, 6)
+        # rows of (k, node, t0 or NaN = derive it, watts0, t1, watts1,
+        # arrival): the logged steps first, so a stable sort keeps them
+        # ahead of the execution that shares their k
+        rows = [np.column_stack((steps, np.zeros(len(steps))))]
+        if self._served is not None:
+            times, lanes, ends, dvfs = self._served
+            idle = np.array([m.idle_watts for m in self.models])
+            peak = np.array([m.peak_watts for m in self.models])
+            ks = np.nonzero(lanes >= 0)[0]
+            on = lanes[ks]
+            rows.append(np.column_stack(
+                (ks, on, np.full(len(ks), np.nan), peak[on], ends[ks],
+                 idle[on], times[ks])))
+            if dvfs:
+                dk, dn, start, _freq, watts = np.array(
+                    dvfs, dtype=np.float64).T
+                dk, dn = dk.astype(np.int64), dn.astype(np.int64)
+                rows.append(np.column_stack(
+                    (dk, dn, start, watts, ends[dk], idle[dn], times[dk])))
+        table = np.concatenate(rows)
+        if not len(table):
+            return
+        _k, node, t0, w0, t1, w1, arrival = \
+            table[np.lexsort((table[:, 0], table[:, 1]))].T
+        busy_until = np.concatenate(([0.0], t1[:-1]))
+        busy_until[np.concatenate(([True], node[1:] != node[:-1]))] = 0.0
+        t0 = np.where(np.isnan(t0), np.maximum(busy_until, arrival), t0)
+        ts = np.column_stack((t0, t1)).ravel()
+        ws = np.column_stack((w0, w1)).ravel()
+        bounds = 2 * np.searchsorted(node, np.arange(len(self.devices) + 1))
+        for i, device in enumerate(self.devices):
+            device.power_series.extend(ts[bounds[i]:bounds[i + 1]],
+                                       ws[bounds[i]:bounds[i + 1]])
 
     def finish(self, end: float, report: ServiceReport) -> None:
+        self._replay()
         # a drain window still in flight when the books close: the
         # closed form charged its whole lump at power-off, so the
         # meters run on to the end of it — with the nodes that are
@@ -188,13 +259,12 @@ class _Run(NamedTuple):
     engine_reason: Optional[str]
 
 
-def _choose_engine(engine: str, policy: DispatchPolicy, collector, rec,
+def _choose_engine(engine: str, policy: DispatchPolicy, rec,
                    stream: ArrivalStream,
                    faults: bool) -> tuple[str, Optional[str]]:
     """Pick the serving core: ``(ServiceReport.engine,
     ServiceReport.engine_reason)``."""
-    from repro.service.engine import event_core_unsupported
-    reason = event_core_unsupported(policy, collector, rec, faults=faults,
+    reason = event_core_unsupported(policy, rec, faults=faults,
                                     stream=stream)
     if reason is None and engine != "loop":
         return "event", None
@@ -239,8 +309,8 @@ def _prepare(stream: ArrivalStream, fleet: Optional[FleetSpec], policy,
     from repro.telemetry import current_collector
     collector = current_collector()
     rec = current_recorder()
-    engine, engine_reason = _choose_engine(engine, policy, collector, rec,
-                                           stream, faults is not None)
+    engine, engine_reason = _choose_engine(engine, policy, rec, stream,
+                                           faults is not None)
 
     nodes = [FleetNode(name, model, on=True, node_class=class_name)
              for name, class_name, model in fleet.members()]
@@ -310,14 +380,13 @@ def simulate_service(stream: ArrivalStream,
         # module attribute for the duration of one repetition
         from repro.service.engine import serve_event
         return _assemble_report(run, *serve_event(
-            stream, run.fleet, policy, autoscaler, nodes, on_ids))
+            stream, run.fleet, policy, autoscaler, nodes, on_ids, rec,
+            mirror))
 
     cols = stream.columns()
     n = len(cols)
     tenant_idx = cols.tenant_index
     times, services, slas = cols.lists()
-    latencies = np.empty(n)
-    admitted = np.ones(n, dtype=bool)
 
     epoch = autoscaler.epoch_seconds if autoscaler is not None else 0.0
     next_epoch = epoch if autoscaler is not None else float("inf")
@@ -329,22 +398,27 @@ def simulate_service(stream: ArrivalStream,
                   else cols.batch_flags.tolist())
 
     if policy.batching:
+        latencies = np.empty(n)
+        admitted = np.ones(n, dtype=bool)
         last_completion = _serve_batched(
             run, times, services, tenant_idx, slas, latencies, admitted,
             batch_list)
     else:
+        # the same columns the event kernels emit, one store per query
+        out = ServedColumns(cols, rec, mirror)
+        ends = [np.nan] * n
+        lanes = [-1] * n
         last_completion = 0.0
         dvfs = policy.dvfs
         detail = rec is not None and rec.detail
-        lane = None if rec is None else rec.serve_lane
-        emit_dvfs = None if rec is None else rec.dvfs_serves.append
+        emit_dvfs = None if out.dvfs is None else out.dvfs.append
         for k in range(n):
             t = times[k]
             while t >= next_epoch:
                 autoscaler.step(next_epoch, nodes, on_ids)
                 next_epoch += epoch
                 if mirror is not None:
-                    mirror.sync(nodes)
+                    mirror.sync(nodes, k)
             s = services[k]
             if autoscaler is not None:
                 autoscaler.observe(s)
@@ -356,8 +430,6 @@ def simulate_service(stream: ArrivalStream,
             node = nodes[i]
             if not policy.admits(node, t) and \
                     (batch_list is None or not batch_list[k]):
-                admitted[k] = False
-                latencies[k] = np.nan
                 if rec is not None:
                     rec.events.append(
                         (t, "reject", i, int(tenant_idx[k]), k, {}))
@@ -366,21 +438,17 @@ def simulate_service(stream: ArrivalStream,
                 model_i = node.model
                 busy_watts = model_i.idle_watts \
                     + (model_i.peak_watts - model_i.idle_watts) * freq ** 3
-                start, done = node.serve_active(t, s, busy_watts, freq)
-                latencies[k] = done - t
+                start, _done = node.serve_active(t, s, busy_watts, freq)
                 if emit_dvfs is not None:
                     emit_dvfs((k, i, start, freq, busy_watts))
             else:
-                busy_watts = None
-                if mirror is not None:
-                    start = node.busy_until if node.busy_until > t else t
-                latencies[k] = node.serve(t, s)
-                if lane is not None:
-                    lane[k] = i
+                node.serve(t, s)
+                lanes[k] = i
+            ends[k] = node.busy_until
             if node.busy_until > last_completion:
                 last_completion = node.busy_until
-            if mirror is not None:
-                mirror.serve(i, start, node.busy_until, busy_watts)
+        out.flush(slice(0, n), ends, lanes)
+        latencies, admitted = out.latencies, out.hand_over()
 
     return _assemble_report(run, latencies, admitted, last_completion)
 

@@ -56,6 +56,39 @@ class TimeSeries:
         self._times.append(t)
         self._values.append(value)
 
+    def extend(self, times, values) -> None:
+        """Append whole arrays of samples: the series ends up exactly
+        as after ``record(t, v)`` for each pair in turn (timestamps
+        must be non-decreasing; within a run of equal timestamps only
+        the last value survives), except that a backwards timestamp
+        raises before anything is appended."""
+        ts = np.asarray(times, dtype=np.float64)
+        vs = np.asarray(values, dtype=np.float64)
+        if ts.ndim != 1 or ts.shape != vs.shape:
+            raise SimulationError(
+                f"series {self.name!r}: extend() takes two equally long "
+                f"1-d arrays, got shapes {ts.shape} and {vs.shape}")
+        if not len(ts):
+            return
+        before = np.concatenate(
+            (self._times[-1:] or ts[:1], ts[:-1]))
+        back = np.nonzero(ts < before)[0]
+        if len(back):
+            raise SimulationError(
+                f"series {self.name!r}: time went backwards "
+                f"({float(ts[back[0]])} after {float(before[back[0]])})")
+        self._arrays = None
+        moved = ts[1:] != ts[:-1]
+        # a run of equal timestamps keeps its first timestamp and its
+        # last value, as repeated overwriting would
+        new_times = ts[np.concatenate(([True], moved))].tolist()
+        new_values = vs[np.concatenate((moved, [True]))].tolist()
+        if self._times and new_times[0] == self._times[-1]:
+            self._values[-1] = new_values[0]
+            del new_times[0], new_values[0]
+        self._times.extend(new_times)
+        self._values.extend(new_values)
+
     def __len__(self) -> int:
         return len(self._times)
 

@@ -11,8 +11,8 @@ completion windows, the freshness verdict, measured precedence
 violations, and the dataset versions the load stages published.
 
 **Per-stage energy attribution.**  When a :func:`repro.telemetry.
-capture` collector is installed, the serving run executes on the
-reference loop with the device mirror, and this module opens one root
+capture` collector is installed, the serving run executes with the
+device mirror (on either engine), and this module opens one root
 span ``pipeline.<name>.<stage>`` per stage *after* the run — span
 Joules are integrals of the mirrored device power series over the span
 window, so post-hoc spans are exact.  The windows are the consecutive

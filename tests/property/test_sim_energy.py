@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.hardware.proportionality import proportionality_index
 from repro.hardware.server import BaseLoad
 from repro.hardware.meter import EnergyMeter
+from repro.errors import SimulationError
 from repro.sim import Simulation, TimeSeries
 from repro.sim.tracing import _VECTORIZE_FROM_SEGMENTS
 
@@ -190,3 +191,50 @@ def test_integrate_is_bit_identical_to_the_scalar_loop(step_list, query_list,
             want = _scalar_integrate(times, values, t0, t1)
             # float.hex: equal bits, not just ==  (tells -0.0 from 0.0)
             assert got.hex() == float(want).hex(), (t0, t1, len(times))
+
+
+# -- TimeSeries.extend: whole arrays in, repeated record() out ---------
+
+#: (gap to the previous sample, value); negative gaps walk time
+#: backwards, which both spellings must refuse the same way
+_any_step = st.tuples(
+    st.sampled_from([0.0, 0.0, 0.5, -0.0, -1.0])
+    | st.floats(min_value=0.0, max_value=20.0, allow_nan=False),
+    st.floats(min_value=-500.0, max_value=500.0, allow_nan=False))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(_any_step, max_size=12),
+       st.lists(st.lists(_any_step, max_size=30), min_size=1, max_size=3),
+       st.floats(min_value=-5.0, max_value=5.0, allow_nan=False))
+def test_extend_equals_repeated_record(prefix, batches, origin):
+    one_by_one, bulk = TimeSeries("s"), TimeSeries("s")
+    t = origin
+    for gap, value in prefix:
+        t += abs(gap)
+        one_by_one.record(t, value)
+        bulk.record(t, value)
+    for batch in batches:
+        times, values = [], []
+        for gap, value in batch:
+            t += gap
+            times.append(t)
+            values.append(value)
+        before = (one_by_one.times, one_by_one.values)
+        try:
+            for at, value in zip(times, values):
+                one_by_one.record(at, value)
+        except SimulationError as error:
+            with pytest.raises(SimulationError) as refused:
+                bulk.extend(times, values)
+            assert str(refused.value) == str(error)
+            # extend() is all-or-nothing
+            assert (bulk.times, bulk.values) == before
+            return
+        bulk.extend(times, values)
+        # float.hex: equal bits (a run's first timestamp survives, so
+        # 0.0 followed by -0.0 stays 0.0 in both)
+        assert [x.hex() for x in bulk.times] == \
+            [x.hex() for x in one_by_one.times]
+        assert [x.hex() for x in bulk.values] == \
+            [x.hex() for x in one_by_one.values]

@@ -105,6 +105,20 @@ class TestContext:
         with pytest.raises(ReproError, match="no completed run"):
             rec.finalize()
 
+    def test_finalize_refuses_a_serve_lane_of_the_wrong_length(self):
+        """A short lane used to be swapped for all -1 — an empty but
+        valid-looking recording; the engines write this lane, so a
+        mismatch is a bug to surface."""
+        from repro.service import build_stream, simulate_service
+        with record() as rec:
+            simulate_service(build_stream(200, seed=0), policy="pvc")
+        twice = rec.finalize().to_dict(), rec.finalize().to_dict()
+        assert twice[0] == twice[1]
+        rec.serve_lane = rec.serve_lane[:-1]
+        with pytest.raises(ReproError,
+                           match="199 entries for a stream of 200"):
+            rec.finalize()
+
 
 class TestWindows:
     def test_window_starts_cover_the_run(self):

@@ -92,6 +92,30 @@ def test_record_same_time_overwrites():
     assert ts.value_at(1.0) == 9.0
 
 
+def test_extend_applies_record_rules_to_arrays():
+    ts = TimeSeries()
+    ts.record(1.0, 5.0)
+    ts.extend([1.0, 2.0, 2.0, 3.0], [6.0, 7.0, 8.0, 9.0])
+    assert list(ts) == [(1.0, 6.0), (2.0, 8.0), (3.0, 9.0)]
+    ts.extend([], [])
+    assert len(ts) == 3
+    with pytest.raises(SimulationError, match=r"backwards \(2.5 after 4.0\)"):
+        ts.extend([3.0, 4.0, 2.5], [1.0, 1.0, 1.0])
+    with pytest.raises(SimulationError, match=r"backwards \(2.0 after 3.0\)"):
+        ts.extend([2.0], [1.0])
+    with pytest.raises(SimulationError, match="equally long"):
+        ts.extend([4.0, 5.0], [1.0])
+    assert len(ts) == 3
+
+
+def test_extend_drops_the_integrate_cache():
+    ts = TimeSeries()
+    ts.extend(range(300), [1.0] * 300)
+    assert ts.integrate(0.0, 299.0) == 299.0  # long enough to cache arrays
+    ts.extend([299.0, 300.0], [3.0, 0.0])
+    assert ts.integrate(0.0, 300.0) == 302.0
+
+
 def test_resample_grid():
     ts = make_series()
     samples = ts.resample(0.0, 4.0, 1.0)
