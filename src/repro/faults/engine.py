@@ -111,9 +111,9 @@ def simulate_faulty_service(stream: ArrivalStream,
       boot window fires at the window's end.
     * ``throttle`` — the node drops to DVFS fraction *f* for the
       window: service times divide by *f*, busy power is
-      ``idle + (peak - idle) * f**3`` (the cubic dynamic-power rule of
-      :func:`repro.hardware.cpu.dvfs_power_watts`).  Overlapping
-      windows compound.
+      ``idle + (peak - idle) * f**3`` (the cubic dynamic-power rule,
+      :meth:`~repro.service.node.NodePowerModel.dvfs_watts`).
+      Overlapping windows compound.
     * ``disk`` — the node's RAID group runs degraded for the rebuild:
       service times divide by the event severity (see
       :func:`~repro.faults.schedule.degraded_speed_factor`); power is
@@ -171,13 +171,11 @@ def simulate_faulty_service(stream: ArrivalStream,
     attempts = [0] * n
 
     # -- per-node fault state (each node on its class's power curve) --
-    peak_minus_idle = [m.peak_watts - m.idle_watts for m in models]
     throttle_active: list[list[float]] = [[] for _ in range(n_nodes)]
     disk_active: list[list[float]] = [[] for _ in range(n_nodes)]
     speed_mult = [1.0] * n_nodes
     throttle_factor = [1.0] * n_nodes
-    busy_watts = [m.idle_watts + pmi
-                  for m, pmi in zip(models, peak_minus_idle)]
+    busy_watts = [m.dvfs_watts(1.0) for m in models]
     #: unsettled executions per node: (job, start, end, scaled, watts,
     #: frequency) — job is an arrival index or a released Batch
     pending: list[deque] = [deque() for _ in range(n_nodes)]
@@ -191,8 +189,7 @@ def simulate_faulty_service(stream: ArrivalStream,
             df *= f
         speed_mult[i] = tf * df
         throttle_factor[i] = tf
-        busy_watts[i] = models[i].idle_watts \
-            + peak_minus_idle[i] * tf ** 3
+        busy_watts[i] = models[i].dvfs_watts(tf)
 
     # -- the merged event timeline ------------------------------------
     heap: list[tuple] = []
@@ -341,8 +338,7 @@ def simulate_faulty_service(stream: ArrivalStream,
                 # compose the governor's downclock with any throttle
                 # fault: both follow the cubic dynamic-power rule, so
                 # the effective cubic factor is their product
-                w = models[i].idle_watts \
-                    + peak_minus_idle[i] * (throttle_factor[i] * freq) ** 3
+                w = models[i].dvfs_watts(throttle_factor[i] * freq)
                 mult = mult * freq
         start, end = node.serve_active(now, s, w, mult)
         if len(who) > 1:

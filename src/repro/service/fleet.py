@@ -19,7 +19,10 @@ candidate tables) and third-party routers run on it, and the chaos
 engine is its fault-aware sibling.  The **event core**
 (:mod:`repro.service.engine`) replays the identical arithmetic over
 the stream's columnar arrays with O(log n) routing structures, ~10-30x
-faster, and is picked automatically (``engine="auto"``) whenever the
+faster — one loop generated per (router, options) from a single
+statement of the serving step (this loop's ``policy.admits`` /
+``policy.frequency`` / ``node.serve`` calls, as source fragments) —
+and is picked automatically (``engine="auto"``) whenever the
 configuration allows; the two are byte-identical by contract (see the
 engine-equivalence suite).  Watching a run does not change which core
 serves it: both emit the same per-query ``(node, end)`` columns
@@ -435,9 +438,7 @@ def simulate_service(stream: ArrivalStream,
                         (t, "reject", i, int(tenant_idx[k]), k, {}))
                 continue
             if dvfs and (freq := policy.frequency(ctx, i)) < 1.0:
-                model_i = node.model
-                busy_watts = model_i.idle_watts \
-                    + (model_i.peak_watts - model_i.idle_watts) * freq ** 3
+                busy_watts = node.model.dvfs_watts(freq)
                 start, _done = node.serve_active(t, s, busy_watts, freq)
                 if emit_dvfs is not None:
                     emit_dvfs((k, i, start, freq, busy_watts))
@@ -624,9 +625,7 @@ def _serve_batched(run: _Run,
                                    {"members": list(batch.members)}))
             return
         if dvfs and (freq := policy.frequency(ctx, i)) < 1.0:
-            model_i = node.model
-            busy_watts = model_i.idle_watts \
-                + (model_i.peak_watts - model_i.idle_watts) * freq ** 3
+            busy_watts = node.model.dvfs_watts(freq)
             start, done = node.serve_active(t, s, busy_watts, freq)
         else:
             freq = 1.0

@@ -66,6 +66,12 @@ class NodePowerModel(Record):
         return self.idle_watts + \
             (self.peak_watts - self.idle_watts) * min(1.0, utilization)
 
+    def dvfs_watts(self, f: float) -> float:
+        """Busy draw at frequency fraction ``f``: dynamic power falls
+        with the cube of frequency (the rule a PVC downclock and a
+        throttle fault both price by)."""
+        return self.idle_watts + (self.peak_watts - self.idle_watts) * f ** 3
+
     @property
     def cycle_joules(self) -> float:
         """Energy of one full off/on cycle (boot + drain)."""

@@ -6,11 +6,11 @@ voltage/frequency point whenever the workload has latency slack, since
 dynamic power falls with the *cube* of frequency while service time
 only grows linearly.  The repo already owns that arithmetic — the
 chaos engine prices CPU throttling with the same cubic rule
-(:func:`repro.hardware.cpu.dvfs_power_watts`) — but there it is a
-*fault*.  :class:`PVCPolicy` promotes it to a deliberate governor: a
-wrapper around any routing policy that, per admitted arrival, picks
-the lowest frequency step whose slowed execution still fits inside the
-tenant's SLA headroom.
+(:meth:`~repro.service.node.NodePowerModel.dvfs_watts`) — but there it
+is a *fault*.  :class:`PVCPolicy` promotes it to a deliberate
+governor: a wrapper around any routing policy that, per admitted
+arrival, picks the lowest frequency step whose slowed execution still
+fits inside the tenant's SLA headroom.
 
 The engine executes a downclocked query at busy draw
 

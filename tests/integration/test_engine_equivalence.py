@@ -149,12 +149,17 @@ def _nimble(model: NodePowerModel) -> NodePowerModel:
 
 
 def _observed(stream, router, pvc, fleet_kind, admission, epoch, engine,
-              observers=("record", "capture")):
+              observers=("record", "capture"), limits="outer"):
     """One watched run: ``(report, recording dict, trace dict)``, each
-    ``None`` when its observer is not installed."""
-    policy = PVCPolicy(inner=router, sla_headroom=0.6) if pvc \
-        else make_policy(router)
-    policy.admission_limit_seconds = admission
+    ``None`` when its observer is not installed.  Under ``pvc`` the
+    ``admission`` limit sits on the wrapper (``limits="outer"``), on
+    the router it wraps (``"router"``), or on ``"both"``."""
+    inner = make_policy(router)
+    policy = PVCPolicy(inner=inner, sla_headroom=0.6) if pvc else inner
+    if limits != "outer":
+        inner.admission_limit_seconds = admission
+    if limits != "router":
+        policy.admission_limit_seconds = admission
     fleet = _fleet(fleet_kind)
     fleet = FleetSpec(classes=tuple(
         replace(cls, model=_nimble(cls.model)) for cls in fleet.classes))
@@ -226,16 +231,21 @@ class TestObserved:
         assert runs[1][1] in (None, both[1])
         assert runs[1][2] in (None, both[2])
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**16),
            load=st.floats(min_value=0.3, max_value=12.0),
-           epoch=st.floats(min_value=0.5, max_value=20.0),
+           epoch=st.one_of(st.none(),
+                           st.floats(min_value=0.5, max_value=20.0)),
            router=st.sampled_from(ROUTERS),
            pvc=st.booleans(),
            fleet_kind=st.sampled_from(["homogeneous", "hetero"]),
-           admission=st.sampled_from([None, 0.05, 1.0]))
+           admission=st.sampled_from([None, 0.05, 1.0]),
+           limits=st.sampled_from(["router", "outer", "both"]))
     def test_seed_load_epoch(self, seed, load, epoch, router, pvc,
-                             fleet_kind, admission):
+                             fleet_kind, admission, limits):
+        """The differential over everything a generated kernel is
+        specialised on: router x governor x where the limits sit x
+        autoscaler x fleet shape, on random seeds and loads."""
         stream = build_stream(
             400,
             tenants=tuple(replace(t, rate_per_s=t.rate_per_s * load)
@@ -243,16 +253,16 @@ class TestObserved:
             seed=seed)
         try:
             loop = _observed(stream, router, pvc, fleet_kind, admission,
-                             epoch, "loop")
+                             epoch, "loop", limits=limits)
         except ServiceError as error:
             # a tight limit can starve a tenant: not this test's case,
             # but both engines must refuse it alike
             with pytest.raises(ServiceError, match=re.escape(str(error))):
                 _observed(stream, router, pvc, fleet_kind, admission,
-                          epoch, "event")
+                          epoch, "event", limits=limits)
             return
         event = _observed(stream, router, pvc, fleet_kind, admission,
-                          epoch, "event")
+                          epoch, "event", limits=limits)
         assert event[0].engine == "event"
         assert loop[0].to_dict() == event[0].to_dict()
         assert loop[1:] == event[1:]
@@ -472,6 +482,19 @@ class TestEngineReason:
         assert "admission-exempt" in report.engine_reason
         # without the limit the same stream stays on the event core
         assert self._auto(batchy).engine_reason is None
+
+        # a limit on the router a governor wraps binds the same way
+        # (the event core used to take this run and reject the exempt
+        # batch arrivals the loop admits)
+        def wrapped():
+            return PVCPolicy(inner=make_policy(
+                "least_loaded", admission_limit_seconds=0.6))
+        report = self._auto(batchy, policy=wrapped())
+        assert report.engine == "loop"
+        assert "admission-exempt" in report.engine_reason
+        with pytest.raises(ServiceError, match="admission-exempt"):
+            simulate_service(batchy, fleet=_fleet("homogeneous"),
+                             policy=wrapped(), engine="event")
 
     def test_batching_policy(self, stream):
         report = self._auto(stream, policy=QEDPolicy(hold_seconds=0.2))

@@ -2,10 +2,13 @@
 
 Every relative markdown link in every tracked ``*.md`` file has to
 point at a path that exists, and every ``#anchor`` has to match a
-heading (GitHub slug rules) in the target document.  Docs rot silently
-otherwise — this is the executable version of the docs pass.
+heading (GitHub slug rules) in the target document; and every Sphinx
+role in a ``src/`` docstring that names something under ``repro.`` has
+to name something importable.  Docs rot silently otherwise — this is
+the executable version of the docs pass.
 """
 
+import importlib
 import re
 from pathlib import Path
 
@@ -64,3 +67,47 @@ def test_markdown_cross_references_resolve(doc):
             if github_slug(anchor) not in anchors_of(dest):
                 broken.append(f"{target}: no heading for anchor")
     assert not broken, f"{doc.name}: {broken}"
+
+
+SRC = REPO / "src"
+ROLE = re.compile(r":(?:func|class|meth|mod|data):`([^`]+)`")
+
+
+def role_targets(path: Path):
+    """Dotted names under ``repro.`` that a Sphinx role in ``path``
+    points at (``~`` prefixes, ``title <target>`` forms and targets
+    wrapped across lines included)."""
+    for body in ROLE.findall(path.read_text(encoding="utf-8")):
+        titled = re.search(r"<([^>]+)>\s*$", body)
+        target = re.sub(r"\s+", "", titled[1] if titled else body)
+        target = target.lstrip("~").removesuffix("()")
+        if target.startswith("repro."):
+            yield target
+
+
+def resolves(target: str) -> bool:
+    parts = target.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:
+            for name in parts[cut:]:
+                obj = getattr(obj, name)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def test_docstring_cross_references_resolve():
+    """A ``:func:`repro...``` in a docstring must name something that
+    exists — a rename or a deletion otherwise leaves the prose citing
+    a ghost."""
+    dangling = sorted(
+        f"{path.relative_to(SRC)}: {target}"
+        for path in SRC.rglob("*.py")
+        for target in set(role_targets(path))
+        if not resolves(target))
+    assert not dangling, dangling
