@@ -46,7 +46,7 @@ class Device:
     def _set_power(self, watts: float) -> None:
         if watts < 0:
             raise HardwareError(f"{self.name}: negative power {watts}")
-        self.power_series.record(self.sim.now, watts)
+        self.power_series.record(self.sim.clock._now, watts)
 
     def _charge_transition_energy(self, joules: float) -> None:
         """Add a lump of transition energy (spin-up spikes etc.)."""
@@ -95,7 +95,7 @@ class Device:
         self._on_activity_change()
 
     def _account_busy(self) -> None:
-        now = self.sim.now
+        now = self.sim.clock._now
         self._busy_integral += self._busy_units * (now - self._last_busy_change)
         self._last_busy_change = now
 

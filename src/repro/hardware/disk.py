@@ -120,6 +120,9 @@ class HardDisk(Device):
         self.spindle = Resource(sim, capacity=1, name=f"{spec.name}.spindle")
         self._last_stream: Optional[Hashable] = None
         self._speed = 1.0
+        #: (state, speed) -> watts: a transfer enters ACTIVE and IDLE
+        #: once each, and the scaling is a float power
+        self._state_watts: dict[tuple[str, float], float] = {}
         self.bytes_read = 0
         self.bytes_written = 0
         self.requests_served = 0
@@ -164,7 +167,7 @@ class HardDisk(Device):
             yield self.sim.timeout(self.spec.speed_change_seconds)
             self._speed = fraction
             self.speed_changes += 1
-            self._set_power(self._scaled_power(self._psm.power_watts))
+            self._draw_state_power()
         finally:
             self.spindle.release()
 
@@ -289,7 +292,7 @@ class HardDisk(Device):
             transition = self._psm.transition(self.STANDBY)
             self._charge_transition_energy(transition.energy_joules)
             yield self.sim.timeout(transition.latency_seconds)
-            self._set_power(self._psm.power_watts)
+            self._draw_state_power()
         finally:
             self.spindle.release()
 
@@ -307,13 +310,22 @@ class HardDisk(Device):
         transition = self._psm.transition(self.IDLE)
         self._charge_transition_energy(transition.energy_joules)
         yield self.sim.timeout(transition.latency_seconds)
-        self._set_power(self._scaled_power(self._psm.power_watts))
+        self._draw_state_power()
         self._last_stream = None  # head position is stale after standby
 
     def _enter(self, state: str) -> None:
         if self._psm.current != state:
             self._psm.transition(state)
-            self._set_power(self._scaled_power(self._psm.power_watts))
+            self._draw_state_power()
+
+    def _draw_state_power(self) -> None:
+        """Draw the current state's power at the current speed."""
+        key = (self._psm.current, self._speed)
+        watts = self._state_watts.get(key)
+        if watts is None:
+            watts = self._state_watts[key] = self._scaled_power(
+                self._psm.power_watts)
+        self._set_power(watts)
 
     @property
     def active_power_per_unit_watts(self) -> float:

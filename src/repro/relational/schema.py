@@ -6,11 +6,13 @@ the non-NULL fields, so row-store tables have realistic physical sizes.
 
 from __future__ import annotations
 
+import functools
+import struct
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from repro.errors import SchemaError
-from repro.relational.types import DataType
+from repro.relational.types import DataType, _ValuesCodec
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,8 @@ class TableSchema:
         self.name = name
         self.columns = list(columns)
         self._index = {c.name: i for i, c in enumerate(columns)}
+        #: the null bitmap of a row without NULLs
+        self._no_nulls = bytes((len(columns) + 7) // 8)
 
     # -- lookup ----------------------------------------------------------
     def __len__(self) -> int:
@@ -87,28 +91,59 @@ class TableSchema:
                 continue
             col.dtype.validate(value)
 
+    @functools.cached_property
+    def _dense_codec(self) -> _ValuesCodec:
+        # for rows without NULLs; compiled on first use, since most
+        # schemas (projections, join outputs) never encode a row
+        return _ValuesCodec([c.dtype for c in self.columns])
+
     def encode_row(self, row: Sequence[Any]) -> bytes:
-        """Encode a row: null bitmap + encoded non-NULL values."""
+        """Encode a row: null bitmap + encoded non-NULL values.
+
+        >>> from repro.relational.types import DataType
+        >>> schema = TableSchema("t", [Column("k", DataType.INT32),
+        ...                            Column("name", DataType.VARCHAR),
+        ...                            Column("price", DataType.FLOAT64)])
+        >>> record = schema.encode_row((7, "née", None))
+        >>> record.hex()
+        '0407000000040000006ec3a965'
+        >>> schema.decode_row(record)
+        (7, 'née', None)
+        """
         self.validate_row(row)
-        nbytes = (len(self.columns) + 7) // 8
-        bitmap = bytearray(nbytes)
-        parts = [bytes(nbytes)]  # placeholder, replaced below
+        if None not in row:
+            return self._dense_codec.encode(row, self._no_nulls)
+        bitmap = bytearray(self._no_nulls)
         encoded = bytearray()
         for i, (value, col) in enumerate(zip(row, self.columns)):
             if value is None:
                 bitmap[i // 8] |= 1 << (i % 8)
             else:
                 encoded += col.dtype.encode(value)
-        parts[0] = bytes(bitmap)
-        return bytes(bitmap) + bytes(encoded)
+        return bytes(bitmap + encoded)
 
     def decode_row(self, data: bytes) -> tuple[Any, ...]:
         """Decode a row previously produced by :meth:`encode_row`."""
-        nbytes = (len(self.columns) + 7) // 8
+        nbytes = len(self._no_nulls)
         if len(data) < nbytes:
             raise SchemaError("record shorter than its null bitmap")
         bitmap = data[:nbytes]
-        offset = nbytes
+        try:
+            if bitmap == self._no_nulls:
+                values, offset = self._dense_codec.decode(data, nbytes)
+            else:
+                values, offset = self._decode_with_nulls(data, bitmap)
+        except struct.error:
+            raise SchemaError(
+                "record truncated inside a fixed-width field") from None
+        if offset != len(data):
+            raise SchemaError(
+                f"record has {len(data) - offset} trailing bytes")
+        return tuple(values)
+
+    def _decode_with_nulls(self, data: bytes,
+                           bitmap: bytes) -> tuple[list[Any], int]:
+        offset = len(bitmap)
         values: list[Any] = []
         for i, col in enumerate(self.columns):
             if bitmap[i // 8] & (1 << (i % 8)):
@@ -117,10 +152,7 @@ class TableSchema:
             value, consumed = col.dtype.decode(data, offset)
             offset += consumed
             values.append(value)
-        if offset != len(data):
-            raise SchemaError(
-                f"record has {len(data) - offset} trailing bytes")
-        return tuple(values)
+        return values, offset
 
     def row_size_bytes(self, row: Sequence[Any]) -> int:
         """Encoded size of a row without materializing the bytes."""

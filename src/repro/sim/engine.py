@@ -22,12 +22,13 @@ Example
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, Generator, Iterable, Optional
+from heapq import heappop, heappush
+from typing import Any, Generator, Iterable, Optional
 
 from repro.errors import SimulationError
 from repro.sim.clock import Clock
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AllOf, AnyOf, Callback, Event, Timeout
+from repro.sim.resources import _Request
 
 ProcessGenerator = Generator[Event, Any, Any]
 
@@ -41,6 +42,9 @@ class Process(Event):
     the :class:`Process` object.
     """
 
+    __slots__ = ("name", "_generator", "_waiting_on", "_spawn_seq",
+                 "__weakref__")
+
     def __init__(self, sim: "Simulation", generator: ProcessGenerator,
                  name: str = "") -> None:
         super().__init__(sim)
@@ -51,15 +55,18 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
         self._waiting_on: Optional[Event] = None
+        #: spawn order, which picks among several orphaned failures
+        self._spawn_seq = sim._seq
         # Kick the process off at the current time.
         sim._schedule_call(self._resume_first)
 
-    def _resume_first(self) -> None:
+    def _resume_first(self, _carrier: Event) -> None:
         self._step(None, ok=True)
 
     def _on_event(self, event: Event) -> None:
+        # only a dispatched, hence triggered, event gets here
         self._waiting_on = None
-        self._step(event.value, ok=event.ok)
+        self._step(event._value, event._ok)
 
     def _step(self, value: Any, ok: bool) -> None:
         if self._triggered:
@@ -70,10 +77,10 @@ class Process(Event):
             else:
                 target = self._generator.throw(value)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            self._trigger(True, stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate via event
-            self.fail(exc)
+            self._trigger(False, exc)
             return
         if not isinstance(target, Event):
             self.fail(SimulationError(
@@ -85,7 +92,11 @@ class Process(Event):
                 f"process {self.name!r} yielded an event from another simulation"))
             return
         self._waiting_on = target
-        target.add_callback(self._on_event)
+        # add_callback, without the call on the path every wait takes
+        if target._dispatched:
+            target.add_callback(self._on_event)
+        else:
+            target.callbacks.append(self._on_event)
 
     def interrupt(self, reason: str = "interrupted") -> None:
         """Abort the process by throwing :class:`SimulationError` into it."""
@@ -95,8 +106,14 @@ class Process(Event):
         self._waiting_on = None
         if waiting is not None and self._on_event in waiting.callbacks:
             waiting.callbacks.remove(self._on_event)
+            if isinstance(waiting, _Request):
+                # the unit would go to a process that never releases it
+                if waiting._triggered:
+                    waiting.resource.release()
+                else:
+                    waiting.resource.cancel(waiting)
         self.sim._schedule_call(
-            lambda: self._step(SimulationError(reason), ok=False))
+            lambda _carrier: self._step(SimulationError(reason), ok=False))
 
     def __repr__(self) -> str:
         state = "running"
@@ -112,13 +129,14 @@ class Simulation:
         self.clock = Clock(start)
         self._queue: list[tuple[float, int, Event]] = []
         self._seq = 0
-        self._processes: list[Process] = []
+        #: failed processes nobody was waiting on when they were dispatched
+        self._orphans: list[Process] = []
 
     # -- time ------------------------------------------------------------
     @property
     def now(self) -> float:
         """Current simulated time, in seconds."""
-        return self.clock.now
+        return self.clock._now
 
     # -- event construction ------------------------------------------------
     def event(self) -> Event:
@@ -139,37 +157,36 @@ class Simulation:
 
     def spawn(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start a new process from a generator and return its Process event."""
-        process = Process(self, generator, name=name)
-        self._processes.append(process)
-        return process
+        return Process(self, generator, name=name)
 
     # -- scheduling (internal) ----------------------------------------------
-    def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
+    def _schedule_call(self, callback: Callback, delay: float = 0.0) -> None:
+        """Schedule a bare callback; it is handed the event that carries it."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        heapq.heappush(self._queue, (self.now + delay, self._seq, event))
+        carrier = Event(self)
+        carrier.callbacks.append(callback)
+        carrier._triggered = True
+        carrier._ok = True
+        heappush(self._queue, (self.clock._now + delay, self._seq, carrier))
         self._seq += 1
-
-    def _schedule_call(self, fn: Callable[[], None], delay: float = 0.0) -> None:
-        """Schedule a bare callback via a throwaway event."""
-        event = Event(self)
-        event.add_callback(lambda _evt: fn())
-        event._triggered = True
-        event._ok = True
-        self._schedule_event(event, delay=delay)
 
     # -- running ------------------------------------------------------------
     def step(self) -> None:
         """Dispatch the single next event in the queue."""
         if not self._queue:
             raise SimulationError("no events left to step")
-        when, _seq, event = heapq.heappop(self._queue)
-        self.clock.advance_to(when)
+        when, _seq, event = heappop(self._queue)
+        clock = self.clock
+        if when < clock._now:
+            clock.advance_to(when)  # raises: time cannot move backwards
+        clock._now = when
         event._dispatched = True
-        callbacks, event.callbacks = event.callbacks, []
-        if event.triggered and not event.ok and callbacks:
-            # Someone is handling this failure; don't re-raise it later.
-            event._failure_observed = True
+        callbacks = event.callbacks
+        event.callbacks = []
+        if not (event._ok or callbacks) and isinstance(event, Process):
+            # Nobody is handling this failure; run() re-raises it.
+            self._orphans.append(event)
         for callback in callbacks:
             callback(event)
 
@@ -197,7 +214,7 @@ class Simulation:
         return None
 
     def _run_until_event(self, until: Event) -> Any:
-        while not until.triggered:
+        while not until._triggered:
             if not self._queue:
                 raise SimulationError(
                     "event queue drained before the awaited event triggered")
@@ -213,10 +230,8 @@ class Simulation:
         no other process observed the failure, raise it at the end of the
         run instead of swallowing it.
         """
-        for process in self._processes:
-            if (process.triggered and not process.ok
-                    and not getattr(process, "_failure_observed", False)):
-                raise process.value
+        if self._orphans:
+            raise min(self._orphans, key=lambda p: p._spawn_seq)._value
 
     def __repr__(self) -> str:
         return f"Simulation(now={self.now:.9g}, pending={len(self._queue)})"

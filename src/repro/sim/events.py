@@ -8,6 +8,7 @@ resumption up through a callback.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.errors import SimulationError
@@ -26,12 +27,17 @@ class Event:
     inside every waiting process).
     """
 
+    __slots__ = ("sim", "callbacks", "_triggered", "_ok", "_value",
+                 "_dispatched")
+
     def __init__(self, sim: "Simulation") -> None:
         self.sim = sim
         self.callbacks: list[Callback] = []
         self._triggered = False
         self._ok: bool | None = None
         self._value: Any = None
+        #: set by ``Simulation.step`` once the callbacks have been taken
+        self._dispatched = False
 
     # -- state ---------------------------------------------------------
     @property
@@ -72,7 +78,9 @@ class Event:
         self._triggered = True
         self._ok = ok
         self._value = value
-        self.sim._schedule_event(self)
+        sim = self.sim
+        heappush(sim._queue, (sim.clock._now, sim._seq, self))
+        sim._seq += 1
 
     # -- waiting -------------------------------------------------------
     def add_callback(self, callback: Callback) -> None:
@@ -81,12 +89,10 @@ class Event:
         If the event already fired *and was dispatched*, the callback runs
         via a fresh zero-delay dispatch so ordering stays deterministic.
         """
-        if self._triggered and not self.callbacks and self._dispatched:
-            self.sim._schedule_call(lambda: callback(self))
+        if self._dispatched:
+            self.sim._schedule_call(lambda _carrier: callback(self))
         else:
             self.callbacks.append(callback)
-
-    _dispatched = False
 
     def __repr__(self) -> str:
         state = "pending"
@@ -98,6 +104,8 @@ class Event:
 class Timeout(Event):
     """An event that succeeds after a fixed simulated delay."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, sim: "Simulation", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"timeout delay must be non-negative, got {delay}")
@@ -106,7 +114,8 @@ class Timeout(Event):
         self._triggered = True  # scheduled at construction, cannot re-trigger
         self._ok = True
         self._value = value
-        sim._schedule_event(self, delay=delay)
+        heappush(sim._queue, (sim.clock._now + delay, sim._seq, self))
+        sim._seq += 1
 
 
 class AllOf(Event):
@@ -115,6 +124,8 @@ class AllOf(Event):
     Fails as soon as any child fails (with that child's exception).
     The success value is the list of child values, in input order.
     """
+
+    __slots__ = ("_children", "_pending")
 
     def __init__(self, sim: "Simulation", events: Iterable[Event]) -> None:
         super().__init__(sim)
@@ -139,6 +150,8 @@ class AllOf(Event):
 
 class AnyOf(Event):
     """Succeeds (or fails) as soon as the first child event triggers."""
+
+    __slots__ = ("_children",)
 
     def __init__(self, sim: "Simulation", events: Iterable[Event]) -> None:
         super().__init__(sim)

@@ -5,6 +5,23 @@ spindle, a RAID controller queue slot).  Processes ``yield
 resource.acquire()`` to obtain a unit, and must call ``release()`` exactly
 once per acquisition.  The resource keeps busy-time accounting so device
 models can convert occupancy into utilization and power.
+
+Example
+-------
+>>> from repro.sim import Resource, Simulation
+>>> sim = Simulation()
+>>> spindle = Resource(sim, capacity=1, name="spindle")
+>>> def reader(seconds):
+...     yield spindle.acquire()
+...     yield sim.timeout(seconds)
+...     spindle.release()
+>>> _ = sim.spawn(reader(2.0))
+>>> _ = sim.spawn(reader(1.0))
+>>> sim.run(until=4.0)
+>>> spindle
+Resource('spindle', 0/1 busy, 0 queued)
+>>> spindle.busy_seconds(), spindle.utilization()
+(3.0, 0.75)
 """
 
 from __future__ import annotations
@@ -22,6 +39,8 @@ from repro.sim.events import Event
 
 class _Request(Event):
     """The event handed to a waiting process; succeeds on grant."""
+
+    __slots__ = ("resource",)
 
     def __init__(self, sim: "Simulation", resource: "Resource") -> None:
         super().__init__(sim)
@@ -79,7 +98,7 @@ class Resource:
 
     # -- accounting ------------------------------------------------------
     def _account(self) -> None:
-        now = self.sim.now
+        now = self.sim.clock._now
         self._busy_integral += self._in_use * (now - self._last_change)
         self._last_change = now
 

@@ -2,9 +2,11 @@
 
 from datetime import date, timedelta
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SchemaError
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import DataType
 from repro.storage.compression import (
@@ -124,3 +126,81 @@ def test_row_size_matches_encoding(row):
         Column("e", DataType.DATE),
     ])
     assert schema.row_size_bytes(row) == len(schema.encode_row(row))
+
+
+# -- the compiled row codec against the per-value reference ----------------
+
+#: what ``validate`` lets into a column of each type -- including an
+#: ``int`` in a FLOAT64 column and a ``bool`` in an INT32 column
+COLUMN_VALUES = {
+    DataType.INT32: st.one_of(st.integers(-2**31, 2**31 - 1), st.booleans()),
+    DataType.INT64: st.integers(-2**63, 2**63 - 1),
+    DataType.FLOAT64: st.one_of(st.floats(allow_nan=False),
+                                st.integers(-2**53, 2**53)),
+    DataType.DATE: st.dates(),
+    DataType.VARCHAR: st.text(max_size=12),  # any code point, not ASCII
+    DataType.BOOL: st.booleans(),
+}
+
+
+@st.composite
+def schemas_with_rows(draw):
+    dtypes = draw(st.lists(st.sampled_from(list(DataType)),
+                           min_size=1, max_size=12))
+    # half the rows carry no NULL (the compiled path), half may
+    nulls = st.none() if draw(st.booleans()) else st.nothing()
+    row = tuple(draw(st.one_of(nulls, COLUMN_VALUES[t])) for t in dtypes)
+    schema = TableSchema(
+        "t", [Column(f"c{i}", t) for i, t in enumerate(dtypes)])
+    return schema, row
+
+
+@settings(max_examples=200)
+@given(schemas_with_rows())
+def test_row_codec_is_the_concatenation_of_the_value_codecs(case):
+    schema, row = case
+    bitmap = bytearray((len(row) + 7) // 8)
+    for i, value in enumerate(row):
+        if value is None:
+            bitmap[i // 8] |= 1 << (i % 8)
+    reference = bytes(bitmap) + b"".join(
+        col.dtype.encode(value)
+        for col, value in zip(schema.columns, row) if value is not None)
+    record = schema.encode_row(row)
+    assert record == reference
+    assert schema.decode_row(record) == row
+    assert schema.row_size_bytes(row) == len(record)
+
+
+@settings(max_examples=200)
+@given(schemas_with_rows(), st.data())
+def test_damaged_records_end_in_schema_error(case, data):
+    schema, row = case
+    record = schema.encode_row(row)
+    # every field takes at least one byte, so any proper prefix is cut
+    # inside the bitmap, a fixed-width field, a length or a payload
+    cut = data.draw(st.integers(0, len(record) - 1))
+    with pytest.raises(SchemaError):
+        schema.decode_row(record[:cut])
+    with pytest.raises(SchemaError, match="trailing"):
+        schema.decode_row(record + data.draw(st.binary(min_size=1,
+                                                       max_size=4)))
+
+
+@pytest.mark.parametrize("cut", [3, 10])
+def test_record_cut_inside_a_fixed_width_field(cut):
+    # byte 3 is inside the INT64, byte 10 inside the VARCHAR's length;
+    # the second row carries a NULL, so it takes the per-column walk
+    schema = TableSchema("t", [Column("k", DataType.INT64),
+                               Column("s", DataType.VARCHAR),
+                               Column("n", DataType.INT32)])
+    for row in [(7, "seven", 7), (7, "seven", None)]:
+        with pytest.raises(SchemaError):
+            schema.decode_row(schema.encode_row(row)[:cut])
+
+
+def test_record_shorter_than_its_bitmap():
+    schema = TableSchema(
+        "t", [Column(f"c{i}", DataType.BOOL) for i in range(9)])
+    with pytest.raises(SchemaError, match="null bitmap"):
+        schema.decode_row(b"\x00")

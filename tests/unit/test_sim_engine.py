@@ -334,3 +334,171 @@ def test_step_with_empty_queue_raises():
     sim = Simulation()
     with pytest.raises(SimulationError):
         sim.step()
+
+
+# -- the dispatch contract -------------------------------------------------
+
+
+class CountingSimulation(Simulation):
+    """Counts dispatches through the one public dispatch point."""
+
+    def __init__(self):
+        super().__init__()
+        self.steps = 0
+
+    def step(self):
+        self.steps += 1
+        super().step()
+
+
+def _chatter(sim, rounds=5):
+    """Three processes trading timeouts and a shared event."""
+    gate = sim.event()
+
+    def ticker(delay):
+        for _ in range(rounds):
+            yield sim.timeout(delay)
+        return delay
+
+    def opener():
+        yield sim.timeout(2.5)
+        gate.succeed("open")
+
+    def waiter():
+        yield gate
+        yield sim.all_of([sim.spawn(ticker(0.5)), sim.spawn(ticker(0.25))])
+
+    sim.spawn(ticker(1.0))
+    sim.spawn(opener())
+    return sim.spawn(waiter())
+
+
+#: heap entries of ``_chatter``: 5 kick-offs, 16 timeouts, the gate,
+#: 5 process completions and the all_of
+CHATTER_EVENTS = 28
+
+
+@pytest.mark.parametrize("until", ["drain", "time", "event"])
+def test_every_run_mode_dispatches_through_an_overridden_step(until):
+    sim = CountingSimulation()
+    main = _chatter(sim)
+    if until == "drain":
+        sim.run()
+    elif until == "time":
+        sim.run(until=100.0)
+        assert sim.now == 100.0
+    else:
+        sim.run(until=main)
+        sim.run()  # the first ticker outlives main
+    assert sim.steps == CHATTER_EVENTS
+    assert sim._seq == CHATTER_EVENTS  # one heap entry each, no more
+
+
+def test_run_until_time_leaves_later_events_queued():
+    sim = CountingSimulation()
+    _chatter(sim)
+    sim.run(until=2.0)
+    dispatched = sim.steps
+    assert 0 < dispatched < CHATTER_EVENTS
+    sim.run()
+    assert sim.steps == CHATTER_EVENTS
+
+
+def test_first_spawned_orphan_failure_is_the_one_raised():
+    sim = Simulation()
+
+    def bad(delay, message):
+        yield sim.timeout(delay)
+        raise ValueError(message)
+
+    sim.spawn(bad(2.0, "spawned first, fails last"))
+    sim.spawn(bad(1.0, "spawned second, fails first"))
+    with pytest.raises(ValueError, match="spawned first"):
+        sim.run()
+    # the failure stays unobserved, so a later run() reports it again
+    with pytest.raises(ValueError, match="spawned first"):
+        sim.run()
+
+
+def test_observed_failure_is_not_raised_again():
+    sim = Simulation()
+
+    def bad(message):
+        yield sim.timeout(1.0)
+        raise ValueError(message)
+
+    def guard():
+        try:
+            yield sim.spawn(bad("handled"))
+        except ValueError:
+            pass
+
+    sim.spawn(guard())
+    sim.run()
+    sim.spawn(bad("orphaned"))
+    with pytest.raises(ValueError, match="orphaned"):
+        sim.run()
+
+
+def test_finished_processes_are_not_retained():
+    import gc
+    import weakref
+
+    sim = Simulation()
+
+    def worker(delay):
+        yield sim.timeout(delay)
+
+    refs = [weakref.ref(sim.spawn(worker(i % 7))) for i in range(10_000)]
+    sim.run()
+    gc.collect()
+    assert not any(ref() is not None for ref in refs)
+
+
+def test_event_ok_before_trigger_rejected():
+    sim = Simulation()
+    with pytest.raises(SimulationError, match="not yet triggered"):
+        _ = sim.event().ok
+
+
+def test_scheduling_into_the_past_rejected():
+    sim = Simulation()
+    with pytest.raises(SimulationError, match="into the past"):
+        sim._schedule_call(lambda _carrier: None, delay=-1.0)
+
+
+def test_yielding_another_simulations_event_fails_process():
+    sim, other = Simulation(), Simulation()
+
+    def bad():
+        yield other.timeout(1.0)
+
+    sim.spawn(bad())
+    with pytest.raises(SimulationError, match="another simulation"):
+        sim.run()
+
+
+def test_step_refuses_to_move_the_clock_backwards():
+    sim = Simulation()
+    sim.timeout(1.0)
+    sim.clock.advance_to(5.0)  # moved from outside, as fleet.py does
+    with pytest.raises(SimulationError, match="backwards"):
+        sim.step()
+    assert sim.now == 5.0
+
+
+def test_late_waiter_on_a_dispatched_event_still_resumes():
+    sim = Simulation()
+    log = []
+
+    def quick():
+        yield sim.timeout(1.0)
+        return "done"
+
+    def late(child):
+        yield sim.timeout(3.0)
+        log.append((sim.now, (yield child)))
+
+    sim.spawn(late(sim.spawn(quick())))
+    sim.run()
+    assert log == [(3.0, "done")]
