@@ -9,10 +9,14 @@ from __future__ import annotations
 import functools
 import struct
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.errors import SchemaError
 from repro.relational.types import DataType, _ValuesCodec
+
+#: rows transposed at a time by :meth:`TableSchema.validate_rows`, so a
+#: bulk load never holds a second copy of the whole batch
+_BATCH_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,22 @@ class TableSchema:
                 continue
             col.dtype.validate(value)
 
+    def validate_rows(self, rows: Sequence[Sequence[Any]]) -> None:
+        """Raise what :meth:`validate_row` raises for the first bad row.
+
+        A stretch of rows whose columns are all plainly valid costs a
+        test per column; any other (a NULL, a subclass, a wrong arity,
+        a bad value) goes to :meth:`validate_row` row by row.
+        """
+        arity = {len(self.columns)}
+        for start in range(0, len(rows), _BATCH_ROWS):
+            batch = rows[start:start + _BATCH_ROWS]
+            if set(map(len, batch)) != arity or not all(
+                    col.dtype.plainly_valid(values)
+                    for col, values in zip(self.columns, zip(*batch))):
+                for row in batch:
+                    self.validate_row(row)
+
     @functools.cached_property
     def _dense_codec(self) -> _ValuesCodec:
         # for rows without NULLs; compiled on first use, since most
@@ -111,6 +131,14 @@ class TableSchema:
         (7, 'née', None)
         """
         self.validate_row(row)
+        return self._encode_valid(row)
+
+    def encode_rows(self, rows: Sequence[Sequence[Any]]) -> Iterator[bytes]:
+        """The record of each row, after validating them as one batch."""
+        self.validate_rows(rows)
+        return map(self._encode_valid, rows)
+
+    def _encode_valid(self, row: Sequence[Any]) -> bytes:
         if None not in row:
             return self._dense_codec.encode(row, self._no_nulls)
         bitmap = bytearray(self._no_nulls)

@@ -9,81 +9,130 @@ from __future__ import annotations
 
 import enum
 import struct
-from datetime import date, timedelta
+from datetime import date, datetime
 from typing import Any, Optional, Sequence
 
 from repro.errors import SchemaError
 
-_EPOCH = date(1970, 1, 1)
+#: proleptic ordinal of 1970-01-01, day zero of the DATE encoding
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+_VARCHAR_LENGTH = struct.Struct("<I")
 
 
 class DataType(enum.Enum):
-    """Supported column types with fixed or variable width."""
+    """Supported column types with fixed or variable width.
 
-    INT32 = "int32"
-    INT64 = "int64"
-    FLOAT64 = "float64"
-    DATE = "date"
-    VARCHAR = "varchar"
-    BOOL = "bool"
+    A member carries its ``fixed_width`` in bytes (None for VARCHAR),
+    the ``struct_code`` of that encoding (little-endian, no padding),
+    the ``python_type`` its values are instances of and the
+    ``exact_types`` a column is checked against at once (a bool is an
+    int, an int an acceptable float).  The ``*_many`` methods are the
+    per-value ones over a whole column: the same bytes, sizes and
+    errors, without a Python-level call per value.
+    """
 
-    @property
-    def fixed_width(self) -> int | None:
-        """Encoded width in bytes, or None for variable-width types."""
-        return _WIDTHS[self]
+    INT32 = "int32", 4, "i", int, {int, bool}
+    INT64 = "int64", 8, "q", int, {int, bool}
+    FLOAT64 = "float64", 8, "d", (float, int), {float, int, bool}
+    DATE = "date", 4, "i", date, {date}
+    VARCHAR = "varchar", None, None, str, {str}
+    BOOL = "bool", 1, "?", bool, {bool}
+
+    def __new__(cls, label: str, fixed_width: Optional[int],
+                struct_code: Optional[str], python_type: Any,
+                exact_types: set[type]) -> "DataType":
+        member = object.__new__(cls)
+        member._value_ = label
+        member.fixed_width = fixed_width
+        member.struct_code = struct_code
+        member.python_type = python_type
+        member.exact_types = frozenset(exact_types)
+        #: integers lie in [-int_limit, int_limit); None for the rest
+        member.int_limit = (
+            2 ** (8 * fixed_width - 1) if python_type is int else None)
+        return member
 
     def validate(self, value: Any) -> None:
         """Raise :class:`SchemaError` unless ``value`` fits this type."""
         if value is None:
             return  # NULLs are allowed in any column unless schema says not
-        expected = _PYTHON_TYPES[self]
-        if self is DataType.FLOAT64 and isinstance(value, int):
-            return  # ints are acceptable floats
-        if not isinstance(value, expected):
+        if (not isinstance(value, self.python_type)
+                or self is DataType.DATE and isinstance(value, datetime)):
             raise SchemaError(
                 f"value {value!r} is not valid for {self.value}")
-        if self is DataType.INT32 and not -2**31 <= value < 2**31:
-            raise SchemaError(f"{value} out of int32 range")
+        limit = self.int_limit
+        if limit is not None and not -limit <= value < limit:
+            raise SchemaError(f"{value} out of {self.value} range")
+
+    def plainly_valid(self, values: Sequence[Any]) -> bool:
+        """Whether a non-empty column passes on class and range alone;
+        False only means :meth:`validate` has to be asked (a NULL, a
+        subclass, a bad value)."""
+        if not self.exact_types.issuperset(map(type, values)):
+            return False
+        limit = self.int_limit
+        return limit is None or -limit <= min(values) and max(values) < limit
 
     def encode(self, value: Any) -> bytes:
         """Encode a non-NULL value to its physical bytes."""
         if value is None:
             raise SchemaError("cannot encode NULL; handle at record level")
-        if self is DataType.INT32:
-            return struct.pack("<i", value)
-        if self is DataType.INT64:
-            return struct.pack("<q", value)
-        if self is DataType.FLOAT64:
-            return struct.pack("<d", float(value))
-        if self is DataType.DATE:
-            return struct.pack("<i", _date_to_days(value))
-        if self is DataType.BOOL:
-            return struct.pack("<?", value)
         if self is DataType.VARCHAR:
             raw = value.encode("utf-8")
-            return struct.pack("<I", len(raw)) + raw
-        raise SchemaError(f"unhandled type {self}")
+            return _VARCHAR_LENGTH.pack(len(raw)) + raw
+        if self is DataType.DATE:
+            value = _date_to_days(value)
+        elif self is DataType.FLOAT64:
+            value = float(value)
+        return struct.pack("<" + self.struct_code, value)
+
+    def encode_many(self, values: Sequence[Any]) -> bytes:
+        """``b"".join(map(self.encode, values))``."""
+        if None not in values:  # ``?`` would pack a NULL as False
+            try:
+                if self is DataType.VARCHAR:
+                    raws = [value.encode("utf-8") for value in values]
+                    return b"".join([part for raw in raws for part in
+                                     (_VARCHAR_LENGTH.pack(len(raw)), raw)])
+                if self is DataType.DATE:
+                    values = list(map(_date_to_days, values))
+                return struct.pack(f"<{len(values)}{self.struct_code}",
+                                   *values)
+            except (struct.error, AttributeError):
+                pass
+        # a NULL or a value ``validate`` rejects: the one-value form
+        # says what is wrong with it
+        return b"".join(map(self.encode, values))
 
     def decode(self, data: bytes, offset: int = 0) -> tuple[Any, int]:
         """Decode one value at ``offset``; returns (value, bytes consumed)."""
-        if self is DataType.INT32:
-            return struct.unpack_from("<i", data, offset)[0], 4
-        if self is DataType.INT64:
-            return struct.unpack_from("<q", data, offset)[0], 8
-        if self is DataType.FLOAT64:
-            return struct.unpack_from("<d", data, offset)[0], 8
-        if self is DataType.DATE:
-            return _days_to_date(struct.unpack_from("<i", data, offset)[0]), 4
-        if self is DataType.BOOL:
-            return struct.unpack_from("<?", data, offset)[0], 1
         if self is DataType.VARCHAR:
-            (length,) = struct.unpack_from("<I", data, offset)
+            (length,) = _VARCHAR_LENGTH.unpack_from(data, offset)
             start = offset + 4
             raw = data[start:start + length]
             if len(raw) != length:
                 raise SchemaError("truncated varchar")
             return raw.decode("utf-8"), 4 + length
-        raise SchemaError(f"unhandled type {self}")
+        (value,) = struct.unpack_from("<" + self.struct_code, data, offset)
+        if self is DataType.DATE:
+            value = _days_to_date(value)
+        return value, self.fixed_width
+
+    def decode_many(self, data: bytes, offset: int,
+                    count: int) -> tuple[list[Any], int]:
+        """``count`` values starting at ``offset`` and the offset past them."""
+        if self is DataType.VARCHAR:
+            values = []
+            for _ in range(count):
+                value, consumed = self.decode(data, offset)
+                offset += consumed
+                values.append(value)
+            return values, offset
+        values = struct.unpack_from(
+            f"<{count}{self.struct_code}", data, offset)
+        if self is DataType.DATE:
+            values = map(_days_to_date, values)
+        return list(values), offset + count * self.fixed_width
 
     def encoded_size(self, value: Any) -> int:
         """Bytes this value occupies when encoded."""
@@ -91,44 +140,19 @@ class DataType(enum.Enum):
             return self.fixed_width
         return 4 + len(value.encode("utf-8"))
 
+    def encoded_size_many(self, values: Sequence[Any]) -> int:
+        """``sum(map(self.encoded_size, values))``."""
+        if self.fixed_width is not None:
+            return self.fixed_width * len(values)
+        return 4 * len(values) + len("".join(values).encode("utf-8"))
+
 
 def _date_to_days(value: date) -> int:
-    return (value - _EPOCH).days
+    return value.toordinal() - _EPOCH_ORDINAL
 
 
 def _days_to_date(days: int) -> date:
-    return _EPOCH + timedelta(days=days)
-
-
-_WIDTHS = {
-    DataType.INT32: 4,
-    DataType.INT64: 8,
-    DataType.FLOAT64: 8,
-    DataType.DATE: 4,
-    DataType.BOOL: 1,
-    DataType.VARCHAR: None,
-}
-
-#: struct code of each fixed-width encoding above (little-endian, no
-#: padding); the row codec packs a run of fixed-width columns at once
-_STRUCT_CODES = {
-    DataType.INT32: "i",
-    DataType.INT64: "q",
-    DataType.FLOAT64: "d",
-    DataType.DATE: "i",
-    DataType.BOOL: "?",
-}
-
-_PYTHON_TYPES = {
-    DataType.INT32: int,
-    DataType.INT64: int,
-    DataType.FLOAT64: float,
-    DataType.DATE: date,
-    DataType.BOOL: bool,
-    DataType.VARCHAR: str,
-}
-
-_VARCHAR_LENGTH = struct.Struct("<I")
+    return date.fromordinal(days + _EPOCH_ORDINAL)
 
 
 class _ValuesCodec:
@@ -148,7 +172,7 @@ class _ValuesCodec:
         start = 0
         while start < len(dtypes):
             stop = start
-            while stop < len(dtypes) and dtypes[stop] in _STRUCT_CODES:
+            while stop < len(dtypes) and dtypes[stop].struct_code is not None:
                 stop += 1
             if stop == start:
                 self.steps.append((None, start, start + 1, ()))
@@ -156,7 +180,7 @@ class _ValuesCodec:
                 continue
             run = dtypes[start:stop]
             self.steps.append((
-                struct.Struct("<" + "".join(_STRUCT_CODES[t] for t in run)),
+                struct.Struct("<" + "".join(t.struct_code for t in run)),
                 start, stop,
                 tuple(i for i, t in enumerate(run) if t is DataType.DATE)))
             start = stop

@@ -53,13 +53,13 @@ class ColumnFile:
         self._segments: dict[str, list[ColumnSegment]] = {
             c.name: [] for c in schema.columns}
         self._pending: list[Sequence[Any]] = []
-        self._row_count = 0
+        self._sealed_rows = 0
         self._plain_bytes: dict[str, int] = {c.name: 0 for c in schema.columns}
 
     # -- sizing -------------------------------------------------------------
     @property
     def row_count(self) -> int:
-        return self._row_count
+        return self._sealed_rows + len(self._pending)
 
     def codec_for(self, column: str) -> Codec:
         """The codec configured for a column."""
@@ -97,14 +97,19 @@ class ColumnFile:
         """Buffer one row; segments seal every ``segment_rows`` rows."""
         self.schema.validate_row(row)
         self._pending.append(tuple(row))
-        self._row_count += 1
         if len(self._pending) >= self.segment_rows:
             self._seal_pending()
 
     def append_many(self, rows: Sequence[Sequence[Any]]) -> None:
-        """Bulk load."""
-        for row in rows:
-            self.append(row)
+        """Bulk load; an invalid row rejects the whole batch."""
+        self.schema.validate_rows(rows)
+        start = 0
+        while start < len(rows):
+            stop = start + self.segment_rows - len(self._pending)
+            self._pending.extend(map(tuple, rows[start:stop]))
+            if len(self._pending) >= self.segment_rows:
+                self._seal_pending()
+            start = stop
 
     def seal(self) -> None:
         """Flush any buffered rows into (possibly short) segments."""
@@ -112,16 +117,20 @@ class ColumnFile:
             self._seal_pending()
 
     def _seal_pending(self) -> None:
-        rows = self._pending
-        self._pending = []
-        for position, col in enumerate(self.schema.columns):
-            values = [row[position] for row in rows]
+        # every column is encoded before any segment is kept: rows that
+        # cannot be encoded (a NULL under ``delta``, say) leave the file,
+        # all of them, and ``row_count`` with them
+        rows, self._pending = self._pending, []
+        sealed = []
+        for col, values in zip(self.schema.columns, zip(*rows)):
             codec = self._codecs[col.name]
             data = codec.encode(values, col.dtype)
-            self._segments[col.name].append(
-                ColumnSegment(len(values), data, codec))
-            self._plain_bytes[col.name] += sum(
-                col.dtype.encoded_size(v) for v in values if v is not None)
+            sealed.append((col.name, ColumnSegment(len(rows), data, codec),
+                           col.dtype.encoded_size_many(values)))
+        for name, segment, plain_bytes in sealed:
+            self._segments[name].append(segment)
+            self._plain_bytes[name] += plain_bytes
+        self._sealed_rows += len(rows)
 
     # -- scanning -----------------------------------------------------------
     def scan(self, columns: Optional[Sequence[str]] = None
@@ -150,5 +159,5 @@ class ColumnFile:
             raise StorageError(f"no column {column!r}") from None
 
     def __repr__(self) -> str:
-        return (f"ColumnFile({self.schema.name!r}, rows={self._row_count}, "
+        return (f"ColumnFile({self.schema.name!r}, rows={self.row_count}, "
                 f"bytes={self.size_bytes()})")

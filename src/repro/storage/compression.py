@@ -19,31 +19,21 @@ Codecs
 from __future__ import annotations
 
 import struct
-from datetime import date, timedelta
 from typing import Any, Sequence
 
-from repro.errors import CompressionError
-from repro.relational.types import DataType
+from repro.errors import CompressionError, SchemaError
+from repro.relational.types import DataType, _date_to_days, _days_to_date
 
-_EPOCH = date(1970, 1, 1)
 _COUNT = struct.Struct("<I")
 
 
 def _encode_plain(values: Sequence[Any], dtype: DataType) -> bytes:
-    out = bytearray(_COUNT.pack(len(values)))
-    for v in values:
-        out += dtype.encode(v)
-    return bytes(out)
+    return _COUNT.pack(len(values)) + dtype.encode_many(values)
 
 
 def _decode_plain(data: bytes, dtype: DataType) -> list[Any]:
     (count,) = _COUNT.unpack_from(data, 0)
-    offset = _COUNT.size
-    values = []
-    for _ in range(count):
-        value, consumed = dtype.decode(data, offset)
-        offset += consumed
-        values.append(value)
+    values, offset = dtype.decode_many(data, _COUNT.size, count)
     if offset != len(data):
         raise CompressionError("trailing bytes after plain segment")
     return values
@@ -62,6 +52,16 @@ class Codec:
         raise NotImplementedError
 
     def decode(self, data: bytes, dtype: DataType) -> list[Any]:
+        """The values of a segment :meth:`encode` produced."""
+        try:
+            return self._decode(data, dtype)
+        except (struct.error, IndexError, ValueError, OverflowError,
+                SchemaError) as exc:
+            # short reads, text that is not UTF-8, days no date has
+            raise CompressionError(
+                f"damaged {self.name} segment: {exc}") from None
+
+    def _decode(self, data: bytes, dtype: DataType) -> list[Any]:
         raise NotImplementedError
 
     def supports(self, dtype: DataType) -> bool:
@@ -82,7 +82,7 @@ class NoneCodec(Codec):
     def encode(self, values: Sequence[Any], dtype: DataType) -> bytes:
         return _encode_plain(values, dtype)
 
-    def decode(self, data: bytes, dtype: DataType) -> list[Any]:
+    def _decode(self, data: bytes, dtype: DataType) -> list[Any]:
         return _decode_plain(data, dtype)
 
 
@@ -108,7 +108,7 @@ class RleCodec(Codec):
             i = j
         return bytes(out)
 
-    def decode(self, data: bytes, dtype: DataType) -> list[Any]:
+    def _decode(self, data: bytes, dtype: DataType) -> list[Any]:
         (count,) = _COUNT.unpack_from(data, 0)
         offset = _COUNT.size
         values: list[Any] = []
@@ -148,7 +148,7 @@ class DictionaryCodec(Codec):
         out += _pack_bits([distinct[v] for v in values], width)
         return bytes(out)
 
-    def decode(self, data: bytes, dtype: DataType) -> list[Any]:
+    def _decode(self, data: bytes, dtype: DataType) -> list[Any]:
         (count,) = _COUNT.unpack_from(data, 0)
         (n_entries,) = _COUNT.unpack_from(data, _COUNT.size)
         width = data[2 * _COUNT.size]
@@ -177,16 +177,6 @@ class DeltaCodec(Codec):
     def supports(self, dtype: DataType) -> bool:
         return dtype in self._INT_TYPES
 
-    def _to_int(self, value: Any, dtype: DataType) -> int:
-        if dtype is DataType.DATE:
-            return (value - _EPOCH).days
-        return value
-
-    def _from_int(self, value: int, dtype: DataType) -> Any:
-        if dtype is DataType.DATE:
-            return _EPOCH + timedelta(days=value)
-        return value
-
     def encode(self, values: Sequence[Any], dtype: DataType) -> bytes:
         if not self.supports(dtype):
             raise CompressionError(f"delta codec cannot encode {dtype.value}")
@@ -194,13 +184,14 @@ class DeltaCodec(Codec):
             raise CompressionError("delta codec does not encode NULLs")
         out = bytearray(_COUNT.pack(len(values)))
         prev = 0
-        for v in values:
-            current = self._to_int(v, dtype)
+        if dtype is DataType.DATE:
+            values = map(_date_to_days, values)
+        for current in values:
             out += _zigzag_varint(current - prev)
             prev = current
         return bytes(out)
 
-    def decode(self, data: bytes, dtype: DataType) -> list[Any]:
+    def _decode(self, data: bytes, dtype: DataType) -> list[Any]:
         (count,) = _COUNT.unpack_from(data, 0)
         offset = _COUNT.size
         values = []
@@ -208,9 +199,11 @@ class DeltaCodec(Codec):
         for _ in range(count):
             delta, offset = _read_zigzag_varint(data, offset)
             prev += delta
-            values.append(self._from_int(prev, dtype))
+            values.append(prev)
         if offset != len(data):
             raise CompressionError("trailing bytes after delta segment")
+        if dtype is DataType.DATE:
+            return list(map(_days_to_date, values))
         return values
 
 
@@ -234,7 +227,7 @@ class LzLiteCodec(Codec):
     def encode(self, values: Sequence[Any], dtype: DataType) -> bytes:
         return self.compress_bytes(_encode_plain(values, dtype))
 
-    def decode(self, data: bytes, dtype: DataType) -> list[Any]:
+    def _decode(self, data: bytes, dtype: DataType) -> list[Any]:
         return _decode_plain(self.decompress_bytes(data), dtype)
 
     def compress_bytes(self, raw: bytes) -> bytes:

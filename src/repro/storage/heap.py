@@ -44,7 +44,14 @@ class HeapFile:
     # -- mutation -----------------------------------------------------------
     def insert(self, row: Sequence[Any]) -> RecordId:
         """Append a row; returns its record id."""
-        payload = self.schema.encode_row(row)
+        return self._place(self.schema.encode_row(row))
+
+    def insert_many(self, rows: Sequence[Sequence[Any]]) -> None:
+        """Bulk append; an invalid row rejects the whole batch."""
+        for payload in self.schema.encode_rows(rows):
+            self._place(payload)
+
+    def _place(self, payload: bytes) -> RecordId:
         if len(payload) > self.page_size // 2:
             raise StorageError(
                 f"row of {len(payload)} bytes exceeds half a page; "
@@ -54,11 +61,6 @@ class HeapFile:
         slot = self.pages[-1].insert(payload)
         self._row_count += 1
         return (len(self.pages) - 1, slot)
-
-    def insert_many(self, rows: Sequence[Sequence[Any]]) -> None:
-        """Bulk append."""
-        for row in rows:
-            self.insert(row)
 
     def delete(self, rid: RecordId) -> None:
         """Tombstone a row."""

@@ -1,11 +1,13 @@
 """Property-based tests: codecs, pages, and row encoding."""
 
-from datetime import date, timedelta
+from datetime import date
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.relational.schema as schema_module
 from repro.errors import SchemaError
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import DataType
@@ -16,6 +18,8 @@ from repro.storage.compression import (
     NoneCodec,
     RleCodec,
 )
+from repro.storage.column import ColumnFile
+from repro.storage.heap import HeapFile
 from repro.storage.page import SlottedPage
 
 int64s = st.integers(min_value=-2**62, max_value=2**62)
@@ -204,3 +208,120 @@ def test_record_shorter_than_its_bitmap():
         "t", [Column(f"c{i}", DataType.BOOL) for i in range(9)])
     with pytest.raises(SchemaError, match="null bitmap"):
         schema.decode_row(b"\x00")
+
+
+# -- the column-at-a-time load path against the per-value reference --------
+
+class Ordinal(int):
+    """A subclass: valid, but not by the batch test's class check."""
+
+
+#: what a column of any type may be *offered*: NULLs, bools, integers
+#: either side of both ranges, datetimes, non-ASCII text, a subclass
+OFFERED = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**65, 2**65),
+    st.sampled_from([-2**63 - 1, -2**63, -2**31 - 1, -2**31,
+                     2**31 - 1, 2**31, 2**63 - 1, 2**63, Ordinal(7)]),
+    st.floats(allow_nan=False), st.dates(), st.datetimes(),
+    st.text(max_size=6))
+
+
+def outcome(call):
+    """What ``call`` returns, or the class and text of what it raises."""
+    try:
+        return call()
+    except Exception as exc:  # the differential *is* about the errors
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("dtype", list(DataType), ids=lambda t: t.value)
+@settings(max_examples=100)
+@given(data=st.data())
+def test_batch_forms_are_the_per_value_forms(dtype, data):
+    values = data.draw(st.lists(COLUMN_VALUES[dtype], max_size=40))
+    encoded = dtype.encode_many(values)
+    assert encoded == b"".join(map(dtype.encode, values))
+    assert dtype.encoded_size_many(values) == len(encoded) \
+        == sum(map(dtype.encoded_size, values))
+    decoded, offset = dtype.decode_many(b"\xff" + encoded + b"\xff", 1,
+                                        len(values))
+    assert offset == 1 + len(encoded)
+    # what one-value ``decode`` returns: a bool stored as INT32 is an int
+    assert decoded == [dtype.decode(dtype.encode(v))[0] for v in values]
+    assert list(map(type, decoded)) \
+        == [type(dtype.decode(dtype.encode(v))[0]) for v in values]
+    for codec in (NoneCodec(), LzLiteCodec()):
+        assert codec.decode(codec.encode(values, dtype), dtype) == decoded
+
+
+@pytest.mark.parametrize("dtype", list(DataType), ids=lambda t: t.value)
+@settings(max_examples=100)
+@given(data=st.data())
+def test_encode_many_fails_as_the_encode_loop_fails(dtype, data):
+    # unvalidated input: a NULL, a str in a numeric column, an int out
+    # of range -- same bytes or same exception, class and message
+    values = data.draw(st.lists(
+        st.one_of(COLUMN_VALUES[dtype], OFFERED), max_size=8))
+    assert outcome(lambda: dtype.encode_many(values)) \
+        == outcome(lambda: b"".join(map(dtype.encode, values)))
+
+
+@st.composite
+def schemas_with_batches(draw, valid=False):
+    dtypes = draw(st.lists(st.sampled_from(list(DataType)),
+                           min_size=1, max_size=5))
+    schema = TableSchema("t", [
+        Column(f"c{i}", t, nullable=draw(st.booleans()))
+        for i, t in enumerate(dtypes)])
+    # most batches are wholly valid (the column-at-a-time path); the
+    # rest mix in what a column may be offered, and rows of wrong arity
+    stray = (OFFERED if not valid and draw(st.integers(0, 2)) == 0
+             else st.nothing())
+    row = st.tuples(*(st.one_of(COLUMN_VALUES[t], stray) for t in dtypes))
+    if not valid and draw(st.integers(0, 5)) == 0:
+        row = st.one_of(row, row.map(lambda r: r[:-1]),
+                        row.map(lambda r: r + (1,)))
+    return schema, draw(st.lists(row, max_size=12))
+
+
+@settings(max_examples=300)
+@given(schemas_with_batches())
+def test_validate_rows_is_the_validate_row_loop(case):
+    schema, rows = case
+
+    def row_by_row():
+        for row in rows:
+            schema.validate_row(row)
+
+    # stretches of three rows, so a batch spans several
+    with mock.patch.object(schema_module, "_BATCH_ROWS", 3):
+        assert outcome(lambda: schema.validate_rows(rows)) \
+            == outcome(row_by_row)
+
+
+@settings(max_examples=100)
+@given(schemas_with_batches(valid=True), st.integers(1, 5),
+       st.integers(0, 12))
+def test_bulk_load_stores_what_row_at_a_time_load_stores(case, segment_rows,
+                                                         split):
+    schema, rows = case
+
+    def load(bulk):
+        columnar = ColumnFile(schema, segment_rows=segment_rows)
+        heap = HeapFile(schema)
+        for many, one in ((columnar.append_many, columnar.append),
+                          (heap.insert_many, heap.insert)):
+            for batch in (rows[:split], rows[split:]):
+                if bulk:
+                    many(batch)
+                else:
+                    for row in batch:
+                        one(row)
+        columnar.seal()
+        segments = {
+            name: [(seg.row_count, seg.data) for seg in segment_list]
+            for name, segment_list in columnar._segments.items()}
+        return (segments, columnar._plain_bytes, columnar.row_count,
+                [page.to_bytes() for page in heap.pages], heap.row_count)
+
+    assert load(bulk=True) == load(bulk=False)

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.errors import BufferPoolError, StorageError
+from repro.errors import (
+    BufferPoolError,
+    CompressionError,
+    SchemaError,
+    StorageError,
+)
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import DataType
 from repro.storage.buffer import BufferPool, ReplacementPolicy
@@ -77,6 +82,47 @@ class TestColumnFile:
         cf = ColumnFile(orders_schema(), segment_rows=128)
         cf.append_many(sample_rows())
         assert cf.size_bytes(["okey"]) < cf.size_bytes()
+
+    def test_failed_seal_rejects_the_batch_whole(self):
+        # ``total`` is delta-coded and nullable: a NULL passes validation
+        # and cannot be encoded.  The seal used to keep ``okey``'s segment,
+        # drop the rows and still count them; ``scan`` then died with
+        # IndexError on the shorter column.
+        schema = TableSchema("t", [Column("okey", DataType.INT64),
+                                   Column("total", DataType.INT64)])
+        cf = ColumnFile(schema, codecs={"total": "delta"}, segment_rows=4)
+        good = [(i, 10 * i) for i in range(6)]
+        cf.append_many(good)
+        with pytest.raises(CompressionError):
+            cf.append_many([(6, 60), (7, None), (8, 80)])
+        assert cf.row_count == 4
+        assert cf._pending == []
+        assert {name: len(segments)
+                for name, segments in cf._segments.items()} \
+            == {"okey": 1, "total": 1}
+        assert list(cf.scan()) == good[:4]
+        assert cf.column_plain_bytes("okey") == 4 * 8
+        cf.append_many(good[4:])
+        assert list(cf.scan()) == good
+
+    def test_rejected_batch_appends_nothing(self):
+        cf = ColumnFile(orders_schema(), segment_rows=4)
+        rows = sample_rows(10)
+        with pytest.raises(SchemaError, match="NOT NULL"):
+            cf.append_many(rows + [(10, None, 1.0)])
+        assert cf.row_count == 0
+        cf.append_many(rows)
+        assert list(cf.scan()) == rows
+
+    def test_append_many_tops_up_a_partial_segment(self):
+        cf = ColumnFile(orders_schema(), segment_rows=4)
+        rows = sample_rows(11)
+        cf.append(rows[0])
+        cf.append_many(rows[1:10])
+        cf.append(rows[10])
+        assert [seg.row_count for seg in cf._segment_list("okey")] == [4, 4]
+        assert cf.row_count == 11
+        assert list(cf.scan()) == rows
 
     def test_row_count(self):
         cf = ColumnFile(orders_schema())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import PageError, StorageError
+from repro.errors import PageError, SchemaError, StorageError
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import DataType
 from repro.storage.heap import HeapFile
@@ -141,6 +141,15 @@ class TestHeapFile:
         rows = [(i, f"p{i}", float(i)) for i in range(100)]
         heap.insert_many(rows)
         assert list(heap.scan()) == rows
+
+    def test_insert_many_rejects_a_batch_whole(self):
+        heap = HeapFile(people_schema())
+        rows = [(i, f"p{i}", float(i)) for i in range(10)]
+        with pytest.raises(SchemaError, match="not valid for float64"):
+            heap.insert_many(rows + [(10, "p10", "ten")])
+        assert heap.row_count == 0 and heap.page_count == 0
+        heap.insert_many(rows + [(10, None, None)])  # NULLs: row by row
+        assert heap.row_count == 11
 
     def test_nulls_round_trip(self):
         heap = HeapFile(people_schema())

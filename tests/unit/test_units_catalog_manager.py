@@ -1,6 +1,6 @@
 """Unit tests for units helpers, the catalog, and the storage manager."""
 
-from datetime import date
+from datetime import date, datetime
 
 import pytest
 
@@ -132,6 +132,33 @@ class TestSchemaExtras:
         schema = TableSchema("t", [Column("a", DataType.INT32)])
         with pytest.raises(SchemaError):
             schema.validate_row((2**40,))
+
+    @pytest.mark.parametrize("dtype, value, message", [
+        (DataType.INT64, 2**63, "out of int64 range"),
+        (DataType.INT64, -2**63 - 1, "out of int64 range"),
+        (DataType.DATE, datetime(1998, 9, 2, 12, 30), "not valid for date"),
+    ])
+    def test_values_that_cannot_be_encoded_fail_validation(
+            self, dtype, value, message):
+        # both used to pass validation and die inside ``struct.pack`` /
+        # ``datetime - date`` when the row was encoded or the segment sealed
+        schema = TableSchema("t", [Column("a", dtype)])
+        with pytest.raises(SchemaError, match=message):
+            schema.validate_row((value,))
+        with pytest.raises(SchemaError, match=message):
+            schema.validate_rows([(value,)])
+        with pytest.raises(SchemaError, match=message):
+            schema.encode_row((value,))
+
+    def test_bools_are_ints_and_ints_are_floats(self):
+        schema = TableSchema("t", [Column("i", DataType.INT32),
+                                   Column("q", DataType.INT64),
+                                   Column("f", DataType.FLOAT64)])
+        rows = [(True, False, 3), (-2**31, 2**63 - 1, True)]
+        schema.validate_rows(rows)
+        decoded = [schema.decode_row(schema.encode_row(row)) for row in rows]
+        assert decoded == [(1, 0, 3.0), (-2**31, 2**63 - 1, 1.0)]
+        assert type(decoded[0][2]) is float
 
     def test_date_round_trip_via_types(self):
         encoded = DataType.DATE.encode(date(1998, 9, 2))
