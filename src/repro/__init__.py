@@ -36,7 +36,7 @@ from repro.workloads.pipelines import (BatchTenant, DatasetCatalog,
                                        EtlSweepResult, PipelineSpec, Stage,
                                        run_pipeline)
 
-__version__ = "2.0.0"
+__version__ = "2.1.0"
 
 __all__ = [
     "BatchTenant",

@@ -12,14 +12,14 @@ burn-rate analysis, exporters, and the HTML timeline console live in
 ``python -m repro.flightrec`` is the operator CLI.
 
 Recording is off by default and costs one module-global read per
-engine hook when off (:mod:`repro.flightrec.context` — the telemetry
-switch pattern); reports are byte-identical with or without a
-recorder installed.
+engine hook when off (:mod:`repro.observe`, the switch it shares with
+telemetry); reports are byte-identical with or without a recorder
+installed.
 """
 
-from repro.flightrec.context import current_recorder
 from repro.flightrec.events import FleetEvent, FlightRecording
 from repro.flightrec.recorder import FlightRecorder, record
+from repro.observe import current_recorder
 
 __all__ = [
     "FleetEvent",

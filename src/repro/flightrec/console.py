@@ -22,7 +22,6 @@ observatory dashboard's conventions, including its validated palette):
 
 from __future__ import annotations
 
-import html
 from typing import Any, Optional
 
 from repro.flightrec.events import (BOOT, CRASH, DISK_FAIL, DISK_RECOVER,
@@ -31,7 +30,7 @@ from repro.flightrec.events import (BOOT, CRASH, DISK_FAIL, DISK_RECOVER,
                                     FlightRecording)
 from repro.flightrec.rollup import _execution_spans, _on_spans, node_rollup
 from repro.flightrec.slo import SLOMonitor
-from repro.observatory.dashboard import SERIES_DARK, SERIES_LIGHT
+from repro.observatory.dashboard import STYLESHEET, _esc
 
 # lane raster state codes, ascending paint priority
 _OFF, _ON, _BOOT, _BUSY, _DOWNCLOCK, _DEGRADED, _CRASHED = range(7)
@@ -49,64 +48,9 @@ _STATE_LABEL = (
     (_BOOT, "boot window"), (_ON, "on, idle"),
 )
 
-_CSS = """
-:root {
-  color-scheme: light dark;
-  --surface-1: #fcfcfb; --surface-2: #f4f3f1;
-  --text-primary: #0b0b0b; --text-secondary: #52514e;
-  --grid: #e4e2de; --accent: #2a78d6;
-  --ok: #008300; --bad: #e34948; --warn: #eda100;
-%SERIES_LIGHT%
-}
-@media (prefers-color-scheme: dark) {
-  :root {
-    --surface-1: #1a1a19; --surface-2: #242422;
-    --text-primary: #ffffff; --text-secondary: #c3c2b7;
-    --grid: #383835; --accent: #3987e5;
-    --ok: #00a300; --bad: #e66767; --warn: #c98500;
-%SERIES_DARK%
-  }
-}
-* { box-sizing: border-box; }
-body {
-  margin: 0; padding: 24px; background: var(--surface-1);
-  color: var(--text-primary);
-  font: 14px/1.45 system-ui, -apple-system, "Segoe UI", sans-serif;
-}
-h1 { font-size: 20px; margin: 0 0 4px; }
-h2 { font-size: 16px; margin: 28px 0 8px; }
-.sub { color: var(--text-secondary); margin-bottom: 20px; }
-.tiles { display: flex; flex-wrap: wrap; gap: 12px; margin: 16px 0; }
-.tile {
-  background: var(--surface-2); border-radius: 8px;
-  padding: 12px 16px; min-width: 130px;
-}
-.tile .v { font-size: 22px; font-weight: 650; }
-.tile .k { font-size: 12px; color: var(--text-secondary); }
-table { border-collapse: collapse; margin-top: 8px; }
-th, td {
-  text-align: left; padding: 4px 12px 4px 0; font-size: 13px;
-  border-bottom: 1px solid var(--grid);
-}
-th { color: var(--text-secondary); font-weight: 600; }
-td.num { font-variant-numeric: tabular-nums; }
-.legend { display: flex; gap: 16px; flex-wrap: wrap;
-          font-size: 12px; color: var(--text-secondary);
-          margin: 4px 0 8px; }
-.legend .swatch { display: inline-block; width: 10px; height: 10px;
-                  border-radius: 3px; margin-right: 5px;
-                  vertical-align: -1px; }
-svg text { fill: var(--text-secondary); font-size: 10px;
-           font-family: inherit; }
-"""
-
 _LANE_H = 14
 _LANE_GAP = 4
 _LABEL_W = 90
-
-
-def _esc(text: Any) -> str:
-    return html.escape(str(text), quote=True)
 
 
 def _fmt(value: Optional[float], digits: int = 2) -> str:
@@ -370,10 +314,6 @@ def render_timeline(recording: FlightRecording,
     rollup = node_rollup(recording)
     title = title or (f"flight recording — {meta['policy']} "
                       f"({meta['engine']})")
-    css = _CSS.replace("%SERIES_LIGHT%", "\n".join(
-        f"  --s{i + 1}: {c};" for i, c in enumerate(SERIES_LIGHT)))
-    css = css.replace("%SERIES_DARK%", "\n".join(
-        f"    --s{i + 1}: {c};" for i, c in enumerate(SERIES_DARK)))
 
     states = {}
     for s in recording.queries["state"]:
@@ -396,7 +336,8 @@ def render_timeline(recording: FlightRecording,
 
     doc = [
         "<!doctype html><html><head><meta charset='utf-8'>",
-        f"<title>{_esc(title)}</title><style>{css}</style></head><body>",
+        f"<title>{_esc(title)}</title><style>{STYLESHEET}</style>"
+        "</head><body>",
         f"<h1>{_esc(title)}</h1>",
         f'<p class="sub">{recording.n_nodes} node(s), '
         f'{len(meta["tenants"])} tenant(s), '

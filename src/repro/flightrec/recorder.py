@@ -27,11 +27,11 @@ from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.flightrec.context import install_recorder, uninstall_recorder
 from repro.flightrec.events import (BATCH_FLUSH, DONE, DVFS_SHIFT, LOST,
                                     LOST_STATE, REJECT, REJECTED, RETRY,
                                     SHED, SHED_STATE, SLA_BREACH,
                                     FleetEvent, FlightRecording)
+from repro.observe import installed
 
 
 class FlightRecorder:
@@ -119,6 +119,11 @@ class FlightRecorder:
         """Whether a completed run is ready to :meth:`finalize` (false
         when the recorded code never entered a serving engine)."""
         return self._meta is not None and self._ended
+
+    def harvest(self) -> Optional[dict]:
+        """The finalized recording as the runner's payload dict;
+        ``None`` when the point never entered a serving engine."""
+        return self.finalize().to_dict() if self.has_run else None
 
     # -- the derivation pass -------------------------------------------
 
@@ -353,16 +358,12 @@ def record(detail: bool = False) -> Iterator[FlightRecorder]:
     """Install a :class:`FlightRecorder` for the enclosed run.
 
     >>> from repro.flightrec import record
-    >>> from repro.flightrec.context import current_recorder
+    >>> from repro.observe import current_recorder
     >>> with record() as rec:
     ...     current_recorder() is rec
     True
     >>> current_recorder() is None
     True
     """
-    recorder = FlightRecorder(detail=detail)
-    install_recorder(recorder)
-    try:
+    with installed("flightrec", FlightRecorder(detail=detail)) as recorder:
         yield recorder
-    finally:
-        uninstall_recorder(recorder)

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.errors import HardwareError
 from repro.hardware.device import Device
-from repro.telemetry.context import current_collector
+from repro.observe import current_collector
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.psu import BurdenModel

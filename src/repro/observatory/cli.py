@@ -28,7 +28,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.report import format_table
 from repro.cli import run_guarded
@@ -39,6 +39,7 @@ DEFAULT_SUITE = "core"
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.runner.cli import add_exec_options
     parser = argparse.ArgumentParser(
         prog="python -m repro.observatory",
         description="Record benchmark history, detect regressions, "
@@ -53,22 +54,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     record = sub.add_parser(
         "record", help="run an experiment and append it to the ledger")
-    record.add_argument("experiment", help="registered experiment name")
+    add_exec_options(record,
+                     json_help="print the appended records as JSON")
     add_history(record)
     record.add_argument("--suite", default=DEFAULT_SUITE,
                         help=f"ledger suite (default {DEFAULT_SUITE!r})")
     record.add_argument("--benchmark", default=None,
                         help="series name (default: the experiment)")
-    record.add_argument("--workers", type=int, default=1)
-    record.add_argument("--seed", type=int, default=None)
     record.add_argument("--no-trace", action="store_true",
                         help="skip telemetry capture (no counters or "
                              "power timelines in the record)")
-    record.add_argument("--cache", default=None, metavar="DIR")
-    record.add_argument("--no-cache", action="store_true")
-    record.add_argument("--json", action="store_true", dest="as_json",
-                        help="print the appended records as JSON")
-    record.add_argument("--quiet", action="store_true")
 
     for name, help_text in (
             ("compare", "diff newest records against their baselines"),
@@ -103,21 +98,11 @@ def _history_root(args: argparse.Namespace) -> str:
 def _cmd_record(args: argparse.Namespace,
                 extras: Sequence[str]) -> int:
     from repro.runner import Runner
-    from repro.runner.cli import parse_knob_args
+    from repro.runner.cli import spec_and_cache
     from repro.runner.events import EventPrinter
-    from repro.runner.registry import get_experiment
-    from repro.runner.spec import ExperimentSpec
     from repro.observatory.recorder import Recorder
 
-    knobs = parse_knob_args(extras)
-    defn = get_experiment(args.experiment)
-    spec_kwargs: dict[str, Any] = {"knobs": knobs,
-                                   "profile": defn.profile}
-    if args.seed is not None:
-        spec_kwargs["seed"] = args.seed
-    spec = ExperimentSpec(args.experiment, **spec_kwargs)
-    cache: Any = (False if args.no_cache
-                  else args.cache if args.cache is not None else True)
+    spec, cache = spec_and_cache(args, extras)
     on_event = None if args.quiet else EventPrinter()
     result = Runner(workers=args.workers, cache=cache,
                     on_event=on_event,

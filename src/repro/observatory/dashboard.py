@@ -102,6 +102,15 @@ svg text { fill: var(--text-secondary); font-size: 10px;
            font-family: inherit; }
 """
 
+#: the rendered stylesheet (palette substituted).  Public, like the
+#: palette: the flight-recorder console's rules are a subset of these,
+#: so it inlines this sheet (and borrows ``_esc``) rather than restate it
+STYLESHEET = (
+    _CSS.replace("%SERIES_LIGHT%", "\n".join(
+        f"  --s{i + 1}: {c};" for i, c in enumerate(SERIES_LIGHT)))
+    .replace("%SERIES_DARK%", "\n".join(
+        f"    --s{i + 1}: {c};" for i, c in enumerate(SERIES_DARK))))
+
 
 def _esc(text: Any) -> str:
     return html.escape(str(text), quote=True)
@@ -342,13 +351,6 @@ def render_dashboard(store: HistoryStore,
                 latest_at = record.recorded_at
                 latest_sha = record.git_sha
 
-    series_css_light = "\n".join(
-        f"  --s{i+1}: {c};" for i, c in enumerate(SERIES_LIGHT))
-    series_css_dark = "\n".join(
-        f"    --s{i+1}: {c};" for i, c in enumerate(SERIES_DARK))
-    css = (_CSS.replace("%SERIES_LIGHT%", series_css_light)
-               .replace("%SERIES_DARK%", series_css_dark))
-
     body = [f"<h1>{_esc(title)}</h1>",
             '<div class="sub">Longitudinal benchmark history — '
             'simulated seconds, Joules, and efficiency per suite, '
@@ -406,6 +408,6 @@ def render_dashboard(store: HistoryStore,
             "<meta name=\"viewport\" "
             "content=\"width=device-width, initial-scale=1\">\n"
             f"<title>{_esc(title)}</title>\n"
-            f"<style>{css}</style>\n</head>\n<body>\n"
+            f"<style>{STYLESHEET}</style>\n</head>\n<body>\n"
             + "\n".join(body)
             + "\n</body>\n</html>\n")

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.errors import ExecutionError
+from repro.observe import current_collector
 from repro.relational.operators.base import (
     CostCollector,
     CostParameters,
@@ -29,7 +30,6 @@ from repro.relational.operators.base import (
 )
 from repro.sim.events import Event
 from repro.sim.resources import Resource
-from repro.telemetry.context import current_collector
 from repro.units import MIB
 
 if TYPE_CHECKING:  # pragma: no cover

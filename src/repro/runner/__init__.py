@@ -25,8 +25,8 @@ from repro.runner.cache import (
 from repro.runner.events import (
     EventPrinter,
     PointFinished,
+    PointObserved,
     PointStarted,
-    PointTraced,
     RunFinished,
     RunStarted,
 )
@@ -59,9 +59,9 @@ __all__ = [
     "ExperimentSpec",
     "PointExecutionError",
     "PointFinished",
+    "PointObserved",
     "PointResult",
     "PointStarted",
-    "PointTraced",
     "Report",
     "ResultCache",
     "RunFinished",

@@ -31,27 +31,22 @@ def _package_version() -> str:
 
 
 def point_key(experiment: str, knobs: Mapping[str, Any], seed: int,
-              version: str | None = None, trace: bool = False,
-              record: bool = False) -> str:
+              version: str | None = None,
+              observe: tuple[str, ...] = ()) -> str:
     """The cache identity of one sweep point.
 
-    Traced points live under distinct keys (their payloads carry the
-    telemetry trace), and likewise recorded points (their payloads
-    carry the flight recording); ``trace=False, record=False`` keys
-    are unchanged from before either existed, so existing caches stay
-    valid.
+    Observed points live under distinct keys, one per set of observer
+    kinds (their payloads carry the observations); the unobserved key
+    is unchanged from before observers existed, so existing caches
+    stay valid.
     """
-    identity: dict[str, Any] = {
+    return stable_hash({
         "version": version if version is not None else _package_version(),
         "experiment": experiment,
         "knobs": {name: value for name, value in sorted(knobs.items())},
         "seed": seed,
-    }
-    if trace:
-        identity["trace"] = True
-    if record:
-        identity["record"] = True
-    return stable_hash(identity)
+        **dict.fromkeys(observe, True),
+    })
 
 
 @dataclass(frozen=True)

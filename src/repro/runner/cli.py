@@ -78,28 +78,35 @@ def parse_knob_args(extras: Sequence[str]) -> dict[str, Any]:
     return knobs
 
 
+def add_exec_options(
+        cmd: argparse.ArgumentParser,
+        json_help: str = "print the full RunResult as JSON on stdout"
+) -> None:
+    """The options every verb that executes a spec shares (this CLI's
+    ``run`` / ``trace``, ``python -m repro.observatory record``);
+    :func:`spec_and_cache` reads them back."""
+    cmd.add_argument("experiment", help="registered experiment name")
+    cmd.add_argument("--workers", type=int, default=1,
+                     help="process-pool size (default 1 = serial)")
+    cmd.add_argument("--seed", type=int, default=None,
+                     help="base seed for every point (default 2009)")
+    cmd.add_argument("--cache", default=None, metavar="DIR",
+                     help="cache directory (default "
+                          f"{DEFAULT_CACHE_DIR} or $REPRO_CACHE_DIR)")
+    cmd.add_argument("--no-cache", action="store_true",
+                     help="recompute every point, touch no cache")
+    cmd.add_argument("--json", action="store_true", dest="as_json",
+                     help=json_help)
+    cmd.add_argument("--quiet", action="store_true",
+                     help="suppress per-point progress on stderr")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.runner",
         description="Run the paper's experiments as cached, "
                     "parallel knob sweeps.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_exec_options(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument("experiment", help="registered experiment name")
-        cmd.add_argument("--workers", type=int, default=1,
-                         help="process-pool size (default 1 = serial)")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="base seed for every point (default 2009)")
-        cmd.add_argument("--cache", default=None, metavar="DIR",
-                         help="cache directory (default "
-                              f"{DEFAULT_CACHE_DIR} or $REPRO_CACHE_DIR)")
-        cmd.add_argument("--no-cache", action="store_true",
-                         help="recompute every point, touch no cache")
-        cmd.add_argument("--json", action="store_true", dest="as_json",
-                         help="print the full RunResult as JSON on stdout")
-        cmd.add_argument("--quiet", action="store_true",
-                         help="suppress per-point progress on stderr")
 
     run = sub.add_parser("run", help="execute one experiment spec")
     add_exec_options(run)
@@ -168,8 +175,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _spec_and_cache(args: argparse.Namespace, extras: Sequence[str]
-                    ) -> tuple[ExperimentSpec, Any]:
+def spec_and_cache(args: argparse.Namespace, extras: Sequence[str]
+                   ) -> tuple[ExperimentSpec, Any]:
+    """The spec and the ``Runner(cache=)`` value that parsed
+    :func:`add_exec_options` flags plus trailing knob flags ask for."""
     knobs = parse_knob_args(extras)
     defn = get_experiment(args.experiment)
     spec_kwargs: dict[str, Any] = {"knobs": knobs,
@@ -187,7 +196,7 @@ def _spec_and_cache(args: argparse.Namespace, extras: Sequence[str]
 
 
 def _cmd_run(args: argparse.Namespace, extras: Sequence[str]) -> int:
-    spec, cache = _spec_and_cache(args, extras)
+    spec, cache = spec_and_cache(args, extras)
     defn = get_experiment(args.experiment)
     on_event = None if args.quiet else EventPrinter()
     result = Runner(workers=args.workers, cache=cache,
@@ -216,7 +225,7 @@ def _cmd_trace(args: argparse.Namespace, extras: Sequence[str]) -> int:
         trace_to_csv,
     )
 
-    spec, cache = _spec_and_cache(args, extras)
+    spec, cache = spec_and_cache(args, extras)
     defn = get_experiment(args.experiment)
     sink = TelemetrySink(forward=None if args.quiet else EventPrinter())
     result = Runner(workers=args.workers, cache=cache,

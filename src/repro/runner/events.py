@@ -39,28 +39,19 @@ class PointFinished:
 
 
 @dataclass(frozen=True)
-class PointTraced:
-    """Follows ``PointFinished`` for every traced point (cache hits
-    included); ``trace`` is the decoded
-    :class:`~repro.telemetry.trace.TelemetryTrace`."""
+class PointObserved:
+    """Follows ``PointFinished`` once per observation an observed
+    point carries (cache hits included); ``kind`` names the observer
+    (see :mod:`repro.observe`) and ``observation`` is the decoded
+    :class:`~repro.telemetry.trace.TelemetryTrace` (``"telemetry"``) or
+    :class:`~repro.flightrec.events.FlightRecording`
+    (``"flightrec"``)."""
 
     index: int
     total_points: int
     knobs: Mapping[str, Any]
-    trace: Any
-    cache_hit: bool
-
-
-@dataclass(frozen=True)
-class PointRecorded:
-    """Follows ``PointFinished`` for every flight-recorded point
-    (cache hits included); ``recording`` is the decoded
-    :class:`~repro.flightrec.events.FlightRecording`."""
-
-    index: int
-    total_points: int
-    knobs: Mapping[str, Any]
-    recording: Any
+    kind: str
+    observation: Any
     cache_hit: bool
 
 
@@ -106,20 +97,19 @@ class EventPrinter:
                   f"  sim={event.sim_seconds:.3g}s"
                   f"  E={event.joules:.4g}J"
                   f"  host={event.host_seconds:.2f}s", file=out)
-        elif isinstance(event, PointTraced):
+        elif isinstance(event, PointObserved):
             if self.verbose:
-                totals = event.trace.device_totals()
-                brief = " ".join(f"{k}={v:.4g}J"
-                                 for k, v in sorted(totals.items()))
-                print(f"  [{event.index + 1}/{event.total_points}] trace"
-                      f"  {brief}", file=out)
-        elif isinstance(event, PointRecorded):
-            if self.verbose:
-                rec = event.recording
-                print(f"  [{event.index + 1}/{event.total_points}] rec"
-                      f"  {rec.n_nodes} node(s)"
-                      f"  {rec.n_queries} query(ies)"
-                      f"  {len(rec.events)} event(s)", file=out)
+                seen = event.observation
+                if event.kind == "telemetry":
+                    brief = "trace  " + " ".join(
+                        f"{k}={v:.4g}J" for k, v
+                        in sorted(seen.device_totals().items()))
+                else:
+                    brief = (f"rec  {seen.n_nodes} node(s)"
+                             f"  {seen.n_queries} query(ies)"
+                             f"  {len(seen.events)} event(s)")
+                print(f"  [{event.index + 1}/{event.total_points}] "
+                      f"{brief}", file=out)
         elif isinstance(event, RunFinished):
             print(f"run {event.experiment}: {event.total_points} point(s)"
                   f" in {event.host_seconds:.2f}s host time"

@@ -15,18 +15,17 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence, Union
 
+from repro import observe
 from repro.errors import ReproError
 from repro.records import RecordError
 from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache, point_key
-from repro.flightrec.events import FlightRecording
 from repro.runner.events import (
     EventSink,
     PointFinished,
-    PointRecorded,
+    PointObserved,
     PointStarted,
-    PointTraced,
     RunFinished,
     RunStarted,
 )
@@ -39,7 +38,10 @@ from repro.runner.worker import (
     execute_point,
     payload_matches,
 )
-from repro.telemetry.trace import TelemetryTrace
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.flightrec.events import FlightRecording
+    from repro.telemetry.trace import TelemetryTrace
 
 CacheLike = Union[ResultCache, str, os.PathLike, bool, None]
 
@@ -56,8 +58,19 @@ class PointResult:
     joules: float
     host_seconds: float = 0.0
     cache_hit: bool = False
-    telemetry: Optional[TelemetryTrace] = None
-    recording: Optional[FlightRecording] = None
+    #: observer kind (see :mod:`repro.observe`) -> decoded observation
+    observed: dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def telemetry(self) -> Optional["TelemetryTrace"]:
+        """The point's telemetry trace, if it ran traced."""
+        return self.observed.get("telemetry")
+
+    @property
+    def recording(self) -> Optional["FlightRecording"]:
+        """The point's flight recording, if it ran recorded (and
+        entered a serving engine)."""
+        return self.observed.get("flightrec")
 
     def to_dict(self) -> dict[str, Any]:
         """Deterministic content only — host timing and cache
@@ -67,7 +80,7 @@ class PointResult:
         points carry theirs."""
         # bulk: a type-tagged polymorphic report plus optional payload
         # keys, so this stays explicit (RunResult.from_dict inverts it)
-        out = {
+        return {
             "index": self.index,
             "knobs": {k: v for k, v in sorted(self.knobs.items())},
             "seed": self.seed,
@@ -75,12 +88,18 @@ class PointResult:
                        "data": self.report.to_dict()},
             "sim_seconds": self.sim_seconds,
             "joules": self.joules,
+            **{kind: seen.to_dict()
+               for kind, seen in self.observed.items()},
         }
-        if self.telemetry is not None:
-            out["telemetry"] = self.telemetry.to_dict()
-        if self.recording is not None:
-            out["flightrec"] = self.recording.to_dict()
-        return out
+
+
+def _decode_observed(payload: Mapping[str, Any]) -> dict[str, Any]:
+    """The observations a point payload carries, by kind: an entry is
+    decoded iff it is not ``None`` (a recorded point that never entered
+    a serving engine stores ``None``); a wrong-shaped one raises
+    :class:`~repro.records.RecordError`."""
+    return {kind: observe.decode(kind, payload[kind])
+            for kind in observe.KINDS if payload.get(kind) is not None}
 
 
 @dataclass
@@ -155,10 +174,7 @@ class RunResult:
                     index=p["index"], knobs=dict(p["knobs"]),
                     seed=p["seed"], report=decode_report(p["report"]),
                     sim_seconds=p["sim_seconds"], joules=p["joules"],
-                    telemetry=(TelemetryTrace.from_dict(p["telemetry"])
-                               if "telemetry" in p else None),
-                    recording=(FlightRecording.from_dict(p["flightrec"])
-                               if p.get("flightrec") else None))
+                    observed=_decode_observed(p))
                 for p in data["points"]
             ]
         except (KeyError, TypeError, AttributeError) as exc:
@@ -186,11 +202,10 @@ class Runner:
     or a path / :class:`ResultCache`; ``on_event`` receives the
     structured progress events from :mod:`repro.runner.events`;
     ``trace=True`` runs every point under a telemetry capture —
-    results gain ``PointResult.telemetry`` and each point emits a
-    :class:`~repro.runner.events.PointTraced` event.  ``record=True``
-    runs every point under a fleet flight recorder the same way —
-    results gain ``PointResult.recording`` and each recorded point
-    emits a :class:`~repro.runner.events.PointRecorded` event.
+    results gain ``PointResult.telemetry``; ``record=True`` runs every
+    point under a fleet flight recorder the same way — results gain
+    ``PointResult.recording``.  Each observation a point carries is
+    also emitted as a :class:`~repro.runner.events.PointObserved`.
     Tracing and recording are runtime options, not part of the spec:
     traced/recorded and plain runs of the same spec produce identical
     reports (and cache separately).
@@ -204,8 +219,10 @@ class Runner:
         self.workers = workers
         self.cache = _resolve_cache(cache)
         self.on_event = on_event
-        self.trace = trace
-        self.record = record
+        #: the observer kinds (see :mod:`repro.observe`) on every point
+        self.observe = tuple(
+            kind for kind, on in (("telemetry", trace),
+                                  ("flightrec", record)) if on)
 
     # -- internals ---------------------------------------------------
 
@@ -219,19 +236,12 @@ class Runner:
         for point in spec.points():
             task: PointTask = (spec.experiment, point,
                                spec.point_seed(point))
-            tasks.append((task, point_key(*task, trace=self.trace,
-                                          record=self.record)))
+            tasks.append((task, point_key(*task, observe=self.observe)))
         return tasks
 
     def _finish(self, spec: ExperimentSpec, index: int, total: int,
                 payload: Mapping[str, Any], cache_hit: bool,
                 host_seconds: float) -> PointResult:
-        raw_trace = payload.get("telemetry")
-        telemetry = (TelemetryTrace.from_dict(raw_trace)
-                     if raw_trace is not None else None)
-        raw_recording = payload.get("flightrec")
-        recording = (FlightRecording.from_dict(raw_recording)
-                     if raw_recording else None)
         result = PointResult(
             index=index, knobs=dict(payload["knobs"]),
             seed=payload["seed"],
@@ -239,19 +249,15 @@ class Runner:
             sim_seconds=payload["sim_seconds"],
             joules=payload["joules"],
             host_seconds=host_seconds, cache_hit=cache_hit,
-            telemetry=telemetry, recording=recording)
+            observed=_decode_observed(payload))
         self._emit(PointFinished(
             index=index, total_points=total, knobs=result.knobs,
             sim_seconds=result.sim_seconds, joules=result.joules,
             host_seconds=host_seconds, cache_hit=cache_hit))
-        if telemetry is not None:
-            self._emit(PointTraced(
+        for kind, seen in result.observed.items():
+            self._emit(PointObserved(
                 index=index, total_points=total, knobs=result.knobs,
-                trace=telemetry, cache_hit=cache_hit))
-        if recording is not None:
-            self._emit(PointRecorded(
-                index=index, total_points=total, knobs=result.knobs,
-                recording=recording, cache_hit=cache_hit))
+                kind=kind, observation=seen, cache_hit=cache_hit))
         return result
 
     # -- the entry point ---------------------------------------------
@@ -271,7 +277,7 @@ class Runner:
         for index, (task, key) in enumerate(tasks):
             payload = self.cache.get(key) if self.cache else None
             if payload is not None and payload_matches(
-                    payload, task, trace=self.trace, record=self.record):
+                    payload, task, self.observe):
                 try:
                     results[index] = self._finish(
                         spec, index, total, payload, cache_hit=True,
@@ -303,8 +309,7 @@ class Runner:
         for index, task, key in pending:
             self._emit(PointStarted(index=index, total_points=total,
                                     knobs=task[1]))
-            payload = execute_point(task, trace=self.trace,
-                                    record=self.record)
+            payload = execute_point(task, self.observe)
             if self.cache:
                 self.cache.put(key, payload)
             results[index] = self._finish(
@@ -315,7 +320,7 @@ class Runner:
                   pending: Sequence[tuple[int, PointTask, str]],
                   total: int, results: dict[int, PointResult]) -> None:
         keys = {index: key for index, _, key in pending}
-        items = [(index, task, self.trace, self.record)
+        items = [(index, task, self.observe)
                  for index, task, _ in pending]
         workers = min(self.workers, len(items))
         for index, task, _ in pending:

@@ -10,9 +10,11 @@ never re-derived in the parent).
 from __future__ import annotations
 
 import time
+from contextlib import ExitStack
 from typing import Any, Mapping
 
 from repro.errors import ReproError
+from repro.observe import start
 from repro.runner.registry import get_experiment
 from repro.runner.reports import encode_report, report_metrics
 
@@ -30,49 +32,29 @@ class PointExecutionError(ReproError):
     """
 
 
-def execute_point(task: PointTask, trace: bool = False,
-                  record: bool = False) -> dict[str, Any]:
+def execute_point(task: PointTask,
+                  observe: tuple[str, ...] = ()) -> dict[str, Any]:
     """Run one point and return its cacheable payload.
 
-    With ``trace=True`` the point simulates under a telemetry capture
-    and the payload carries the serialized
-    :class:`~repro.telemetry.trace.TelemetryTrace` under
-    ``"telemetry"`` — a JSON-safe dict, so traces ride the process
-    pool and the result cache like any other payload field.  With
-    ``record=True`` the point simulates under a flight recorder and
-    the payload carries the serialized
-    :class:`~repro.flightrec.events.FlightRecording` under
-    ``"flightrec"`` the same way.
+    Each observer kind in ``observe`` (see :mod:`repro.observe`) watches
+    the point, and the payload carries what it harvested under its
+    kind — ``"telemetry"``: a serialized
+    :class:`~repro.telemetry.trace.TelemetryTrace`; ``"flightrec"``: a
+    serialized :class:`~repro.flightrec.events.FlightRecording`, or
+    ``None`` for a point that never entered a serving engine.  Both
+    are JSON-safe dicts, so observations ride the process pool and the
+    result cache like any other payload field.
     """
     experiment, knobs, seed = task
     defn = get_experiment(experiment)
     started = time.perf_counter()
-    telemetry = None
-    flightrec = None
     try:
-        if trace or record:
-            import contextlib
-            with contextlib.ExitStack() as stack:
-                collector = None
-                recorder = None
-                if trace:
-                    # lazy imports: plain workers never touch the
-                    # telemetry or flightrec machinery
-                    from repro.telemetry import capture
-                    collector = stack.enter_context(capture())
-                if record:
-                    from repro.flightrec import record as start_recording
-                    recorder = stack.enter_context(start_recording())
-                report = defn.call_point(knobs, seed)
-            if collector is not None:
-                telemetry = collector.finalize().to_dict()
-            if recorder is not None:
-                # a point that never enters a serving engine records
-                # nothing; the payload still marks the recorded run
-                flightrec = (recorder.finalize().to_dict()
-                             if recorder.has_run else None)
-        else:
+        with ExitStack() as stack:
+            observers = {kind: stack.enter_context(start(kind))
+                         for kind in observe}
             report = defn.call_point(knobs, seed)
+        observed = {kind: observer.harvest()
+                    for kind, observer in observers.items()}
     except ReproError:
         raise
     except Exception as exc:
@@ -82,7 +64,7 @@ def execute_point(task: PointTask, trace: bool = False,
             f"(seed {seed}): {type(exc).__name__}: {exc}") from exc
     host_seconds = time.perf_counter() - started
     sim_seconds, joules = report_metrics(report)
-    payload = {
+    return {
         "experiment": experiment,
         "knobs": dict(knobs),
         "seed": seed,
@@ -90,32 +72,26 @@ def execute_point(task: PointTask, trace: bool = False,
         "sim_seconds": sim_seconds,
         "joules": joules,
         "host_seconds": host_seconds,
+        **observed,
     }
-    if telemetry is not None:
-        payload["telemetry"] = telemetry
-    if record:
-        payload["flightrec"] = flightrec
-    return payload
 
 
-def execute_indexed(item: tuple[int, PointTask, bool, bool]
+def execute_indexed(item: tuple[int, PointTask, tuple[str, ...]]
                     ) -> tuple[int, dict[str, Any]]:
     """Pool adapter: keep the point's grid index with its payload so
     out-of-order completion can be reassembled deterministically."""
-    index, task, trace, record = item
-    return index, execute_point(task, trace=trace, record=record)
+    index, task, observe = item
+    return index, execute_point(task, observe)
 
 
 def payload_matches(payload: Mapping[str, Any], task: PointTask,
-                    trace: bool = False, record: bool = False) -> bool:
+                    observe: tuple[str, ...] = ()) -> bool:
     """Paranoia check for cache payloads: same point, same seed —
-    and, for traced runs, a stored trace (likewise a stored flight
-    recording for recorded runs)."""
+    and an entry for every observer kind the run asks for."""
     experiment, knobs, seed = task
     return (isinstance(payload, Mapping)
             and payload.get("experiment") == experiment
             and payload.get("seed") == seed
             and payload.get("knobs") == knobs
-            and {"report", "sim_seconds", "joules"} <= payload.keys()
-            and (not trace or "telemetry" in payload)
-            and (not record or "flightrec" in payload))
+            and {"report", "sim_seconds", "joules", *observe}
+            <= payload.keys())

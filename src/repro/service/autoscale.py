@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.observe import current_recorder
 from repro.service.node import FleetNode, NodePowerModel
 from repro.service.report import ServiceError
 
@@ -118,7 +119,6 @@ class Autoscaler:
         want = min(total_capacity, self.desired_capacity())
         on_capacity = sum(nodes[i].model.speed_factor for i in on_ids)
 
-        from repro.flightrec.context import current_recorder
         rec = current_recorder()
         log = (None if rec is None else
                {"booted": [], "drained": [], "rejected": []})
@@ -203,7 +203,6 @@ class Autoscaler:
         spares = sorted(
             (i for i in range(len(nodes)) if not nodes[i].on),
             key=lambda i: (self._work_cost(nodes[i].model, target), i))
-        from repro.flightrec.context import current_recorder
         rec = current_recorder()
         rejected: list[list] = []
         booted: list[int] = []

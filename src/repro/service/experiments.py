@@ -44,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Mapping, Optional, Sequence
 
+from repro.observe import current_collector, current_recorder
 from repro.records import Record
 from repro.service.autoscale import Autoscaler
 from repro.service.dispatch import (DispatchPolicy, make_policy,
@@ -337,8 +338,6 @@ def mega_calibration_point(policy: str = "power_aware",
     """
     from time import perf_counter
 
-    from repro.flightrec.context import current_recorder
-    from repro.telemetry import current_collector
     if current_collector() is not None or current_recorder() is not None:
         raise ServiceError(
             "the engine calibration races engine='event' against "

@@ -55,6 +55,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from repro.observe import current_collector, current_recorder
 from repro.service.autoscale import Autoscaler
 from repro.service.dispatch import (DispatchContext, DispatchPolicy,
                                     dispatch_candidates, make_policy)
@@ -308,8 +309,6 @@ def _prepare(stream: ArrivalStream, fleet: Optional[FleetSpec], policy,
     elif autoscaler is None:
         autoscaler = Autoscaler(fleet.classes[0].model)
 
-    from repro.flightrec.context import current_recorder
-    from repro.telemetry import current_collector
     collector = current_collector()
     rec = current_recorder()
     engine, engine_reason = _choose_engine(engine, policy, rec, stream,

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from repro.observe import suspended
 from repro.records import Record
 from repro.service.report import NodeStats, ServiceError
 
@@ -104,8 +105,6 @@ class NodePowerModel(Record):
         """
         from repro.hardware import profiles
         from repro.sim import Simulation
-        from repro.telemetry.context import current_collector, install, \
-            uninstall
 
         try:
             factory = getattr(profiles, profile)
@@ -114,14 +113,8 @@ class NodePowerModel(Record):
                 f"unknown hardware profile {profile!r}") from None
         # the throwaway calibration server must not register with an
         # active telemetry capture — it never simulates anything
-        collector = current_collector()
-        if collector is not None:
-            uninstall(collector)
-        try:
+        with suspended("telemetry"):
             server, _array = factory(Simulation(), **profile_kwargs)
-        finally:
-            if collector is not None:
-                install(collector)
         idle = server.idle_power_watts()
         peak = server.peak_power_watts()
         return cls(

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.flightrec.context import current_recorder
+from repro.observe import current_recorder
 from repro.service.dispatch import (DispatchContext, DispatchPolicy,
                                     make_policy, register_policy)
 from repro.service.node import FleetNode

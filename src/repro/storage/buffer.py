@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Hashable, Optional
 
 from repro.errors import BufferPoolError
-from repro.telemetry.context import current_collector
+from repro.observe import current_collector
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulation

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Generator, Optional, Union
 
 from repro.errors import StorageError
 from repro.hardware.power import Transition, breakeven_idle_seconds
-from repro.telemetry.context import current_collector
+from repro.observe import current_collector
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.disk import HardDisk

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Union
 
 from repro.errors import WalError
+from repro.observe import current_collector
 from repro.sim.events import Event
-from repro.telemetry.context import current_collector
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.disk import HardDisk

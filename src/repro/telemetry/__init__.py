@@ -25,12 +25,12 @@ hook is one global read, keeping the untraced engine at full speed
 (guarded by ``benchmarks/test_telemetry_overhead.py``).
 """
 
+from repro.observe import current_collector
 from repro.telemetry.collector import (
     DEFAULT_TIMELINE_SAMPLES,
     TelemetryCollector,
     capture,
 )
-from repro.telemetry.context import current_collector
 from repro.telemetry.export import (
     counter_rows,
     device_rows,

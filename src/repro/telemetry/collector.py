@@ -22,7 +22,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.telemetry.context import current_collector, install, uninstall
+from repro.observe import current_collector, installed
 from repro.telemetry.spans import EnergySpan, SpanStack
 from repro.telemetry.trace import DeviceTimeline, SpanNode, TelemetryTrace
 
@@ -116,6 +116,10 @@ class TelemetryCollector:
 
     # -- finalize ----------------------------------------------------
 
+    def harvest(self) -> dict:
+        """The finalized trace as the runner's payload dict."""
+        return self.finalize().to_dict()
+
     def finalize(self) -> TelemetryTrace:
         """Freeze the capture into a serializable trace.
 
@@ -198,12 +202,9 @@ def capture(timeline_samples: int = DEFAULT_TIMELINE_SAMPLES
     block constructs (simulations, servers, executors) feeds it without
     explicit plumbing.  Captures do not nest.
     """
-    collector = TelemetryCollector(timeline_samples=timeline_samples)
-    install(collector)
-    try:
+    with installed("telemetry", TelemetryCollector(
+            timeline_samples=timeline_samples)) as collector:
         yield collector
-    finally:
-        uninstall(collector)
 
 
 __all__ = [

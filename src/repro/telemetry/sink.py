@@ -1,7 +1,8 @@
 """TelemetrySink: collect per-point traces from runner progress events.
 
-The runner emits a :class:`~repro.runner.events.PointTraced` event
-(carrying the decoded :class:`TelemetryTrace`) for every traced point —
+The runner emits a ``"telemetry"``
+:class:`~repro.runner.events.PointObserved` event (carrying the
+decoded :class:`TelemetryTrace`) for every traced point —
 cache hits included, since traced payloads store their trace.  A
 ``TelemetrySink`` is an ordinary event sink that accumulates those into
 a per-point map plus run-level rollups; compose it with the printing
@@ -37,9 +38,9 @@ class TelemetrySink:
 
     def __call__(self, event: Any) -> None:
         # imported here so constructing a sink never drags the runner in
-        from repro.runner.events import PointTraced
-        if isinstance(event, PointTraced):
-            self.traces[event.index] = event.trace
+        from repro.runner.events import PointObserved
+        if isinstance(event, PointObserved) and event.kind == "telemetry":
+            self.traces[event.index] = event.observation
             self.knobs[event.index] = dict(event.knobs)
         if self.forward is not None:
             self.forward(event)

@@ -29,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.observe import current_collector
 from repro.service.autoscale import Autoscaler
 from repro.service.fleet import simulate_service
 from repro.service.spec import FleetSpec
@@ -201,7 +202,6 @@ def _open_stage_spans(pipeline: PipelineSpec,
     the mirrored device power series over each window at finalize, so
     opening them after the run loses nothing.
     """
-    from repro.telemetry import current_collector
     collector = current_collector()
     if collector is None:
         return

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.runner import (
-    PointTraced,
+    PointObserved,
     Runner,
     RunResult,
     default_spec,
@@ -74,10 +74,11 @@ class TestRunnerTransport:
                      on_event=events.append).run(
             ExperimentSpec("scan", knobs=TINY_SCAN))
         assert all(p.telemetry is not None for p in run.points)
-        traced = [e for e in events if isinstance(e, PointTraced)]
-        assert [e.index for e in traced] == [0, 1]
+        traced = [e for e in events if isinstance(e, PointObserved)]
+        assert [(e.index, e.kind) for e in traced] == [
+            (0, "telemetry"), (1, "telemetry")]
         for p, e in zip(run.points, traced):
-            assert e.trace.to_dict() == p.telemetry.to_dict()
+            assert e.observation is p.telemetry
 
     def test_untraced_run_has_no_telemetry(self):
         from repro.runner import ExperimentSpec
@@ -89,9 +90,9 @@ class TestRunnerTransport:
     def test_trace_key_is_distinct_but_untraced_key_is_stable(self):
         knobs = {"scale_factor": 0.001}
         assert point_key("scan", knobs, 1) == point_key(
-            "scan", knobs, 1, trace=False)
+            "scan", knobs, 1, observe=())
         assert point_key("scan", knobs, 1) != point_key(
-            "scan", knobs, 1, trace=True)
+            "scan", knobs, 1, observe=("telemetry",))
 
     def test_cache_hit_preserves_traces(self, tmp_path):
         from repro.runner import ExperimentSpec

@@ -15,7 +15,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.flightrec import FlightRecording, record
-from repro.flightrec.context import current_recorder
+from repro.observe import current_recorder
 from repro.flightrec.export import (write_events_csv, write_events_jsonl,
                                     write_queries_csv)
 from repro.flightrec.rollup import (default_window_seconds, node_rollup,

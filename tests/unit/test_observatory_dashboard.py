@@ -167,5 +167,10 @@ class TestPublicPalette:
 
     def test_flightrec_console_shares_the_palette(self):
         import repro.flightrec.console as console
-        from repro.observatory.dashboard import SERIES_LIGHT
-        assert console.SERIES_LIGHT is SERIES_LIGHT
+        from repro.observatory.dashboard import (SERIES_DARK,
+                                                 SERIES_LIGHT, STYLESHEET)
+        assert console.STYLESHEET is STYLESHEET
+        assert "%SERIES" not in STYLESHEET
+        for i, (light, dark) in enumerate(zip(SERIES_LIGHT, SERIES_DARK)):
+            assert f"  --s{i + 1}: {light};" in STYLESHEET
+            assert f"    --s{i + 1}: {dark};" in STYLESHEET

@@ -12,7 +12,7 @@ from repro.storage.wal import (
     WriteAheadLog,
 )
 from repro.telemetry import SpanStack, TelemetryCollector, capture
-from repro.telemetry.context import current_collector, install, uninstall
+from repro.observe import current_collector, installed, suspended
 
 
 class TestSpanStack:
@@ -90,15 +90,21 @@ class TestContext:
         assert current_collector() is None
 
     def test_captures_do_not_nest(self):
-        with capture():
-            with pytest.raises(ReproError):
-                install(TelemetryCollector())
+        with capture() as collector:
+            with pytest.raises(ReproError, match="do not nest"):
+                with installed("telemetry", TelemetryCollector()):
+                    pass
+            assert current_collector() is collector
         assert current_collector() is None
 
-    def test_uninstall_of_inactive_collector_is_noop(self):
-        bystander = TelemetryCollector()
+    def test_suspended_switches_off_and_back_on(self):
+        with suspended("telemetry"):    # off already: stays off
+            assert current_collector() is None
         with capture() as collector:
-            uninstall(bystander)
+            with pytest.raises(ValueError):
+                with suspended("telemetry"):
+                    assert current_collector() is None
+                    raise ValueError("boom")
             assert current_collector() is collector
         assert current_collector() is None
 
