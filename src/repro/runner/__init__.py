@@ -4,9 +4,9 @@ One surface replaces the repo's historical per-figure entry points:
 
 * :class:`ExperimentSpec` — a declarative, hashable description of an
   experiment + knob grid + seed (list-valued knobs are sweep axes);
-* :class:`Runner` — executes a spec's points across a
-  ``multiprocessing`` pool with deterministic per-point seeds and an
-  on-disk result cache, streaming structured progress events;
+* :class:`Runner` — executes a spec's points across a process pool
+  with deterministic per-point seeds and an on-disk result cache,
+  streaming structured progress events;
 * :class:`RunResult` / :class:`PointResult` — grid-ordered results with
   a byte-stable ``to_dict()`` and figure-level ``aggregate()``;
 * the registry (:func:`register_experiment`, :func:`get_experiment`,

@@ -8,8 +8,9 @@ already simulated, and a version bump invalidates everything without
 touching the store.
 
 Layout: ``<root>/<first two hex chars>/<digest>.json``, written
-atomically (tmp file + rename) so a killed run never leaves a corrupt
-entry behind; unreadable entries degrade to cache misses.
+atomically (a writer-unique tmp file + rename) so neither a killed run
+nor two writers of one key ever leave a corrupt entry behind;
+unreadable entries degrade to cache misses.
 """
 
 from __future__ import annotations
@@ -69,17 +70,26 @@ class ResultCache:
         path = self._path(key)
         try:
             with open(path, encoding="utf-8") as fh:
-                return json.load(fh)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+                payload = json.load(fh)
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError,
+                RecursionError):
             return None
+        return payload if isinstance(payload, dict) else None
 
     def put(self, key: str, payload: Mapping[str, Any]) -> None:
+        # dumps, not dump: only the one-shot form reaches the C encoder
+        # (json.dump streams through the pure-Python one, same bytes)
+        text = json.dumps(payload, sort_keys=True)
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-        os.replace(tmp, path)
+        tmp = path.with_name(f"{key}.{os.urandom(8).hex()}.tmp")
+        try:
+            with open(tmp, "x", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).is_file()
@@ -97,11 +107,14 @@ class ResultCache:
             total_bytes=sum(p.stat().st_size for p in entries))
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
+        """Delete every entry, and any temp file a killed writer left
+        behind; returns how many entries were removed."""
         removed = 0
         for path in self._entries():
             path.unlink(missing_ok=True)
             removed += 1
+        for stale in self.root.glob("??/*.tmp"):
+            stale.unlink(missing_ok=True)
         for sub in self.root.glob("??"):
             try:
                 sub.rmdir()

@@ -2,8 +2,8 @@
 
 ``Runner.run(spec)`` expands the spec's knob grid, skips every point
 already present in the on-disk result cache, fans the rest out across
-a ``multiprocessing`` pool (``workers=1`` runs inline), and reassembles
-the payloads in grid order.  Because each point is simulated from
+a process pool (``workers=1`` runs inline), and reassembles the
+payloads in grid order.  Because each point is simulated from
 nothing but its resolved knobs and its deterministic seed, a
 ``workers=4`` run is byte-identical to a serial one — the pool only
 changes host wall-clock, never results.
@@ -33,9 +33,9 @@ from repro.runner.registry import get_experiment
 from repro.runner.reports import decode_report
 from repro.runner.spec import ExperimentSpec, canonical_json
 from repro.runner.worker import (
+    PointItem,
     PointTask,
     execute_indexed,
-    execute_point,
     payload_matches,
 )
 
@@ -273,7 +273,7 @@ class Runner:
                               total_points=total, workers=self.workers))
 
         results: dict[int, PointResult] = {}
-        pending: list[tuple[int, PointTask, str]] = []
+        pending: list[PointItem] = []
         for index, (task, key) in enumerate(tasks):
             payload = self.cache.get(key) if self.cache else None
             if payload is not None and payload_matches(
@@ -285,13 +285,12 @@ class Runner:
                     continue
                 except RecordError:
                     pass  # valid JSON, wrong shape: a miss like any other
-            pending.append((index, task, key))
+            pending.append((index, task, self.observe, self.cache, key))
 
-        if pending:
-            if self.workers > 1 and len(pending) > 1:
-                self._run_pool(spec, pending, total, results)
-            else:
-                self._run_serial(spec, pending, total, results)
+        if self.workers > 1 and len(pending) > 1:
+            self._run_pool(spec, pending, total, results)
+        else:
+            self._run_serial(spec, pending, total, results)
 
         run = RunResult(
             spec=spec,
@@ -303,35 +302,55 @@ class Runner:
                                host_seconds=run.host_seconds))
         return run
 
+    def _started(self, item: PointItem, total: int) -> None:
+        index, (_, knobs, _) = item[:2]
+        self._emit(PointStarted(index=index, total_points=total,
+                                knobs=knobs))
+
+    def _computed(self, spec: ExperimentSpec, total: int,
+                  done: tuple[int, dict[str, Any]],
+                  results: dict[int, PointResult]) -> None:
+        index, payload = done
+        results[index] = self._finish(
+            spec, index, total, payload, cache_hit=False,
+            host_seconds=payload["host_seconds"])
+
     def _run_serial(self, spec: ExperimentSpec,
-                    pending: Sequence[tuple[int, PointTask, str]],
-                    total: int, results: dict[int, PointResult]) -> None:
-        for index, task, key in pending:
-            self._emit(PointStarted(index=index, total_points=total,
-                                    knobs=task[1]))
-            payload = execute_point(task, self.observe)
-            if self.cache:
-                self.cache.put(key, payload)
-            results[index] = self._finish(
-                spec, index, total, payload, cache_hit=False,
-                host_seconds=payload["host_seconds"])
+                    pending: Sequence[PointItem], total: int,
+                    results: dict[int, PointResult]) -> None:
+        for item in pending:
+            self._started(item, total)
+            self._computed(spec, total, execute_indexed(item), results)
 
     def _run_pool(self, spec: ExperimentSpec,
-                  pending: Sequence[tuple[int, PointTask, str]],
-                  total: int, results: dict[int, PointResult]) -> None:
-        keys = {index: key for index, _, key in pending}
-        items = [(index, task, self.observe)
-                 for index, task, _ in pending]
-        workers = min(self.workers, len(items))
-        for index, task, _ in pending:
-            self._emit(PointStarted(index=index, total_points=total,
-                                    knobs=task[1]))
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(processes=workers) as pool:
-            for index, payload in pool.imap_unordered(execute_indexed,
-                                                      items):
-                if self.cache:
-                    self.cache.put(keys[index], payload)
-                results[index] = self._finish(
-                    spec, index, total, payload, cache_hit=False,
-                    host_seconds=payload["host_seconds"])
+                  pending: Sequence[PointItem], total: int,
+                  results: dict[int, PointResult]) -> None:
+        # imported here: only a pooled run pays for the executor (1.4 MB
+        # and ~20 ms that every `import repro.runner` would carry)
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+        for item in pending:
+            self._started(item, total)
+        # the default context: under fork the executor launches every
+        # worker on the first submit, before its manager thread exists
+        pool = ProcessPoolExecutor(
+            max_workers=min(self.workers, len(pending)),
+            mp_context=multiprocessing.get_context())
+        try:
+            # no list of the futures is kept: as_completed lets go of
+            # each as it yields it, so a payload is freed once finished
+            for done, future in enumerate(as_completed(
+                    [pool.submit(execute_indexed, item)
+                     for item in pending])):
+                try:
+                    self._computed(spec, total, future.result(), results)
+                except BrokenProcessPool:
+                    raise ReproError(
+                        f"a pool worker died (killed, or a point "
+                        f"crashed its interpreter) with "
+                        f"{len(pending) - done} of {len(pending)} "
+                        f"points still pending; every point that "
+                        f"finished is stored, so a rerun on the same "
+                        f"cache resumes") from None
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)

@@ -1,25 +1,31 @@
-"""The process-pool work item: simulate one sweep point.
+"""The process-pool work item: simulate one sweep point and store it.
 
 Everything crossing the process boundary is a plain JSON-safe dict —
 the same payload shape the cache stores — so fork and spawn start
 methods both work and parallel runs are bit-identical to serial ones
 (the payload is computed in the worker from the same knobs + seed,
-never re-derived in the parent).
+never re-derived in the parent).  The process that computed a payload
+also writes its cache entry, so a sweep's JSON encoding runs across
+the workers, once per point, and never on the parent's serial path.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import ExitStack
-from typing import Any, Mapping
+from typing import Any, Mapping, Optional
 
 from repro.errors import ReproError
 from repro.observe import start
+from repro.runner.cache import ResultCache
 from repro.runner.registry import get_experiment
 from repro.runner.reports import encode_report, report_metrics
 
 #: (experiment name, resolved point knobs, point seed)
 PointTask = tuple[str, dict[str, Any], int]
+#: (grid index, task, observer kinds, where to store the payload, key)
+PointItem = tuple[int, PointTask, tuple[str, ...],
+                  Optional[ResultCache], str]
 
 
 class PointExecutionError(ReproError):
@@ -76,12 +82,16 @@ def execute_point(task: PointTask,
     }
 
 
-def execute_indexed(item: tuple[int, PointTask, tuple[str, ...]]
-                    ) -> tuple[int, dict[str, Any]]:
-    """Pool adapter: keep the point's grid index with its payload so
-    out-of-order completion can be reassembled deterministically."""
-    index, task, observe = item
-    return index, execute_point(task, observe)
+def execute_indexed(item: PointItem) -> tuple[int, dict[str, Any]]:
+    """Run one pending point and store its payload: the serial path
+    calls this inline, the pool maps it over its items.  The point's
+    grid index rides along so out-of-order completion can be
+    reassembled deterministically."""
+    index, task, observe, cache, key = item
+    payload = execute_point(task, observe)
+    if cache is not None:
+        cache.put(key, payload)
+    return index, payload
 
 
 def payload_matches(payload: Mapping[str, Any], task: PointTask,

@@ -86,8 +86,8 @@ class DatasetCatalog(Record):
     def save(self, path: str) -> None:
         """Write the manifest as JSON (the ``manifest.json`` idiom)."""
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+            f.write(json.dumps(self.to_dict(), indent=2, sort_keys=True)
+                    + "\n")
 
     @classmethod
     def load(cls, path: str) -> "DatasetCatalog":

@@ -1,7 +1,9 @@
 """Unit tests for repro.runner: spec hashing, the on-disk result
 cache, report round-tripping, and the CLI's knob parsing."""
 
+import io
 import json
+import os
 
 import pytest
 
@@ -123,13 +125,96 @@ class TestResultCache:
         assert cache.get(key) is None
         assert cache.stats().entries == 0
 
+    #: entry texts no run could have written
+    UNREADABLE = ["{not json", "[" * 100_000, "[1, 2]", '"text"', "null",
+                  ""]
+
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
         key = point_key("unit_toy", {"x": 1}, 2009, version="v")
         cache.put(key, {"ok": True})
         path = cache._path(key)
-        path.write_text("{not json")
+        for text in self.UNREADABLE:
+            path.write_text(text)
+            assert cache.get(key) is None, text[:20]
+        path.write_bytes(b"\xff\xfe{}")
         assert cache.get(key) is None
+
+    def test_unreadable_entry_resimulates_and_heals(self, tmp_path):
+        """A nest deeper than the decoder's stack is a miss like any
+        other unreadable entry — it used to be a ``RecursionError``
+        straight through ``Runner.run``."""
+        spec = ExperimentSpec("unit_toy")
+        cache = ResultCache(tmp_path / "c")
+        first = Runner(workers=1, cache=cache).run(spec)
+        key = point_key("unit_toy", spec.points()[1], spec.seed)
+        cache._path(key).write_text("[" * 100_000)
+        again = Runner(workers=1, cache=cache).run(spec)
+        assert [p.cache_hit for p in again.points] == [True, False]
+        assert again.to_json() == first.to_json()
+        assert Runner(workers=1, cache=cache).run(spec).cache_hits == 2
+
+    def test_entry_bytes_equal_the_streaming_form(self, tmp_path):
+        """``put`` encodes one-shot (the C encoder) — the bytes must be
+        the ones ``json.dump`` streamed, so old caches stay valid."""
+        payload = {
+            "z": [0.1, 1e-300, 1.5e300, -0.0, 3, 2 ** 70],
+            "a": {"nan": float("nan"), "inf": float("inf"),
+                  "ninf": float("-inf"), "none": None,
+                  "yes": True, "no": False},
+            "text": "Grüße, 世界 \u2028 \"quoted\" \\ \n",
+            "m": {"b": {"d": [[], {}, [{"y": 1, "x": [2.5]}]], "c": 1}},
+        }
+        cache = ResultCache(tmp_path / "c")
+        key = point_key("unit_toy", {"x": 1}, 2009, version="v")
+        cache.put(key, payload)
+        streamed = io.StringIO()
+        json.dump(payload, streamed, sort_keys=True)
+        assert (cache._path(key).read_bytes()
+                == streamed.getvalue().encode("utf-8"))
+
+    def test_put_temp_is_writer_unique_and_removed_on_failure(
+            self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path / "c")
+        key = point_key("unit_toy", {"x": 1}, 2009, version="v")
+        shard = cache._path(key).parent
+        replaced = []
+
+        def failing_replace(src, dst):
+            replaced.append(os.fspath(src))
+            assert os.path.dirname(src) == os.fspath(shard)
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", failing_replace)
+            for _ in range(2):
+                with pytest.raises(OSError, match="disk full"):
+                    cache.put(key, {"ok": True})
+        # two writers of one key never share a temp file ...
+        assert len(set(replaced)) == 2
+        # ... and a failed write leaves nothing behind
+        assert list(shard.iterdir()) == []
+        with pytest.raises(TypeError):
+            cache.put(key, {"bad": object()})
+        assert list(shard.iterdir()) == []
+        cache.put(key, {"ok": True})
+        assert [p.name for p in shard.iterdir()] == [f"{key}.json"]
+
+    def test_clear_sweeps_stale_temp_files(self, tmp_path):
+        """A killed writer's temp file (either naming scheme) goes with
+        ``clear()``, and so does its shard directory."""
+        cache = ResultCache(tmp_path / "c")
+        key = point_key("unit_toy", {"x": 1}, 2009, version="v")
+        cache.put(key, {"ok": True})
+        shard = cache._path(key).parent
+        (shard / f"{key}.tmp").write_text("{")
+        (shard / f"{key}.0123abcd.tmp").write_text("{")
+        orphan = cache.root / "zz"
+        orphan.mkdir()
+        (orphan / "only.tmp").write_text("")
+        assert cache.stats().entries == 1
+        assert cache.clear() == 1
+        assert list(cache.root.iterdir()) == []
 
     def test_runner_hits_then_version_bump_invalidates(
             self, tmp_path, monkeypatch):
