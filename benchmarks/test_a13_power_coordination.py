@@ -45,11 +45,12 @@ def build_node():
     server, array = flash_scan_node(sim)
     storage = StorageManager(sim)
     plain_db = generate_tpch(storage, array, scale_factor=0.001,
-                             layout="column")
+                             layout="column", tables=("orders",))
     storage2 = StorageManager(sim)
     packed_db = generate_tpch(storage2, array, scale_factor=0.001,
                               layout="column",
-                              codecs={"orders": COMPRESSED_CODECS})
+                              codecs={"orders": COMPRESSED_CODECS},
+                              tables=("orders",))
     plain = plain_db["orders"]
     packed = packed_db["orders"]
     scale = TARGET_PLAIN_BYTES / plain.plain_bytes(ORDERS_SCAN_COLUMNS)

@@ -44,7 +44,8 @@ def orders_table():
     sim = Simulation()
     _server, array = flash_scan_node(sim)
     storage = StorageManager(sim)
-    db = generate_tpch(storage, array, scale_factor=0.002)
+    db = generate_tpch(storage, array, scale_factor=0.002,
+                       tables=("orders",))
     return db["orders"]
 
 

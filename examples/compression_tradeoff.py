@@ -44,7 +44,8 @@ def main() -> None:
     sim = Simulation()
     server, array = flash_scan_node(sim)
     storage = StorageManager(sim)
-    orders = generate_tpch(storage, array, scale_factor=0.002)["orders"]
+    orders = generate_tpch(storage, array, scale_factor=0.002,
+                           tables=("orders",))["orders"]
     advisor = DesignAdvisor.for_server(server)
     print("\nDesign advisor on this node (90 W CPU / 5 W flash):")
     for objective in (Objective.TIME, Objective.ENERGY):

@@ -40,9 +40,15 @@ class ColumnFile:
             raise StorageError("segment_rows must be >= 1")
         self.schema = schema
         self.segment_rows = segment_rows
+        codecs = codecs or {}
+        unknown = sorted(set(codecs).difference(schema.column_names()))
+        if unknown:
+            raise StorageError(
+                f"codecs given for {unknown}, not columns of "
+                f"{schema.name!r}: {', '.join(schema.column_names())}")
         self._codecs: dict[str, Codec] = {}
         for col in schema.columns:
-            chosen = (codecs or {}).get(col.name, NoneCodec())
+            chosen = codecs.get(col.name, NoneCodec())
             if isinstance(chosen, str):
                 chosen = codec_by_name(chosen)
             if not chosen.supports(col.dtype):

@@ -81,9 +81,15 @@ def run_scan(compressed: bool = False,
     Real ORDERS data is generated at ``scale_factor`` and scanned for
     real; replay inflation scales the charged bytes so the plain
     projection equals ``target_plain_bytes`` (the paper's 2.4 GB).
+    ``codec`` puts one codec on all five projected columns in place of
+    ``COMPRESSED_CODECS``; it needs ``compressed=True``.
     """
     if scale_factor <= 0 or target_plain_bytes <= 0:
         raise WorkloadError("scale factor and target bytes must be positive")
+    if codec is not None and not compressed:
+        raise WorkloadError(
+            f"codec={codec!r} applies to the compressed scan only: pass "
+            f"compressed=True, or leave codec unset (None)")
     sim = Simulation()
     server, array = flash_scan_node(sim)
     server.cpu.set_dvfs(dvfs_fraction)
@@ -96,7 +102,8 @@ def run_scan(compressed: bool = False,
             per_column = {name: codec for name in ORDERS_SCAN_COLUMNS}
         codecs = {"orders": per_column}
     db = generate_tpch(storage, array, scale_factor=scale_factor,
-                       layout="column", codecs=codecs, seed=seed)
+                       layout="column", codecs=codecs, seed=seed,
+                       tables=("orders",))
     orders = db["orders"]
     plain = orders.plain_bytes(ORDERS_SCAN_COLUMNS)
     stored = orders.scan_bytes(ORDERS_SCAN_COLUMNS)

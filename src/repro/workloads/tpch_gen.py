@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from datetime import date, timedelta
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.errors import WorkloadError
 from repro.storage.compression import Codec
@@ -39,7 +39,7 @@ DATE_HI = date(1998, 12, 1)
 
 @dataclass
 class TpchDatabase:
-    """The generated tables plus generation metadata."""
+    """The loaded tables plus generation metadata."""
 
     scale_factor: float
     tables: dict[str, Table] = field(default_factory=dict)
@@ -48,7 +48,9 @@ class TpchDatabase:
         try:
             return self.tables[name]
         except KeyError:
-            raise WorkloadError(f"no TPC-H table named {name!r}") from None
+            raise WorkloadError(
+                f"no TPC-H table named {name!r} was loaded; this database "
+                f"holds: {', '.join(self.tables)}") from None
 
 
 def _row_counts(scale_factor: float) -> dict[str, int]:
@@ -67,33 +69,86 @@ def generate_tpch(storage: StorageManager, placement: "RaidArray",
                   scale_factor: float = 0.001,
                   layout: str = "row",
                   codecs: Optional[dict[str, dict[str, Codec | str]]] = None,
-                  seed: int = 2009) -> TpchDatabase:
-    """Create and load all seven tables.
+                  seed: int = 2009,
+                  tables: Optional[Iterable[str]] = None) -> TpchDatabase:
+    """Create and load the tables the caller's plans read.
+
+    ``tables`` is that read set; ``None`` means all seven.  Every value
+    comes off one ``random.Random`` stream, seeded with ``seed`` and
+    consumed in the fixed table order, so a table's bytes do not depend
+    on the read set: the tables ahead of the last one read are drawn
+    (and dropped unless read), nothing after it is drawn, and a table
+    outside the read set does not exist — ``db[name]`` on it raises.
 
     ``codecs`` maps table name -> per-column codec dict (column layout
-    only).  Generation is deterministic in ``seed``.
+    only, tables of the read set only).
     """
     if scale_factor <= 0:
         raise WorkloadError("scale factor must be positive")
-    rng = random.Random(seed)
-    counts = _row_counts(scale_factor)
+    # looked up per call so a test can substitute one builder
+    builders = (
+        ("region", _region_rows),
+        ("nation", _nation_rows),
+        ("supplier", _supplier_rows),
+        ("customer", _customer_rows),
+        ("part", _part_rows),
+        ("orders", _orders_rows),
+        ("lineitem", _lineitem_rows),
+    )
+    order = [name for name, _ in builders]
+    read = _read_set(tables, order)
+    codecs = codecs or {}
+    if codecs and layout != "column":
+        raise WorkloadError(
+            f"codecs need layout='column', not {layout!r}")
+    unread = sorted(set(codecs) - read)
+    if unread:
+        raise WorkloadError(
+            f"codecs given for {unread}, not among the tables loaded: "
+            f"{', '.join(n for n in order if n in read)}")
     schemas = tpch_schema.tpch_schemas()
     db = TpchDatabase(scale_factor=scale_factor)
-    for name, schema in schemas.items():
-        table_codecs = (codecs or {}).get(name)
-        db.tables[name] = storage.create_table(
-            schema, layout=layout, placement=placement,
-            codecs=table_codecs if layout == "column" else None)
+    for name in order:
+        if name in read:
+            db.tables[name] = storage.create_table(
+                schemas[name], layout=layout, placement=placement,
+                codecs=codecs.get(name))
 
-    _load_region(db["region"])
-    _load_nation(db["nation"])
-    _load_supplier(db["supplier"], counts["supplier"], rng)
-    _load_customer(db["customer"], counts["customer"], rng)
-    _load_part(db["part"], counts["part"], rng)
-    _load_orders(db["orders"], counts["orders"], counts["customer"], rng)
-    _load_lineitem(db["lineitem"], counts["lineitem"], counts["orders"],
-                   counts["part"], counts["supplier"], rng)
+    rng = random.Random(seed)
+    counts = _row_counts(scale_factor)
+    last = max(order.index(name) for name in read)
+    for name, build_rows in builders[:last + 1]:
+        # no name for the rows: one table's list is gone before the
+        # next is built, read or not
+        if name in read:
+            db.tables[name].load(build_rows(counts, rng))
+        else:
+            build_rows(counts, rng)
     return db
+
+
+def _read_set(tables: Optional[Iterable[str]],
+              order: list[str]) -> frozenset[str]:
+    """The validated set of table names to load."""
+    if tables is None:
+        return frozenset(order)
+    try:
+        if isinstance(tables, str):
+            raise TypeError
+        read = frozenset(tables)
+    except TypeError:
+        raise WorkloadError(
+            f"tables must be a collection of table names, "
+            f"got {tables!r}") from None
+    unknown = sorted(read.difference(order), key=repr)
+    if unknown:
+        raise WorkloadError(
+            f"unknown TPC-H tables {unknown}; "
+            f"choose from: {', '.join(order)}")
+    if not read:
+        raise WorkloadError(
+            f"tables must name at least one of: {', '.join(order)}")
+    return read
 
 
 def _random_date(rng: random.Random) -> date:
@@ -101,57 +156,66 @@ def _random_date(rng: random.Random) -> date:
     return DATE_LO + timedelta(days=rng.randrange(span))
 
 
-def _load_region(table: Table) -> None:
-    table.load([(i, name) for i, name in enumerate(REGIONS)])
+# Row builders: ``(row counts, rng) -> rows``.  Each consumes the shared
+# stream exactly as far as its table needs, whoever keeps the rows.
+
+def _region_rows(counts: dict[str, int], rng: random.Random) -> list[tuple]:
+    return [(i, name) for i, name in enumerate(REGIONS)]
 
 
-def _load_nation(table: Table) -> None:
+def _nation_rows(counts: dict[str, int], rng: random.Random) -> list[tuple]:
     rows = []
     for r in range(len(REGIONS)):
         for i in range(NATIONS_PER_REGION):
             key = r * NATIONS_PER_REGION + i
             rows.append((key, f"NATION_{key:02d}", r))
-    table.load(rows)
+    return rows
 
 
-def _load_supplier(table: Table, n: int, rng: random.Random) -> None:
-    n_nations = len(REGIONS) * NATIONS_PER_REGION
-    table.load([
+def _supplier_rows(counts: dict[str, int],
+                   rng: random.Random) -> list[tuple]:
+    n_nations = counts["nation"]
+    return [
         (i, f"Supplier#{i:09d}", rng.randrange(n_nations),
          round(rng.uniform(-999.99, 9999.99), 2))
-        for i in range(n)])
+        for i in range(counts["supplier"])]
 
 
-def _load_customer(table: Table, n: int, rng: random.Random) -> None:
-    n_nations = len(REGIONS) * NATIONS_PER_REGION
-    table.load([
+def _customer_rows(counts: dict[str, int],
+                   rng: random.Random) -> list[tuple]:
+    n_nations = counts["nation"]
+    return [
         (i, f"Customer#{i:09d}", rng.randrange(n_nations),
          rng.choice(SEGMENTS), round(rng.uniform(-999.99, 9999.99), 2))
-        for i in range(n)])
+        for i in range(counts["customer"])]
 
 
-def _load_part(table: Table, n: int, rng: random.Random) -> None:
-    table.load([
+def _part_rows(counts: dict[str, int], rng: random.Random) -> list[tuple]:
+    return [
         (i, f"part {i % 999} name", f"Brand#{rng.randrange(1, 6)}"
          f"{rng.randrange(1, 6)}", rng.choice(PART_TYPES),
          rng.randrange(1, 51), round(900 + (i % 200) + i / 10.0, 2))
-        for i in range(n)])
+        for i in range(counts["part"])]
 
 
-def _load_orders(table: Table, n: int, n_customers: int,
-                 rng: random.Random) -> None:
-    table.load([
+def _orders_rows(counts: dict[str, int], rng: random.Random) -> list[tuple]:
+    n_customers = counts["customer"]
+    return [
         (i, rng.randrange(n_customers),
          rng.choices(ORDER_STATUSES, weights=[49, 49, 2])[0],
          round(rng.uniform(850.0, 555_000.0), 2),
          _random_date(rng),
          rng.choice(PRIORITIES),
          f"Clerk#{rng.randrange(1000):09d}")
-        for i in range(n)])
+        for i in range(counts["orders"])]
 
 
-def _load_lineitem(table: Table, n: int, n_orders: int, n_parts: int,
-                   n_suppliers: int, rng: random.Random) -> None:
+def _lineitem_rows(counts: dict[str, int],
+                   rng: random.Random) -> list[tuple]:
+    n = counts["lineitem"]
+    n_orders = counts["orders"]
+    n_parts = counts["part"]
+    n_suppliers = counts["supplier"]
     rows = []
     order = 0
     while len(rows) < n:
@@ -179,4 +243,4 @@ def _load_lineitem(table: Table, n: int, n_orders: int, n_parts: int,
                 rng.choice(SHIP_MODES),
             ))
         order += 1
-    table.load(rows)
+    return rows

@@ -26,12 +26,12 @@ from repro.workloads.tpch_schema import ORDERS_SCAN_COLUMNS
 SCALE_FACTOR = 0.003  # 4,500 ORDERS rows: segments of 4,096 and 404
 
 
-def load_orders(compressed):
+def load_orders(compressed, tables=None):
     sim = Simulation()
     _server, array = flash_scan_node(sim)
     codecs = {"orders": dict(COMPRESSED_CODECS)} if compressed else None
     db = generate_tpch(StorageManager(sim), array, scale_factor=SCALE_FACTOR,
-                       layout="column", codecs=codecs, seed=0)
+                       layout="column", codecs=codecs, seed=0, tables=tables)
     return db["orders"]
 
 
@@ -47,15 +47,27 @@ def segment_digests(orders):
     return digests
 
 
-@pytest.mark.parametrize("compressed", [True, False],
-                         ids=["compressed", "plain"])
-def test_orders_segments_are_byte_identical(compressed):
-    orders = load_orders(compressed)
+def check_against_golden(orders, compressed):
     plain_bytes, scan_bytes, digests = GOLDEN[compressed]
     assert orders.row_count == 4_500
     assert orders.plain_bytes(ORDERS_SCAN_COLUMNS) == plain_bytes
     assert orders.scan_bytes(ORDERS_SCAN_COLUMNS) == scan_bytes
     assert segment_digests(orders) == digests
+
+
+@pytest.mark.parametrize("compressed", [True, False],
+                         ids=["compressed", "plain"])
+def test_orders_segments_are_byte_identical(compressed):
+    check_against_golden(load_orders(compressed), compressed)
+
+
+@pytest.mark.parametrize("compressed", [True, False],
+                         ids=["compressed", "plain"])
+def test_orders_only_database_stores_the_same_segments(compressed):
+    """Figure 2's read set: the five tables ahead of ORDERS are drawn
+    and dropped, LINEITEM is not drawn, the bytes do not move."""
+    orders = load_orders(compressed, tables=("orders",))
+    check_against_golden(orders, compressed)
 
 
 GOLDEN = {
