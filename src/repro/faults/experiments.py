@@ -47,12 +47,13 @@ def chaos_point(policy: str = "power_aware",
                 timeout_detect_seconds: float = 0.5,
                 shed_slack_fraction: Optional[float] = 0.5,
                 pack_backlog_seconds: float = 0.2,
-                admission_limit_seconds: Optional[float] = None,
                 target_utilization: float = 0.55,
                 epoch_seconds: float = 30.0,
                 min_nodes: int = 2,
-                horizon_slack: float = 1.1,
-                seed: int = 0) -> ServiceReport:
+                seed: int = 0,
+                *,  # late knobs: hashed and keyed only where set
+                admission_limit_seconds: Optional[float] = None,
+                horizon_slack: float = 1.1) -> ServiceReport:
     """Serve one stream while a seeded fault schedule breaks the fleet.
 
     The same ``seed`` drives both the arrival stream and the fault
@@ -148,9 +149,7 @@ class ChaosSweepResult(Record):
 
 def chaos_aggregate(points: Sequence[Any]) -> ChaosSweepResult:
     """Fold finished chaos points into the intensity frontier."""
-    ordered = sorted(points,
-                     key=lambda p: float(p.knobs.get("intensity", 1.0)))
+    ordered = sorted(points, key=lambda p: float(p.knobs["intensity"]))
     return ChaosSweepResult(
-        intensities=[float(p.knobs.get("intensity", 1.0))
-                     for p in ordered],
+        intensities=[float(p.knobs["intensity"]) for p in ordered],
         reports=[p.report for p in ordered])

@@ -142,7 +142,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_list() -> int:
     rows = []
     for defn in list_experiments():
-        sweep = [f"{k}[{len(v)}]" for k, v in sorted(defn.defaults.items())
+        sweep = [f"{k}[{len(v)}]"
+                 for k, v in sorted(defn.resolved_defaults.items())
                  if isinstance(v, (list, tuple))]
         rows.append((defn.name, defn.profile or "-",
                      " ".join(sweep) or "-", defn.title))

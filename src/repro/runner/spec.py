@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -31,10 +32,13 @@ DEFAULT_SEED = 2009  # the paper's year, used throughout the repo
 
 
 def _check_scalar(name: str, value: Any) -> None:
-    if not isinstance(value, _SCALARS):
+    # NaN / Infinity are not JSON, and nan != nan: such a point could
+    # never match its own cache entry (None spells "no limit")
+    if not isinstance(value, _SCALARS) or (
+            isinstance(value, float) and not math.isfinite(value)):
         raise SpecError(
             f"knob {name!r} has non-JSON value {value!r}; knobs must be "
-            "bool/int/float/str/None or lists of those")
+            "bool/int/finite float/str/None or lists of those")
 
 
 def canonical_json(obj: Any) -> str:
@@ -81,7 +85,7 @@ class ExperimentSpec(Record):
         """Registered defaults overlaid with this spec's knobs, with
         sweep axes normalized to lists."""
         from repro.runner.registry import get_experiment
-        merged = dict(get_experiment(self.experiment).defaults)
+        merged = dict(get_experiment(self.experiment).resolved_defaults)
         merged.update(self.knobs)
         return {name: list(v) if isinstance(v, (list, tuple)) else v
                 for name, v in sorted(merged.items())}

@@ -115,13 +115,14 @@ def service_point(policy: str = "power_aware",
                   profile: str = "commodity",
                   pack_backlog_seconds: float = 0.2,
                   admission_limit_seconds: Optional[float] = None,
-                  sla_slack_fraction: float = 1.0,
                   target_utilization: float = 0.55,
                   epoch_seconds: float = 30.0,
                   min_nodes: int = 2,
+                  seed: int = 0,
+                  *,  # late knobs: hashed and keyed only where set
+                  sla_slack_fraction: float = 1.0,
                   load: float = 1.0,
-                  engine: str = "auto",
-                  seed: int = 0) -> Any:
+                  engine: str = "auto") -> Any:
     """Serve one generated multi-tenant stream under one policy.
 
     The node power curve is calibrated from the named hardware
@@ -158,11 +159,12 @@ def hetero_point(composition: str = "mixed",
                  sla_scale: float = 1.0,
                  pack_backlog_seconds: float = 0.2,
                  admission_limit_seconds: Optional[float] = None,
-                 sla_slack_fraction: float = 1.0,
                  target_utilization: float = 0.55,
                  epoch_seconds: float = 30.0,
                  min_nodes: int = 2,
-                 seed: int = 0) -> Any:
+                 seed: int = 0,
+                 *,  # late knobs: hashed and keyed only where set
+                 sla_slack_fraction: float = 1.0) -> Any:
     """Serve one load- and SLA-scaled stream on one named composition.
 
     ``load`` multiplies every tenant's arrival rate (per-tenant
@@ -320,11 +322,13 @@ def mega_calibration_point(policy: str = "power_aware",
                            profile: str = "commodity",
                            pack_backlog_seconds: float = 0.2,
                            admission_limit_seconds: Optional[float] = None,
-                           sla_slack_fraction: float = 1.0,
                            target_utilization: float = 0.55,
                            epoch_seconds: float = 30.0,
                            min_nodes: int = 2,
-                           seed: int = 0) -> MegaCalibrationReport:
+                           seed: int = 0,
+                           *,  # late knobs: hashed and keyed only where set
+                           sla_slack_fraction: float = 1.0
+                           ) -> MegaCalibrationReport:
     """Race the reference loop against the event core on one stream.
 
     Runs the *same* generated stream through ``engine="loop"`` and
@@ -593,14 +597,11 @@ def pvc_qed_aggregate(points: Sequence[Any]) -> PVCQEDSweepResult:
     order = {name: i for i, name in enumerate(PVC_QED_CONFIGS)}
     ordered = sorted(
         points,
-        key=lambda p: (order.get(str(p.knobs.get("config", "power_aware")),
-                                 len(order)),
-                       float(p.knobs.get("sla_headroom", 0.6))))
+        key=lambda p: (order.get(str(p.knobs["config"]), len(order)),
+                       float(p.knobs["sla_headroom"])))
     return PVCQEDSweepResult(
-        configs=[str(p.knobs.get("config", "power_aware"))
-                 for p in ordered],
-        sla_headrooms=[float(p.knobs.get("sla_headroom", 0.6))
-                       for p in ordered],
+        configs=[str(p.knobs["config"]) for p in ordered],
+        sla_headrooms=[float(p.knobs["sla_headroom"]) for p in ordered],
         reports=[p.report for p in ordered])
 
 
@@ -609,14 +610,11 @@ def hetero_aggregate(points: Sequence[Any]) -> HeteroSweepResult:
     order = {name: i for i, name in enumerate(COMPOSITIONS)}
     ordered = sorted(
         points,
-        key=lambda p: (order.get(str(p.knobs.get("composition", "mixed")),
-                                 len(order)),
-                       float(p.knobs.get("load", 1.0)),
-                       -float(p.knobs.get("sla_scale", 1.0))))
+        key=lambda p: (order.get(str(p.knobs["composition"]), len(order)),
+                       float(p.knobs["load"]),
+                       -float(p.knobs["sla_scale"])))
     return HeteroSweepResult(
-        compositions=[str(p.knobs.get("composition", "mixed"))
-                      for p in ordered],
-        loads=[float(p.knobs.get("load", 1.0)) for p in ordered],
-        sla_scales=[float(p.knobs.get("sla_scale", 1.0))
-                    for p in ordered],
+        compositions=[str(p.knobs["composition"]) for p in ordered],
+        loads=[float(p.knobs["load"]) for p in ordered],
+        sla_scales=[float(p.knobs["sla_scale"]) for p in ordered],
         reports=[p.report for p in ordered])

@@ -82,9 +82,6 @@ def etl_point(mode: str = "eager",
               etl_scale: float = 1.0,
               freshness_sla_seconds: float = 1680.0,
               etl_ready_seconds: Optional[float] = None,
-              offpeak_start_seconds: Optional[float] = None,
-              slack_fraction: float = 0.25,
-              consolidation_node_equivalents: float = 1.5,
               nodes: int = 16,
               profile: str = "commodity",
               policy: str = "power_aware",
@@ -93,7 +90,11 @@ def etl_point(mode: str = "eager",
               target_utilization: float = 0.55,
               epoch_seconds: float = 30.0,
               min_nodes: int = 2,
-              seed: int = 0) -> EtlReport:
+              seed: int = 0,
+              *,  # late knobs: hashed and keyed only where set
+              offpeak_start_seconds: Optional[float] = None,
+              slack_fraction: float = 0.25,
+              consolidation_node_equivalents: float = 1.5) -> EtlReport:
     """Serve one diurnal day with the pipeline under one mode.
 
     ``load`` multiplies the peak-phase interactive rates (the trough
@@ -168,10 +169,9 @@ def etl_aggregate(points: Sequence[Any]) -> EtlSweepResult:
     order = {name: i for i, name in enumerate(ETL_MODES)}
     ordered = sorted(
         points,
-        key=lambda p: (float(p.knobs.get("load", 1.0)),
-                       order.get(str(p.knobs.get("mode", "eager")),
-                                 len(order))))
+        key=lambda p: (float(p.knobs["load"]),
+                       order.get(str(p.knobs["mode"]), len(order))))
     return EtlSweepResult(
-        modes=[str(p.knobs.get("mode", "eager")) for p in ordered],
-        loads=[float(p.knobs.get("load", 1.0)) for p in ordered],
+        modes=[str(p.knobs["mode"]) for p in ordered],
+        loads=[float(p.knobs["load"]) for p in ordered],
         reports=[p.report for p in ordered])

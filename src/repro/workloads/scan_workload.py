@@ -71,11 +71,12 @@ class ScanReport(Record):
 
 def run_scan(compressed: bool = False,
              scale_factor: float = 0.002,
-             target_plain_bytes: float = PAPER_SCAN_BYTES,
              codec: Optional[str] = None,
-             params: Optional[CostParameters] = None,
              dvfs_fraction: float = 1.0,
-             seed: int = 2009) -> ScanReport:
+             seed: int = 2009,
+             *,  # late knobs: hashed and keyed only where set
+             target_plain_bytes: float = PAPER_SCAN_BYTES,
+             params: Optional[CostParameters] = None) -> ScanReport:
     """Run one Figure 2 configuration and return its measurements.
 
     Real ORDERS data is generated at ``scale_factor`` and scanned for
