@@ -65,7 +65,7 @@ from repro.service.node import FleetNode
 from repro.service.report import ServiceError
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DispatchContext:
     """Everything a routing decision may read, for one arrival.
 
@@ -83,6 +83,18 @@ class DispatchContext:
     service_seconds: float
     #: the arriving tenant's p95 SLA target (None: unknown)
     sla_seconds: Optional[float] = None
+
+    def __init__(self, nodes: Sequence[FleetNode], on_ids: Sequence[int],
+                 now: float, service_seconds: float,
+                 sla_seconds: Optional[float] = None) -> None:
+        # one context is built per routing decision: storing through
+        # the slots' own descriptors skips the five object.__setattr__
+        # calls a frozen dataclass's generated __init__ makes
+        _set_nodes(self, nodes)
+        _set_on_ids(self, on_ids)
+        _set_now(self, now)
+        _set_service_seconds(self, service_seconds)
+        _set_sla_seconds(self, sla_seconds)
 
     def scaled_service_seconds(self, i: int) -> float:
         """This arrival's execution time on node ``i``'s class."""
@@ -116,6 +128,11 @@ class DispatchContext:
             return True
         return self.estimated_latency_seconds(i) \
             <= self.sla_seconds * slack_fraction
+
+
+(_set_nodes, _set_on_ids, _set_now, _set_service_seconds,
+ _set_sla_seconds) = (DispatchContext.__dict__[name].__set__
+                      for name in DispatchContext.__slots__)
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,9 +186,12 @@ class DispatchPolicy:
 
     def __init__(self,
                  admission_limit_seconds: Optional[float] = None) -> None:
+        # knob checks are written `not x > bound` so NaN fails them too
         if admission_limit_seconds is not None \
-                and admission_limit_seconds <= 0:
-            raise ServiceError("admission limit must be positive")
+                and not admission_limit_seconds > 0:
+            raise ServiceError(
+                "admission limit must be positive, got "
+                f"admission_limit_seconds={admission_limit_seconds}")
         self.admission_limit_seconds = admission_limit_seconds
 
     def route(self, ctx: DispatchContext) -> int:
@@ -288,8 +308,10 @@ class PowerAwarePacking(DispatchPolicy):
     def __init__(self, pack_backlog_seconds: float = 0.2,
                  admission_limit_seconds: Optional[float] = None) -> None:
         super().__init__(admission_limit_seconds)
-        if pack_backlog_seconds < 0:
-            raise ServiceError("pack bound cannot be negative")
+        if not pack_backlog_seconds >= 0:
+            raise ServiceError(
+                "pack bound cannot be negative or NaN, got "
+                f"pack_backlog_seconds={pack_backlog_seconds}")
         self.pack_backlog_seconds = pack_backlog_seconds
         # (node list, its per-node cost rates, all rates equal); keyed
         # by list identity — holding the list keeps its id from being
@@ -359,8 +381,10 @@ class CostAware(DispatchPolicy):
     def __init__(self, sla_slack_fraction: float = 1.0,
                  admission_limit_seconds: Optional[float] = None) -> None:
         super().__init__(admission_limit_seconds)
-        if sla_slack_fraction <= 0:
-            raise ServiceError("SLA slack fraction must be positive")
+        if not sla_slack_fraction > 0:
+            raise ServiceError(
+                "SLA slack fraction must be positive, got "
+                f"sla_slack_fraction={sla_slack_fraction}")
         self.sla_slack_fraction = sla_slack_fraction
 
     def route(self, ctx: DispatchContext) -> int:

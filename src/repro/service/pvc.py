@@ -96,9 +96,10 @@ class PVCPolicy(DispatchPolicy):
         steps = tuple(sorted({float(f) for f in frequency_steps}))
         if not steps:
             raise ServiceError("pvc needs at least one frequency step")
-        if steps[0] <= 0 or steps[-1] > 1.0:
+        if not all(0 < f <= 1.0 for f in steps):  # NaN fails too
             raise ServiceError(
-                f"frequency steps must lie in (0, 1], got {steps}")
+                "frequency steps must lie in (0, 1], got "
+                f"frequency_steps={tuple(frequency_steps)}")
         #: ascending, so the first fitting step is the deepest downclock
         self.frequency_steps = steps
         if not 0 < sla_headroom <= 1.0:

@@ -104,16 +104,19 @@ class QEDPolicy(DispatchPolicy):
             raise ServiceError(
                 f"qed cannot wrap {self.inner.name!r}: hold queues do "
                 "not nest")
-        if hold_seconds < 0:
-            raise ServiceError("hold window cannot be negative")
+        if not hold_seconds >= 0:
+            raise ServiceError(
+                "hold window cannot be negative or NaN, got "
+                f"hold_seconds={hold_seconds}")
         if not 0 < sla_headroom <= 1.0:
             raise ServiceError(
                 f"SLA headroom must lie in (0, 1], got {sla_headroom}")
         if not 0 <= shared_fraction <= 1.0:
             raise ServiceError(
                 f"shared fraction must lie in [0, 1], got {shared_fraction}")
-        if max_batch < 1:
-            raise ServiceError("max batch must be at least 1")
+        if not max_batch >= 1:
+            raise ServiceError(
+                f"max batch must be at least 1, got max_batch={max_batch}")
         self.hold_seconds = hold_seconds
         self.sla_headroom = sla_headroom
         self.shared_fraction = shared_fraction
@@ -122,6 +125,9 @@ class QEDPolicy(DispatchPolicy):
         self.dvfs = self.inner.dvfs
         self.name = f"qed({self.inner.name})"
         self._queues: dict[tuple[int, float], _Hold] = {}
+        # min(deadline) over _queues, kept as queues open and close:
+        # the engines ask for it once per arrival and once per release
+        self._next_deadline = float("inf")
 
     # -- routing/admission/DVFS delegate to the wrapped policy --------
 
@@ -151,11 +157,14 @@ class QEDPolicy(DispatchPolicy):
         held = self._queues.get(key)
         rec = current_recorder()
         if held is None:
-            self._queues[key] = _Hold(k, now + window, service_seconds,
+            deadline = now + window
+            self._queues[key] = _Hold(k, deadline, service_seconds,
                                       sla_seconds)
+            if deadline < self._next_deadline:
+                self._next_deadline = deadline
             if rec is not None:
                 rec.events.append((now, "hold_open", None, tenant, k,
-                                   {"deadline": now + window,
+                                   {"deadline": deadline,
                                     "window": window,
                                     "service_seconds": service_seconds}))
             return []
@@ -168,6 +177,7 @@ class QEDPolicy(DispatchPolicy):
                                 "size": len(held.members)}))
         if len(held.members) >= self.max_batch:
             del self._queues[key]
+            self._recompute_deadline()
             if rec is not None:
                 rec.events.append(
                     (now, "batch_flush", None, tenant, None,
@@ -178,8 +188,13 @@ class QEDPolicy(DispatchPolicy):
         return []
 
     def next_deadline(self) -> float:
-        return min((held.deadline for held in self._queues.values()),
-                   default=float("inf"))
+        return self._next_deadline
+
+    def _recompute_deadline(self) -> None:
+        """Re-derive the earliest open deadline after a queue closes."""
+        self._next_deadline = min(
+            (held.deadline for held in self._queues.values()),
+            default=float("inf"))
 
     def due(self, now: float) -> list[Batch]:
         ready = sorted(
@@ -207,6 +222,8 @@ class QEDPolicy(DispatchPolicy):
                       "members": len(held.members), "reason": reason,
                       "combined": held.service_seconds}))
             out.append(held.to_batch(held.deadline))
+        if out:
+            self._recompute_deadline()
         return out
 
 

@@ -25,12 +25,28 @@ SUITE_ROWS = [line.split(None, 2)
               if line.strip() and not line.startswith("#")]
 
 
+def series_name(row: list[str]) -> str:
+    """The ledger series a row appends to: its ``--benchmark`` when it
+    names one, else the experiment."""
+    extra = shlex.split(row[2]) if len(row) > 2 else []
+    if "--benchmark" in extra:
+        return extra[extra.index("--benchmark") + 1]
+    return row[0]
+
+
 def test_the_suite_table_has_rows():
     assert len(SUITE_ROWS) >= 8
     assert all(len(row) >= 2 for row in SUITE_ROWS)
 
 
-@pytest.mark.parametrize("row", SUITE_ROWS, ids=lambda row: row[0])
+def test_rows_append_to_distinct_series():
+    """Two rows on one series would gate one configuration against
+    the other's baseline."""
+    series = [(row[1], series_name(row)) for row in SUITE_ROWS]
+    assert len(series) == len(set(series))
+
+
+@pytest.mark.parametrize("row", SUITE_ROWS, ids=series_name)
 def test_suite_row_names_a_runnable_spec(row):
     """The argv CI builds from the row parses, names a registered
     experiment, and sets only knobs its point function takes."""
