@@ -300,7 +300,10 @@ class FlightRecorder:
                 for k in data.get("members", (query,)):
                     state[k] = LOST_STATE
 
-        events = [FleetEvent(t=t, kind=kind, node=node, tenant=ti,
+        # float(t): an int clock (an int epoch_seconds knob) must
+        # serialize as from_row decodes it, so a recording's canonical
+        # JSON is the same before and after a cache round trip
+        events = [FleetEvent(t=float(t), kind=kind, node=node, tenant=ti,
                              query=query, data=data)
                   for t, kind, node, ti, query, data in self.events]
         events.extend(self._derived_events(

@@ -11,6 +11,13 @@ Layout: ``<root>/<first two hex chars>/<digest>.json``, written
 atomically (a writer-unique tmp file + rename) so neither a killed run
 nor two writers of one key ever leave a corrupt entry behind;
 unreadable entries degrade to cache misses.
+
+An entry's text is the payload's canonical JSON (the form
+:func:`~repro.runner.spec.stable_hash` hashes), so :meth:`ResultCache.read`
+can hand back a field's stored text alongside its value and a later
+serialization splices that text in instead of encoding the value again.
+Entries written with ``json.dump``'s default separators still read,
+as values only.
 """
 
 from __future__ import annotations
@@ -18,12 +25,44 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from json.decoder import scanstring
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Collection, Mapping, Optional
 
-from repro.runner.spec import stable_hash
+from repro.runner.spec import canonical_json, stable_hash
 
 DEFAULT_CACHE_DIR = ".repro-cache"
+
+_scan_value = json.JSONDecoder().scan_once
+
+
+def _canonical_fields(text: str, keep: Collection[str]
+                      ) -> Optional[tuple[dict[str, Any], dict[str, str]]]:
+    """The object a canonical-JSON ``text`` encodes, plus the text of
+    each top-level field named in ``keep``; ``None`` when the top level
+    is not an object in canonical form (whitespace between tokens, or
+    anything after the closing brace).  One pass of json's C scanner
+    yields both each value and where its text ends."""
+    if text[:1] != "{":
+        return None
+    payload: dict[str, Any] = {}
+    texts: dict[str, str] = {}
+    end = 1
+    while True:
+        if text[end:end + 1] != '"':
+            return None
+        key, end = scanstring(text, end + 1)
+        if text[end:end + 1] != ":":
+            return None
+        start = end + 1
+        payload[key], end = _scan_value(text, start)
+        if key in keep:
+            texts[key] = text[start:end]
+        sep, end = text[end:end + 1], end + 1
+        if sep == "}":
+            return (payload, texts) if end == len(text) else None
+        if sep != ",":
+            return None
 
 
 def _package_version() -> str:
@@ -67,19 +106,31 @@ class ResultCache:
         return self.root / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> Optional[dict[str, Any]]:
-        path = self._path(key)
+        entry = self.read(key)
+        return None if entry is None else entry[0]
+
+    def read(self, key: str, texts_of: Collection[str] = ()
+             ) -> Optional[tuple[dict[str, Any], dict[str, str]]]:
+        """The payload stored under ``key`` and the canonical JSON text
+        of each of its top-level fields named in ``texts_of``, or
+        ``None`` for a missing or unreadable entry.  An entry not in
+        canonical form decodes as ever and carries no texts."""
         try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
+            with open(self._path(key), encoding="utf-8") as fh:
+                text = fh.read()
+            try:
+                entry = _canonical_fields(text, texts_of)
+            except (json.JSONDecodeError, StopIteration):
+                entry = None
+            if entry is None:
+                entry = json.loads(text), {}
         except (OSError, json.JSONDecodeError, UnicodeDecodeError,
                 RecursionError):
             return None
-        return payload if isinstance(payload, dict) else None
+        return entry if isinstance(entry[0], dict) else None
 
     def put(self, key: str, payload: Mapping[str, Any]) -> None:
-        # dumps, not dump: only the one-shot form reaches the C encoder
-        # (json.dump streams through the pure-Python one, same bytes)
-        text = json.dumps(payload, sort_keys=True)
+        text = canonical_json(payload)
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{key}.{os.urandom(8).hex()}.tmp")

@@ -15,7 +15,8 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Collection, Mapping, Optional, \
+    Sequence, Union
 
 from repro import observe
 from repro.errors import ReproError
@@ -60,6 +61,11 @@ class PointResult:
     cache_hit: bool = False
     #: observer kind (see :mod:`repro.observe`) -> decoded observation
     observed: dict[str, Any] = field(default_factory=dict)
+    #: observer kind -> the canonical JSON text a cache hit's
+    #: observation was stored as, spliced by :meth:`RunResult.to_json`
+    #: in place of encoding ``observed[kind]`` again
+    observed_json: dict[str, str] = field(
+        default_factory=dict, compare=False, repr=False)
 
     @property
     def telemetry(self) -> Optional["TelemetryTrace"]:
@@ -78,6 +84,9 @@ class PointResult:
         runs serialize to the same bytes.  Telemetry traces and flight
         recordings are sim-time-deterministic, so traced/recorded
         points carry theirs."""
+        return self._content()
+
+    def _content(self, skip: Collection[str] = ()) -> dict[str, Any]:
         # bulk: a type-tagged polymorphic report plus optional payload
         # keys, so this stays explicit (RunResult.from_dict inverts it)
         return {
@@ -89,8 +98,21 @@ class PointResult:
             "sim_seconds": self.sim_seconds,
             "joules": self.joules,
             **{kind: seen.to_dict()
-               for kind, seen in self.observed.items()},
+               for kind, seen in self.observed.items()
+               if kind not in skip},
         }
+
+    def _json_parts(self, out: list[str]) -> None:
+        """Append ``canonical_json(self.to_dict())`` to ``out`` as
+        fragments: each field encoded on its own, except an observation
+        with a stored text, which is spliced in as is."""
+        fields = {key: canonical_json(value) for key, value
+                  in self._content(skip=self.observed_json).items()}
+        fields.update(self.observed_json)
+        out.append("{")
+        for n, key in enumerate(sorted(fields)):
+            out += ("," if n else "", canonical_json(key), ":", fields[key])
+        out.append("}")
 
 
 def _decode_observed(payload: Mapping[str, Any]) -> dict[str, Any]:
@@ -162,7 +184,19 @@ class RunResult:
         }
 
     def to_json(self) -> str:
-        return canonical_json(self.to_dict())
+        """``canonical_json(self.to_dict())``, assembled from fragments
+        in sorted-key order and joined once, so a cache hit's stored
+        observation text is copied, not re-encoded.  Exact because the
+        canonical JSON of a str-keyed dict is ``"{"`` + ``","``-joined
+        ``key:value`` texts in sorted key order + ``"}"``."""
+        out = ['{"points":[']
+        for n, point in enumerate(self.points):
+            if n:
+                out.append(",")
+            point._json_parts(out)
+        out += ['],"spec":', canonical_json(self.spec.canonical()),
+                ',"spec_hash":', canonical_json(self.spec.spec_hash()), "}"]
+        return "".join(out)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunResult":
@@ -241,7 +275,9 @@ class Runner:
 
     def _finish(self, spec: ExperimentSpec, index: int, total: int,
                 payload: Mapping[str, Any], cache_hit: bool,
-                host_seconds: float) -> PointResult:
+                host_seconds: float,
+                texts: Optional[Mapping[str, str]] = None) -> PointResult:
+        observed = _decode_observed(payload)
         result = PointResult(
             index=index, knobs=dict(payload["knobs"]),
             seed=payload["seed"],
@@ -249,7 +285,10 @@ class Runner:
             sim_seconds=payload["sim_seconds"],
             joules=payload["joules"],
             host_seconds=host_seconds, cache_hit=cache_hit,
-            observed=_decode_observed(payload))
+            observed=observed,
+            observed_json={kind: text
+                           for kind, text in (texts or {}).items()
+                           if kind in observed})
         self._emit(PointFinished(
             index=index, total_points=total, knobs=result.knobs,
             sim_seconds=result.sim_seconds, joules=result.joules,
@@ -275,13 +314,14 @@ class Runner:
         results: dict[int, PointResult] = {}
         pending: list[PointItem] = []
         for index, (task, key) in enumerate(tasks):
-            payload = self.cache.get(key) if self.cache else None
-            if payload is not None and payload_matches(
-                    payload, task, self.observe):
+            entry = self.cache.read(key, self.observe) if self.cache \
+                else None
+            if entry is not None and payload_matches(
+                    entry[0], task, self.observe):
                 try:
                     results[index] = self._finish(
-                        spec, index, total, payload, cache_hit=True,
-                        host_seconds=0.0)
+                        spec, index, total, entry[0], cache_hit=True,
+                        host_seconds=0.0, texts=entry[1])
                     continue
                 except RecordError:
                     pass  # valid JSON, wrong shape: a miss like any other

@@ -22,6 +22,7 @@ the classic count-based behavior, bit for bit.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from repro.observe import current_recorder
@@ -57,14 +58,27 @@ class Autoscaler:
                  min_nodes: int = 2,
                  ewma_alpha: float = 0.4,
                  cooldown_epochs: int = 2) -> None:
-        if epoch_seconds <= 0:
-            raise ServiceError("epoch must be positive")
+        # written `not x >= bound` so NaN fails too (a NaN epoch never
+        # steps); an infinite epoch, floor or cooldown is no setting
+        if not (epoch_seconds > 0 and math.isfinite(epoch_seconds)):
+            raise ServiceError(
+                "epoch must be finite and positive, got "
+                f"epoch_seconds={epoch_seconds}")
         if not 0.0 < target_utilization <= 1.0:
-            raise ServiceError("target utilization must be in (0, 1]")
-        if min_nodes < 1:
-            raise ServiceError("need at least one node powered on")
+            raise ServiceError(
+                "target utilization must be in (0, 1], got "
+                f"target_utilization={target_utilization}")
+        if not (min_nodes >= 1 and math.isfinite(min_nodes)):
+            raise ServiceError(
+                "need at least one node powered on, got "
+                f"min_nodes={min_nodes}")
         if not 0.0 < ewma_alpha <= 1.0:
-            raise ServiceError("EWMA alpha must be in (0, 1]")
+            raise ServiceError(
+                f"EWMA alpha must be in (0, 1], got ewma_alpha={ewma_alpha}")
+        if not (cooldown_epochs >= 0 and math.isfinite(cooldown_epochs)):
+            raise ServiceError(
+                "cooldown must be finite and >= 0 epochs, got "
+                f"cooldown_epochs={cooldown_epochs}")
         self.model = model
         self.epoch_seconds = epoch_seconds
         self.target_utilization = target_utilization

@@ -20,6 +20,7 @@ path price Joules identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -51,15 +52,22 @@ class NodePowerModel(Record):
         if self.boot_joules is None:
             object.__setattr__(self, "boot_joules",
                                self.peak_watts * self.boot_seconds)
-        if self.idle_watts < 0 or self.peak_watts < self.idle_watts:
+        # written `not x >= bound` so NaN fails too, and every field must
+        # be finite: a NaN speed factor would surface only much later,
+        # as a policy that admitted no queries
+        floors = {"idle_watts": 0.0, "peak_watts": self.idle_watts,
+                  "boot_seconds": 0.0, "boot_joules": 0.0,
+                  "drain_seconds": 0.0, "drain_joules": 0.0}
+        for name, floor in floors.items():
+            value = getattr(self, name)
+            if not (value >= floor and math.isfinite(value)):
+                raise ServiceError(
+                    f"{self.name}: {name} must be finite and >= {floor}, "
+                    f"got {name}={value}")
+        if not (self.speed_factor > 0 and math.isfinite(self.speed_factor)):
             raise ServiceError(
-                f"{self.name}: need 0 <= idle <= peak watts, got "
-                f"{self.idle_watts}/{self.peak_watts}")
-        if self.speed_factor <= 0:
-            raise ServiceError(f"{self.name}: speed factor must be positive")
-        if min(self.boot_seconds, self.boot_joules, self.drain_seconds,
-               self.drain_joules) < 0:
-            raise ServiceError(f"{self.name}: negative transition cost")
+                f"{self.name}: speed_factor must be finite and positive, "
+                f"got speed_factor={self.speed_factor}")
 
     def power(self, utilization: float) -> float:
         if not 0.0 <= utilization <= 1.0 + 1e-9:

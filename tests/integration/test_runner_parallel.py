@@ -3,7 +3,6 @@ must be bit-identical to the serial one, and repeats must be 100%
 cache hits; the worker that computed a point stores it; a worker that
 dies ends the run in one error, never a hang."""
 
-import io
 import json
 import os
 import subprocess
@@ -11,6 +10,7 @@ import sys
 import textwrap
 
 from repro.runner import ExperimentSpec, ResultCache, Runner, point_key
+from repro.runner.spec import canonical_json
 from repro.workloads.scan_workload import run_scan
 
 #: the tiny Figure 1 settings the experiments-API tests already use
@@ -125,10 +125,9 @@ class TestPoolTransport:
         assert run.to_json() == Runner(workers=1, cache=False).run(
             spec).to_json()
 
-    def test_recorded_point_entry_equals_the_streaming_form(
-            self, tmp_path):
+    def test_recorded_point_entry_is_canonical_json(self, tmp_path):
         """The real thing: a flight-recorded ``svc_smoke`` point's
-        entry is byte for byte what ``json.dump`` used to stream."""
+        entry is byte for byte its payload's canonical JSON."""
         spec = ExperimentSpec("svc_smoke", knobs={
             "policy": ["round_robin", "power_aware"], "queries": 2000})
         cache = ResultCache(tmp_path / "cache")
@@ -141,9 +140,7 @@ class TestPoolTransport:
             text = path.read_text(encoding="utf-8")
             payload = json.loads(text)
             assert payload["flightrec"]["events"]
-            streamed = io.StringIO()
-            json.dump(payload, streamed, sort_keys=True)
-            assert text == streamed.getvalue()
+            assert text == canonical_json(payload)
 
 
 #: registers an experiment whose negative points kill their process

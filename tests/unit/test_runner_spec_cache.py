@@ -1,7 +1,6 @@
 """Unit tests for repro.runner: spec hashing, the on-disk result
 cache, report round-tripping, and the CLI's knob parsing."""
 
-import io
 import json
 import os
 
@@ -23,6 +22,7 @@ from repro.runner import (
     register_experiment,
 )
 from repro.runner.cli import main, parse_knob_args, parse_knob_value
+from repro.runner.spec import canonical_json
 from repro.workloads.duty_cycle import DutyCycleReport
 from repro.workloads.scan_workload import ScanReport
 from repro.workloads.throughput import ThroughputReport
@@ -154,9 +154,10 @@ class TestResultCache:
         assert again.to_json() == first.to_json()
         assert Runner(workers=1, cache=cache).run(spec).cache_hits == 2
 
-    def test_entry_bytes_equal_the_streaming_form(self, tmp_path):
-        """``put`` encodes one-shot (the C encoder) — the bytes must be
-        the ones ``json.dump`` streamed, so old caches stay valid."""
+    def test_entry_bytes_are_canonical_json(self, tmp_path):
+        """An entry is the payload's canonical JSON (the form
+        ``stable_hash`` hashes), so a field's stored text is the text a
+        run JSON carries for it."""
         payload = {
             "z": [0.1, 1e-300, 1.5e300, -0.0, 3, 2 ** 70],
             "a": {"nan": float("nan"), "inf": float("inf"),
@@ -168,10 +169,8 @@ class TestResultCache:
         cache = ResultCache(tmp_path / "c")
         key = point_key("unit_toy", {"x": 1}, 2009, version="v")
         cache.put(key, payload)
-        streamed = io.StringIO()
-        json.dump(payload, streamed, sort_keys=True)
         assert (cache._path(key).read_bytes()
-                == streamed.getvalue().encode("utf-8"))
+                == canonical_json(payload).encode("utf-8"))
 
     def test_put_temp_is_writer_unique_and_removed_on_failure(
             self, tmp_path, monkeypatch):
