@@ -43,8 +43,7 @@ import numpy as np
 from repro.faults.policies import RetryPolicy, ShedPolicy
 from repro.faults.schedule import FaultError, FaultSchedule
 from repro.service.autoscale import Autoscaler
-from repro.service.dispatch import (DispatchContext, DispatchPolicy,
-                                    dispatch_candidates)
+from repro.service.dispatch import DispatchContext, DispatchPolicy
 from repro.service.fleet import _assemble_report, _prepare
 from repro.service.report import FaultStats, ServiceReport
 from repro.service.spec import FleetSpec
@@ -53,10 +52,16 @@ from repro.service.workload import ArrivalStream
 # arrival-state codes (per-query resolution ledger)
 _PENDING, _COMPLETED, _REJECTED, _LOST = 0, 1, 2, 3
 # heap priorities: faults and repairs rewrite the world the
-# re-dispatches then see, so they win ties; batch releases run last so
-# a released batch dispatches onto the post-fault fleet
-_PRIO_FAULT, _PRIO_REDISPATCH, _PRIO_RELEASE = 0, 1, 2
+# re-dispatches then see, so they win ties; the served stream's rows
+# run after every heap event at their instant, so a released batch
+# dispatches onto the post-fault fleet
+_PRIO_FAULT, _PRIO_REDISPATCH = 0, 1
 _EMPTY: frozenset = frozenset()
+
+
+def _alone(k: int) -> tuple[int]:
+    """The members of an ordinary stream's row ``k``: arrival ``k``."""
+    return (k,)
 
 
 def _merge_windows(windows: list[tuple[float, float]]) \
@@ -126,9 +131,10 @@ def simulate_faulty_service(stream: ArrivalStream,
     PVC and QED policies run under faults since the flight recorder
     landed: a DVFS governor's downclock composes with any active
     throttle window (effective cubic factor is their product), and a
-    batching policy's hold queues release through the same event heap
-    — a released batch routes, sheds, crashes, and retries as one
-    unit, with every member sharing the outcome.
+    batching policy's releases (computed before serving, see
+    :func:`repro.service.fleet._release_stream`) are the rows this
+    engine serves — a released batch routes, sheds, crashes, and
+    retries as one unit, with every member sharing the outcome.
 
     The returned :class:`~repro.service.report.ServiceReport` carries a
     :class:`~repro.service.report.FaultStats` ledger reconciling every
@@ -158,17 +164,19 @@ def simulate_faulty_service(stream: ArrivalStream,
         retry = RetryPolicy()
     n_nodes = len(nodes)
     models = [node.model for node in nodes]
-    rec_detail = rec is not None and rec.detail
-    batching = policy.batching
     dvfs = policy.dvfs
 
-    times, services, slas = stream.columns().lists()
-    tenant_idx = stream.tenant_index
+    # a row of the served stream is an arrival or, under a batching
+    # policy, one shared execution; ``members(row)`` names its arrivals
+    cols = run.cols
+    times, services, slas = cols.lists()
     n = len(times)
-    latencies = np.full(n, np.nan)
-    state = np.zeros(n, dtype=np.int8)
-    was_crashed = np.zeros(n, dtype=bool)
-    attempts = [0] * n
+    members = _alone if cols.members is None else cols.members.__getitem__
+    arrivals = stream.columns().lists()[0]
+    latencies = np.full(len(arrivals), np.nan)
+    state = np.zeros(len(arrivals), dtype=np.int8)
+    was_crashed = np.zeros(len(arrivals), dtype=bool)
+    attempts = [0] * len(arrivals)
 
     # -- per-node fault state (each node on its class's power curve) --
     throttle_active: list[list[float]] = [[] for _ in range(n_nodes)]
@@ -176,8 +184,8 @@ def simulate_faulty_service(stream: ArrivalStream,
     speed_mult = [1.0] * n_nodes
     throttle_factor = [1.0] * n_nodes
     busy_watts = [m.dvfs_watts(1.0) for m in models]
-    #: unsettled executions per node: (job, start, end, scaled, watts,
-    #: frequency) — job is an arrival index or a released Batch
+    #: unsettled executions per node: (row, start, end, scaled, watts,
+    #: frequency)
     pending: list[deque] = [deque() for _ in range(n_nodes)]
 
     def recompute(i: int) -> None:
@@ -224,28 +232,20 @@ def simulate_faulty_service(stream: ArrivalStream,
         q = pending[i]
         while q and q[0][2] <= upto:
             job, start, end, _scaled, watts, freq = q.popleft()
-            if type(job) is int:
-                latencies[job] = end - times[job]
-                state[job] = _COMPLETED
-                if rec is not None:
-                    rec.fault_serves.append(
-                        (job, i, start, end, watts, freq, None))
-            else:
-                for m in job.members:
-                    latencies[m] = end - times[m]
-                    state[m] = _COMPLETED
-                if rec is not None:
-                    rec.fault_serves.append(
-                        (job.members, i, start, end, watts, freq,
-                         job.service_seconds))
+            who = members(job)
+            for m in who:
+                latencies[m] = end - arrivals[m]
+                state[m] = _COMPLETED
+            if rec is not None:
+                rec.fault_serves.append(
+                    (who, i, start, end, watts, freq, services[job]))
             if mirror is not None:
                 mirror.serve(i, start, end, watts)
 
     # -- dispatch (and re-dispatch) -----------------------------------
-    # ``job`` is an arrival index, or (when the policy batches) a
-    # released Batch dispatched as one shared execution: its combined
-    # demand routes, executes, and sheds as a unit, and every member
-    # shares the outcome (latency, rejection, crash loss)
+    # ``job`` is a row of the served stream: a shared execution's
+    # combined demand routes, executes, and sheds as a unit, and every
+    # member shares the outcome (latency, rejection, crash loss)
     def dispatch(job, now: float, excluded: frozenset) -> None:
         nonlocal last_completion
         ids = (on_ids if not excluded
@@ -273,24 +273,14 @@ def simulate_faulty_service(stream: ArrivalStream,
                 rec.events.append((now, "boot", spare, None, None,
                                    {"reason": "blackout"}))
             ids = on_ids
-        if type(job) is int:
-            who = (job,)
-            s = services[job]
-            sla = slas[job]
-        else:
-            who = job.members
-            s = job.service_seconds
-            sla = job.sla_seconds
+        who = members(job)
+        s = services[job]
+        sla = slas[job]
         ctx = DispatchContext(nodes, ids, now, s, sla)
         i = policy.route(ctx)
         node = nodes[i]
         for m in who:
             attempts[m] += 1
-        if rec_detail:
-            rec.events.append(
-                (now, "dispatch", i,
-                 int(tenant_idx[who[0]]) if len(who) == 1 else None,
-                 who[0], dispatch_candidates(ctx, i)))
         if in_timeout(i, now):
             stats.timeouts += 1
             if retry.exhausted(attempts[who[0]]):
@@ -361,33 +351,32 @@ def simulate_faulty_service(stream: ArrivalStream,
             return
         settle(i, now)
         q = pending[i]
-        lost: list = []          # destroyed jobs, in queue order
+        lost: list = []          # destroyed (row, members), in queue order
         lost_queries = 0
         retract_busy = 0.0
         retract_joules = 0.0
         if q and q[0][1] < now:
             # in-flight execution: ran up to the crash, then destroyed
             job0, s0, _e0, scaled0, w0, _f0 = q.popleft()
+            who0 = members(job0)
             unexecuted = scaled0 - (now - s0)
             retract_busy += unexecuted
             retract_joules += (w0 - node.model.idle_watts) * unexecuted
-            lost.append(job0)
-            lost_queries += (1 if type(job0) is int
-                             else len(job0.members))
+            lost.append((job0, who0))
+            lost_queries += len(who0)
             if mirror is not None:
                 mirror.serve(i, s0, now, w0)
             if rec is not None:
                 rec.events.append(
-                    (now, "truncated_serve", i, None,
-                     job0 if type(job0) is int else job0.members[0],
+                    (now, "truncated_serve", i, None, who0[0],
                      {"start": s0, "end": now, "watts": w0}))
         while q:
             job2, _s2, _e2, scaled2, w2, _f2 = q.popleft()
+            who2 = members(job2)
             retract_busy += scaled2
             retract_joules += (w2 - node.model.idle_watts) * scaled2
-            lost.append(job2)
-            lost_queries += (1 if type(job2) is int
-                             else len(job2.members))
+            lost.append((job2, who2))
+            lost_queries += len(who2)
         node.retract(retract_busy, retract_joules, lost_queries)
         repair_at = now + downtime
         node.crash(now, repair_at)
@@ -401,24 +390,23 @@ def simulate_faulty_service(stream: ArrivalStream,
                                {"repair_at": repair_at,
                                 "lost": lost_queries}))
         push(repair_at, _PRIO_FAULT, "repair", i)
-        for job2 in lost:
-            members = (job2,) if type(job2) is int else job2.members
-            for m in members:
+        for job2, who in lost:
+            for m in who:
                 was_crashed[m] = True
-            if retry.exhausted(attempts[members[0]]):
-                state[list(members)] = _LOST
+            if retry.exhausted(attempts[who[0]]):
+                state[list(who)] = _LOST
                 if rec is not None:
                     rec.events.append(
-                        (now, "lost", i, None, members[0],
-                         {"members": list(members)}))
+                        (now, "lost", i, None, who[0],
+                         {"members": list(who)}))
             else:
                 stats.retries += 1
-                push(now + retry.backoff_seconds(attempts[members[0]]),
+                push(now + retry.backoff_seconds(attempts[who[0]]),
                      _PRIO_REDISPATCH, "redispatch", (job2, _EMPTY))
                 if rec is not None:
                     rec.events.append(
-                        (now, "retry", i, None, members[0],
-                         {"reason": "crash", "members": list(members)}))
+                        (now, "retry", i, None, who[0],
+                         {"reason": "crash", "members": list(who)}))
         if autoscaler is not None:
             booted = autoscaler.emergency(now, nodes, on_ids, downtime)
             if mirror is not None:
@@ -446,38 +434,19 @@ def simulate_faulty_service(stream: ArrivalStream,
                     rec.events.append((now, "boot", i, None, None,
                                        {"reason": "repair"}))
 
-    # -- batch release plumbing (only when the policy batches) --------
-    # every policy interaction reschedules one wake-up at the earliest
-    # outstanding hold deadline; stale wake-ups (the queue already
-    # flushed full) fall through ``due`` as no-ops
-    scheduled_releases: set[float] = set()
-
-    def schedule_release() -> None:
-        nd = policy.next_deadline()
-        if nd != float("inf") and nd not in scheduled_releases:
-            scheduled_releases.add(nd)
-            push(nd, _PRIO_RELEASE, "release", None)
-
-    def execute_batch(batch, now: float) -> None:
-        # the autoscaler observes the *combined* (shared) demand at
-        # release — consolidation pressure follows executed work
-        if autoscaler is not None:
-            autoscaler.observe(batch.service_seconds)
-        dispatch(batch, now, _EMPTY)
-
     # -- the run -------------------------------------------------------
     epoch = autoscaler.epoch_seconds if autoscaler is not None else 0.0
     next_epoch = epoch if autoscaler is not None else float("inf")
-    # epochs stop with the workload (legacy semantics): late fault and
-    # repair events must not keep the autoscaler power-cycling a fleet
-    # that has nothing left to serve
-    last_arrival = times[-1]
+    # epochs stop with the workload (legacy semantics): late releases,
+    # fault and repair events must not keep the autoscaler
+    # power-cycling a fleet that has nothing left to serve
+    last_arrival = arrivals[-1]
     k_next = 0
     while k_next < n or heap:
         if heap and (k_next >= n or heap[0][0] <= times[k_next]):
             t, _prio, _seq, kind, payload = heapq.heappop(heap)
         else:
-            t, kind, payload = times[k_next], "arrival", k_next
+            t, kind, payload = times[k_next], "row", k_next
             k_next += 1
         while t >= next_epoch and next_epoch <= last_arrival:
             for i in list(on_ids):
@@ -486,22 +455,12 @@ def simulate_faulty_service(stream: ArrivalStream,
             if mirror is not None:
                 mirror.sync(nodes)
             next_epoch += epoch
-        if kind == "arrival":
-            if batching:
-                ti = int(tenant_idx[payload])
-                for batch in policy.offer(payload, t, services[payload],
-                                          ti, slas[payload]):
-                    execute_batch(batch, t)
-                schedule_release()
-            else:
-                if autoscaler is not None:
-                    autoscaler.observe(services[payload])
-                dispatch(payload, t, _EMPTY)
-        elif kind == "release":
-            scheduled_releases.discard(t)
-            for batch in policy.due(t):
-                execute_batch(batch, t)
-            schedule_release()
+        if kind == "row":
+            # the autoscaler observes a shared execution's combined
+            # demand: consolidation pressure follows executed work
+            if autoscaler is not None:
+                autoscaler.observe(services[payload])
+            dispatch(payload, t, _EMPTY)
         elif kind == "redispatch":
             job, excluded = payload
             dispatch(job, t, excluded)
@@ -546,13 +505,6 @@ def simulate_faulty_service(stream: ArrivalStream,
             do_crash(i, t, downtime)
         else:  # repair
             do_repair(payload, t)
-
-    if batching:
-        # every open hold had a scheduled release, so this is normally
-        # empty; it guards third-party batching policies whose
-        # ``next_deadline`` under-reports
-        for batch in policy.flush():
-            execute_batch(batch, batch.release_at)
 
     # -- close the books ----------------------------------------------
     # every execution still pending ends by ``last_completion``

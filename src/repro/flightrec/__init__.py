@@ -2,7 +2,7 @@
 
 Time-resolved observability for the serving and chaos engines: a
 :func:`record` capture collects typed
-:class:`~repro.flightrec.events.FleetEvent` streams (dispatch, DVFS,
+:class:`~repro.flightrec.events.FleetEvent` streams (DVFS shifts,
 QED holds, boots/drains/crashes, autoscaler verdicts, sheds, retries)
 plus a columnar per-query table, finalized into a serializable
 :class:`~repro.flightrec.events.FlightRecording`.  Rollups, SLO

@@ -63,12 +63,6 @@ LOST = "lost"
 #: drew power (data: start, end, watts); the query itself settles
 #: elsewhere (retry) or is lost
 TRUNCATED_SERVE = "truncated_serve"
-#: opt-in dispatch detail: the considered candidate table (data:
-#: chosen, candidates = [[node, marginal_watts, est_latency, fits]])
-DISPATCH = "dispatch"
-#: opt-in DVFS governor detail: one frequency decision (data:
-#: frequency, sla_seconds)
-DVFS_DECISION = "dvfs_decision"
 #: derived at finalize: per-node governor state shifts (data: from,
 #: to) and per-query SLA overshoots (data: latency, sla)
 DVFS_SHIFT = "dvfs_shift"

@@ -15,7 +15,9 @@ SLA breaches, DVFS shift windows, batch join-up) is derived once, in
 ``finalize``, from those lanes plus the arrival arrays captured at
 :meth:`FlightRecorder.begin_run`.  With no recorder installed every
 site is one module-global read; with one installed a recorded run is
-still an event-core run — ``benchmarks/test_flightrec_overhead.py``
+still an event-core run (a batching policy's aside: its
+``batch_serves`` rows carry each shared execution's exact start, which
+only the reference loop emits) — ``benchmarks/test_flightrec_overhead.py``
 asserts that, and perfbench's ``flightrec.overhead_ratio`` carries the
 wall-clock number.
 """
@@ -36,16 +38,9 @@ from repro.observe import installed
 
 class FlightRecorder:
     """Collects one run's raw event lanes; :meth:`finalize` freezes
-    them into a :class:`~repro.flightrec.events.FlightRecording`.
+    them into a :class:`~repro.flightrec.events.FlightRecording`."""
 
-    ``detail=True`` additionally records per-arrival dispatch
-    candidate tables (every considered node with its marginal watts
-    and SLA fit) and per-call DVFS governor decisions — an O(fleet)
-    cost per query the default mode skips.
-    """
-
-    def __init__(self, detail: bool = False) -> None:
-        self.detail = detail
+    def __init__(self) -> None:
         #: healthy plain executions: per-query node index (-1 = not
         #: plain-served), one entry per arrival — all -1 from
         #: :meth:`begin_run`, replaced by the serving pass's own lane
@@ -59,8 +54,8 @@ class FlightRecorder:
         #: shared batch executions: (members, node, release_at, start,
         #: done, combined_seconds, frequency, busy_watts)
         self.batch_serves: list[tuple] = []
-        #: chaos settled executions: (query_or_members, node, start,
-        #: end, busy_watts, frequency, combined_seconds_or_None)
+        #: chaos settled executions: (members, node, start, end,
+        #: busy_watts, frequency, combined_seconds)
         self.fault_serves: list[tuple] = []
         #: cold raw events: (t, kind, node, tenant, query, data)
         self.events: list[tuple] = []
@@ -274,16 +269,11 @@ class FlightRecorder:
 
         for who, i, start, end, busy_watts, freq, combined \
                 in self.fault_serves:
-            if isinstance(who, tuple) and (
-                    len(who) > 1 or who[0] in flush_by_first):
-                add_batch(who, i, start, start, end,
-                          end - start if combined is None else combined,
-                          freq, busy_watts)
+            if len(who) > 1 or who[0] in flush_by_first:
+                add_batch(who, i, start, start, end, combined, freq,
+                          busy_watts)
             else:
-                if isinstance(who, tuple):
-                    # degenerate solo release under chaos: plain serve
-                    who = who[0]
-                put_span(who, i, start, end, busy_watts, freq)
+                put_span(who[0], i, start, end, busy_watts, freq)
 
         for t, kind, node, ti, query, data in self.events:
             if kind == RETRY:
@@ -357,7 +347,7 @@ class FlightRecorder:
 
 
 @contextmanager
-def record(detail: bool = False) -> Iterator[FlightRecorder]:
+def record() -> Iterator[FlightRecorder]:
     """Install a :class:`FlightRecorder` for the enclosed run.
 
     >>> from repro.flightrec import record
@@ -368,5 +358,5 @@ def record(detail: bool = False) -> Iterator[FlightRecorder]:
     >>> current_recorder() is None
     True
     """
-    with installed("flightrec", FlightRecorder(detail=detail)) as recorder:
+    with installed("flightrec", FlightRecorder()) as recorder:
         yield recorder

@@ -8,7 +8,7 @@ overshot the SLA, divided by the error budget (default 5 % — "at most
 1 in 20 queries may miss").  Burn 1.0 means the window consumed budget
 exactly as fast as it accrues; a sustained stretch above 1.0 is a
 *breach window*, and the worst window is where triage starts (find it
-here, then read the dispatch/DVFS/batch events inside it — the
+here, then read the reject/DVFS/batch events inside it — the
 OPERATIONS.md walkthrough).
 
 Queries that never completed (rejected, shed, crash-lost) are charged

@@ -34,12 +34,14 @@ POLICIES.md for the author's guide):
   busy draw.  :class:`~repro.service.pvc.PVCPolicy` is the built-in
   governor.
 * **batched admission** — a policy that sets ``batching = True`` holds
-  arrivals in queues instead of dispatching them immediately; the
-  engine drives its :meth:`DispatchPolicy.offer` /
-  :meth:`DispatchPolicy.next_deadline` / :meth:`DispatchPolicy.due` /
-  :meth:`DispatchPolicy.flush` protocol and executes the released
-  :class:`Batch` objects.  :class:`~repro.service.qed.QEDPolicy` is
-  the built-in queued-execution policy.
+  arrivals in queues instead of dispatching them immediately.  Its
+  :meth:`DispatchPolicy.offer` / :meth:`DispatchPolicy.next_deadline` /
+  :meth:`DispatchPolicy.due` / :meth:`DispatchPolicy.flush` protocol
+  reads arrivals and the clock, never the fleet, so the engine drives
+  it once over the whole stream before serving and then serves the
+  released :class:`Batch` objects as one stream of shared executions.
+  :class:`~repro.service.qed.QEDPolicy` is the built-in
+  queued-execution policy.
 
 Admission is a shared knob (``admission_limit_seconds``) that rejects
 an arrival when its chosen node's backlog exceeds the limit —
@@ -403,25 +405,6 @@ class CostAware(DispatchPolicy):
             if cost < best_cost:
                 best, best_cost = i, cost
         return best if best >= 0 else fastest
-
-
-def dispatch_candidates(ctx: DispatchContext, chosen: int) -> dict:
-    """The considered-candidate table behind one routing decision.
-
-    One row per powered-on node: ``[index, marginal watts, marginal
-    Joules for this arrival, estimated latency, fits-SLA]`` — the same
-    quantities the cost-aware and packing routers rank on.  The flight
-    recorder emits this (detail mode) so a recording can answer not
-    just *where* an arrival went but what the alternatives would have
-    cost in Joules and SLA slack.
-    """
-    return {
-        "chosen": chosen,
-        "candidates": [
-            [i, ctx.marginal_watts(i), ctx.marginal_joules(i),
-             ctx.estimated_latency_seconds(i), bool(ctx.fits_sla(i))]
-            for i in ctx.on_ids],
-    }
 
 
 #: policy name -> factory, for spec knobs and third-party extension

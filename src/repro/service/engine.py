@@ -71,12 +71,23 @@ telemetry-captured run is an event-core run.  The reference loop
 emits the identical columns, which is what makes a recording or trace
 equal between the engines dict for dict.
 
-Configurations the core cannot reproduce exactly — batching policies
-(QED's hold/release protocol), fault schedules, admission-exempt batch
-tenants under an admission limit, third-party routers, and
-``record(detail=True)`` (per-arrival candidate tables need the live
-``DispatchContext``) — are declined by :func:`event_core_unsupported`,
-and ``engine="auto"`` falls back to the reference loop.
+**A batching policy is a stream.**  QED's hold protocol never reads
+the fleet, so its releases are computed before serving
+(:func:`repro.service.fleet._release_stream`) and a kernel serves them
+as it serves arrivals: each row is one shared execution, routed,
+admitted, governed and autoscaled on its combined demand.  The kernels
+unwrap :class:`~repro.service.qed.QEDPolicy` to the governor and router
+it wraps, admit against the smallest wrapper limit (the loop's
+``admits`` chain) and stop autoscaler epochs at the stream's last
+arrival.  :meth:`ServedColumns.hand_over` then fans every execution
+out to its members.
+
+Configurations the core cannot reproduce exactly — fault schedules, a
+recorded batching run (its shared-execution rows carry each
+execution's exact start, which only the loop emits), admission-exempt
+batch tenants under an admission limit, and third-party routers — are
+declined by :func:`event_core_unsupported`, and ``engine="auto"``
+falls back to the reference loop.
 """
 
 from __future__ import annotations
@@ -86,6 +97,7 @@ import linecache
 import re
 import textwrap
 from heapq import heappop, heappush, heapreplace
+from itertools import chain
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -95,9 +107,10 @@ from repro.service.dispatch import (CostAware, DispatchPolicy, LeastLoaded,
                                     PowerAwarePacking, RoundRobin)
 from repro.service.node import FleetNode
 from repro.service.pvc import PVCPolicy
+from repro.service.qed import QEDPolicy
 from repro.service.report import ServiceError
 from repro.service.spec import FleetSpec
-from repro.service.workload import ArrivalStream
+from repro.service.workload import ArrivalStream, StreamColumns
 
 #: arrivals marshalled per chunk — bounds the Python-list working set
 #: (a 10M-query stream never holds more than ~1.5 MB of scalar floats)
@@ -119,57 +132,79 @@ def event_core_unsupported(policy: DispatchPolicy,
     """
     if faults:
         return "fault schedules replay on the reference loop"
-    if recorder is not None and recorder.detail:
-        return "detail recording needs per-arrival candidate tables"
-    router = policy.inner if type(policy) is PVCPolicy else policy
-    if stream is not None and any(t.batch for t in stream.tenants) and (
-            policy.admission_limit_seconds is not None
-            or router.admission_limit_seconds is not None):
+    if recorder is not None and policy.batching:
+        return (f"a recorded {policy.name!r} run carries each shared "
+                "execution's exact start, which only the reference loop "
+                "emits")
+    layers = _layers(policy)
+    if stream is not None and any(t.batch for t in stream.tenants) and any(
+            p.admission_limit_seconds is not None for p in layers):
         return ("batch tenants are admission-exempt, which the event "
                 "core's vectorized admission does not model")
-    if policy.batching or router.batching:
-        return (f"policy {policy.name!r} batches arrivals "
-                "(offer/due hold protocol)")
-    if type(router) not in _ROUTERS:
+    if type(layers[-1]) not in _ROUTERS:
         return f"policy {policy.name!r} has no vectorized kernel"
     return None
 
 
+def _layers(policy: DispatchPolicy) -> list[DispatchPolicy]:
+    """``policy`` and the policies it wraps, outermost first: a
+    :class:`~repro.service.qed.QEDPolicy` and a
+    :class:`~repro.service.pvc.PVCPolicy` (exact types — a subclass may
+    override their hooks) are unwrapped, and the last layer is the
+    router."""
+    layers = [policy]
+    if type(policy) is QEDPolicy:
+        policy = policy.inner
+        layers.append(policy)
+    if type(policy) is PVCPolicy:
+        layers.append(policy.inner)
+    return layers
+
+
 class ServedColumns:
-    """What a serving pass emits per query, in arrival order — the one
+    """What a serving pass emits per row, in stream order — the one
     input the latency array, the flight recording and the telemetry
     mirror's power series are all derived from.
 
-    A pass appends one completion instant (NaN = rejected) and one
-    *lane* (the node of a full-speed serve, ``-1`` = rejected or
-    downclocked) per query and hands them over a chunk at a time
-    through :meth:`flush`; rejections and downclocked executions, the
-    rare rows that carry more than that, go to ``rejected`` and
+    A row is an arrival, or a batching policy's shared execution
+    (``cols.members``).  A pass appends one completion instant (NaN =
+    rejected) and one *lane* (the node of a full-speed serve, ``-1`` =
+    rejected or downclocked) per row and hands them over a chunk at a
+    time through :meth:`flush`; rejections and downclocked executions,
+    the rare rows that carry more than that, go to ``rejected`` and
     ``dvfs``.  The full-length ``ends``/``lanes`` columns and the
-    ``dvfs`` rows are only kept when an observer will read them.
+    ``dvfs`` rows are only kept when something after the pass reads
+    them: an observer, or the fan-out of shared executions.
     """
 
     __slots__ = ("cols", "rec", "mirror", "latencies", "ends", "lanes",
-                 "rejected", "dvfs")
+                 "starts", "rejected", "dvfs")
 
-    def __init__(self, cols, rec=None, mirror=None) -> None:
-        """``cols`` is the stream's ``StreamColumns``; ``rec`` /
-        ``mirror`` the run's installed flight recorder and telemetry
-        mirror, if any (an autoscaled pass calls ``mirror.sync(nodes,
-        k)`` after every epoch step, ahead of arrival ``k``)."""
+    def __init__(self, cols: StreamColumns, rec=None, mirror=None) -> None:
+        """``cols`` is the stream the pass serves; ``rec`` / ``mirror``
+        the run's installed flight recorder and telemetry mirror, if
+        any (an autoscaled pass calls ``mirror.sync(nodes, k)`` after
+        every epoch step, ahead of row ``k``)."""
         n = len(cols)
-        observed = rec is not None or mirror is not None
+        kept = rec is not None or mirror is not None \
+            or cols.members is not None
         self.cols = cols
         self.rec = rec
         self.mirror = mirror
         self.latencies = np.empty(n)
-        self.ends = np.empty(n) if observed else None
-        self.lanes = np.empty(n, dtype=np.int64) if observed else None
-        #: ``(query, node it was routed to)`` per rejection
+        self.ends = np.empty(n) if kept else None
+        self.lanes = np.empty(n, dtype=np.int64) if kept else None
+        #: per full-speed row, its exact start: only a recorded batching
+        #: run reads it (its shared-execution rows carry the start), and
+        #: only the reference loop serves one
+        self.starts: Optional[list[float]] = (
+            [0.0] * n if rec is not None and cols.members is not None
+            else None)
+        #: ``(row, node it was routed to)`` per rejection
         self.rejected: list[tuple[int, int]] = []
-        #: ``(query, node, start, frequency, busy_watts)`` per
+        #: ``(row, node, start, frequency, busy_watts)`` per
         #: downclocked execution — the flight recorder's own row
-        self.dvfs: Optional[list[tuple]] = [] if observed else None
+        self.dvfs: Optional[list[tuple]] = [] if kept else None
 
     def flush(self, where: slice, ends: list[float], lanes) -> None:
         """File one chunk: ``latency = end - arrival`` is the
@@ -180,24 +215,72 @@ class ServedColumns:
             self.ends[where] = chunk
             self.lanes[where] = lanes
 
-    def hand_over(self) -> np.ndarray:
+    def hand_over(self, arrivals: np.ndarray,
+                  nodes: Sequence[FleetNode]) -> tuple[np.ndarray,
+                                                       np.ndarray]:
         """Give the installed observers their columns; returns the
-        admitted mask.  ``rejected`` becomes the recorder's ``reject``
-        rows here (the reference loop files its own as it goes and
-        leaves the list empty)."""
-        times, tenant = self.cols.times, self.cols.tenant_index
-        if self.rec is not None:
-            self.rec.serve_lane = self.lanes
-            self.rec.dvfs_serves = self.dvfs
-            self.rec.events.extend(
+        per-arrival ``(latencies, admitted mask)``.  ``arrivals`` are
+        the stream's arrival instants.  ``rejected`` becomes the
+        recorder's ``reject`` rows here."""
+        cols, rec = self.cols, self.rec
+        if self.mirror is not None:
+            self.mirror.served(cols.times, self.lanes, self.ends, self.dvfs)
+        if cols.members is not None:
+            return self._fan_out(arrivals, nodes)
+        if rec is not None:
+            times, tenant = cols.times, cols.tenant_index
+            rec.serve_lane = self.lanes
+            rec.dvfs_serves = self.dvfs
+            rec.events.extend(
                 (float(times[k]), "reject", i, int(tenant[k]), k, {})
                 for k, i in self.rejected)
-        if self.mirror is not None:
-            self.mirror.served(times, self.lanes, self.ends, self.dvfs)
-        return ~np.isnan(self.latencies)
+        return self.latencies, ~np.isnan(self.latencies)
+
+    def _fan_out(self, arrivals: np.ndarray,
+                 nodes: Sequence[FleetNode]) -> tuple[np.ndarray,
+                                                      np.ndarray]:
+        """Shared executions to their members: every member completes
+        at its execution's end (a rejected execution rejects them all),
+        the serving node counts the members beyond the one the pass
+        counted, and the recorder gets one shared-execution row per
+        served row and one ``members`` reject row per rejected one."""
+        members = self.cols.members
+        sizes = np.fromiter(map(len, members), np.int64, len(members))
+        flat = np.fromiter(chain.from_iterable(members), np.int64,
+                           int(sizes.sum()))
+        latencies = np.full(len(arrivals), np.nan)
+        latencies[flat] = (self.ends[np.repeat(np.arange(len(members)),
+                                               sizes)] - arrivals[flat])
+        node_of = self.lanes.copy()
+        for k, i, *_ in self.dvfs:
+            node_of[k] = i
+        served = np.nonzero(~np.isnan(self.ends))[0]
+        extra = np.zeros(len(nodes), dtype=np.int64)
+        np.add.at(extra, node_of[served], sizes[served] - 1)
+        for node, more in zip(nodes, extra.tolist()):
+            node.completed += more
+        rec = self.rec
+        if rec is not None:
+            release = self.cols.times.tolist()
+            combined = self.cols.service_seconds.tolist()
+            ends = self.ends.tolist()
+            row_of = {k: (i, start, freq, watts)
+                      for k, i, start, freq, watts in self.dvfs}
+            for k in served.tolist():
+                i, start, freq, watts = row_of.get(
+                    k, (int(node_of[k]), self.starts[k], 1.0, None))
+                rec.batch_serves.append(
+                    (members[k], i, release[k], start, ends[k],
+                     combined[k], freq, watts))
+            rec.events.extend(
+                (release[k], "reject", i, None, None,
+                 {"members": list(members[k])})
+                for k, i in self.rejected)
+        return latencies, ~np.isnan(latencies)
 
 
 def serve_event(stream: ArrivalStream,
+                cols: StreamColumns,
                 fleet: FleetSpec,
                 policy: DispatchPolicy,
                 autoscaler: Optional[Autoscaler],
@@ -205,8 +288,9 @@ def serve_event(stream: ArrivalStream,
                 on_ids: list[int],
                 rec=None,
                 mirror=None) -> tuple[np.ndarray, np.ndarray, float]:
-    """Run the event core; returns ``(latencies, admitted,
-    last_completion)``.
+    """Run the event core over ``cols`` — ``stream``'s arrivals, or a
+    batching policy's releases of them; returns ``(latencies,
+    admitted, last_completion)`` per arrival.
 
     ``nodes``/``on_ids`` are the live fleet (mutated in place, exactly
     as the reference loop mutates them); the caller finalizes the
@@ -218,19 +302,20 @@ def serve_event(stream: ArrivalStream,
     reason = event_core_unsupported(policy, recorder=rec)
     if reason is not None:  # pragma: no cover - guarded by the caller
         raise ServiceError(f"event core cannot run this config: {reason}")
-    cols = stream.columns()
-    pvc = policy if type(policy) is PVCPolicy else None
-    router = policy.inner if pvc is not None else policy
+    *wrappers, router = _layers(policy)
+    pvc = next((p for p in wrappers if type(p) is PVCPolicy), None)
+    # admitted only if every wrapper admits: under the smallest limit
+    outer = min((p.admission_limit_seconds for p in wrappers
+                 if p.admission_limit_seconds is not None), default=None)
     kernel = _kernel(
         type(router), pvc is not None,
-        router.admission_limit_seconds is not None,
-        pvc is not None and pvc.admission_limit_seconds is not None,
+        router.admission_limit_seconds is not None, outer is not None,
         autoscaler is not None)
     out = ServedColumns(cols, rec, mirror)
-    last = kernel(cols, fleet, router, pvc,
+    last = kernel(cols, fleet, router, outer, pvc,
                   None if pvc is None else _pvc_tables(pvc, nodes),
-                  nodes, on_ids, autoscaler, out)
-    return out.latencies, out.hand_over(), last
+                  nodes, on_ids, autoscaler, float(stream.times[-1]), out)
+    return (*out.hand_over(stream.times, nodes), last)
 
 
 def _pvc_tables(pvc: PVCPolicy, nodes: Sequence[FleetNode]) -> list[list]:
@@ -314,9 +399,13 @@ else:
 """
 
 #: the reference loop's epoch handling: the real autoscaler steps the
-#: real nodes, then the router re-reads the on-set (``SETUP`` again)
+#: real nodes, then the router re-reads the on-set (``SETUP`` again).
+#: Epochs stop with the workload: a batching policy's releases after
+#: the last arrival (``stop``) must not keep the autoscaler cycling a
+#: fleet with nothing left to absorb
 _EPOCH_OPEN = """\
-epoch = next_epoch = autoscaler.epoch_seconds
+epoch = autoscaler.epoch_seconds
+next_epoch = epoch if epoch <= stop else _INF
 demand = autoscaler._epoch_demand_seconds
 mirror = out.mirror
 """
@@ -327,6 +416,8 @@ if t >= next_epoch:
         autoscaler.step(next_epoch, nodes, on_ids)
         demand = 0.0
         next_epoch += epoch
+        if next_epoch > stop:
+            next_epoch = _INF
         if mirror is not None:
             mirror.sync(nodes, $k)
     $SETUP
@@ -350,8 +441,8 @@ last_completion = 0.0
 #: The books are the real node's attributes, so the autoscaler can
 #: step between any two arrivals.
 _CHUNKED = """\
-def kernel(cols, fleet, router, pvc, steps_of, nodes, on_ids, autoscaler,
-           out):
+def kernel(cols, fleet, router, outer, pvc, steps_of, nodes, on_ids,
+           autoscaler, stop, out):
     $PROLOGUE
     sf_of = [node.model.speed_factor for node in nodes]
     $SETUP
@@ -397,8 +488,8 @@ def _node_books(governed: bool, rejecting: bool) -> dict[str, str]:
 #: locals (round_robin is never autoscaled, so the rotation never
 #: changes mid-run and there is no epoch step to bind)
 _STRIDED = """\
-def kernel(cols, fleet, router, pvc, steps_of, nodes, on_ids, autoscaler,
-           out):
+def kernel(cols, fleet, router, outer, pvc, steps_of, nodes, on_ids,
+           autoscaler, stop, out):
     $PROLOGUE
     n_on = len(on_ids)
     start0 = router._next
@@ -643,10 +734,11 @@ def _kernel(router_type: type, governed: bool, limited: bool,
     generated on first use and compiled once per process.
 
     ``governed`` is a PVC wrapper around the router, ``limited`` /
-    ``outer_limited`` an admission limit on the router / the wrapper,
-    ``autoscaled`` a live autoscaler.  What is off is absent from the
-    source, not tested in the loop.  Read a kernel with
-    ``linecache.getlines(kernel.__code__.co_filename)``.
+    ``outer_limited`` an admission limit on the router / on a wrapper
+    (the kernel is handed the smallest as ``outer``), ``autoscaled`` a
+    live autoscaler, whose epochs stop after the instant ``stop``.
+    What is off is absent from the source, not tested in the loop.
+    Read a kernel with ``linecache.getlines(kernel.__code__.co_filename)``.
     """
     router = _ROUTERS[router_type]
     over = ["backlog > outer"] * outer_limited + ["backlog > limit"] * limited
@@ -654,7 +746,6 @@ def _kernel(router_type: type, governed: bool, limited: bool,
         **router.books(governed, bool(over)),
         "PROLOGUE": _PROLOGUE,
         "LIMITS": "limit = router.admission_limit_seconds\n" * limited
-        + "outer = pvc.admission_limit_seconds\n" * outer_limited
         + "headroom = pvc.sla_headroom\n" * governed,
         "SETUP": router.setup, "SELECT": router.select,
         "SERVED": router.served,

@@ -14,9 +14,9 @@ follows from the utilization-linear power identity in
 
 Two serving cores implement that pass.  The **reference loop** below
 walks one arrival at a time through ``policy.route`` and is the
-semantic ground truth: batching, detail recording (per-arrival
-candidate tables) and third-party routers run on it, and the chaos
-engine is its fault-aware sibling.  The **event core**
+semantic ground truth: third-party routers and recorded batching runs
+run on it, and the chaos engine is its fault-aware sibling.  The
+**event core**
 (:mod:`repro.service.engine`) replays the identical arithmetic over
 the stream's columnar arrays with O(log n) routing structures, ~10-30x
 faster — one loop generated per (router, options) from a single
@@ -41,12 +41,17 @@ and opens a root
 node — so ``python -m repro.runner trace svc_policies`` shows the same
 per-node timelines and Joules any metered experiment would.
 
-Every interpreter of that pass — the loop, the batched (QED) loop, the
-event core, and the chaos engine of :mod:`repro.faults.engine` —
-enters through :func:`_prepare` (validate the run, pick the engine,
-build nodes and observers) and leaves through :func:`_assemble_report`
-(close the books, fold the report), so the serving semantics around
-the per-query arithmetic are stated once.
+A batching policy (QED) changes what is served, not how: its hold
+protocol reads arrivals and the clock, never the fleet, so
+:func:`_release_stream` drives it once, ahead of serving, and every
+interpreter serves the releases as a stream of shared executions.
+
+Every interpreter of that pass — the loop, the event core, and the
+chaos engine of :mod:`repro.faults.engine` — enters through
+:func:`_prepare` (validate the run, pick the engine, build nodes and
+observers, compute a batching policy's releases) and leaves through
+:func:`_assemble_report` (close the books, fold the report), so the
+serving semantics around the per-query arithmetic are stated once.
 """
 
 from __future__ import annotations
@@ -58,13 +63,13 @@ import numpy as np
 from repro.observe import current_collector, current_recorder
 from repro.service.autoscale import Autoscaler
 from repro.service.dispatch import (DispatchContext, DispatchPolicy,
-                                    dispatch_candidates, make_policy)
+                                    make_policy)
 from repro.service.engine import ServedColumns, event_core_unsupported
 from repro.service.node import FleetNode, books_close_at
 from repro.service.report import (FaultStats, ServiceError, ServiceReport,
                                   TenantStats, quantile, rollup_classes)
 from repro.service.spec import FleetSpec
-from repro.service.workload import ArrivalStream
+from repro.service.workload import ArrivalStream, StreamColumns
 
 
 class _TelemetryMirror:
@@ -74,10 +79,10 @@ class _TelemetryMirror:
     power transition is a two-sample *step* — the draw from ``t0`` and
     the draw it falls back to at ``t1`` — and the mirror only logs
     them: boots, drains and crashes as they happen, executions either
-    one :meth:`serve` call at a time (the batched and chaos loops,
-    whose executions can be shared or truncated, pass each window and
-    its busy draw explicitly) or, for the healthy per-query passes, as
-    the whole run's ``(node, end)`` columns through :meth:`served`.
+    one :meth:`serve` call at a time (the chaos loop, whose executions
+    can be truncated, passes each window and its busy draw explicitly)
+    or, for the healthy passes, as the whole run's ``(node, end)``
+    columns through :meth:`served`.
     :meth:`finish` then builds each device's power step function in
     one pass, in the order a per-query replay would have recorded it,
     and advances the shared clock once, to the fleet's end time.
@@ -123,10 +128,11 @@ class _TelemetryMirror:
 
     def served(self, times: np.ndarray, lanes: np.ndarray,
                ends: np.ndarray, dvfs: list[tuple]) -> None:
-        """Take a healthy pass's executions as columns: per query its
-        arrival, the node of a full-speed serve (``-1`` = none) and the
-        completion instant, plus the ``(query, node, start, frequency,
-        busy_watts)`` rows of the downclocked ones."""
+        """Take a healthy pass's executions as columns: per row its
+        arrival (a shared execution's release), the node of a
+        full-speed serve (``-1`` = none) and the completion instant,
+        plus the ``(row, node, start, frequency, busy_watts)`` rows of
+        the downclocked ones."""
         self._served = (times, lanes, ends, dvfs)
 
     def power_on(self, i: int, now: float, k: int = 0) -> None:
@@ -261,6 +267,63 @@ class _Run(NamedTuple):
     #: ``"event"`` or ``"loop"``
     engine: str
     engine_reason: Optional[str]
+    #: what is served: the stream's columns, or a batching policy's
+    #: releases of them (:func:`_release_stream`)
+    cols: StreamColumns
+
+
+def _release_stream(policy: DispatchPolicy,
+                    cols: StreamColumns) -> StreamColumns:
+    """A batching policy's shared executions, computed before serving.
+
+    The hold protocol — :meth:`~DispatchPolicy.offer`,
+    :meth:`~DispatchPolicy.next_deadline`, :meth:`~DispatchPolicy.due`,
+    :meth:`~DispatchPolicy.flush` — reads arrivals and the clock, never
+    the fleet, so it is driven here once, over the arrival columns.
+    The timeline interleaves arrivals with hold deadlines (a deadline
+    that ties an arrival releases first), so a batch releases the
+    instant its latency headroom runs out, never later.  Each released
+    :class:`~repro.service.dispatch.Batch` becomes one row: its release
+    instant and combined (shared) demand, its first member's tenant,
+    SLA and batch flag, and its ``members``.  The serving pass routes,
+    admits and autoscales that row as one execution, so consolidation
+    sees the work the policy creates, not the work it absorbed; with a
+    zero hold window every arrival releases alone at its own instant
+    and the rows are the arrivals.
+    """
+    times, services, slas = cols.lists()
+    tenants = cols.tenant_index.tolist()
+    n, inf = len(times), float("inf")
+
+    def released():
+        k = 0
+        while True:
+            t = times[k] if k < n else inf
+            deadline = policy.next_deadline()
+            if deadline <= t and deadline < inf:
+                yield from policy.due(deadline)
+            elif k < n:
+                yield from policy.offer(k, t, services[k], tenants[k],
+                                        slas[k])
+                k += 1
+            else:
+                yield from policy.flush()
+                return
+
+    release, demand, members = [], [], []
+    for batch in released():
+        release.append(batch.release_at)
+        demand.append(batch.service_seconds)
+        members.append(batch.members)
+    first = np.fromiter((m[0] for m in members), np.int64, len(members))
+    return StreamColumns(
+        times=np.array(release, dtype=np.float64),
+        service_seconds=np.array(demand, dtype=np.float64),
+        tenant_index=cols.tenant_index[first],
+        sla_seconds=cols.sla_seconds[first],
+        batch_flags=(None if cols.batch_flags is None
+                     else cols.batch_flags[first]),
+        members=members)
 
 
 def _choose_engine(engine: str, policy: DispatchPolicy, rec,
@@ -321,8 +384,11 @@ def _prepare(stream: ArrivalStream, fleet: Optional[FleetSpec], policy,
     if rec is not None:
         rec.begin_run("fleet" if faults is None else "chaos", stream,
                       nodes, policy.name, autoscaler is not None)
+    cols = stream.columns()
+    if policy.batching:
+        cols = _release_stream(policy, cols)
     return _Run(policy, autoscaler, nodes, list(range(len(nodes))),
-                mirror, rec, stream, fleet, engine, engine_reason)
+                mirror, rec, stream, fleet, engine, engine_reason, cols)
 
 
 def simulate_service(stream: ArrivalStream,
@@ -377,21 +443,25 @@ def simulate_service(stream: ArrivalStream,
                    engine)
     policy, autoscaler, nodes, on_ids, mirror, rec = run[:6]
 
+    cols = run.cols
     if run.engine == "event":
         # resolved per call: perfbench's traced pass replaces the
         # module attribute for the duration of one repetition
         from repro.service.engine import serve_event
         return _assemble_report(run, *serve_event(
-            stream, run.fleet, policy, autoscaler, nodes, on_ids, rec,
-            mirror))
+            stream, cols, run.fleet, policy, autoscaler, nodes, on_ids,
+            rec, mirror))
 
-    cols = stream.columns()
     n = len(cols)
-    tenant_idx = cols.tenant_index
     times, services, slas = cols.lists()
 
+    # epochs stop with the workload: a batching policy's releases after
+    # the last arrival must not keep the autoscaler cycling a fleet
+    # with nothing left to absorb
+    last_arrival = float(stream.times[-1])
     epoch = autoscaler.epoch_seconds if autoscaler is not None else 0.0
-    next_epoch = epoch if autoscaler is not None else float("inf")
+    next_epoch = (epoch if autoscaler is not None and epoch <= last_arrival
+                  else float("inf"))
 
     # batch tenants (pipelines) are exempt from the admission limit:
     # backlog rejection guards latency, and batch work has none to
@@ -399,56 +469,48 @@ def simulate_service(stream: ArrivalStream,
     batch_list = (None if cols.batch_flags is None
                   else cols.batch_flags.tolist())
 
-    if policy.batching:
-        latencies = np.empty(n)
-        admitted = np.ones(n, dtype=bool)
-        last_completion = _serve_batched(
-            run, times, services, tenant_idx, slas, latencies, admitted,
-            batch_list)
-    else:
-        # the same columns the event kernels emit, one store per query
-        out = ServedColumns(cols, rec, mirror)
-        ends = [np.nan] * n
-        lanes = [-1] * n
-        last_completion = 0.0
-        dvfs = policy.dvfs
-        detail = rec is not None and rec.detail
-        emit_dvfs = None if out.dvfs is None else out.dvfs.append
-        for k in range(n):
-            t = times[k]
-            while t >= next_epoch:
-                autoscaler.step(next_epoch, nodes, on_ids)
-                next_epoch += epoch
-                if mirror is not None:
-                    mirror.sync(nodes, k)
-            s = services[k]
-            if autoscaler is not None:
-                autoscaler.observe(s)
-            ctx = DispatchContext(nodes, on_ids, t, s, slas[k])
-            i = policy.route(ctx)
-            if detail:
-                rec.events.append((t, "dispatch", i, int(tenant_idx[k]),
-                                   k, dispatch_candidates(ctx, i)))
-            node = nodes[i]
-            if not policy.admits(node, t) and \
-                    (batch_list is None or not batch_list[k]):
-                if rec is not None:
-                    rec.events.append(
-                        (t, "reject", i, int(tenant_idx[k]), k, {}))
-                continue
-            if dvfs and (freq := policy.frequency(ctx, i)) < 1.0:
-                busy_watts = node.model.dvfs_watts(freq)
-                start, _done = node.serve_active(t, s, busy_watts, freq)
-                if emit_dvfs is not None:
-                    emit_dvfs((k, i, start, freq, busy_watts))
-            else:
-                node.serve(t, s)
-                lanes[k] = i
-            ends[k] = node.busy_until
-            if node.busy_until > last_completion:
-                last_completion = node.busy_until
-        out.flush(slice(0, n), ends, lanes)
-        latencies, admitted = out.latencies, out.hand_over()
+    # the same columns the event kernels emit, one store per row
+    out = ServedColumns(cols, rec, mirror)
+    ends = [np.nan] * n
+    lanes = [-1] * n
+    starts = out.starts
+    last_completion = 0.0
+    dvfs = policy.dvfs
+    emit_dvfs = None if out.dvfs is None else out.dvfs.append
+    for k in range(n):
+        t = times[k]
+        while t >= next_epoch:
+            autoscaler.step(next_epoch, nodes, on_ids)
+            next_epoch += epoch
+            if next_epoch > last_arrival:
+                next_epoch = float("inf")
+            if mirror is not None:
+                mirror.sync(nodes, k)
+        s = services[k]
+        if autoscaler is not None:
+            autoscaler.observe(s)
+        ctx = DispatchContext(nodes, on_ids, t, s, slas[k])
+        i = policy.route(ctx)
+        node = nodes[i]
+        if not policy.admits(node, t) and \
+                (batch_list is None or not batch_list[k]):
+            out.rejected.append((k, i))
+            continue
+        if dvfs and (freq := policy.frequency(ctx, i)) < 1.0:
+            busy_watts = node.model.dvfs_watts(freq)
+            start, _done = node.serve_active(t, s, busy_watts, freq)
+            if emit_dvfs is not None:
+                emit_dvfs((k, i, start, freq, busy_watts))
+        else:
+            if starts is not None:
+                starts[k] = node.busy_until if node.busy_until > t else t
+            node.serve(t, s)
+            lanes[k] = i
+        ends[k] = node.busy_until
+        if node.busy_until > last_completion:
+            last_completion = node.busy_until
+    out.flush(slice(0, n), ends, lanes)
+    latencies, admitted = out.hand_over(stream.times, nodes)
 
     return _assemble_report(run, latencies, admitted, last_completion)
 
@@ -552,115 +614,3 @@ def _assemble_report(run: _Run,
     if run.mirror is not None:
         run.mirror.finish(end, report)
     return report
-
-
-def _serve_batched(run: _Run,
-                   times: list[float],
-                   services: list[float],
-                   tenant_idx,
-                   slas: list[float],
-                   latencies,
-                   admitted,
-                   batch_list: Optional[list[bool]] = None) -> float:
-    """Drive a ``batching`` policy's hold/release protocol (QED).
-
-    Arrivals enter the policy's hold queues through
-    :meth:`~repro.service.dispatch.DispatchPolicy.offer`; the merged
-    timeline interleaves arrivals with queue release deadlines
-    (:meth:`next_deadline`/:meth:`due`), so a batch executes the
-    instant its latency headroom runs out, never later.  Released
-    batches route through the policy's ordinary :meth:`route`/
-    :meth:`admits` hooks as *one* shared execution — every member
-    completes at the batch end, and a rejected batch rejects every
-    member.  The autoscaler observes the batch's *combined* (shared)
-    demand at release, so consolidation sees the work QED actually
-    creates, not the work it absorbed.  With a zero hold window every
-    arrival releases immediately as a batch of one, reproducing the
-    un-batched engine event for event.
-
-    Returns the last completion instant (mutates ``latencies``,
-    ``admitted``, the nodes, and ``on_ids`` in place).
-    """
-    policy, autoscaler, nodes, on_ids, mirror, rec = run[:6]
-    n = len(times)
-    inf = float("inf")
-    epoch = autoscaler.epoch_seconds if autoscaler is not None else 0.0
-    next_epoch = epoch if autoscaler is not None else inf
-    # epochs stop with the workload, exactly as the chaos engine's do:
-    # post-stream releases must not keep the autoscaler cycling a
-    # fleet with nothing left to absorb
-    last_arrival = times[-1]
-    last_completion = 0.0
-    dvfs = policy.dvfs
-    detail = rec is not None and rec.detail
-
-    def step_epochs(t: float) -> None:
-        nonlocal next_epoch
-        while t >= next_epoch and next_epoch <= last_arrival:
-            autoscaler.step(next_epoch, nodes, on_ids)
-            next_epoch += epoch
-            if mirror is not None:
-                mirror.sync(nodes)
-
-    def execute(batch) -> None:
-        nonlocal last_completion
-        t = batch.release_at
-        s = batch.service_seconds
-        if autoscaler is not None:
-            autoscaler.observe(s)
-        ctx = DispatchContext(nodes, on_ids, t, s, batch.sla_seconds)
-        i = policy.route(ctx)
-        if detail:
-            rec.events.append((t, "dispatch", i, None, batch.members[0],
-                               dispatch_candidates(ctx, i)))
-        node = nodes[i]
-        if not policy.admits(node, t) and \
-                (batch_list is None or not batch_list[batch.members[0]]):
-            for k in batch.members:
-                admitted[k] = False
-                latencies[k] = np.nan
-            if rec is not None:
-                rec.events.append((t, "reject", i, None, None,
-                                   {"members": list(batch.members)}))
-            return
-        if dvfs and (freq := policy.frequency(ctx, i)) < 1.0:
-            busy_watts = node.model.dvfs_watts(freq)
-            start, done = node.serve_active(t, s, busy_watts, freq)
-        else:
-            freq = 1.0
-            busy_watts = None
-            start = node.busy_until if node.busy_until > t else t
-            node.serve(t, s)
-            done = node.busy_until
-        # serve()/serve_active() count one completion; the other
-        # members of the shared execution complete with it
-        node.completed += len(batch.members) - 1
-        for k in batch.members:
-            latencies[k] = done - times[k]
-        if done > last_completion:
-            last_completion = done
-        if mirror is not None:
-            mirror.serve(i, start, done, busy_watts)
-        if rec is not None:
-            rec.batch_serves.append(
-                (batch.members, i, t, start, done, s, freq, busy_watts))
-
-    k = 0
-    while True:
-        t_arr = times[k] if k < n else inf
-        deadline = policy.next_deadline()
-        if deadline <= t_arr and deadline < inf:
-            step_epochs(deadline)
-            for batch in policy.due(deadline):
-                execute(batch)
-        elif k < n:
-            step_epochs(t_arr)
-            for batch in policy.offer(k, t_arr, services[k],
-                                      int(tenant_idx[k]), slas[k]):
-                execute(batch)
-            k += 1
-        else:
-            break
-    for batch in policy.flush():
-        execute(batch)
-    return last_completion

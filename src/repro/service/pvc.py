@@ -50,7 +50,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.observe import current_recorder
 from repro.service.dispatch import (DispatchContext, DispatchPolicy,
                                     make_policy, register_policy)
 from repro.service.node import FleetNode
@@ -116,16 +115,6 @@ class PVCPolicy(DispatchPolicy):
         return super().admits(node, now) and self.inner.admits(node, now)
 
     def frequency(self, ctx: DispatchContext, i: int) -> float:
-        chosen = self._choose(ctx, i)
-        rec = current_recorder()
-        if rec is not None and rec.detail:
-            rec.events.append(
-                (ctx.now, "dvfs_decision", i, None, None,
-                 {"frequency": chosen, "sla_seconds": ctx.sla_seconds,
-                  "backlog": ctx.nodes[i].backlog(ctx.now)}))
-        return chosen
-
-    def _choose(self, ctx: DispatchContext, i: int) -> float:
         if ctx.sla_seconds is None:
             return 1.0
         budget = ctx.sla_seconds * self.sla_headroom

@@ -28,6 +28,9 @@ event (the property tests pin byte-identity).
 Routing, admission, autoscaling, and the DVFS hook all delegate to
 the wrapped ``inner`` policy, so ``QEDPolicy(inner="pvc")`` stacks
 batching over the frequency governor — the full PVC+QED composition.
+The hold queues never read the fleet, so a run's releases are computed
+before serving and the event core serves them, unwrapping QED to the
+governor and router inside.
 
 >>> qed = QEDPolicy(hold_seconds=1.0, shared_fraction=0.7, max_batch=4)
 >>> qed.name
@@ -126,7 +129,7 @@ class QEDPolicy(DispatchPolicy):
         self.name = f"qed({self.inner.name})"
         self._queues: dict[tuple[int, float], _Hold] = {}
         # min(deadline) over _queues, kept as queues open and close:
-        # the engines ask for it once per arrival and once per release
+        # the release pass asks for it once per arrival and per release
         self._next_deadline = float("inf")
 
     # -- routing/admission/DVFS delegate to the wrapped policy --------

@@ -104,6 +104,11 @@ class StreamColumns:
     the loop engine always worked on ``.tolist()`` copies).  Built once
     per stream and cached, so repeated simulations — and the
     faults engine — stop re-marshalling per call.
+
+    A batching policy's releases are a stream too: one row per shared
+    execution (release instant, combined demand, and its first
+    member's tenant, SLA and batch flag), with ``members`` naming the
+    arrivals each row serves.
     """
 
     #: arrival instants, ascending (numpy float64 view)
@@ -118,6 +123,9 @@ class StreamColumns:
     #: when no tenant is a batch tenant — the hot paths test for None
     #: instead of scanning an all-False column
     batch_flags: Optional[np.ndarray] = None
+    #: per row, the arrival indices a shared execution serves (oldest
+    #: first), or None for an ordinary stream: one row per arrival
+    members: Optional[list[tuple[int, ...]]] = None
     _lists: Optional[tuple[list, list, list]] = \
         field(default=None, repr=False, compare=False)
 

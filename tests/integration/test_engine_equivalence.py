@@ -7,11 +7,12 @@ must compare equal dict-for-dict, float-for-float — not approximately,
 exactly.  This suite sweeps policy x fleet x admission x autoscaling x
 seed and asserts that identity, pins the engine-selection API
 (``engine="auto"|"event"|"loop"``), and checks the auto-fallback
-configurations (batching, detail recording, faults) land on the
-reference loop.  Observers ride the event core: the same grid, with a
-flight recorder and a telemetry collector installed, pins
+configurations (faults, a recorded batching run, third-party routers)
+land on the reference loop.  Observers ride the event core: the same
+grid, with a flight recorder and a telemetry collector installed, pins
 ``FlightRecording.to_dict()`` and ``TelemetryTrace.to_dict()`` equal
-between the engines.  Hypothesis property tests extend both identities
+between the engines, and a QED wrapper over it pins the report and the
+trace of a batching run.  Hypothesis property tests extend both identities
 to adversarial random streams the named experiments would never build.
 """
 
@@ -25,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import build_fault_schedule, simulate_faulty_service
-from repro.flightrec import record
+from repro.flightrec import FlightRecorder, record
 from repro.service import (DEFAULT_CLASSES, DEFAULT_TENANTS, Autoscaler,
                            FleetSpec, NodePowerModel, PVCPolicy,
                            QEDPolicy, ServiceError, build_stream,
@@ -149,17 +150,29 @@ def _nimble(model: NodePowerModel) -> NodePowerModel:
 
 
 def _observed(stream, router, pvc, fleet_kind, admission, epoch, engine,
-              observers=("record", "capture"), limits="outer"):
+              observers=("record", "capture"), limits="outer", qed=False):
     """One watched run: ``(report, recording dict, trace dict)``, each
-    ``None`` when its observer is not installed.  Under ``pvc`` the
-    ``admission`` limit sits on the wrapper (``limits="outer"``), on
-    the router it wraps (``"router"``), or on ``"both"``."""
-    inner = make_policy(router)
-    policy = PVCPolicy(inner=inner, sla_headroom=0.6) if pvc else inner
-    if limits != "outer":
-        inner.admission_limit_seconds = admission
-    if limits != "router":
-        policy.admission_limit_seconds = admission
+    ``None`` when its observer is not installed.  The router may be
+    wrapped in a PVC governor and then in QED; the ``admission`` limit
+    sits on the outermost layer (``limits="outer"``), on the router
+    (``"router"``), on ``"both"``, or on ``"every"`` layer, at a
+    different value on each."""
+    layers = [make_policy(router)]
+    if pvc:
+        layers.append(PVCPolicy(inner=layers[-1], sla_headroom=0.6))
+    if qed:
+        layers.append(QEDPolicy(inner=layers[-1], hold_seconds=0.3,
+                                sla_headroom=0.6))
+    inner, policy = layers[0], layers[-1]
+    if limits == "every":
+        for layer, scale in zip(layers, (1.0, 1.5, 0.75)):
+            layer.admission_limit_seconds = \
+                None if admission is None else admission * scale
+    else:
+        if limits != "outer":
+            inner.admission_limit_seconds = admission
+        if limits != "router":
+            policy.admission_limit_seconds = admission
     fleet = _fleet(fleet_kind)
     fleet = FleetSpec(classes=tuple(
         replace(cls, model=_nimble(cls.model)) for cls in fleet.classes))
@@ -231,6 +244,38 @@ class TestObserved:
         assert runs[1][1] in (None, both[1])
         assert runs[1][2] in (None, both[2])
 
+    @pytest.mark.parametrize("router", ROUTERS)
+    @pytest.mark.parametrize("autoscale", [False, True],
+                             ids=["fixed", "scaled"])
+    @pytest.mark.parametrize("admission", [None, 0.05],
+                             ids=["open", "limits"])
+    @pytest.mark.parametrize("fleet_kind", ["homogeneous", "hetero"],
+                             ids=["homo", "hetero"])
+    @pytest.mark.parametrize("pvc", [False, True], ids=["plain", "pvc"])
+    def test_qed_grid(self, router, pvc, fleet_kind, admission,
+                      autoscale):
+        """The grid again, wrapped in QED: the event core serves the
+        releases, and the report and the trace equal the loop's.  A
+        limit sits on every layer, a different value on each, and the
+        smallest binds.  (A recorded batching run is the loop's alone,
+        see ``TestEngineReason``.)  Shared executions absorb work, so
+        the stream is three times as dense as the grid's, or a limit
+        would not bite everywhere."""
+        dense = build_stream(
+            2_500, tenants=tuple(replace(t, rate_per_s=t.rate_per_s * 3)
+                                 for t in DEFAULT_TENANTS), seed=0)
+        epoch = 4.0 if autoscale else None
+        loop, _, loop_trace = _observed(
+            dense, router, pvc, fleet_kind, admission, epoch, "loop",
+            observers=("capture",), limits="every", qed=True)
+        event, _, event_trace = _observed(
+            dense, router, pvc, fleet_kind, admission, epoch, "event",
+            observers=("capture",), limits="every", qed=True)
+        assert (loop.engine, event.engine) == ("loop", "event")
+        assert loop.to_dict() == event.to_dict()
+        assert loop_trace == event_trace
+        assert (event.queries_rejected > 0) == (admission is not None)
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**16),
            load=st.floats(min_value=0.3, max_value=12.0),
@@ -238,31 +283,33 @@ class TestObserved:
                            st.floats(min_value=0.5, max_value=20.0)),
            router=st.sampled_from(ROUTERS),
            pvc=st.booleans(),
+           qed=st.booleans(),
            fleet_kind=st.sampled_from(["homogeneous", "hetero"]),
            admission=st.sampled_from([None, 0.05, 1.0]),
-           limits=st.sampled_from(["router", "outer", "both"]))
-    def test_seed_load_epoch(self, seed, load, epoch, router, pvc,
+           limits=st.sampled_from(["router", "outer", "both", "every"]))
+    def test_seed_load_epoch(self, seed, load, epoch, router, pvc, qed,
                              fleet_kind, admission, limits):
         """The differential over everything a generated kernel is
-        specialised on: router x governor x where the limits sit x
-        autoscaler x fleet shape, on random seeds and loads."""
+        specialised on: router x governor x batching x where the limits
+        sit x autoscaler x fleet shape, on random seeds and loads (a
+        batching run is compared on its report and trace)."""
         stream = build_stream(
             400,
             tenants=tuple(replace(t, rate_per_s=t.rate_per_s * load)
                           for t in DEFAULT_TENANTS),
             seed=seed)
+        args = (stream, router, pvc, fleet_kind, admission, epoch)
+        kwargs = dict(limits=limits, qed=qed, observers=(
+            ("capture",) if qed else ("record", "capture")))
         try:
-            loop = _observed(stream, router, pvc, fleet_kind, admission,
-                             epoch, "loop", limits=limits)
+            loop = _observed(*args, "loop", **kwargs)
         except ServiceError as error:
             # a tight limit can starve a tenant: not this test's case,
             # but both engines must refuse it alike
             with pytest.raises(ServiceError, match=re.escape(str(error))):
-                _observed(stream, router, pvc, fleet_kind, admission,
-                          epoch, "event", limits=limits)
+                _observed(*args, "event", **kwargs)
             return
-        event = _observed(stream, router, pvc, fleet_kind, admission,
-                          epoch, "event", limits=limits)
+        event = _observed(*args, "event", **kwargs)
         assert event[0].engine == "event"
         assert loop[0].to_dict() == event[0].to_dict()
         assert loop[1:] == event[1:]
@@ -310,16 +357,37 @@ class TestEngineSelection:
             simulate_service(stream, fleet=_fleet("homogeneous"),
                              engine="warp")
 
+    def test_event_serves_batching_policy(self, stream):
+        """QED's releases are a stream the kernels serve as they serve
+        arrivals, governed or not."""
+        for inner in ("power_aware", "pvc"):
+            loop, event = (simulate_service(
+                stream, fleet=_fleet("homogeneous"),
+                policy=QEDPolicy(inner=inner, hold_seconds=0.2),
+                engine=engine) for engine in ("loop", "event"))
+            assert (loop.engine, event.engine) == ("loop", "event")
+            assert loop.to_dict() == event.to_dict()
+
     def test_event_refuses_batching_policy(self, stream):
-        policy = QEDPolicy(hold_seconds=0.2)
-        with pytest.raises(ServiceError, match="batches arrivals"):
-            simulate_service(stream, fleet=_fleet("homogeneous"),
-                             policy=policy, engine="event")
+        """...when the run is recorded: its shared-execution rows carry
+        each execution's exact start, which only the loop emits."""
+        with record():
+            with pytest.raises(ServiceError, match="exact start"):
+                simulate_service(stream, fleet=_fleet("homogeneous"),
+                                 policy=QEDPolicy(hold_seconds=0.2),
+                                 engine="event")
 
     def test_auto_falls_back_for_batching_policy(self, stream):
-        policy = QEDPolicy(hold_seconds=0.2)
+        """...when the run is recorded; unrecorded, it is an event-core
+        run."""
         report = simulate_service(stream, fleet=_fleet("homogeneous"),
-                                  policy=policy, engine="auto")
+                                  policy=QEDPolicy(hold_seconds=0.2),
+                                  engine="auto")
+        assert report.engine == "event"
+        with record():
+            report = simulate_service(stream, fleet=_fleet("homogeneous"),
+                                      policy=QEDPolicy(hold_seconds=0.2),
+                                      engine="auto")
         assert report.engine == "loop"
 
     def test_telemetry_stays_on_event_core(self, stream):
@@ -330,28 +398,31 @@ class TestEngineSelection:
         assert report.engine == "event"
 
     def test_auto_falls_back_under_flight_recording(self, stream):
-        """Only ``detail=True`` (per-arrival candidate tables) still
-        needs the loop; a plain recording rides the event core."""
+        """Only a recorded batching run still needs the loop; a plain
+        recording rides the event core."""
         with record():
             report = simulate_service(stream,
                                       fleet=_fleet("homogeneous"),
                                       engine="auto")
         assert report.engine == "event"
-        with record(detail=True):
+        with record():
             report = simulate_service(stream,
                                       fleet=_fleet("homogeneous"),
+                                      policy=QEDPolicy(hold_seconds=0.2),
                                       engine="auto")
         assert report.engine == "loop"
 
-    def test_event_refuses_detail_only(self, stream):
+    def test_event_refuses_recorded_qed_only(self, stream):
         fleet = _fleet("homogeneous")
         with record():
             simulate_service(stream, fleet=fleet, engine="event")
         with capture():
-            simulate_service(stream, fleet=fleet, engine="event")
-        with record(detail=True):
-            with pytest.raises(ServiceError, match="candidate tables"):
-                simulate_service(stream, fleet=fleet, engine="event")
+            simulate_service(stream, fleet=fleet, policy=QEDPolicy(),
+                             engine="event")
+        with record():
+            with pytest.raises(ServiceError, match="exact start"):
+                simulate_service(stream, fleet=fleet, policy=QEDPolicy(),
+                                 engine="event")
 
     @pytest.mark.parametrize(
         "policy", ["round_robin", "least_loaded", "power_aware"])
@@ -373,11 +444,12 @@ class TestEngineSelection:
     def test_loop_and_fallback_loop_identical(self, stream):
         """A forced loop run equals the auto-fallback loop run — the
         hooks only observe, they never perturb the physics."""
-        loop, _, _ = _run(stream, "power_aware", "homogeneous", "loop")
-        with record(detail=True):
+        loop = simulate_service(stream, fleet=_fleet("homogeneous"),
+                                policy=_FirstOnRouter(), engine="loop")
+        with record():
             fallback = simulate_service(stream,
                                         fleet=_fleet("homogeneous"),
-                                        policy=_policy("power_aware"),
+                                        policy=_FirstOnRouter(),
                                         engine="auto")
         assert fallback.engine == "loop"
         assert loop.to_dict() == fallback.to_dict()
@@ -403,9 +475,13 @@ class TestEngineSelection:
         assert event_core_unsupported(None, faults=True)
         policy = _policy("power_aware")
         assert event_core_unsupported(policy) is None
-        assert "batch" in event_core_unsupported(QEDPolicy())
+        assert event_core_unsupported(QEDPolicy(inner="pvc")) is None
+        assert "exact start" in event_core_unsupported(
+            QEDPolicy(), FlightRecorder())
         assert "no vectorized kernel" in event_core_unsupported(
             _UnknownRouter())
+        assert "no vectorized kernel" in event_core_unsupported(
+            QEDPolicy(inner=_FirstOnRouter()))
 
 
 class _FirstOnRouter(DispatchPolicy):
@@ -440,9 +516,9 @@ class TestEngineReason:
         assert (faulty.engine, faulty.engine_reason) == ("loop", None)
 
     def test_excluded_from_dict_and_equality(self, stream):
-        with record(detail=True):
-            fallback = self._auto(stream)
-        loop, _, _ = _run(stream, "power_aware", "homogeneous", "loop")
+        fallback = self._auto(stream, policy=_FirstOnRouter())
+        loop = simulate_service(stream, fleet=_fleet("homogeneous"),
+                                policy=_FirstOnRouter(), engine="loop")
         assert fallback.engine_reason is not None
         assert "engine_reason" not in fallback.to_dict()
         assert fallback == loop
@@ -466,12 +542,6 @@ class TestEngineReason:
         with record():
             report = self._auto(stream)
         assert (report.engine, report.engine_reason) == ("event", None)
-        with record(detail=True) as rec:
-            report = self._auto(stream)
-        assert report.engine == "loop"
-        assert report.engine_reason == \
-            event_core_unsupported(_policy("power_aware"), rec)
-        assert "detail recording" in report.engine_reason
 
     def test_batch_tenant_under_admission_limit(self):
         tenants = (DEFAULT_TENANTS[0],
@@ -495,10 +565,23 @@ class TestEngineReason:
         with pytest.raises(ServiceError, match="admission-exempt"):
             simulate_service(batchy, fleet=_fleet("homogeneous"),
                              policy=wrapped(), engine="event")
+        # and under QED, on any layer
+        for policy in (QEDPolicy(admission_limit_seconds=0.6),
+                       QEDPolicy(inner=wrapped())):
+            report = self._auto(batchy, policy=policy)
+            assert "admission-exempt" in report.engine_reason
 
     def test_batching_policy(self, stream):
+        """A batching run is an event-core run unless it is recorded."""
         report = self._auto(stream, policy=QEDPolicy(hold_seconds=0.2))
-        assert "batches arrivals" in report.engine_reason
+        assert (report.engine, report.engine_reason) == ("event", None)
+        with record() as rec:
+            report = self._auto(stream, policy=QEDPolicy(hold_seconds=0.2))
+        assert report.engine == "loop"
+        assert report.engine_reason == \
+            event_core_unsupported(QEDPolicy(hold_seconds=0.2), rec)
+        assert "qed(power_aware)" in report.engine_reason
+        assert "exact start" in report.engine_reason
 
     def test_no_vectorized_kernel(self, stream):
         report = self._auto(stream, policy=_FirstOnRouter())

@@ -3,16 +3,14 @@
 POLICIES.md promises one immutable, documented context per routing
 decision.  These tests pin that promise independently of how the
 class builds its instances: the fields, their order and default,
-frozen assignment, value semantics, slots, and the candidate table a
-detail recording derives from a context.
+frozen assignment, value semantics and slots.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.service.dispatch import DispatchContext, dispatch_candidates
-from repro.service.node import FleetNode, NodePowerModel
+from repro.service.dispatch import DispatchContext
 
 FIELDS = ("nodes", "on_ids", "now", "service_seconds", "sla_seconds")
 
@@ -107,15 +105,3 @@ class TestValueSemantics:
         assert dataclasses.astuple(literal_ctx()) == \
             (("a", "b"), (0, 1), 2.5, 0.3, 4.0)
 
-
-def test_candidate_table_for_a_two_class_context():
-    fast = FleetNode("a", NodePowerModel())  # 200 W idle / 350 W peak
-    fast.serve(0.0, 1.0)
-    wimpy = FleetNode("b", NodePowerModel(
-        name="wimpy", idle_watts=40.0, peak_watts=100.0, speed_factor=0.5))
-    ctx = DispatchContext([fast, wimpy], [0, 1], 0.25, 0.3, 1.0)
-    assert dispatch_candidates(ctx, 1) == {
-        "chosen": 1,
-        "candidates": [[0, 150.0, 45.0, 1.05, False],
-                       [1, 60.0, 36.0, 0.6, True]],
-    }

@@ -47,9 +47,9 @@ def test_a_kernels_traceback_shows_the_template_line():
     kernel = _kernel(LeastLoaded, True, False, False, False)
     with pytest.raises(TypeError) as caught:
         # a governed kernel handed no downclock table
-        kernel(stream.columns(), None, pvc.inner, pvc, None,
+        kernel(stream.columns(), None, pvc.inner, None, pvc, None,
                [FleetNode("n0", NodePowerModel())], [0], None,
-               ServedColumns(stream.columns()))
+               stream.duration_seconds, ServedColumns(stream.columns()))
     linecache.checkcache()  # must not evict the registered source
     innermost = traceback.extract_tb(caught.tb)[-1]
     assert innermost.filename == kernel.__code__.co_filename
