@@ -131,8 +131,8 @@ def simulate_faulty_service(stream: ArrivalStream,
     PVC and QED policies run under faults since the flight recorder
     landed: a DVFS governor's downclock composes with any active
     throttle window (effective cubic factor is their product), and a
-    batching policy's releases (computed before serving, see
-    :func:`repro.service.fleet._release_stream`) are the rows this
+    batching policy's releases (computed before serving by
+    :meth:`~repro.service.qed.QEDPolicy.releases`) are the rows this
     engine serves — a released batch routes, sheds, crashes, and
     retries as one unit, with every member sharing the outcome.
 
@@ -173,6 +173,9 @@ def simulate_faulty_service(stream: ArrivalStream,
     n = len(times)
     members = _alone if cols.members is None else cols.members.__getitem__
     arrivals = stream.columns().lists()[0]
+    # batch tenants are exempt from the admission limit, as on the loop
+    batch_list = (None if cols.batch_flags is None
+                  else cols.batch_flags.tolist())
     latencies = np.full(len(arrivals), np.nan)
     state = np.zeros(len(arrivals), dtype=np.int8)
     was_crashed = np.zeros(len(arrivals), dtype=bool)
@@ -237,8 +240,8 @@ def simulate_faulty_service(stream: ArrivalStream,
                 latencies[m] = end - arrivals[m]
                 state[m] = _COMPLETED
             if rec is not None:
-                rec.fault_serves.append(
-                    (who, i, start, end, watts, freq, services[job]))
+                rec.batch_serves.append(
+                    (who, i, start, start, end, services[job], freq, watts))
             if mirror is not None:
                 mirror.serve(i, start, end, watts)
 
@@ -304,7 +307,8 @@ def simulate_faulty_service(stream: ArrivalStream,
                         (now, "retry", i, None, who[0],
                          {"reason": "timeout", "members": list(who)}))
             return
-        if not policy.admits(node, now):
+        if not policy.admits(node, now) and \
+                (batch_list is None or not batch_list[job]):
             state[list(who)] = _REJECTED
             if rec is not None:
                 rec.events.append((now, "reject", i, None, who[0],

@@ -43,9 +43,9 @@ THROTTLE_START = "throttle_start"
 THROTTLE_END = "throttle_end"
 DISK_FAIL = "disk_fail"
 DISK_RECOVER = "disk_recover"
-#: QED hold protocol: a queue opened (data: deadline, window), a later
+#: QED hold queues: a queue opened (data: deadline, window), a later
 #: arrival joined it, the queue flushed into a shared batch (data:
-#: batch, members, reason = deadline | full | flush | solo)
+#: batch, members, reason = deadline | full | solo)
 HOLD_OPEN = "hold_open"
 HOLD_JOIN = "hold_join"
 BATCH_FLUSH = "batch_flush"

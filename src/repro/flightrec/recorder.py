@@ -8,10 +8,10 @@ lane whether or not anyone is watching, ``serve_lane`` *is* that lane,
 handed over when the pass returns, and each span is reconstructed
 vectorized at :meth:`FlightRecorder.finalize` from the engine's own
 latency array.  Rarer executions (downclocked, batched, under faults)
-append one small tuple to a *lane* (``dvfs_serves``,
-``batch_serves``, ``fault_serves``), and cold decisions go to the raw
-``events`` list — everything derivable (execution ends, latencies,
-SLA breaches, DVFS shift windows, batch join-up) is derived once, in
+append one small tuple to a *lane* (``dvfs_serves``, ``batch_serves``),
+and cold decisions go to the raw ``events`` list — everything
+derivable (execution ends, latencies, SLA breaches, DVFS shift
+windows, batch join-up) is derived once, in
 ``finalize``, from those lanes plus the arrival arrays captured at
 :meth:`FlightRecorder.begin_run`.  With no recorder installed every
 site is one module-global read; with one installed a recorded run is
@@ -51,12 +51,11 @@ class FlightRecorder:
         #: healthy downclocked executions: (query, node, start,
         #: frequency, busy_watts)
         self.dvfs_serves: list[tuple] = []
-        #: shared batch executions: (members, node, release_at, start,
-        #: done, combined_seconds, frequency, busy_watts)
+        #: executions that carry their exact start — a batching run's
+        #: shared executions and the chaos engine's settled ones (there
+        #: ``release_at`` is the start): (members, node, release_at,
+        #: start, done, combined_seconds, frequency, busy_watts)
         self.batch_serves: list[tuple] = []
-        #: chaos settled executions: (members, node, start, end,
-        #: busy_watts, frequency, combined_seconds)
-        self.fault_serves: list[tuple] = []
         #: cold raw events: (t, kind, node, tenant, query, data)
         self.events: list[tuple] = []
         self._meta: Optional[dict[str, Any]] = None
@@ -167,8 +166,7 @@ class FlightRecorder:
         # serve, so no column ever holds a None — the recording keeps
         # the numpy arrays themselves and ``to_dict`` materializes
         # python lists only when the recording is serialized
-        rare = bool(self.dvfs_serves or self.batch_serves
-                    or self.fault_serves)
+        rare = bool(self.dvfs_serves or self.batch_serves)
         fast = any_plain and not rare and bool(plain.all())
         if fast:
             arrival: Any = times_np
@@ -258,22 +256,13 @@ class FlightRecorder:
 
         for members, i, release_at, start, done, combined, freq, \
                 busy_watts in self.batch_serves:
-            if len(members) == 1 and batch_col[members[0]] is None \
-                    and members[0] not in flush_by_first:
+            if len(members) == 1 and members[0] not in flush_by_first:
                 # a degenerate solo release is the un-batched engine
                 # event: record it as a plain (or downclocked) serve
                 put_span(members[0], i, start, done, busy_watts, freq)
             else:
                 add_batch(members, i, release_at, start, done, combined,
                           freq, busy_watts)
-
-        for who, i, start, end, busy_watts, freq, combined \
-                in self.fault_serves:
-            if len(who) > 1 or who[0] in flush_by_first:
-                add_batch(who, i, start, start, end, combined, freq,
-                          busy_watts)
-            else:
-                put_span(who[0], i, start, end, busy_watts, freq)
 
         for t, kind, node, ti, query, data in self.events:
             if kind == RETRY:

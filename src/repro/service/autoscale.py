@@ -253,8 +253,6 @@ class Autoscaler:
     def _scale_down(self, now: float, nodes: Sequence[FleetNode],
                     on_ids: list[int], on_capacity: float,
                     want: float, log=None) -> None:
-        if self._below_since is None:  # pragma: no cover - guarded
-            return
         below_for = now - self._below_since
         cooldown = self.cooldown_epochs * self.epoch_seconds
         # costliest class first, tail-first within a class, and only

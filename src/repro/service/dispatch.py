@@ -35,12 +35,10 @@ POLICIES.md for the author's guide):
   governor.
 * **batched admission** — a policy that sets ``batching = True`` holds
   arrivals in queues instead of dispatching them immediately.  Its
-  :meth:`DispatchPolicy.offer` / :meth:`DispatchPolicy.next_deadline` /
-  :meth:`DispatchPolicy.due` / :meth:`DispatchPolicy.flush` protocol
-  reads arrivals and the clock, never the fleet, so the engine drives
-  it once over the whole stream before serving and then serves the
-  released :class:`Batch` objects as one stream of shared executions.
-  :class:`~repro.service.qed.QEDPolicy` is the built-in
+  :meth:`DispatchPolicy.releases` reads arrivals and the clock, never
+  the fleet, so the engine calls it once over the whole stream before
+  serving and then serves the releases as one stream of shared
+  executions.  :class:`~repro.service.qed.QEDPolicy` is the built-in
   queued-execution policy.
 
 Admission is a shared knob (``admission_limit_seconds``) that rejects
@@ -65,6 +63,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.service.node import FleetNode
 from repro.service.report import ServiceError
+from repro.service.workload import StreamColumns
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -137,33 +136,6 @@ class DispatchContext:
                       for name in DispatchContext.__slots__)
 
 
-@dataclass(frozen=True, slots=True)
-class Batch:
-    """One released group of held arrivals, executed as shared work.
-
-    ``members`` are arrival indices into the stream (in hold order,
-    oldest first); ``release_at`` is the instant the batch leaves its
-    hold queue (>= every member's arrival time); ``service_seconds``
-    is the *combined* speed-1 demand of the shared execution — the
-    first member's full cost plus the unshared remainder of each
-    follower.  A batch of one with zero hold is exactly the member's
-    original arrival, which is what makes the degenerate
-    configuration byte-identical to un-batched dispatch.
-    """
-
-    members: tuple[int, ...]
-    release_at: float
-    service_seconds: float
-    #: the members' tenant p95 SLA target (one queue = one tenant)
-    sla_seconds: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise ServiceError("empty batch")
-        if self.service_seconds <= 0:
-            raise ServiceError("batch service time must be positive")
-
-
 class DispatchPolicy:
     """Base routing policy.
 
@@ -172,7 +144,7 @@ class DispatchPolicy:
     autoscaler has something to switch off; the all-on baselines do
     not).  ``dvfs`` declares the frequency-control hook
     (:meth:`frequency`) and ``batching`` the queued-admission hook
-    (:meth:`offer` and friends); both default off, so plain routing
+    (:meth:`releases`); both default off, so plain routing
     policies never pay for them.
 
     Subclasses implement :meth:`route`, which reads a
@@ -183,7 +155,7 @@ class DispatchPolicy:
     autoscaled = False
     #: True: the engine asks :meth:`frequency` per admitted arrival
     dvfs = False
-    #: True: the engine drives the offer/due/flush hold protocol
+    #: True: the engine serves :meth:`releases` instead of the arrivals
     batching = False
 
     def __init__(self,
@@ -219,32 +191,16 @@ class DispatchPolicy:
         """
         return 1.0
 
-    def offer(self, k: int, now: float, service_seconds: float,
-              tenant: int, sla_seconds: Optional[float]) -> list[Batch]:
-        """Admit arrival ``k`` into the policy's hold queues.
+    def releases(self, cols: StreamColumns) -> StreamColumns:
+        """The shared executions to serve in place of the arrivals in
+        ``cols``: one row per execution, with a ``members`` column.
 
-        Only consulted when the policy declares ``batching = True``.
-        Returns the batches this arrival forces out *right now* (a
-        full queue, or a zero hold window); an empty list means the
-        arrival is held for a later :meth:`due`/:meth:`flush` release.
+        Only consulted when the policy declares ``batching = True``,
+        once per run, before any node serves.
         """
         raise ServiceError(
             f"policy {self.name!r} declares batching but implements no "
-            "offer()")
-
-    def next_deadline(self) -> float:
-        """Earliest instant a held queue must release (``inf``: none
-        held).  Only consulted when ``batching = True``."""
-        return float("inf")
-
-    def due(self, now: float) -> list[Batch]:
-        """Release every queue whose deadline has arrived by ``now``."""
-        return []
-
-    def flush(self) -> list[Batch]:
-        """End of the stream: release everything still held, each
-        batch at its own deadline, ascending."""
-        return []
+            "releases()")
 
 
 class RoundRobin(DispatchPolicy):

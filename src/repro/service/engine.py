@@ -71,11 +71,12 @@ telemetry-captured run is an event-core run.  The reference loop
 emits the identical columns, which is what makes a recording or trace
 equal between the engines dict for dict.
 
-**A batching policy is a stream.**  QED's hold protocol never reads
-the fleet, so its releases are computed before serving
-(:func:`repro.service.fleet._release_stream`) and a kernel serves them
-as it serves arrivals: each row is one shared execution, routed,
-admitted, governed and autoscaled on its combined demand.  The kernels
+**A batching policy is a stream.**  QED's hold queues never read the
+fleet, so its releases are computed before serving
+(:meth:`QEDPolicy.releases <repro.service.qed.QEDPolicy.releases>`)
+and a kernel serves them as it serves arrivals: each row is one
+shared execution, routed, admitted, governed and autoscaled on its
+combined demand.  The kernels
 unwrap :class:`~repro.service.qed.QEDPolicy` to the governor and router
 it wraps, admit against the smallest wrapper limit (the loop's
 ``admits`` chain) and stop autoscaler epochs at the stream's last

@@ -42,9 +42,10 @@ node — so ``python -m repro.runner trace svc_policies`` shows the same
 per-node timelines and Joules any metered experiment would.
 
 A batching policy (QED) changes what is served, not how: its hold
-protocol reads arrivals and the clock, never the fleet, so
-:func:`_release_stream` drives it once, ahead of serving, and every
-interpreter serves the releases as a stream of shared executions.
+queues read arrivals and the clock, never the fleet, so
+:meth:`~repro.service.dispatch.DispatchPolicy.releases` runs once,
+ahead of serving, and every interpreter serves the releases as a
+stream of shared executions.
 
 Every interpreter of that pass — the loop, the event core, and the
 chaos engine of :mod:`repro.faults.engine` — enters through
@@ -268,62 +269,8 @@ class _Run(NamedTuple):
     engine: str
     engine_reason: Optional[str]
     #: what is served: the stream's columns, or a batching policy's
-    #: releases of them (:func:`_release_stream`)
+    #: releases of them (:meth:`~DispatchPolicy.releases`)
     cols: StreamColumns
-
-
-def _release_stream(policy: DispatchPolicy,
-                    cols: StreamColumns) -> StreamColumns:
-    """A batching policy's shared executions, computed before serving.
-
-    The hold protocol — :meth:`~DispatchPolicy.offer`,
-    :meth:`~DispatchPolicy.next_deadline`, :meth:`~DispatchPolicy.due`,
-    :meth:`~DispatchPolicy.flush` — reads arrivals and the clock, never
-    the fleet, so it is driven here once, over the arrival columns.
-    The timeline interleaves arrivals with hold deadlines (a deadline
-    that ties an arrival releases first), so a batch releases the
-    instant its latency headroom runs out, never later.  Each released
-    :class:`~repro.service.dispatch.Batch` becomes one row: its release
-    instant and combined (shared) demand, its first member's tenant,
-    SLA and batch flag, and its ``members``.  The serving pass routes,
-    admits and autoscales that row as one execution, so consolidation
-    sees the work the policy creates, not the work it absorbed; with a
-    zero hold window every arrival releases alone at its own instant
-    and the rows are the arrivals.
-    """
-    times, services, slas = cols.lists()
-    tenants = cols.tenant_index.tolist()
-    n, inf = len(times), float("inf")
-
-    def released():
-        k = 0
-        while True:
-            t = times[k] if k < n else inf
-            deadline = policy.next_deadline()
-            if deadline <= t and deadline < inf:
-                yield from policy.due(deadline)
-            elif k < n:
-                yield from policy.offer(k, t, services[k], tenants[k],
-                                        slas[k])
-                k += 1
-            else:
-                yield from policy.flush()
-                return
-
-    release, demand, members = [], [], []
-    for batch in released():
-        release.append(batch.release_at)
-        demand.append(batch.service_seconds)
-        members.append(batch.members)
-    first = np.fromiter((m[0] for m in members), np.int64, len(members))
-    return StreamColumns(
-        times=np.array(release, dtype=np.float64),
-        service_seconds=np.array(demand, dtype=np.float64),
-        tenant_index=cols.tenant_index[first],
-        sla_seconds=cols.sla_seconds[first],
-        batch_flags=(None if cols.batch_flags is None
-                     else cols.batch_flags[first]),
-        members=members)
 
 
 def _choose_engine(engine: str, policy: DispatchPolicy, rec,
@@ -386,7 +333,7 @@ def _prepare(stream: ArrivalStream, fleet: Optional[FleetSpec], policy,
                       nodes, policy.name, autoscaler is not None)
     cols = stream.columns()
     if policy.batching:
-        cols = _release_stream(policy, cols)
+        cols = policy.releases(cols)
     return _Run(policy, autoscaler, nodes, list(range(len(nodes))),
                 mirror, rec, stream, fleet, engine, engine_reason, cols)
 

@@ -32,50 +32,38 @@ The hold queues never read the fleet, so a run's releases are computed
 before serving and the event core serves them, unwrapping QED to the
 governor and router inside.
 
+>>> import numpy as np
+>>> from repro.service.workload import StreamColumns
+>>> arrivals = StreamColumns(
+...     times=np.array([10.0, 10.4, 12.0]),
+...     service_seconds=np.array([0.3, 0.3, 0.3]),
+...     tenant_index=np.array([1, 1, 1]),
+...     sla_seconds=np.array([4.0, 4.0, 4.0]))
 >>> qed = QEDPolicy(hold_seconds=1.0, shared_fraction=0.7, max_batch=4)
 >>> qed.name
 'qed(power_aware)'
->>> qed.offer(0, 10.0, 0.3, tenant=1, sla_seconds=4.0)    # held
-[]
->>> qed.next_deadline()        # 10.0 + min(1.0, 4.0 * 0.5)
-11.0
->>> qed.offer(1, 10.4, 0.3, tenant=1, sla_seconds=4.0)    # joins
-[]
->>> [batch] = qed.due(11.0)
->>> batch.members, batch.release_at, round(batch.service_seconds, 3)
-((0, 1), 11.0, 0.39)
->>> QEDPolicy(hold_seconds=0.0).offer(7, 5.0, 0.05, 0, 2.0)
-[Batch(members=(7,), release_at=5.0, service_seconds=0.05, sla_seconds=2.0)]
+>>> out = qed.releases(arrivals)    # deadline: 10.0 + min(1.0, 4.0 * 0.5)
+>>> out.members, out.times.tolist()
+([(0, 1), (2,)], [11.0, 13.0])
+>>> [round(s, 3) for s in out.service_seconds.tolist()]
+[0.39, 0.3]
+>>> QEDPolicy(hold_seconds=0.0).releases(arrivals).members
+[(0,), (1,), (2,)]
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Optional
 
+import numpy as np
+
 from repro.observe import current_recorder
-from repro.service.dispatch import (Batch, DispatchContext, DispatchPolicy,
+from repro.service.dispatch import (DispatchContext, DispatchPolicy,
                                     make_policy, register_policy)
 from repro.service.node import FleetNode
 from repro.service.report import ServiceError
-
-
-class _Hold:
-    """One open hold queue: members in arrival order, a release
-    deadline pinned by the first member, and the running combined
-    (shared) service demand."""
-
-    __slots__ = ("members", "deadline", "service_seconds", "sla_seconds")
-
-    def __init__(self, k: int, deadline: float, service_seconds: float,
-                 sla_seconds: Optional[float]) -> None:
-        self.members = [k]
-        self.deadline = deadline
-        self.service_seconds = service_seconds
-        self.sla_seconds = sla_seconds
-
-    def to_batch(self, release_at: float) -> Batch:
-        return Batch(tuple(self.members), release_at,
-                     self.service_seconds, self.sla_seconds)
+from repro.service.workload import StreamColumns
 
 
 class QEDPolicy(DispatchPolicy):
@@ -127,10 +115,6 @@ class QEDPolicy(DispatchPolicy):
         self.autoscaled = self.inner.autoscaled
         self.dvfs = self.inner.dvfs
         self.name = f"qed({self.inner.name})"
-        self._queues: dict[tuple[int, float], _Hold] = {}
-        # min(deadline) over _queues, kept as queues open and close:
-        # the release pass asks for it once per arrival and per release
-        self._next_deadline = float("inf")
 
     # -- routing/admission/DVFS delegate to the wrapped policy --------
 
@@ -143,91 +127,108 @@ class QEDPolicy(DispatchPolicy):
     def frequency(self, ctx: DispatchContext, i: int) -> float:
         return self.inner.frequency(ctx, i)
 
-    # -- the hold/release protocol ------------------------------------
+    # -- the releases ------------------------------------------------
 
-    def offer(self, k: int, now: float, service_seconds: float,
-              tenant: int, sla_seconds: Optional[float]) -> list[Batch]:
-        window = self.hold_seconds
-        if sla_seconds is not None:
-            cap = sla_seconds * self.sla_headroom
+    def releases(self, cols: StreamColumns) -> StreamColumns:
+        """The shared executions of the arrivals in ``cols``, computed
+        in one pass before serving.
+
+        The hold queues read arrivals and the clock, never the fleet.
+        An open queue is keyed by ``(tenant, service demand)``, and a
+        heap orders the open deadlines by ``(deadline, first member)``.
+        Before each arrival every queue whose deadline is at or before
+        it releases, at its deadline (a deadline that ties an arrival
+        releases first), so a batch leaves the instant its latency
+        headroom runs out; after the last arrival the rest release the
+        same way.  A queue that fills up releases at the filling
+        arrival; its heap entry is skipped later because its first
+        member no longer matches.
+
+        Each release is one row: its release instant and combined
+        demand, its first member's tenant, SLA and batch flag, and its
+        ``members``.  The serving pass routes, admits and autoscales
+        that row as one execution, so consolidation sees the work the
+        policy creates, not the work it absorbed.  With a zero hold
+        window every arrival releases alone at its own instant and the
+        rows are the arrivals, value for value.
+        """
+        times, services, slas = cols.lists()
+        tenants = cols.tenant_index.tolist()
+        hold, headroom = self.hold_seconds, self.sla_headroom
+        unshared = 1.0 - self.shared_fraction
+        max_batch = self.max_batch
+        rec = current_recorder()
+        events = None if rec is None else rec.events
+        #: (tenant, demand) -> [members, combined demand]
+        queues: dict[tuple[int, float], list] = {}
+        heap: list[tuple[float, int, tuple[int, float]]] = []
+        #: (release instant, combined demand, members) per execution
+        rows: list[tuple[float, float, tuple[int, ...]]] = []
+
+        def release_due(upto: float) -> None:
+            while heap and heap[0][0] <= upto:
+                deadline, first, key = heappop(heap)
+                held = queues.get(key)
+                if held is None or held[0][0] != first:
+                    continue  # that queue filled up and left early
+                del queues[key]
+                if events is not None:
+                    events.append(
+                        (deadline, "batch_flush", None, key[0], None,
+                         {"first": first, "members": len(held[0]),
+                          "reason": "deadline", "combined": held[1]}))
+                rows.append((deadline, held[1], tuple(held[0])))
+
+        for k, t in enumerate(times):
+            if heap and heap[0][0] <= t:
+                release_due(t)
+            s = services[k]
+            window = hold
+            cap = slas[k] * headroom
             if cap < window:
                 window = cap
-        if window <= 0.0 or self.max_batch == 1:
-            # degenerate: release alone, at the arrival instant, with
-            # the arrival's exact demand — byte-identical to un-batched
-            return [Batch((k,), now, service_seconds, sla_seconds)]
-        key = (tenant, service_seconds)
-        held = self._queues.get(key)
-        rec = current_recorder()
-        if held is None:
-            deadline = now + window
-            self._queues[key] = _Hold(k, deadline, service_seconds,
-                                      sla_seconds)
-            if deadline < self._next_deadline:
-                self._next_deadline = deadline
-            if rec is not None:
-                rec.events.append((now, "hold_open", None, tenant, k,
-                                   {"deadline": deadline,
-                                    "window": window,
-                                    "service_seconds": service_seconds}))
-            return []
-        held.members.append(k)
-        held.service_seconds += \
-            service_seconds * (1.0 - self.shared_fraction)
-        if rec is not None:
-            rec.events.append((now, "hold_join", None, tenant, k,
-                               {"first": held.members[0],
-                                "size": len(held.members)}))
-        if len(held.members) >= self.max_batch:
-            del self._queues[key]
-            self._recompute_deadline()
-            if rec is not None:
-                rec.events.append(
-                    (now, "batch_flush", None, tenant, None,
-                     {"first": held.members[0],
-                      "members": len(held.members), "reason": "full",
-                      "combined": held.service_seconds}))
-            return [held.to_batch(now)]
-        return []
+            if window <= 0.0 or max_batch == 1:
+                # released alone, at the arrival instant, with the
+                # arrival's exact demand: byte-identical to un-batched
+                rows.append((t, s, (k,)))
+                continue
+            tenant = tenants[k]
+            key = (tenant, s)
+            held = queues.get(key)
+            if held is None:
+                deadline = t + window
+                queues[key] = [[k], s]
+                heappush(heap, (deadline, k, key))
+                if events is not None:
+                    events.append((t, "hold_open", None, tenant, k,
+                                   {"deadline": deadline, "window": window,
+                                    "service_seconds": s}))
+                continue
+            held[0].append(k)
+            held[1] += s * unshared
+            size = len(held[0])
+            if events is not None:
+                events.append((t, "hold_join", None, tenant, k,
+                               {"first": held[0][0], "size": size}))
+            if size >= max_batch:
+                del queues[key]
+                if events is not None:
+                    events.append(
+                        (t, "batch_flush", None, tenant, None,
+                         {"first": held[0][0], "members": size,
+                          "reason": "full", "combined": held[1]}))
+                rows.append((t, held[1], tuple(held[0])))
+        release_due(float("inf"))
 
-    def next_deadline(self) -> float:
-        return self._next_deadline
-
-    def _recompute_deadline(self) -> None:
-        """Re-derive the earliest open deadline after a queue closes."""
-        self._next_deadline = min(
-            (held.deadline for held in self._queues.values()),
-            default=float("inf"))
-
-    def due(self, now: float) -> list[Batch]:
-        ready = sorted(
-            (key for key, held in self._queues.items()
-             if held.deadline <= now),
-            key=lambda key: (self._queues[key].deadline,
-                             self._queues[key].members[0]))
-        return self._release(ready, "deadline")
-
-    def flush(self) -> list[Batch]:
-        ready = sorted(self._queues,
-                       key=lambda key: (self._queues[key].deadline,
-                                        self._queues[key].members[0]))
-        return self._release(ready, "flush")
-
-    def _release(self, ready, reason: str) -> list[Batch]:
-        rec = current_recorder()
-        out = []
-        for key in ready:
-            held = self._queues.pop(key)
-            if rec is not None:
-                rec.events.append(
-                    (held.deadline, "batch_flush", None, key[0], None,
-                     {"first": held.members[0],
-                      "members": len(held.members), "reason": reason,
-                      "combined": held.service_seconds}))
-            out.append(held.to_batch(held.deadline))
-        if out:
-            self._recompute_deadline()
-        return out
-
+        release, demand, members = zip(*rows)
+        first = np.fromiter((m[0] for m in members), np.int64, len(rows))
+        return StreamColumns(
+            times=np.array(release, dtype=np.float64),
+            service_seconds=np.array(demand, dtype=np.float64),
+            tenant_index=cols.tenant_index[first],
+            sla_seconds=cols.sla_seconds[first],
+            batch_flags=(None if cols.batch_flags is None
+                         else cols.batch_flags[first]),
+            members=list(members))
 
 register_policy(QEDPolicy)

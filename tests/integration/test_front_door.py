@@ -14,12 +14,14 @@ differently.  That last-bits drift is why the interpreters are not
 merged: it would move every committed ledger.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.faults import FaultSchedule, simulate_faulty_service
-from repro.service import (Autoscaler, FleetSpec, NodePowerModel, PVCPolicy,
-                           QEDPolicy, build_stream, make_policy,
-                           simulate_service)
+from repro.service import (DEFAULT_TENANTS, Autoscaler, FleetSpec,
+                           NodePowerModel, PVCPolicy, QEDPolicy, build_stream,
+                           make_policy, simulate_service)
 from repro.service.report import FaultStats
 
 MODEL = NodePowerModel.from_server("commodity")
@@ -86,3 +88,33 @@ def test_empty_schedule_chaos_matches_the_loop(policy_name, fleet_kind,
         == [n.completed for n in loop.nodes]
     assert chaos.energy_joules == pytest.approx(loop.energy_joules,
                                                 rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("policy_name", ["least_loaded", "power_aware",
+                                         "qed"])
+def test_batch_tenant_under_a_limit_is_admitted_by_both(policy_name):
+    """A batch tenant is exempt from the admission limit on the chaos
+    engine too: its rows read the stream's batch flag, as the loop's
+    do."""
+    tenants = tuple(replace(t, batch=t.name == "reporting")
+                    for t in DEFAULT_TENANTS)
+    stream = build_stream(3_000, tenants=tenants, seed=3)
+    fleet = FleetSpec.homogeneous(4, MODEL)
+
+    def policy():
+        if policy_name == "qed":
+            return QEDPolicy(hold_seconds=0.5, sla_headroom=0.6,
+                             admission_limit_seconds=0.05)
+        return make_policy(policy_name, admission_limit_seconds=0.05)
+
+    loop = simulate_service(stream, fleet=fleet, policy=policy(),
+                            engine="loop")
+    calm = FaultSchedule(n_nodes=fleet.n_nodes,
+                         horizon_seconds=stream.duration_seconds)
+    chaos = simulate_faulty_service(stream, calm, fleet=fleet,
+                                    policy=policy())
+
+    rejected = {t.tenant: t.rejected for t in loop.tenants}
+    assert rejected["reporting"] == 0 and loop.queries_rejected > 0
+    assert chaos.tenants == loop.tenants
+    assert chaos.queries_rejected == loop.queries_rejected

@@ -1,24 +1,34 @@
 """Unit tests for the PVC frequency governor and the QED batcher.
 
 Policy-object arithmetic only — the governor's step selection, the
-hold-queue release protocol, knob validation, and registration; the
+hold queues' releases, knob validation, and registration; the
 engine-level behavior (energy, SLAs, telemetry exactness) lives in
 ``tests/integration/test_service_pvc_qed.py``.
 """
 
+import numpy as np
 import pytest
 
 from repro.service import (DISPATCH_POLICIES, DispatchContext, FleetNode,
                            FleetSpec, NodePowerModel, PVCPolicy, QEDPolicy,
                            ServiceError, build_stream, make_policy,
                            simulate_service)
-from repro.service.dispatch import Batch
+from repro.service.workload import StreamColumns
 
 MODEL = NodePowerModel()  # 200 W idle / 350 W peak, speed 1
 
 
 def ctx_for(node, service_s, sla=None, now=0.0):
     return DispatchContext([node], [0], now, service_s, sla)
+
+
+def arrivals(*rows) -> StreamColumns:
+    """Arrival columns from ``(time, service, tenant, sla)`` rows."""
+    times, services, tenants, slas = zip(*rows)
+    return StreamColumns(times=np.array(times),
+                         service_seconds=np.array(services),
+                         tenant_index=np.array(tenants),
+                         sla_seconds=np.array(slas))
 
 
 class TestPVCGovernor:
@@ -96,52 +106,62 @@ class TestQEDHoldQueues:
     def test_holds_then_releases_at_first_member_deadline(self):
         qed = QEDPolicy(hold_seconds=1.0, sla_headroom=0.5,
                         shared_fraction=0.7)
-        assert qed.offer(0, 10.0, 0.3, tenant=1, sla_seconds=4.0) == []
-        assert qed.next_deadline() == 11.0  # 10.0 + min(1.0, 2.0)
-        assert qed.offer(1, 10.4, 0.3, tenant=1, sla_seconds=4.0) == []
-        assert qed.next_deadline() == 11.0  # pinned by the first member
-        [batch] = qed.due(11.0)
-        assert batch.members == (0, 1)
-        assert batch.release_at == 11.0
-        assert batch.service_seconds == pytest.approx(0.39)
-        assert qed.next_deadline() == float("inf")
+        out = qed.releases(arrivals((10.0, 0.3, 1, 4.0),
+                                    (10.4, 0.3, 1, 4.0)))
+        assert out.members == [(0, 1)]
+        # 10.0 + min(1.0, 4.0 * 0.5): pinned by the first member
+        assert out.times.tolist() == [11.0]
+        assert out.service_seconds.tolist() == [pytest.approx(0.39)]
+        assert out.tenant_index.tolist() == [1]
 
     def test_sla_headroom_caps_the_hold_window(self):
         qed = QEDPolicy(hold_seconds=10.0, sla_headroom=0.5)
-        qed.offer(0, 0.0, 0.05, tenant=0, sla_seconds=2.0)
-        assert qed.next_deadline() == 1.0  # 2.0 * 0.5 < 10.0
+        out = qed.releases(arrivals((0.0, 0.05, 0, 2.0)))
+        assert out.times.tolist() == [1.0]  # 2.0 * 0.5 < 10.0
 
     def test_incompatible_arrivals_hold_separately(self):
         qed = QEDPolicy(hold_seconds=1.0)
-        qed.offer(0, 0.0, 0.3, tenant=0, sla_seconds=4.0)
-        qed.offer(1, 0.1, 0.3, tenant=1, sla_seconds=4.0)   # other tenant
-        qed.offer(2, 0.2, 0.05, tenant=0, sla_seconds=4.0)  # other class
-        batches = qed.flush()
-        assert [b.members for b in batches] == [(0,), (1,), (2,)]
+        out = qed.releases(arrivals((0.0, 0.3, 0, 4.0),
+                                    (0.1, 0.3, 1, 4.0),     # other tenant
+                                    (0.2, 0.05, 0, 4.0)))   # other class
+        assert out.members == [(0,), (1,), (2,)]
 
     def test_full_queue_releases_immediately(self):
         qed = QEDPolicy(hold_seconds=5.0, max_batch=2,
                         shared_fraction=1.0)
-        assert qed.offer(0, 0.0, 0.3, tenant=0, sla_seconds=40.0) == []
-        [batch] = qed.offer(1, 0.5, 0.3, tenant=0, sla_seconds=40.0)
-        assert batch.members == (0, 1)
-        assert batch.release_at == 0.5  # the filling arrival's instant
-        assert batch.service_seconds == 0.3  # followers ride free
-        assert qed.next_deadline() == float("inf")
+        out = qed.releases(arrivals((0.0, 0.3, 0, 40.0),
+                                    (0.5, 0.3, 0, 40.0),
+                                    (0.6, 0.3, 0, 40.0)))
+        # the filling arrival's instant; the next arrival opens a new
+        # queue, and the full one's deadline (5.0) releases nothing
+        assert out.members == [(0, 1), (2,)]
+        assert out.times.tolist() == [0.5, 5.6]
+        assert out.service_seconds.tolist() == [0.3, 0.3]  # ride free
+
+    def test_deadline_tying_an_arrival_releases_first(self):
+        qed = QEDPolicy(hold_seconds=1.0)
+        out = qed.releases(arrivals((0.0, 0.3, 0, 40.0),
+                                    (1.0, 0.3, 0, 40.0)))
+        assert out.members == [(0,), (1,)]
+        assert out.times.tolist() == [1.0, 2.0]
 
     def test_zero_hold_releases_alone_byte_exactly(self):
-        qed = QEDPolicy(hold_seconds=0.0)
-        [batch] = qed.offer(7, 5.0, 0.05, tenant=0, sla_seconds=2.0)
-        assert batch == Batch((7,), 5.0, 0.05, 2.0)
+        cols = arrivals((5.0, 0.05, 0, 2.0), (5.0, 0.05, 0, 2.0),
+                        (7.5, 2.5, 2, 15.0))
+        out = QEDPolicy(hold_seconds=0.0).releases(cols)
+        assert out.members == [(0,), (1,), (2,)]
+        for name in ("times", "service_seconds", "tenant_index",
+                     "sla_seconds"):
+            assert getattr(out, name).tolist() \
+                == getattr(cols, name).tolist()
 
-    def test_flush_releases_ascending_by_deadline(self):
+    def test_end_of_stream_releases_ascend_by_deadline(self):
         qed = QEDPolicy(hold_seconds=1.0, sla_headroom=0.5)
-        qed.offer(0, 0.0, 0.3, tenant=1, sla_seconds=4.0)   # deadline 1.0
-        qed.offer(1, 0.8, 0.05, tenant=0, sla_seconds=2.0)  # deadline 1.8
-        qed.offer(2, 0.2, 2.5, tenant=2, sla_seconds=15.0)  # deadline 1.2
-        batches = qed.flush()
-        assert [b.release_at for b in batches] == [1.0, 1.2, 1.8]
-        assert qed.flush() == []
+        out = qed.releases(arrivals((0.0, 2.5, 2, 15.0),    # deadline 1.0
+                                    (0.25, 0.05, 0, 0.5),   # deadline 0.5
+                                    (0.375, 0.3, 1, 0.5)))  # deadline 0.625
+        assert out.times.tolist() == [0.5, 0.625, 1.0]
+        assert out.members == [(1,), (2,), (0,)]
 
     def test_dvfs_composition_delegates_frequency(self):
         stacked = QEDPolicy(inner="pvc")
@@ -159,12 +179,6 @@ class TestQEDHoldQueues:
             QEDPolicy(max_batch=0)
         with pytest.raises(ServiceError, match="nest"):
             QEDPolicy(inner=QEDPolicy())
-
-    def test_batch_validates_itself(self):
-        with pytest.raises(ServiceError, match="empty"):
-            Batch((), 0.0, 1.0)
-        with pytest.raises(ServiceError, match="positive"):
-            Batch((0,), 0.0, 0.0)
 
 
 class TestExecutionHooksUnderFaults:
@@ -209,11 +223,7 @@ class TestExecutionHooksUnderFaults:
         assert json.dumps(a, sort_keys=True) == \
             json.dumps(b, sort_keys=True)
 
-    def test_base_policy_batching_hooks_are_inert(self):
+    def test_base_policy_releases_raises(self):
         from repro.service.dispatch import DispatchPolicy
-        base = DispatchPolicy()
-        assert base.next_deadline() == float("inf")
-        assert base.due(1e9) == []
-        assert base.flush() == []
-        with pytest.raises(ServiceError, match="offer"):
-            base.offer(0, 0.0, 1.0, 0, None)
+        with pytest.raises(ServiceError, match="releases"):
+            DispatchPolicy().releases(arrivals((0.0, 1.0, 0, 2.0)))
