@@ -19,31 +19,36 @@ PVC ladder of :meth:`PVCPolicy.frequency
 ``FleetNode.serve`` / ``serve_active``, the autoscaler's epoch step —
 is written once, as the source fragments below (``_ADMIT``, ``_SERVE``,
 ``_PLAIN``, ``_PVC``, ``_EPOCH``), inside two loop skeletons.  A router
-contributes only what is its own, a ``SETUP`` / ``SELECT`` / ``SERVED``
-triple:
+contributes only what is its own, four fragments — ``SETUP`` /
+``SELECT`` / ``SERVED`` and ``REJECTED`` (what a refused arrival gives
+back):
 
 * ``least_loaded`` — one binary heap of ``(busy_until, index)``; the
   root *is* the first-strict-minimum scan result, and ``heapreplace``
   after each serve keeps it exact.  One line per fragment.
-* ``power_aware`` — packable candidates live in per-cost-rate
-  min-index heaps fed by a ``waiting`` heap keyed on ``busy_until``;
-  because arrivals (and so the pack bound) are monotone, a node
-  migrates between the two at most once per serve, with stale entries
-  dropped lazily by exact ``busy_until`` comparison.
-* ``cost_aware`` — one segment tree (:class:`_Block`) per class block
-  over node ``busy_until``; the cheapest-fitting node is a leftmost
-  descent with the same monotone float predicate the reference scan
-  evaluates.
+* ``power_aware`` — the packable nodes' *ranks* (positions in the
+  reference scan's candidate order: cost rate, then index) in one heap,
+  fed by a ``waiting`` heap keyed on ``busy_until``; arrivals (and so
+  the pack bound) are monotone, so a node migrates between the two at
+  most once per serve.  The routed rank is popped and goes back only
+  while its node stays packable, so only ``waiting`` holds stale
+  entries, dropped by exact ``busy_until`` comparison.
+* ``cost_aware`` — a min-``busy_until`` segment tree per class block
+  (:func:`_blocks`); the cheapest-fitting node is a leftmost descent
+  with the same monotone float predicate the reference scan evaluates,
+  and a serve walks the sibling minima back up, both as fragment text.
 * ``round_robin`` — no structure at all: the rotation is a closed form
   (arrival ``k`` lands on slot ``(next + k) % n``), so it gets its own
   skeleton, ``_STRIDED``, in which each node's arrival lane is a
   strided slice and the same fragments run on per-pipe locals.
 
 :func:`_kernel` expands a skeleton for one ``(router, governed,
-limited, outer_limited, autoscaled)`` tuple, compiles it on first use
-(once per process) and registers the text with :mod:`linecache`, so a
-traceback, ``pdb`` or a profiler shows real lines.  An option that is
-off leaves no test behind in the loop; under ``pvc(...)`` the ladder
+limited, outer_limited, autoscaled, lanes)`` tuple, compiles it on
+first use (once per process) and registers the text with
+:mod:`linecache`, so a traceback, ``pdb`` or a profiler shows real
+lines.  An option that is off leaves no test behind in the loop;
+``lanes`` is derived, not chosen (a pass nobody watches builds no
+lanes, :class:`ServedColumns`).  Under ``pvc(...)`` the ladder
 runs on per-(class, step) constants (:func:`_pvc_tables`) computed
 with the identical expressions the reference engine evaluates per
 arrival.
@@ -97,7 +102,7 @@ import functools
 import linecache
 import re
 import textwrap
-from heapq import heappop, heappush, heapreplace
+from heapq import heappop, heappush, heappushpop, heapreplace
 from itertools import chain
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -175,7 +180,8 @@ class ServedColumns:
     the rare rows that carry more than that, go to ``rejected`` and
     ``dvfs``.  The full-length ``ends``/``lanes`` columns and the
     ``dvfs`` rows are only kept when something after the pass reads
-    them: an observer, or the fan-out of shared executions.
+    them: an observer, or the fan-out of shared executions; otherwise
+    a kernel builds no lanes (``lanes`` of :func:`_kernel`).
     """
 
     __slots__ = ("cols", "rec", "mirror", "latencies", "ends", "lanes",
@@ -300,19 +306,19 @@ def serve_event(stream: ArrivalStream,
     telemetry mirror: they receive the kernel's columns once it
     returns, and cost the kernel nothing per query.
     """
-    reason = event_core_unsupported(policy, recorder=rec)
-    if reason is not None:  # pragma: no cover - guarded by the caller
+    reason = event_core_unsupported(policy, recorder=rec, stream=stream)
+    if reason is not None:
         raise ServiceError(f"event core cannot run this config: {reason}")
     *wrappers, router = _layers(policy)
     pvc = next((p for p in wrappers if type(p) is PVCPolicy), None)
     # admitted only if every wrapper admits: under the smallest limit
     outer = min((p.admission_limit_seconds for p in wrappers
                  if p.admission_limit_seconds is not None), default=None)
+    out = ServedColumns(cols, rec, mirror)
     kernel = _kernel(
         type(router), pvc is not None,
         router.admission_limit_seconds is not None, outer is not None,
-        autoscaler is not None)
-    out = ServedColumns(cols, rec, mirror)
+        autoscaler is not None, out.lanes is not None)
     last = kernel(cols, fleet, router, outer, pvc,
                   None if pvc is None else _pvc_tables(pvc, nodes),
                   nodes, on_ids, autoscaler, float(stream.times[-1]), out)
@@ -358,6 +364,7 @@ if $over_limit:
     rejected.append(($k, i))
     append(nan)
     $lane_off
+    $REJECTED
     continue
 """
 
@@ -392,8 +399,7 @@ for row in steps_of[i]:
         scaled = s / row[1]
         $active += row[2] * scaled
         $lane_off
-        if emit_dvfs is not None:
-            emit_dvfs(($k, i, start, row[0], row[3]))
+        $DVFS
         break
 else:
     $PLAIN
@@ -454,8 +460,7 @@ def kernel(cols, fleet, router, outer, pvc, steps_of, nodes, on_ids,
         ql = slas[a:a + CHUNK].tolist()
         ends = []
         append = ends.append
-        lanes = []
-        lane_append = lanes.append
+        $LANES
         for t, s, q in zip(tl, sl, ql):
             $EPOCH
             $SELECT
@@ -463,24 +468,33 @@ def kernel(cols, fleet, router, outer, pvc, steps_of, nodes, on_ids,
             bu = node.busy_until
             $ADMIT
             $SERVE
-            if end > last_completion:
-                last_completion = end
+            $LATEST
             $SERVED
-        out.flush(slice(a, a + len(ends)), ends, lanes)
+        $CHUNK_LATEST
+        out.flush(slice(a, a + len(ends)), ends, $lanes)
     $EPOCH_CLOSE
     return last_completion
 """
 
 
-def _node_books(governed: bool, rejecting: bool) -> dict[str, str]:
-    """``_CHUNKED``'s bindings — the same under every option, because
-    the autoscaler may close a node's books between any two arrivals."""
+def _node_books(governed: bool, rejecting: bool,
+                lanes: bool) -> dict[str, str]:
+    """``_CHUNKED``'s bindings.  The books are the same under every
+    option, because the autoscaler may close a node's books between any
+    two arrivals.  The latest completion is one ``max`` per chunk
+    unless a rejection's NaN can sit in the chunk."""
     return dict(
         sf="sf_of[i]", busy_until="node.busy_until",
         busy="node._interval_busy", active="node._interval_active_joules",
         LINEAR="node._interval_linear_busy += scaled\n",
         COUNT="node.completed += 1\n", k="a + len(ends)",
-        lane_on="lane_append(i)", lane_off="lane_append(-1)")
+        LATEST="if end > last_completion:\n    last_completion = end\n"
+        * rejecting,
+        CHUNK_LATEST="" if rejecting else
+        "last_completion = max(last_completion, max(ends))\n",
+        LANES="lanes = []\nlane_append = lanes.append\n" * lanes,
+        lanes="lanes" if lanes else "None",
+        lane_on="lane_append(i)" * lanes, lane_off="lane_append(-1)" * lanes)
 
 
 #: round_robin's closed-form rotation: the node at slot ``j`` serves
@@ -532,12 +546,14 @@ def kernel(cols, fleet, router, outer, pvc, steps_of, nodes, on_ids,
 """
 
 
-def _local_books(governed: bool, rejecting: bool) -> dict[str, str]:
+def _local_books(governed: bool, rejecting: bool,
+                 lanes: bool) -> dict[str, str]:
     """``_STRIDED``'s bindings.  A tally the options make redundant is
     read off once the lane is done, not kept per query: with no
     governor ``FleetNode.serve`` adds the same sequence to both busy
     lanes, and with no limit every arrival completes.  Only the
-    governor reads the SLA column."""
+    governor reads the SLA column; a strided lane files its node once
+    (``flush``), so ``lanes`` changes nothing here."""
     return dict(
         arrival="t, s, q in zip(times[lane].tolist(), "
         "services[lane].tolist(), slas[lane].tolist())" if governed else
@@ -554,14 +570,17 @@ class _Router(NamedTuple):
     """What a router adds to a skeleton.  ``setup`` runs before the
     first arrival and again after every autoscaler epoch step (the
     on-set changed); ``select`` leaves the routed node's index in
-    ``i``; ``served`` sees the admitted execution's ``end``."""
+    ``i``; ``served`` sees the admitted execution's ``end``, and
+    ``rejected`` runs instead when the admission limit refuses the
+    arrival (the node's books are untouched)."""
 
     skeleton: str
-    #: ``(governed, rejecting) -> bindings`` for the skeleton's names
-    books: Callable[[bool, bool], dict]
+    #: ``(governed, rejecting, lanes) -> bindings`` for its names
+    books: Callable[[bool, bool, bool], dict]
     setup: str = ""
     select: str = ""
     served: str = ""
+    rejected: str = ""
 
 
 #: join-the-shortest-queue off a ``(busy_until, index)`` heap: the root
@@ -573,77 +592,78 @@ _LEAST_LOADED = _Router(
     select="i = heap[0][1]\n",
     served="heapreplace(heap, (end, i))\n")
 
-#: packing over two lazy heaps.  ``waiting`` orders nodes past the pack
-#: bound by ``busy_until``; per-cost-rate ``pack_heaps`` order the
-#: packable candidates by index.  The bound ``t + pack`` is monotone
-#: within an epoch segment and ``busy_until`` only grows, so
-#: classification moves one way between serves and stale entries are
-#: recognized by exact ``busy_until`` mismatch.  Selection walks rate
-#: groups ascending — peek, SLA-test, stash-on-miss — reproducing the
-#: reference scan's candidate order (index order within a rate, the
-#: cheapest fitting rate wins, cheapest-rate min-index fallback,
-#: least-loaded spill) without touching every node.
+#: packing over two heaps.  ``waiting`` orders nodes past the pack
+#: bound by ``busy_until``; ``ranks`` holds the packable ones as their
+#: rank in the reference scan's candidate order (cost rate ascending,
+#: then index).  The bound ``t + pack`` is monotone within an epoch
+#: segment and ``busy_until`` only grows, so classification moves one
+#: way between serves, and ``waiting``'s stale entries are recognized
+#: by exact ``busy_until`` mismatch.  Selection pops ranks in order
+#: until one fits the SLA (the cheapest fitting rate's lowest index),
+#: else keeps the first (the cheapest rate's lowest index), else spills
+#: to ``waiting``'s root (least-loaded); the chosen rank is out of the
+#: heap until ``served`` / ``rejected`` put it back, only while its
+#: node is still packable.
 _POWER_AWARE = _Router(
     _CHUNKED, _node_books,
     setup="""\
 pack = router.pack_backlog_seconds
 rate_of = [(node.model.peak_watts - node.model.idle_watts)
            / node.model.speed_factor for node in nodes]
-rates = sorted(set(rate_of))
-gid_of = [rates.index(r) for r in rate_of]
-pack_heaps = [[] for _ in rates]
-in_pack = [False] * len(nodes)
-# 0: past the bound (waiting) · 1: packable · 2: powered off
-where = [2] * len(nodes)
-for i in on_ids:
-    where[i] = 0
+node_at = [c for _, c in sorted(zip(rate_of, range(len(nodes))))]
+rank_of = [0] * len(nodes)
+for r, c in enumerate(node_at):
+    rank_of[c] = r
+ranks = []
+packable = [False] * len(nodes)
 waiting = sorted((nodes[i].busy_until, i) for i in on_ids)
 """,
     select="""\
 bound = t + pack
+r = -1
 while waiting and waiting[0][0] <= bound:
     due, c = heappop(waiting)
-    if where[c] == 0 and due == nodes[c].busy_until:
-        where[c] = 1
-        if not in_pack[c]:
-            heappush(pack_heaps[gid_of[c]], c)
-            in_pack[c] = True
-i = fallback = -1
-for gh in pack_heaps:
-    stash = None
-    while gh:
-        c = gh[0]
-        if where[c] != 1:
-            heappop(gh)
-            in_pack[c] = False
-            continue
-        if fallback < 0:
-            fallback = c
-        bu = nodes[c].busy_until
-        if (bu - t if bu > t else 0.0) + s / sf_of[c] <= q:
-            i = c
-            break
-        if stash is None:
-            stash = []
-        stash.append(heappop(gh))
-    if stash:
-        for c in stash:
-            heappush(gh, c)
-    if i >= 0:
-        break
-else:
-    i = fallback  # nothing fits: the cheapest rate's lowest index
-    while i < 0:  # nothing packable: spill to the least-loaded node
-        due, c = waiting[0]
-        if where[c] == 0 and due == nodes[c].busy_until:
-            i = c
-        else:
-            heappop(waiting)
+    if due == nodes[c].busy_until and not packable[c]:
+        packable[c] = True
+        if r >= 0:
+            heappush(ranks, r)
+        r = rank_of[c]
+if r >= 0:  # the last migrant enters as the first candidate leaves
+    r = heappushpop(ranks, r)
+elif ranks:
+    r = heappop(ranks)
+if r >= 0:
+    i = node_at[r]
+    bu = nodes[i].busy_until
+    if not (bu - t if bu > t else 0.0) + s / sf_of[i] <= q:
+        missed = []
+        while ranks:
+            m = heappop(ranks)
+            c = node_at[m]
+            bu = nodes[c].busy_until
+            if (bu - t if bu > t else 0.0) + s / sf_of[c] <= q:
+                missed.append(r)
+                i = c
+                break
+            missed.append(m)
+        for m in missed:
+            heappush(ranks, m)
+else:  # nothing packable: spill to the least-loaded node
+    due, i = waiting[0]
+    while due != nodes[i].busy_until:
+        heappop(waiting)
+        due, i = waiting[0]
 """,
     served="""\
-if where[i] != 1 or end > bound:
-    where[i] = 0
+if packable[i] and end <= bound:
+    heappush(ranks, rank_of[i])
+else:
+    packable[i] = False
     heappush(waiting, (end, i))
+""",
+    rejected="""\
+if packable[i]:
+    heappush(ranks, rank_of[i])
 """)
 
 #: marginal-Joules routing over per-class segment trees.  Within a
@@ -658,35 +678,59 @@ _COST_AWARE = _Router(
     _CHUNKED, _node_books,
     setup="""\
 slack = router.sla_slack_fraction
-blocks = _Block.cover(fleet, nodes)
+blocks = _blocks(fleet, nodes)
 """,
     select="""\
 fit = q * slack
 best_cost = fast_est = _INF
 block = fast_block = None
 for b in blocks:
-    m = b.seg[1]
+    m = b[0][1]
     if m == _INF:
         continue  # no powered-on member
-    exe = s / b.sf
+    exe = s / b[3]
     est = (m - t if m > t else 0.0) + exe
     if est < fast_est:
         fast_est = est
         fast_block = b
     if est <= fit:
-        cost = b.pmi * exe
+        cost = b[4] * exe
         if cost < best_cost:
             best_cost = cost
             block = b
             best_exe = exe
+p = 1
 if block is not None:
-    i = block.leftmost_fit(t, best_exe, fit)
+    # the lowest index whose estimate fits
+    seg, size, lo, _, _ = block
+    while p < size:
+        p <<= 1
+        m = seg[p]
+        if not (m - t if m > t else 0.0) + best_exe <= fit:
+            p += 1
 else:
-    block = fast_block
-    m = block.seg[1]
-    i = block.leftmost_le(m if m > t else t)
+    # nothing fits: the lowest index at the fastest block's minimum
+    seg, size, lo, _, _ = fast_block
+    m = seg[1]
+    m = m if m > t else t
+    while p < size:
+        p <<= 1
+        if not seg[p] <= m:
+            p += 1
+i = lo + p - size
 """,
-    served="block.update(i, end)\n")
+    # ``p`` is still ``i``'s leaf; stop where a parent's minimum holds
+    served="""\
+seg[p] = m = end
+while p > 1:
+    sib = seg[p ^ 1]
+    if sib < m:
+        m = sib
+    p >>= 1
+    if seg[p] == m:
+        break
+    seg[p] = m
+""")
 
 #: routers with a vectorized kernel (exact types: a subclass may
 #: override route(), so it must take the reference loop)
@@ -730,7 +774,7 @@ def _expand(template: str, fragments: dict[str, str]) -> str:
 
 @functools.cache
 def _kernel(router_type: type, governed: bool, limited: bool,
-            outer_limited: bool, autoscaled: bool) -> Callable:
+            outer_limited: bool, autoscaled: bool, lanes: bool) -> Callable:
     """The serving loop for one router under one set of options,
     generated on first use and compiled once per process.
 
@@ -738,27 +782,31 @@ def _kernel(router_type: type, governed: bool, limited: bool,
     ``outer_limited`` an admission limit on the router / on a wrapper
     (the kernel is handed the smallest as ``outer``), ``autoscaled`` a
     live autoscaler, whose epochs stop after the instant ``stop``.
+    ``lanes`` is derived, not chosen: the pass keeps its columns
+    (:class:`ServedColumns`), so the kernel emits lanes and dvfs rows.
     What is off is absent from the source, not tested in the loop.
     Read a kernel with ``linecache.getlines(kernel.__code__.co_filename)``.
     """
     router = _ROUTERS[router_type]
     over = ["backlog > outer"] * outer_limited + ["backlog > limit"] * limited
     source = _expand(router.skeleton, {
-        **router.books(governed, bool(over)),
+        **router.books(governed, bool(over), lanes),
         "PROLOGUE": _PROLOGUE,
         "LIMITS": "limit = router.admission_limit_seconds\n" * limited
         + "headroom = pvc.sla_headroom\n" * governed,
         "SETUP": router.setup, "SELECT": router.select,
-        "SERVED": router.served,
+        "SERVED": router.served, "REJECTED": router.rejected,
         "ADMIT": _BACKLOG * bool(over or governed) + _ADMIT * bool(over),
         "over_limit": " or ".join(over),
         "SERVE": _SERVE, "STEP": _PVC if governed else _PLAIN,
         "PLAIN": _PLAIN,
+        "DVFS": "emit_dvfs(($k, i, start, row[0], row[3]))\n" * lanes,
         "EPOCH_OPEN": _EPOCH_OPEN * autoscaled, "EPOCH": _EPOCH * autoscaled,
         "EPOCH_CLOSE": _EPOCH_CLOSE * autoscaled})
     filename = "<repro.service.engine kernel: %s>" % " ".join(
         [router_type.name] + ["pvc"] * governed + ["limit"] * limited
-        + ["outer_limit"] * outer_limited + ["autoscaled"] * autoscaled)
+        + ["outer_limit"] * outer_limited + ["autoscaled"] * autoscaled
+        + ["lanes"] * lanes)
     # mtime None: linecache.checkcache keeps entries it cannot stat
     linecache.cache[filename] = (len(source), None,
                                  source.splitlines(True), filename)
@@ -767,78 +815,29 @@ def _kernel(router_type: type, governed: bool, limited: bool,
     return scope["kernel"]
 
 
-class _Block:
-    """One contiguous class block with a min-``busy_until`` segment
-    tree over its node slots (powered-off slots hold +inf) — the
-    ``cost_aware`` fragments' data structure, an ordinary class."""
-
-    __slots__ = ("lo", "sf", "pmi", "size", "seg")
-
-    def __init__(self, lo: int, hi: int, model, nodes) -> None:
-        self.lo = lo
-        self.sf = model.speed_factor
-        self.pmi = model.peak_watts - model.idle_watts
+def _blocks(fleet: FleetSpec, nodes: Sequence[FleetNode]) -> list[tuple]:
+    """The ``cost_aware`` fragments' structure: the fleet's non-empty
+    classes in declaration (= node index) order, each a ``(seg, size,
+    lo, speed_factor, peak_watts - idle_watts)`` tuple whose ``seg`` is
+    a min-``busy_until`` segment tree over the class's node slots
+    (leaves at ``size + index - lo``; powered-off and padding slots hold
+    +inf), built from the nodes' current state."""
+    blocks, lo = [], 0
+    for c in fleet.classes:
+        if not c.count:
+            continue
         size = 1
-        while size < hi - lo:
+        while size < c.count:
             size <<= 1
-        self.size = size
-        self.seg = seg = [_INF] * (2 * size)
-        for p, node in enumerate(nodes[lo:hi], size):
+        seg = [_INF] * (2 * size)
+        for p, node in enumerate(nodes[lo:lo + c.count], size):
             if node.on:
                 seg[p] = node.busy_until
         for p in range(size - 1, 0, -1):
             left = seg[2 * p]
             right = seg[2 * p + 1]
             seg[p] = left if left < right else right
-
-    @classmethod
-    def cover(cls, fleet: FleetSpec, nodes) -> list["_Block"]:
-        """The fleet's non-empty classes as blocks, in declaration
-        (= node index) order, over the nodes' current state."""
-        blocks, lo = [], 0
-        for c in fleet.classes:
-            if c.count:
-                blocks.append(cls(lo, lo + c.count, c.model, nodes))
-                lo += c.count
-        return blocks
-
-    def update(self, i: int, value: float) -> None:
-        p = self.size + (i - self.lo)
-        seg = self.seg
-        seg[p] = value
-        p >>= 1
-        while p:
-            left = seg[2 * p]
-            right = seg[2 * p + 1]
-            new = left if left < right else right
-            if seg[p] == new:
-                break
-            seg[p] = new
-            p >>= 1
-
-    def leftmost_le(self, x: float) -> int:
-        """Lowest node index whose ``busy_until`` is <= ``x`` (the
-        caller guarantees one exists)."""
-        seg = self.seg
-        size = self.size
-        p = 1
-        while p < size:
-            left = 2 * p
-            p = left if seg[left] <= x else left + 1
-        return self.lo + (p - size)
-
-    def leftmost_fit(self, t: float, scaled: float, budget: float) -> int:
-        """Lowest node index whose estimated latency fits ``budget``
-        (exact reference predicate, evaluated on subtree minima — it
-        is monotone in ``busy_until``, so the descent is exact)."""
-        seg = self.seg
-        size = self.size
-        p = 1
-        while p < size:
-            left = 2 * p
-            v = seg[left]
-            if (v - t if v > t else 0.0) + scaled <= budget:
-                p = left
-            else:
-                p = left + 1
-        return self.lo + (p - size)
+        blocks.append((seg, size, lo, c.model.speed_factor,
+                       c.model.peak_watts - c.model.idle_watts))
+        lo += c.count
+    return blocks

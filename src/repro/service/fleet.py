@@ -518,19 +518,18 @@ def _assemble_report(run: _Run,
     for ti, tenant in enumerate(stream.tenants):
         mask = tenant_idx == ti
         t_lat = np.sort(latencies[mask & completed])
-        samples = t_lat.tolist()
-        if not samples and faults is None:
+        if not t_lat.size and faults is None:
             raise ServiceError(
                 f"tenant {tenant.name!r} completed no queries")
         tenants.append(TenantStats(
             tenant=tenant.name,
-            completed=len(samples),
+            completed=t_lat.size,
             rejected=int((mask & rejected).sum()),
             crashed=0 if lost is None else int((mask & lost).sum()),
-            mean_latency_seconds=float(t_lat.mean()) if samples else 0.0,
-            p50_latency_seconds=quantile(samples, 0.50) if samples else 0.0,
-            p95_latency_seconds=quantile(samples, 0.95) if samples else 0.0,
-            p99_latency_seconds=quantile(samples, 0.99) if samples else 0.0,
+            mean_latency_seconds=float(t_lat.mean()) if t_lat.size else 0.0,
+            p50_latency_seconds=quantile(t_lat, 0.50) if t_lat.size else 0.0,
+            p95_latency_seconds=quantile(t_lat, 0.95) if t_lat.size else 0.0,
+            p99_latency_seconds=quantile(t_lat, 0.99) if t_lat.size else 0.0,
             sla_p95_seconds=tenant.sla_p95_seconds,
         ))
 

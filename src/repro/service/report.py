@@ -18,7 +18,7 @@ SLA across dispatch policies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from repro.core.metrics import energy_efficiency
 from repro.errors import ReproError
@@ -29,13 +29,13 @@ class ServiceError(ReproError):
     """Fleet-serving configuration or bookkeeping failure."""
 
 
-def quantile(sorted_values: list[float], q: float) -> float:
-    """The ``q``-quantile of an ascending list (linear interpolation).
+def quantile(sorted_values: Sequence[float], q: float) -> float:
+    """The ``q``-quantile of an ascending list or array (linear interpolation).
 
-    Raises on an empty list — an SLA over zero completions is
+    Raises on an empty sequence — an SLA over zero completions is
     undefined, consistently with :mod:`repro.core.metrics`.
     """
-    if not sorted_values:
+    if len(sorted_values) == 0:
         raise ServiceError("no samples: quantile of an empty run")
     if not 0.0 <= q <= 1.0:
         raise ServiceError(f"quantile {q} out of [0, 1]")
@@ -43,7 +43,8 @@ def quantile(sorted_values: list[float], q: float) -> float:
     lo = int(pos)
     hi = min(lo + 1, len(sorted_values) - 1)
     frac = pos - lo
-    return sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac
+    return float(sorted_values[lo] * (1.0 - frac)
+                 + sorted_values[hi] * frac)
 
 
 @dataclass

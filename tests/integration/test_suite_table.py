@@ -17,6 +17,8 @@ import pytest
 from repro.observatory.cli import _build_parser
 from repro.runner import get_experiment, list_experiments
 from repro.runner.cli import spec_and_cache
+from repro.service import PVCPolicy, make_policy
+from repro.service.engine import _ROUTERS, CHUNK, _layers
 
 ROOT = Path(__file__).resolve().parents[2]
 SUITE_ROWS = [line.split(None, 2)
@@ -46,18 +48,38 @@ def test_rows_append_to_distinct_series():
     assert len(series) == len(set(series))
 
 
-@pytest.mark.parametrize("row", SUITE_ROWS, ids=series_name)
-def test_suite_row_names_a_runnable_spec(row):
-    """The argv CI builds from the row parses, names a registered
-    experiment, and sets only knobs its point function takes."""
+def row_spec(row: list[str]):
+    """The parsed argv CI builds from the row, and its spec."""
     experiment, suite, *extra = row
     args, knob_flags = _build_parser().parse_known_args(
         ["record", experiment, "--suite", suite, "--history", ".",
          "--quiet", "--no-cache", *shlex.split(" ".join(extra))])
-    assert args.suite == suite
     spec, _cache = spec_and_cache(args, knob_flags)
-    get_experiment(experiment).validate_knobs(spec.knobs)
+    return args, spec
+
+
+@pytest.mark.parametrize("row", SUITE_ROWS, ids=series_name)
+def test_suite_row_names_a_runnable_spec(row):
+    """The argv CI builds from the row parses, names a registered
+    experiment, and sets only knobs its point function takes."""
+    args, spec = row_spec(row)
+    assert args.suite == row[1]
+    get_experiment(row[0]).validate_knobs(spec.knobs)
     assert spec.points()
+
+
+def test_mega_rows_gate_every_kernel_past_one_chunk():
+    """The ``svc_mega_smoke`` rows are CI's multi-chunk gate on the
+    event core: together they serve every router with a kernel, and
+    the PVC governor, on streams longer than one chunk."""
+    served = set()
+    for row in SUITE_ROWS:
+        if row[0] == "svc_mega_smoke":
+            for point in row_spec(row)[1].points():
+                assert point["queries"] > CHUNK
+                served.update(map(type, _layers(make_policy(
+                    point["policy"]))))
+    assert served >= {*_ROUTERS, PVCPolicy}
 
 
 def test_the_catalog_paragraph_names_the_registered_sweeps():

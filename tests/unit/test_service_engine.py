@@ -7,13 +7,16 @@ job.)"""
 import itertools
 import linecache
 import traceback
+from dataclasses import replace
 
 import pytest
 
-from repro.service import FleetNode, NodePowerModel, PVCPolicy, build_stream
+from repro.service import (DEFAULT_TENANTS, FleetNode, FleetSpec,
+                           NodePowerModel, PVCPolicy, ServiceError,
+                           build_stream, make_policy)
 from repro.service.dispatch import LeastLoaded, RoundRobin
 from repro.service.engine import (_PVC, _ROUTERS, _SERVE, ServedColumns,
-                                  _kernel)
+                                  _kernel, serve_event)
 
 
 def _source(kernel) -> str:
@@ -23,8 +26,9 @@ def _source(kernel) -> str:
 @pytest.mark.parametrize("router_type", list(_ROUTERS),
                          ids=lambda router_type: router_type.name)
 def test_every_option_tuple_expands_and_compiles(router_type):
-    for options in itertools.product((False, True), repeat=4):
-        governed, limited, outer_limited, autoscaled = options
+    chunked = router_type is not RoundRobin
+    for options in itertools.product((False, True), repeat=5):
+        governed, limited, outer_limited, autoscaled, lanes = options
         kernel = _kernel(router_type, *options)
         assert _kernel(router_type, *options) is kernel  # compiled once
         source = _source(kernel)
@@ -35,16 +39,25 @@ def test_every_option_tuple_expands_and_compiles(router_type):
         assert ("backlog > outer" in source) == outer_limited
         assert ("backlog =" in source) == (governed or limited
                                            or outer_limited)
-        assert ("autoscaler.step(" in source) == (
-            autoscaled and router_type is not RoundRobin)
+        assert ("autoscaler.step(" in source) == (autoscaled and chunked)
         # one statement of the FCFS rule, whatever is on
         assert source.count(_SERVE.splitlines()[1]) == 1
+        # the derived flag: a kernel nobody watches builds no lanes and
+        # no downclock rows
+        assert ("lane_append" in source) == (lanes and chunked)
+        assert ("emit_dvfs((" in source) == (lanes and governed)
+        # the latest completion is tested per query only where a
+        # rejection's NaN can sit in a chunk
+        rejecting = limited or outer_limited
+        assert ("if end > last_completion:" in source) == (
+            chunked and rejecting)
+        assert ("max(ends)" in source) == (chunked and not rejecting)
 
 
 def test_a_kernels_traceback_shows_the_template_line():
     stream = build_stream(20, seed=0)
     pvc = PVCPolicy(inner="least_loaded")
-    kernel = _kernel(LeastLoaded, True, False, False, False)
+    kernel = _kernel(LeastLoaded, True, False, False, False, False)
     with pytest.raises(TypeError) as caught:
         # a governed kernel handed no downclock table
         kernel(stream.columns(), None, pvc.inner, None, pvc, None,
@@ -56,3 +69,21 @@ def test_a_kernels_traceback_shows_the_template_line():
     assert "least_loaded pvc" in innermost.filename
     assert innermost.line == "for row in steps_of[i]:"
     assert innermost.line in _PVC
+
+
+def test_serve_event_refuses_exempt_batch_tenants_under_a_limit():
+    """A direct caller gets the front door's refusal, not the kernels'
+    non-exempt admission: batch tenants bypass the admission limit
+    only on the reference loop."""
+    tenants = (DEFAULT_TENANTS[0], replace(DEFAULT_TENANTS[1], batch=True))
+    stream = build_stream(200, tenants=tenants, seed=0)
+    nodes = [FleetNode(f"n{i}", NodePowerModel()) for i in range(2)]
+    with pytest.raises(ServiceError) as caught:
+        serve_event(stream, stream.columns(), FleetSpec.homogeneous(2),
+                    make_policy("least_loaded", admission_limit_seconds=0.5),
+                    None, nodes, [0, 1])
+    message = str(caught.value)
+    assert "admission-exempt" in message
+    assert "\n" not in message
+    # refused before serving: no node was touched
+    assert all(node.completed == 0 for node in nodes)
