@@ -8,7 +8,10 @@ share the timeline with a :class:`~repro.faults.schedule.FaultSchedule`
 disk failures, and transient dispatch-timeout windows.  The merged
 timeline is a single heap of (time, priority, sequence) events, so a
 chaos run is exactly as deterministic as a healthy one: same stream,
-same schedule, byte-identical report.
+same schedule, byte-identical report.  Its rows are served by a
+generated event-core kernel (``faulted``, :mod:`repro.service.engine`)
+or, with ``engine="loop"``, by this module's reference closure; both
+call the same functions for everything but a row's first attempt.
 
 Degradation is graceful, not silent.  A crash truncates the in-flight
 query at the crash instant, retracts everything queued behind it, and
@@ -26,16 +29,19 @@ mirror replays truncated executions, zero-power crash gaps, and
 recovery boots into real metered devices, so the trace energy matches
 the closed form to the same 1e-9 relative tolerance as the healthy
 path.  Because a crash rewrites a node's recent history (queued work
-is retracted), mirror records are deferred: completions are emitted
-only once they are *settled* — confirmed to predate every later fault
-on their node.
+is retracted), a completion booked at serve time is emitted to the
+observers only once it is *settled* — confirmed to predate every later
+fault on its node.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from bisect import bisect_right
 from collections import deque
+from itertools import chain
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -44,6 +50,7 @@ from repro.faults.policies import RetryPolicy, ShedPolicy
 from repro.faults.schedule import FaultError, FaultSchedule
 from repro.service.autoscale import Autoscaler
 from repro.service.dispatch import DispatchContext, DispatchPolicy
+from repro.service.engine import kernel_for
 from repro.service.fleet import _assemble_report, _prepare
 from repro.service.report import FaultStats, ServiceReport
 from repro.service.spec import FleetSpec
@@ -57,6 +64,7 @@ _PENDING, _COMPLETED, _REJECTED, _LOST = 0, 1, 2, 3
 # dispatches onto the post-fault fleet
 _PRIO_FAULT, _PRIO_REDISPATCH = 0, 1
 _EMPTY: frozenset = frozenset()
+_INF = float("inf")
 
 
 def _alone(k: int) -> tuple[int]:
@@ -93,11 +101,11 @@ def simulate_faulty_service(stream: ArrivalStream,
     """Serve ``stream`` on a fleet while ``schedule`` breaks it.
 
     ``fleet`` is a :class:`~repro.service.spec.FleetSpec` (default: 16
-    calibrated ``commodity`` nodes).  Chaos runs always execute on the
-    reference loop — fault windows rewrite per-node history, which the
-    vectorized event core of :mod:`repro.service.engine` cannot replay
-    — so ``engine`` accepts ``"auto"``/``"loop"`` (both run the loop)
-    and rejects ``"event"``.  On a
+    calibrated ``commodity`` nodes).  ``engine`` picks the serving core
+    as for :func:`~repro.service.fleet.simulate_service`: ``"auto"`` and
+    ``"event"`` take the generated ``faulted`` kernel wherever the
+    router has one (``"event"`` raises naming why not), ``"loop"`` the
+    reference closure the kernels are held to.  On a
     heterogeneous fleet every fault prices against the struck node's
     *own* power curve — a throttled wimpy node's busy draw follows the
     cubic DVFS rule on its class's idle/peak watts, a crashed node
@@ -167,29 +175,41 @@ def simulate_faulty_service(stream: ArrivalStream,
     dvfs = policy.dvfs
 
     # a row of the served stream is an arrival or, under a batching
-    # policy, one shared execution; ``members(row)`` names its arrivals
+    # policy, one shared execution; ``members(row)`` names its arrivals.
+    # Every member shares its row's outcome, so the books are per row
     cols = run.cols
     times, services, slas = cols.lists()
     n = len(times)
     members = _alone if cols.members is None else cols.members.__getitem__
+    width = (b"\x01" * n if cols.members is None
+             else array("l", map(len, cols.members)))
     arrivals = stream.columns().lists()[0]
     # batch tenants are exempt from the admission limit, as on the loop
     batch_list = (None if cols.batch_flags is None
                   else cols.batch_flags.tolist())
-    latencies = np.full(len(arrivals), np.nan)
-    state = np.zeros(len(arrivals), dtype=np.int8)
-    was_crashed = np.zeros(len(arrivals), dtype=bool)
-    attempts = [0] * len(arrivals)
+    #: per row: its latest completion (read where it completed), its
+    #: state, whether a crash destroyed it once, its dispatch attempts
+    ends = array("d", [np.nan]) * n
+    state = bytearray(n)
+    was_crashed = bytearray(n)
+    attempts = [0] * n
 
     # -- per-node fault state (each node on its class's power curve) --
     throttle_active: list[list[float]] = [[] for _ in range(n_nodes)]
     disk_active: list[list[float]] = [[] for _ in range(n_nodes)]
     speed_mult = [1.0] * n_nodes
     throttle_factor = [1.0] * n_nodes
-    busy_watts = [m.dvfs_watts(1.0) for m in models]
-    #: unsettled executions per node: (row, start, end, scaled, watts,
-    #: frequency)
+    busy_watts = [0.0] * n_nodes
+    #: per node, the governed kernel's ladder rows (see ``recompute``)
+    steps_of: list[list[tuple]] = [[] for _ in range(n_nodes)]
+    #: unsettled executions per node: (row, start, end, end - start,
+    #: watts, frequency)
     pending: list[deque] = [deque() for _ in range(n_nodes)]
+    pvc = None
+    if run.engine == "event":
+        kernel, router, pvc, outer = kernel_for(policy, autoscaler,
+                                                faulted=True)
+    steps = [f for f in pvc.frequency_steps if f < 1.0] if pvc else []
 
     def recompute(i: int) -> None:
         tf = 1.0
@@ -200,7 +220,17 @@ def simulate_faulty_service(stream: ArrivalStream,
             df *= f
         speed_mult[i] = tf * df
         throttle_factor[i] = tf
-        busy_watts[i] = models[i].dvfs_watts(tf)
+        model = models[i]
+        busy_watts[i] = model.dvfs_watts(tf)
+        # each downclock step composed with the throttle (the cubic
+        # rule) and the degraded speed, as ``dispatch`` composes them
+        steps_of[i] = [(f, model.speed_factor * (speed_mult[i] * f),
+                        w - model.idle_watts, w)
+                       for f, w in ((f, model.dvfs_watts(tf * f))
+                                    for f in steps)]
+
+    for i in range(n_nodes):
+        recompute(i)
 
     # -- the merged event timeline ------------------------------------
     heap: list[tuple] = []
@@ -221,12 +251,14 @@ def simulate_faulty_service(stream: ArrivalStream,
             stats.timeout_windows += 1
         else:
             push(event.start, _PRIO_FAULT, "fault", event)
-    timeout_windows = [_merge_windows(w) for w in timeout_raw]
+    #: per node: its merged windows as (starts, ends), None if none
+    timeout_windows = [_merge_windows(w) if w else None
+                       for w in timeout_raw]
 
     def in_timeout(i: int, now: float) -> bool:
-        starts, ends = timeout_windows[i]
-        pos = bisect_right(starts, now) - 1
-        return pos >= 0 and now < ends[pos]
+        windows = timeout_windows[i]
+        pos = -1 if windows is None else bisect_right(windows[0], now) - 1
+        return pos >= 0 and now < windows[1][pos]
 
     # -- settlement: confirm completions that predate later faults ----
     last_completion = 0.0
@@ -235,13 +267,9 @@ def simulate_faulty_service(stream: ArrivalStream,
         q = pending[i]
         while q and q[0][2] <= upto:
             job, start, end, _scaled, watts, freq = q.popleft()
-            who = members(job)
-            for m in who:
-                latencies[m] = end - arrivals[m]
-                state[m] = _COMPLETED
             if rec is not None:
-                rec.batch_serves.append(
-                    (who, i, start, start, end, services[job], freq, watts))
+                rec.batch_serves.append((members(job), i, start, start,
+                                         end, services[job], freq, watts))
             if mirror is not None:
                 mirror.serve(i, start, end, watts)
 
@@ -249,7 +277,7 @@ def simulate_faulty_service(stream: ArrivalStream,
     # ``job`` is a row of the served stream: a shared execution's
     # combined demand routes, executes, and sheds as a unit, and every
     # member shares the outcome (latency, rejection, crash loss)
-    def dispatch(job, now: float, excluded: frozenset) -> None:
+    def dispatch(job, now: float, excluded: frozenset = _EMPTY) -> None:
         nonlocal last_completion
         ids = (on_ids if not excluded
                else [i for i in on_ids if i not in excluded])
@@ -276,52 +304,23 @@ def simulate_faulty_service(stream: ArrivalStream,
                 rec.events.append((now, "boot", spare, None, None,
                                    {"reason": "blackout"}))
             ids = on_ids
-        who = members(job)
         s = services[job]
         sla = slas[job]
         ctx = DispatchContext(nodes, ids, now, s, sla)
         i = policy.route(ctx)
         node = nodes[i]
-        for m in who:
-            attempts[m] += 1
+        attempts[job] += 1
         if in_timeout(i, now):
-            stats.timeouts += 1
-            if retry.exhausted(attempts[who[0]]):
-                state[list(who)] = _REJECTED
-                if rec is not None:
-                    rec.events.append(
-                        (now, "reject", i, None, who[0],
-                         {"reason": "timeout", "members": list(who)}))
-            else:
-                stats.retries += 1
-                delay = (retry.timeout_detect_seconds
-                         + retry.backoff_seconds(attempts[who[0]]))
-                push(now + delay, _PRIO_REDISPATCH, "redispatch",
-                     (job, excluded | {i}))
-                if rec is not None:
-                    rec.events.append(
-                        (now, "timeout", i, None, who[0],
-                         {"retry_at": now + delay,
-                          "members": list(who)}))
-                    rec.events.append(
-                        (now, "retry", i, None, who[0],
-                         {"reason": "timeout", "members": list(who)}))
+            timed_out(job, i, now, excluded)
             return
         if not policy.admits(node, now) and \
                 (batch_list is None or not batch_list[job]):
-            state[list(who)] = _REJECTED
-            if rec is not None:
-                rec.events.append((now, "reject", i, None, who[0],
-                                   {"members": list(who)}))
+            refused(job, i, now, "reject")
             return
         if shed is not None and shed.sheds(
                 node.backlog(now),
                 s / (node.model.speed_factor * speed_mult[i]), sla):
-            state[list(who)] = _REJECTED
-            stats.queries_shed += len(who)
-            if rec is not None:
-                rec.events.append((now, "shed", i, None, who[0],
-                                   {"members": list(who)}))
+            refused(job, i, now, "shed")
             return
         freq = 1.0
         w = busy_watts[i]
@@ -335,11 +334,47 @@ def simulate_faulty_service(stream: ArrivalStream,
                 w = models[i].dvfs_watts(throttle_factor[i] * freq)
                 mult = mult * freq
         start, end = node.serve_active(now, s, w, mult)
-        if len(who) > 1:
-            node.completed += len(who) - 1
+        node.completed += width[job] - 1
         pending[i].append((job, start, end, end - start, w, freq))
+        ends[job] = end
+        state[job] = _COMPLETED
         if end > last_completion:
             last_completion = end
+
+    def timed_out(job, i: int, now: float,
+                  excluded: frozenset = _EMPTY) -> None:
+        """The attempt routed to ``i`` timed out: retry or reject."""
+        who = members(job)
+        stats.timeouts += 1
+        if retry.exhausted(attempts[job]):
+            state[job] = _REJECTED
+            if rec is not None:
+                rec.events.append(
+                    (now, "reject", i, None, who[0],
+                     {"reason": "timeout", "members": list(who)}))
+            return
+        stats.retries += 1
+        delay = (retry.timeout_detect_seconds
+                 + retry.backoff_seconds(attempts[job]))
+        push(now + delay, _PRIO_REDISPATCH, "redispatch",
+             (job, excluded | {i}))
+        if rec is not None:
+            rec.events.append(
+                (now, "timeout", i, None, who[0],
+                 {"retry_at": now + delay, "members": list(who)}))
+            rec.events.append(
+                (now, "retry", i, None, who[0],
+                 {"reason": "timeout", "members": list(who)}))
+
+    def refused(job, i: int, now: float, kind: str) -> None:
+        """The attempt routed to ``i`` was rejected or shed."""
+        who = members(job)
+        state[job] = _REJECTED
+        if kind == "shed":
+            stats.queries_shed += len(who)
+        if rec is not None:
+            rec.events.append((now, kind, i, None, who[0],
+                               {"members": list(who)}))
 
     # -- fault application --------------------------------------------
     def do_crash(i: int, now: float, downtime: float) -> None:
@@ -395,17 +430,18 @@ def simulate_faulty_service(stream: ArrivalStream,
                                 "lost": lost_queries}))
         push(repair_at, _PRIO_FAULT, "repair", i)
         for job2, who in lost:
-            for m in who:
-                was_crashed[m] = True
-            if retry.exhausted(attempts[who[0]]):
-                state[list(who)] = _LOST
+            # booked complete when served; the crash took that back
+            state[job2] = _PENDING
+            was_crashed[job2] = True
+            if retry.exhausted(attempts[job2]):
+                state[job2] = _LOST
                 if rec is not None:
                     rec.events.append(
                         (now, "lost", i, None, who[0],
                          {"members": list(who)}))
             else:
                 stats.retries += 1
-                push(now + retry.backoff_seconds(attempts[who[0]]),
+                push(now + retry.backoff_seconds(attempts[job2]),
                      _PRIO_REDISPATCH, "redispatch", (job2, _EMPTY))
                 if rec is not None:
                     rec.events.append(
@@ -438,34 +474,10 @@ def simulate_faulty_service(stream: ArrivalStream,
                     rec.events.append((now, "boot", i, None, None,
                                        {"reason": "repair"}))
 
-    # -- the run -------------------------------------------------------
-    epoch = autoscaler.epoch_seconds if autoscaler is not None else 0.0
-    next_epoch = epoch if autoscaler is not None else float("inf")
-    # epochs stop with the workload (legacy semantics): late releases,
-    # fault and repair events must not keep the autoscaler
-    # power-cycling a fleet that has nothing left to serve
-    last_arrival = arrivals[-1]
-    k_next = 0
-    while k_next < n or heap:
-        if heap and (k_next >= n or heap[0][0] <= times[k_next]):
-            t, _prio, _seq, kind, payload = heapq.heappop(heap)
-        else:
-            t, kind, payload = times[k_next], "row", k_next
-            k_next += 1
-        while t >= next_epoch and next_epoch <= last_arrival:
-            for i in list(on_ids):
-                settle(i, next_epoch)
-            autoscaler.step(next_epoch, nodes, on_ids)
-            if mirror is not None:
-                mirror.sync(nodes)
-            next_epoch += epoch
-        if kind == "row":
-            # the autoscaler observes a shared execution's combined
-            # demand: consolidation pressure follows executed work
-            if autoscaler is not None:
-                autoscaler.observe(services[payload])
-            dispatch(payload, t, _EMPTY)
-        elif kind == "redispatch":
+    def apply(t: float, kind: str, payload) -> None:
+        """One event off the heap: a redispatch, a fault, a fault
+        window's end, a deferred crash or a repair."""
+        if kind == "redispatch":
             job, excluded = payload
             dispatch(job, t, excluded)
         elif kind == "fault":
@@ -510,16 +522,66 @@ def simulate_faulty_service(stream: ArrivalStream,
         else:  # repair
             do_repair(payload, t)
 
+    # -- the run -------------------------------------------------------
+    # epochs stop with the workload (legacy semantics): late releases,
+    # fault and repair events must not keep the autoscaler
+    # power-cycling a fleet that has nothing left to serve
+    last_arrival = arrivals[-1]
+    if run.engine == "event":
+        last = kernel(cols, run.fleet, router, outer, pvc, steps_of, nodes,
+                      on_ids, autoscaler, last_arrival, SimpleNamespace(
+            mirror=mirror, books=(  # in the order ``_FAULTED`` unpacks
+                heap, pending, ends, state, attempts, width,
+                timeout_windows, speed_mult, busy_watts,
+                bytes(n) if batch_list is None else batch_list,
+                _INF if shed is None else shed.slack_fraction, settle,
+                timed_out, refused, apply, dispatch)))
+        last_completion = max(last_completion, last)
+    else:  # the reference closure: the differential oracle
+        epoch = autoscaler.epoch_seconds if autoscaler is not None else 0.0
+        next_epoch = epoch if autoscaler is not None else _INF
+        k_next = 0
+        while k_next < n or heap:
+            if heap and (k_next >= n or heap[0][0] <= times[k_next]):
+                t, _prio, _seq, kind, payload = heapq.heappop(heap)
+            else:
+                t, kind, payload = times[k_next], "row", k_next
+                k_next += 1
+            while t >= next_epoch and next_epoch <= last_arrival:
+                for i in list(on_ids):
+                    settle(i, next_epoch)
+                autoscaler.step(next_epoch, nodes, on_ids)
+                if mirror is not None:
+                    mirror.sync(nodes)
+                next_epoch += epoch
+            if kind == "row":
+                # the autoscaler observes a shared execution's combined
+                # demand: consolidation pressure follows executed work
+                if autoscaler is not None:
+                    autoscaler.observe(services[payload])
+                dispatch(payload, t)
+            else:
+                apply(t, kind, payload)
+
     # -- close the books ----------------------------------------------
     # every execution still pending ends by ``last_completion``
     for i in range(n_nodes):
         settle(i, last_completion)
-    if int((state == _PENDING).sum()):  # pragma: no cover - invariant
+    state_of, crashed_of, end_of = (np.frombuffer(state, dtype=np.uint8),
+                                    np.frombuffer(was_crashed, dtype=bool),
+                                    np.frombuffer(ends))
+    if cols.members is not None:  # each arrival takes its row's books
+        row_of = np.repeat(np.arange(n), width)[np.argsort(np.fromiter(
+            chain.from_iterable(cols.members), np.int64, len(arrivals)))]
+        state_of, crashed_of, end_of = (state_of[row_of],
+                                        crashed_of[row_of], end_of[row_of])
+    if int((state_of == _PENDING).sum()):  # pragma: no cover - invariant
         raise FaultError("internal: arrivals left unresolved")
-    completed = state == _COMPLETED
-    lost = state == _LOST
+    completed = state_of == _COMPLETED
+    lost = state_of == _LOST
+    latencies = np.where(completed, end_of - stream.columns().times, np.nan)
     stats.queries_lost = int(lost.sum())
-    stats.queries_recovered = int((was_crashed & completed).sum())
+    stats.queries_recovered = int((crashed_of & completed).sum())
     stats.emergency_boots += (autoscaler.emergency_boots
                               if autoscaler is not None else 0)
     return _assemble_report(run, latencies, completed, last_completion,

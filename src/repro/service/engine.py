@@ -18,7 +18,7 @@ PVC ladder of :meth:`PVCPolicy.frequency
 <repro.service.pvc.PVCPolicy.frequency>`, the energy books of
 ``FleetNode.serve`` / ``serve_active``, the autoscaler's epoch step —
 is written once, as the source fragments below (``_ADMIT``, ``_SERVE``,
-``_PLAIN``, ``_PVC``, ``_EPOCH``), inside two loop skeletons.  A router
+``_PLAIN``, ``_PVC``, ``_EPOCH``), inside three loop skeletons.  A router
 contributes only what is its own, four fragments — ``SETUP`` /
 ``SELECT`` / ``SERVED`` and ``REJECTED`` (what a refused arrival gives
 back):
@@ -43,12 +43,13 @@ back):
   strided slice and the same fragments run on per-pipe locals.
 
 :func:`_kernel` expands a skeleton for one ``(router, governed,
-limited, outer_limited, autoscaled, lanes)`` tuple, compiles it on
-first use (once per process) and registers the text with
+limited, outer_limited, autoscaled, lanes, faulted)`` tuple, compiles it
+on first use (once per process) and registers the text with
 :mod:`linecache`, so a traceback, ``pdb`` or a profiler shows real
 lines.  An option that is off leaves no test behind in the loop;
-``lanes`` is derived, not chosen (a pass nobody watches builds no
-lanes, :class:`ServedColumns`).  Under ``pvc(...)`` the ladder
+``lanes`` and ``faulted`` are derived, not chosen (a pass nobody
+watches builds no lanes, :class:`ServedColumns`; a fault run takes the
+third skeleton, below).  Under ``pvc(...)`` the ladder
 runs on per-(class, step) constants (:func:`_pvc_tables`) computed
 with the identical expressions the reference engine evaluates per
 arrival.
@@ -88,12 +89,19 @@ it wraps, admit against the smallest wrapper limit (the loop's
 arrival.  :meth:`ServedColumns.hand_over` then fans every execution
 out to its members.
 
-Configurations the core cannot reproduce exactly — fault schedules, a
-recorded batching run (its shared-execution rows carry each
-execution's exact start, which only the loop emits), admission-exempt
-batch tenants under an admission limit, and third-party routers — are
-declined by :func:`event_core_unsupported`, and ``engine="auto"``
-falls back to the reference loop.
+**A fault run is a merged timeline.**  The ``_FAULTED`` skeleton
+serves :func:`repro.faults.engine.simulate_faulty_service`'s rows
+between the events of its heap and the autoscaler's epochs: a row's
+first attempt routes through the router's fragments and is served on
+``serve_active``'s lane at the node's fault-scaled speed, and crashes,
+repairs, redispatches and blackout boots stay that engine's functions,
+after each of which ``SETUP`` rebuilds the router's structure.
+
+What the core cannot reproduce exactly — round_robin under faults, a
+recorded healthy batching run (only the loop emits each shared
+execution's exact start), admission-exempt batch tenants under a
+healthy run's limit, and third-party routers — is declined by
+:func:`event_core_unsupported`; ``engine="auto"`` then takes the loop.
 """
 
 from __future__ import annotations
@@ -102,6 +110,7 @@ import functools
 import linecache
 import re
 import textwrap
+from bisect import bisect_right
 from heapq import heappop, heappush, heappushpop, heapreplace
 from itertools import chain
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -134,16 +143,20 @@ def event_core_unsupported(policy: DispatchPolicy,
 
     Returns ``None`` when the event core can serve it, else a one-line
     reason (used verbatim in the ``engine="event"`` error and useful
-    for debugging an unexpected ``auto`` fallback).
+    for debugging an unexpected ``auto`` fallback).  ``faults`` asks
+    about a chaos run, whose kernels record exact starts and exempt
+    batch tenants as the chaos engine's closure does.
     """
+    layers = _layers(policy)
     if faults:
-        return "fault schedules replay on the reference loop"
-    if recorder is not None and policy.batching:
+        if type(layers[-1]) is RoundRobin:
+            return ("round_robin's rotation is a closed form only on a "
+                    "healthy run; under faults it rotates on the loop")
+    elif recorder is not None and policy.batching:
         return (f"a recorded {policy.name!r} run carries each shared "
                 "execution's exact start, which only the reference loop "
                 "emits")
-    layers = _layers(policy)
-    if stream is not None and any(t.batch for t in stream.tenants) and any(
+    elif stream is not None and any(t.batch for t in stream.tenants) and any(
             p.admission_limit_seconds is not None for p in layers):
         return ("batch tenants are admission-exempt, which the event "
                 "core's vectorized admission does not model")
@@ -309,20 +322,27 @@ def serve_event(stream: ArrivalStream,
     reason = event_core_unsupported(policy, recorder=rec, stream=stream)
     if reason is not None:
         raise ServiceError(f"event core cannot run this config: {reason}")
-    *wrappers, router = _layers(policy)
-    pvc = next((p for p in wrappers if type(p) is PVCPolicy), None)
-    # admitted only if every wrapper admits: under the smallest limit
-    outer = min((p.admission_limit_seconds for p in wrappers
-                 if p.admission_limit_seconds is not None), default=None)
     out = ServedColumns(cols, rec, mirror)
-    kernel = _kernel(
-        type(router), pvc is not None,
-        router.admission_limit_seconds is not None, outer is not None,
-        autoscaler is not None, out.lanes is not None)
+    kernel, router, pvc, outer = kernel_for(policy, autoscaler,
+                                            lanes=out.lanes is not None)
     last = kernel(cols, fleet, router, outer, pvc,
                   None if pvc is None else _pvc_tables(pvc, nodes),
                   nodes, on_ids, autoscaler, float(stream.times[-1]), out)
     return (*out.hand_over(stream.times, nodes), last)
+
+
+def kernel_for(policy: DispatchPolicy, autoscaler: Optional[Autoscaler],
+               lanes: bool = False, faulted: bool = False) -> tuple:
+    """``(kernel, router, PVC governor, outer limit)`` for ``policy``:
+    the outer limit is the smallest wrapper limit (every one admits)."""
+    *wrappers, router = _layers(policy)
+    pvc = next((p for p in wrappers if type(p) is PVCPolicy), None)
+    outer = min((p.admission_limit_seconds for p in wrappers
+                 if p.admission_limit_seconds is not None), default=None)
+    return _kernel(type(router), pvc is not None,
+                   router.admission_limit_seconds is not None,
+                   outer is not None, autoscaler is not None, lanes,
+                   faulted), router, pvc, outer
 
 
 def _pvc_tables(pvc: PVCPolicy, nodes: Sequence[FleetNode]) -> list[list]:
@@ -370,7 +390,7 @@ if $over_limit:
 
 #: one admitted execution on an FCFS pipe — the common body of
 #: ``FleetNode.serve`` and ``serve_active``; ``$STEP`` settles ``scaled``
-#: and which energy lane pays for it
+#: and which energy lane pays for it, ``$EMIT`` books the completion
 _SERVE = """\
 scaled = s / $sf
 start = bu if bu > t else t
@@ -379,7 +399,7 @@ end = start + scaled
 $busy_until = end
 $busy += scaled
 $COUNT
-append(end)
+$EMIT
 """
 
 #: ``FleetNode.serve``: full speed, priced by the linear identity
@@ -416,18 +436,22 @@ next_epoch = epoch if epoch <= stop else _INF
 demand = autoscaler._epoch_demand_seconds
 mirror = out.mirror
 """
+_EPOCH_STEP = """\
+while t >= next_epoch:
+    autoscaler._epoch_demand_seconds = demand
+    $SETTLE
+    autoscaler.step(next_epoch, nodes, on_ids)
+    demand = 0.0
+    next_epoch += epoch
+    if next_epoch > stop:
+        next_epoch = _INF
+    if mirror is not None:
+        mirror.sync(nodes, $k)
+"""
 _EPOCH = """\
 if t >= next_epoch:
-    while t >= next_epoch:
-        autoscaler._epoch_demand_seconds = demand
-        autoscaler.step(next_epoch, nodes, on_ids)
-        demand = 0.0
-        next_epoch += epoch
-        if next_epoch > stop:
-            next_epoch = _INF
-        if mirror is not None:
-            mirror.sync(nodes, $k)
-    $SETUP
+    $EPOCH_STEP
+    $RESETUP
 demand += s
 """
 _EPOCH_CLOSE = "autoscaler._epoch_demand_seconds = demand\n"
@@ -566,17 +590,117 @@ def _local_books(governed: bool, rejecting: bool,
         k="first + len(ends) * n_on", lane_on="", lane_off="")
 
 
+#: a chaos run's rows, event heap and epochs in the chaos engine's
+#: order (an event at or before a row's instant first, an epoch before
+#: either); the rows between two events run as one inner loop over the
+#: router's structure, rebuilt (``SETUP``) after every event.  A
+#: timeout, a reject or a shed leaves the node untouched, so the router
+#: gets back (``REJECTED``) what selection took.
+_FAULTED = """\
+def kernel(cols, fleet, router, outer, pvc, steps_of, nodes, on_ids,
+           autoscaler, stop, out):
+    times, services, slas = cols.lists()
+    n = len(times)
+    $LIMITS
+    (timeline, pending, ends, state, attempts, width, windows, mult, watts,
+     batch, shed_slack, settle, timed_out, refused, apply,
+     dispatch) = out.books
+    sf_of = [node.model.speed_factor for node in nodes]
+    idle_of = [node.model.idle_watts for node in nodes]
+    last_completion = 0.0
+    $FIXED
+    $EPOCH_OPEN
+    k = 0
+    while k < n or timeline:
+        if timeline and (k >= n or timeline[0][0] <= times[k]):
+            t, _, _, kind, payload = heappop(timeline)
+            $EPOCH_STEP
+            apply(t, kind, payload)
+            continue
+        if not on_ids:  # a dark fleet: boot a spare or park the row
+            t = times[k]
+            $EPOCH_STEP
+            $DEMAND
+            dispatch(k, t)
+            k += 1
+            continue
+        $SETUP
+        until = timeline[0][0] if timeline else _INF
+        for k in range(k, n):
+            t = times[k]
+            if t >= until:
+                break
+            s = services[k]
+            q = slas[k]
+            $EPOCH
+            $SELECT
+            node = nodes[i]
+            bu = node.busy_until
+            attempts[k] = 1
+            tw = windows[i]
+            if tw is not None:
+                wi = bisect_right(tw[0], t) - 1
+                if wi >= 0 and t < tw[1][wi]:
+                    timed_out(k, i, t)
+                    until = timeline[0][0] if timeline else _INF
+                    $REJECTED
+                    continue
+            $ADMIT
+            if backlog + s / (sf_of[i] * mult[i]) > shed_slack * q:
+                refused(k, i, t, "shed")
+                $REJECTED
+                continue
+            $SERVE
+            $LATEST
+            $SERVED
+        else:
+            k = n
+    $EPOCH_CLOSE
+    return last_completion
+"""
+
+#: ``_FAULTED``'s admission: batch tenants are exempt, as on the loop
+_ADMIT_FAULTED = """\
+if ($over_limit) and not batch[k]:
+    refused(k, i, t, "reject")
+    $REJECTED
+    continue
+"""
+
+
+def _fault_books(governed: bool, rejecting: bool,
+                 autoscaled: bool) -> dict[str, str]:
+    """``_FAULTED``'s bindings: ``FleetNode.serve_active``'s lane at
+    the node's fault-scaled speed (``mult``) and busy draw."""
+    return dict(
+        sf="sf_of[i]" if governed else "(sf_of[i] * mult[i])",
+        busy_until="node.busy_until", busy="node._interval_busy",
+        active="node._interval_active_joules",
+        LINEAR="scaled = s / (sf_of[i] * mult[i])\n" * governed
+        + "w = watts[i]\nfreq = 1.0\n$active += (w - idle_of[i]) * scaled\n",
+        DVFS="w = row[3]\nfreq = row[0]\n", lane_on="", lane_off="",
+        COUNT="node.completed += width[k]\n",
+        EMIT="ends[k] = end\nstate[k] = 1  # completed\n"
+        "pending[i].append((k, start, end, end - start, w, freq))\n",
+        LATEST="if end > last_completion:\n    last_completion = end\n",
+        ADMIT=_BACKLOG + _ADMIT_FAULTED * rejecting, k="0",
+        SETTLE="for j in on_ids:\n    settle(j, next_epoch)\n",
+        RESETUP="break\n", DEMAND="demand += services[k]\n" * autoscaled)
+
+
 class _Router(NamedTuple):
-    """What a router adds to a skeleton.  ``setup`` runs before the
-    first arrival and again after every autoscaler epoch step (the
-    on-set changed); ``select`` leaves the routed node's index in
-    ``i``; ``served`` sees the admitted execution's ``end``, and
-    ``rejected`` runs instead when the admission limit refuses the
-    arrival (the node's books are untouched)."""
+    """What a router adds to a skeleton.  ``fixed`` + ``setup`` run
+    before the first arrival and again after every autoscaler epoch
+    step (the on-set changed; ``fixed`` reads no node state, so
+    ``_FAULTED`` runs it once); ``select`` leaves the routed node's
+    index in ``i``; ``served`` sees the admitted execution's ``end``,
+    and ``rejected`` runs instead when the arrival is refused (the
+    node's books are untouched)."""
 
     skeleton: str
     #: ``(governed, rejecting, lanes) -> bindings`` for its names
     books: Callable[[bool, bool, bool], dict]
+    fixed: str = ""
     setup: str = ""
     select: str = ""
     served: str = ""
@@ -606,7 +730,7 @@ _LEAST_LOADED = _Router(
 #: node is still packable.
 _POWER_AWARE = _Router(
     _CHUNKED, _node_books,
-    setup="""\
+    fixed="""\
 pack = router.pack_backlog_seconds
 rate_of = [(node.model.peak_watts - node.model.idle_watts)
            / node.model.speed_factor for node in nodes]
@@ -614,6 +738,8 @@ node_at = [c for _, c in sorted(zip(rate_of, range(len(nodes))))]
 rank_of = [0] * len(nodes)
 for r, c in enumerate(node_at):
     rank_of[c] = r
+""",
+    setup="""\
 ranks = []
 packable = [False] * len(nodes)
 waiting = sorted((nodes[i].busy_until, i) for i in on_ids)
@@ -676,10 +802,8 @@ if packable[i]:
 #: a strict minimum reproduces the scan's cross-class tie-breaks.
 _COST_AWARE = _Router(
     _CHUNKED, _node_books,
-    setup="""\
-slack = router.sla_slack_fraction
-blocks = _blocks(fleet, nodes)
-""",
+    fixed="slack = router.sla_slack_fraction\n",
+    setup="blocks = _blocks(fleet, nodes)\n",
     select="""\
 fit = q * slack
 best_cost = fast_est = _INF
@@ -774,7 +898,8 @@ def _expand(template: str, fragments: dict[str, str]) -> str:
 
 @functools.cache
 def _kernel(router_type: type, governed: bool, limited: bool,
-            outer_limited: bool, autoscaled: bool, lanes: bool) -> Callable:
+            outer_limited: bool, autoscaled: bool, lanes: bool,
+            faulted: bool = False) -> Callable:
     """The serving loop for one router under one set of options,
     generated on first use and compiled once per process.
 
@@ -782,19 +907,28 @@ def _kernel(router_type: type, governed: bool, limited: bool,
     ``outer_limited`` an admission limit on the router / on a wrapper
     (the kernel is handed the smallest as ``outer``), ``autoscaled`` a
     live autoscaler, whose epochs stop after the instant ``stop``.
-    ``lanes`` is derived, not chosen: the pass keeps its columns
-    (:class:`ServedColumns`), so the kernel emits lanes and dvfs rows.
+    ``lanes`` and ``faulted`` are derived, not chosen: the pass keeps
+    its columns (:class:`ServedColumns`), so the kernel emits lanes and
+    dvfs rows; the run has a fault schedule, so the kernel is the
+    ``_FAULTED`` skeleton (:func:`kernel_for`), whose observers are
+    served by the chaos engine's ``settle`` and which takes no lanes.
     What is off is absent from the source, not tested in the loop.
     Read a kernel with ``linecache.getlines(kernel.__code__.co_filename)``.
     """
     router = _ROUTERS[router_type]
     over = ["backlog > outer"] * outer_limited + ["backlog > limit"] * limited
-    source = _expand(router.skeleton, {
-        **router.books(governed, bool(over), lanes),
+    skeleton, books = (
+        (_FAULTED, _fault_books(governed, bool(over), autoscaled))
+        if faulted else
+        (router.skeleton, router.books(governed, bool(over), lanes)))
+    source = _expand(skeleton, {
+        "SETTLE": "", "EMIT": "append(end)\n", "FIXED": router.fixed,
+        "RESETUP": router.fixed + router.setup,
         "PROLOGUE": _PROLOGUE,
         "LIMITS": "limit = router.admission_limit_seconds\n" * limited
         + "headroom = pvc.sla_headroom\n" * governed,
-        "SETUP": router.setup, "SELECT": router.select,
+        "SETUP": router.fixed * (not faulted) + router.setup,
+        "SELECT": router.select,
         "SERVED": router.served, "REJECTED": router.rejected,
         "ADMIT": _BACKLOG * bool(over or governed) + _ADMIT * bool(over),
         "over_limit": " or ".join(over),
@@ -802,11 +936,12 @@ def _kernel(router_type: type, governed: bool, limited: bool,
         "PLAIN": _PLAIN,
         "DVFS": "emit_dvfs(($k, i, start, row[0], row[3]))\n" * lanes,
         "EPOCH_OPEN": _EPOCH_OPEN * autoscaled, "EPOCH": _EPOCH * autoscaled,
-        "EPOCH_CLOSE": _EPOCH_CLOSE * autoscaled})
+        "EPOCH_STEP": _EPOCH_STEP * autoscaled,
+        "EPOCH_CLOSE": _EPOCH_CLOSE * autoscaled, **books})
     filename = "<repro.service.engine kernel: %s>" % " ".join(
         [router_type.name] + ["pvc"] * governed + ["limit"] * limited
         + ["outer_limit"] * outer_limited + ["autoscaled"] * autoscaled
-        + ["lanes"] * lanes)
+        + ["lanes"] * lanes + ["faulted"] * faulted)
     # mtime None: linecache.checkcache keeps entries it cannot stat
     linecache.cache[filename] = (len(source), None,
                                  source.splitlines(True), filename)

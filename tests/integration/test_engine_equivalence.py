@@ -7,8 +7,8 @@ must compare equal dict-for-dict, float-for-float — not approximately,
 exactly.  This suite sweeps policy x fleet x admission x autoscaling x
 seed and asserts that identity, pins the engine-selection API
 (``engine="auto"|"event"|"loop"``), and checks the auto-fallback
-configurations (faults, a recorded batching run, third-party routers)
-land on the reference loop.  Observers ride the event core: the same
+configurations (round_robin under faults, a recorded batching run,
+third-party routers) land on the reference loop.  Observers ride the event core: the same
 grid, with a flight recorder and a telemetry collector installed, pins
 ``FlightRecording.to_dict()`` and ``TelemetryTrace.to_dict()`` equal
 between the engines, and a QED wrapper over it pins the report and the
@@ -454,27 +454,37 @@ class TestEngineSelection:
         assert fallback.engine == "loop"
         assert loop.to_dict() == fallback.to_dict()
 
-    def test_faults_always_reference_loop(self, stream):
+    def test_faults_take_the_faulted_kernel(self, stream):
         schedule = build_fault_schedule(
             horizon_seconds=stream.duration_seconds, seed=3,
             fleet=_fleet("homogeneous"))
         report = simulate_faulty_service(
             stream, schedule, fleet=_fleet("homogeneous"),
             engine="auto")
-        assert report.engine == "loop"
-        with pytest.raises(ServiceError, match="fault schedules"):
+        assert report.engine == "event"
+        loop = simulate_faulty_service(stream, schedule,
+                                       fleet=_fleet("homogeneous"),
+                                       engine="loop")
+        assert loop.engine == "loop"
+        assert loop.to_dict() == report.to_dict()
+        with pytest.raises(ServiceError, match="round_robin's rotation"):
             simulate_faulty_service(stream, schedule,
                                     fleet=_fleet("homogeneous"),
-                                    engine="event")
+                                    policy="round_robin", engine="event")
         with pytest.raises(ServiceError, match="unknown engine"):
             simulate_faulty_service(stream, schedule,
                                     fleet=_fleet("homogeneous"),
                                     engine="warp")
 
     def test_unsupported_reasons(self):
-        assert event_core_unsupported(None, faults=True)
+        assert "round_robin's rotation" in event_core_unsupported(
+            make_policy("round_robin"), faults=True)
         policy = _policy("power_aware")
         assert event_core_unsupported(policy) is None
+        assert event_core_unsupported(policy, faults=True) is None
+        # the faulted kernels emit exact starts and exempt batch tenants
+        assert event_core_unsupported(QEDPolicy(), FlightRecorder(),
+                                      faults=True) is None
         assert event_core_unsupported(QEDPolicy(inner="pvc")) is None
         assert "exact start" in event_core_unsupported(
             QEDPolicy(), FlightRecorder())
@@ -528,10 +538,12 @@ class TestEngineReason:
             horizon_seconds=stream.duration_seconds, seed=3,
             fleet=_fleet("homogeneous"))
         report = self._auto(stream, faults=schedule)
+        assert (report.engine, report.engine_reason) == ("event", None)
+        report = self._auto(stream, faults=schedule, policy="round_robin")
         assert report.engine == "loop"
-        assert report.engine_reason == \
-            event_core_unsupported(None, faults=True)
-        assert "fault schedules" in report.engine_reason
+        assert report.engine_reason == event_core_unsupported(
+            make_policy("round_robin"), faults=True)
+        assert "round_robin's rotation" in report.engine_reason
 
     def test_telemetry(self, stream):
         with capture():

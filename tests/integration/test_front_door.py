@@ -1,5 +1,7 @@
 """The chaos engine on an empty fault schedule against the reference
-loop, over the golden grid of the engine-equivalence suite.
+loop, over the golden grid of the engine-equivalence suite.  (Where a
+router has a faulted kernel the chaos run takes it; the closure stays
+the chaos engine's ``engine="loop"`` oracle.)
 
 Both interpreters enter through ``fleet._prepare`` and leave through
 ``fleet._assemble_report``; what stays apart is the per-query
@@ -47,7 +49,8 @@ def _fleet(kind: str) -> FleetSpec:
     return FleetSpec.of(beefy=3, wimpy=5)
 
 
-def _serve(stream, policy_name, fleet_kind, autoscale, chaos):
+def _serve(stream, policy_name, fleet_kind, autoscale, chaos,
+           engine="auto"):
     fleet = _fleet(fleet_kind)
     autoscaler = Autoscaler(
         fleet.classes[0].model, epoch_seconds=20.0,
@@ -57,7 +60,7 @@ def _serve(stream, policy_name, fleet_kind, autoscale, chaos):
                              horizon_seconds=stream.duration_seconds)
         return simulate_faulty_service(
             stream, calm, fleet=fleet, policy=_policy(policy_name),
-            autoscaler=autoscaler)
+            autoscaler=autoscaler, engine=engine)
     return simulate_service(stream, fleet=fleet,
                             policy=_policy(policy_name),
                             autoscaler=autoscaler, engine="loop")
@@ -75,7 +78,9 @@ def test_empty_schedule_chaos_matches_the_loop(policy_name, fleet_kind,
 
     assert chaos.faults == FaultStats()
     assert loop.faults is None
-    assert (loop.engine, chaos.engine) == ("loop", "loop")
+    # a chaos run takes the faulted kernel wherever one exists
+    assert (loop.engine, chaos.engine) == (
+        "loop", "loop" if policy_name == "round_robin" else "event")
 
     for name in ("queries_offered", "queries_completed",
                  "queries_rejected", "makespan_seconds",
@@ -88,6 +93,20 @@ def test_empty_schedule_chaos_matches_the_loop(policy_name, fleet_kind,
         == [n.completed for n in loop.nodes]
     assert chaos.energy_joules == pytest.approx(loop.energy_joules,
                                                 rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("policy_name", ["least_loaded", "pvc_qed"])
+def test_chaos_loop_still_runs_the_closure(policy_name):
+    """``engine="loop"`` keeps the chaos engine's reference closure —
+    the oracle the faulted kernels are held to — and it serves the
+    same run."""
+    stream = build_stream(3_000, seed=0)
+    closure = _serve(stream, policy_name, "hetero", True, chaos=True,
+                     engine="loop")
+    kernel = _serve(stream, policy_name, "hetero", True, chaos=True)
+    assert (closure.engine, kernel.engine) == ("loop", "event")
+    assert closure.engine_reason is None
+    assert closure.to_dict() == kernel.to_dict()
 
 
 @pytest.mark.parametrize("policy_name", ["least_loaded", "power_aware",

@@ -17,8 +17,9 @@ import pytest
 from repro.observatory.cli import _build_parser
 from repro.runner import get_experiment, list_experiments
 from repro.runner.cli import spec_and_cache
-from repro.service import PVCPolicy, make_policy
-from repro.service.engine import _ROUTERS, CHUNK, _layers
+from repro.service import PVCPolicy, QEDPolicy, make_policy
+from repro.service.engine import (_ROUTERS, CHUNK, _layers,
+                                  event_core_unsupported)
 
 ROOT = Path(__file__).resolve().parents[2]
 SUITE_ROWS = [line.split(None, 2)
@@ -80,6 +81,23 @@ def test_mega_rows_gate_every_kernel_past_one_chunk():
                 served.update(map(type, _layers(make_policy(
                     point["policy"]))))
     assert served >= {*_ROUTERS, PVCPolicy}
+
+
+def test_faults_rows_gate_every_faulted_kernel():
+    """The ``faults`` rows are CI's gate on the chaos engine: together
+    they serve every router with a faulted kernel, the PVC governor
+    and QED, and each such point runs on the kernel."""
+    served = set()
+    for row in SUITE_ROWS:
+        if row[1] == "faults":
+            for point in row_spec(row)[1].points():
+                policy = make_policy(point["policy"])
+                assert event_core_unsupported(policy, faults=True) is None
+                served.update(map(type, _layers(policy)))
+    faulted = {router for router in _ROUTERS
+               if event_core_unsupported(router(), faults=True) is None}
+    assert len(faulted) == 3
+    assert served >= {*faulted, PVCPolicy, QEDPolicy}
 
 
 def test_the_catalog_paragraph_names_the_registered_sweeps():

@@ -10,8 +10,9 @@ invariants must hold exactly:
   real metered devices integrates to the closed-form fleet energy to
   relative 1e-9, through every crash and recovery.
 
-Plus determinism: the same (stream, schedule, policies) produce a
-byte-identical ServiceReport.
+Both hold on both chaos interpreters: the reference closure and the
+faulted event-core kernel.  Plus determinism: the same (stream,
+schedule, policies) produce a byte-identical ServiceReport.
 """
 
 import json
@@ -27,6 +28,10 @@ from repro.service.micro import MICRO_CLASSES, MICRO_TENANT
 from repro.telemetry import capture
 
 POLICIES = ("round_robin", "least_loaded", "power_aware")
+#: every policy on the chaos engine's closure, and on the faulted
+#: kernel where the router has one
+ENGINES = [(policy, "loop") for policy in POLICIES] + [
+    (policy, "event") for policy in POLICIES if policy != "round_robin"]
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 query_counts = st.integers(min_value=1, max_value=300)
@@ -61,10 +66,11 @@ def _case(queries, n_nodes, seed, intensity):
 def test_every_query_is_accounted_for(queries, n_nodes, seed, intensity):
     stream, schedule, retry, shed = _case(queries, n_nodes, seed,
                                           intensity)
-    for policy in POLICIES:
+    for policy, engine in ENGINES:
         report = simulate_faulty_service(
             stream, schedule, fleet=FleetSpec.homogeneous(n_nodes, _model()),
-            policy=policy, retry=retry, shed=shed)
+            policy=policy, retry=retry, shed=shed, engine=engine)
+        assert report.engine == engine
         assert report.faults is not None
         # exact integer reconciliation: nothing forged, nothing dropped
         assert (report.queries_completed + report.queries_rejected
@@ -85,12 +91,12 @@ def test_metered_energy_matches_closed_form(queries, n_nodes, seed,
                                             intensity):
     stream, schedule, retry, shed = _case(queries, n_nodes, seed,
                                           intensity)
-    for policy in POLICIES:
+    for policy, engine in ENGINES:
         with capture() as collector:
             report = simulate_faulty_service(
                 stream, schedule,
                 fleet=FleetSpec.homogeneous(n_nodes, _model()),
-                policy=policy, retry=retry, shed=shed)
+                policy=policy, retry=retry, shed=shed, engine=engine)
         trace = collector.finalize()
         metered = sum(d.energy_joules for d in trace.devices
                       if d.name.startswith("svc.node"))

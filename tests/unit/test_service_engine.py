@@ -14,7 +14,8 @@ import pytest
 from repro.service import (DEFAULT_TENANTS, FleetNode, FleetSpec,
                            NodePowerModel, PVCPolicy, ServiceError,
                            build_stream, make_policy)
-from repro.service.dispatch import LeastLoaded, RoundRobin
+from repro.service.dispatch import (CostAware, LeastLoaded,
+                                    PowerAwarePacking, RoundRobin)
 from repro.service.engine import (_PVC, _ROUTERS, _SERVE, ServedColumns,
                                   _kernel, serve_event)
 
@@ -52,6 +53,32 @@ def test_every_option_tuple_expands_and_compiles(router_type):
         assert ("if end > last_completion:" in source) == (
             chunked and rejecting)
         assert ("max(ends)" in source) == (chunked and not rejecting)
+
+
+@pytest.mark.parametrize("router_type", [LeastLoaded, PowerAwarePacking,
+                                         CostAware],
+                         ids=lambda router_type: router_type.name)
+def test_every_faulted_option_tuple_expands_and_compiles(router_type):
+    """The ``_FAULTED`` skeleton under every option: the router's own
+    fragments, ``serve_active``'s lane, and what is off is absent."""
+    router = _ROUTERS[router_type]
+    for options in itertools.product((False, True), repeat=4):
+        governed, limited, outer_limited, autoscaled = options
+        kernel = _kernel(router_type, *options, False, True)
+        assert kernel.__code__.co_filename.endswith(" faulted>")
+        source = _source(kernel)
+        assert "$" not in source
+        # the router's own selection, expanded once
+        assert source.count(router.select.splitlines()[0]) == 1
+        assert source.count(_SERVE.splitlines()[1]) == 1
+        assert "node._interval_linear_busy" not in source
+        assert ("for row in steps_of[i]" in source) == governed
+        assert ("backlog > limit" in source) == limited
+        assert ("backlog > outer" in source) == outer_limited
+        assert ("autoscaler.step(" in source) == autoscaled
+        # the fixed half of the router's setup runs once, up front
+        if router.fixed:
+            assert source.count(router.fixed.splitlines()[0]) == 1
 
 
 def test_a_kernels_traceback_shows_the_template_line():
