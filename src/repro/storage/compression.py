@@ -25,6 +25,7 @@ from repro.errors import CompressionError, SchemaError
 from repro.relational.types import DataType, _date_to_days, _days_to_date
 
 _COUNT = struct.Struct("<I")
+_MATCH = struct.Struct("<HB")  # an LZ match token's offset and length
 
 
 def _encode_plain(values: Sequence[Any], dtype: DataType) -> bytes:
@@ -234,29 +235,30 @@ class LzLiteCodec(Codec):
         """LZ-compress an arbitrary byte string."""
         out = bytearray(_COUNT.pack(len(raw)))
         table: dict[bytes, int] = {}
+        get = table.get
+        pack_match = _MATCH.pack
+        min_match = self._MIN_MATCH
+        max_match = self._MAX_MATCH
+        window = self._WINDOW
+        n = len(raw)
         i = 0
         literal_start = 0
-        n = len(raw)
-        while i < n:
-            match_len = 0
-            match_offset = 0
-            if i + self._MIN_MATCH <= n:
-                key = raw[i:i + self._MIN_MATCH]
-                candidate = table.get(key, -1)
-                table[key] = i
-                if candidate >= 0 and i - candidate <= self._WINDOW:
-                    length = self._MIN_MATCH
-                    limit = min(self._MAX_MATCH, n - i)
-                    while (length < limit
-                           and raw[candidate + length] == raw[i + length]):
-                        length += 1
-                    match_len = length
-                    match_offset = i - candidate
-            if match_len >= self._MIN_MATCH:
-                self._flush_literals(out, raw, literal_start, i)
+        # the last MIN_MATCH - 1 bytes start no match: they end as literals
+        while i <= n - min_match:
+            key = raw[i:i + min_match]
+            candidate = get(key, -1)
+            table[key] = i
+            if candidate >= 0 and i - candidate <= window:
+                length = min_match
+                limit = min(max_match, n - i)
+                while (length < limit
+                       and raw[candidate + length] == raw[i + length]):
+                    length += 1
+                if literal_start < i:
+                    self._flush_literals(out, raw, literal_start, i)
                 out.append(0x01)
-                out += struct.pack("<HB", match_offset, match_len)
-                i += match_len
+                out += pack_match(i - candidate, length)
+                i += length
                 literal_start = i
             else:
                 i += 1
@@ -275,27 +277,37 @@ class LzLiteCodec(Codec):
 
     def decompress_bytes(self, data: bytes) -> bytes:
         """Inverse of :meth:`compress_bytes`."""
-        (expected,) = _COUNT.unpack_from(data, 0)
         offset = _COUNT.size
         out = bytearray()
-        while offset < len(data):
-            tag = data[offset]
-            offset += 1
-            if tag == 0x00:
-                length = data[offset]
-                offset += 1
-                out += data[offset:offset + length]
-                offset += length
-            elif tag == 0x01:
-                match_offset, length = struct.unpack_from("<HB", data, offset)
-                offset += 3
-                start = len(out) - match_offset
-                if start < 0:
-                    raise CompressionError("LZ match before stream start")
-                for k in range(length):
-                    out.append(out[start + k])
-            else:
-                raise CompressionError(f"bad LZ token tag {tag}")
+        unpack_match = _MATCH.unpack_from
+        try:
+            (expected,) = _COUNT.unpack_from(data, 0)
+            while offset < len(data):
+                tag = data[offset]
+                if tag == 0x00:
+                    length = data[offset + 1]
+                    offset += 2
+                    out += data[offset:offset + length]
+                    offset += length
+                elif tag == 0x01:
+                    match_offset, length = unpack_match(data, offset + 1)
+                    offset += 4
+                    start = len(out) - match_offset
+                    if start < 0:
+                        raise CompressionError("LZ match before stream start")
+                    if match_offset >= length:
+                        out += out[start:start + length]
+                    elif match_offset:
+                        # an overlapping copy repeats its last offset bytes
+                        reps = length // match_offset + 1
+                        out += (out[start:] * reps)[:length]
+                    else:
+                        raise CompressionError("LZ match at offset 0")
+                else:
+                    raise CompressionError(f"bad LZ token tag {tag}")
+        except (IndexError, struct.error):
+            raise CompressionError(
+                f"LZ stream truncated at byte {offset}") from None
         if len(out) != expected:
             raise CompressionError(
                 f"LZ stream decoded {len(out)} bytes, expected {expected}")

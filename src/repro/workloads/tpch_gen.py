@@ -10,8 +10,10 @@ predicates).
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
 from datetime import date, timedelta
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.errors import WorkloadError
@@ -28,13 +30,17 @@ SEGMENTS = ["AUTOMOBILE", "BUILDING", "FURNITURE", "MACHINERY", "HOUSEHOLD"]
 PRIORITIES = ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"]
 SHIP_MODES = ["REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"]
 ORDER_STATUSES = ["F", "O", "P"]
+ORDER_STATUS_WEIGHTS = [49, 49, 2]
 RETURN_FLAGS = ["R", "A", "N"]
-LINE_STATUSES = ["O", "F"]
+RETURN_FLAG_WEIGHTS = [24, 25, 51]
+DISCOUNTS = [0.0, 0.01, 0.02, 0.04, 0.05, 0.06, 0.08, 0.1]
 PART_TYPES = ["PROMO BRUSHED", "STANDARD POLISHED", "MEDIUM PLATED",
               "ECONOMY ANODIZED", "LARGE BURNISHED", "SMALL BRUSHED"]
 
 DATE_LO = date(1992, 1, 1)
 DATE_HI = date(1998, 12, 1)
+# day -> date over [DATE_LO, DATE_HI): a row's date is one uniform draw
+_DAYS = [DATE_LO + timedelta(days=d) for d in range((DATE_HI - DATE_LO).days)]
 
 
 @dataclass
@@ -151,13 +157,12 @@ def _read_set(tables: Optional[Iterable[str]],
     return read
 
 
-def _random_date(rng: random.Random) -> date:
-    span = (DATE_HI - DATE_LO).days
-    return DATE_LO + timedelta(days=rng.randrange(span))
-
-
 # Row builders: ``(row counts, rng) -> rows``.  Each consumes the shared
-# stream exactly as far as its table needs, whoever keeps the rows.
+# stream exactly as far as its table needs, whoever keeps the rows.  They
+# draw through ``rng._randbelow`` and ``rng.random``, the primitives
+# ``randrange``, ``choice``, ``choices`` and ``uniform`` reduce to, in the
+# same order and arithmetic (``tests/unit/test_tpch_draws.py`` pins the
+# equivalence on the running Python).
 
 def _region_rows(counts: dict[str, int], rng: random.Random) -> list[tuple]:
     return [(i, name) for i, name in enumerate(REGIONS)]
@@ -174,73 +179,88 @@ def _nation_rows(counts: dict[str, int], rng: random.Random) -> list[tuple]:
 
 def _supplier_rows(counts: dict[str, int],
                    rng: random.Random) -> list[tuple]:
+    below, draw = rng._randbelow, rng.random
     n_nations = counts["nation"]
     return [
-        (i, f"Supplier#{i:09d}", rng.randrange(n_nations),
-         round(rng.uniform(-999.99, 9999.99), 2))
+        (i, f"Supplier#{i:09d}", below(n_nations),
+         round(-999.99 + (9999.99 - -999.99) * draw(), 2))
         for i in range(counts["supplier"])]
 
 
 def _customer_rows(counts: dict[str, int],
                    rng: random.Random) -> list[tuple]:
+    below, draw = rng._randbelow, rng.random
     n_nations = counts["nation"]
     return [
-        (i, f"Customer#{i:09d}", rng.randrange(n_nations),
-         rng.choice(SEGMENTS), round(rng.uniform(-999.99, 9999.99), 2))
+        (i, f"Customer#{i:09d}", below(n_nations),
+         SEGMENTS[below(len(SEGMENTS))],
+         round(-999.99 + (9999.99 - -999.99) * draw(), 2))
         for i in range(counts["customer"])]
 
 
 def _part_rows(counts: dict[str, int], rng: random.Random) -> list[tuple]:
+    below = rng._randbelow
     return [
-        (i, f"part {i % 999} name", f"Brand#{rng.randrange(1, 6)}"
-         f"{rng.randrange(1, 6)}", rng.choice(PART_TYPES),
-         rng.randrange(1, 51), round(900 + (i % 200) + i / 10.0, 2))
+        (i, f"part {i % 999} name", f"Brand#{1 + below(5)}{1 + below(5)}",
+         PART_TYPES[below(len(PART_TYPES))], 1 + below(50),
+         round(900 + (i % 200) + i / 10.0, 2))
         for i in range(counts["part"])]
 
 
 def _orders_rows(counts: dict[str, int], rng: random.Random) -> list[tuple]:
+    below, draw = rng._randbelow, rng.random
     n_customers = counts["customer"]
+    status_cum = list(accumulate(ORDER_STATUS_WEIGHTS))
+    status_total = status_cum[-1] + 0.0
+    status_hi = len(ORDER_STATUSES) - 1
     return [
-        (i, rng.randrange(n_customers),
-         rng.choices(ORDER_STATUSES, weights=[49, 49, 2])[0],
-         round(rng.uniform(850.0, 555_000.0), 2),
-         _random_date(rng),
-         rng.choice(PRIORITIES),
-         f"Clerk#{rng.randrange(1000):09d}")
+        (i, below(n_customers),
+         ORDER_STATUSES[bisect(status_cum, draw() * status_total,
+                               0, status_hi)],
+         round(850.0 + (555_000.0 - 850.0) * draw(), 2),
+         _DAYS[below(len(_DAYS))],
+         PRIORITIES[below(len(PRIORITIES))],
+         f"Clerk#{below(1000):09d}")
         for i in range(counts["orders"])]
 
 
 def _lineitem_rows(counts: dict[str, int],
                    rng: random.Random) -> list[tuple]:
+    below, draw = rng._randbelow, rng.random
     n = counts["lineitem"]
     n_orders = counts["orders"]
     n_parts = counts["part"]
     n_suppliers = counts["supplier"]
+    flag_cum = list(accumulate(RETURN_FLAG_WEIGHTS))
+    flag_total = flag_cum[-1] + 0.0
+    flag_hi = len(RETURN_FLAGS) - 1
+    cutoff = date(1995, 6, 17)
     rows = []
+    append = rows.append
     order = 0
     while len(rows) < n:
         # 1-7 lines per order, like the real generator
-        for _line in range(rng.randrange(1, 8)):
+        for _line in range(1 + below(7)):
             if len(rows) >= n:
                 break
-            quantity = float(rng.randrange(1, 51))
-            price = round(quantity * rng.uniform(900.0, 1100.0), 2)
-            ship = _random_date(rng)
-            flag = rng.choices(RETURN_FLAGS, weights=[24, 25, 51])[0]
-            status = "F" if ship < date(1995, 6, 17) else "O"
-            rows.append((
+            quantity = float(1 + below(50))
+            price = round(quantity * (900.0 + (1100.0 - 900.0) * draw()), 2)
+            ship = _DAYS[below(len(_DAYS))]
+            flag = RETURN_FLAGS[bisect(flag_cum, draw() * flag_total,
+                                       0, flag_hi)]
+            status = "F" if ship < cutoff else "O"
+            append((
                 order % n_orders,
-                rng.randrange(n_parts),
-                rng.randrange(n_suppliers),
+                below(n_parts),
+                below(n_suppliers),
                 quantity,
                 price,
-                round(rng.choice([0.0, 0.01, 0.02, 0.04, 0.05,
-                                  0.06, 0.08, 0.1]), 2),
-                round(rng.uniform(0.0, 0.08), 2),
+                DISCOUNTS[below(len(DISCOUNTS))],
+                round(0.0 + (0.08 - 0.0) * draw(), 2),
                 flag,
                 status,
                 ship,
-                rng.choice(SHIP_MODES),
+                SHIP_MODES[below(len(SHIP_MODES))],
             ))
         order += 1
     return rows

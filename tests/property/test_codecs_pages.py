@@ -1,10 +1,12 @@
 """Property-based tests: codecs, pages, and row encoding."""
 
+import random
+import struct
 from datetime import date
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.relational.schema as schema_module
@@ -58,6 +60,83 @@ def test_date_delta_round_trip(values):
 def test_lz_bytes_round_trip(raw):
     codec = LzLiteCodec()
     assert codec.decompress_bytes(codec.compress_bytes(raw)) == raw
+
+
+def reference_lz_compress(raw):
+    """``LzLiteCodec.compress_bytes`` as first written: one position per
+    turn, attribute lookups and ``struct.pack`` inside the loop."""
+    def flush(out, start, end):
+        pos = start
+        while pos < end:
+            chunk = raw[pos:min(pos + 255, end)]
+            out.append(0x00)
+            out.append(len(chunk))
+            out += chunk
+            pos += len(chunk)
+
+    out = bytearray(struct.pack("<I", len(raw)))
+    table = {}
+    i = 0
+    literal_start = 0
+    n = len(raw)
+    while i < n:
+        match_len = 0
+        match_offset = 0
+        if i + 4 <= n:
+            key = raw[i:i + 4]
+            candidate = table.get(key, -1)
+            table[key] = i
+            if candidate >= 0 and i - candidate <= 65535:
+                length = 4
+                limit = min(255, n - i)
+                while (length < limit
+                       and raw[candidate + length] == raw[i + length]):
+                    length += 1
+                match_len = length
+                match_offset = i - candidate
+        if match_len >= 4:
+            flush(out, literal_start, i)
+            out.append(0x01)
+            out += struct.pack("<HB", match_offset, match_len)
+            i += match_len
+            literal_start = i
+        else:
+            i += 1
+    flush(out, literal_start, n)
+    return bytes(out)
+
+
+def runs(pairs):
+    return b"".join(bytes([byte]) * count for byte, count in pairs)
+
+
+LZ_INPUTS = st.one_of(
+    st.binary(max_size=3000),
+    # a small alphabet: short matches everywhere
+    st.lists(st.sampled_from(b"ab"), max_size=3000).map(bytes),
+    # runs longer than a match or a literal token holds
+    st.lists(st.tuples(st.sampled_from(b"ab\x00"),
+                       st.integers(1, 700)), max_size=12).map(runs),
+    # a short period repeated: every match overlaps its own output
+    st.tuples(st.binary(min_size=1, max_size=9),
+              st.integers(1, 400)).map(lambda p: p[0] * p[1]),
+)
+
+
+# a block repeated 66,000 bytes later: too far back for a match
+_BLOCK = random.Random(5).randbytes(2_000)
+PAST_THE_WINDOW = (_BLOCK + random.Random(6).randbytes(66_000) + _BLOCK
+                   + b"xyz" * 300)
+
+
+@settings(max_examples=200)
+@given(LZ_INPUTS)
+@example(PAST_THE_WINDOW)
+def test_lz_compress_is_byte_equal_to_the_reference_loop(raw):
+    codec = LzLiteCodec()
+    compressed = codec.compress_bytes(raw)
+    assert compressed == reference_lz_compress(raw)
+    assert codec.decompress_bytes(compressed) == raw
 
 
 @settings(max_examples=40)

@@ -1,5 +1,6 @@
 """Unit tests for compression codecs."""
 
+import struct
 from datetime import date
 
 import pytest
@@ -154,6 +155,20 @@ def test_lzlite_overlapping_match():
     codec = LzLiteCodec()
     raw = b"a" * 300
     assert codec.decompress_bytes(codec.compress_bytes(raw)) == raw
+
+
+# a damaged stream: a 4-byte length, then one literal token "ab"
+_LZ_HEAD = struct.pack("<I", 6) + b"\x00\x02ab"
+
+
+@pytest.mark.parametrize("data", [
+    _LZ_HEAD + b"\x01" + struct.pack("<HB", 0, 4),  # match at offset 0
+    _LZ_HEAD + b"\x01\x02\x00",                     # match token cut short
+    _LZ_HEAD + b"\x00",                             # literal with no length
+], ids=["zero-offset", "truncated-match", "truncated-literal"])
+def test_lzlite_damaged_stream_raises_compression_error(data):
+    with pytest.raises(CompressionError):
+        LzLiteCodec().decompress_bytes(data)
 
 
 def test_rle_rejects_nulls():
