@@ -15,9 +15,7 @@ windows, batch join-up) is derived once, in
 ``finalize``, from those lanes plus the arrival arrays captured at
 :meth:`FlightRecorder.begin_run`.  With no recorder installed every
 site is one module-global read; with one installed a recorded run is
-still an event-core run (a batching policy's aside: its
-``batch_serves`` rows carry each shared execution's exact start, which
-only the reference loop emits) — ``benchmarks/test_flightrec_overhead.py``
+still an event-core run — ``benchmarks/test_flightrec_overhead.py``
 asserts that, and perfbench's ``flightrec.overhead_ratio`` carries the
 wall-clock number.
 """

@@ -38,18 +38,18 @@ back):
   with the same monotone float predicate the reference scan evaluates,
   and a serve walks the sibling minima back up, both as fragment text.
 * ``round_robin`` — no structure at all: the rotation is a closed form
-  (arrival ``k`` lands on slot ``(next + k) % n``), so it gets its own
-  skeleton, ``_STRIDED``, in which each node's arrival lane is a
-  strided slice and the same fragments run on per-pipe locals.
+  (arrival ``k`` lands on slot ``(next + k) % n``), so a healthy run
+  gets its own skeleton, ``_STRIDED``, in which each node's arrival
+  lane is a strided slice and the same fragments run on per-pipe
+  locals; a fault run rotates ``route``'s own cursor row by row.
 
 :func:`_kernel` expands a skeleton for one ``(router, governed,
-limited, outer_limited, autoscaled, lanes, faulted)`` tuple, compiles it
-on first use (once per process) and registers the text with
-:mod:`linecache`, so a traceback, ``pdb`` or a profiler shows real
-lines.  An option that is off leaves no test behind in the loop;
-``lanes`` and ``faulted`` are derived, not chosen (a pass nobody
-watches builds no lanes, :class:`ServedColumns`; a fault run takes the
-third skeleton, below).  Under ``pvc(...)`` the ladder
+limited, outer_limited, autoscaled, lanes, faulted, starts, exempt)``
+tuple, compiles it on first use (once per process) and registers the
+text with :mod:`linecache`, so a traceback, ``pdb`` or a profiler shows
+real lines.  An option that is off leaves no test behind in the loop;
+the last four are derived from the run, not chosen (:func:`kernel_for`).
+Under ``pvc(...)`` the ladder
 runs on per-(class, step) constants (:func:`_pvc_tables`) computed
 with the identical expressions the reference engine evaluates per
 arrival.
@@ -97,11 +97,9 @@ first attempt routes through the router's fragments and is served on
 repairs, redispatches and blackout boots stay that engine's functions,
 after each of which ``SETUP`` rebuilds the router's structure.
 
-What the core cannot reproduce exactly — round_robin under faults, a
-recorded healthy batching run (only the loop emits each shared
-execution's exact start), admission-exempt batch tenants under a
-healthy run's limit, and third-party routers — is declined by
-:func:`event_core_unsupported`; ``engine="auto"`` then takes the loop.
+A router without a kernel (a third-party one) is the one thing the core
+declines (:func:`event_core_unsupported`); ``engine="auto"`` then takes
+the loop.
 """
 
 from __future__ import annotations
@@ -134,33 +132,11 @@ CHUNK = 65536
 _INF = float("inf")
 
 
-def event_core_unsupported(policy: DispatchPolicy,
-                           recorder=None,
-                           faults: bool = False,
-                           stream: Optional[ArrivalStream] = None
-                           ) -> Optional[str]:
-    """Why this configuration must run on the reference loop.
-
-    Returns ``None`` when the event core can serve it, else a one-line
-    reason (used verbatim in the ``engine="event"`` error and useful
-    for debugging an unexpected ``auto`` fallback).  ``faults`` asks
-    about a chaos run, whose kernels record exact starts and exempt
-    batch tenants as the chaos engine's closure does.
-    """
-    layers = _layers(policy)
-    if faults:
-        if type(layers[-1]) is RoundRobin:
-            return ("round_robin's rotation is a closed form only on a "
-                    "healthy run; under faults it rotates on the loop")
-    elif recorder is not None and policy.batching:
-        return (f"a recorded {policy.name!r} run carries each shared "
-                "execution's exact start, which only the reference loop "
-                "emits")
-    elif stream is not None and any(t.batch for t in stream.tenants) and any(
-            p.admission_limit_seconds is not None for p in layers):
-        return ("batch tenants are admission-exempt, which the event "
-                "core's vectorized admission does not model")
-    if type(layers[-1]) not in _ROUTERS:
+def event_core_unsupported(policy: DispatchPolicy) -> Optional[str]:
+    """Why ``policy`` must run on the reference loop: ``None`` when its
+    router has a kernel, else the one-line reason (used verbatim in the
+    ``engine="event"`` error and as ``ServiceReport.engine_reason``)."""
+    if type(_layers(policy)[-1]) not in _ROUTERS:
         return f"policy {policy.name!r} has no vectorized kernel"
     return None
 
@@ -215,8 +191,7 @@ class ServedColumns:
         self.ends = np.empty(n) if kept else None
         self.lanes = np.empty(n, dtype=np.int64) if kept else None
         #: per full-speed row, its exact start: only a recorded batching
-        #: run reads it (its shared-execution rows carry the start), and
-        #: only the reference loop serves one
+        #: run reads it (its shared-execution rows carry the start)
         self.starts: Optional[list[float]] = (
             [0.0] * n if rec is not None and cols.members is not None
             else None)
@@ -319,12 +294,13 @@ def serve_event(stream: ArrivalStream,
     telemetry mirror: they receive the kernel's columns once it
     returns, and cost the kernel nothing per query.
     """
-    reason = event_core_unsupported(policy, recorder=rec, stream=stream)
+    reason = event_core_unsupported(policy)
     if reason is not None:
         raise ServiceError(f"event core cannot run this config: {reason}")
     out = ServedColumns(cols, rec, mirror)
-    kernel, router, pvc, outer = kernel_for(policy, autoscaler,
-                                            lanes=out.lanes is not None)
+    kernel, router, pvc, outer = kernel_for(
+        policy, autoscaler, lanes=out.lanes is not None,
+        starts=out.starts is not None, batch=cols.batch_flags is not None)
     last = kernel(cols, fleet, router, outer, pvc,
                   None if pvc is None else _pvc_tables(pvc, nodes),
                   nodes, on_ids, autoscaler, float(stream.times[-1]), out)
@@ -332,17 +308,20 @@ def serve_event(stream: ArrivalStream,
 
 
 def kernel_for(policy: DispatchPolicy, autoscaler: Optional[Autoscaler],
-               lanes: bool = False, faulted: bool = False) -> tuple:
+               lanes: bool = False, faulted: bool = False,
+               starts: bool = False, batch: bool = False) -> tuple:
     """``(kernel, router, PVC governor, outer limit)`` for ``policy``:
-    the outer limit is the smallest wrapper limit (every one admits)."""
+    the outer limit is the smallest wrapper limit (every one admits).
+    ``batch`` says the stream has batch tenants, which a limit exempts."""
     *wrappers, router = _layers(policy)
     pvc = next((p for p in wrappers if type(p) is PVCPolicy), None)
     outer = min((p.admission_limit_seconds for p in wrappers
                  if p.admission_limit_seconds is not None), default=None)
-    return _kernel(type(router), pvc is not None,
-                   router.admission_limit_seconds is not None,
-                   outer is not None, autoscaler is not None, lanes,
-                   faulted), router, pvc, outer
+    limited = router.admission_limit_seconds is not None
+    exempt = batch and (limited or outer is not None)
+    return _kernel(type(router), pvc is not None, limited, outer is not None,
+                   autoscaler is not None, lanes, faulted, starts,
+                   exempt), router, pvc, outer
 
 
 def _pvc_tables(pvc: PVCPolicy, nodes: Sequence[FleetNode]) -> list[list]:
@@ -376,14 +355,13 @@ def _pvc_tables(pvc: PVCPolicy, nodes: Sequence[FleetNode]) -> list[list]:
 # its ``busy_until`` as ``bu``.
 
 #: ``DispatchPolicy.admits`` said no (``backlog`` is
-#: ``FleetNode.backlog``): the arrival is counted against the node it
-#: was routed to and never touches the books
+#: ``FleetNode.backlog``) and the row is not a batch tenant's, which a
+#: limit exempts (``exempt``): the arrival is counted against the node
+#: it was routed to (``REFUSE``) and never touches the books
 _BACKLOG = "backlog = bu - t if bu > t else 0.0\n"
 _ADMIT = """\
 if $over_limit:
-    rejected.append(($k, i))
-    append(nan)
-    $lane_off
+    $REFUSE
     $REJECTED
     continue
 """
@@ -402,10 +380,12 @@ $COUNT
 $EMIT
 """
 
-#: ``FleetNode.serve``: full speed, priced by the linear identity
+#: ``FleetNode.serve``: full speed, priced by the linear identity;
+#: a recorded batching run keeps the start (``starts``)
 _PLAIN = """\
 $LINEAR
 $lane_on
+$START
 """
 
 #: ``PVCPolicy.frequency`` + ``FleetNode.serve_active``: the deepest
@@ -659,14 +639,6 @@ def kernel(cols, fleet, router, outer, pvc, steps_of, nodes, on_ids,
     return last_completion
 """
 
-#: ``_FAULTED``'s admission: batch tenants are exempt, as on the loop
-_ADMIT_FAULTED = """\
-if ($over_limit) and not batch[k]:
-    refused(k, i, t, "reject")
-    $REJECTED
-    continue
-"""
-
 
 def _fault_books(governed: bool, rejecting: bool,
                  autoscaled: bool) -> dict[str, str]:
@@ -683,7 +655,8 @@ def _fault_books(governed: bool, rejecting: bool,
         EMIT="ends[k] = end\nstate[k] = 1  # completed\n"
         "pending[i].append((k, start, end, end - start, w, freq))\n",
         LATEST="if end > last_completion:\n    last_completion = end\n",
-        ADMIT=_BACKLOG + _ADMIT_FAULTED * rejecting, k="0",
+        ADMIT=_BACKLOG + _ADMIT * rejecting, k="0", row="k",
+        REFUSE='refused(k, i, t, "reject")\n',
         SETTLE="for j in on_ids:\n    settle(j, next_epoch)\n",
         RESETUP="break\n", DEMAND="demand += services[k]\n" * autoscaled)
 
@@ -706,6 +679,13 @@ class _Router(NamedTuple):
     served: str = ""
     rejected: str = ""
 
+
+#: a healthy rotation is ``_STRIDED``'s closed form; ``_FAULTED`` runs
+#: ``select``, ``RoundRobin.route`` itself, so that a redispatch's
+#: ``route`` call continues the same rotation
+_ROUND_ROBIN = _Router(
+    _STRIDED, _local_books,
+    select="i = on_ids[router._next % len(on_ids)]\nrouter._next += 1\n")
 
 #: join-the-shortest-queue off a ``(busy_until, index)`` heap: the root
 #: is exactly the reference scan's first-strict-minimum, and only the
@@ -858,7 +838,7 @@ while p > 1:
 
 #: routers with a vectorized kernel (exact types: a subclass may
 #: override route(), so it must take the reference loop)
-_ROUTERS = {RoundRobin: _Router(_STRIDED, _local_books),
+_ROUTERS = {RoundRobin: _ROUND_ROBIN,
             LeastLoaded: _LEAST_LOADED,
             PowerAwarePacking: _POWER_AWARE,
             CostAware: _COST_AWARE}
@@ -899,7 +879,8 @@ def _expand(template: str, fragments: dict[str, str]) -> str:
 @functools.cache
 def _kernel(router_type: type, governed: bool, limited: bool,
             outer_limited: bool, autoscaled: bool, lanes: bool,
-            faulted: bool = False) -> Callable:
+            faulted: bool = False, starts: bool = False,
+            exempt: bool = False) -> Callable:
     """The serving loop for one router under one set of options,
     generated on first use and compiled once per process.
 
@@ -907,16 +888,22 @@ def _kernel(router_type: type, governed: bool, limited: bool,
     ``outer_limited`` an admission limit on the router / on a wrapper
     (the kernel is handed the smallest as ``outer``), ``autoscaled`` a
     live autoscaler, whose epochs stop after the instant ``stop``.
-    ``lanes`` and ``faulted`` are derived, not chosen: the pass keeps
-    its columns (:class:`ServedColumns`), so the kernel emits lanes and
-    dvfs rows; the run has a fault schedule, so the kernel is the
-    ``_FAULTED`` skeleton (:func:`kernel_for`), whose observers are
-    served by the chaos engine's ``settle`` and which takes no lanes.
+    The rest is derived, not chosen (:func:`kernel_for`): ``lanes``,
+    the pass keeps its columns (:class:`ServedColumns`), so the kernel
+    emits lanes and dvfs rows; ``faulted``, the run has a fault
+    schedule, so the kernel is the ``_FAULTED`` skeleton, whose
+    observers are served by the chaos engine's ``settle`` and which
+    takes no lanes; ``starts``, the pass keeps each full-speed row's
+    start; ``exempt``, the stream's batch tenants bypass the limits, as
+    they always do under ``_FAULTED``.
     What is off is absent from the source, not tested in the loop.
     Read a kernel with ``linecache.getlines(kernel.__code__.co_filename)``.
     """
     router = _ROUTERS[router_type]
     over = ["backlog > outer"] * outer_limited + ["backlog > limit"] * limited
+    over_limit = " or ".join(over)
+    if exempt or faulted:
+        over_limit = f"({over_limit}) and not batch[$row]"
     skeleton, books = (
         (_FAULTED, _fault_books(governed, bool(over), autoscaled))
         if faulted else
@@ -926,14 +913,17 @@ def _kernel(router_type: type, governed: bool, limited: bool,
         "RESETUP": router.fixed + router.setup,
         "PROLOGUE": _PROLOGUE,
         "LIMITS": "limit = router.admission_limit_seconds\n" * limited
-        + "headroom = pvc.sla_headroom\n" * governed,
+        + "headroom = pvc.sla_headroom\n" * governed
+        + "batch = cols.batch_flags.tolist()\n" * exempt
+        + "starts = out.starts\n" * starts,
         "SETUP": router.fixed * (not faulted) + router.setup,
         "SELECT": router.select,
         "SERVED": router.served, "REJECTED": router.rejected,
         "ADMIT": _BACKLOG * bool(over or governed) + _ADMIT * bool(over),
-        "over_limit": " or ".join(over),
+        "over_limit": over_limit, "row": "$k",
+        "REFUSE": "rejected.append(($k, i))\nappend(nan)\n$lane_off\n",
         "SERVE": _SERVE, "STEP": _PVC if governed else _PLAIN,
-        "PLAIN": _PLAIN,
+        "PLAIN": _PLAIN, "START": "starts[$k] = start\n" * starts,
         "DVFS": "emit_dvfs(($k, i, start, row[0], row[3]))\n" * lanes,
         "EPOCH_OPEN": _EPOCH_OPEN * autoscaled, "EPOCH": _EPOCH * autoscaled,
         "EPOCH_STEP": _EPOCH_STEP * autoscaled,
@@ -941,7 +931,8 @@ def _kernel(router_type: type, governed: bool, limited: bool,
     filename = "<repro.service.engine kernel: %s>" % " ".join(
         [router_type.name] + ["pvc"] * governed + ["limit"] * limited
         + ["outer_limit"] * outer_limited + ["autoscaled"] * autoscaled
-        + ["lanes"] * lanes + ["faulted"] * faulted)
+        + ["lanes"] * lanes + ["starts"] * starts + ["exempt"] * exempt
+        + ["faulted"] * faulted)
     # mtime None: linecache.checkcache keeps entries it cannot stat
     linecache.cache[filename] = (len(source), None,
                                  source.splitlines(True), filename)

@@ -14,16 +14,15 @@ follows from the utilization-linear power identity in
 
 Two serving cores implement that pass.  The **reference loop** below
 walks one arrival at a time through ``policy.route`` and is the
-semantic ground truth: third-party routers and recorded batching runs
-run on it, and the chaos engine is its fault-aware sibling.  The
-**event core**
+semantic ground truth: third-party routers run on it, and the chaos
+engine's closure is its fault-aware sibling.  The **event core**
 (:mod:`repro.service.engine`) replays the identical arithmetic over
 the stream's columnar arrays with O(log n) routing structures, ~10-30x
 faster — one loop generated per (router, options) from a single
 statement of the serving step (this loop's ``policy.admits`` /
 ``policy.frequency`` / ``node.serve`` calls, as source fragments) —
-and is picked automatically (``engine="auto"``) whenever the
-configuration allows; the two are byte-identical by contract (see the
+and is picked automatically (``engine="auto"``) whenever the router
+has a kernel; the two are byte-identical by contract (see the
 engine-equivalence suite).  Watching a run does not change which core
 serves it: both emit the same per-query ``(node, end)`` columns
 (:class:`~repro.service.engine.ServedColumns`), and the flight
@@ -273,13 +272,11 @@ class _Run(NamedTuple):
     cols: StreamColumns
 
 
-def _choose_engine(engine: str, policy: DispatchPolicy, rec,
-                   stream: ArrivalStream,
-                   faults: bool) -> tuple[str, Optional[str]]:
+def _choose_engine(engine: str,
+                   policy: DispatchPolicy) -> tuple[str, Optional[str]]:
     """Pick the serving core: ``(ServiceReport.engine,
     ServiceReport.engine_reason)``."""
-    reason = event_core_unsupported(policy, rec, faults=faults,
-                                    stream=stream)
+    reason = event_core_unsupported(policy)
     if reason is None and engine != "loop":
         return "event", None
     if engine == "event":
@@ -321,8 +318,7 @@ def _prepare(stream: ArrivalStream, fleet: Optional[FleetSpec], policy,
 
     collector = current_collector()
     rec = current_recorder()
-    engine, engine_reason = _choose_engine(engine, policy, rec, stream,
-                                           faults is not None)
+    engine, engine_reason = _choose_engine(engine, policy)
 
     nodes = [FleetNode(name, model, on=True, node_class=class_name)
              for name, class_name, model in fleet.members()]
@@ -358,10 +354,10 @@ def simulate_service(stream: ArrivalStream,
 
     ``engine`` selects the serving core: ``"auto"`` (default) runs the
     vectorized event core of :mod:`repro.service.engine` whenever the
-    configuration permits and falls back to the reference loop
+    router has a kernel and falls back to the reference loop
     otherwise; ``"event"`` insists on the fast core (raising
-    :class:`ServiceError` with the fallback reason if the configuration
-    needs the loop); ``"loop"`` always runs the reference loop.  Both
+    :class:`ServiceError` with the fallback reason); ``"loop"`` always
+    runs the reference loop.  Both
     engines produce byte-identical reports — the one picked is recorded
     in :attr:`ServiceReport.engine`, and why ``"auto"`` fell back to
     the loop in :attr:`ServiceReport.engine_reason` (runtime metadata,

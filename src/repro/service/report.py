@@ -227,10 +227,10 @@ class ServiceReport(Record):
     #: :meth:`to_dict`, so the two engines' reports stay byte-identical
     #: and ledger records / cache keys never see it
     engine: Optional[str] = field(default=None, compare=False)
-    #: why ``engine="auto"`` fell back to the reference loop (the
-    #: :func:`~repro.service.engine.event_core_unsupported` string);
-    #: None on the event core or when ``"loop"`` was asked for.
-    #: Runtime-only metadata like :attr:`engine`.
+    #: why ``engine="auto"`` fell back to the reference loop: the
+    #: router has no kernel
+    #: (:func:`~repro.service.engine.event_core_unsupported`); None
+    #: otherwise.  Runtime-only metadata like :attr:`engine`.
     engine_reason: Optional[str] = field(default=None, compare=False)
     #: per-arrival latencies in stream order (NaN where rejected);
     #: runtime-only metadata like :attr:`engine` — excluded from

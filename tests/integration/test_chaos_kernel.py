@@ -22,11 +22,12 @@ from repro.faults import (FaultEvent, FaultSchedule, RetryPolicy, ShedPolicy,
                           simulate_faulty_service)
 from repro.flightrec import record
 from repro.service import (DEFAULT_TENANTS, Autoscaler, FleetSpec,
-                           NodePowerModel, PVCPolicy, QEDPolicy, ServiceError,
-                           build_stream, make_policy)
+                           NodePowerModel, PVCPolicy, QEDPolicy, build_stream,
+                           make_policy)
 from repro.telemetry import capture
 
-ROUTERS = ("least_loaded", "power_aware", "cost_aware", "pvc")
+ROUTERS = ("round_robin", "least_loaded", "power_aware", "cost_aware",
+           "pvc")
 #: the reporting tenant is batch work: admission-exempt under a limit
 TENANTS = tuple(replace(t, batch=t.name == "reporting")
                 for t in DEFAULT_TENANTS)
@@ -154,12 +155,6 @@ def test_the_schedules_reach_their_paths():
     assert stats("throttle_disk").throttle_windows == 3
     assert stats("boot_crash").crashes == 9
     assert stats("blackout").emergency_boots > 0
-
-
-def test_round_robin_names_its_reason():
-    with pytest.raises(ServiceError, match="round_robin's rotation"):
-        serve("event", "homogeneous", SCHEDULES["crash_queued"],
-              "round_robin", False, False, "report")
 
 
 faults = st.builds(

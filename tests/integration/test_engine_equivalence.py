@@ -6,14 +6,14 @@ every configuration it claims to support, ``ServiceReport.to_dict()``
 must compare equal dict-for-dict, float-for-float — not approximately,
 exactly.  This suite sweeps policy x fleet x admission x autoscaling x
 seed and asserts that identity, pins the engine-selection API
-(``engine="auto"|"event"|"loop"``), and checks the auto-fallback
-configurations (round_robin under faults, a recorded batching run,
-third-party routers) land on the reference loop.  Observers ride the event core: the same
-grid, with a flight recorder and a telemetry collector installed, pins
-``FlightRecording.to_dict()`` and ``TelemetryTrace.to_dict()`` equal
-between the engines, and a QED wrapper over it pins the report and the
-trace of a batching run.  Hypothesis property tests extend both identities
-to adversarial random streams the named experiments would never build.
+(``engine="auto"|"event"|"loop"``), and checks that the one
+auto-fallback, a third-party router, lands on the reference loop.
+Observers ride the event core: the same grid, with a flight recorder
+and a telemetry collector installed, pins ``FlightRecording.to_dict()``
+and ``TelemetryTrace.to_dict()`` equal between the engines, and a QED
+wrapper over it pins the same of a batching run.  Hypothesis property
+tests extend both identities to adversarial random streams the named
+experiments would never build.
 """
 
 import re
@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import build_fault_schedule, simulate_faulty_service
-from repro.flightrec import FlightRecorder, record
+from repro.flightrec import record
 from repro.service import (DEFAULT_CLASSES, DEFAULT_TENANTS, Autoscaler,
                            FleetSpec, NodePowerModel, PVCPolicy,
                            QEDPolicy, ServiceError, build_stream,
@@ -255,25 +255,24 @@ class TestObserved:
     def test_qed_grid(self, router, pvc, fleet_kind, admission,
                       autoscale):
         """The grid again, wrapped in QED: the event core serves the
-        releases, and the report and the trace equal the loop's.  A
-        limit sits on every layer, a different value on each, and the
-        smallest binds.  (A recorded batching run is the loop's alone,
-        see ``TestEngineReason``.)  Shared executions absorb work, so
-        the stream is three times as dense as the grid's, or a limit
+        releases, and the report, the recording and the trace equal the
+        loop's.  A limit sits on every layer, a different value on
+        each, and the smallest binds.  Shared executions absorb work,
+        so the stream is three times as dense as the grid's, or a limit
         would not bite everywhere."""
         dense = build_stream(
             2_500, tenants=tuple(replace(t, rate_per_s=t.rate_per_s * 3)
                                  for t in DEFAULT_TENANTS), seed=0)
         epoch = 4.0 if autoscale else None
-        loop, _, loop_trace = _observed(
+        loop, *loop_seen = _observed(
             dense, router, pvc, fleet_kind, admission, epoch, "loop",
-            observers=("capture",), limits="every", qed=True)
-        event, _, event_trace = _observed(
+            limits="every", qed=True)
+        event, *event_seen = _observed(
             dense, router, pvc, fleet_kind, admission, epoch, "event",
-            observers=("capture",), limits="every", qed=True)
+            limits="every", qed=True)
         assert (loop.engine, event.engine) == ("loop", "event")
         assert loop.to_dict() == event.to_dict()
-        assert loop_trace == event_trace
+        assert loop_seen == event_seen
         assert (event.queries_rejected > 0) == (admission is not None)
 
     @settings(max_examples=40, deadline=None)
@@ -286,21 +285,22 @@ class TestObserved:
            qed=st.booleans(),
            fleet_kind=st.sampled_from(["homogeneous", "hetero"]),
            admission=st.sampled_from([None, 0.05, 1.0]),
-           limits=st.sampled_from(["router", "outer", "both", "every"]))
+           limits=st.sampled_from(["router", "outer", "both", "every"]),
+           batch=st.booleans())
     def test_seed_load_epoch(self, seed, load, epoch, router, pvc, qed,
-                             fleet_kind, admission, limits):
+                             fleet_kind, admission, limits, batch):
         """The differential over everything a generated kernel is
         specialised on: router x governor x batching x where the limits
-        sit x autoscaler x fleet shape, on random seeds and loads (a
-        batching run is compared on its report and trace)."""
+        sit x autoscaler x fleet shape x a batch tenant the limits
+        exempt, on random seeds and loads."""
         stream = build_stream(
             400,
-            tenants=tuple(replace(t, rate_per_s=t.rate_per_s * load)
+            tenants=tuple(replace(t, rate_per_s=t.rate_per_s * load,
+                                  batch=batch and t.name == "reporting")
                           for t in DEFAULT_TENANTS),
             seed=seed)
         args = (stream, router, pvc, fleet_kind, admission, epoch)
-        kwargs = dict(limits=limits, qed=qed, observers=(
-            ("capture",) if qed else ("record", "capture")))
+        kwargs = dict(limits=limits, qed=qed)
         try:
             loop = _observed(*args, "loop", **kwargs)
         except ServiceError as error:
@@ -359,36 +359,38 @@ class TestEngineSelection:
 
     def test_event_serves_batching_policy(self, stream):
         """QED's releases are a stream the kernels serve as they serve
-        arrivals, governed or not."""
+        arrivals, governed or not, recorded or not."""
         for inner in ("power_aware", "pvc"):
-            loop, event = (simulate_service(
-                stream, fleet=_fleet("homogeneous"),
-                policy=QEDPolicy(inner=inner, hold_seconds=0.2),
-                engine=engine) for engine in ("loop", "event"))
+            runs = []
+            for engine in ("loop", "event"):
+                with record() as rec:
+                    report = simulate_service(
+                        stream, fleet=_fleet("homogeneous"),
+                        policy=QEDPolicy(inner=inner, hold_seconds=0.2),
+                        engine=engine)
+                runs.append((report, rec.finalize().to_dict()))
+            (loop, loop_rec), (event, event_rec) = runs
             assert (loop.engine, event.engine) == ("loop", "event")
             assert loop.to_dict() == event.to_dict()
+            assert loop_rec == event_rec
 
     def test_event_refuses_batching_policy(self, stream):
-        """...when the run is recorded: its shared-execution rows carry
-        each execution's exact start, which only the loop emits."""
+        """...when its router has no kernel, recorded or not."""
         with record():
-            with pytest.raises(ServiceError, match="exact start"):
+            with pytest.raises(ServiceError, match="no vectorized kernel"):
                 simulate_service(stream, fleet=_fleet("homogeneous"),
-                                 policy=QEDPolicy(hold_seconds=0.2),
+                                 policy=QEDPolicy(inner=_FirstOnRouter()),
                                  engine="event")
 
     def test_auto_falls_back_for_batching_policy(self, stream):
-        """...when the run is recorded; unrecorded, it is an event-core
-        run."""
-        report = simulate_service(stream, fleet=_fleet("homogeneous"),
-                                  policy=QEDPolicy(hold_seconds=0.2),
-                                  engine="auto")
-        assert report.engine == "event"
-        with record():
-            report = simulate_service(stream, fleet=_fleet("homogeneous"),
-                                      policy=QEDPolicy(hold_seconds=0.2),
-                                      engine="auto")
-        assert report.engine == "loop"
+        """...to the loop, when its router has no kernel."""
+        auto, loop = (simulate_service(
+            stream, fleet=_fleet("homogeneous"),
+            policy=QEDPolicy(inner=_FirstOnRouter(), hold_seconds=0.2),
+            engine=engine) for engine in ("auto", "loop"))
+        assert auto.engine == "loop"
+        assert "no vectorized kernel" in auto.engine_reason
+        assert auto.to_dict() == loop.to_dict()
 
     def test_telemetry_stays_on_event_core(self, stream):
         with capture():
@@ -398,31 +400,18 @@ class TestEngineSelection:
         assert report.engine == "event"
 
     def test_auto_falls_back_under_flight_recording(self, stream):
-        """Only a recorded batching run still needs the loop; a plain
-        recording rides the event core."""
-        with record():
-            report = simulate_service(stream,
-                                      fleet=_fleet("homogeneous"),
-                                      engine="auto")
-        assert report.engine == "event"
-        with record():
-            report = simulate_service(stream,
-                                      fleet=_fleet("homogeneous"),
-                                      policy=QEDPolicy(hold_seconds=0.2),
-                                      engine="auto")
-        assert report.engine == "loop"
-
-    def test_event_refuses_recorded_qed_only(self, stream):
-        fleet = _fleet("homogeneous")
-        with record():
-            simulate_service(stream, fleet=fleet, engine="event")
-        with capture():
-            simulate_service(stream, fleet=fleet, policy=QEDPolicy(),
-                             engine="event")
-        with record():
-            with pytest.raises(ServiceError, match="exact start"):
-                simulate_service(stream, fleet=fleet, policy=QEDPolicy(),
-                                 engine="event")
+        """A recorded run of a router without a kernel falls back, and
+        its recording is the forced loop's."""
+        recordings = []
+        for engine in ("auto", "loop"):
+            with record() as rec:
+                report = simulate_service(stream,
+                                          fleet=_fleet("homogeneous"),
+                                          policy=_FirstOnRouter(),
+                                          engine=engine)
+            assert report.engine == "loop"
+            recordings.append(rec.finalize().to_dict())
+        assert recordings[0] == recordings[1]
 
     @pytest.mark.parametrize(
         "policy", ["round_robin", "least_loaded", "power_aware"])
@@ -467,27 +456,16 @@ class TestEngineSelection:
                                        engine="loop")
         assert loop.engine == "loop"
         assert loop.to_dict() == report.to_dict()
-        with pytest.raises(ServiceError, match="round_robin's rotation"):
-            simulate_faulty_service(stream, schedule,
-                                    fleet=_fleet("homogeneous"),
-                                    policy="round_robin", engine="event")
         with pytest.raises(ServiceError, match="unknown engine"):
             simulate_faulty_service(stream, schedule,
                                     fleet=_fleet("homogeneous"),
                                     engine="warp")
 
     def test_unsupported_reasons(self):
-        assert "round_robin's rotation" in event_core_unsupported(
-            make_policy("round_robin"), faults=True)
-        policy = _policy("power_aware")
-        assert event_core_unsupported(policy) is None
-        assert event_core_unsupported(policy, faults=True) is None
-        # the faulted kernels emit exact starts and exempt batch tenants
-        assert event_core_unsupported(QEDPolicy(), FlightRecorder(),
-                                      faults=True) is None
-        assert event_core_unsupported(QEDPolicy(inner="pvc")) is None
-        assert "exact start" in event_core_unsupported(
-            QEDPolicy(), FlightRecorder())
+        """The one reason is a router without a kernel."""
+        for name in VECTOR_POLICIES:
+            assert event_core_unsupported(_policy(name)) is None
+            assert event_core_unsupported(QEDPolicy(inner=name)) is None
         assert "no vectorized kernel" in event_core_unsupported(
             _UnknownRouter())
         assert "no vectorized kernel" in event_core_unsupported(
@@ -504,8 +482,9 @@ class _FirstOnRouter(DispatchPolicy):
 
 
 class TestEngineReason:
-    """``engine="auto"`` says why it fell back: one test per reason
-    :func:`event_core_unsupported` can give."""
+    """``engine="auto"`` says why it fell back.  Only a router without a
+    kernel falls back: faults, observers, QED and batch tenants under a
+    limit run on the event core, equal to the loop."""
 
     def _auto(self, stream, **kwargs):
         return simulate_service(stream, fleet=_fleet("homogeneous"),
@@ -537,13 +516,13 @@ class TestEngineReason:
         schedule = build_fault_schedule(
             horizon_seconds=stream.duration_seconds, seed=3,
             fleet=_fleet("homogeneous"))
-        report = self._auto(stream, faults=schedule)
-        assert (report.engine, report.engine_reason) == ("event", None)
-        report = self._auto(stream, faults=schedule, policy="round_robin")
-        assert report.engine == "loop"
-        assert report.engine_reason == event_core_unsupported(
-            make_policy("round_robin"), faults=True)
-        assert "round_robin's rotation" in report.engine_reason
+        for policy in ("power_aware", "round_robin"):
+            report = self._auto(stream, faults=schedule, policy=policy)
+            assert (report.engine, report.engine_reason) == ("event", None)
+            loop = simulate_faulty_service(
+                stream, schedule, fleet=_fleet("homogeneous"),
+                policy=policy, engine="loop")
+            assert loop.to_dict() == report.to_dict()
 
     def test_telemetry(self, stream):
         with capture():
@@ -556,44 +535,36 @@ class TestEngineReason:
         assert (report.engine, report.engine_reason) == ("event", None)
 
     def test_batch_tenant_under_admission_limit(self):
-        tenants = (DEFAULT_TENANTS[0],
-                   replace(DEFAULT_TENANTS[1], batch=True))
+        """A limit on the router, on a governor around it or on QED
+        exempts the batch tenant on the event core as on the loop (x10
+        rates, so that every limit bites)."""
+        tenants = tuple(replace(t, rate_per_s=t.rate_per_s * 10,
+                                batch=t is DEFAULT_TENANTS[1])
+                        for t in DEFAULT_TENANTS[:2])
         batchy = build_stream(2_000, tenants=tenants, seed=0)
-        report = self._auto(batchy, admission_limit_seconds=5.0)
-        assert report.engine == "loop"
-        assert "admission-exempt" in report.engine_reason
-        # without the limit the same stream stays on the event core
-        assert self._auto(batchy).engine_reason is None
 
-        # a limit on the router a governor wraps binds the same way
-        # (the event core used to take this run and reject the exempt
-        # batch arrivals the loop admits)
         def wrapped():
             return PVCPolicy(inner=make_policy(
                 "least_loaded", admission_limit_seconds=0.6))
-        report = self._auto(batchy, policy=wrapped())
-        assert report.engine == "loop"
-        assert "admission-exempt" in report.engine_reason
-        with pytest.raises(ServiceError, match="admission-exempt"):
-            simulate_service(batchy, fleet=_fleet("homogeneous"),
-                             policy=wrapped(), engine="event")
-        # and under QED, on any layer
-        for policy in (QEDPolicy(admission_limit_seconds=0.6),
-                       QEDPolicy(inner=wrapped())):
-            report = self._auto(batchy, policy=policy)
-            assert "admission-exempt" in report.engine_reason
+        for policy in (lambda: make_policy("power_aware",
+                                           admission_limit_seconds=0.6),
+                       wrapped,
+                       lambda: QEDPolicy(admission_limit_seconds=0.6),
+                       lambda: QEDPolicy(inner=wrapped())):
+            report = self._auto(batchy, policy=policy())
+            assert (report.engine, report.engine_reason) == ("event", None)
+            loop = simulate_service(batchy, fleet=_fleet("homogeneous"),
+                                    policy=policy(), engine="loop")
+            assert loop.to_dict() == report.to_dict()
+            rejected = {t.tenant: t.rejected for t in report.tenants}
+            assert rejected[tenants[1].name] == 0
+            assert report.queries_rejected > 0
 
     def test_batching_policy(self, stream):
-        """A batching run is an event-core run unless it is recorded."""
-        report = self._auto(stream, policy=QEDPolicy(hold_seconds=0.2))
-        assert (report.engine, report.engine_reason) == ("event", None)
-        with record() as rec:
+        """A recorded batching run is an event-core run."""
+        with record():
             report = self._auto(stream, policy=QEDPolicy(hold_seconds=0.2))
-        assert report.engine == "loop"
-        assert report.engine_reason == \
-            event_core_unsupported(QEDPolicy(hold_seconds=0.2), rec)
-        assert "qed(power_aware)" in report.engine_reason
-        assert "exact start" in report.engine_reason
+        assert (report.engine, report.engine_reason) == ("event", None)
 
     def test_no_vectorized_kernel(self, stream):
         report = self._auto(stream, policy=_FirstOnRouter())

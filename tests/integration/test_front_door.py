@@ -1,7 +1,7 @@
 """The chaos engine on an empty fault schedule against the reference
-loop, over the golden grid of the engine-equivalence suite.  (Where a
-router has a faulted kernel the chaos run takes it; the closure stays
-the chaos engine's ``engine="loop"`` oracle.)
+loop, over the golden grid of the engine-equivalence suite.  (The
+chaos run takes its router's faulted kernel; the closure stays the
+chaos engine's ``engine="loop"`` oracle.)
 
 Both interpreters enter through ``fleet._prepare`` and leave through
 ``fleet._assemble_report``; what stays apart is the per-query
@@ -78,9 +78,8 @@ def test_empty_schedule_chaos_matches_the_loop(policy_name, fleet_kind,
 
     assert chaos.faults == FaultStats()
     assert loop.faults is None
-    # a chaos run takes the faulted kernel wherever one exists
-    assert (loop.engine, chaos.engine) == (
-        "loop", "loop" if policy_name == "round_robin" else "event")
+    # a chaos run takes the faulted kernel
+    assert (loop.engine, chaos.engine) == ("loop", "event")
 
     for name in ("queries_offered", "queries_completed",
                  "queries_rejected", "makespan_seconds",

@@ -57,6 +57,13 @@ def test_a_healthy_kernels_filename_names_its_options(router_type):
     kernel = _kernel(router_type, True, True, True, True, True)
     assert kernel.__code__.co_filename.startswith(
         f"<repro.service.engine kernel: {router_type.name} ")
+    # the derived options a recorded batching run and exempt batch
+    # tenants add name themselves and leave the pinned text alone
+    kernel = _kernel(router_type, False, True, False, False, True,
+                     starts=True, exempt=True)
+    assert kernel.__code__.co_filename.endswith(" lanes starts exempt>")
+    source = "".join(linecache.getlines(kernel.__code__.co_filename))
+    assert "starts[" in source and "and not batch[" in source
 
 
 if __name__ == "__main__":  # the goldens of the tree on the path

@@ -4,7 +4,7 @@ Covers the three contracts the ISSUE pins: per-stage telemetry Joules
 reconcile to the closed-form report at 1e-9, the svc_etl experiment
 measures a real Joules delta between scheduling modes with every
 freshness SLA met, and the batch-tenant surface (admission exemption,
-engine fallback, catalog publication) behaves as documented.
+engine choice, catalog publication) behaves as documented.
 """
 
 import math
@@ -94,15 +94,18 @@ class TestBatchTenantSurface:
         report = run_pipeline(default_pipeline())
         assert report.service.engine == "event"
 
-    def test_admission_limit_forces_loop_and_exempts_batch(self):
+    def test_admission_limit_exempts_batch_on_both_engines(self):
         # a limit this tight rejects bursty arrivals wholesale; batch
         # tenants are exempt, so every task must still complete
-        report = run_pipeline(default_pipeline(),
-                              pack_backlog_seconds=0.2,
-                              admission_limit_seconds=1e-6)
-        assert report.service.engine == "loop"
-        assert all(s.completed == s.tasks for s in report.stages)
-        assert report.freshness_met
+        event, loop = (run_pipeline(default_pipeline(),
+                                    pack_backlog_seconds=0.2,
+                                    admission_limit_seconds=1e-6,
+                                    engine=engine)
+                       for engine in ("auto", "loop"))
+        assert event.service.engine == "event"
+        assert event.service.to_dict() == loop.service.to_dict()
+        assert all(s.completed == s.tasks for s in event.stages)
+        assert event.freshness_met
 
     def test_load_stage_publishes_to_catalog(self):
         cat = DatasetCatalog()

@@ -7,15 +7,12 @@ job.)"""
 import itertools
 import linecache
 import traceback
-from dataclasses import replace
 
 import pytest
 
-from repro.service import (DEFAULT_TENANTS, FleetNode, FleetSpec,
-                           NodePowerModel, PVCPolicy, ServiceError,
-                           build_stream, make_policy)
-from repro.service.dispatch import (CostAware, LeastLoaded,
-                                    PowerAwarePacking, RoundRobin)
+from repro.service import (FleetNode, FleetSpec, NodePowerModel, PVCPolicy,
+                           ServiceError, build_stream)
+from repro.service.dispatch import DispatchPolicy, LeastLoaded, RoundRobin
 from repro.service.engine import (_PVC, _ROUTERS, _SERVE, ServedColumns,
                                   _kernel, serve_event)
 
@@ -55,12 +52,12 @@ def test_every_option_tuple_expands_and_compiles(router_type):
         assert ("max(ends)" in source) == (chunked and not rejecting)
 
 
-@pytest.mark.parametrize("router_type", [LeastLoaded, PowerAwarePacking,
-                                         CostAware],
+@pytest.mark.parametrize("router_type", list(_ROUTERS),
                          ids=lambda router_type: router_type.name)
 def test_every_faulted_option_tuple_expands_and_compiles(router_type):
     """The ``_FAULTED`` skeleton under every option: the router's own
-    fragments, ``serve_active``'s lane, and what is off is absent."""
+    fragments, ``serve_active``'s lane, batch tenants exempt from every
+    limit, and what is off is absent."""
     router = _ROUTERS[router_type]
     for options in itertools.product((False, True), repeat=4):
         governed, limited, outer_limited, autoscaled = options
@@ -75,6 +72,7 @@ def test_every_faulted_option_tuple_expands_and_compiles(router_type):
         assert ("for row in steps_of[i]" in source) == governed
         assert ("backlog > limit" in source) == limited
         assert ("backlog > outer" in source) == outer_limited
+        assert ("and not batch[k]:" in source) == (limited or outer_limited)
         assert ("autoscaler.step(" in source) == autoscaled
         # the fixed half of the router's setup runs once, up front
         if router.fixed:
@@ -98,19 +96,22 @@ def test_a_kernels_traceback_shows_the_template_line():
     assert innermost.line in _PVC
 
 
-def test_serve_event_refuses_exempt_batch_tenants_under_a_limit():
-    """A direct caller gets the front door's refusal, not the kernels'
-    non-exempt admission: batch tenants bypass the admission limit
-    only on the reference loop."""
-    tenants = (DEFAULT_TENANTS[0], replace(DEFAULT_TENANTS[1], batch=True))
-    stream = build_stream(200, tenants=tenants, seed=0)
+class _FirstOn(DispatchPolicy):
+    name = "first_on"
+
+    def route(self, ctx):
+        return ctx.on_ids[0]
+
+
+def test_serve_event_refuses_a_router_without_a_kernel():
+    """A direct caller gets the front door's refusal."""
+    stream = build_stream(200, seed=0)
     nodes = [FleetNode(f"n{i}", NodePowerModel()) for i in range(2)]
     with pytest.raises(ServiceError) as caught:
         serve_event(stream, stream.columns(), FleetSpec.homogeneous(2),
-                    make_policy("least_loaded", admission_limit_seconds=0.5),
-                    None, nodes, [0, 1])
+                    PVCPolicy(inner=_FirstOn()), None, nodes, [0, 1])
     message = str(caught.value)
-    assert "admission-exempt" in message
+    assert "no vectorized kernel" in message
     assert "\n" not in message
     # refused before serving: no node was touched
     assert all(node.completed == 0 for node in nodes)
