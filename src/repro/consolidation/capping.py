@@ -11,7 +11,7 @@ admission until the committed power fits the cap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import ConsolidationError
 from repro.hardware.disk import HardDisk
@@ -36,12 +36,6 @@ class CappedRunReport:
     peak_power_watts: float
     mean_queue_delay_seconds: float
     results: list[QueryResult] = field(default_factory=list)
-
-    @property
-    def queries_per_hour(self) -> float:
-        if self.makespan_seconds <= 0:
-            return 0.0
-        return self.completed * 3600.0 / self.makespan_seconds
 
 
 class PowerCappedScheduler:

@@ -15,7 +15,6 @@ from repro.core.metrics import (
 from repro.core.profiler import (
     EnergyProfile,
     ProfilePoint,
-    sweep_knob,
 )
 from repro.core.experiments import (
     Figure1Result,
@@ -40,5 +39,4 @@ __all__ = [
     "figure2_point",
     "format_table",
     "perf_per_watt",
-    "sweep_knob",
 ]

@@ -1,17 +1,17 @@
 """Knob-sweep profiler: Figure 1 generalized to any knob.
 
-Sweep any configuration knob through an evaluation callback, get back
-the performance / power / efficiency curves, and locate the
-diminishing-returns point — "in configuring and tuning a system for
-energy efficiency, one ought to balance system components such that the
-incremental benefits among all types outweigh the additional power
-cost" (§3.1).
+A sweep of any configuration knob (a runner sweep's
+:meth:`~repro.runner.runner.RunResult.profile`) gives the performance /
+power / efficiency curves and locates the diminishing-returns point —
+"in configuring and tuning a system for energy efficiency, one ought
+to balance system components such that the incremental benefits among
+all types outweigh the additional power cost" (§3.1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any
 
 from repro.errors import ReproError
 from repro.records import Record
@@ -101,29 +101,3 @@ class EnergyProfile(Record):
         """(knob, seconds, watts, efficiency) rows for reporting."""
         return [(p.knob_value, p.seconds, p.average_power_watts,
                  p.efficiency) for p in self.points]
-
-
-def sweep_knob(knob_name: str, values: Sequence[Any],
-               evaluate: Callable[[Any], tuple[float, float]],
-               work_done: float = 1.0) -> EnergyProfile:
-    """Evaluate ``(seconds, joules) = evaluate(value)`` for each value.
-
-    >>> profile = sweep_knob("disks", [1, 2],
-    ...                      lambda v: (10.0 / v, 50.0 + 50.0 * v))
-    >>> [(p.knob_value, p.seconds, p.energy_joules)
-    ...  for p in profile.points]
-    [(1, 10.0, 100.0), (2, 5.0, 150.0)]
-    >>> profile.best_efficiency().knob_value
-    1
-    """
-    if not values:
-        raise ReproError("no knob values to sweep")
-    profile = EnergyProfile(knob_name=knob_name)
-    for value in values:
-        seconds, joules = evaluate(value)
-        if seconds <= 0 or joules <= 0:
-            raise ReproError(
-                f"evaluate({value!r}) returned non-positive time or energy")
-        profile.points.append(ProfilePoint(value, seconds, joules,
-                                           work_done))
-    return profile

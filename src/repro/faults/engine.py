@@ -50,7 +50,7 @@ from repro.faults.policies import RetryPolicy, ShedPolicy
 from repro.faults.schedule import FaultError, FaultSchedule
 from repro.service.autoscale import Autoscaler
 from repro.service.dispatch import DispatchContext, DispatchPolicy
-from repro.service.engine import kernel_for
+from repro.service.engine import kernel_for, ladder_rows
 from repro.service.fleet import _assemble_report, _prepare
 from repro.service.report import FaultStats, ServiceReport
 from repro.service.spec import FleetSpec
@@ -224,10 +224,7 @@ def simulate_faulty_service(stream: ArrivalStream,
         busy_watts[i] = model.dvfs_watts(tf)
         # each downclock step composed with the throttle (the cubic
         # rule) and the degraded speed, as ``dispatch`` composes them
-        steps_of[i] = [(f, model.speed_factor * (speed_mult[i] * f),
-                        w - model.idle_watts, w)
-                       for f, w in ((f, model.dvfs_watts(tf * f))
-                                    for f in steps)]
+        steps_of[i] = ladder_rows(model, steps, speed_mult[i], tf)
 
     for i in range(n_nodes):
         recompute(i)

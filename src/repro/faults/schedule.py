@@ -164,12 +164,14 @@ def degraded_speed_factor(raid_width: int,
                           rebuild_overhead: float = 0.2) -> float:
     """Serving speed of a node whose RAID 5 group lost a member.
 
-    Mirrors :meth:`repro.hardware.raid.RaidArray._degrade_shares`:
-    each of the ``width - 1`` survivors reads its own share plus an
-    equal slice of the lost member's, so the slowest-member service
-    time stretches by ``width / (width - 1)``; ``rebuild_overhead`` is
-    the extra slowdown from rebuild traffic competing with serving
-    I/O.
+    A striped read of ``B`` bytes puts ``B / width`` on each member.
+    With one member lost, its share is rebuilt from the same stripe on
+    every survivor (data plus parity), so each of the ``width - 1``
+    survivors reads ``B / width + (B / width) / (width - 1) =
+    B / (width - 1)``.  The slowest-member service time therefore
+    stretches by ``width / (width - 1)`` and the speed falls to
+    ``(width - 1) / width``.  ``rebuild_overhead`` is the extra
+    slowdown from rebuild traffic competing with serving I/O.
 
     >>> round(degraded_speed_factor(8), 6)
     0.729167

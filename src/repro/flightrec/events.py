@@ -160,9 +160,6 @@ class FlightRecording:
     def tenant_name(self, ti: int) -> str:
         return self.meta["tenants"][ti]["name"]
 
-    def tenant_sla(self, ti: int) -> Optional[float]:
-        return self.meta["tenants"][ti]["sla_p95_seconds"]
-
     def events_of(self, *kinds: str) -> Iterator[FleetEvent]:
         wanted = set(kinds)
         return (e for e in self.events if e.kind in wanted)

@@ -5,9 +5,7 @@ curves.  This module tumbles the run into fixed windows and produces,
 per window: each node's busy fraction and average power draw (idle
 draw over powered-on time, active draw over execution spans,
 boot/drain lumps landing in the window that contains the transition
-instant), each tenant's completion count, latency percentiles, and
-active Joules per query (a batch's active energy splits evenly across
-its members), and the fleet's total draw.  Summing any node's
+instant) and the fleet's total draw.  Summing any node's
 per-window ``watts * window`` over all windows reproduces that node's
 share of :meth:`~repro.flightrec.events.FlightRecording.
 replayed_energy_joules` — the rollup is a re-binning of the audit, not
@@ -19,9 +17,8 @@ from __future__ import annotations
 import math
 from typing import Any, Optional
 
-from repro.flightrec.events import (BOOT, CRASH, DONE, DRAIN,
-                                    TRUNCATED_SERVE, FlightRecording)
-from repro.service.report import quantile
+from repro.flightrec.events import (BOOT, CRASH, DRAIN, TRUNCATED_SERVE,
+                                    FlightRecording)
 
 
 def default_window_seconds(end: float, target_windows: int = 60) -> float:
@@ -153,65 +150,6 @@ def node_rollup(recording: FlightRecording,
              for w in range(len(starts))]
     return {"window_seconds": window_seconds, "t": starts,
             "nodes": nodes_out, "fleet_watts": fleet}
-
-
-def tenant_rollup(recording: FlightRecording,
-                  window_seconds: Optional[float] = None) -> dict[str, Any]:
-    """Per-tenant latency and Joules/query curves, windowed by
-    completion time.
-
-    Returns ``{"window_seconds", "t", "tenants": [{"name", "sla",
-    "completed": [...], "p95": [...], "joules_per_query": [...]},
-    ...]}``.
-    """
-    end = recording.end
-    if window_seconds is None:
-        window_seconds = default_window_seconds(end)
-    starts = window_starts(end, window_seconds)
-    idle = [n["model"]["idle_watts"] for n in recording.meta["nodes"]]
-    peak = [n["model"]["peak_watts"] for n in recording.meta["nodes"]]
-    n_t = len(recording.meta["tenants"])
-    lat: list[list[list[float]]] = \
-        [[[] for _ in starts] for _ in range(n_t)]
-    joules: list[list[float]] = [[0.0] * len(starts) for _ in range(n_t)]
-
-    q = recording.queries
-    b = recording.batches
-    members_of = b["members"]
-    for k in range(recording.n_queries):
-        completion = q["completion"][k]
-        if completion is None or q["state"][k] != DONE:
-            continue
-        w = min(len(starts) - 1, int(completion / window_seconds))
-        ti = q["tenant"][k]
-        lat[ti][w].append(completion - q["arrival"][k])
-        node = q["node"][k]
-        watts = q["watts"][k]
-        active = (peak[node] if watts is None else watts) - idle[node]
-        batch = q["batch"][k]
-        if batch is None:
-            joules[ti][w] += active * (completion - q["start"][k])
-        else:
-            # the shared execution's energy splits across its members
-            joules[ti][w] += active \
-                * (b["completion"][batch] - b["start"][batch]) \
-                / members_of[batch]
-
-    tenants_out = []
-    for ti in range(n_t):
-        completed = [len(ws) for ws in lat[ti]]
-        tenants_out.append({
-            "name": recording.tenant_name(ti),
-            "sla": recording.tenant_sla(ti),
-            "completed": completed,
-            "p95": [quantile(sorted(ws), 0.95) if ws else None
-                    for ws in lat[ti]],
-            "joules_per_query": [
-                j / c if c else None
-                for j, c in zip(joules[ti], completed)],
-        })
-    return {"window_seconds": window_seconds, "t": starts,
-            "tenants": tenants_out}
 
 
 def summarize(recording: FlightRecording) -> dict[str, Any]:

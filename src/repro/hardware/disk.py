@@ -135,10 +135,6 @@ class HardDisk(Device):
         """Current power state name."""
         return self._psm.current
 
-    @property
-    def spun_down(self) -> bool:
-        return self._psm.current == self.STANDBY
-
     # -- multi-speed operation (Hibernator-style, [ZCT+05]) -------------------
     @property
     def speed_fraction(self) -> float:
@@ -221,14 +217,6 @@ class HardDisk(Device):
         transfer — the index-probe pattern, where per-request event
         granularity would be wasteful.
         """
-        yield from self._transfer_batch(nbytes, n_requests, is_write=False)
-
-    def write_batch(self, nbytes: float, n_requests: float) -> Generator:
-        """Serve a batch of random writes in one simulation step."""
-        yield from self._transfer_batch(nbytes, n_requests, is_write=True)
-
-    def _transfer_batch(self, nbytes: float, n_requests: float,
-                        is_write: bool) -> Generator:
         if nbytes < 0 or n_requests < 0:
             raise HardwareError(f"{self.name}: negative batch transfer")
         yield self.spindle.acquire()
@@ -248,10 +236,7 @@ class HardDisk(Device):
                 self._mark_idle()
                 self._enter(self.IDLE)
             self.requests_served += int(round(n_requests))
-            if is_write:
-                self.bytes_written += int(nbytes)
-            else:
-                self.bytes_read += int(nbytes)
+            self.bytes_read += int(nbytes)
         finally:
             self.spindle.release()
 

@@ -10,7 +10,7 @@ instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import PowerStateError
 
@@ -84,10 +84,6 @@ class PowerStateMachine:
         except KeyError:
             raise PowerStateError(f"unknown state {name!r}") from None
 
-    def can_transition(self, target: str) -> bool:
-        """Whether a direct transition to ``target`` is defined."""
-        return (self._current, target) in self._transitions
-
     def transition(self, target: str) -> Transition:
         """Move to ``target``; returns the transition (latency + energy).
 
@@ -125,41 +121,3 @@ def breakeven_idle_seconds(active_idle_watts: float, sleep_watts: float,
     breakeven = fixed / (active_idle_watts - sleep_watts)
     # The window must at least fit the transitions themselves.
     return max(breakeven, latency)
-
-
-@dataclass
-class PowerBudget:
-    """A provisioned power cap (rack / tray budgets, §2.2).
-
-    Tracks commitments against a cap so configuration tools can refuse
-    placements that would exceed provisioned power.
-    """
-
-    cap_watts: float
-    committed_watts: float = 0.0
-    commitments: dict[str, float] = field(default_factory=dict)
-
-    def commit(self, name: str, watts: float) -> None:
-        """Reserve ``watts`` for ``name``; raises if the cap is exceeded."""
-        if watts < 0:
-            raise PowerStateError(f"cannot commit negative power {watts}")
-        if name in self.commitments:
-            raise PowerStateError(f"{name!r} already committed")
-        if self.committed_watts + watts > self.cap_watts + 1e-9:
-            raise PowerStateError(
-                f"power budget exceeded: {self.committed_watts + watts:.0f} W "
-                f"> cap {self.cap_watts:.0f} W")
-        self.commitments[name] = watts
-        self.committed_watts += watts
-
-    def release(self, name: str) -> None:
-        """Return a commitment to the pool."""
-        try:
-            self.committed_watts -= self.commitments.pop(name)
-        except KeyError:
-            raise PowerStateError(f"no commitment named {name!r}") from None
-
-    @property
-    def headroom_watts(self) -> float:
-        """Uncommitted power under the cap."""
-        return self.cap_watts - self.committed_watts

@@ -8,7 +8,7 @@ proportional device for what-if comparisons (experiment A8).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import HardwareError
 from repro.hardware.device import Device
@@ -46,39 +46,6 @@ def proportionality_index(utilizations: Sequence[float],
                                   zip(utilizations[1:], powers_watts[1:])):
         area += 0.5 * (p0 + p1) / peak * (u1 - u0)
     return 2.0 - 2.0 * area
-
-
-def dynamic_range(idle_watts: float, peak_watts: float) -> float:
-    """Fraction of peak power that responds to load.
-
-    The paper (§2.4) notes "most servers offer little power variance from
-    no load to peak use"; this is that variance, as peak-normalized range.
-    """
-    if peak_watts <= 0:
-        raise HardwareError("peak power must be positive")
-    if idle_watts < 0 or idle_watts > peak_watts:
-        raise HardwareError("idle power must be within [0, peak]")
-    return (peak_watts - idle_watts) / peak_watts
-
-
-def ideal_proportional_energy(device: Device,
-                              peak_watts: Optional[float] = None,
-                              t0: Optional[float] = None,
-                              t1: Optional[float] = None) -> float:
-    """Energy the device *would* have used were it perfectly proportional.
-
-    Charges peak power for busy unit-seconds and nothing for idle time —
-    the [BH07] ideal applied retroactively to a recorded run.
-    """
-    if peak_watts is None:
-        per_unit = getattr(device, "active_power_per_unit_watts", None)
-        if per_unit is None:
-            raise HardwareError(
-                f"{device.name}: no active power known; pass peak_watts")
-        return per_unit * device.busy_seconds()
-    if peak_watts < 0:
-        raise HardwareError("peak power cannot be negative")
-    return peak_watts / device.capacity_units * device.busy_seconds()
 
 
 class IdealProportionalDevice(Device):

@@ -48,7 +48,6 @@ class RaidArray:
         self.level = level
         self.stripe_unit_bytes = stripe_unit_bytes
         self.name = name
-        self._failed: set[int] = set()
 
     # -- geometry ------------------------------------------------------------
     @property
@@ -136,11 +135,9 @@ class RaidArray:
 
     def _fan_out(self, shares: list[int], stream: Optional[Hashable],
                  is_write: bool) -> Generator:
-        if self._failed and not is_write:
-            shares = self._degrade_shares(shares)
         children = []
-        for index, (member, share) in enumerate(zip(self.members, shares)):
-            if share <= 0 or index in self._failed:
+        for member, share in zip(self.members, shares):
+            if share <= 0:
                 continue
             op = member.write if is_write else member.read
             children.append(self.sim.spawn(
@@ -148,19 +145,6 @@ class RaidArray:
                 name=f"{self.name}.{member.name}"))
         if children:
             yield self.sim.all_of(children)
-
-    def _degrade_shares(self, shares: list[int]) -> list[int]:
-        """Degraded RAID 5 read: the failed member's share is
-        reconstructed by reading the corresponding chunks (data +
-        parity) from every survivor — each survivor reads its own share
-        plus an equal slice of the lost one."""
-        lost = sum(shares[i] for i in self._failed)
-        survivors = [i for i in range(self.width) if i not in self._failed]
-        extra, remainder = divmod(lost, len(survivors))
-        out = list(shares)
-        for position, index in enumerate(survivors):
-            out[index] += extra + (1 if position < remainder else 0)
-        return out
 
     # -- service-time arithmetic --------------------------------------------
     def read_seconds(self, nbytes: int, positioned: bool = True) -> float:
@@ -173,50 +157,6 @@ class RaidArray:
                 t = member.read_seconds(share)
             worst = max(worst, t)
         return worst
-
-    # -- failure and rebuild (RAID 5 degraded mode) ----------------------------
-    @property
-    def degraded(self) -> bool:
-        """Whether the array is running with a failed member."""
-        return bool(self._failed)
-
-    def fail_member(self, index: int) -> None:
-        """Mark one member failed (RAID 5 only; a second failure is
-        data loss and is rejected)."""
-        if self.level is not RaidLevel.RAID5:
-            raise HardwareError(
-                f"{self.name}: only RAID 5 supports degraded operation")
-        if not 0 <= index < self.width:
-            raise HardwareError(f"{self.name}: no member {index}")
-        if self._failed and index not in self._failed:
-            raise HardwareError(
-                f"{self.name}: a second failure loses data")
-        self._failed.add(index)
-
-    def repair_member(self, index: int) -> None:
-        """Mark a member healthy again (after rebuild)."""
-        self._failed.discard(index)
-
-    def rebuild(self, index: int) -> Generator:
-        """Rebuild a failed member onto a fresh spare (process).
-
-        Reads every survivor's full data share and writes the
-        reconstructed content to the replaced member — the energy bill
-        of redundancy repair.
-        """
-        if index not in self._failed:
-            raise HardwareError(f"{self.name}: member {index} not failed")
-        per_member = min(m.spec.capacity_bytes for m in self.members)
-        readers = [self.sim.spawn(member.read(per_member,
-                                              stream=f"rebuild-{i}"),
-                                  name=f"{self.name}.rebuild.read{i}")
-                   for i, member in enumerate(self.members)
-                   if i != index]
-        writer = self.sim.spawn(
-            self.members[index].write(per_member, stream="rebuild-w"),
-            name=f"{self.name}.rebuild.write")
-        yield self.sim.all_of([*readers, writer])
-        self.repair_member(index)
 
     # -- power management ---------------------------------------------------
     def spin_down(self) -> Generator:

@@ -61,12 +61,6 @@ class Server:
         self.meter.attach(self.base)
         for device in self.storage:
             self.meter.attach(device)
-        self._powered_on = True
-
-    # -- power ------------------------------------------------------------
-    @property
-    def powered_on(self) -> bool:
-        return self._powered_on
 
     def power_off(self) -> None:
         """Cut the whole node (ensemble consolidation, §2.4/[TWM+08]).
@@ -84,7 +78,6 @@ class Server:
         self.dram._set_power(0.0)
         for device in self.storage:
             device._set_power(0.0)
-        self._powered_on = False
 
     def power_watts(self) -> float:
         """Instantaneous component power."""

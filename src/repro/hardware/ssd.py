@@ -88,38 +88,21 @@ class FlashSsd(Device):
 
     def read_batch(self, nbytes: float, n_requests: float) -> Generator:
         """A batch of random reads in one simulation step (process)."""
-        yield from self._transfer_batch(nbytes, n_requests, is_write=False)
-
-    def write_batch(self, nbytes: float, n_requests: float) -> Generator:
-        """A batch of random writes in one simulation step (process)."""
-        yield from self._transfer_batch(nbytes, n_requests, is_write=True)
-
-    def _transfer_batch(self, nbytes: float, n_requests: float,
-                        is_write: bool) -> Generator:
         if nbytes < 0 or n_requests < 0:
             raise HardwareError(f"{self.name}: negative batch transfer")
-        bandwidth = (self.spec.write_bandwidth_bytes_per_s if is_write
-                     else self.spec.read_bandwidth_bytes_per_s)
         seconds = (n_requests * self.spec.per_request_latency_seconds
-                   + nbytes / bandwidth)
+                   + nbytes / self.spec.read_bandwidth_bytes_per_s)
         yield self.channels.acquire()
         self._mark_busy()
-        if is_write:
-            self._writing += 1
         self._update_power()
         try:
             yield self.sim.timeout(seconds)
         finally:
             self._mark_idle()
-            if is_write:
-                self._writing -= 1
             self._update_power()
             self.channels.release()
         self.requests_served += int(round(n_requests))
-        if is_write:
-            self.bytes_written += int(nbytes)
-        else:
-            self.bytes_read += int(nbytes)
+        self.bytes_read += int(nbytes)
 
     def _transfer(self, nbytes: int, is_write: bool) -> Generator:
         seconds = (self.write_seconds(nbytes) if is_write

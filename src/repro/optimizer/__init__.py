@@ -11,7 +11,6 @@ from repro.optimizer.stats import ColumnStats, TableStatistics, analyze_table
 from repro.optimizer.cost import CostModel, PlanCost
 from repro.optimizer.objective import Objective, WeightedObjective, score
 from repro.optimizer.planner import Planner, QuerySpec
-from repro.optimizer.knobs import SystemKnobs
 from repro.optimizer.advisor import DesignAdvisor
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "PlanCost",
     "Planner",
     "QuerySpec",
-    "SystemKnobs",
     "TableStatistics",
     "WeightedObjective",
     "analyze_table",

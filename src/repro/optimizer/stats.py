@@ -91,12 +91,6 @@ class TableStatistics:
     plain_bytes: int
     columns: dict[str, ColumnStats] = field(default_factory=dict)
 
-    @property
-    def average_row_bytes(self) -> float:
-        if self.row_count == 0:
-            return 0.0
-        return self.plain_bytes / self.row_count
-
     def column(self, name: str) -> Optional[ColumnStats]:
         return self.columns.get(name)
 

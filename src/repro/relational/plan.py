@@ -1,11 +1,9 @@
-"""Plan utilities: validation, pretty-printing, pipeline preview."""
+"""Plan utilities: validation and pretty-printing."""
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.errors import PlanError
-from repro.relational.operators.base import CostCollector, Operator
+from repro.relational.operators.base import Operator
 
 
 def explain(root: Operator) -> str:
@@ -37,41 +35,3 @@ def validate(root: Operator) -> None:
             walk(child)
 
     walk(root)
-
-
-def operator_count(root: Operator) -> int:
-    """Number of operators in the tree."""
-    return 1 + sum(operator_count(c) for c in root.children())
-
-
-def collect_scans(root: Operator) -> list[Operator]:
-    """All leaf scan operators, left to right."""
-    if not root.children():
-        return [root]
-    out: list[Operator] = []
-    for child in root.children():
-        out.extend(collect_scans(child))
-    return out
-
-
-def preview_pipelines(plan_builder: Callable[[], Operator],
-                      scale: float = 1.0) -> list[dict]:
-    """Dry-run a plan (built fresh by ``plan_builder``) and summarize its
-    pipelines: CPU cycles, I/O bytes, memory grants.
-
-    Takes a builder rather than a plan because evaluation is effectful
-    (stream ids, spill flags); callers keep their real plan pristine.
-    """
-    collector = CostCollector(scale=scale)
-    plan_builder().execute(collector)
-    return [
-        {
-            "index": p.index,
-            "label": p.label,
-            "cpu_cycles": p.cpu_cycles,
-            "io_bytes": p.io_bytes,
-            "dram_grant_bytes": p.dram_grant_bytes,
-            "parallelism": p.parallelism,
-        }
-        for p in collector.pipelines
-    ]

@@ -40,7 +40,6 @@ from repro.service.dispatch import (DISPATCH_POLICIES, CostAware,
                                     RoundRobin, make_policy,
                                     policy_knob_names, register_policy)
 from repro.service.fleet import simulate_service
-from repro.service.micro import MicroFleetResult, run_micro_fleet
 from repro.service.node import FleetNode, NodePowerModel
 from repro.service.pvc import DEFAULT_FREQUENCY_STEPS, PVCPolicy
 from repro.service.qed import QEDPolicy
@@ -69,7 +68,6 @@ __all__ = [
     "FleetNode",
     "FleetSpec",
     "LeastLoaded",
-    "MicroFleetResult",
     "NODE_CLASS_REGISTRY",
     "NodeClass",
     "NodePowerModel",
@@ -91,6 +89,5 @@ __all__ = [
     "register_node_class",
     "register_policy",
     "rollup_classes",
-    "run_micro_fleet",
     "simulate_service",
 ]

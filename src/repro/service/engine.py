@@ -118,7 +118,7 @@ import numpy as np
 from repro.service.autoscale import Autoscaler
 from repro.service.dispatch import (CostAware, DispatchPolicy, LeastLoaded,
                                     PowerAwarePacking, RoundRobin)
-from repro.service.node import FleetNode
+from repro.service.node import FleetNode, NodePowerModel
 from repro.service.pvc import PVCPolicy
 from repro.service.qed import QEDPolicy
 from repro.service.report import ServiceError
@@ -324,23 +324,30 @@ def kernel_for(policy: DispatchPolicy, autoscaler: Optional[Autoscaler],
                    exempt), router, pvc, outer
 
 
-def _pvc_tables(pvc: PVCPolicy, nodes: Sequence[FleetNode]) -> list[list]:
-    """Per-node downclock constants, one row per sub-unity step.
+def ladder_rows(model: NodePowerModel, steps: Sequence[float],
+                mult: float = 1.0, throttle: float = 1.0) -> list[tuple]:
+    """One node's downclock ladder, a row per sub-unity step ``f``.
 
-    Each row is ``(f, speed_factor * f, busy_watts - idle_watts,
-    busy_watts)`` with ``busy_watts = model.dvfs_watts(f)`` — the exact
-    expressions the reference engine evaluates per arrival (the cubic
-    draw and ``FleetNode.serve_active``'s scaled divisor), precomputed
-    once per (model, step) so byte-identity survives the hoisting.
+    Each row is ``(f, speed_factor * (mult * f), busy_watts -
+    idle_watts, busy_watts)`` with ``busy_watts =
+    model.dvfs_watts(throttle * f)`` — the exact expressions the
+    reference engines evaluate per arrival (the cubic draw and
+    ``FleetNode.serve_active``'s scaled divisor).  A fault run passes
+    its node's speed multiplier and throttle; a healthy one keeps both
+    at 1.0, and since ``1.0 * f == f`` its rows are ``f``'s exactly.
     """
+    return [(f, model.speed_factor * (mult * f), w - model.idle_watts, w)
+            for f, w in ((f, model.dvfs_watts(throttle * f)) for f in steps)]
+
+
+def _pvc_tables(pvc: PVCPolicy, nodes: Sequence[FleetNode]) -> list[list]:
+    """Per-node :func:`ladder_rows`, computed once per model so
+    byte-identity survives the hoisting."""
     steps = [f for f in pvc.frequency_steps if f < 1.0]
     by_model: dict = {}
     for node in nodes:
-        model = node.model
-        if model not in by_model:
-            by_model[model] = [
-                (f, model.speed_factor * f, watts - model.idle_watts, watts)
-                for f, watts in ((f, model.dvfs_watts(f)) for f in steps)]
+        if node.model not in by_model:
+            by_model[node.model] = ladder_rows(node.model, steps)
     return [by_model[node.model] for node in nodes]
 
 

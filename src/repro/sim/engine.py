@@ -23,12 +23,11 @@ Example
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Generator, Iterable, Optional
+from typing import Any, Generator, Iterable
 
 from repro.errors import SimulationError
 from repro.sim.clock import Clock
 from repro.sim.events import AllOf, AnyOf, Callback, Event, Timeout
-from repro.sim.resources import _Request
 
 ProcessGenerator = Generator[Event, Any, Any]
 
@@ -42,8 +41,7 @@ class Process(Event):
     the :class:`Process` object.
     """
 
-    __slots__ = ("name", "_generator", "_waiting_on", "_spawn_seq",
-                 "__weakref__")
+    __slots__ = ("name", "_generator", "_spawn_seq", "__weakref__")
 
     def __init__(self, sim: "Simulation", generator: ProcessGenerator,
                  name: str = "") -> None:
@@ -54,7 +52,6 @@ class Process(Event):
             )
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
         #: spawn order, which picks among several orphaned failures
         self._spawn_seq = sim._seq
         # Kick the process off at the current time.
@@ -65,7 +62,6 @@ class Process(Event):
 
     def _on_event(self, event: Event) -> None:
         # only a dispatched, hence triggered, event gets here
-        self._waiting_on = None
         self._step(event._value, event._ok)
 
     def _step(self, value: Any, ok: bool) -> None:
@@ -91,29 +87,11 @@ class Process(Event):
             self.fail(SimulationError(
                 f"process {self.name!r} yielded an event from another simulation"))
             return
-        self._waiting_on = target
         # add_callback, without the call on the path every wait takes
         if target._dispatched:
             target.add_callback(self._on_event)
         else:
             target.callbacks.append(self._on_event)
-
-    def interrupt(self, reason: str = "interrupted") -> None:
-        """Abort the process by throwing :class:`SimulationError` into it."""
-        if self._triggered:
-            return
-        waiting = self._waiting_on
-        self._waiting_on = None
-        if waiting is not None and self._on_event in waiting.callbacks:
-            waiting.callbacks.remove(self._on_event)
-            if isinstance(waiting, _Request):
-                # the unit would go to a process that never releases it
-                if waiting._triggered:
-                    waiting.resource.release()
-                else:
-                    waiting.resource.cancel(waiting)
-        self.sim._schedule_call(
-            lambda _carrier: self._step(SimulationError(reason), ok=False))
 
     def __repr__(self) -> str:
         state = "running"

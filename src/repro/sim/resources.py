@@ -27,7 +27,7 @@ Resource('spindle', 0/1 busy, 0 queued)
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
 
@@ -40,11 +40,7 @@ from repro.sim.events import Event
 class _Request(Event):
     """The event handed to a waiting process; succeeds on grant."""
 
-    __slots__ = ("resource",)
-
-    def __init__(self, sim: "Simulation", resource: "Resource") -> None:
-        super().__init__(sim)
-        self.resource = resource
+    __slots__ = ()
 
 
 class Resource:
@@ -66,7 +62,7 @@ class Resource:
     # -- acquisition ---------------------------------------------------
     def acquire(self) -> _Request:
         """Request one unit.  Yield the returned event to wait for grant."""
-        request = _Request(self.sim, self)
+        request = _Request(self.sim)
         if self._in_use < self.capacity:
             self._grant(request)
         else:
@@ -81,15 +77,6 @@ class Resource:
         self._in_use -= 1
         if self._waiting:
             self._grant(self._waiting.popleft())
-
-    def cancel(self, request: _Request) -> None:
-        """Withdraw a queued (ungranted) request."""
-        try:
-            self._waiting.remove(request)
-        except ValueError:
-            raise SimulationError(
-                f"{self.name}: request not waiting (already granted or cancelled)"
-            ) from None
 
     def _grant(self, request: _Request) -> None:
         self._account()

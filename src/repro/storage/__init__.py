@@ -15,7 +15,6 @@ from repro.storage.compression import (
     LzLiteCodec,
     NoneCodec,
     RleCodec,
-    best_codec_for,
     codec_by_name,
 )
 from repro.storage.heap import HeapFile
@@ -50,7 +49,6 @@ __all__ = [
     "TableProfile",
     "TieringAdvisor",
     "WriteAheadLog",
-    "best_codec_for",
     "codec_by_name",
     "trickle_stream",
 ]

@@ -171,10 +171,6 @@ class BPlusTree:
                     yield key, rid
             leaf = leaf.next_leaf
 
-    def count_range(self, low: Any = None, high: Any = None) -> int:
-        """Entries within [low, high] (both inclusive)."""
-        return sum(1 for _ in self.range_scan(low, high))
-
     def leaves_touched(self, low: Any = None, high: Any = None) -> int:
         """Leaf pages a range scan over [low, high] reads."""
         if low is not None:

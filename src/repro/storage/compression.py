@@ -397,31 +397,3 @@ def codec_by_name(name: str) -> Codec:
     except KeyError:
         raise CompressionError(
             f"unknown codec {name!r}; known: {sorted(_CODECS)}") from None
-
-
-def best_codec_for(values: Sequence[Any], dtype: DataType,
-                   candidates: Sequence[str] = ("none", "rle", "dictionary",
-                                                "delta", "lzlite"),
-                   sample_size: int = 2000) -> Codec:
-    """Pick the candidate with the smallest encoding of a value sample.
-
-    This is the kind of physical-design decision §5.1 asks the system to
-    make; callers can then weigh the winner's CPU cost via its
-    ``decode_cycles_per_byte`` before committing.
-    """
-    sample = list(values[:sample_size])
-    if not sample:
-        return codec_by_name("none")
-    best: Codec = codec_by_name("none")
-    best_size = None
-    for name in candidates:
-        codec = codec_by_name(name)
-        if not codec.supports(dtype):
-            continue
-        try:
-            size = len(codec.encode(sample, dtype))
-        except CompressionError:
-            continue
-        if best_size is None or size < best_size:
-            best, best_size = codec, size
-    return best

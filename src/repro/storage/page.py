@@ -15,7 +15,7 @@ Each slot is ``offset:u16, length:u16``; a tombstone has offset 0xFFFF.
 from __future__ import annotations
 
 import struct
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.errors import PageError
 
@@ -137,40 +137,6 @@ class SlottedPage:
             raise PageError(
                 f"page {self.page_id}: slot {slot} out of range "
                 f"0..{len(self._slots) - 1}")
-
-    # -- serialization ------------------------------------------------------
-    def to_bytes(self) -> bytes:
-        """Serialize to exactly ``page_size`` bytes."""
-        buf = bytearray(self.page_size)
-        _HEADER.pack_into(buf, 0, self.page_id, len(self._slots),
-                          self._free_ptr)
-        pos = _HEADER.size
-        for slot, (offset, length) in enumerate(self._slots):
-            _SLOT.pack_into(buf, pos, offset, length)
-            pos += _SLOT.size
-            payload = self._records.get(slot)
-            if payload is not None:
-                buf[offset:offset + length] = payload
-        return bytes(buf)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SlottedPage":
-        """Reconstruct a page from its serialized form."""
-        if len(data) < _HEADER.size:
-            raise PageError("buffer smaller than a page header")
-        page_id, slot_count, free_ptr = _HEADER.unpack_from(data, 0)
-        page = cls(page_id, page_size=len(data))
-        page._free_ptr = free_ptr
-        pos = _HEADER.size
-        for slot in range(slot_count):
-            offset, length = _SLOT.unpack_from(data, pos)
-            pos += _SLOT.size
-            if offset == _TOMBSTONE:
-                page._slots.append((_TOMBSTONE, 0))
-            else:
-                page._slots.append((offset, length))
-                page._records[slot] = bytes(data[offset:offset + length])
-        return page
 
     def __repr__(self) -> str:
         return (f"SlottedPage(id={self.page_id}, live={self.live_records}, "

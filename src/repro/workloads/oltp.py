@@ -34,12 +34,6 @@ class OltpReport:
     latencies: list[float] = field(default_factory=list)
 
     @property
-    def throughput_tps(self) -> float:
-        if self.makespan_seconds <= 0:
-            return 0.0
-        return self.transactions / self.makespan_seconds
-
-    @property
     def joules_per_transaction(self) -> float:
         if self.transactions == 0:
             return 0.0

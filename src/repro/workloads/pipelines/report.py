@@ -96,11 +96,6 @@ class EtlReport(Record):
         return self.service.makespan_seconds
 
     @property
-    def freshness_slack_seconds(self) -> float:
-        """Deadline margin of the last completion (negative = breach)."""
-        return self.freshness_sla_seconds - self.completion_seconds
-
-    @property
     def batch_tenant_names(self) -> set[str]:
         return {s.tenant for s in self.stages}
 

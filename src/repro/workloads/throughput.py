@@ -42,12 +42,6 @@ class ThroughputReport(Record):
         return self.energy_joules / self.makespan_seconds
 
     @property
-    def queries_per_hour(self) -> float:
-        if self.makespan_seconds <= 0:
-            return 0.0
-        return self.queries_completed * 3600.0 / self.makespan_seconds
-
-    @property
     def performance(self) -> float:
         """Queries per second (the paper's 'performance' axis inverse)."""
         if self.makespan_seconds <= 0:

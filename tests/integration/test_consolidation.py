@@ -115,7 +115,7 @@ class TestMigration:
         assert 0 < outcome.breakeven_seconds() < float("inf")
         # released disks really are in standby now
         for name in outcome.released_devices:
-            assert disks[name].spun_down
+            assert disks[name].state == "standby"
 
     def test_metered_breakeven_tracks_planned(self):
         sim = Simulation()

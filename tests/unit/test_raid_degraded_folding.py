@@ -1,10 +1,5 @@
-"""Unit tests for RAID 5 degraded mode / rebuild and constant folding."""
+"""Unit tests for constant folding."""
 
-import pytest
-
-from repro.errors import HardwareError
-from repro.hardware.disk import DiskSpec, HardDisk
-from repro.hardware.raid import RaidArray, RaidLevel
 from repro.relational.expr import (
     Arithmetic,
     Between,
@@ -16,85 +11,6 @@ from repro.relational.expr import (
     fold_constants,
     make_layout,
 )
-from repro.sim import Simulation
-from repro.units import MB
-
-
-def make_array(sim, n=4):
-    disks = [HardDisk(sim, DiskSpec(
-        name=f"d{i}", capacity_bytes=1000 * MB,
-        bandwidth_bytes_per_s=100 * MB,
-        average_seek_seconds=0.0, rpm=60_000_000,
-        per_request_overhead_seconds=0.0,
-        active_watts=17.0, idle_watts=12.0, standby_watts=2.0))
-        for i in range(n)]
-    return disks, RaidArray(sim, disks, level=RaidLevel.RAID5)
-
-
-class TestDegradedRaid:
-    def test_fail_member_marks_degraded(self):
-        sim = Simulation()
-        _disks, array = make_array(sim)
-        assert not array.degraded
-        array.fail_member(1)
-        assert array.degraded
-
-    def test_second_failure_rejected(self):
-        sim = Simulation()
-        _disks, array = make_array(sim)
-        array.fail_member(1)
-        with pytest.raises(HardwareError):
-            array.fail_member(2)
-        array.fail_member(1)  # re-failing the same member is fine
-
-    def test_raid0_cannot_degrade(self):
-        sim = Simulation()
-        disks = [HardDisk(sim, DiskSpec(name=f"x{i}")) for i in range(2)]
-        array = RaidArray(sim, disks, level=RaidLevel.RAID0)
-        with pytest.raises(HardwareError):
-            array.fail_member(0)
-
-    def test_degraded_read_avoids_failed_member(self):
-        sim = Simulation()
-        disks, array = make_array(sim)
-        array.fail_member(2)
-        sim.run(until=sim.spawn(array.read(400 * MB)))
-        assert disks[2].bytes_read == 0
-        total = sum(d.bytes_read for d in disks)
-        assert total == 400 * MB  # survivors absorbed the lost share
-
-    def test_degraded_read_slower(self):
-        def read_time(fail):
-            sim = Simulation()
-            _disks, array = make_array(sim)
-            if fail:
-                array.fail_member(0)
-            sim.run(until=sim.spawn(array.read(400 * MB)))
-            return sim.now
-
-        healthy = read_time(False)
-        degraded = read_time(True)
-        # 4 disks -> 3 survivors: ~4/3 slower
-        assert degraded == pytest.approx(healthy * 4 / 3, rel=0.05)
-
-    def test_rebuild_restores_and_costs_energy(self):
-        sim = Simulation()
-        disks, array = make_array(sim)
-        array.fail_member(3)
-        before = sum(d.energy_joules() for d in disks)
-        sim.run(until=sim.spawn(array.rebuild(3)))
-        after = sum(d.energy_joules() for d in disks)
-        assert not array.degraded
-        assert after > before
-        assert disks[3].bytes_written == 1000 * MB
-        for survivor in disks[:3]:
-            assert survivor.bytes_read == 1000 * MB
-
-    def test_rebuild_of_healthy_member_rejected(self):
-        sim = Simulation()
-        _disks, array = make_array(sim)
-        with pytest.raises(HardwareError):
-            sim.run(until=sim.spawn(array.rebuild(0)))
 
 
 LAYOUT = make_layout(["a", "b"])

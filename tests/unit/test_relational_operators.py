@@ -21,7 +21,7 @@ from repro.relational.operators import (
     SortedAggregate,
     TableScan,
 )
-from repro.relational.plan import collect_scans, explain, operator_count, validate
+from repro.relational.plan import explain, validate
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import DataType
 from repro.sim import Simulation
@@ -299,14 +299,3 @@ class TestPlanUtilities:
         scan = TableScan(orders)
         with pytest.raises(PlanError):
             validate(HashJoin(scan, scan, ["o_id"], ["o_id"]))
-
-    def test_operator_count(self, env):
-        _, _, orders, _ = env
-        plan = Limit(Filter(TableScan(orders), col("o_id") > 0), 3)
-        assert operator_count(plan) == 3
-
-    def test_collect_scans(self, env):
-        _, _, orders, customers = env
-        plan = HashJoin(TableScan(customers), TableScan(orders),
-                        ["c_id"], ["o_cust"])
-        assert len(collect_scans(plan)) == 2

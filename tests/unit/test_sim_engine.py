@@ -310,26 +310,6 @@ def test_any_of_requires_events():
         sim.any_of([])
 
 
-def test_interrupt_throws_into_process():
-    sim = Simulation()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-        except SimulationError as exc:
-            log.append((sim.now, str(exc)))
-
-    def killer(victim):
-        yield sim.timeout(2.0)
-        victim.interrupt("preempted")
-
-    victim = sim.spawn(sleeper())
-    sim.spawn(killer(victim))
-    sim.run()
-    assert log == [(2.0, "preempted")]
-
-
 def test_step_with_empty_queue_raises():
     sim = Simulation()
     with pytest.raises(SimulationError):

@@ -176,97 +176,3 @@ def test_queue_length_observable():
     sim.spawn(observer())
     sim.run()
     assert seen == [2]
-
-
-def test_cancel_waiting_request():
-    sim = Simulation()
-    res = Resource(sim, capacity=1)
-    got = []
-
-    def holder():
-        yield res.acquire()
-        yield sim.timeout(5.0)
-        res.release()
-
-    def fickle():
-        request = res.acquire()
-        yield sim.timeout(1.0)
-        res.cancel(request)
-
-    def patient():
-        yield res.acquire()
-        got.append(sim.now)
-        res.release()
-
-    sim.spawn(holder())
-    sim.spawn(fickle())
-    sim.spawn(patient())
-    sim.run()
-    # The cancelled request must not absorb the grant at t=5.
-    assert got == [5.0]
-
-
-def test_cancel_granted_request_raises():
-    sim = Simulation()
-    res = Resource(sim, capacity=1)
-
-    def user():
-        request = res.acquire()
-        yield request
-        with pytest.raises(SimulationError):
-            res.cancel(request)
-        res.release()
-
-    sim.spawn(user())
-    sim.run()
-
-
-def _hold(sim, res, seconds, log, name):
-    yield res.acquire()
-    log.append((name, sim.now))
-    yield sim.timeout(seconds)
-    res.release()
-
-
-def test_interrupting_a_queued_waiter_withdraws_its_request():
-    sim = Simulation()
-    res = Resource(sim, capacity=1, name="r")
-    log = []
-
-    def killer(victim):
-        yield sim.timeout(1.0)
-        victim.interrupt()
-
-    sim.spawn(_hold(sim, res, 5.0, log, "holder"))
-    a = sim.spawn(_hold(sim, res, 1.0, log, "a"))
-    sim.spawn(_hold(sim, res, 1.0, log, "b"))
-    sim.spawn(killer(a))
-    with pytest.raises(SimulationError, match="interrupted"):
-        sim.run()  # nobody waited on ``a``: its interrupt surfaces here
-    assert log == [("holder", 0.0), ("b", 5.0)]
-    assert repr(res) == "Resource('r', 0/1 busy, 0 queued)"
-
-
-def test_interrupting_a_granted_but_undelivered_waiter_hands_the_unit_back():
-    sim = Simulation()
-    res = Resource(sim, capacity=1, name="r")
-    log = []
-
-    def killer(victim):
-        # this t=5 timeout is created after the holder's, so it is
-        # dispatched after the holder's release granted the unit to
-        # ``a`` and before that grant is delivered
-        yield sim.timeout(2.0)
-        yield sim.timeout(3.0)
-        assert res.queue_length == 1
-        victim.interrupt()
-
-    sim.spawn(_hold(sim, res, 5.0, log, "holder"))
-    a = sim.spawn(_hold(sim, res, 1.0, log, "a"))
-    sim.spawn(_hold(sim, res, 1.0, log, "b"))
-    sim.spawn(killer(a))
-    with pytest.raises(SimulationError, match="interrupted"):
-        sim.run()
-    assert log == [("holder", 0.0), ("b", 5.0)]
-    assert repr(res) == "Resource('r', 0/1 busy, 0 queued)"
-    assert res.busy_seconds() == pytest.approx(6.0)

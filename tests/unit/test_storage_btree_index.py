@@ -74,7 +74,7 @@ class TestBPlusTree:
         tree = BPlusTree(order=4)
         for key in range(100):
             tree.insert(key, key)
-        assert tree.count_range(10, 19) == 10
+        assert sum(1 for _ in tree.range_scan(10, 19)) == 10
         assert tree.leaf_count() >= 100 // 5
         assert 1 <= tree.leaves_touched(10, 19) < tree.leaf_count()
 

@@ -90,29 +90,6 @@ class TestSlottedPage:
         assert [(slot, payload) for slot, payload in page.records()] == \
             [(0, b"a"), (2, b"c")]
 
-    def test_round_trip_serialization(self):
-        page = SlottedPage(7, page_size=512)
-        page.insert(b"alpha")
-        doomed = page.insert(b"beta")
-        page.insert(b"gamma")
-        page.delete(doomed)
-        clone = SlottedPage.from_bytes(page.to_bytes())
-        assert clone.page_id == 7
-        assert list(clone.records()) == list(page.records())
-        assert clone.free_space() == page.free_space()
-
-    def test_serialized_size_is_page_size(self):
-        page = SlottedPage(0, page_size=1024)
-        page.insert(b"data")
-        assert len(page.to_bytes()) == 1024
-
-    def test_insert_after_round_trip(self):
-        page = SlottedPage(0, page_size=256)
-        page.insert(b"first")
-        clone = SlottedPage.from_bytes(page.to_bytes())
-        slot = clone.insert(b"second")
-        assert clone.read(slot) == b"second"
-
     def test_tiny_page_size_rejected(self):
         with pytest.raises(PageError):
             SlottedPage(0, page_size=4)
