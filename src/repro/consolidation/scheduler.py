@@ -98,13 +98,6 @@ def run_fifo(sim: "Simulation", server: "Server", executor: Executor,
     over the same wall-clock window by passing the same tail).
     """
     latencies: list[float] = []
-
-    def client(arrival: Arrival):
-        yield sim.timeout(arrival.at_seconds - sim.now)
-        started = sim.now
-        yield from executor.run_process(arrival.builder())
-        latencies.append(sim.now - started)
-
     start = sim.now
     ordered = sorted(arrivals, key=lambda a: a.at_seconds)
     # FIFO service: a single dispatcher runs queries in arrival order.

@@ -8,7 +8,6 @@ benchmark harness.
 
 from repro.core.metrics import (
     TcoModel,
-    energy_delay_product,
     energy_efficiency,
     perf_per_watt,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "PowerCoordinator",
     "ProfilePoint",
     "TcoModel",
-    "energy_delay_product",
     "energy_efficiency",
     "figure1_point",
     "figure2_point",

@@ -49,22 +49,6 @@ def perf_per_watt(work_rate_per_s: float, power_watts: float) -> float:
     return work_rate_per_s / power_watts
 
 
-def energy_delay_product(energy_joules: float, seconds: float) -> float:
-    """EDP: the classic single-number compromise between E and T.
-
-    Lower is better; halving time at constant energy helps exactly as
-    much as halving energy at constant time:
-
-    >>> energy_delay_product(100.0, 2.0)
-    200.0
-    >>> energy_delay_product(50.0, 4.0)
-    200.0
-    """
-    if energy_joules < 0 or seconds < 0:
-        raise ReproError("energy and time must be non-negative")
-    return energy_joules * seconds
-
-
 @dataclass(frozen=True)
 class TcoModel:
     """Total cost of ownership over a deployment lifetime (§5.3).
@@ -79,8 +63,6 @@ class TcoModel:
     3944.7
     >>> round(model.total_cost(1000.0), 2)
     13944.7
-    >>> round(model.energy_cost_fraction(1000.0), 3)
-    0.283
     """
 
     hardware_cost_dollars: float
@@ -116,10 +98,3 @@ class TcoModel:
             raise ReproError("work rate must be positive")
         total_work = work_per_second * self.lifetime_years * 365.25 * 24 * 3600
         return self.total_cost(average_watts) / total_work
-
-    def energy_cost_fraction(self, average_watts: float) -> float:
-        """Share of TCO going to energy — the §5.3 trend variable."""
-        total = self.total_cost(average_watts)
-        if total <= 0:
-            raise ReproError("degenerate TCO")
-        return self.energy_cost(average_watts) / total

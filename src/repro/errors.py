@@ -43,10 +43,6 @@ class CompressionError(StorageError):
     """A codec failed to encode or decode a segment."""
 
 
-class CatalogError(ReproError):
-    """Catalog lookup or registration failure."""
-
-
 class SchemaError(ReproError):
     """Schema definition or tuple/schema mismatch."""
 

@@ -112,13 +112,6 @@ class ChaosSweepResult(Record):
                              f"got {len(self.reports)} reports for "
                              f"{len(self.intensities)} intensities")
 
-    def report_at(self, intensity: float) -> ServiceReport:
-        for x, report in zip(self.intensities, self.reports):
-            if x == intensity:
-                return report
-        raise FaultError(f"sweep has no intensity {intensity!r}; ran: "
-                         f"{', '.join(map(str, self.intensities))}")
-
     def headline(self) -> dict[str, float]:
         """The acceptance numbers at the highest swept intensity."""
         worst = self.reports[-1]

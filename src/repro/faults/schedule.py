@@ -12,8 +12,7 @@ faults, byte-identical report.
 Schedules follow the same discipline as
 :class:`~repro.runner.ExperimentSpec`: every field is JSON-scalar,
 :meth:`FaultSchedule.to_dict` / :meth:`FaultSchedule.from_dict` invert
-exactly, and :meth:`FaultSchedule.schedule_hash` is a stable SHA-256
-over the canonical JSON.  Generation draws each (node, fault-kind)
+exactly.  Generation draws each (node, fault-kind)
 lane from its own ``PCG64(SeedSequence([seed, node, kind]))`` Poisson
 process, so changing one node's faults never perturbs another's —
 the same sub-seeding rule as
@@ -30,9 +29,8 @@ the same sub-seeding rule as
 True
 >>> schedule == FaultSchedule.from_dict(schedule.to_dict())
 True
->>> schedule.schedule_hash() == build_fault_schedule(
-...     n_nodes=2, horizon_seconds=3600.0, seed=7,
-...     mix=mix).schedule_hash()
+>>> schedule == build_fault_schedule(
+...     n_nodes=2, horizon_seconds=3600.0, seed=7, mix=mix)
 True
 """
 
@@ -98,8 +96,8 @@ class FaultSchedule(Record):
     """A time-ordered, reproducible fault plan for one fleet run.
 
     >>> quiet = FaultSchedule(n_nodes=4, horizon_seconds=100.0)
-    >>> len(quiet), quiet.planned_downtime_node_seconds()
-    (0, 0.0)
+    >>> len(quiet), quiet.describe()
+    (0, 'no faults across 4 nodes over 100s')
     """
 
     n_nodes: int
@@ -134,11 +132,6 @@ class FaultSchedule(Record):
             raise FaultError(f"unknown fault kind {kind!r}")
         return [e for e in self.events if e.kind == kind]
 
-    def planned_downtime_node_seconds(self) -> float:
-        """Node-seconds of scheduled crash downtime (before the engine
-        skips events that land on already-down nodes)."""
-        return float(sum(e.duration for e in self.by_kind("crash")))
-
     def describe(self) -> str:
         """One operator-readable line per kind."""
         parts = []
@@ -149,15 +142,6 @@ class FaultSchedule(Record):
         body = ", ".join(parts) if parts else "no faults"
         return (f"{body} across {self.n_nodes} nodes over "
                 f"{self.horizon_seconds:.0f}s")
-
-    # -- identity ------------------------------------------------------
-
-    def schedule_hash(self) -> str:
-        """Stable SHA-256 of the canonical JSON form — the identity a
-        chaos report carries, same discipline as
-        :meth:`repro.runner.ExperimentSpec.spec_hash`."""
-        from repro.runner.spec import stable_hash
-        return stable_hash(self.to_dict())
 
 
 def degraded_speed_factor(raid_width: int,

@@ -28,7 +28,7 @@ from repro.flightrec.events import (BOOT, CRASH, DISK_FAIL, DISK_RECOVER,
                                     DRAIN, EMERGENCY_SCALE, SCALE,
                                     THROTTLE_END, THROTTLE_START,
                                     FlightRecording)
-from repro.flightrec.rollup import _execution_spans, _on_spans, node_rollup
+from repro.flightrec.rollup import node_rollup
 from repro.flightrec.slo import SLOMonitor
 from repro.observatory.dashboard import STYLESHEET, _esc
 
@@ -97,13 +97,13 @@ def _node_lanes(recording: FlightRecording, width: int) -> str:
             if state > lane[b]:
                 lane[b] = state
 
-    on, _lumps = _on_spans(recording)
+    on, _lumps = recording.on_spans()
     for i in range(n_nodes):
         for s0, s1, boot_window in on[i]:
             paint(i, s0, s1, _ON)
             if boot_window > 0:
                 paint(i, s0, min(s1, s0 + boot_window), _BOOT)
-    for i, s0, s1, _watts, freq in _execution_spans(recording):
+    for i, s0, s1, _watts, freq in recording.execution_spans():
         paint(i, s0, s1, _DOWNCLOCK if freq < 1.0 else _BUSY)
     open_window: dict[tuple[int, str], float] = {}
     for e in recording.events:

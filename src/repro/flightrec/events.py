@@ -171,68 +171,82 @@ class FlightRecording:
             out[e.kind] = out.get(e.kind, 0) + 1
         return dict(sorted(out.items(), key=lambda kv: (-kv[1], kv[0])))
 
-    # -- the energy audit ----------------------------------------------
+    # -- spans and the energy audit -----------------------------------
 
-    def replayed_energy_joules(self) -> float:
-        """Re-price the whole run from the event stream alone.
+    def on_spans(self) -> tuple[list[list[tuple[float, float, float]]],
+                                list[list[tuple[float, float]]]]:
+        """Per node: powered-on spans (start, end, boot_window) and
+        transition lumps [(t, joules)], read off the lifecycle events.
 
-        Walks each node's lifecycle events (boot lumps, drain lumps,
-        idle draw over every powered-on span net of its atomic boot
-        window) and adds every execution window's active draw — solo
-        query spans, shared batch spans once each, and crash-truncated
-        partial spans.  The result must match the closed-form
-        ``ServiceReport.energy_joules`` to 1e-9 relative; any drift
-        means the stream lost or double-counted a decision.
-        """
+        A boot opens a span whose first ``boot_window`` seconds its
+        lump already paid for; a drain or crash closes it (a drain adds
+        its lump); the run's end closes whatever is still on."""
         nodes = self.meta["nodes"]
-        terms: list[float] = []
-        # lifecycle: idle draw + transition lumps per node
+        on: list[list[tuple[float, float, float]]] = [[] for _ in nodes]
+        lumps: list[list[tuple[float, float]]] = [[] for _ in nodes]
         lifecycle: list[list[tuple[float, str]]] = [[] for _ in nodes]
-        for e in self.events:
-            if e.kind in (BOOT, DRAIN, CRASH):
-                lifecycle[e.node].append((e.t, e.kind))
-        end = self.end
+        for e in self.events_of(BOOT, DRAIN, CRASH):
+            lifecycle[e.node].append((e.t, e.kind))
         for i, spec in enumerate(nodes):
             model = spec["model"]
-            idle = model["idle_watts"]
             on_since = 0.0 if spec["initially_on"] else None
             boot_window = 0.0  # the initial ON span has no boot
             for t, kind in sorted(lifecycle[i]):
                 if kind == BOOT:
-                    terms.append(model["boot_joules"])
+                    lumps[i].append((t, model["boot_joules"]))
                     on_since = t
                     boot_window = model["boot_seconds"]
                 elif on_since is not None:  # DRAIN or CRASH closes it
-                    terms.append(idle * (t - on_since - boot_window))
+                    on[i].append((on_since, t, boot_window))
                     if kind == DRAIN:
-                        terms.append(model["drain_joules"])
+                        lumps[i].append((t, model["drain_joules"]))
                     on_since = None
             if on_since is not None:  # finalize closes without drain
-                terms.append(idle * (end - on_since - boot_window))
-        # active draw above idle: solo spans, batch spans, truncations
-        idle_of = [spec["model"]["idle_watts"] for spec in nodes]
-        peak_of = [spec["model"]["peak_watts"] for spec in nodes]
+                on[i].append((on_since, self.end, boot_window))
+        return on, lumps
+
+    def execution_spans(self) \
+            -> Iterator[tuple[int, float, float, float, float]]:
+        """Every distinct execution span: (node, start, end, busy_watts,
+        frequency) — solo queries, shared batches once each, and
+        crash-truncated partial spans."""
+        peak = [n["model"]["peak_watts"] for n in self.meta["nodes"]]
         q = self.queries
-        for node, start, completion, watts, batch in zip(
+        for node, start, completion, watts, batch, freq in zip(
                 q["node"], q["start"], q["completion"], q["watts"],
-                q["batch"]):
-            if completion is None or batch is not None:
-                continue
-            active = (peak_of[node] if watts is None else watts) \
-                - idle_of[node]
-            terms.append(active * (completion - start))
+                q["batch"], q["frequency"]):
+            if completion is not None and batch is None:
+                yield (node, start, completion,
+                       peak[node] if watts is None else watts, freq)
         b = self.batches
-        for node, start, completion, watts in zip(
-                b["node"], b["start"], b["completion"], b["watts"]):
-            if completion is None:
-                continue
-            active = (peak_of[node] if watts is None else watts) \
-                - idle_of[node]
-            terms.append(active * (completion - start))
-        for e in self.events:
-            if e.kind == TRUNCATED_SERVE:
-                terms.append((e.data["watts"] - idle_of[e.node])
-                             * (e.data["end"] - e.data["start"]))
+        for node, start, completion, watts, freq in zip(
+                b["node"], b["start"], b["completion"], b["watts"],
+                b["frequency"]):
+            if completion is not None:
+                yield (node, start, completion,
+                       peak[node] if watts is None else watts, freq)
+        for e in self.events_of(TRUNCATED_SERVE):
+            yield (e.node, e.data["start"], e.data["end"],
+                   e.data["watts"], 1.0)
+
+    def replayed_energy_joules(self) -> float:
+        """Re-price the whole run from the event stream alone.
+
+        Idle draw over every powered-on span net of its atomic boot
+        window, the boot and drain lumps, and every execution span's
+        active draw above idle.  The result must match the closed-form
+        ``ServiceReport.energy_joules`` to 1e-9 relative; any drift
+        means the stream lost or double-counted a decision.
+        """
+        idle = [n["model"]["idle_watts"] for n in self.meta["nodes"]]
+        on, lumps = self.on_spans()
+        terms = [idle[i] * (s1 - s0 - boot_window)
+                 for i, spans in enumerate(on)
+                 for s0, s1, boot_window in spans]
+        terms.extend(joules for node in lumps for _t, joules in node)
+        terms.extend((busy_watts - idle[i]) * (end - start)
+                     for i, start, end, busy_watts, _freq
+                     in self.execution_spans())
         return math.fsum(terms)
 
     # -- serialization -------------------------------------------------

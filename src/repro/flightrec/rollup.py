@@ -8,8 +8,9 @@ boot/drain lumps landing in the window that contains the transition
 instant) and the fleet's total draw.  Summing any node's
 per-window ``watts * window`` over all windows reproduces that node's
 share of :meth:`~repro.flightrec.events.FlightRecording.
-replayed_energy_joules` — the rollup is a re-binning of the audit, not
-a second estimate.
+replayed_energy_joules` — both read the recording's own
+``on_spans()`` and ``execution_spans()``, so the rollup is a re-binning
+of the audit, not a second estimate.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from __future__ import annotations
 import math
 from typing import Any, Optional
 
-from repro.flightrec.events import (BOOT, CRASH, DRAIN, TRUNCATED_SERVE,
-                                    FlightRecording)
+from repro.flightrec.events import FlightRecording
 
 
 def default_window_seconds(end: float, target_windows: int = 60) -> float:
@@ -37,69 +37,6 @@ def _overlap(a0: float, a1: float, b0: float, b1: float) -> float:
     return max(0.0, min(a1, b1) - max(a0, b0))
 
 
-def _execution_spans(recording: FlightRecording) \
-        -> list[tuple[int, float, float, float, float]]:
-    """Every distinct execution span: (node, start, end, busy_watts,
-    frequency).
-
-    Solo queries, shared batches (once each), and crash-truncated
-    partial spans — the same span set the energy audit prices.
-    """
-    peak = [n["model"]["peak_watts"] for n in recording.meta["nodes"]]
-    spans: list[tuple[int, float, float, float, float]] = []
-    q = recording.queries
-    for node, start, completion, watts, batch, freq in zip(
-            q["node"], q["start"], q["completion"], q["watts"],
-            q["batch"], q["frequency"]):
-        if completion is None or batch is not None:
-            continue
-        spans.append((node, start, completion,
-                      peak[node] if watts is None else watts, freq))
-    b = recording.batches
-    for node, start, completion, watts, freq in zip(
-            b["node"], b["start"], b["completion"], b["watts"],
-            b["frequency"]):
-        if completion is None:
-            continue
-        spans.append((node, start, completion,
-                      peak[node] if watts is None else watts, freq))
-    for e in recording.events_of(TRUNCATED_SERVE):
-        spans.append((e.node, e.data["start"], e.data["end"],
-                      e.data["watts"], 1.0))
-    return spans
-
-
-def _on_spans(recording: FlightRecording) \
-        -> tuple[list[list[tuple[float, float, float]]],
-                 list[list[tuple[float, float]]]]:
-    """Per node: powered-on spans (start, end, boot_window) and
-    transition lumps [(t, joules)]."""
-    nodes = recording.meta["nodes"]
-    end = recording.end
-    on: list[list[tuple[float, float, float]]] = [[] for _ in nodes]
-    lumps: list[list[tuple[float, float]]] = [[] for _ in nodes]
-    lifecycle: list[list[tuple[float, str]]] = [[] for _ in nodes]
-    for e in recording.events_of(BOOT, DRAIN, CRASH):
-        lifecycle[e.node].append((e.t, e.kind))
-    for i, spec in enumerate(nodes):
-        model = spec["model"]
-        on_since = 0.0 if spec["initially_on"] else None
-        boot_window = 0.0
-        for t, kind in sorted(lifecycle[i]):
-            if kind == BOOT:
-                lumps[i].append((t, model["boot_joules"]))
-                on_since = t
-                boot_window = model["boot_seconds"]
-            elif on_since is not None:
-                on[i].append((on_since, t, boot_window))
-                if kind == DRAIN:
-                    lumps[i].append((t, model["drain_joules"]))
-                on_since = None
-        if on_since is not None:
-            on[i].append((on_since, end, boot_window))
-    return on, lumps
-
-
 def node_rollup(recording: FlightRecording,
                 window_seconds: Optional[float] = None) -> dict[str, Any]:
     """Per-node busy-fraction and average-watts curves.
@@ -116,7 +53,7 @@ def node_rollup(recording: FlightRecording,
     idle = [n["model"]["idle_watts"] for n in recording.meta["nodes"]]
     busy = [[0.0] * len(starts) for _ in range(n_nodes)]
     energy = [[0.0] * len(starts) for _ in range(n_nodes)]
-    on, lumps = _on_spans(recording)
+    on, lumps = recording.on_spans()
 
     def each_window(s0: float, s1: float):
         w0 = max(0, int(s0 / window_seconds))
@@ -134,7 +71,7 @@ def node_rollup(recording: FlightRecording,
         for t, joules in lumps[i]:
             w = min(len(starts) - 1, int(t / window_seconds))
             energy[i][w] += joules
-    for i, s0, s1, watts, _freq in _execution_spans(recording):
+    for i, s0, s1, watts, _freq in recording.execution_spans():
         for w, dt in each_window(s0, s1):
             busy[i][w] += dt
             energy[i][w] += (watts - idle[i]) * dt

@@ -1,7 +1,7 @@
 """Hardware substrate: calibrated device power/performance models.
 
 Every component the paper's experiments exercised — CPUs with DVFS,
-DRAM, 15K-RPM SCSI disks, flash SSDs, RAID trays, power supplies — is
+DRAM, 15K-RPM SCSI disks, flash SSDs, RAID trays — is
 modeled as a :class:`~repro.hardware.device.Device` whose power draw is a
 step function of its activity, integrated over simulated time by the
 :class:`~repro.hardware.meter.EnergyMeter`.
@@ -17,13 +17,11 @@ from repro.hardware.proportionality import (
     IdealProportionalDevice,
     proportionality_index,
 )
-from repro.hardware.psu import BurdenModel, PsuSpec
 from repro.hardware.raid import RaidArray, RaidLevel
 from repro.hardware.server import Server
 from repro.hardware.ssd import FlashSsd, SsdSpec
 
 __all__ = [
-    "BurdenModel",
     "Cpu",
     "CpuSpec",
     "Device",
@@ -36,7 +34,6 @@ __all__ = [
     "IdealProportionalDevice",
     "PowerState",
     "PowerStateMachine",
-    "PsuSpec",
     "RaidArray",
     "RaidLevel",
     "Server",

@@ -3,9 +3,8 @@
 The paper (§4.3) points out that "keeping a page in RAM will require
 energy, proportional to the time the page is cached".  This model makes
 that cost explicit: powered capacity draws a constant background
-(refresh + standby) power per GiB, accesses add an active-power term for
-their duration, and ranks can be powered down to shrink the background
-term (§2.3's "strategies for dynamically turning off DRAM").
+(refresh + standby) power per GiB, allocations add a per-GiB term and
+accesses an active-power term for their duration.
 """
 
 from __future__ import annotations
@@ -70,26 +69,6 @@ class Dram(Device):
     def allocated_bytes(self) -> int:
         """Bytes currently allocated by clients (buffer pools etc.)."""
         return self._allocated_bytes
-
-    def set_powered_bytes(self, nbytes: int) -> None:
-        """Power ranks up/down; powered capacity is rank-granular.
-
-        Powering below the currently-allocated footprint is illegal: the
-        caller must migrate or free data first (paper §4.2's consolidation
-        ordering requirement).
-        """
-        if nbytes < 0 or nbytes > self.spec.capacity_bytes:
-            raise HardwareError(
-                f"{self.name}: powered bytes {nbytes} outside "
-                f"0..{self.spec.capacity_bytes}")
-        ranks = -(-nbytes // self.spec.rank_bytes)  # ceil division
-        granted = min(ranks * self.spec.rank_bytes, self.spec.capacity_bytes)
-        if granted < self._allocated_bytes:
-            raise HardwareError(
-                f"{self.name}: cannot power down to {granted} bytes while "
-                f"{self._allocated_bytes} bytes are allocated")
-        self._powered_bytes = granted
-        self._update_power()
 
     def allocate(self, nbytes: int) -> None:
         """Reserve ``nbytes`` of powered capacity."""

@@ -3,9 +3,7 @@
 The :class:`EnergyMeter` plays the role of the wall-plug power meter in
 the paper's experiments: it aggregates the power step functions of all
 attached devices and integrates them over any simulated interval, with
-per-device breakdowns.  An optional :class:`~repro.hardware.psu.BurdenModel`
-converts DC component power into burdened wall/facility power (PSU loss +
-cooling, [PBS+03]).
+per-device breakdowns.
 """
 
 from __future__ import annotations
@@ -17,19 +15,15 @@ from repro.hardware.device import Device
 from repro.observe import current_collector
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.hardware.psu import BurdenModel
     from repro.sim.engine import Simulation
 
 
 class EnergyMeter:
     """Aggregates energy across a set of devices."""
 
-    def __init__(self, sim: "Simulation",
-                 burden: Optional["BurdenModel"] = None) -> None:
+    def __init__(self, sim: "Simulation") -> None:
         self.sim = sim
-        self.burden = burden
         self._devices: dict[str, Device] = {}
-        self._marks: dict[str, float] = {}
         collector = current_collector()
         if collector is not None:
             # telemetry capture is on: let the collector discover this
@@ -55,19 +49,6 @@ class EnergyMeter:
         """All attached devices, sorted by name."""
         return [self._devices[k] for k in sorted(self._devices)]
 
-    # -- marks (named time anchors) -----------------------------------------
-    def mark(self, label: str) -> float:
-        """Remember the current time under ``label`` (e.g. 'query-start')."""
-        self._marks[label] = self.sim.now
-        return self.sim.now
-
-    def mark_time(self, label: str) -> float:
-        """Retrieve a previously recorded mark."""
-        try:
-            return self._marks[label]
-        except KeyError:
-            raise HardwareError(f"no mark named {label!r}") from None
-
     # -- energy queries -----------------------------------------------------
     def _interval(self, t0: Optional[float], t1: Optional[float]
                   ) -> tuple[float, float]:
@@ -82,22 +63,6 @@ class EnergyMeter:
         """Total component (DC) energy over the interval."""
         start, end = self._interval(t0, t1)
         return sum(d.energy_joules(start, end) for d in self._devices.values())
-
-    def wall_energy_joules(self, t0: Optional[float] = None,
-                           t1: Optional[float] = None) -> float:
-        """Burdened energy: PSU loss + cooling applied to component energy.
-
-        Requires a burden model; equals :meth:`energy_joules` without one.
-        """
-        dc = self.energy_joules(t0, t1)
-        if self.burden is None:
-            return dc
-        start, end = self._interval(t0, t1)
-        elapsed = end - start
-        if elapsed <= 0:
-            return 0.0
-        avg_dc_power = dc / elapsed
-        return self.burden.wall_power_watts(avg_dc_power) * elapsed
 
     def breakdown_joules(self, t0: Optional[float] = None,
                          t1: Optional[float] = None) -> dict[str, float]:

@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 from repro.hardware.cpu import Cpu, CpuSpec
 from repro.hardware.disk import DiskSpec, HardDisk
 from repro.hardware.memory import Dram, DramSpec
-from repro.hardware.psu import BurdenModel, PsuSpec
 from repro.hardware.raid import RaidArray, RaidLevel
 from repro.hardware.server import Server
 from repro.hardware.ssd import FlashSsd, SsdSpec
@@ -65,7 +64,6 @@ def dl785_disk_spec(index: int, group_factor: int = 1) -> DiskSpec:
 
 
 def dl785(sim: "Simulation", n_disks: int = 204,
-          burdened: bool = False,
           spindle_groups: int | None = None) -> tuple[Server, RaidArray]:
     """The Figure 1 server with ``n_disks`` spindles in RAID 5.
 
@@ -96,10 +94,8 @@ def dl785(sim: "Simulation", n_disks: int = 204,
         bandwidth_bytes_per_s=20 * GB, rank_bytes=8 * GIB))
     disks = [HardDisk(sim, dl785_disk_spec(i, group_factor))
              for i in range(width)]
-    burden = BurdenModel(psu=PsuSpec(rated_watts=6000.0),
-                         cooling_overhead=0.5) if burdened else None
     server = Server(sim, f"dl785x{n_disks}", cpu, dram, disks,
-                    base_watts=150.0, burden=burden)
+                    base_watts=150.0)
     array = RaidArray(sim, disks, level=RaidLevel.RAID5,
                       stripe_unit_bytes=256 * 1024, name="msa70")
     return server, array

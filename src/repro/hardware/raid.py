@@ -146,18 +146,6 @@ class RaidArray:
         if children:
             yield self.sim.all_of(children)
 
-    # -- service-time arithmetic --------------------------------------------
-    def read_seconds(self, nbytes: int, positioned: bool = True) -> float:
-        """Idealized (queue-free) service time: the slowest member share."""
-        worst = 0.0
-        for member, share in zip(self.members, self._split(nbytes)):
-            if isinstance(member, HardDisk):
-                t = member.service_seconds(share, positioned)
-            else:
-                t = member.read_seconds(share)
-            worst = max(worst, t)
-        return worst
-
     # -- power management ---------------------------------------------------
     def spin_down(self) -> Generator:
         """Spin down every rotating member (process)."""

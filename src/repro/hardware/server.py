@@ -15,7 +15,6 @@ from repro.hardware.device import Device
 from repro.hardware.disk import HardDisk
 from repro.hardware.memory import Dram
 from repro.hardware.meter import EnergyMeter
-from repro.hardware.psu import BurdenModel
 from repro.hardware.ssd import FlashSsd
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -47,15 +46,14 @@ class Server:
 
     def __init__(self, sim: "Simulation", name: str, cpu: Cpu, dram: Dram,
                  storage: Sequence[StorageDevice],
-                 base_watts: float = 50.0,
-                 burden: Optional[BurdenModel] = None) -> None:
+                 base_watts: float = 50.0) -> None:
         self.sim = sim
         self.name = name
         self.cpu = cpu
         self.dram = dram
         self.storage = list(storage)
         self.base = BaseLoad(sim, base_watts, name=f"{name}.base")
-        self.meter = EnergyMeter(sim, burden=burden)
+        self.meter = EnergyMeter(sim)
         self.meter.attach(cpu)
         self.meter.attach(dram)
         self.meter.attach(self.base)
@@ -82,13 +80,6 @@ class Server:
     def power_watts(self) -> float:
         """Instantaneous component power."""
         return self.meter.power_watts()
-
-    def wall_power_watts(self) -> float:
-        """Instantaneous burdened power."""
-        dc = self.power_watts()
-        if self.meter.burden is None:
-            return dc
-        return self.meter.burden.wall_power_watts(dc)
 
     def energy_joules(self, t0: Optional[float] = None,
                       t1: Optional[float] = None) -> float:

@@ -12,7 +12,7 @@ power timelines are downsampled to a plot-friendly size before storage
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from repro.observatory.history import HistoryStore
 from repro.observatory.record import (
@@ -24,22 +24,11 @@ from repro.observatory.record import (
     point_metrics,
     utc_now_iso,
 )
+from repro.telemetry.collector import _downsample
 
 #: timeline samples kept per device inside a stored record — coarse on
 #: purpose: the ledger accumulates forever, the dashboard plots small
 RECORD_TIMELINE_SAMPLES = 64
-
-
-def _resample(times: Sequence[float], values: Sequence[float],
-              limit: int) -> tuple[list[float], list[float]]:
-    """Evenly thin a step series to ``limit`` samples, keeping both
-    endpoints (same policy as the telemetry collector's downsampler)."""
-    n = len(times)
-    if n <= limit:
-        return list(times), list(values)
-    step = (n - 1) / (limit - 1)
-    idx = sorted({round(i * step) for i in range(limit)} | {0, n - 1})
-    return [times[i] for i in idx], [values[i] for i in idx]
 
 
 def timelines_of(trace: Any,
@@ -47,7 +36,7 @@ def timelines_of(trace: Any,
     """A trace's device power timelines, downsampled for storage."""
     out = []
     for dev in getattr(trace, "devices", []):
-        times, watts = _resample(dev.times, dev.watts, limit)
+        times, watts = _downsample(dev.times, dev.watts, limit)
         out.append({
             "name": dev.name,
             "times": [round(t, 9) for t in times],

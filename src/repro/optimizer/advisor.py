@@ -1,23 +1,18 @@
-"""Physical design advisor (paper §3.1 and §5.1).
+"""Physical design advisor (paper §5.1).
 
-Two decisions the paper shows matter for energy:
-
-* **Layout and compression** — "techniques that reduce disk bandwidth
-  requirements, such as column-oriented storage and compression, will
-  need to be re-evaluated for their ability to reduce overall energy
-  use" (§5.1).  :meth:`DesignAdvisor.choose_codecs` prices each codec's
-  bandwidth savings against its decompression CPU energy on the target
-  hardware — the Figure 2 arithmetic run in reverse.
-* **Device count / striping width** — Figure 1's knob.
-  :meth:`DesignAdvisor.choose_width` sweeps an evaluation callback and
-  picks the most energy-efficient width, optionally under a minimum
-  performance constraint (§5.3's TCO discussion).
+Layout and compression — "techniques that reduce disk bandwidth
+requirements, such as column-oriented storage and compression, will
+need to be re-evaluated for their ability to reduce overall energy use"
+(§5.1).  :meth:`DesignAdvisor.choose_codecs` prices each codec's
+bandwidth savings against its decompression CPU energy on the target
+hardware — the Figure 2 arithmetic run in reverse.  (Figure 1's width
+choice is :meth:`~repro.core.profiler.EnergyProfile.best_efficiency`.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.errors import OptimizerError
 from repro.relational.types import DataType
@@ -34,29 +29,6 @@ class CodecChoice:
     compressed_bytes: int
     plain_bytes: int
     scan_energy_joules: float
-
-    @property
-    def ratio(self) -> float:
-        if self.plain_bytes == 0:
-            return 1.0
-        return self.compressed_bytes / self.plain_bytes
-
-
-@dataclass
-class SweepPoint:
-    """One evaluated configuration in a width sweep."""
-
-    width: int
-    seconds: float
-    energy_joules: float
-
-    @property
-    def performance(self) -> float:
-        return 1.0 / self.seconds if self.seconds > 0 else 0.0
-
-    @property
-    def efficiency(self) -> float:
-        return 1.0 / self.energy_joules if self.energy_joules > 0 else 0.0
 
 
 class DesignAdvisor:
@@ -179,35 +151,3 @@ class DesignAdvisor:
             out[name] = self.choose_codec(name, samples[name], dtype,
                                           objective=objective).codec
         return out
-
-    # -- width (disk count) advice -----------------------------------------
-    def choose_width(self, evaluate: Callable[[int], tuple[float, float]],
-                     candidates: Sequence[int],
-                     min_performance: Optional[float] = None
-                     ) -> tuple[int, list[SweepPoint]]:
-        """Sweep widths and pick the most energy-efficient one.
-
-        ``evaluate(width)`` returns ``(seconds, joules)`` for the workload
-        at that width.  With ``min_performance`` (1/seconds), widths below
-        the floor are excluded — if none qualify, the fastest width wins
-        (the §5.3 "pay for more hardware" branch is the caller's next
-        move).
-        """
-        if not candidates:
-            raise OptimizerError("no candidate widths")
-        points = []
-        for width in candidates:
-            seconds, joules = evaluate(width)
-            if seconds <= 0 or joules <= 0:
-                raise OptimizerError(
-                    f"evaluation at width {width} returned non-positive "
-                    "time or energy")
-            points.append(SweepPoint(width, seconds, joules))
-        eligible = points
-        if min_performance is not None:
-            eligible = [p for p in points if p.performance >= min_performance]
-            if not eligible:
-                fastest = max(points, key=lambda p: p.performance)
-                return fastest.width, points
-        best = max(eligible, key=lambda p: p.efficiency)
-        return best.width, points

@@ -115,10 +115,6 @@ class CostModel:
             self._stats_cache[table.name] = analyze_table(table)
         return self._stats_cache[table.name]
 
-    def set_statistics(self, name: str, stats: TableStatistics) -> None:
-        """Inject statistics (e.g. from the catalog) instead of analyzing."""
-        self._stats_cache[name] = stats
-
     # -- entry point --------------------------------------------------------
     def cost(self, root: Operator) -> PlanCost:
         """Predict the full cost of a plan."""

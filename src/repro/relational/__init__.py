@@ -1,7 +1,6 @@
 """Relational engine: types, schemas, expressions, operators, executor."""
 
-from repro.relational.catalog import Catalog
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import DataType
 
-__all__ = ["Catalog", "Column", "DataType", "TableSchema"]
+__all__ = ["Column", "DataType", "TableSchema"]

@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import struct
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.errors import SchemaError
 from repro.relational.types import DataType, _ValuesCodec
@@ -74,11 +74,6 @@ class TableSchema:
 
     def column_names(self) -> list[str]:
         return [c.name for c in self.columns]
-
-    def project(self, names: Iterable[str], new_name: str = "") -> "TableSchema":
-        """A schema containing only the given columns, in the given order."""
-        cols = [self.column(n) for n in names]
-        return TableSchema(new_name or f"{self.name}_proj", cols)
 
     # -- row validation and encoding --------------------------------------
     def validate_row(self, row: Sequence[Any]) -> None:
@@ -181,15 +176,6 @@ class TableSchema:
             offset += consumed
             values.append(value)
         return values, offset
-
-    def row_size_bytes(self, row: Sequence[Any]) -> int:
-        """Encoded size of a row without materializing the bytes."""
-        nbytes = (len(self.columns) + 7) // 8
-        total = nbytes
-        for value, col in zip(row, self.columns):
-            if value is not None:
-                total += col.dtype.encoded_size(value)
-        return total
 
     def __repr__(self) -> str:
         cols = ", ".join(f"{c.name} {c.dtype.value}" for c in self.columns)

@@ -134,14 +134,8 @@ class DataType(enum.Enum):
             values = map(_days_to_date, values)
         return list(values), offset + count * self.fixed_width
 
-    def encoded_size(self, value: Any) -> int:
-        """Bytes this value occupies when encoded."""
-        if self.fixed_width is not None:
-            return self.fixed_width
-        return 4 + len(value.encode("utf-8"))
-
     def encoded_size_many(self, values: Sequence[Any]) -> int:
-        """``sum(map(self.encoded_size, values))``."""
+        """Bytes ``values`` occupy when encoded."""
         if self.fixed_width is not None:
             return self.fixed_width * len(values)
         return 4 * len(values) + len("".join(values).encode("utf-8"))

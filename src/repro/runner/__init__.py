@@ -10,7 +10,7 @@ One surface replaces the repo's historical per-figure entry points:
 * :class:`RunResult` / :class:`PointResult` — grid-ordered results with
   a byte-stable ``to_dict()`` and figure-level ``aggregate()``;
 * the registry (:func:`register_experiment`, :func:`get_experiment`,
-  :func:`list_experiments`, :func:`default_spec`) for adding new
+  :func:`list_experiments`) for adding new
   experiments;
 * ``python -m repro.runner`` — the operational CLI (``run``, ``trace``,
   ``list``, ``cache stats``, ``cache clear``).
@@ -34,7 +34,6 @@ from repro.runner.registry import (
     ExperimentDef,
     UnknownExperimentError,
     UnknownKnobError,
-    default_spec,
     get_experiment,
     list_experiments,
     register_experiment,
@@ -72,7 +71,6 @@ __all__ = [
     "UnknownExperimentError",
     "UnknownKnobError",
     "decode_report",
-    "default_spec",
     "encode_report",
     "get_experiment",
     "list_experiments",

@@ -129,13 +129,6 @@ def list_experiments() -> list[ExperimentDef]:
     return [_REGISTRY[name] for name in sorted(_REGISTRY)]
 
 
-def default_spec(name: str, **knob_overrides: Any) -> "ExperimentSpec":
-    """A spec for ``name`` with registered defaults plus overrides."""
-    from repro.runner.spec import ExperimentSpec
-    return ExperimentSpec(name, knobs=knob_overrides,
-                          profile=get_experiment(name).profile)
-
-
 # -- built-in experiments -------------------------------------------------
 
 def _fig1_aggregate(points: Sequence["PointResult"]) -> Any:

@@ -47,9 +47,8 @@ class Autoscaler:
       first, from the tail of the index order (the dispatcher packs
       from the head, so the tail is cold).
 
-    ``model`` is the reference :class:`NodePowerModel` used by the
-    count-based :meth:`desired_nodes` convenience; per-node decisions
-    always read each node's own model.
+    ``model`` is the fleet's reference :class:`NodePowerModel`; every
+    decision reads each node's own model.
     """
 
     def __init__(self, model: NodePowerModel,
@@ -101,13 +100,6 @@ class Autoscaler:
         """Capacity (speed-1 node-equivalents) that serves the
         smoothed demand at target utilization (unclamped)."""
         return (self._smoothed_rate or 0.0) / self.target_utilization
-
-    def desired_nodes(self, n_nodes: int) -> int:
-        """Node count of the reference model that serves the smoothed
-        demand at target load (the single-class convenience)."""
-        want = self.desired_capacity()
-        nodes = int(want) + (0 if want == int(want) else 1)
-        return max(self.min_nodes, min(n_nodes, nodes))
 
     @staticmethod
     def _work_cost(model: NodePowerModel, target: float) -> float:

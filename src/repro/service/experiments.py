@@ -502,14 +502,13 @@ class HeteroSweepResult(Record):
 
 @dataclass
 class PVCQEDSweepResult(Record):
-    """A mechanism × SLA-headroom sweep folded into a Pareto frontier.
+    """A mechanism × SLA-headroom sweep.
 
     Parallel arrays: point *k* ran mechanism ``configs[k]`` with
     latency budget ``sla_headrooms[k]`` and produced ``reports[k]``.
-    :meth:`pareto_rows` keeps the (Joules/query, p95) non-dominated
-    SLA-respecting points, and :meth:`headline` states the 0909.1767
-    verdict the CI gate pins: the best mechanism config's Joules/query
-    against the ``power_aware`` baseline's, with every tenant SLA met.
+    :meth:`headline` states the 0909.1767 verdict the CI gate pins: the
+    best mechanism config's Joules/query against the ``power_aware``
+    baseline's, with every tenant SLA met.
     """
 
     configs: list[str]
@@ -540,26 +539,6 @@ class PVCQEDSweepResult(Record):
                  "met" if r.slas_met else "MISSED", r.energy_joules)
                 for c, h, r in zip(self.configs, self.sla_headrooms,
                                    self.reports)]
-
-    def pareto_rows(self) -> list[tuple]:
-        """The energy-vs-p95 frontier: SLA-respecting points no other
-        SLA-respecting point beats on both Joules/query and p95,
-        ascending by Joules/query."""
-        met = [(c, h, r) for c, h, r in zip(
-            self.configs, self.sla_headrooms, self.reports)
-            if r.slas_met]
-        frontier = []
-        for c, h, r in met:
-            dominated = any(
-                o.joules_per_query <= r.joules_per_query
-                and o.p95_latency_seconds <= r.p95_latency_seconds
-                and (o.joules_per_query < r.joules_per_query
-                     or o.p95_latency_seconds < r.p95_latency_seconds)
-                for _, _, o in met)
-            if not dominated:
-                frontier.append((c, h, r.joules_per_query,
-                                 r.p95_latency_seconds))
-        return sorted(frontier, key=lambda row: row[2])
 
     def headline(self) -> dict[str, Any]:
         """The acceptance numbers: the cheapest SLA-respecting

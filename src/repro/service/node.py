@@ -13,9 +13,8 @@ accumulators instead of replaying a power step function — which is how
 a 16-node fleet absorbs a million queries in seconds.  Fidelity to the
 hardware layer comes from calibration, not re-simulation:
 :meth:`NodePowerModel.from_server` reads idle/peak watts off a real
-simulated server profile, and :meth:`NodePowerModel.from_cluster_model`
-adopts the §2.4 ensemble constants, so the fast path and the metered
-path price Joules identically.
+simulated server profile, so the fast path and the metered path price
+Joules identically.
 """
 
 from __future__ import annotations
@@ -134,25 +133,6 @@ class NodePowerModel(Record):
             drain_seconds=drain_seconds,
             drain_joules=idle * drain_seconds,
             speed_factor=speed_factor,
-        )
-
-    @classmethod
-    def from_cluster_model(cls, model,
-                           boot_seconds: float = 20.0,
-                           drain_seconds: float = 5.0) -> "NodePowerModel":
-        """Adopt a §2.4 ensemble :class:`~repro.consolidation.cluster.
-        ServerPowerModel`, splitting its ``cycle_joules`` into boot and
-        drain shares proportional to their windows."""
-        windows = boot_seconds + drain_seconds
-        boot_share = boot_seconds / windows if windows > 0 else 1.0
-        return cls(
-            name="ensemble",
-            idle_watts=model.idle_watts,
-            peak_watts=model.peak_watts,
-            boot_seconds=boot_seconds,
-            boot_joules=model.cycle_joules * boot_share,
-            drain_seconds=drain_seconds,
-            drain_joules=model.cycle_joules * (1.0 - boot_share),
         )
 
 

@@ -14,8 +14,7 @@ A :class:`NodeClass` is ``count`` identical nodes sharing one
 ordered tuple of classes.  Specs serialize (``to_dict``/``from_dict``
 invert exactly) and hash stably (:meth:`FleetSpec.fleet_hash`, the same
 canonical-JSON SHA-256 discipline as
-:meth:`~repro.runner.ExperimentSpec.spec_hash` and
-:meth:`~repro.faults.schedule.FaultSchedule.schedule_hash`), so fleet
+:meth:`~repro.runner.ExperimentSpec.spec_hash`), so fleet
 compositions ride the runner cache and observatory provenance like any
 other knob.
 

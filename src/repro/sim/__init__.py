@@ -11,7 +11,7 @@ from repro.sim.clock import Clock
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.engine import Process, Simulation
 from repro.sim.resources import Resource
-from repro.sim.tracing import TimeSeries, TraceRecorder
+from repro.sim.tracing import TimeSeries
 
 __all__ = [
     "AllOf",
@@ -23,5 +23,4 @@ __all__ = [
     "Simulation",
     "TimeSeries",
     "Timeout",
-    "TraceRecorder",
 ]

@@ -89,11 +89,6 @@ class Resource:
         self._busy_integral += self._in_use * (now - self._last_change)
         self._last_change = now
 
-    @property
-    def queue_length(self) -> int:
-        """Requests waiting for a unit."""
-        return len(self._waiting)
-
     def utilization(self) -> float:
         """Mean fraction of capacity in use since the last reset."""
         self._account()
@@ -106,12 +101,6 @@ class Resource:
         """Unit-seconds of busy time since the last reset."""
         self._account()
         return self._busy_integral
-
-    def reset_accounting(self) -> None:
-        """Restart the utilization window at the current time."""
-        self._busy_integral = 0.0
-        self._last_change = self.sim.now
-        self._observed_since = self.sim.now
 
     def __repr__(self) -> str:
         return (f"Resource({self.name!r}, {self._in_use}/{self.capacity} busy, "

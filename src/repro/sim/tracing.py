@@ -1,14 +1,13 @@
 """Time-series tracing for simulations.
 
 Devices emit step-function samples (power changes at state transitions);
-:class:`TimeSeries` stores them and can integrate, average, and resample.
-:class:`TraceRecorder` is a keyed collection of series for a whole run.
+:class:`TimeSeries` stores them and integrates them over any interval.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -156,47 +155,3 @@ class TimeSeries:
         # terms up and differs in the last ulp); the leading 0.0 is the
         # loop's starting total, which only matters for a -0.0 result
         return 0.0 + float(np.cumsum(values[lo:hi + 1] * np.diff(edges))[-1])
-
-    def average(self, t0: float, t1: float) -> float:
-        """Time-weighted mean over ``[t0, t1]``."""
-        if t1 <= t0:
-            raise SimulationError(f"bad interval [{t0}, {t1}]")
-        return self.integrate(t0, t1) / (t1 - t0)
-
-    def resample(self, t0: float, t1: float, step: float) -> list[tuple[float, float]]:
-        """Sample the step function on a regular grid (for plotting)."""
-        if step <= 0:
-            raise SimulationError(f"step must be positive, got {step}")
-        out = []
-        t = t0
-        while t <= t1 + 1e-12:
-            out.append((t, self.value_at(min(t, t1))))
-            t += step
-        return out
-
-
-class TraceRecorder:
-    """A keyed collection of :class:`TimeSeries` for one simulation run."""
-
-    def __init__(self) -> None:
-        self._series: dict[str, TimeSeries] = {}
-
-    def series(self, key: str) -> TimeSeries:
-        """Get (or lazily create) the series for ``key``."""
-        if key not in self._series:
-            self._series[key] = TimeSeries(name=key)
-        return self._series[key]
-
-    def record(self, key: str, t: float, value: float) -> None:
-        """Append a sample to the series for ``key``."""
-        self.series(key).record(t, value)
-
-    def keys(self) -> list[str]:
-        return sorted(self._series)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._series
-
-    def total(self, keys: Iterable[str], t0: float, t1: float) -> float:
-        """Sum of integrals across the given series over ``[t0, t1]``."""
-        return sum(self._series[k].integrate(t0, t1) for k in keys)

@@ -21,7 +21,7 @@ from repro.storage.heap import HeapFile
 from repro.storage.index import TableIndex
 from repro.storage.manager import StorageManager, Table
 from repro.storage.page import SlottedPage
-from repro.storage.partitioner import Partitioner, RepartitionPlan
+from repro.storage.partitioner import Partitioner
 from repro.storage.prefetcher import BurstPrefetcher, trickle_stream
 from repro.storage.tiering import StorageTier, TableProfile, TieringAdvisor
 from repro.storage.wal import WriteAheadLog
@@ -38,7 +38,6 @@ __all__ = [
     "LzLiteCodec",
     "NoneCodec",
     "Partitioner",
-    "RepartitionPlan",
     "ReplacementPolicy",
     "RleCodec",
     "SlottedPage",

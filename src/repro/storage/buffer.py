@@ -137,48 +137,13 @@ class BufferPool:
         self._clock_order.append(key)
         return evicted
 
-    # -- pinning / dirtying -----------------------------------------------
-    def pin(self, key: Hashable) -> None:
-        """Prevent eviction until unpinned."""
-        self._frame(key).pin_count += 1
-
-    def unpin(self, key: Hashable) -> None:
-        """Release one pin."""
-        frame = self._frame(key)
-        if frame.pin_count <= 0:
-            raise BufferPoolError(f"page {key!r} is not pinned")
-        frame.pin_count -= 1
-
-    def mark_dirty(self, key: Hashable) -> None:
-        """Record that the cached page diverged from storage."""
-        self._frame(key).dirty = True
-
-    def flush(self) -> list[Evicted]:
-        """Drop every unpinned page (dirty ones returned for writeback)."""
-        out = []
-        for key in [k for k, f in self._frames.items() if f.pin_count == 0]:
-            frame = self._frames.pop(key)
-            self._clock_order.remove(key)
-            out.append(Evicted(key, frame.page, frame.dirty))
-        return out
-
     # -- statistics ------------------------------------------------------------
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def residency_power_watts(self) -> float:
-        """Instantaneous DRAM power attributable to cached pages."""
-        return self.page_residency_watts * len(self._frames)
-
     # -- internals ------------------------------------------------------------
-    def _frame(self, key: Hashable) -> _Frame:
-        try:
-            return self._frames[key]
-        except KeyError:
-            raise BufferPoolError(f"page {key!r} not cached") from None
-
     def _next_seq(self) -> int:
         self._seq += 1
         return self._seq

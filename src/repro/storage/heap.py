@@ -62,12 +62,6 @@ class HeapFile:
         self._row_count += 1
         return (len(self.pages) - 1, slot)
 
-    def delete(self, rid: RecordId) -> None:
-        """Tombstone a row."""
-        page_no, slot = rid
-        self._page(page_no).delete(slot)
-        self._row_count -= 1
-
     def fetch(self, rid: RecordId) -> tuple[Any, ...]:
         """Decode the row at ``rid``."""
         page_no, slot = rid
@@ -79,11 +73,6 @@ class HeapFile:
         for page in self.pages:
             for _slot, payload in page.records():
                 yield self.schema.decode_row(payload)
-
-    def scan_page(self, page_no: int) -> Iterator[tuple[Any, ...]]:
-        """Yield the live rows of one page."""
-        for _slot, payload in self._page(page_no).records():
-            yield self.schema.decode_row(payload)
 
     def _page(self, page_no: int) -> SlottedPage:
         if not 0 <= page_no < len(self.pages):

@@ -162,12 +162,6 @@ class StorageManager:
         self._tables[schema.name] = table
         return table
 
-    def drop_table(self, name: str) -> None:
-        """Remove a table from the catalog."""
-        if name not in self._tables:
-            raise StorageError(f"no table named {name!r}")
-        del self._tables[name]
-
     def table(self, name: str) -> Table:
         """Look up a table by name."""
         try:

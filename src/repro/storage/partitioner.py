@@ -1,14 +1,9 @@
 """Partition placement and consolidation planning.
 
-Two of the paper's knobs live here:
-
-* Figure 1's knob — "repartitioning our database across fewer disks" —
-  is :meth:`Partitioner.plan_repartition`, which prices the data movement
-  the paper says must be weighed against the efficiency gain.
-* §4.2's consolidation — "move data across resources so unused hardware
-  can be powered down" — is :meth:`Partitioner.plan_consolidation`,
-  which packs partitions onto the fewest devices whose bandwidth still
-  covers the observed access rates, and prices the migration.
+§4.2's consolidation — "move data across resources so unused hardware
+can be powered down" — is :meth:`Partitioner.plan_consolidation`, which
+packs partitions onto the fewest devices whose bandwidth still covers
+the observed access rates, and prices the migration.
 """
 
 from __future__ import annotations
@@ -60,17 +55,6 @@ class Move:
 
 
 @dataclass
-class RepartitionPlan:
-    """The cost of changing a striping width (Figure 1's maintenance cost)."""
-
-    old_width: int
-    new_width: int
-    bytes_moved: int
-    estimated_seconds: float
-    estimated_joules: float
-
-
-@dataclass
 class ConsolidationPlan:
     """Placement after consolidation, plus what it costs and saves."""
 
@@ -100,52 +84,6 @@ class Partitioner:
             raise ConsolidationError("duplicate device names")
         self.devices = list(devices)
         self._by_name = {d.name: d for d in devices}
-
-    # -- striping -----------------------------------------------------------
-    def stripe(self, total_bytes: int, width: int) -> dict[str, int]:
-        """Spread ``total_bytes`` evenly over the first ``width`` devices."""
-        if not 1 <= width <= len(self.devices):
-            raise ConsolidationError(
-                f"width {width} outside 1..{len(self.devices)}")
-        if total_bytes < 0:
-            raise ConsolidationError("negative data size")
-        share, remainder = divmod(total_bytes, width)
-        out = {}
-        for i, device in enumerate(self.devices[:width]):
-            size = share + (1 if i < remainder else 0)
-            if size > device.capacity_bytes:
-                raise ConsolidationError(
-                    f"device {device.name!r} cannot hold {size} bytes")
-            out[device.name] = size
-        return out
-
-    def plan_repartition(self, total_bytes: int, old_width: int,
-                         new_width: int) -> RepartitionPlan:
-        """Price restriping from ``old_width`` to ``new_width`` devices.
-
-        Every byte is read from the old layout and written to the new one;
-        reads and writes proceed at the aggregate bandwidth of their side,
-        the slower side dominating.  Energy charges active power on both
-        device sets for that duration.
-        """
-        if total_bytes < 0:
-            raise ConsolidationError("negative data size")
-        for width in (old_width, new_width):
-            if not 1 <= width <= len(self.devices):
-                raise ConsolidationError(
-                    f"width {width} outside 1..{len(self.devices)}")
-        self.stripe(total_bytes, new_width)  # validates capacity
-        if old_width == new_width or total_bytes == 0:
-            return RepartitionPlan(old_width, new_width, 0, 0.0, 0.0)
-        read_bw = sum(d.bandwidth_bytes_per_s
-                      for d in self.devices[:old_width])
-        write_bw = sum(d.bandwidth_bytes_per_s
-                       for d in self.devices[:new_width])
-        seconds = total_bytes / min(read_bw, write_bw)
-        active = (sum(d.active_watts for d in self.devices[:old_width])
-                  + sum(d.active_watts for d in self.devices[:new_width]))
-        return RepartitionPlan(old_width, new_width, total_bytes,
-                               seconds, active * seconds)
 
     # -- consolidation --------------------------------------------------------
     def plan_consolidation(self, partitions: Sequence[Partition],

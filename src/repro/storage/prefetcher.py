@@ -77,24 +77,6 @@ class BurstPrefetcher:
                        spec.spinup_joules))
         return self.idle_period_seconds() > breakeven
 
-    def recommended_buffer_bytes(self, safety_factor: float = 1.5) -> float:
-        """Smallest buffer whose idle period clears the break-even."""
-        spec = self.disk.spec
-        breakeven = breakeven_idle_seconds(
-            spec.idle_watts, spec.standby_watts,
-            Transition("idle", "standby", spec.spindown_seconds,
-                       spec.spindown_joules),
-            Transition("standby", "idle", spec.spinup_seconds,
-                       spec.spinup_joules))
-        bandwidth = self.disk.effective_bandwidth_bytes_per_s
-        if self.consume_rate >= bandwidth:
-            raise StorageError(
-                "consumer faster than the disk; bursting cannot create "
-                "idle periods")
-        # drain - fill = B/rate - B/bw > breakeven
-        needed = breakeven / (1.0 / self.consume_rate - 1.0 / bandwidth)
-        return needed * safety_factor
-
     # -- streaming -----------------------------------------------------------
     def stream(self, total_bytes: float,
                stream_token: str = "prefetch") -> Generator:

@@ -38,18 +38,6 @@ class WalStats:
     bytes_flushed: int = 0
     commit_latencies: list[float] = field(default_factory=list)
 
-    @property
-    def mean_commit_latency(self) -> float:
-        if not self.commit_latencies:
-            return 0.0
-        return sum(self.commit_latencies) / len(self.commit_latencies)
-
-    @property
-    def records_per_flush(self) -> float:
-        if self.flushes == 0:
-            return 0.0
-        return self.records_appended / self.flushes
-
 
 class WriteAheadLog:
     """Group-committing WAL on a simulated device."""
@@ -69,8 +57,6 @@ class WriteAheadLog:
         self._queue: list[tuple[int, Event, float]] = []
         self._arrival: Event | None = None
         self._batch_full: Event | None = None
-        self._closed = False
-        self._next_lsn = 1
         sim.spawn(self._flusher(), name="wal-flusher")
 
     # -- client API -----------------------------------------------------------
@@ -80,15 +66,12 @@ class WriteAheadLog:
         ``payload_bytes`` is the record body size; header overhead is
         added automatically.
         """
-        if self._closed:
-            raise WalError("log is closed")
         if payload_bytes < 0:
             raise WalError("negative record size")
         ack = Event(self.sim)
         size = payload_bytes + RECORD_OVERHEAD_BYTES
         self._queue.append((size, ack, self.sim.now))
         self.stats.records_appended += 1
-        self._next_lsn += 1
         if self._arrival is not None and not self._arrival.triggered:
             self._arrival.succeed()
         if (self._batch_full is not None and not self._batch_full.triggered
@@ -96,25 +79,15 @@ class WriteAheadLog:
             self._batch_full.succeed()
         return ack
 
-    def close(self) -> None:
-        """Refuse further appends; in-flight records still flush."""
-        self._closed = True
-        if self._arrival is not None and not self._arrival.triggered:
-            self._arrival.succeed()
-
     # -- flusher daemon ---------------------------------------------------------
     def _flusher(self):
         while True:
             if not self._queue:
-                if self._closed:
-                    return
                 self._arrival = Event(self.sim)
                 yield self._arrival
                 self._arrival = None
-                if not self._queue:
-                    return  # woken by close() with nothing to do
             if (len(self._queue) < self.batch_records
-                    and self.batch_timeout_seconds > 0 and not self._closed):
+                    and self.batch_timeout_seconds > 0):
                 self._batch_full = Event(self.sim)
                 deadline = self.sim.timeout(self.batch_timeout_seconds)
                 yield self.sim.any_of([deadline, self._batch_full])

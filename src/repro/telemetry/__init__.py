@@ -17,8 +17,8 @@ an attribution layer:
   that serializes losslessly (``to_dict``/``from_dict``), so traces
   ride through the runner's process pool, the content-addressed cache,
   and ``RunResult`` JSON;
-* exporters render a trace as JSON, tidy CSV (both invertible), or a
-  terminal energy flamegraph (``python -m repro.runner trace fig2``).
+* exporters render a trace as tidy CSV or a terminal energy
+  flamegraph (``python -m repro.runner trace fig2``).
 
 Telemetry is **off by default**: with no collector installed every
 hook is one global read, keeping the untraced engine at full speed
@@ -35,12 +35,9 @@ from repro.telemetry.export import (
     counter_rows,
     device_rows,
     render_flamegraph,
-    trace_from_csv,
-    trace_from_json,
     trace_to_csv,
-    trace_to_json,
 )
-from repro.telemetry.sink import TelemetrySink, tee
+from repro.telemetry.sink import TelemetrySink
 from repro.telemetry.spans import EnergySpan, SpanStack
 from repro.telemetry.trace import DeviceTimeline, SpanNode, TelemetryTrace
 
@@ -58,9 +55,5 @@ __all__ = [
     "current_collector",
     "device_rows",
     "render_flamegraph",
-    "tee",
-    "trace_from_csv",
-    "trace_from_json",
     "trace_to_csv",
-    "trace_to_json",
 ]

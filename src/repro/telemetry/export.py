@@ -1,10 +1,10 @@
-"""Trace exporters: JSON, CSV, and the terminal energy flamegraph.
+"""Trace exporters: CSV and the terminal energy flamegraph.
 
 JSON is the canonical interchange form (exactly
 ``TelemetryTrace.to_dict()``); the CSV form is a tidy, typed-row table
-that round-trips losslessly through :func:`trace_from_csv` (Python's
-``str(float)`` is shortest-repr, so every value survives the text trip
-bit-exactly).  The flamegraph is a plain-ASCII rendering for terminals:
+that carries every value of the trace (Python's ``str(float)`` is
+shortest-repr, so every value survives the text trip bit-exactly).  The
+flamegraph is a plain-ASCII rendering for terminals:
 one bar per span, width proportional to the span's share of the
 capture's metered energy, indented by tree depth.
 """
@@ -13,24 +13,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from typing import Optional
 
 from repro.errors import ReproError
-from repro.telemetry.trace import DeviceTimeline, SpanNode, TelemetryTrace
-
-# -- JSON ------------------------------------------------------------
-
-
-def trace_to_json(trace: TelemetryTrace, indent: Optional[int] = None
-                  ) -> str:
-    """The trace as deterministic JSON (sorted keys)."""
-    return json.dumps(trace.to_dict(), sort_keys=True, indent=indent)
-
-
-def trace_from_json(text: str) -> TelemetryTrace:
-    return TelemetryTrace.from_dict(json.loads(text))
-
+from repro.telemetry.trace import SpanNode, TelemetryTrace
 
 # -- CSV -------------------------------------------------------------
 #
@@ -100,53 +86,6 @@ def trace_to_csv(trace: TelemetryTrace,
     for name in sorted(trace.counters):
         emit(["counter", "", "", name, "", trace.counters[name], "", ""])
     return out.getvalue()
-
-
-def trace_from_csv(text: str) -> TelemetryTrace:
-    """Invert :func:`trace_to_csv` (single-point form only)."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != CSV_HEADER:
-        raise ReproError(
-            f"not a telemetry CSV (header {header!r}); multi-point "
-            "exports carry a 'point' column and must be split first")
-    trace = TelemetryTrace()
-    spans: dict[int, SpanNode] = {}
-    devices: dict[str, DeviceTimeline] = {}
-    for row in reader:
-        record, span_id, parent, name, device, a, b, c = row
-        if record == "trace":
-            trace.started_at = float(a)
-            trace.ended_at = float(b)
-        elif record == "span":
-            node = SpanNode(name=name, started_at=float(a),
-                            ended_at=float(b))
-            spans[int(span_id)] = node
-            if parent == "":
-                trace.spans.append(node)
-            else:
-                spans[int(parent)].children.append(node)
-        elif record == "energy":
-            node = spans[int(span_id)]
-            node.device_joules[device] = float(a)
-            if b != "":
-                node.active_joules[device] = float(b)
-        elif record == "device":
-            dev = DeviceTimeline(name=name, energy_joules=float(a),
-                                 active_energy_joules=float(b),
-                                 busy_seconds=float(c))
-            devices[name] = dev
-            trace.devices.append(dev)
-        elif record == "sample":
-            devices[device].times.append(float(a))
-            devices[device].watts.append(float(b))
-        elif record == "counter":
-            trace.counters[name] = float(a)
-        else:
-            raise ReproError(f"unknown CSV record type {record!r}")
-    for dev in trace.devices:
-        dev.n_raw_samples = len(dev.times)
-    return trace
 
 
 # -- terminal rendering ----------------------------------------------

@@ -5,8 +5,8 @@ The runner emits a ``"telemetry"``
 decoded :class:`TelemetryTrace`) for every traced point —
 cache hits included, since traced payloads store their trace.  A
 ``TelemetrySink`` is an ordinary event sink that accumulates those into
-a per-point map plus run-level rollups; compose it with the printing
-sink via :func:`tee`::
+a per-point map plus run-level rollups (``forward`` passes every event
+on, e.g. to the printing sink)::
 
     from repro.runner import Runner
     from repro.telemetry import TelemetrySink
@@ -54,27 +54,3 @@ class TelemetrySink:
             for name, joules in trace.device_totals().items():
                 totals[name] = totals.get(name, 0.0) + joules
         return dict(sorted(totals.items()))
-
-    def summary_rows(self) -> list[tuple]:
-        """(point, duration s, metered J, busy-time J, top device) rows."""
-        rows = []
-        for index in sorted(self.traces):
-            trace = self.traces[index]
-            totals = trace.device_totals()
-            top = max(totals, key=totals.get) if totals else "-"
-            rows.append((index, round(trace.duration, 6),
-                         round(trace.total_joules, 6),
-                         round(trace.active_total_joules, 6), top))
-        return rows
-
-
-def tee(*sinks: Optional[Callable[[Any], None]]
-        ) -> Callable[[Any], None]:
-    """Fan one event stream out to several sinks (Nones skipped)."""
-    active = [s for s in sinks if s is not None]
-
-    def fanout(event: Any) -> None:
-        for sink in active:
-            sink(event)
-
-    return fanout

@@ -53,10 +53,6 @@ class SpanNode(Record):
         """Busy-time energy attributed to this span, all devices."""
         return sum(self.active_joules.values())
 
-    def self_joules(self) -> float:
-        """Metered energy not covered by any child span's interval."""
-        return self.total_joules - sum(c.total_joules for c in self.children)
-
     def walk(self, depth: int = 0) -> Iterator[tuple[int, "SpanNode"]]:
         """Pre-order traversal as ``(depth, node)`` pairs."""
         yield depth, self

@@ -56,16 +56,6 @@ def watts(energy_joules: float, seconds: float) -> float:
     return energy_joules / seconds
 
 
-def pretty_bytes(n: float) -> str:
-    """Render a byte count with a binary-prefix unit, e.g. ``1.5 GiB``."""
-    value = float(n)
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if abs(value) < 1024.0 or unit == "TiB":
-            return f"{value:.1f} {unit}" if unit != "B" else f"{value:.0f} B"
-        value /= 1024.0
-    raise AssertionError("unreachable")
-
-
 def pretty_time(seconds: float) -> str:
     """Render a duration with an adaptive unit, e.g. ``3.2 s`` or ``150 us``."""
     if seconds < 0:

@@ -24,7 +24,6 @@ True
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.records import Record
@@ -82,14 +81,3 @@ class DatasetCatalog(Record):
     def fresh(self, dataset: str) -> bool:
         """Whether the latest version of ``dataset`` met freshness."""
         return self.latest(dataset).fresh
-
-    def save(self, path: str) -> None:
-        """Write the manifest as JSON (the ``manifest.json`` idiom)."""
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(json.dumps(self.to_dict(), indent=2, sort_keys=True)
-                    + "\n")
-
-    @classmethod
-    def load(cls, path: str) -> "DatasetCatalog":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))

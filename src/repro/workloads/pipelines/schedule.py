@@ -46,7 +46,8 @@ counts measured ``precedence_violations``).
 300.0
 >>> plan.release_of("publish") > plan.release_of("pull")
 True
->>> plan.completion_estimate_seconds <= p.freshness_sla_seconds
+>>> max(s.release_seconds + s.duration_estimate_seconds
+...     for s in plan.stages) <= p.freshness_sla_seconds
 True
 """
 
@@ -104,12 +105,6 @@ class StagePlan(Record):
                 return p
         raise PipelineError(
             f"plan for {self.pipeline!r} has no stage {stage!r}")
-
-    @property
-    def completion_estimate_seconds(self) -> float:
-        """Estimated absolute completion of the last stage."""
-        return max(p.release_seconds + p.duration_estimate_seconds
-                   for p in self.stages)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ other knob.
 ... )
 >>> [s.name for s in p.topological()]
 ['pull', 'agg', 'publish']
->>> p.total_work_seconds
+>>> sum(s.work_seconds for s in p.stages)
 15.0
 >>> p == PipelineSpec.from_dict(p.to_dict())
 True
@@ -208,25 +208,6 @@ cycle through stage 'a'
             raise PipelineError(
                 f"pipeline {self.name!r}: cycle through stage {stuck!r}")
         return tuple(order)
-
-    def roots(self) -> tuple[Stage, ...]:
-        """Stages with no inputs (the extract frontier)."""
-        return tuple(s for s in self.stages if not s.inputs)
-
-    def sinks(self) -> tuple[Stage, ...]:
-        """Stages nothing consumes (the publish frontier)."""
-        consumed = {dep for s in self.stages for dep in s.inputs}
-        return tuple(s for s in self.stages if s.name not in consumed)
-
-    @property
-    def total_work_seconds(self) -> float:
-        """Whole-pipeline demand in speed-1 node-seconds."""
-        return sum(s.work_seconds for s in self.stages)
-
-    def datasets(self) -> tuple[tuple[str, str], ...]:
-        """``(dataset, stage)`` pairs the pipeline's loads publish."""
-        return tuple((s.published_dataset, s.name) for s in self.stages
-                     if s.published_dataset is not None)
 
     @property
     def pipeline_hash(self) -> str:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.runner import (ExperimentSpec, default_spec, list_experiments,
+from repro.runner import (ExperimentSpec, get_experiment, list_experiments,
                           point_key)
 
 GOLDEN = Path(__file__).parent / "golden_records"
@@ -38,7 +38,7 @@ def builtin_experiments():
 
 
 def identity(name: str, version: str) -> dict:
-    spec = default_spec(name)
+    spec = ExperimentSpec(name, profile=get_experiment(name).profile)
     points = spec.points()
     return {
         "spec_hash": spec.spec_hash(),

@@ -252,27 +252,3 @@ class TestAdvisor:
         codecs = advisor.choose_codecs(orders)
         assert set(codecs) == {"o_id", "o_cust", "o_total"}
         assert codecs["o_id"] == "delta"  # sorted ints
-
-    def test_choose_width_picks_best_efficiency(self):
-        def evaluate(width):
-            seconds = 10.0 / width + 2.0       # diminishing returns
-            power = 100.0 + width * 15.0       # constant power per disk
-            return seconds, seconds * power
-
-        width, points = DesignAdvisor(0, 0).choose_width(
-            evaluate, [2, 4, 8, 16])
-        efficiencies = {p.width: p.efficiency for p in points}
-        assert efficiencies[width] == max(efficiencies.values())
-
-    def test_choose_width_respects_performance_floor(self):
-        def evaluate(width):
-            seconds = 10.0 / width + 2.0
-            power = 100.0 + width * 15.0
-            return seconds, seconds * power
-
-        unconstrained, _ = DesignAdvisor(0, 0).choose_width(
-            evaluate, [2, 4, 8, 16])
-        constrained, _ = DesignAdvisor(0, 0).choose_width(
-            evaluate, [2, 4, 8, 16], min_performance=1.0 / 2.9)
-        assert constrained >= unconstrained
-        assert 10.0 / constrained + 2.0 <= 2.9 + 1e-9

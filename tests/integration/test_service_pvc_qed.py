@@ -98,11 +98,6 @@ class TestRunnerIntegration:
         assert headline["dominates_power_aware"] is True
         assert headline["best_config"] != "power_aware"
         assert headline["savings_fraction"] > 0.0
-        # the frontier's cheapest point is a mechanism config, its
-        # fastest point the baseline
-        frontier = sweep.pareto_rows()
-        assert frontier[0][0] != "power_aware"
-        assert frontier[-1][0] == "power_aware"
         # round-trips through the report registry
         restored = PVCQEDSweepResult.from_dict(sweep.to_dict())
         assert restored.to_dict() == sweep.to_dict()

@@ -7,14 +7,15 @@ import json
 import pytest
 
 from repro.runner import (
+    ExperimentSpec,
     PointObserved,
     Runner,
     RunResult,
-    default_spec,
+    get_experiment,
     point_key,
 )
 from repro.runner.cli import main as cli_main
-from repro.telemetry import TelemetrySink, capture, trace_from_csv
+from repro.telemetry import TelemetrySink, capture
 from repro.workloads.scan_workload import run_scan
 
 #: fast scan knobs for runner-transport tests
@@ -130,7 +131,8 @@ class TestRunnerTransport:
     def test_fig2_trace_matches_energy_profile_within_1e9(self):
         sink = TelemetrySink()
         run = Runner(cache=False, trace=True,
-                     on_event=sink).run(default_spec("fig2"))
+                     on_event=sink).run(ExperimentSpec(
+                         "fig2", profile=get_experiment("fig2").profile))
         profile = run.profile()
         for point, ppoint in zip(run.points, profile.points):
             active = sum(point.telemetry.active_totals().values())
@@ -143,7 +145,7 @@ class TestRunnerTransport:
             ExperimentSpec("scan", knobs=TINY_SCAN))
         totals = sink.device_totals()
         assert totals and all(v >= 0 for v in totals.values())
-        assert len(sink.summary_rows()) == 2
+        assert sorted(sink.traces) == [0, 1]
 
 
 class TestTraceCli:
@@ -157,19 +159,18 @@ class TestTraceCli:
         assert "query:tablescan" in out
         assert "metered_J" in out
 
-    def test_csv_export_round_trips(self, capsys):
+    def test_csv_export_splits_by_point(self, capsys):
         assert cli_main([*self.ARGS, "--csv"]) == 0
         out = capsys.readouterr().out
         lines = out.splitlines()
         assert lines[0] == "point,record,id,parent,name,device,a,b,c"
-        # split the concatenation back into per-point traces
+        # each point's rows: one trace row, then devices with energy
         for index in ("0", "1"):
-            body = "\n".join(
-                ",".join(line.split(",")[1:]) for line in lines[1:]
-                if line.startswith(f"{index},"))
-            trace = trace_from_csv(
-                "record,id,parent,name,device,a,b,c\n" + body + "\n")
-            assert trace.total_joules > 0
+            rows = [line.split(",")[1:] for line in lines[1:]
+                    if line.startswith(f"{index},")]
+            assert rows[0][0] == "trace"
+            assert sum(float(row[5]) for row in rows
+                       if row[0] == "device") > 0
 
     def test_json_export_carries_telemetry(self, capsys):
         assert cli_main([*self.ARGS, "--json"]) == 0

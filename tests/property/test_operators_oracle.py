@@ -23,7 +23,6 @@ from repro.relational.types import DataType
 from repro.sim import Simulation
 from repro.storage.buffer import BufferPool, ReplacementPolicy
 from repro.storage.manager import StorageManager
-from repro.storage.partitioner import DeviceSlot, Partitioner
 from repro.units import MB
 
 rows_strategy = st.lists(
@@ -143,15 +142,3 @@ def test_buffer_pool_invariants(accesses, capacity, policy):
             assert page == f"page-{key}"
         assert len(pool) <= capacity
     assert pool.hits + pool.misses == len(accesses)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=10**12),
-       st.integers(min_value=1, max_value=16))
-def test_stripe_conserves_bytes(total, width):
-    devices = [DeviceSlot(f"d{i}", 10**13, 100 * MB, 10.0, 15.0)
-               for i in range(16)]
-    shares = Partitioner(devices).stripe(total, width)
-    assert sum(shares.values()) == total
-    assert len(shares) == width
-    assert max(shares.values()) - min(shares.values()) <= 1

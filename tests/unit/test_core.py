@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ReproError
 from repro.core.metrics import (
     TcoModel,
-    energy_delay_product,
     energy_efficiency,
     perf_per_watt,
 )
@@ -31,16 +30,11 @@ class TestMetrics:
         best_by_ee = max(energies, key=lambda e: energy_efficiency(10.0, e))
         assert best_by_ee == min(energies)
 
-    def test_edp(self):
-        assert energy_delay_product(338.0, 10.0) == pytest.approx(3380.0)
-
     def test_validation(self):
         with pytest.raises(ReproError):
             energy_efficiency(1.0, 0.0)
         with pytest.raises(ReproError):
             perf_per_watt(-1.0, 10.0)
-        with pytest.raises(ReproError):
-            energy_delay_product(-1.0, 1.0)
 
 
 class TestTco:
@@ -58,11 +52,6 @@ class TestTco:
     def test_total_cost_includes_hardware(self):
         tco = self.make()
         assert tco.total_cost(0.0) == pytest.approx(10_000.0)
-
-    def test_energy_fraction_grows_with_power(self):
-        tco = self.make()
-        assert tco.energy_cost_fraction(2000.0) > \
-            tco.energy_cost_fraction(200.0)
 
     def test_scale_out_beats_waste_when_energy_dominates(self):
         """§5.3: at high energy prices, adding hardware at constant EE

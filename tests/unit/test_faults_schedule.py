@@ -64,11 +64,10 @@ class TestFaultSchedule:
         with pytest.raises(FaultError, match="horizon"):
             FaultSchedule(n_nodes=1, horizon_seconds=0.0)
 
-    def test_by_kind_and_downtime(self):
+    def test_by_kind(self):
         schedule = FaultSchedule(n_nodes=2, horizon_seconds=20.0,
                                  events=self.events())
         assert len(schedule.by_kind("crash")) == 2
-        assert schedule.planned_downtime_node_seconds() == 10.0
         with pytest.raises(FaultError, match="unknown fault kind"):
             schedule.by_kind("meteor")
 
@@ -80,19 +79,12 @@ class TestFaultSchedule:
         assert "no faults" in \
             FaultSchedule(n_nodes=2, horizon_seconds=20.0).describe()
 
-    def test_roundtrip_and_hash_stability(self):
+    def test_roundtrip(self):
         schedule = FaultSchedule(n_nodes=2, horizon_seconds=20.0,
                                  events=self.events(), seed=7)
         again = FaultSchedule.from_dict(schedule.to_dict())
         assert again == schedule
-        assert again.schedule_hash() == schedule.schedule_hash()
-
-    def test_hash_tracks_content(self):
-        a = FaultSchedule(n_nodes=2, horizon_seconds=20.0,
-                          events=self.events())
-        b = FaultSchedule(n_nodes=2, horizon_seconds=20.0,
-                          events=self.events()[:2])
-        assert a.schedule_hash() != b.schedule_hash()
+        assert again.to_dict() == schedule.to_dict()
 
 
 class TestDegradedSpeedFactor:
@@ -114,7 +106,6 @@ class TestBuildFaultSchedule:
         a = build_fault_schedule(4, 7200.0, seed=11)
         b = build_fault_schedule(4, 7200.0, seed=11)
         assert a == b
-        assert a.schedule_hash() == b.schedule_hash()
         assert build_fault_schedule(4, 7200.0, seed=12) != a
 
     def test_lanes_are_independent(self):

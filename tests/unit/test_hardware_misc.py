@@ -1,4 +1,4 @@
-"""Unit tests for DRAM, PSU/burden, server, proportionality, profiles."""
+"""Unit tests for DRAM, server, proportionality, profiles."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.hardware.proportionality import (
     IdealProportionalDevice,
     proportionality_index,
 )
-from repro.hardware.psu import BurdenModel, PsuSpec, aggregate_efficiency
 from repro.hardware import profiles
 from repro.sim import Simulation
 from repro.units import GB, GIB, MB
@@ -21,30 +20,10 @@ class TestDram:
             active_extra_watts=4.0, bandwidth_bytes_per_s=1 * GB,
             rank_bytes=rank))
 
-    def test_background_power_scales_with_powered_capacity(self):
-        sim = Simulation()
-        dram = self.make(sim)
-        assert dram.power_watts == pytest.approx(4.0)
-        dram.set_powered_bytes(2 * GIB)
-        assert dram.power_watts == pytest.approx(2.0)
-
-    def test_powering_is_rank_granular(self):
-        sim = Simulation()
-        dram = self.make(sim)
-        dram.set_powered_bytes(1)  # rounds up to one full rank
-        assert dram.powered_bytes == 1 * GIB
-
-    def test_cannot_power_down_below_allocation(self):
-        sim = Simulation()
-        dram = self.make(sim)
-        dram.allocate(3 * GIB)
-        with pytest.raises(HardwareError):
-            dram.set_powered_bytes(2 * GIB)
-
     def test_allocate_beyond_powered_rejected(self):
         sim = Simulation()
         dram = self.make(sim)
-        dram.set_powered_bytes(1 * GIB)
+        dram.allocate(3 * GIB)
         with pytest.raises(HardwareError):
             dram.allocate(2 * GIB)
 
@@ -74,52 +53,6 @@ class TestDram:
         sim = Simulation()
         dram = self.make(sim)
         assert dram.residency_watts(2 * GIB) == pytest.approx(2.0)
-
-
-class TestPsu:
-    def test_efficiency_interpolation(self):
-        psu = PsuSpec(rated_watts=1000.0,
-                      efficiency_curve=((0.0, 0.5), (1.0, 0.9)))
-        assert psu.efficiency(0.0) == pytest.approx(0.5)
-        assert psu.efficiency(500.0) == pytest.approx(0.7)
-        assert psu.efficiency(1000.0) == pytest.approx(0.9)
-
-    def test_efficiency_clamps_above_rating(self):
-        psu = PsuSpec(rated_watts=1000.0,
-                      efficiency_curve=((0.0, 0.5), (1.0, 0.9)))
-        assert psu.efficiency(5000.0) == pytest.approx(0.9)
-
-    def test_input_power(self):
-        psu = PsuSpec(rated_watts=1000.0,
-                      efficiency_curve=((0.0, 0.8), (1.0, 0.8)))
-        assert psu.input_watts(400.0) == pytest.approx(500.0)
-
-    def test_burden_cooling_overhead(self):
-        burden = BurdenModel(cooling_overhead=1.0)
-        assert burden.wall_power_watts(100.0) == pytest.approx(200.0)
-
-    def test_burden_with_psu(self):
-        psu = PsuSpec(rated_watts=1000.0,
-                      efficiency_curve=((0.0, 0.8), (1.0, 0.8)))
-        burden = BurdenModel(psu=psu, cooling_overhead=0.5)
-        assert burden.wall_power_watts(400.0) == pytest.approx(750.0)
-
-    def test_pue(self):
-        burden = BurdenModel(cooling_overhead=0.5)
-        assert burden.pue(100.0) == pytest.approx(1.5)
-
-    def test_curve_validation(self):
-        with pytest.raises(HardwareError):
-            PsuSpec(efficiency_curve=((0.5, 0.8), (1.0, 0.9)))
-        with pytest.raises(HardwareError):
-            PsuSpec(efficiency_curve=((0.0, 0.8),))
-
-    def test_aggregate_efficiency(self):
-        psu = PsuSpec(rated_watts=1000.0,
-                      efficiency_curve=((0.0, 0.6), (0.5, 0.9), (1.0, 0.9)))
-        # Two PSUs at half the load each land at a better curve point
-        # than one PSU near zero load.
-        assert aggregate_efficiency([psu, psu], 1000.0) == pytest.approx(0.9)
 
 
 class TestProportionality:

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import HardwareError
 from repro.hardware.disk import DiskSpec, HardDisk
 from repro.hardware.meter import EnergyMeter
-from repro.hardware.psu import BurdenModel
 from repro.hardware.raid import RaidArray, RaidLevel
 from repro.hardware.server import BaseLoad
 from repro.hardware.ssd import FlashSsd, SsdSpec
@@ -140,38 +139,12 @@ class TestEnergyMeter:
         with pytest.raises(HardwareError):
             meter.attach(BaseLoad(sim, 1.0, name="a"))
 
-    def test_marks(self):
-        sim = Simulation()
-        meter = EnergyMeter(sim)
-        meter.attach(BaseLoad(sim, 10.0, name="a"))
-
-        def scenario():
-            yield sim.timeout(3.0)
-            meter.mark("query-start")
-            yield sim.timeout(2.0)
-
-        sim.run(until=sim.spawn(scenario()))
-        t0 = meter.mark_time("query-start")
-        assert meter.energy_joules(t0) == pytest.approx(20.0)
-
-    def test_unknown_mark_raises(self):
-        sim = Simulation()
-        with pytest.raises(HardwareError):
-            EnergyMeter(sim).mark_time("ghost")
-
     def test_average_power(self):
         sim = Simulation()
         meter = EnergyMeter(sim)
         meter.attach(BaseLoad(sim, 7.0, name="a"))
         sim.run(until=5.0)
         assert meter.average_power_watts() == pytest.approx(7.0)
-
-    def test_wall_energy_applies_burden(self):
-        sim = Simulation()
-        meter = EnergyMeter(sim, burden=BurdenModel(cooling_overhead=0.5))
-        meter.attach(BaseLoad(sim, 10.0, name="a"))
-        sim.run(until=2.0)
-        assert meter.wall_energy_joules() == pytest.approx(30.0)
 
     def test_active_energy_accounting_matches_fig2_convention(self):
         sim = Simulation()

@@ -39,27 +39,6 @@ def test_small_buffer_does_not_pay_off():
     assert not prefetcher.spin_down_pays_off()
 
 
-def test_recommended_buffer_clears_breakeven():
-    sim = Simulation()
-    prefetcher = BurstPrefetcher(sim, make_disk(sim),
-                                 buffer_bytes=1 * MB,
-                                 consume_rate_bytes_per_s=10 * MB)
-    recommended = prefetcher.recommended_buffer_bytes()
-    tuned = BurstPrefetcher(sim, make_disk(sim),
-                            buffer_bytes=recommended,
-                            consume_rate_bytes_per_s=10 * MB)
-    assert tuned.spin_down_pays_off()
-
-
-def test_recommendation_impossible_for_fast_consumer():
-    sim = Simulation()
-    prefetcher = BurstPrefetcher(sim, make_disk(sim),
-                                 buffer_bytes=1 * MB,
-                                 consume_rate_bytes_per_s=200 * MB)
-    with pytest.raises(StorageError):
-        prefetcher.recommended_buffer_bytes()
-
-
 def test_stream_delivers_all_bytes_and_spins_down():
     sim = Simulation()
     disk = make_disk(sim)

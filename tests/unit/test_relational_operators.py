@@ -21,7 +21,7 @@ from repro.relational.operators import (
     SortedAggregate,
     TableScan,
 )
-from repro.relational.plan import explain, validate
+from repro.relational.plan import explain
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import DataType
 from repro.sim import Simulation
@@ -293,9 +293,3 @@ class TestPlanUtilities:
         text = explain(plan)
         assert "HashJoin" in text
         assert text.count("TableScan") == 2
-
-    def test_validate_rejects_shared_nodes(self, env):
-        _, _, orders, _ = env
-        scan = TableScan(orders)
-        with pytest.raises(PlanError):
-            validate(HashJoin(scan, scan, ["o_id"], ["o_id"]))

@@ -56,6 +56,13 @@ class TestErrorPaths:
                          "--disks"]) == 2
         _one_line_error(capsys)
 
+    def test_codec_on_uncompressed_scan_is_one_line(self, capsys):
+        # a codec the uncompressed layout would never apply is an
+        # error, not a silent no-op
+        assert cli.main(["run", "scan", "--no-cache", "--quiet",
+                         "--compressed", "false", "--codec", "delta"]) == 2
+        assert "codec" in _one_line_error(capsys)
+
     def test_cache_clear_missing_dir_is_one_line(self, capsys,
                                                  tmp_path):
         missing = tmp_path / "never-created"

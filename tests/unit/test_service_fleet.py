@@ -49,13 +49,6 @@ class TestNodePowerModel:
         with pytest.raises(ServiceError, match="unknown hardware profile"):
             NodePowerModel.from_server("mainframe")
 
-    def test_from_cluster_model_preserves_cycle_energy(self):
-        from repro.consolidation.cluster import ServerPowerModel
-        ensemble = ServerPowerModel()
-        model = NodePowerModel.from_cluster_model(ensemble)
-        assert model.idle_watts == ensemble.idle_watts
-        assert model.cycle_joules == pytest.approx(ensemble.cycle_joules)
-
 
 class TestFleetNodeEnergy:
     def test_idle_interval_closed_form(self):

@@ -4,6 +4,7 @@
 class-aware autoscaler, per-class report rollups, per-class fault
 lanes, and the absence of the v1 ``n_nodes=``/``model=`` knobs."""
 
+import math
 import warnings
 
 import pytest
@@ -264,7 +265,9 @@ class TestClassAwareAutoscaler:
         scaler.observe(30.0)             # 3 node-equivalents of demand
         on_ids = [0, 1]
         scaler.step(10.0, nodes, on_ids)
-        assert len(on_ids) == scaler.desired_nodes(6)
+        # one class: the smoothed demand's node count, clamped
+        want = math.ceil(scaler.desired_capacity())
+        assert len(on_ids) == max(2, min(6, want))
 
 
 class TestClassRollups:

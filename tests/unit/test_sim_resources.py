@@ -133,46 +133,3 @@ def test_busy_seconds_counts_unit_seconds():
     sim.spawn(user(5.0))
     sim.run()
     assert res.busy_seconds() == pytest.approx(8.0)
-
-
-def test_reset_accounting():
-    sim = Simulation()
-    res = Resource(sim, capacity=1)
-
-    def user():
-        yield res.acquire()
-        yield sim.timeout(4.0)
-        res.release()
-        res.reset_accounting()
-        yield sim.timeout(4.0)
-
-    sim.spawn(user())
-    sim.run()
-    assert res.utilization() == pytest.approx(0.0)
-
-
-def test_queue_length_observable():
-    sim = Simulation()
-    res = Resource(sim, capacity=1)
-    seen = []
-
-    def holder():
-        yield res.acquire()
-        yield sim.timeout(5.0)
-        res.release()
-
-    def waiter():
-        req = res.acquire()
-        yield req
-        res.release()
-
-    def observer():
-        yield sim.timeout(1.0)
-        seen.append(res.queue_length)
-
-    sim.spawn(holder())
-    sim.spawn(waiter())
-    sim.spawn(waiter())
-    sim.spawn(observer())
-    sim.run()
-    assert seen == [2]

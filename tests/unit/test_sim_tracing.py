@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import TimeSeries, TraceRecorder
+from repro.sim import TimeSeries
 
 
 def make_series():
@@ -72,11 +72,6 @@ def test_integrate_before_series_start_raises():
         ts.integrate(0.0, 10.0)
 
 
-def test_average():
-    ts = make_series()
-    assert ts.average(0.0, 5.0) == pytest.approx(34.0)
-
-
 def test_record_backwards_time_raises():
     ts = TimeSeries()
     ts.record(5.0, 1.0)
@@ -114,41 +109,6 @@ def test_extend_drops_the_integrate_cache():
     assert ts.integrate(0.0, 299.0) == 299.0  # long enough to cache arrays
     ts.extend([299.0, 300.0], [3.0, 0.0])
     assert ts.integrate(0.0, 300.0) == 302.0
-
-
-def test_resample_grid():
-    ts = make_series()
-    samples = ts.resample(0.0, 4.0, 1.0)
-    assert samples == [(0.0, 10.0), (1.0, 10.0), (2.0, 50.0),
-                       (3.0, 50.0), (4.0, 50.0)]
-
-
-def test_resample_bad_step():
-    ts = make_series()
-    with pytest.raises(SimulationError):
-        ts.resample(0.0, 1.0, 0.0)
-
-
-def test_recorder_creates_series_lazily():
-    rec = TraceRecorder()
-    assert "cpu" not in rec
-    rec.record("cpu", 0.0, 90.0)
-    assert "cpu" in rec
-    assert rec.series("cpu").value_at(0.0) == 90.0
-
-
-def test_recorder_total_across_keys():
-    rec = TraceRecorder()
-    rec.record("cpu", 0.0, 90.0)
-    rec.record("ssd", 0.0, 5.0)
-    assert rec.total(["cpu", "ssd"], 0.0, 2.0) == pytest.approx(190.0)
-
-
-def test_recorder_keys_sorted():
-    rec = TraceRecorder()
-    rec.record("z", 0.0, 1.0)
-    rec.record("a", 0.0, 1.0)
-    assert rec.keys() == ["a", "z"]
 
 
 def test_iteration_yields_pairs():

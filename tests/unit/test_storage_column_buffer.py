@@ -175,23 +175,9 @@ class TestBufferPool:
         with pytest.raises(BufferPoolError):
             pool.put("b", 2)
 
-    def test_unpin_allows_eviction(self):
-        _sim, pool = self.make_pool(capacity=1)
-        pool.put("a", 1, pin=True)
-        pool.unpin("a")
-        evicted = pool.put("b", 2)
-        assert [e.key for e in evicted] == ["a"]
-
-    def test_unpin_unpinned_rejected(self):
-        _sim, pool = self.make_pool()
-        pool.put("a", 1)
-        with pytest.raises(BufferPoolError):
-            pool.unpin("a")
-
     def test_dirty_flag_travels_with_eviction(self):
         _sim, pool = self.make_pool(capacity=1)
-        pool.put("a", 1)
-        pool.mark_dirty("a")
+        pool.put("a", 1, dirty=True)
         evicted = pool.put("b", 2)
         assert evicted[0].dirty
 
@@ -231,15 +217,6 @@ class TestBufferPool:
 
         sim.run(until=sim.spawn(scenario()))
 
-    def test_flush_returns_everything_unpinned(self):
-        _sim, pool = self.make_pool(capacity=3)
-        pool.put("a", 1)
-        pool.put("b", 2, pin=True)
-        pool.put("c", 3)
-        out = pool.flush()
-        assert sorted(e.key for e in out) == ["a", "c"]
-        assert "b" in pool
-
     def test_hit_rate(self):
         _sim, pool = self.make_pool()
         pool.get("x")
@@ -247,12 +224,6 @@ class TestBufferPool:
         pool.get("x")
         pool.get("x")
         assert pool.hit_rate == pytest.approx(2 / 3)
-
-    def test_residency_power(self):
-        _sim, pool = self.make_pool(capacity=3, page_residency_watts=0.5)
-        pool.put("a", 1)
-        pool.put("b", 2)
-        assert pool.residency_power_watts() == pytest.approx(1.0)
 
     def test_capacity_validation(self):
         from repro.sim import Simulation

@@ -36,59 +36,17 @@ class TestSlottedPage:
         with pytest.raises(PageError):
             SlottedPage(0).insert(b"")
 
-    def test_delete_tombstones(self):
-        page = SlottedPage(0)
-        slot = page.insert(b"doomed")
-        page.delete(slot)
-        with pytest.raises(PageError):
-            page.read(slot)
-        assert page.live_records == 0
-        assert page.slot_count == 1  # slot numbers stay stable
-
-    def test_double_delete_rejected(self):
-        page = SlottedPage(0)
-        slot = page.insert(b"x")
-        page.delete(slot)
-        with pytest.raises(PageError):
-            page.delete(slot)
-
     def test_bad_slot_rejected(self):
         page = SlottedPage(0)
         with pytest.raises(PageError):
             page.read(5)
 
-    def test_update_in_place_smaller(self):
-        page = SlottedPage(0)
-        slot = page.insert(b"longer-payload")
-        page.update(slot, b"short")
-        assert page.read(slot) == b"short"
-
-    def test_update_larger_relocates(self):
-        page = SlottedPage(0)
-        slot = page.insert(b"ab")
-        page.update(slot, b"a-much-longer-payload")
-        assert page.read(slot) == b"a-much-longer-payload"
-
-    def test_compact_reclaims_deleted_space(self):
-        page = SlottedPage(0, page_size=256)
-        slots = [page.insert(b"x" * 20) for _ in range(5)]
-        for slot in slots[1:4]:
-            page.delete(slot)
-        before = page.free_space()
-        reclaimed = page.compact()
-        assert reclaimed == 60
-        assert page.free_space() == before + 60
-        assert page.read(slots[0]) == b"x" * 20
-        assert page.read(slots[4]) == b"x" * 20
-
     def test_records_iterates_live_in_slot_order(self):
         page = SlottedPage(0)
-        page.insert(b"a")
-        s = page.insert(b"b")
-        page.insert(b"c")
-        page.delete(s)
+        for payload in (b"a", b"b", b"c"):
+            page.insert(payload)
         assert [(slot, payload) for slot, payload in page.records()] == \
-            [(0, b"a"), (2, b"c")]
+            [(0, b"a"), (1, b"b"), (2, b"c")]
 
     def test_tiny_page_size_rejected(self):
         with pytest.raises(PageError):
@@ -144,14 +102,6 @@ class TestHeapFile:
         heap.insert((1, "a", 1.0))
         assert heap.size_bytes() == 1024
 
-    def test_delete_reduces_row_count(self):
-        heap = HeapFile(people_schema())
-        rid = heap.insert((1, "x", 0.0))
-        heap.insert((2, "y", 0.0))
-        heap.delete(rid)
-        assert heap.row_count == 1
-        assert [r[0] for r in heap.scan()] == [2]
-
     def test_oversized_row_rejected(self):
         heap = HeapFile(people_schema(), page_size=128)
         with pytest.raises(StorageError):
@@ -161,13 +111,6 @@ class TestHeapFile:
         heap = HeapFile(people_schema())
         with pytest.raises(StorageError):
             heap.fetch((3, 0))
-
-    def test_scan_page(self):
-        heap = HeapFile(people_schema(), page_size=256)
-        heap.insert_many([(i, "nm", 1.0) for i in range(40)])
-        total = sum(len(list(heap.scan_page(p)))
-                    for p in range(heap.page_count))
-        assert total == 40
 
     def test_payload_bytes_less_than_physical(self):
         heap = HeapFile(people_schema(), page_size=4096)

@@ -74,7 +74,7 @@ class TestWal:
         sim.spawn(txn())
         sim.run()
         # lone record waits out the batch window
-        assert wal.stats.mean_commit_latency >= 0.5
+        assert wal.stats.commit_latencies[0] >= 0.5
 
     def test_full_batch_flushes_before_timeout(self):
         sim = Simulation()
@@ -103,14 +103,7 @@ class TestWal:
         for _ in range(10):
             sim.spawn(txn())
         sim.run()
-        assert wal.stats.records_per_flush == pytest.approx(5.0)
-
-    def test_closed_log_rejects_appends(self):
-        sim = Simulation()
-        wal = WriteAheadLog(sim, make_log_device(sim))
-        wal.close()
-        with pytest.raises(WalError):
-            wal.append(10)
+        assert (wal.stats.records_appended, wal.stats.flushes) == (10, 2)
 
     def test_negative_size_rejected(self):
         sim = Simulation()
@@ -132,36 +125,6 @@ def make_devices(n=4, capacity=1000 * MB, bw=100 * MB):
 
 
 class TestPartitioner:
-    def test_stripe_even_split(self):
-        p = Partitioner(make_devices(4))
-        shares = p.stripe(400 * MB, width=4)
-        assert all(v == 100 * MB for v in shares.values())
-
-    def test_stripe_remainder_distributed(self):
-        p = Partitioner(make_devices(3))
-        shares = p.stripe(10, width=3)
-        assert sorted(shares.values()) == [3, 3, 4]
-
-    def test_stripe_capacity_enforced(self):
-        p = Partitioner(make_devices(2, capacity=10))
-        with pytest.raises(ConsolidationError):
-            p.stripe(100, width=1)
-
-    def test_repartition_plan_costs(self):
-        p = Partitioner(make_devices(4))
-        plan = p.plan_repartition(400 * MB, old_width=4, new_width=2)
-        assert plan.bytes_moved == 400 * MB
-        # bottleneck is the 2-device write side: 400/200 = 2 s
-        assert plan.estimated_seconds == pytest.approx(2.0)
-        # 6 devices active at 17 W for 2 s
-        assert plan.estimated_joules == pytest.approx(6 * 17.0 * 2.0)
-
-    def test_repartition_same_width_is_free(self):
-        p = Partitioner(make_devices(4))
-        plan = p.plan_repartition(400 * MB, 3, 3)
-        assert plan.bytes_moved == 0
-        assert plan.estimated_joules == 0.0
-
     def test_consolidation_packs_onto_fewer_devices(self):
         p = Partitioner(make_devices(4, capacity=1000 * MB))
         parts = [Partition(f"p{i}", 200 * MB, read_bytes_per_s=1 * MB)

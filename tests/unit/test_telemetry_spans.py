@@ -141,7 +141,6 @@ class TestStorageCounterHooks:
         with capture() as collector:
             wal = WriteAheadLog(sim, NullDevice())
             ack = wal.append(100)
-            wal.close()
 
             def driver():
                 yield ack

@@ -11,7 +11,6 @@ import pytest
 
 from repro.errors import StorageError, WorkloadError
 from repro.hardware.profiles import flash_scan_node
-from repro.runner import cli
 from repro.sim import Simulation
 from repro.storage.manager import StorageManager
 from repro.workloads import tpch_gen
@@ -162,12 +161,3 @@ class TestCodecKnobNeedsCompressed:
         lz = run_scan(compressed=True, codec="lzlite",
                       scale_factor=SCALE_FACTOR)
         assert lz.compression_ratio != default.compression_ratio
-
-    def test_cli_reports_one_error_line(self, capsys):
-        assert cli.main(["run", "scan", "--quiet", "--no-cache",
-                         "--compressed", "false",
-                         "--codec", "delta"]) == 2
-        err = capsys.readouterr().err
-        lines = [line for line in err.strip().splitlines() if line]
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert "codec" in lines[0] and "Traceback" not in err
