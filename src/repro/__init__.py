@@ -31,16 +31,14 @@ from repro.service.report import ServiceReport, ServiceSweepResult
 from repro.service.spec import FleetSpec, NodeClass
 from repro.service.workload import build_diurnal_stream
 from repro.sim import Simulation
-from repro.workloads.pipelines import (BatchTenant, DatasetCatalog,
-                                       EtlReport, EtlScheduler,
-                                       EtlSweepResult, PipelineSpec, Stage,
-                                       run_pipeline)
+from repro.workloads.pipelines import (BatchTenant, EtlReport,
+                                       EtlScheduler, EtlSweepResult,
+                                       PipelineSpec, Stage, run_pipeline)
 
 __version__ = "2.1.0"
 
 __all__ = [
     "BatchTenant",
-    "DatasetCatalog",
     "EtlReport",
     "EtlScheduler",
     "EtlSweepResult",

@@ -74,19 +74,6 @@ class ScheduleReport(Record):
     spin_down_count: int = 0
     latencies: list[float] = field(default_factory=list)
 
-    @property
-    def average_power_watts(self) -> float:
-        if self.makespan_seconds <= 0:
-            raise ConsolidationError("empty run: average power undefined")
-        return self.energy_joules / self.makespan_seconds
-
-    @property
-    def energy_efficiency(self) -> float:
-        """Queries per Joule; empty runs raise, like
-        :func:`repro.core.metrics.energy_efficiency`."""
-        from repro.core.metrics import energy_efficiency
-        return energy_efficiency(float(self.completed), self.energy_joules)
-
 
 def run_fifo(sim: "Simulation", server: "Server", executor: Executor,
              arrivals: Sequence[Arrival],

@@ -18,7 +18,7 @@ and both remedies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ReproError
 
@@ -93,15 +93,6 @@ class DvfsGovernor:
             self.transitions += 1
         return self.cpu.dvfs_fraction
 
-    def run(self, horizon_seconds: float) -> Generator:
-        """Periodic governor loop (process)."""
-        sim = self.cpu.sim
-        end = sim.now + horizon_seconds
-        while sim.now < end:
-            yield sim.timeout(min(self.policy.epoch_seconds,
-                                  end - sim.now))
-            self.react()
-
     # -- pinning (used by the coordinator) -----------------------------------
     def pin(self, owner: str, fraction: float) -> None:
         if self._pinned_by is not None and self._pinned_by != owner:
@@ -118,10 +109,6 @@ class DvfsGovernor:
         if self._pinned_by != owner:
             raise ReproError(f"{owner!r} does not hold the pin")
         self._pinned_by = None
-
-    @property
-    def pinned(self) -> bool:
-        return self._pinned_by is not None
 
 
 class PowerCoordinator:

@@ -25,8 +25,6 @@ class ProfilePoint(Record):
     ...                  energy_joules=100.0, work_done=10.0)
     >>> p.performance        # work per second
     5.0
-    >>> p.average_power_watts
-    50.0
     >>> p.efficiency         # work per Joule
     0.1
     """
@@ -40,10 +38,6 @@ class ProfilePoint(Record):
     def performance(self) -> float:
         """Work per second."""
         return self.work_done / self.seconds
-
-    @property
-    def average_power_watts(self) -> float:
-        return self.energy_joules / self.seconds
 
     @property
     def efficiency(self) -> float:
@@ -96,8 +90,3 @@ class EnergyProfile(Record):
         gain = eff.efficiency / fast.efficiency - 1.0
         drop = 1.0 - eff.performance / fast.performance
         return gain, drop
-
-    def rows(self) -> list[tuple]:
-        """(knob, seconds, watts, efficiency) rows for reporting."""
-        return [(p.knob_value, p.seconds, p.average_power_watts,
-                 p.efficiency) for p in self.points]

@@ -162,7 +162,7 @@ def simulate_faulty_service(stream: ArrivalStream,
     1
     >>> report.queries_offered == (report.queries_completed
     ...                            + report.queries_rejected
-    ...                            + report.queries_lost)
+    ...                            + report.faults.queries_lost)
     True
     """
     run = _prepare(stream, fleet, policy, policy_kwargs, autoscaler,

@@ -37,7 +37,7 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -96,8 +96,8 @@ class FaultSchedule(Record):
     """A time-ordered, reproducible fault plan for one fleet run.
 
     >>> quiet = FaultSchedule(n_nodes=4, horizon_seconds=100.0)
-    >>> len(quiet), quiet.describe()
-    (0, 'no faults across 4 nodes over 100s')
+    >>> len(quiet), quiet.to_dict()["events"]
+    (0, [])
     """
 
     n_nodes: int
@@ -122,26 +122,6 @@ class FaultSchedule(Record):
 
     def __len__(self) -> int:
         return len(self.events)
-
-    def __iter__(self) -> Iterator[FaultEvent]:
-        return iter(self.events)
-
-    def by_kind(self, kind: str) -> list[FaultEvent]:
-        """Events of one kind, in time order."""
-        if kind not in FAULT_KINDS:
-            raise FaultError(f"unknown fault kind {kind!r}")
-        return [e for e in self.events if e.kind == kind]
-
-    def describe(self) -> str:
-        """One operator-readable line per kind."""
-        parts = []
-        for kind in FAULT_KINDS:
-            events = self.by_kind(kind)
-            if events:
-                parts.append(f"{len(events)} {kind}")
-        body = ", ".join(parts) if parts else "no faults"
-        return (f"{body} across {self.n_nodes} nodes over "
-                f"{self.horizon_seconds:.0f}s")
 
 
 def degraded_speed_factor(raid_width: int,

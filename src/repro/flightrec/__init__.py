@@ -6,9 +6,9 @@ Time-resolved observability for the serving and chaos engines: a
 QED holds, boots/drains/crashes, autoscaler verdicts, sheds, retries)
 plus a columnar per-query table, finalized into a serializable
 :class:`~repro.flightrec.events.FlightRecording`.  Rollups, SLO
-burn-rate analysis, exporters, and the HTML timeline console live in
-:mod:`~repro.flightrec.rollup`, :mod:`~repro.flightrec.slo`,
-:mod:`~repro.flightrec.export`, and :mod:`~repro.flightrec.console`;
+burn-rate analysis and the HTML timeline console live in
+:mod:`~repro.flightrec.rollup`, :mod:`~repro.flightrec.slo` and
+:mod:`~repro.flightrec.console`;
 ``python -m repro.flightrec`` is the operator CLI.
 
 Recording is off by default and costs one module-global read per

@@ -7,8 +7,6 @@ Subcommands::
                    [--slo-window W]           # render the HTML console
     slo       FILE [--point N] [--window W] [--budget B] [--json]
                                    # burn-rate report; exit 1 on breach
-    events    FILE [--point N] [--filter k1,k2] [--csv | --queries]
-                   [--limit N]                # dump the event stream
 
 ``FILE`` is either a bare recording (``FlightRecording.to_dict``
 JSON) or a runner ``RunResult`` JSON produced with ``--record`` —
@@ -75,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.flightrec",
         description="Inspect fleet flight recordings: summaries, SLO "
-                    "burn analysis, event dumps, the timeline console.")
+                    "burn analysis, the timeline console.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_input(cmd: argparse.ArgumentParser) -> None:
@@ -107,17 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     slo.add_argument("--budget", type=float, default=0.05,
                      help="error budget (default 0.05)")
     slo.add_argument("--json", action="store_true", dest="as_json")
-
-    events = sub.add_parser(
-        "events", help="dump the event stream (JSONL by default)")
-    add_input(events)
-    events.add_argument("--filter", default=None, metavar="KINDS",
-                        help="comma-separated event kinds")
-    events.add_argument("--csv", action="store_true", dest="as_csv")
-    events.add_argument("--queries", action="store_true",
-                        help="dump the per-query table as CSV instead")
-    events.add_argument("--limit", type=int, default=None,
-                        help="print at most N rows")
     return parser
 
 
@@ -186,43 +173,6 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     return 1 if monitor.any_breached else 0
 
 
-def _cmd_events(args: argparse.Namespace) -> int:
-    from repro.flightrec.export import (write_events_csv,
-                                        write_events_jsonl,
-                                        write_queries_csv)
-    recording = load_recording(args.file, args.point)
-    kinds = None
-    if args.filter:
-        kinds = [k.strip() for k in args.filter.split(",") if k.strip()]
-        known = set(recording.counts())
-        unknown = [k for k in kinds if k not in known]
-        if unknown and not set(kinds) & known:
-            raise ReproError(
-                f"no such event kind(s): {', '.join(unknown)} "
-                f"(recording has: {', '.join(sorted(known))})")
-    if args.limit is not None:
-        import io
-        buffer = io.StringIO()
-        if args.queries:
-            write_queries_csv(recording, buffer)
-        elif args.as_csv:
-            write_events_csv(recording, buffer, kinds)
-        else:
-            write_events_jsonl(recording, buffer, kinds)
-        lines = buffer.getvalue().splitlines()
-        head = args.limit + (1 if (args.as_csv or args.queries) else 0)
-        for line in lines[:head]:
-            print(line)
-        return 0
-    if args.queries:
-        write_queries_csv(recording, sys.stdout)
-    elif args.as_csv:
-        write_events_csv(recording, sys.stdout, kinds)
-    else:
-        write_events_jsonl(recording, sys.stdout, kinds)
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -232,9 +182,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_summarize(args)
         if args.command == "timeline":
             return _cmd_timeline(args)
-        if args.command == "slo":
-            return _cmd_slo(args)
-        return _cmd_events(args)
+        return _cmd_slo(args)
 
     return run_guarded(dispatch)
 

@@ -53,12 +53,6 @@ _LANE_GAP = 4
 _LABEL_W = 90
 
 
-def _fmt(value: Optional[float], digits: int = 2) -> str:
-    if value is None:
-        return "-"
-    return f"{value:,.{digits}f}"
-
-
 def _legend(entries) -> str:
     return ('<div class="legend">' + "".join(
         f'<span><span class="swatch" style="background:{color}">'

@@ -1,4 +1,4 @@
-"""CPU model with DVFS P-states and deep-idle C-states.
+"""CPU model with DVFS P-states.
 
 Work is expressed in *cycles*; the CPU converts cycles to simulated
 seconds at its current effective frequency.  Power follows the classic
@@ -9,8 +9,8 @@ proportional to f * V^2 and voltage scales roughly with frequency):
 
 The paper's Figure 2 charges an active CPU at its full 90 W and an idle
 CPU at zero; :attr:`Cpu.active_power_per_unit_watts` exposes the per-core
-active power so :meth:`~repro.hardware.meter.EnergyMeter.active_energy_joules`
-can reproduce that accounting convention.
+active power so the executor and the telemetry collector can reproduce
+that accounting convention.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ class Cpu(Device):
         self.spec = spec
         self.cores = Resource(sim, capacity=spec.cores, name=f"{spec.name}.cores")
         self._dvfs_fraction = spec.dvfs_fractions[0]
-        self._sleeping = False
         self._update_power()
 
     # -- frequency scaling -------------------------------------------------
@@ -98,30 +97,6 @@ class Cpu(Device):
         self._dvfs_fraction = fraction
         self._update_power()
 
-    # -- C-states -----------------------------------------------------------
-    @property
-    def sleeping(self) -> bool:
-        """Whether the package is in its deep C-state."""
-        return self._sleeping
-
-    def sleep(self) -> Generator:
-        """Enter the deep C-state (process; yields the entry latency)."""
-        if self.busy_units > 0:
-            raise HardwareError(f"{self.name}: cannot sleep while busy")
-        if self._sleeping:
-            return
-        yield self.sim.timeout(self.spec.cstate_enter_seconds)
-        self._sleeping = True
-        self._update_power()
-
-    def wake(self) -> Generator:
-        """Leave the deep C-state (process; yields the exit latency)."""
-        if not self._sleeping:
-            return
-        yield self.sim.timeout(self.spec.cstate_exit_seconds)
-        self._sleeping = False
-        self._update_power()
-
     # -- execution -----------------------------------------------------------
     def execute(self, cycles: float, parallelism: int = 1) -> Generator:
         """Run ``cycles`` of work using ``parallelism`` cores (process).
@@ -136,8 +111,6 @@ class Cpu(Device):
             raise HardwareError(
                 f"{self.name}: parallelism {parallelism} outside "
                 f"1..{self.spec.cores}")
-        if self._sleeping:
-            yield from self.wake()
         if cycles == 0:
             return
         for _ in range(parallelism):
@@ -157,9 +130,6 @@ class Cpu(Device):
                 * self._dvfs_fraction ** 3)
 
     def _update_power(self) -> None:
-        if self._sleeping:
-            self._set_power(self.spec.cstate_watts)
-            return
         busy_fraction = self.busy_units / self.spec.cores
         self._set_power(self.spec.idle_watts
                         + self._dynamic_range_watts() * busy_fraction)
@@ -176,7 +146,3 @@ class Cpu(Device):
         """
         full = self.spec.idle_watts + self._dynamic_range_watts()
         return full / self.spec.cores
-
-    @property
-    def capacity_units(self) -> int:
-        return self.spec.cores

@@ -69,15 +69,6 @@ class Device:
             return steady + self._transition_energy
         return steady
 
-    def average_power_watts(self, t0: Optional[float] = None,
-                            t1: Optional[float] = None) -> float:
-        """Time-averaged power over ``[t0, t1]``."""
-        start = self._created_at if t0 is None else t0
-        end = self.sim.now if t1 is None else t1
-        if end <= start:
-            return self.power_watts
-        return self.energy_joules(start, end) / (end - start)
-
     # -- activity ----------------------------------------------------------
     def _mark_busy(self, units: int = 1) -> None:
         """Record that ``units`` more internal units became busy."""
@@ -111,25 +102,3 @@ class Device:
         """Accumulated unit-seconds of busy time."""
         self._account_busy()
         return self._busy_integral
-
-    def utilization(self, t0: Optional[float] = None,
-                    t1: Optional[float] = None) -> float:
-        """Busy unit-seconds per elapsed second, normalized by capacity.
-
-        Subclasses with more than one unit override :attr:`capacity_units`.
-        """
-        start = self._created_at if t0 is None else t0
-        end = self.sim.now if t1 is None else t1
-        elapsed = end - start
-        if elapsed <= 0:
-            return 0.0
-        return self.busy_seconds() / (elapsed * self.capacity_units)
-
-    @property
-    def capacity_units(self) -> int:
-        """Number of parallel units in the device (1 unless overridden)."""
-        return 1
-
-    def __repr__(self) -> str:
-        return (f"<{type(self).__name__} {self.name!r} "
-                f"{self.power_watts:.1f} W, busy={self._busy_units}>")

@@ -3,14 +3,14 @@
 The paper (§4.3) points out that "keeping a page in RAM will require
 energy, proportional to the time the page is cached".  This model makes
 that cost explicit: powered capacity draws a constant background
-(refresh + standby) power per GiB, allocations add a per-GiB term and
-accesses an active-power term for their duration.
+(refresh + standby) power per GiB and allocations add a per-GiB term;
+``active_extra_watts`` enters a server's peak-power arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING
 
 from repro.errors import HardwareError
 from repro.hardware.device import Device
@@ -91,19 +91,6 @@ class Dram(Device):
         self._allocated_bytes -= nbytes
         self._update_power()
 
-    # -- access ------------------------------------------------------------
-    def access(self, nbytes: int) -> Generator:
-        """Stream ``nbytes`` through the memory bus (process)."""
-        if nbytes < 0:
-            raise HardwareError(f"{self.name}: negative access size")
-        if nbytes == 0:
-            return
-        self._mark_busy()
-        try:
-            yield self.sim.timeout(nbytes / self.spec.bandwidth_bytes_per_s)
-        finally:
-            self._mark_idle()
-
     # -- energy helpers -------------------------------------------------------
     def residency_watts(self, nbytes: int) -> float:
         """Background power attributable to keeping ``nbytes`` resident.
@@ -121,9 +108,4 @@ class Dram(Device):
     def _update_power(self) -> None:
         power = self._background_watts()
         power += self.spec.allocated_watts_per_gib * self._allocated_bytes / GIB
-        if self.busy_units > 0:
-            power += self.spec.active_extra_watts
         self._set_power(power)
-
-    def _on_activity_change(self) -> None:
-        self._update_power()

@@ -38,13 +38,6 @@ class EnergyMeter:
         self._devices[device.name] = device
         return device
 
-    def device(self, name: str) -> Device:
-        """Look up an attached device by name."""
-        try:
-            return self._devices[name]
-        except KeyError:
-            raise HardwareError(f"no device named {name!r}") from None
-
     def devices(self) -> list[Device]:
         """All attached devices, sorted by name."""
         return [self._devices[k] for k in sorted(self._devices)]
@@ -78,24 +71,3 @@ class EnergyMeter:
         if end <= start:
             return sum(d.power_watts for d in self._devices.values())
         return self.energy_joules(start, end) / (end - start)
-
-    def power_watts(self) -> float:
-        """Instantaneous total component power."""
-        return sum(d.power_watts for d in self._devices.values())
-
-    def active_energy_joules(self) -> float:
-        """Busy-time-attributed energy: sum over devices of
-        (busy unit-seconds x per-unit active power), for devices that
-        expose ``active_power_per_unit_watts``.
-
-        This implements the paper's Figure 2 accounting convention
-        ("assuming that an idle CPU does not consume any power"): only
-        time actually spent working is charged, at full active power.
-        """
-        total = 0.0
-        for dev in self._devices.values():
-            per_unit = getattr(dev, "active_power_per_unit_watts", None)
-            if per_unit is None:
-                continue
-            total += per_unit * dev.busy_seconds()
-        return total

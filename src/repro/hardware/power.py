@@ -4,8 +4,7 @@ The paper (§2.4) observes that components "are either on (and at full
 performance and power) or off, and the transitions can be expensive".
 :class:`PowerStateMachine` captures exactly that: a set of named states
 with power draws, and explicit transitions carrying a latency and an
-energy cost.  Disk spin-up/spin-down and CPU C-state entry/exit are
-instances.
+energy cost.  Disk spin-up/spin-down is the instance the models use.
 """
 
 from __future__ import annotations
@@ -77,13 +76,6 @@ class PowerStateMachine:
         """Steady-state power of the current state."""
         return self._states[self._current].power_watts
 
-    def state(self, name: str) -> PowerState:
-        """Look up a state by name."""
-        try:
-            return self._states[name]
-        except KeyError:
-            raise PowerStateError(f"unknown state {name!r}") from None
-
     def transition(self, target: str) -> Transition:
         """Move to ``target``; returns the transition (latency + energy).
 
@@ -98,10 +90,6 @@ class PowerStateMachine:
                 f"illegal transition {self._current!r} -> {target!r}")
         self._current = target
         return self._transitions[key]
-
-    def states(self) -> list[PowerState]:
-        """All states, sorted by name."""
-        return [self._states[k] for k in sorted(self._states)]
 
 
 def breakeven_idle_seconds(active_idle_watts: float, sleep_watts: float,

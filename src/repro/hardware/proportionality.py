@@ -79,11 +79,3 @@ class IdealProportionalDevice(Device):
 
     def _on_activity_change(self) -> None:
         self._set_power(self.peak_watts * self.busy_units / self._capacity)
-
-    @property
-    def capacity_units(self) -> int:
-        return self._capacity
-
-    @property
-    def active_power_per_unit_watts(self) -> float:
-        return self.peak_watts / self._capacity

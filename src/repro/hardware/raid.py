@@ -55,14 +55,6 @@ class RaidArray:
         """Number of members."""
         return len(self.members)
 
-    @property
-    def capacity_bytes(self) -> int:
-        """Usable capacity: parity costs one member's worth under RAID 5."""
-        per_member = min(m.spec.capacity_bytes for m in self.members)
-        if self.level is RaidLevel.RAID5:
-            return per_member * (self.width - 1)
-        return per_member * self.width
-
     def _split(self, nbytes: int) -> list[int]:
         """Partition a request into per-member byte counts.
 
@@ -160,11 +152,3 @@ class RaidArray:
                     for m in self.members if isinstance(m, HardDisk)]
         if children:
             yield self.sim.all_of(children)
-
-    def power_watts(self) -> float:
-        """Instantaneous aggregate power of the members."""
-        return sum(m.power_watts for m in self.members)
-
-    def __repr__(self) -> str:
-        return (f"RaidArray({self.name!r}, {self.level.value}, "
-                f"width={self.width})")

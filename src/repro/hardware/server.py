@@ -7,7 +7,7 @@ experiments a single object with "wall plug" semantics.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 from repro.errors import HardwareError
 from repro.hardware.cpu import Cpu
@@ -33,13 +33,6 @@ class BaseLoad(Device):
         super().__init__(sim, name, initial_power_watts=watts)
         self._watts = watts
 
-    def set_watts(self, watts: float) -> None:
-        """Change the base draw (e.g. when a blade is powered off)."""
-        if watts < 0:
-            raise HardwareError("base load cannot be negative")
-        self._watts = watts
-        self._set_power(watts)
-
 
 class Server:
     """A CPU + DRAM + storage node with unified energy accounting."""
@@ -59,32 +52,6 @@ class Server:
         self.meter.attach(self.base)
         for device in self.storage:
             self.meter.attach(device)
-
-    def power_off(self) -> None:
-        """Cut the whole node (ensemble consolidation, §2.4/[TWM+08]).
-
-        The storage devices must be idle; rotating members are assumed to
-        park.  Everything drops to zero draw.
-        """
-        if self.cpu.busy_units > 0:
-            raise HardwareError(f"{self.name}: cannot power off a busy CPU")
-        self.base.set_watts(0.0)
-        self.cpu._set_power(0.0)
-        self.cpu._sleeping = True
-        self.dram._powered_bytes = 0
-        self.dram._allocated_bytes = 0
-        self.dram._set_power(0.0)
-        for device in self.storage:
-            device._set_power(0.0)
-
-    def power_watts(self) -> float:
-        """Instantaneous component power."""
-        return self.meter.power_watts()
-
-    def energy_joules(self, t0: Optional[float] = None,
-                      t1: Optional[float] = None) -> float:
-        """Component energy over the interval."""
-        return self.meter.energy_joules(t0, t1)
 
     def idle_power_watts(self) -> float:
         """Component power when every device is idle (spec arithmetic)."""
@@ -107,7 +74,3 @@ class Server:
                 + self.dram.residency_watts(self.dram.capacity_bytes)
                 + self.dram.spec.active_extra_watts
                 + self.base._watts + disks)
-
-    def __repr__(self) -> str:
-        return (f"Server({self.name!r}, {len(self.storage)} storage devices, "
-                f"{self.power_watts():.0f} W)")

@@ -143,7 +143,3 @@ class FlashSsd(Device):
     def active_power_per_unit_watts(self) -> float:
         """Active power charged per busy channel-second (Figure 2 style)."""
         return self.spec.read_watts / self.spec.channels
-
-    @property
-    def capacity_units(self) -> int:
-        return self.spec.channels

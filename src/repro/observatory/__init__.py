@@ -20,7 +20,7 @@ append-only, diffable time series:
   recorded :class:`~repro.telemetry.TelemetryTrace` timelines, and a
   Joules-vs-records/s frontier chart mirroring Figure 1;
 * ``python -m repro.observatory`` wires it into CI:
-  ``record`` → ``compare`` → ``gate`` (nonzero exit on regression)
+  ``record`` → ``gate`` (nonzero exit on regression)
   → ``report``.
 """
 

@@ -6,18 +6,16 @@ Subcommands::
                       [--workers N] [--seed S] [--no-trace]
                       [--cache DIR | --no-cache] [--json] [--quiet]
                       [--<knob> value ...]     # append a run to the ledger
-    compare [--suite S ...] [--history DIR] [--window N] [--json]
     gate    [--suite S ...] [--history DIR] [--window N] [--json]
     report  [--suite S ...] [--history DIR] [--out FILE]
 
 ``record`` executes an experiment through the runner (telemetry on by
 default, so counters and power timelines land in the ledger) and
 appends one :class:`BenchRecord` per sweep point to
-``BENCH_<suite>.json``.  ``compare`` diffs every series' newest record
-against its last-N-median baseline and prints the verdict table;
-``gate`` is ``compare`` with a nonzero exit when any gated metric
-regressed (the CI hook); ``report`` writes the self-contained HTML
-dashboard.
+``BENCH_<suite>.json``.  ``gate`` diffs every series' newest record
+against its last-N-median baseline, prints the verdict table and exits
+nonzero when any gated metric regressed (the CI hook); ``report``
+writes the self-contained HTML dashboard.
 
 Exit codes: 0 ok, 1 gate failure, 2 usage/runtime error.
 """
@@ -65,19 +63,16 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="skip telemetry capture (no counters or "
                              "power timelines in the record)")
 
-    for name, help_text in (
-            ("compare", "diff newest records against their baselines"),
-            ("gate", "compare; exit 1 if any gated metric regressed")):
-        cmd = sub.add_parser(name, help=help_text)
-        add_history(cmd)
-        cmd.add_argument("--suite", action="append", default=None,
-                         help="suite(s) to compare (default: all)")
-        cmd.add_argument("--window", type=int, default=None,
-                         help="baseline window (last-N median, "
-                              "default 5)")
-        cmd.add_argument("--json", action="store_true",
-                         dest="as_json",
-                         help="print the RegressionReport as JSON")
+    gate = sub.add_parser(
+        "gate", help="diff newest records against their baselines; "
+                     "exit 1 if any gated metric regressed")
+    add_history(gate)
+    gate.add_argument("--suite", action="append", default=None,
+                      help="suite(s) to compare (default: all)")
+    gate.add_argument("--window", type=int, default=None,
+                      help="baseline window (last-N median, default 5)")
+    gate.add_argument("--json", action="store_true", dest="as_json",
+                      help="print the RegressionReport as JSON")
 
     report = sub.add_parser(
         "report", help="write the self-contained HTML dashboard")
@@ -127,7 +122,7 @@ def _cmd_record(args: argparse.Namespace,
     return 0
 
 
-def _compare(args: argparse.Namespace):
+def _cmd_gate(args: argparse.Namespace) -> int:
     from repro.observatory.history import HistoryStore
     from repro.observatory.regression import (
         DEFAULT_BASELINE_WINDOW,
@@ -138,30 +133,17 @@ def _compare(args: argparse.Namespace):
               else DEFAULT_BASELINE_WINDOW)
     if window < 1:
         raise ReproError("--window must be >= 1")
-    return compare_store(store, suites=args.suite, window=window)
-
-
-def _print_report(report, as_json: bool) -> None:
-    if as_json:
+    report = compare_store(store, suites=args.suite, window=window)
+    if args.as_json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        return
-    rows = report.rows()
-    if rows:
-        print(format_table(
-            ["verdict", "suite", "benchmark", "point", "metric",
-             "baseline", "current", "delta"],
-            rows, title="regression findings (non-ok)"))
-    print(report.summary())
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    _print_report(_compare(args), args.as_json)
-    return 0
-
-
-def _cmd_gate(args: argparse.Namespace) -> int:
-    report = _compare(args)
-    _print_report(report, args.as_json)
+    else:
+        rows = report.rows()
+        if rows:
+            print(format_table(
+                ["verdict", "suite", "benchmark", "point", "metric",
+                 "baseline", "current", "delta"],
+                rows, title="regression findings (non-ok)"))
+        print(report.summary())
     if report.has_regressions:
         print(f"gate: FAIL ({len(report.regressions())} gated "
               "metric(s) regressed)", file=sys.stderr)
@@ -195,8 +177,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_record(args, extras)
         if extras:
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
-        if args.command == "compare":
-            return _cmd_compare(args)
         if args.command == "gate":
             return _cmd_gate(args)
         return _cmd_report(args)

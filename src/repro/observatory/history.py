@@ -119,6 +119,3 @@ class HistoryStore:
         for record in self.iter_records(suite):
             grouped.setdefault(record.series_key(), []).append(record)
         return dict(sorted(grouped.items()))
-
-    def __len__(self) -> int:
-        return sum(len(self.load(s)) for s in self.suites())

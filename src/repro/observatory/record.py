@@ -19,7 +19,7 @@ import functools
 import platform
 import subprocess
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.records import Record
 
@@ -151,6 +151,3 @@ class BenchRecord(Record):
     def series_key(self) -> tuple[str, str]:
         """Longitudinal identity: records sharing it form one trend."""
         return (self.benchmark, self.point)
-
-    def metric(self, name: str) -> Optional[float]:
-        return self.metrics.get(name)

@@ -135,7 +135,7 @@ class RegressionFinding(Record):
     DERIVED_KEYS = ("delta", "delta_pct")
 
     def to_dict(self) -> dict[str, Any]:
-        # derived keys: the drift, precomputed for ``compare --json``
+        # derived keys: the drift, precomputed for ``gate --json``
         return {**super().to_dict(), "delta": self.delta,
                 "delta_pct": self.delta_pct}
 

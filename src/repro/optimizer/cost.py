@@ -27,7 +27,6 @@ from repro.relational.operators import (
     HashJoin,
     Limit,
     Operator,
-    Project,
     Sort,
     SortMergeJoin,
     SortedAggregate,
@@ -257,16 +256,6 @@ class CostModel:
                                      0, 0, columns=child.columns)
         selectivity = estimate_selectivity(op.predicate, fake_stats)
         return _Estimate(child.rows * selectivity, child.columns)
-
-    def _project(self, op: Project,
-                 pipelines: list[PipelineEstimate]) -> _Estimate:
-        child = self._walk(op.child, pipelines)
-        per_tuple = sum(e.cycles() for e in op.exprs)
-        self._current(pipelines).cpu_cycles += (
-            child.rows * per_tuple * self.scale)
-        kept = {name: stat for name, stat in child.columns.items()
-                if name in op.output_columns}
-        return _Estimate(child.rows, kept)
 
     def _join_cardinality(self, left: _Estimate, right: _Estimate,
                           left_keys, right_keys) -> float:
@@ -537,7 +526,6 @@ _HANDLERS = {
     IndexScan: CostModel._index_scan,
     TableScan: CostModel._scan,
     Filter: CostModel._filter,
-    Project: CostModel._project,
     HashJoin: CostModel._hash_join,
     BlockNestedLoopJoin: CostModel._nlj,
     SortMergeJoin: CostModel._smj,

@@ -82,9 +82,6 @@ class Expr:
     def __invert__(self):
         return BoolOp("not", [self])
 
-    def __hash__(self):  # keep Expr usable in sets despite __eq__ override
-        return id(self)
-
     def __bool__(self):
         raise ExpressionError(
             "expressions are not truthy; use & | ~ to combine predicates")

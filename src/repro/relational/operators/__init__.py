@@ -9,7 +9,6 @@ from repro.relational.operators.base import (
 )
 from repro.relational.operators.scan import TableScan
 from repro.relational.operators.filter import Filter
-from repro.relational.operators.project import Project
 from repro.relational.operators.index import (
     IndexNestedLoopJoin,
     IndexScan,
@@ -43,7 +42,6 @@ __all__ = [
     "Limit",
     "Operator",
     "PipelineCost",
-    "Project",
     "Sort",
     "SortMergeJoin",
     "SortedAggregate",

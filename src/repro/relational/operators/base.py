@@ -171,9 +171,11 @@ class Operator:
     """Base physical operator.
 
     Subclasses implement :meth:`execute`, which returns the full result
-    as a list of tuples and charges costs into the collector.  Results
-    are materialized lists (not generators) so the cost accounting is
-    complete when execute returns — the simulation replay needs totals.
+    as a list of tuples and charges costs into the collector, and
+    override ``children`` (for plan traversal) and ``describe`` (one
+    line for plan printing).  Results are materialized lists (not
+    generators) so the cost accounting is complete when execute returns
+    — the simulation replay needs totals.
     """
 
     def __init__(self, output_columns: Sequence[str]) -> None:
@@ -185,17 +187,6 @@ class Operator:
     def execute(self, collector: CostCollector) -> list[tuple]:
         raise NotImplementedError
 
-    def children(self) -> list["Operator"]:
-        """Child operators, for plan traversal/printing."""
-        return []
-
     @property
     def name(self) -> str:
         return type(self).__name__
-
-    def describe(self) -> str:
-        """One-line description for plan printing."""
-        return self.name
-
-    def __repr__(self) -> str:
-        return f"<{self.describe()}>"

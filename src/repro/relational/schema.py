@@ -50,9 +50,6 @@ class TableSchema:
         self._no_nulls = bytes((len(columns) + 7) // 8)
 
     # -- lookup ----------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.columns)
-
     def __contains__(self, column_name: str) -> bool:
         return column_name in self._index
 
@@ -176,7 +173,3 @@ class TableSchema:
             offset += consumed
             values.append(value)
         return values, offset
-
-    def __repr__(self) -> str:
-        cols = ", ".join(f"{c.name} {c.dtype.value}" for c in self.columns)
-        return f"TableSchema({self.name!r}: {cols})"

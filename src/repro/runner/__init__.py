@@ -39,7 +39,6 @@ from repro.runner.registry import (
     register_experiment,
 )
 from repro.runner.reports import (
-    Report,
     decode_report,
     encode_report,
     register_report,
@@ -61,7 +60,6 @@ __all__ = [
     "PointObserved",
     "PointResult",
     "PointStarted",
-    "Report",
     "ResultCache",
     "RunFinished",
     "RunResult",

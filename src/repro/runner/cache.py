@@ -142,9 +142,6 @@ class ResultCache:
             tmp.unlink(missing_ok=True)
             raise
 
-    def __contains__(self, key: str) -> bool:
-        return self._path(key).is_file()
-
     def _entries(self) -> list[Path]:
         if not self.root.is_dir():
             return []

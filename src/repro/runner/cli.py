@@ -5,7 +5,7 @@ Subcommands::
     run EXPERIMENT [--workers N] [--seed S] [--no-cache] [--json]
                    [--trace] [--record]
                    [--<knob> value ...]             # e.g. --disks 36,66
-    trace EXPERIMENT [--json | --csv] [--active] [--width N]
+    trace EXPERIMENT [--json] [--active] [--width N]
                    [--<knob> value ...]      # energy-attribution report
     list                                     # registered experiments
     cache stats [--json] | cache clear       # inspect / wipe the store
@@ -13,11 +13,11 @@ Subcommands::
 ``trace`` runs the experiment with telemetry capture on (reports are
 identical to ``run``; traced points cache separately) and prints, per
 point, the span-tree energy flamegraph, the per-device breakdown, and
-any counters — or the whole thing as JSON / tidy CSV.  ``run
---record`` instead captures a fleet flight recording per point (also
-report-identical, also cached separately); feed the ``--json`` output
-to ``python -m repro.flightrec`` for summaries, SLO burn analysis,
-and the timeline console.
+any counters — or the whole thing as JSON.  ``run --record`` instead
+captures a fleet flight recording per point (also report-identical,
+also cached separately); feed the ``--json`` output to ``python -m
+repro.flightrec`` for summaries, SLO burn analysis, and the timeline
+console.
 
 Knob flags are generic: any ``--name value`` pair after the known
 options overrides that knob, and a comma-separated value makes the
@@ -121,8 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser(
         "trace", help="run with telemetry and print the energy report")
     add_exec_options(trace)
-    trace.add_argument("--csv", action="store_true", dest="as_csv",
-                       help="print every point's trace as one tidy CSV")
     trace.add_argument("--active", action="store_true",
                        help="flamegraph busy-time energy instead of "
                             "metered energy")
@@ -223,7 +221,6 @@ def _cmd_trace(args: argparse.Namespace, extras: Sequence[str]) -> int:
         counter_rows,
         device_rows,
         render_flamegraph,
-        trace_to_csv,
     )
 
     spec, cache = spec_and_cache(args, extras)
@@ -234,14 +231,6 @@ def _cmd_trace(args: argparse.Namespace, extras: Sequence[str]) -> int:
 
     if args.as_json:
         print(result.to_json())
-        return 0
-    if args.as_csv:
-        multi = len(sink.traces) > 1
-        for n, index in enumerate(sorted(sink.traces)):
-            text = trace_to_csv(sink.traces[index],
-                                point=index if multi else None)
-            # one header for the whole concatenation
-            print(text.split("\n", 1)[1] if n else text, end="")
         return 0
 
     axes = list(spec.sweep_axes())

@@ -1,4 +1,4 @@
-"""The unified report protocol and the type registry behind it.
+"""The report round trip and the type registry behind it.
 
 Every experiment's per-point measurement object (``ThroughputReport``,
 ``ScanReport``, ``DutyCycleReport``, ...) and every figure-level
@@ -11,21 +11,9 @@ output all share one code path.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Protocol, runtime_checkable
+from typing import Any, Mapping
 
 from repro.records import RecordError
-
-
-@runtime_checkable
-class Report(Protocol):
-    """Anything with a JSON-safe to_dict/from_dict round trip."""
-
-    # the protocol itself: what :class:`~repro.records.Record` (or an
-    # explicit columnar codec) must provide
-    def to_dict(self) -> dict[str, Any]: ...
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Report": ...
 
 
 #: report type name -> class, for decoding cached / worker payloads
@@ -60,7 +48,7 @@ def _register_builtin_reports() -> None:
         register_report(cls)
 
 
-def encode_report(report: Report) -> dict[str, Any]:
+def encode_report(report: Any) -> dict[str, Any]:
     """Tag a report's dict form with its type for later decoding."""
     name = type(report).__name__
     if name not in REPORT_TYPES:

@@ -135,12 +135,3 @@ class ExperimentSpec(Record):
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise SpecError(f"seed must be an int, got {seed!r}")
         return seed
-
-    def describe(self) -> str:
-        axes = self.sweep_axes()
-        n = 1
-        for values in axes.values():
-            n *= len(values)
-        sweep = ", ".join(f"{k}x{len(v)}" for k, v in axes.items())
-        return (f"{self.experiment}: {n} point(s)"
-                + (f" ({sweep})" if sweep else ""))

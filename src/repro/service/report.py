@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
-from repro.core.metrics import energy_efficiency
 from repro.errors import ReproError
 from repro.records import Record
 
@@ -92,13 +91,6 @@ class NodeStats(Record):
     #: the :class:`~repro.service.spec.NodeClass` this node belongs to
     node_class: str = "node"
 
-    @property
-    def utilization(self) -> float:
-        """Busy fraction of powered-on time (0 for a never-on node)."""
-        if self.on_seconds <= 0:
-            return 0.0
-        return self.busy_seconds / self.on_seconds
-
 
 @dataclass
 class ClassStats(Record):
@@ -119,22 +111,6 @@ class ClassStats(Record):
     energy_joules: float
     boots: int
     crashes: int = 0
-
-    @property
-    def utilization(self) -> float:
-        """Busy fraction of the class's powered-on node-seconds."""
-        if self.on_seconds <= 0:
-            return 0.0
-        return self.busy_seconds / self.on_seconds
-
-    @property
-    def joules_per_query(self) -> float:
-        """Energy this class spent per query it completed."""
-        if self.completed <= 0:
-            raise ServiceError(
-                f"class {self.node_class!r} completed no queries: "
-                "Joules/query undefined")
-        return self.energy_joules / self.completed
 
 
 def rollup_classes(nodes: list[NodeStats]) -> list["ClassStats"]:
@@ -242,12 +218,6 @@ class ServiceReport(Record):
     # -- derived metrics (empty runs raise, like core.metrics) --------
 
     @property
-    def energy_efficiency(self) -> float:
-        """Queries per Joule (§2.1 applied at fleet scale)."""
-        return energy_efficiency(float(self.queries_completed),
-                                 self.energy_joules)
-
-    @property
     def joules_per_query(self) -> float:
         """The headline serving metric: energy per completed query."""
         if self.queries_completed <= 0:
@@ -256,22 +226,11 @@ class ServiceReport(Record):
         return self.energy_joules / self.queries_completed
 
     @property
-    def average_power_watts(self) -> float:
-        if self.makespan_seconds <= 0:
-            raise ServiceError("empty run: average power undefined")
-        return self.energy_joules / self.makespan_seconds
-
-    @property
     def average_active_nodes(self) -> float:
         """Time-averaged powered-on node count."""
         if self.makespan_seconds <= 0:
             raise ServiceError("empty run: active-node average undefined")
         return self.node_seconds_on / self.makespan_seconds
-
-    @property
-    def queries_lost(self) -> int:
-        """Arrivals attributed to crashes (0 on a fault-free run)."""
-        return self.faults.queries_lost if self.faults is not None else 0
 
     @property
     def availability(self) -> float:
@@ -293,29 +252,6 @@ class ServiceReport(Record):
         counted by availability, survivors by latency)."""
         return all(t.sla_met for t in self.tenants if t.survived)
 
-    def tenant(self, name: str) -> TenantStats:
-        for stats in self.tenants:
-            if stats.tenant == name:
-                return stats
-        raise ServiceError(f"report has no tenant {name!r}")
-
-    def node_class(self, name: str) -> ClassStats:
-        for stats in self.classes:
-            if stats.node_class == name:
-                return stats
-        known = ", ".join(c.node_class for c in self.classes) or "(none)"
-        raise ServiceError(
-            f"report has no node class {name!r}; classes: {known}")
-
-    def rows(self) -> list[tuple]:
-        """Per-tenant SLA rows for the table printers."""
-        return [
-            (t.tenant, t.completed, t.rejected,
-             t.p95_latency_seconds, t.sla_p95_seconds,
-             "met" if t.sla_met else "MISSED")
-            for t in self.tenants
-        ]
-
 
 @dataclass
 class ServiceSweepResult(Record):
@@ -328,9 +264,6 @@ class ServiceSweepResult(Record):
     """
 
     reports: list[ServiceReport]
-
-    def policies(self) -> list[str]:
-        return [r.policy for r in self.reports]
 
     def report(self, policy: str) -> ServiceReport:
         for r in self.reports:

@@ -41,7 +41,7 @@ Quick start::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.records import Record
 from repro.service.node import NodePowerModel
@@ -143,19 +143,8 @@ class FleetSpec(Record):
     DERIVED_KEYS = ("hash",)
 
     def to_dict(self) -> dict[str, Any]:
-        # derived key: the composition's own hash, checked on the way in
+        # derived key: the composition's own hash
         return {**super().to_dict(), "hash": self.fleet_hash()}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FleetSpec":
-        # derived key: verifies the hash ``to_dict`` emitted
-        spec = super().from_dict(data)
-        expected = data.get("hash")
-        if expected is not None and expected != spec.fleet_hash():
-            raise ServiceError(
-                "fleet spec hash mismatch: the serialized composition "
-                "was edited or corrupted")
-        return spec
 
     def fleet_hash(self) -> str:
         """Stable SHA-256 over the canonical JSON composition — the

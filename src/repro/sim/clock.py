@@ -26,11 +26,6 @@ class Clock:
             raise SimulationError(f"clock cannot start at negative time {start}")
         self._now = float(start)
 
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     def advance_to(self, t: float) -> None:
         """Move the clock forward to time ``t``.
 
@@ -42,6 +37,3 @@ class Clock:
                 f"clock cannot move backwards: now={self._now}, requested={t}"
             )
         self._now = t
-
-    def __repr__(self) -> str:
-        return f"Clock(now={self._now:.9g})"

@@ -93,12 +93,6 @@ class Process(Event):
         else:
             target.callbacks.append(self._on_event)
 
-    def __repr__(self) -> str:
-        state = "running"
-        if self._triggered:
-            state = "done" if self._ok else "failed"
-        return f"<Process {self.name!r} {state}>"
-
 
 class Simulation:
     """Event queue, clock, and process scheduler."""
@@ -117,10 +111,6 @@ class Simulation:
         return self.clock._now
 
     # -- event construction ------------------------------------------------
-    def event(self) -> Event:
-        """Create a new untriggered event bound to this simulation."""
-        return Event(self)
-
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires ``delay`` simulated seconds from now."""
         return Timeout(self, delay, value)
@@ -210,6 +200,3 @@ class Simulation:
         """
         if self._orphans:
             raise min(self._orphans, key=lambda p: p._spawn_seq)._value
-
-    def __repr__(self) -> str:
-        return f"Simulation(now={self.now:.9g}, pending={len(self._queue)})"

@@ -94,12 +94,6 @@ class Event:
         else:
             self.callbacks.append(callback)
 
-    def __repr__(self) -> str:
-        state = "pending"
-        if self._triggered:
-            state = "ok" if self._ok else "failed"
-        return f"<{type(self).__name__} {state} at {id(self):#x}>"
-
 
 class Timeout(Event):
     """An event that succeeds after a fixed simulated delay."""

@@ -7,7 +7,7 @@ Devices emit step-function samples (power changes at state transitions);
 from __future__ import annotations
 
 import bisect
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -90,9 +90,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return len(self._times)
-
-    def __iter__(self) -> Iterator[tuple[float, float]]:
-        return iter(zip(self._times, self._values))
 
     @property
     def times(self) -> list[float]:

@@ -92,9 +92,6 @@ class BufferPool:
     def __len__(self) -> int:
         return len(self._frames)
 
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._frames
-
     def get(self, key: Hashable, pin: bool = False) -> Optional[Any]:
         """Return the cached page or None (a miss).  Records the access."""
         frame = self._frames.get(key)

@@ -89,15 +89,6 @@ class ColumnFile:
         names = list(columns) if columns else self.schema.column_names()
         return sum(self.column_compressed_bytes(n) for n in names)
 
-    def compression_ratio(self, columns: Optional[Sequence[str]] = None
-                          ) -> float:
-        """compressed / plain bytes over the given columns."""
-        names = list(columns) if columns else self.schema.column_names()
-        plain = sum(self.column_plain_bytes(n) for n in names)
-        if plain == 0:
-            return 1.0
-        return self.size_bytes(names) / plain
-
     # -- loading ------------------------------------------------------------
     def append(self, row: Sequence[Any]) -> None:
         """Buffer one row; segments seal every ``segment_rows`` rows."""
@@ -163,7 +154,3 @@ class ColumnFile:
             return self._segments[column]
         except KeyError:
             raise StorageError(f"no column {column!r}") from None
-
-    def __repr__(self) -> str:
-        return (f"ColumnFile({self.schema.name!r}, rows={self.row_count}, "
-                f"bytes={self.size_bytes()})")

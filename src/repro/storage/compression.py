@@ -69,9 +69,6 @@ class Codec:
         """Whether this codec can encode the given type."""
         return True
 
-    def __repr__(self) -> str:
-        return f"<codec {self.name}>"
-
 
 class NoneCodec(Codec):
     """No compression: values stored in their plain encoding."""

@@ -35,12 +35,6 @@ class HeapFile:
         """Physical size: page count times page size (what I/O reads)."""
         return len(self.pages) * self.page_size
 
-    def payload_bytes(self) -> int:
-        """Bytes of live record payloads (excludes page overhead)."""
-        return sum(len(payload)
-                   for page in self.pages
-                   for _slot, payload in page.records())
-
     # -- mutation -----------------------------------------------------------
     def insert(self, row: Sequence[Any]) -> RecordId:
         """Append a row; returns its record id."""
@@ -79,7 +73,3 @@ class HeapFile:
             raise StorageError(
                 f"heap {self.schema.name!r}: page {page_no} out of range")
         return self.pages[page_no]
-
-    def __repr__(self) -> str:
-        return (f"HeapFile({self.schema.name!r}, rows={self._row_count}, "
-                f"pages={len(self.pages)})")

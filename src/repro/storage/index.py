@@ -63,23 +63,7 @@ class TableIndex:
                 "cannot declare the index clustered")
         self._naturally_sorted = sorted_so_far
 
-    @property
-    def name(self) -> str:
-        return f"{self.table.name}_{self.column}_idx"
-
-    @property
-    def entry_count(self) -> int:
-        return len(self.tree)
-
     # -- physical modeling ---------------------------------------------------
-    def leaf_pages(self) -> int:
-        """Leaf pages in the index."""
-        return self.tree.leaf_count()
-
-    def size_bytes(self) -> int:
-        """Modeled on-storage footprint of the index."""
-        return self.leaf_pages() * self.page_size
-
     def probe_io_bytes(self) -> int:
         """Bytes one exact-match probe reads (one leaf page; upper
         levels assumed cached)."""
@@ -124,8 +108,3 @@ class TableIndex:
         for _key, rid in self.tree.range_scan(low, high, include_low,
                                               include_high):
             yield heap.fetch(rid)
-
-    def __repr__(self) -> str:
-        kind = "clustered" if self.clustered else "secondary"
-        return (f"TableIndex({self.name!r}, {kind}, "
-                f"entries={self.entry_count})")

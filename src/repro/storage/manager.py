@@ -139,10 +139,6 @@ class Table:
         """The index on ``column``, or None."""
         return self.indexes.get(column)
 
-    def __repr__(self) -> str:
-        return (f"Table({self.name!r}, {self.layout}, rows={self.row_count}, "
-                f"on={self.placement.name})")
-
 
 class StorageManager:
     """The catalog of stored tables and their placements."""
@@ -162,15 +158,5 @@ class StorageManager:
         self._tables[schema.name] = table
         return table
 
-    def table(self, name: str) -> Table:
-        """Look up a table by name."""
-        try:
-            return self._tables[name]
-        except KeyError:
-            raise StorageError(f"no table named {name!r}") from None
-
     def tables(self) -> list[Table]:
         return [self._tables[k] for k in sorted(self._tables)]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._tables

@@ -77,7 +77,3 @@ class SlottedPage:
             raise PageError(
                 f"page {self.page_id}: slot {slot} out of range "
                 f"0..{len(self._records) - 1}")
-
-    def __repr__(self) -> str:
-        return (f"SlottedPage(id={self.page_id}, live={len(self._records)}, "
-                f"free={self.free_space()})")

@@ -66,12 +66,6 @@ class ConsolidationPlan:
     migration_joules: float = 0.0
     idle_savings_watts: float = 0.0
 
-    def breakeven_seconds(self) -> float:
-        """How long the new placement must hold to repay the migration."""
-        if self.idle_savings_watts <= 0:
-            return float("inf")
-        return self.migration_joules / self.idle_savings_watts
-
 
 class Partitioner:
     """Placement planner over a homogeneous device set."""

@@ -17,8 +17,8 @@ an attribution layer:
   that serializes losslessly (``to_dict``/``from_dict``), so traces
   ride through the runner's process pool, the content-addressed cache,
   and ``RunResult`` JSON;
-* exporters render a trace as tidy CSV or a terminal energy
-  flamegraph (``python -m repro.runner trace fig2``).
+* renderers draw a trace as a terminal energy flamegraph and its
+  device and counter tables (``python -m repro.runner trace fig2``).
 
 Telemetry is **off by default**: with no collector installed every
 hook is one global read, keeping the untraced engine at full speed
@@ -35,7 +35,6 @@ from repro.telemetry.export import (
     counter_rows,
     device_rows,
     render_flamegraph,
-    trace_to_csv,
 )
 from repro.telemetry.sink import TelemetrySink
 from repro.telemetry.spans import EnergySpan, SpanStack
@@ -55,5 +54,4 @@ __all__ = [
     "current_collector",
     "device_rows",
     "render_flamegraph",
-    "trace_to_csv",
 ]

@@ -1,94 +1,15 @@
-"""Trace exporters: CSV and the terminal energy flamegraph.
+"""Trace renderers: the terminal energy flamegraph and its tables.
 
-JSON is the canonical interchange form (exactly
-``TelemetryTrace.to_dict()``); the CSV form is a tidy, typed-row table
-that carries every value of the trace (Python's ``str(float)`` is
-shortest-repr, so every value survives the text trip bit-exactly).  The
-flamegraph is a plain-ASCII rendering for terminals:
+JSON is the interchange form (exactly ``TelemetryTrace.to_dict()``).
+The flamegraph is a plain-ASCII rendering for terminals:
 one bar per span, width proportional to the span's share of the
 capture's metered energy, indented by tree depth.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-from typing import Optional
-
 from repro.errors import ReproError
-from repro.telemetry.trace import SpanNode, TelemetryTrace
-
-# -- CSV -------------------------------------------------------------
-#
-# One table, one record type per row:
-#
-#   record   name     device  a            b              c
-#   trace    -        -       started_at   ended_at       -
-#   span     id:parent.name   -  started_at ended_at      -
-#   energy   span id  device  joules       active_joules  -
-#   device   name     -       joules       active_joules  busy_seconds
-#   sample   -        device  t            watts          -
-#   counter  name     -       value        -              -
-#
-# Span identity: rows carry "id:parent" in the name column's companion
-# id fields, where ids are pre-order indices — enough to rebuild the
-# exact forest.
-
-CSV_HEADER = ["record", "id", "parent", "name", "device", "a", "b", "c"]
-
-
-def _span_rows(trace: TelemetryTrace) -> list[list]:
-    rows: list[list] = []
-    counter = 0
-
-    def visit(span: SpanNode, parent_id) -> None:
-        nonlocal counter
-        span_id = counter
-        counter += 1
-        rows.append(["span", span_id,
-                     "" if parent_id is None else parent_id,
-                     span.name, "", span.started_at, span.ended_at, ""])
-        for device in sorted(span.device_joules):
-            rows.append(["energy", span_id, "", "", device,
-                         span.device_joules[device],
-                         span.active_joules.get(device, ""), ""])
-        for child in span.children:
-            visit(child, span_id)
-
-    for root in trace.spans:
-        visit(root, None)
-    return rows
-
-
-def trace_to_csv(trace: TelemetryTrace,
-                 point: Optional[int] = None) -> str:
-    """The trace as a tidy CSV table.
-
-    ``point`` prefixes every row with a sweep-point index column, for
-    concatenating multi-point runs into one file.
-    """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    header = CSV_HEADER if point is None else ["point", *CSV_HEADER]
-
-    def emit(row: list) -> None:
-        writer.writerow(row if point is None else [point, *row])
-
-    writer.writerow(header)
-    emit(["trace", "", "", "", "", trace.started_at, trace.ended_at, ""])
-    for row in _span_rows(trace):
-        emit(row)
-    for dev in trace.devices:
-        emit(["device", "", "", dev.name, "", dev.energy_joules,
-              dev.active_energy_joules, dev.busy_seconds])
-        for t, w in zip(dev.times, dev.watts):
-            emit(["sample", "", "", "", dev.name, t, w, ""])
-    for name in sorted(trace.counters):
-        emit(["counter", "", "", name, "", trace.counters[name], "", ""])
-    return out.getvalue()
-
-
-# -- terminal rendering ----------------------------------------------
+from repro.telemetry.trace import TelemetryTrace
 
 
 def render_flamegraph(trace: TelemetryTrace, width: int = 60,

@@ -5,15 +5,15 @@ The runner emits a ``"telemetry"``
 decoded :class:`TelemetryTrace`) for every traced point —
 cache hits included, since traced payloads store their trace.  A
 ``TelemetrySink`` is an ordinary event sink that accumulates those into
-a per-point map plus run-level rollups (``forward`` passes every event
-on, e.g. to the printing sink)::
+a per-point map (``forward`` passes every event on, e.g. to the
+printing sink)::
 
     from repro.runner import Runner
     from repro.telemetry import TelemetrySink
 
     sink = TelemetrySink()
     run = Runner(trace=True, on_event=sink).run(spec)
-    sink.device_totals()        # Joules per device across the sweep
+    sink.traces[0]              # the first point's TelemetryTrace
 """
 
 from __future__ import annotations
@@ -44,13 +44,3 @@ class TelemetrySink:
             self.knobs[event.index] = dict(event.knobs)
         if self.forward is not None:
             self.forward(event)
-
-    # -- rollups -----------------------------------------------------
-
-    def device_totals(self) -> dict[str, float]:
-        """Metered Joules per device, summed across every traced point."""
-        totals: dict[str, float] = {}
-        for trace in self.traces.values():
-            for name, joules in trace.device_totals().items():
-                totals[name] = totals.get(name, 0.0) + joules
-        return dict(sorted(totals.items()))

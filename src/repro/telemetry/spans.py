@@ -20,7 +20,7 @@ into the right tree regardless of what else is open.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.errors import ReproError
 
@@ -41,38 +41,12 @@ class EnergySpan:
     def closed(self) -> bool:
         return self.ended_at is not None
 
-    @property
-    def duration(self) -> float:
-        if self.ended_at is None:
-            raise ReproError(f"span {self.name!r} is still open")
-        return self.ended_at - self.started_at
-
     def busy_delta(self, device: str) -> float:
         """Busy unit-seconds the device accumulated inside this span."""
         if self.ended_at is None:
             raise ReproError(f"span {self.name!r} is still open")
         return (self.busy_at_end.get(device, 0.0)
                 - self.busy_at_start.get(device, 0.0))
-
-    def path(self) -> str:
-        """Slash-joined names from the root down to this span."""
-        parts = [self.name]
-        node = self.parent
-        while node is not None:
-            parts.append(node.name)
-            node = node.parent
-        return "/".join(reversed(parts))
-
-    def walk(self, depth: int = 0) -> Iterator[tuple[int, "EnergySpan"]]:
-        """Pre-order traversal as ``(depth, span)`` pairs."""
-        yield depth, self
-        for child in self.children:
-            yield from child.walk(depth + 1)
-
-    def __repr__(self) -> str:
-        end = f"{self.ended_at:.6g}" if self.ended_at is not None else "open"
-        return (f"<EnergySpan {self.name!r} [{self.started_at:.6g}, {end}] "
-                f"{len(self.children)} child(ren)>")
 
 
 class SpanStack:

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.errors import ReproError
 from repro.records import Record
 
 
@@ -38,10 +37,6 @@ class SpanNode(Record):
     device_joules: dict[str, float] = field(default_factory=dict)
     active_joules: dict[str, float] = field(default_factory=dict)
     children: list["SpanNode"] = field(default_factory=list)
-
-    @property
-    def duration(self) -> float:
-        return self.ended_at - self.started_at
 
     @property
     def total_joules(self) -> float:
@@ -94,12 +89,6 @@ class TelemetryTrace(Record):
     @property
     def duration(self) -> float:
         return self.ended_at - self.started_at
-
-    def device(self, name: str) -> DeviceTimeline:
-        for dev in self.devices:
-            if dev.name == name:
-                return dev
-        raise ReproError(f"trace has no device {name!r}")
 
     def device_totals(self) -> dict[str, float]:
         """Metered Joules per device over the whole capture."""

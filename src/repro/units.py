@@ -40,22 +40,6 @@ KILOWATT = 10**3
 KWH = 3.6e6
 
 
-def joules(avg_power_watts: float, seconds: float) -> float:
-    """Energy used by a task: average power times duration (paper §2.1)."""
-    if avg_power_watts < 0:
-        raise ValueError(f"power must be non-negative, got {avg_power_watts}")
-    if seconds < 0:
-        raise ValueError(f"duration must be non-negative, got {seconds}")
-    return avg_power_watts * seconds
-
-
-def watts(energy_joules: float, seconds: float) -> float:
-    """Average power over an interval: energy divided by duration."""
-    if seconds <= 0:
-        raise ValueError(f"duration must be positive, got {seconds}")
-    return energy_joules / seconds
-
-
 def pretty_time(seconds: float) -> str:
     """Render a duration with an adaptive unit, e.g. ``3.2 s`` or ``150 us``."""
     if seconds < 0:

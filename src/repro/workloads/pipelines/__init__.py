@@ -14,7 +14,7 @@ experiment answering the question with gated numbers.
 See PIPELINES.md for the author-facing guide.
 """
 
-from repro.workloads.pipelines.catalog import DatasetCatalog, DatasetVersion
+from repro.workloads.pipelines.catalog import DatasetVersion
 from repro.workloads.pipelines.experiments import (default_pipeline,
                                                    etl_aggregate, etl_point)
 from repro.workloads.pipelines.report import (ETL_MODES, EtlReport,
@@ -28,7 +28,6 @@ from repro.workloads.pipelines.tenants import BatchTenant, stage_tenant_name
 
 __all__ = [
     "BatchTenant",
-    "DatasetCatalog",
     "DatasetVersion",
     "ETL_MODES",
     "EtlReport",

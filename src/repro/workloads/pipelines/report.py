@@ -52,15 +52,6 @@ class StageStats(Record):
     attribution_start_seconds: float
     attribution_end_seconds: float
 
-    @property
-    def duration_seconds(self) -> float:
-        """Release-to-last-completion span."""
-        return self.completion_seconds - self.release_seconds
-
-    @property
-    def met_deadline(self) -> bool:
-        return self.completion_seconds <= self.deadline_seconds
-
 
 @dataclass
 class EtlReport(Record):
@@ -105,15 +96,6 @@ class EtlReport(Record):
         batch = self.batch_tenant_names
         return all(t.sla_met for t in self.service.tenants
                    if t.tenant not in batch)
-
-    def rows(self) -> list[tuple]:
-        """Per-stage rows for the table printers."""
-        return [
-            (s.stage, s.kind, s.completed, s.release_seconds,
-             s.completion_seconds, s.busy_joules,
-             "met" if s.met_deadline else "MISSED")
-            for s in self.stages
-        ]
 
 
 #: mode ordering for sweep aggregation (baseline first)

@@ -34,7 +34,7 @@ from repro.service.autoscale import Autoscaler
 from repro.service.fleet import simulate_service
 from repro.service.spec import FleetSpec
 from repro.service.workload import ArrivalStream
-from repro.workloads.pipelines.catalog import DatasetCatalog, DatasetVersion
+from repro.workloads.pipelines.catalog import DatasetVersion
 from repro.workloads.pipelines.report import EtlReport, StageStats
 from repro.workloads.pipelines.schedule import EtlScheduler, StagePlan
 from repro.workloads.pipelines.spec import PipelineSpec
@@ -51,14 +51,12 @@ def run_pipeline(pipeline: PipelineSpec,
                  policy="power_aware",
                  autoscaler: Optional[Autoscaler] = None,
                  engine: str = "auto",
-                 catalog: Optional[DatasetCatalog] = None,
                  **policy_kwargs) -> EtlReport:
     """Serve ``pipeline`` (plus ``interactive`` traffic, if any) and
     return the :class:`EtlReport`.
 
-    ``catalog`` (optional) receives the published
-    :class:`DatasetVersion` entries in addition to the copies embedded
-    in the report.  Fault schedules are not accepted here — batch work
+    The published :class:`DatasetVersion` entries ride the report's
+    ``catalog``.  Fault schedules are not accepted here — batch work
     under chaos routes through ``simulate_service(faults=...)``
     directly (see OPERATIONS.md on freshness during incidents).
     """
@@ -128,8 +126,6 @@ def run_pipeline(pipeline: PipelineSpec,
                    <= pipeline.freshness_sla_seconds),
             tasks=pipeline.stage(stage.name).tasks,
         ))
-        if catalog is not None:
-            catalog.publish(entries[-1])
 
     tiles = _attribution_tiles(pipeline, plan, stage_completion,
                                report.makespan_seconds)

@@ -11,8 +11,8 @@ A :class:`Stage` is one step of a pipeline (``extract``, ``clean``,
 ``transform``, ``join``, ``aggregate``, or ``load``) expressed as a
 *group of identical tasks*: ``tasks`` executions of
 ``seconds_per_task`` speed-1 node-seconds each.  Stages name their
-``inputs``, forming a DAG; ``load`` stages publish a ``dataset`` into
-the :class:`~repro.workloads.pipelines.catalog.DatasetCatalog`.
+``inputs``, forming a DAG; ``load`` stages publish a ``dataset`` as a
+:class:`~repro.workloads.pipelines.catalog.DatasetVersion`.
 
 A :class:`PipelineSpec` is the whole DAG plus one *freshness SLA*: the
 absolute stream instant by which the final stage must have completed.

@@ -61,13 +61,6 @@ class ScanReport(Record):
     bytes_read: float
     compression_ratio: float
 
-    @property
-    def energy_efficiency(self) -> float:
-        """Scans per Joule (x1 scan)."""
-        if self.energy_joules <= 0:
-            return 0.0
-        return 1.0 / self.energy_joules
-
 
 def run_scan(compressed: bool = False,
              scale_factor: float = 0.002,

@@ -143,6 +143,6 @@ def test_single_row_join(env):
 def test_index_on_empty_table(env):
     sim, server, executor, empty, *_ = env
     index = empty.create_index("empty_k")
-    assert index.entry_count == 0
+    assert len(index.tree) == 0
     assert index.search_rows(1) == []
     assert list(index.range_rows(0, 10)) == []

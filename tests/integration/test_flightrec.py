@@ -112,7 +112,7 @@ class TestEnergyReconciliation:
         for s in recording.queries["state"]:
             states[s] = states.get(s, 0) + 1
         assert states.get("done", 0) == report.queries_completed
-        assert states.get("lost", 0) == report.queries_lost
+        assert states.get("lost", 0) == report.faults.queries_lost
         assert states.get("rejected", 0) == report.queries_rejected
         assert sum(states.values()) == QUERIES
 

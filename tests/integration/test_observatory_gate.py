@@ -1,4 +1,4 @@
-"""End-to-end: record → compare → gate → report through the CLI.
+"""End-to-end: record → gate → report through the CLI.
 
 Covers the PR's acceptance loop: two identical fig2 runs produce zero
 regressions, a +10% CPU active-power perturbation flags exactly the
@@ -30,9 +30,11 @@ def _record(history, suite="it"):
 
 def _compare_json(capsys, history, suite="it"):
     capsys.readouterr()     # drain the record tables
-    assert cli.main(["compare", "--history", str(history),
-                     "--suite", suite, "--json"]) == 0
-    return json.loads(capsys.readouterr().out)
+    code = cli.main(["gate", "--history", str(history),
+                     "--suite", suite, "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == (1 if report["has_regressions"] else 0)
+    return report
 
 
 class TestIdenticalRuns:

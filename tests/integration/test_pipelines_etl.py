@@ -14,7 +14,7 @@ import pytest
 from repro.runner import ExperimentSpec, Runner
 from repro.service.workload import build_diurnal_stream
 from repro.telemetry import capture
-from repro.workloads.pipelines import (DatasetCatalog, EtlScheduler,
+from repro.workloads.pipelines import (EtlScheduler,
                                        default_pipeline, etl_point,
                                        run_pipeline)
 from repro.workloads.pipelines.run import PIPELINE_SPAN_PREFIX
@@ -108,14 +108,12 @@ class TestBatchTenantSurface:
         assert event.freshness_met
 
     def test_load_stage_publishes_to_catalog(self):
-        cat = DatasetCatalog()
-        report = run_pipeline(default_pipeline(), catalog=cat)
-        v = cat.latest("sales_daily")
-        assert v.fresh
-        assert v.version == report.pipeline_hash[:12]
-        assert v.stage == "load_warehouse"
-        assert report.catalog and report.catalog[0]["dataset"] == \
-            "sales_daily"
+        report = run_pipeline(default_pipeline())
+        v = report.catalog[-1]
+        assert v["dataset"] == "sales_daily"
+        assert v["fresh"]
+        assert v["version"] == report.pipeline_hash[:12]
+        assert v["stage"] == "load_warehouse"
 
     def test_modes_order_completion_times(self):
         eager = etl_point(mode="eager", load=1.0)
@@ -166,4 +164,4 @@ class TestFreshnessPressure:
         assert math.isfinite(slack)
         assert slack > 0
         for s in r.stages:
-            assert s.met_deadline
+            assert s.completion_seconds <= s.deadline_seconds

@@ -28,7 +28,7 @@ from repro.records import Record, RecordError
 from repro.runner import ExperimentSpec, Runner
 from repro.runner.spec import canonical_json
 from repro.service.spec import FleetSpec
-from repro.workloads.pipelines import (DatasetCatalog, EtlScheduler,
+from repro.workloads.pipelines import (DatasetVersion, EtlScheduler,
                                        default_pipeline)
 
 GOLDEN = Path(__file__).parent / "golden_records"
@@ -117,9 +117,9 @@ def harvest(runs) -> dict[type, list]:
     pipeline = default_pipeline(scale=0.05, freshness_sla_seconds=220.0)
     plan = EtlScheduler(mode="delayed", offpeak_start_seconds=120.0
                         ).plan(pipeline, fleet)
-    catalog = DatasetCatalog.from_dict({"entries": next(
+    catalog = [DatasetVersion.from_dict(entry) for entry in next(
         p.report.catalog for p in runs["svc_etl"].points
-        if p.report.catalog)})
+        if p.report.catalog)]
     row = _bench_records(runs["proportionality"])[0]
     drifted = dataclasses.replace(row, metrics={
         **row.metrics, "joules": row.metrics["joules"] * 1.5})

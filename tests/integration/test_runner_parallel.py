@@ -222,5 +222,5 @@ class TestAggregation:
             }))
         profile = run.aggregate()
         assert profile.knob_name == "utilization"
-        watts = [p.average_power_watts for p in profile.points]
+        watts = [p.energy_joules / p.seconds for p in profile.points]
         assert watts[1] > watts[0] > 0

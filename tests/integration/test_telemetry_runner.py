@@ -58,7 +58,7 @@ class TestEnergyConservation:
 
     def test_timeline_integrates_to_its_energy(self, scan_trace):
         _, trace = scan_trace
-        dev = trace.device("cpu")
+        dev = next(d for d in trace.devices if d.name == "cpu")
         if dev.n_raw_samples != len(dev.times):
             pytest.skip("series was downsampled; integral is approximate")
         integral = sum(w * (t1 - t0) for t0, t1, w in
@@ -143,8 +143,6 @@ class TestRunnerTransport:
         sink = TelemetrySink()
         Runner(cache=False, trace=True, on_event=sink).run(
             ExperimentSpec("scan", knobs=TINY_SCAN))
-        totals = sink.device_totals()
-        assert totals and all(v >= 0 for v in totals.values())
         assert sorted(sink.traces) == [0, 1]
 
 
@@ -158,19 +156,6 @@ class TestTraceCli:
         assert "energy flamegraph" in out
         assert "query:tablescan" in out
         assert "metered_J" in out
-
-    def test_csv_export_splits_by_point(self, capsys):
-        assert cli_main([*self.ARGS, "--csv"]) == 0
-        out = capsys.readouterr().out
-        lines = out.splitlines()
-        assert lines[0] == "point,record,id,parent,name,device,a,b,c"
-        # each point's rows: one trace row, then devices with energy
-        for index in ("0", "1"):
-            rows = [line.split(",")[1:] for line in lines[1:]
-                    if line.startswith(f"{index},")]
-            assert rows[0][0] == "trace"
-            assert sum(float(row[5]) for row in rows
-                       if row[0] == "device") > 0
 
     def test_json_export_carries_telemetry(self, capsys):
         assert cli_main([*self.ARGS, "--json"]) == 0

@@ -80,15 +80,6 @@ def test_observe_epoch_measures_utilization():
     assert governor.observe_epoch() == pytest.approx(0.25)
 
 
-def test_governor_run_loop():
-    sim = Simulation()
-    cpu = make_cpu(sim)
-    governor = DvfsGovernor(cpu, GovernorPolicy(epoch_seconds=5.0))
-    sim.run(until=sim.spawn(governor.run(20.0)))
-    assert cpu.dvfs_fraction == 0.6  # idled all the way down
-    assert governor.transitions == 2
-
-
 def test_pin_blocks_reactions_and_unpin_restores():
     sim = Simulation()
     cpu = make_cpu(sim)

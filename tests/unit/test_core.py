@@ -101,7 +101,6 @@ class TestProfiler:
         p = ProfilePoint("x", seconds=2.0, energy_joules=100.0,
                          work_done=4.0)
         assert p.performance == pytest.approx(2.0)
-        assert p.average_power_watts == pytest.approx(50.0)
         assert p.efficiency == pytest.approx(0.04)
 
     def test_empty_profile_rejected(self):

@@ -38,6 +38,10 @@ class TestFaultEvent:
         assert FaultEvent.from_dict(event.to_dict()) == event
 
 
+def _of(schedule, kind):
+    return [e for e in schedule.events if e.kind == kind]
+
+
 class TestFaultSchedule:
     def events(self):
         return (
@@ -49,7 +53,7 @@ class TestFaultSchedule:
     def test_events_are_time_ordered(self):
         schedule = FaultSchedule(n_nodes=2, horizon_seconds=20.0,
                                  events=self.events())
-        starts = [e.start for e in schedule]
+        starts = [e.start for e in schedule.events]
         assert starts == sorted(starts)
         assert schedule.events[0].node == 0  # node breaks the tie
 
@@ -63,21 +67,6 @@ class TestFaultSchedule:
             FaultSchedule(n_nodes=0, horizon_seconds=1.0)
         with pytest.raises(FaultError, match="horizon"):
             FaultSchedule(n_nodes=1, horizon_seconds=0.0)
-
-    def test_by_kind(self):
-        schedule = FaultSchedule(n_nodes=2, horizon_seconds=20.0,
-                                 events=self.events())
-        assert len(schedule.by_kind("crash")) == 2
-        with pytest.raises(FaultError, match="unknown fault kind"):
-            schedule.by_kind("meteor")
-
-    def test_describe_mentions_each_kind(self):
-        schedule = FaultSchedule(n_nodes=2, horizon_seconds=20.0,
-                                 events=self.events())
-        text = schedule.describe()
-        assert "2 crash" in text and "1 timeout" in text
-        assert "no faults" in \
-            FaultSchedule(n_nodes=2, horizon_seconds=20.0).describe()
 
     def test_roundtrip(self):
         schedule = FaultSchedule(n_nodes=2, horizon_seconds=20.0,
@@ -114,9 +103,9 @@ class TestBuildFaultSchedule:
         base = build_fault_schedule(4, 7200.0, seed=3)
         loud = build_fault_schedule(4, 7200.0, seed=3,
                                     crash_rate_per_node_hour=10.0)
-        assert base.by_kind("throttle") == loud.by_kind("throttle")
-        assert base.by_kind("disk") == loud.by_kind("disk")
-        assert len(loud.by_kind("crash")) > len(base.by_kind("crash"))
+        assert _of(base, "throttle") == _of(loud, "throttle")
+        assert _of(base, "disk") == _of(loud, "disk")
+        assert len(_of(loud, "crash")) > len(_of(base, "crash"))
 
     def test_intensity_scales_every_lane(self):
         quiet = build_fault_schedule(8, 7200.0, seed=0, intensity=0.25)
@@ -129,7 +118,7 @@ class TestBuildFaultSchedule:
         schedule = build_fault_schedule(
             4, 36000.0, seed=5, disk_rate_per_node_hour=2.0,
             raid_width=8)
-        disks = schedule.by_kind("disk")
+        disks = _of(schedule, "disk")
         assert disks, "expected at least one disk event at this rate"
         assert all(e.severity == degraded_speed_factor(8) for e in disks)
 

@@ -1,5 +1,5 @@
-"""Unit tests: flight-recorder context, SLO burn math, rollups,
-exporters, and the CLI's loading/exit-code contracts.
+"""Unit tests: flight-recorder context, SLO burn math, rollups and the
+CLI's loading/exit-code contracts.
 
 Hand-built recordings pin the arithmetic exactly; the integration
 suite (``tests/integration/test_flightrec.py``) covers real engine
@@ -8,7 +8,6 @@ runs and the energy-reconciliation acceptance bar.
 
 from __future__ import annotations
 
-import io
 import json
 
 import pytest
@@ -16,8 +15,6 @@ import pytest
 from repro.errors import ReproError
 from repro.flightrec import FlightRecording, record
 from repro.observe import current_recorder
-from repro.flightrec.export import (write_events_csv, write_events_jsonl,
-                                    write_queries_csv)
 from repro.flightrec.rollup import (default_window_seconds, node_rollup,
                                     summarize, window_starts)
 from repro.flightrec.slo import SLOMonitor
@@ -243,48 +240,6 @@ class TestRollups:
         assert summary["states"] == {"done": 1}
 
 
-class TestExporters:
-    def _rec_with_events(self):
-        from repro.flightrec.events import FleetEvent
-        events = [FleetEvent(t=1.0, kind="scale", node=1,
-                             data={"to": 3}),
-                  FleetEvent(t=2.0, kind="drain", node=2),
-                  FleetEvent(t=3.0, kind="scale", node=0,
-                             data={"to": 2})]
-        return _recording(
-            [{"arrival": 0.0, "start": 0.0, "completion": 1.0}],
-            events=events)
-
-    def test_jsonl_one_line_per_event(self):
-        buf = io.StringIO()
-        n = write_events_jsonl(self._rec_with_events(), buf)
-        lines = buf.getvalue().splitlines()
-        assert n == len(lines) == 3
-        assert json.loads(lines[0])["kind"] == "scale"
-
-    def test_kind_filter(self):
-        buf = io.StringIO()
-        n = write_events_jsonl(self._rec_with_events(), buf, ["scale"])
-        assert n == 2
-        assert all(json.loads(line)["kind"] == "scale"
-                   for line in buf.getvalue().splitlines())
-
-    def test_events_csv_has_header_and_json_payload(self):
-        buf = io.StringIO()
-        n = write_events_csv(self._rec_with_events(), buf)
-        lines = buf.getvalue().splitlines()
-        assert n == 3 and len(lines) == 4
-        assert lines[0] == "t,kind,node,tenant,query,data"
-        assert '""to"": 3' in lines[1] or '"{""to"": 3}"' in lines[1]
-
-    def test_queries_csv_row_per_arrival(self):
-        buf = io.StringIO()
-        n = write_queries_csv(self._rec_with_events(), buf)
-        lines = buf.getvalue().splitlines()
-        assert n == 1 and len(lines) == 2
-        assert lines[0].startswith("query,arrival,service")
-
-
 class TestCLI:
     def _write(self, tmp_path, name, payload):
         path = tmp_path / name
@@ -303,16 +258,6 @@ class TestCLI:
                                         bad.to_dict())]) == 1
         out = capsys.readouterr().out
         assert "BREACHED" in out
-
-    def test_unknown_event_kind_is_a_one_line_error(self, tmp_path,
-                                                    capsys):
-        from repro.flightrec.cli import main
-        rec = _recording([{"arrival": 0.0, "start": 0.0,
-                           "completion": 0.5}])
-        path = self._write(tmp_path, "rec.json", rec.to_dict())
-        assert main(["events", path, "--filter", "nonsense"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "nonsense" in err
 
     def test_missing_file_is_a_one_line_error(self, capsys):
         from repro.flightrec.cli import main
@@ -338,15 +283,6 @@ class TestCLI:
         assert load_recording(path, point=1).n_queries == 1
         with pytest.raises(ReproError, match="pick one with --point"):
             load_recording(path)
-
-    def test_events_limit(self, tmp_path, capsys):
-        from repro.flightrec.cli import main
-        rec = _recording([{"arrival": float(k), "start": float(k),
-                           "completion": k + 0.5} for k in range(5)])
-        path = self._write(tmp_path, "rec.json", rec.to_dict())
-        assert main(["events", path, "--queries", "--limit", "2"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 3  # header + 2 rows
 
 
 class TestShardGuard:

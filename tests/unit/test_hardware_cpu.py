@@ -142,40 +142,6 @@ def test_dvfs_rejected_while_busy():
     sim.run()
 
 
-def test_cstate_power_and_wake_latency():
-    sim = Simulation()
-    cpu = make_cpu(sim)
-
-    def scenario():
-        yield from cpu.sleep()
-        assert cpu.power_watts == pytest.approx(1.0)
-        start = sim.now
-        yield from cpu.execute(1_000_000_000)
-        # execution implicitly woke the CPU first
-        assert sim.now - start == pytest.approx(
-            cpu.spec.cstate_exit_seconds + 1.0)
-
-    sim.run(until=sim.spawn(scenario()))
-    assert not cpu.sleeping
-
-
-def test_sleep_while_busy_rejected():
-    sim = Simulation()
-    cpu = make_cpu(sim)
-
-    def work():
-        yield from cpu.execute(1_000_000_000)
-
-    def meddle():
-        yield sim.timeout(0.5)
-        with pytest.raises(HardwareError):
-            list(cpu.sleep())
-
-    sim.spawn(work())
-    sim.spawn(meddle())
-    sim.run()
-
-
 def test_active_power_per_unit_full_package_for_single_core():
     sim = Simulation()
     cpu = make_cpu(sim, cores=1, idle=0.0, peak=90.0)

@@ -34,25 +34,12 @@ class TestDram:
         with pytest.raises(HardwareError):
             dram.free(200)
 
-    def test_access_time_and_active_power(self):
-        sim = Simulation()
-        dram = self.make(sim)
-        samples = []
-
-        def observe():
-            yield sim.timeout(0.5)
-            samples.append(dram.power_watts)
-
-        sim.spawn(dram.access(1 * GB))
-        sim.spawn(observe())
-        sim.run()
-        assert sim.now == pytest.approx(1.0)
-        assert samples == [pytest.approx(8.0)]  # 4 background + 4 active
-
     def test_residency_watts(self):
         sim = Simulation()
         dram = self.make(sim)
         assert dram.residency_watts(2 * GIB) == pytest.approx(2.0)
+        # the whole powered capacity draws background power
+        assert dram.power_watts == pytest.approx(4.0)
 
 
 class TestProportionality:
@@ -119,13 +106,5 @@ class TestProfiles:
     def test_commodity_builds(self):
         sim = Simulation()
         server, array = profiles.commodity(sim)
-        assert server.power_watts() > 0
+        assert server.idle_power_watts() > 0
         assert array.width == 2
-
-    def test_server_power_off(self):
-        sim = Simulation()
-        server, _array = profiles.commodity(sim)
-        before = server.power_watts()
-        assert before > 0
-        server.power_off()
-        assert server.power_watts() == pytest.approx(0.0)

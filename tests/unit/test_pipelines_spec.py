@@ -10,8 +10,7 @@ import json
 
 import pytest
 
-from repro.workloads.pipelines import (DatasetCatalog, DatasetVersion,
-                                       EtlScheduler, PipelineError,
+from repro.workloads.pipelines import (EtlScheduler, PipelineError,
                                        PipelineSpec, Stage,
                                        default_pipeline)
 
@@ -157,28 +156,3 @@ class TestSchedulerValidation:
         p = mini(freshness_sla_seconds=1.0)
         with pytest.raises(PipelineError, match="cannot meet"):
             EtlScheduler().plan(p, FleetSpec.homogeneous(4))
-
-
-class TestCatalog:
-    def entry(self, version="v1", at=10.0, fresh=True):
-        return DatasetVersion(dataset="gold", version=version,
-                              pipeline="mini", stage="publish",
-                              produced_at_seconds=at, fresh=fresh,
-                              tasks=1)
-
-    def test_publish_and_latest(self):
-        cat = DatasetCatalog()
-        cat.publish(self.entry("v1", at=10.0))
-        cat.publish(self.entry("v2", at=20.0))
-        assert cat.latest("gold").version == "v2"
-        assert [v.version for v in cat.versions("gold")] == ["v1", "v2"]
-
-    def test_missing_dataset_raises(self):
-        with pytest.raises(PipelineError, match="no dataset"):
-            DatasetCatalog().latest("ghost")
-
-    def test_roundtrip(self):
-        cat = DatasetCatalog()
-        cat.publish(self.entry())
-        back = DatasetCatalog.from_dict(cat.to_dict())
-        assert back.to_dict() == cat.to_dict()

@@ -203,7 +203,7 @@ class TestExecutionHooksUnderFaults:
             report = self._chaos(policy)
             assert report.queries_offered == (
                 report.queries_completed + report.queries_rejected
-                + report.queries_lost)
+                + report.faults.queries_lost)
 
     def test_degenerate_qed_matches_plain_policy_under_faults(self):
         import json

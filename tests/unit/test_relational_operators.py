@@ -15,7 +15,6 @@ from repro.relational.operators import (
     HashAggregate,
     HashJoin,
     Limit,
-    Project,
     Sort,
     SortMergeJoin,
     SortedAggregate,
@@ -102,19 +101,6 @@ class TestScanFilterProject:
         filtered = run(Filter(TableScan(orders),
                               col("o_id") >= 0))[1].total_cpu_cycles()
         assert filtered > scan_only
-
-    def test_project_columns_and_exprs(self, env):
-        _, _, orders, _ = env
-        op = Project(TableScan(orders),
-                     ["o_id", ("double_total", col("o_total") * 2)])
-        rows, _ = run(op)
-        assert op.output_columns == ["o_id", "double_total"]
-        assert rows[3] == (3, 60.0)
-
-    def test_project_missing_column_rejected(self, env):
-        _, _, orders, _ = env
-        with pytest.raises(PlanError):
-            Project(TableScan(orders, columns=["o_id"]), ["o_total"])
 
 
 class TestJoins:

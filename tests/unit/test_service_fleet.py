@@ -297,8 +297,6 @@ class TestReports:
     def test_derived_metrics(self):
         report = self.make_report()
         assert report.joules_per_query == pytest.approx(50.0)
-        assert report.energy_efficiency == pytest.approx(8.0 / 400.0)
-        assert report.average_power_watts == pytest.approx(4.0)
         assert report.average_active_nodes == pytest.approx(1.5)
         assert report.slas_met
 
@@ -308,10 +306,6 @@ class TestReports:
                                   energy_joules=0.0)
         with pytest.raises(ReproError):
             report.joules_per_query
-        with pytest.raises(ReproError):
-            report.energy_efficiency
-        with pytest.raises(ReproError):
-            report.average_power_watts
 
     def test_quantile_interpolates(self):
         assert quantile([1.0, 2.0, 3.0, 4.0], 0.5) == pytest.approx(2.5)
@@ -319,25 +313,7 @@ class TestReports:
         with pytest.raises(ServiceError):
             quantile([], 0.5)
 
-    def test_node_utilization(self):
-        stats = NodeStats("n", 1, on_seconds=100.0, busy_seconds=25.0,
-                          energy_joules=1.0, boots=0)
-        assert stats.utilization == pytest.approx(0.25)
-        assert NodeStats("m", 0, 0.0, 0.0, 0.0, 0).utilization == 0.0
-
-
 class TestScheduleReportProtocol:
-    def test_empty_run_raises(self):
-        from repro.consolidation.scheduler import ScheduleReport
-        empty = ScheduleReport(policy="fifo", completed=0,
-                               makespan_seconds=0.0, energy_joules=0.0,
-                               mean_latency_seconds=0.0,
-                               max_latency_seconds=0.0)
-        with pytest.raises(ReproError):
-            empty.average_power_watts
-        with pytest.raises(ReproError):
-            empty.energy_efficiency
-
     def test_round_trip(self):
         from repro.consolidation.scheduler import ScheduleReport
         report = ScheduleReport(policy="batched", completed=3,

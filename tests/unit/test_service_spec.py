@@ -99,13 +99,6 @@ class TestFleetSpec:
         assert a.fleet_hash() != c.fleet_hash()
         assert a.to_dict()["hash"] == a.fleet_hash()
 
-    def test_from_dict_rejects_edited_hash(self):
-        data = FleetSpec.homogeneous(2).to_dict()
-        data["classes"][0]["count"] = 3
-        with pytest.raises(ServiceError, match="hash mismatch"):
-            FleetSpec.from_dict(data)
-
-
 class TestNodeClassRegistry:
     def test_builtin_classes_are_calibrated(self):
         beefy = node_class_model("beefy")
@@ -280,7 +273,6 @@ class TestClassRollups:
         a = rows[0]
         assert (a.count, a.completed, a.boots) == (2, 8, 2)
         assert a.energy_joules == pytest.approx(160.0)
-        assert a.joules_per_query == pytest.approx(160.0 / 8)
         assert rows[1].crashes == 1
 
     def test_simulate_service_reports_per_class_rows(self):
@@ -293,9 +285,6 @@ class TestClassRollups:
             == report.queries_completed
         assert sum(c.energy_joules for c in report.classes) \
             == pytest.approx(report.energy_joules)
-        assert report.node_class("d").count == 2
-        with pytest.raises(ServiceError, match="no node class"):
-            report.node_class("z")
         assert report.fleet["hash"] == fleet.fleet_hash()
 
 

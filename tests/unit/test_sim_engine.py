@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Simulation
+from repro.sim.events import Event
 
 
 def test_clock_starts_at_zero():
@@ -230,7 +231,7 @@ def test_spawn_requires_generator():
 
 def test_event_succeed_wakes_waiter():
     sim = Simulation()
-    gate = sim.event()
+    gate = Event(sim)
     log = []
 
     def waiter():
@@ -249,7 +250,7 @@ def test_event_succeed_wakes_waiter():
 
 def test_event_cannot_trigger_twice():
     sim = Simulation()
-    gate = sim.event()
+    gate = Event(sim)
     gate.succeed(1)
     with pytest.raises(SimulationError):
         gate.succeed(2)
@@ -258,7 +259,7 @@ def test_event_cannot_trigger_twice():
 def test_event_value_before_trigger_rejected():
     sim = Simulation()
     with pytest.raises(SimulationError):
-        _ = sim.event().value
+        _ = Event(sim).value
 
 
 def test_all_of_collects_values_in_order():
@@ -333,7 +334,7 @@ class CountingSimulation(Simulation):
 
 def _chatter(sim, rounds=5):
     """Three processes trading timeouts and a shared event."""
-    gate = sim.event()
+    gate = Event(sim)
 
     def ticker(delay):
         for _ in range(rounds):
@@ -438,7 +439,7 @@ def test_finished_processes_are_not_retained():
 def test_event_ok_before_trigger_rejected():
     sim = Simulation()
     with pytest.raises(SimulationError, match="not yet triggered"):
-        _ = sim.event().ok
+        _ = Event(sim).ok
 
 
 def test_scheduling_into_the_past_rejected():

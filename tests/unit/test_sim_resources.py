@@ -75,61 +75,3 @@ def test_capacity_must_be_positive():
     sim = Simulation()
     with pytest.raises(SimulationError):
         Resource(sim, capacity=0)
-
-
-def test_utilization_full_busy():
-    sim = Simulation()
-    res = Resource(sim, capacity=1)
-
-    def user():
-        yield res.acquire()
-        yield sim.timeout(10.0)
-        res.release()
-
-    sim.spawn(user())
-    sim.run()
-    assert res.utilization() == pytest.approx(1.0)
-
-
-def test_utilization_half_busy():
-    sim = Simulation()
-    res = Resource(sim, capacity=1)
-
-    def user():
-        yield res.acquire()
-        yield sim.timeout(5.0)
-        res.release()
-        yield sim.timeout(5.0)
-
-    sim.spawn(user())
-    sim.run()
-    assert res.utilization() == pytest.approx(0.5)
-
-
-def test_utilization_scales_with_capacity():
-    sim = Simulation()
-    res = Resource(sim, capacity=4)
-
-    def user():
-        yield res.acquire()
-        yield sim.timeout(8.0)
-        res.release()
-
-    sim.spawn(user())  # 1 of 4 units busy for the whole run
-    sim.run()
-    assert res.utilization() == pytest.approx(0.25)
-
-
-def test_busy_seconds_counts_unit_seconds():
-    sim = Simulation()
-    res = Resource(sim, capacity=2)
-
-    def user(hold):
-        yield res.acquire()
-        yield sim.timeout(hold)
-        res.release()
-
-    sim.spawn(user(3.0))
-    sim.spawn(user(5.0))
-    sim.run()
-    assert res.busy_seconds() == pytest.approx(8.0)

@@ -114,7 +114,7 @@ class TestTableIndex:
     def test_create_and_lookup(self, indexed_table):
         index = indexed_table.create_index("k")
         assert indexed_table.index_on("k") is index
-        assert index.entry_count == 2000
+        assert len(index.tree) == 2000
         assert index.search_rows(77) == [(77, 17, 77.0)]
 
     def test_duplicate_key_index(self, indexed_table):
@@ -174,7 +174,6 @@ class TestTableIndex:
     def test_size_modeling(self, indexed_table):
         index = indexed_table.create_index("k")
         assert index.probe_io_bytes() == index.page_size
-        assert index.size_bytes() == index.leaf_pages() * index.page_size
         full = index.range_leaf_bytes()
         partial = index.range_leaf_bytes(0, 10)
         assert partial <= full

@@ -111,8 +111,3 @@ class TestHeapFile:
         heap = HeapFile(people_schema())
         with pytest.raises(StorageError):
             heap.fetch((3, 0))
-
-    def test_payload_bytes_less_than_physical(self):
-        heap = HeapFile(people_schema(), page_size=4096)
-        heap.insert_many([(i, "abc", 2.0) for i in range(10)])
-        assert 0 < heap.payload_bytes() < heap.size_bytes()

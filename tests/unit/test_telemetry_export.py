@@ -1,6 +1,6 @@
-"""Unit tests for trace serialization and the exporters: the dict form
-must invert exactly, the CSV must carry every value; the flamegraph and
-table renderers must not lie about totals."""
+"""Unit tests for trace serialization and the renderers: the dict form
+must invert exactly; the flamegraph and table renderers must not lie
+about totals."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from repro.telemetry import (
     counter_rows,
     device_rows,
     render_flamegraph,
-    trace_to_csv,
 )
 
 
@@ -43,9 +42,7 @@ class TestTraceModel:
         assert trace.device_totals() == {"cpu": 90.0, "disk": 30.0}
         assert trace.attributed_joules() == pytest.approx(80.0)
         assert trace.unattributed_joules() == pytest.approx(40.0)
-        assert trace.device("cpu").busy_seconds == pytest.approx(1.6)
-        with pytest.raises(ReproError):
-            trace.device("gpu")
+        assert trace.devices[0].busy_seconds == pytest.approx(1.6)
 
     def test_span_total_joules(self):
         root = make_trace().spans[0]
@@ -61,34 +58,6 @@ class TestTraceModel:
         trace = make_trace()
         assert [(d, s.name) for d, s in trace.all_spans()] == [
             (0, "query"), (1, "pipe0")]
-
-
-class TestCsv:
-    ROWS = [
-        "record,id,parent,name,device,a,b,c",
-        "trace,,,,,0.0,3.0,",
-        "span,0,,query,,0.0,2.0,",
-        "energy,0,,,cpu,60.0,40.0,",
-        "energy,0,,,disk,20.0,,",
-        "span,1,0,pipe0,,0.0,1.0,",
-        "energy,1,,,cpu,30.0,20.0,",
-        "energy,1,,,disk,10.0,,",
-        "device,,,cpu,,90.0,40.0,1.6",
-        "sample,,,,cpu,0.0,30.0,",
-        "sample,,,,cpu,1.0,60.0,",
-        "device,,,disk,,30.0,0.0,0.0",
-        "sample,,,,disk,0.0,10.0,",
-        "counter,,,buffer.hit,,3.0,,",
-        "counter,,,wal.bytes_flushed,,636.0,,",
-    ]
-
-    def test_rows_carry_every_value(self):
-        assert trace_to_csv(make_trace()).splitlines() == self.ROWS
-
-    def test_multi_point_rows_carry_the_point(self):
-        lines = trace_to_csv(make_trace(), point=3).splitlines()
-        assert lines[0] == "point," + self.ROWS[0]
-        assert lines[1:] == ["3," + row for row in self.ROWS[1:]]
 
 
 class TestRendering:

@@ -88,7 +88,7 @@ class TestReadSet:
 
     def test_unread_table_does_not_exist(self):
         storage, db = generate(tables=("orders", "customer"))
-        assert "lineitem" not in storage
+        assert "lineitem" not in [t.name for t in storage.tables()]
         with pytest.raises(WorkloadError) as excinfo:
             db["lineitem"]
         message = str(excinfo.value)

@@ -13,27 +13,11 @@ from repro.sim import Simulation
 from repro.storage.manager import StorageManager
 from repro.units import (
     KWH,
-    joules,
     pretty_time,
-    watts,
 )
 
 
 class TestUnits:
-    def test_joules_is_power_times_time(self):
-        assert joules(90.0, 3.2) == pytest.approx(288.0)
-
-    def test_watts_inverse(self):
-        assert watts(288.0, 3.2) == pytest.approx(90.0)
-
-    def test_joules_validation(self):
-        with pytest.raises(ValueError):
-            joules(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            joules(1.0, -1.0)
-        with pytest.raises(ValueError):
-            watts(1.0, 0.0)
-
     def test_kwh_constant(self):
         assert KWH == pytest.approx(3.6e6)
 
@@ -115,12 +99,6 @@ class TestStorageManager:
         ssd = FlashSsd(sim, SsdSpec(name="s"))
         array = RaidArray(sim, [ssd])
         return StorageManager(sim), array
-
-    def test_create_and_contains(self):
-        storage, array = self.make()
-        storage.create_table(people(), layout="row", placement=array)
-        assert "people" in storage
-        assert storage.table("people").row_count == 0
 
     def test_duplicate_table_rejected(self):
         storage, array = self.make()

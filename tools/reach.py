@@ -1,0 +1,705 @@
+"""Reach from the workloads: every ``src/`` def and class must be run by
+a fixed workload set, or be allowlisted with a reason.
+
+    PYTHONPATH=src:. python tools/reach.py
+
+One process installs a ``sys.settrace`` hook that notes each code
+object it sees called and returns ``None`` (no line tracing), then runs:
+
+- every command of CI's runner-smoke, flightrec-smoke and
+  observatory-gate jobs in process, through each CLI's ``main(argv)`` at
+  ``--workers 1``, plus CI's pooled runs as written, so the parent's
+  pool path is traced (pool workers run untraced);
+- perfbench's six workloads at divisor 20, plain and under
+  ``perfbench.shims.installed``;
+- the six examples;
+- ``pytest benchmarks --benchmark-disable`` with
+  ``REPRO_BENCH_WORKERS=1`` (its test outcomes are ignored);
+- the default spec of ``batching``, ``proportionality``, ``svc_fleet``,
+  ``chaos_frontier`` and ``svc_policies``.
+
+A def is reached when its code ran.  A class is reached when one of its
+own defs ran, when a generated dataclass ``__init__`` or NamedTuple
+``__new__`` built one (or a subclass), or, for an exception type, when
+``src/`` raises or catches it by name.  A class that owns no def and is
+none of those (an enum, a ``Protocol``, a marker subclass) is reached
+when code that ran loads its name.  Kernels generated from source
+text call real defs, so the trace sees those calls too.
+
+It exits 1, naming each ``path::qualname``, on a def or class nothing
+ran that is not in ``ALLOWED``, on an ``ALLOWED`` entry that ran, and
+on one that no longer exists.  Each ``ALLOWED`` reason starts with one
+of ``KINDS``.
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import dataclasses
+import os
+import runpy
+import shutil
+import sys
+import tempfile
+import threading
+from dataclasses import dataclass, field
+from pathlib import Path
+from types import CodeType
+from typing import Callable, Iterator
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: the closed set of reasons a def may stay unreached
+KINDS = ("fixture", "oracle", "error path", "input-reachable", "claim",
+         "perfbench")
+
+# the reasons, one per shared cause
+_CHAOS = ("claim: test_chaos asserts the availability frontier through "
+          "the chaos sweep")
+_HETERO = ("claim: test_service_hetero asserts the beefy/wimpy crossover "
+           "through the hetero sweep")
+_PVC_QED = ("claim: test_service_pvc_qed asserts that PVC and QED stack "
+            "through the sweep")
+_ETL = ("claim: test_pipelines_etl asserts the delayed-ETL saving through "
+        "the ETL sweep")
+_PLANNED = ("input-reachable: the planner enumerates and costs it; a plan "
+            "it wins (or a spec that asks for it) runs it")
+_EXPLAIN = ("input-reachable: explain() and operator descriptions print "
+            "it for a plan holding this node")
+_DSL = ("input-reachable: the expression DSL's operator; a query that "
+        "writes it builds one")
+_Q14 = "fixture: TPC-H Q14's promo-revenue CASE over LIKE 'PROMO%'"
+_ABSTRACT = "error path: a subclass that does not implement it"
+_GATE_JSON = "input-reachable: `observatory gate --json` prints it"
+_TREE = "oracle: the B+-tree tests check the tree's shape through it"
+_ROUND_TRIP = ("oracle: the runner's JSON tests hold to_json() to it and "
+               "decode it back")
+_SRC = "src/repro/"
+
+ALLOWED: dict[str, str] = {_SRC + path: reason for path, reason in {
+    "faults/experiments.py::ChaosSweepResult": _CHAOS,
+    "faults/experiments.py::ChaosSweepResult.__post_init__": _CHAOS,
+    "faults/experiments.py::ChaosSweepResult.headline": _CHAOS,
+    "faults/experiments.py::ChaosSweepResult.rows": _CHAOS,
+    "faults/experiments.py::chaos_aggregate": _CHAOS,
+    "service/report.py::ServiceReport.availability": _CHAOS,
+    "service/report.py::ServiceReport.surviving_slas_met": _CHAOS,
+    "service/experiments.py::HeteroSweepResult": _HETERO,
+    "service/experiments.py::HeteroSweepResult.__post_init__": _HETERO,
+    "service/experiments.py::HeteroSweepResult.crossover_rows": _HETERO,
+    "service/experiments.py::HeteroSweepResult.headline": _HETERO,
+    "service/experiments.py::HeteroSweepResult.operating_points": _HETERO,
+    "service/experiments.py::HeteroSweepResult.report_at": _HETERO,
+    "service/experiments.py::HeteroSweepResult.rows": _HETERO,
+    "service/experiments.py::hetero_aggregate": _HETERO,
+    "service/experiments.py::PVCQEDSweepResult": _PVC_QED,
+    "service/experiments.py::PVCQEDSweepResult.__post_init__": _PVC_QED,
+    "service/experiments.py::PVCQEDSweepResult.baseline": _PVC_QED,
+    "service/experiments.py::PVCQEDSweepResult.headline": _PVC_QED,
+    "service/experiments.py::PVCQEDSweepResult.rows": _PVC_QED,
+    "service/experiments.py::pvc_qed_aggregate": _PVC_QED,
+    "workloads/pipelines/experiments.py::etl_aggregate": _ETL,
+    "workloads/pipelines/report.py::EtlSweepResult": _ETL,
+    "workloads/pipelines/report.py::EtlSweepResult.headline": _ETL,
+    "workloads/pipelines/report.py::EtlSweepResult.load_levels": _ETL,
+    "workloads/pipelines/report.py::EtlSweepResult.marginal_joules": _ETL,
+    "workloads/pipelines/report.py::EtlSweepResult.report": _ETL,
+    "workloads/pipelines/report.py::EtlSweepResult.rows": _ETL,
+    "workloads/pipelines/report.py::EtlReport.batch_tenant_names": _ETL,
+    "workloads/pipelines/report.py::EtlReport.interactive_slas_met": _ETL,
+    "service/experiments.py::MegaCalibrationReport.to_dict":
+        "input-reachable: `runner run svc_mega_calibration` caches the "
+        "report through it",
+    "flightrec/slo.py::SLOMonitor.to_dict":
+        "input-reachable: `flightrec slo --json` prints it",
+    "flightrec/slo.py::TenantSLO.to_dict":
+        "input-reachable: `flightrec slo --json` prints it",
+    "hardware/device.py::Device.power_watts":
+        "input-reachable: EnergyMeter.average_power_watts over a "
+        "zero-length interval reads instantaneous power",
+    "sim/tracing.py::TimeSeries.value_at":
+        "input-reachable: Device.power_watts reads it",
+    "hardware/disk.py::HardDisk.state":
+        "fixture: the spin-down tests observe a disk's power state "
+        "through it",
+    "hardware/raid.py::RaidArray.write":
+        "input-reachable: a sort that spills writes its runs through it",
+    "hardware/ssd.py::FlashSsd.read_batch":
+        "input-reachable: random I/O (an index scan) against an SSD "
+        "array fans out to it",
+    "observatory/regression.py::RegressionFinding.delta": _GATE_JSON,
+    "observatory/regression.py::RegressionFinding.delta_pct":
+        "input-reachable: the gate's table row of a non-ok finding "
+        "prints it",
+    "observatory/regression.py::RegressionFinding.to_dict": _GATE_JSON,
+    "observatory/regression.py::RegressionReport.to_dict": _GATE_JSON,
+    "optimizer/cost.py::CostModel._limit": _PLANNED,
+    "optimizer/objective.py::WeightedObjective":
+        "input-reachable: the planner takes one as its objective",
+    "optimizer/objective.py::WeightedObjective.__post_init__":
+        "input-reachable: the planner takes one as its objective",
+    "optimizer/objective.py::WeightedObjective.score":
+        "input-reachable: the planner takes one as its objective",
+    "optimizer/planner.py::Planner._join_candidates.<locals>.index_nlj":
+        "input-reachable: a join on an indexed inner key enumerates it",
+    "records.py::_shape_error":
+        "error path: a payload of the wrong shape",
+    "relational/expr.py::Arithmetic.__repr__": _EXPLAIN,
+    "relational/expr.py::Between.__repr__": _EXPLAIN,
+    "relational/expr.py::BoolOp.__repr__": _EXPLAIN,
+    "relational/expr.py::InList.__repr__": _EXPLAIN,
+    "relational/expr.py::Case": _Q14,
+    "relational/expr.py::Case.__init__": _Q14,
+    "relational/expr.py::Case.__repr__": _Q14,
+    "relational/expr.py::Case.columns": _Q14,
+    "relational/expr.py::Case.cycles": _Q14,
+    "relational/expr.py::Case.evaluate": _Q14,
+    "relational/expr.py::Like": _Q14,
+    "relational/expr.py::Like.__init__": _Q14,
+    "relational/expr.py::Like.__repr__": _Q14,
+    "relational/expr.py::Like.columns": _Q14,
+    "relational/expr.py::Like.cycles": _Q14,
+    "relational/expr.py::Like.evaluate": _Q14,
+    "relational/expr.py::Expr.__bool__":
+        "error path: `and` / `or` / `not` on a predicate",
+    "relational/expr.py::Expr.evaluate": _ABSTRACT,
+    "relational/expr.py::Expr.cycles": _ABSTRACT,
+    "relational/expr.py::Expr.columns": _ABSTRACT,
+    "relational/expr.py::Expr.__invert__": _DSL,
+    "relational/expr.py::Expr.__ne__": _DSL,
+    "relational/expr.py::Expr.__or__": _DSL,
+    "relational/expr.py::Expr.__sub__": _DSL,
+    "relational/expr.py::Expr.__truediv__": _DSL,
+    "relational/operators/aggregate.py::SortedAggregate": _PLANNED,
+    "relational/operators/aggregate.py::SortedAggregate.describe": _EXPLAIN,
+    "relational/operators/aggregate.py::SortedAggregate.execute": _PLANNED,
+    "relational/operators/base.py::CostCollector.charge_cpu_quadratic":
+        _PLANNED,
+    "relational/operators/base.py::CostCollector.total_cpu_cycles":
+        "oracle: the totals the cost-model and energy-conservation "
+        "tests compare against",
+    "relational/operators/base.py::CostCollector.total_io_bytes":
+        "oracle: the totals the cost-model and energy-conservation "
+        "tests compare against",
+    "relational/operators/base.py::Operator.execute": _ABSTRACT,
+    "relational/operators/base.py::PipelineCost.io_bytes":
+        "oracle: CostCollector.total_io_bytes sums it",
+    "relational/operators/exchange.py::Exchange.children": _EXPLAIN,
+    "relational/operators/exchange.py::Exchange.describe": _EXPLAIN,
+    "relational/operators/index.py::IndexNestedLoopJoin.children": _EXPLAIN,
+    "relational/operators/index.py::IndexNestedLoopJoin.describe": _EXPLAIN,
+    "relational/operators/join.py::BlockNestedLoopJoin.children": _EXPLAIN,
+    "relational/operators/join.py::BlockNestedLoopJoin.describe": _EXPLAIN,
+    "relational/operators/join.py::BlockNestedLoopJoin.execute": _PLANNED,
+    "relational/operators/join.py::SortMergeJoin._sort_cycles": _PLANNED,
+    "relational/operators/join.py::SortMergeJoin.children": _EXPLAIN,
+    "relational/operators/join.py::SortMergeJoin.describe": _EXPLAIN,
+    "relational/operators/join.py::SortMergeJoin.execute": _PLANNED,
+    "relational/operators/limit.py::Limit": _PLANNED,
+    "relational/operators/limit.py::Limit.__init__": _PLANNED,
+    "relational/operators/limit.py::Limit.children": _EXPLAIN,
+    "relational/operators/limit.py::Limit.describe": _EXPLAIN,
+    "relational/operators/limit.py::Limit.execute": _PLANNED,
+    "relational/operators/sort.py::Sort.children": _EXPLAIN,
+    "relational/operators/sort.py::Sort.describe": _EXPLAIN,
+    "relational/operators/sort.py::_log_base":
+        "input-reachable: a sort too big for its memory grant merges "
+        "runs",
+    "relational/schema.py::TableSchema._decode_with_nulls":
+        "input-reachable: a row holding a NULL",
+    "relational/schema.py::TableSchema.validate_row":
+        "input-reachable: a batch holding a NULL or a bad value is "
+        "validated row by row",
+    "relational/types.py::DataType.validate":
+        "input-reachable: TableSchema.validate_row calls it",
+    "relational/schema.py::TableSchema.encode_row":
+        "oracle: the row-codec property tests round-trip rows through it",
+    "storage/heap.py::HeapFile.insert":
+        "oracle: the row-at-a-time load the bulk-load property test "
+        "holds insert_many to",
+    "storage/column.py::ColumnFile.append":
+        "oracle: the row-at-a-time load the bulk-load property test "
+        "holds append_many to",
+    "storage/manager.py::StorageManager.tables":
+        "oracle: the read-set tests check which tables a load created",
+    "storage/btree.py::BPlusTree.__len__": _TREE,
+    "storage/btree.py::BPlusTree.leaf_count": _TREE,
+    "storage/btree.py::BPlusTree.validate": _TREE,
+    "storage/btree.py::BPlusTree._validate": _TREE,
+    "storage/btree.py::BPlusTree._leftmost_leaf":
+        "input-reachable: a range scan with an open low end",
+    "storage/btree.py::BPlusTree._split_interior":
+        "input-reachable: an index big enough to split an interior node",
+    "storage/buffer.py::BufferPool.__len__":
+        "oracle: the buffer property test bounds residency by capacity",
+    "storage/compression.py::Codec.encode": _ABSTRACT,
+    "storage/compression.py::Codec._decode": _ABSTRACT,
+    "storage/compression.py::RleCodec._decode":
+        "input-reachable: a scan of a column stored with codecs={...: "
+        "'rle'}",
+    "runner/cache.py::ResultCache.clear":
+        "input-reachable: `runner cache clear`",
+    "runner/cache.py::ResultCache.get":
+        "perfbench: perfbench/shims.py wraps it",
+    "runner/runner.py::PointResult.recording":
+        "oracle: the runner and observer tests read a point's recording "
+        "through it",
+    "runner/runner.py::PointResult.to_dict": _ROUND_TRIP,
+    "runner/runner.py::RunResult.to_dict": _ROUND_TRIP,
+    "runner/runner.py::RunResult.from_dict": _ROUND_TRIP,
+    "runner/runner.py::RunResult.reports":
+        "oracle: the runner tests compare pooled and serial reports "
+        "through it",
+    "runner/runner.py::RunResult.profile":
+        "input-reachable: aggregate() of an experiment that registers "
+        "no aggregator",
+    "service/dispatch.py::DispatchContext.marginal_cost_rate":
+        "oracle: the class-ranking rate the packing-router oracle "
+        "re-derives PowerAwarePacking.route from",
+    "service/dispatch.py::DispatchPolicy.frequency":
+        "input-reachable: a policy that declares dvfs and keeps the "
+        "unthrottled default",
+    "service/dispatch.py::DispatchPolicy.route":
+        "error path: a policy that implements no route()",
+    "service/dispatch.py::DispatchPolicy.releases":
+        "error path: a batching policy that implements no releases()",
+    "service/qed.py::QEDPolicy.route":
+        "input-reachable: engine='loop' serving a QED policy",
+    "service/qed.py::QEDPolicy.admits":
+        "input-reachable: engine='loop' serving a QED policy",
+    "service/qed.py::QEDPolicy.frequency":
+        "input-reachable: engine='loop' serving a QED policy",
+    "sim/events.py::Event.fail":
+        "error path: a process that raises, or a failed child event",
+    "telemetry/spans.py::SpanStack.current":
+        "input-reachable: SpanStack.open without a parent nests under it",
+    "telemetry/trace.py::SpanNode.active_total_joules":
+        "input-reachable: `runner trace --active`",
+    "telemetry/trace.py::TelemetryTrace.active_total_joules":
+        "input-reachable: `runner trace --active`",
+    "telemetry/trace.py::TelemetryTrace.active_totals":
+        "oracle: the totals the energy-conservation tests compare against",
+    "telemetry/trace.py::TelemetryTrace.device_totals":
+        "input-reachable: the verbose event printer's per-point line",
+    "workloads/tpch_queries.py::q14":
+        "fixture: TPC-H plan builders the operator and oracle tests run",
+    "workloads/tpch_queries.py::q3_spec":
+        "fixture: TPC-H plan builders the operator and oracle tests run",
+    "workloads/tpch_queries.py::q5_spec":
+        "fixture: TPC-H plan builders the operator and oracle tests run",
+    "workloads/tpch_queries.py::q10_spec":
+        "fixture: TPC-H plan builders the operator and oracle tests run",
+}.items()}
+
+
+# -- what src/ defines ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Site:
+    """One def or class: where it is and what its code object reports
+    as ``co_firstlineno`` (a decorator's line when it has one)."""
+
+    path: str
+    qualname: str
+    first: int
+    is_class: bool = False
+    #: a class's own defs, by ``first`` line
+    methods: tuple[int, ...] = ()
+
+    @property
+    def name(self) -> str:
+        return f"{self.path}::{self.qualname}"
+
+
+def _first_line(node: ast.AST) -> int:
+    return min([node.lineno] + [d.lineno for d in node.decorator_list])
+
+
+def _own_defs(body: list[ast.stmt]) -> Iterator[ast.AST]:
+    """The defs a class body holds, looking into ``if`` / ``try``
+    blocks but not into nested defs or classes."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+        elif not isinstance(node, ast.ClassDef):
+            yield from _own_defs([child for child in ast.iter_child_nodes(node)
+                                  if isinstance(child, ast.stmt)])
+
+
+def _sites(tree: ast.Module, path: str) -> Iterator[Site]:
+    def visit(node: ast.AST, prefix: str) -> Iterator[Site]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = prefix + child.name
+                yield Site(path, qualname, _first_line(child))
+                yield from visit(child, qualname + ".<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                qualname = prefix + child.name
+                yield Site(path, qualname, _first_line(child), True,
+                           tuple(_first_line(d)
+                                 for d in _own_defs(child.body)))
+                yield from visit(child, qualname + ".")
+            else:
+                yield from visit(child, prefix)
+
+    yield from visit(tree, "")
+
+
+def inventory(root: Path) -> list[Site]:
+    """Every def and class under ``root / "src"``."""
+    return [site for path in sorted((root / "src").rglob("*.py"))
+            for site in _sites(ast.parse(path.read_text()),
+                               path.relative_to(root).as_posix())]
+
+
+def handled_names(root: Path) -> set[str]:
+    """Names ``src/`` raises (``raise X`` / ``raise X(...)``) or catches
+    (``except X`` / ``except (X, Y)``)."""
+    def names(node: ast.AST | None) -> Iterator[str]:
+        if isinstance(node, ast.Call):
+            yield from names(node.func)
+        elif isinstance(node, ast.Tuple):
+            for element in node.elts:
+                yield from names(element)
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+    found: set[str] = set()
+    for path in (root / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise):
+                found.update(names(node.exc))
+            elif isinstance(node, ast.ExceptHandler):
+                found.update(names(node.type))
+    return found
+
+
+# -- the trace --------------------------------------------------------
+
+
+@dataclass
+class Trace:
+    """What ran while the hook was installed: the code object of every
+    def called, by ``(file, first line)``, and every class a generated
+    dataclass ``__init__`` or NamedTuple ``__new__`` built."""
+
+    calls: dict[tuple[str, int], CodeType] = field(default_factory=dict)
+    built: set[type] = field(default_factory=set)
+
+    def hook(self, frame, event, arg):
+        code = frame.f_code
+        if code.co_filename == "<string>":
+            self._generated(frame)
+        else:
+            self.calls.setdefault((code.co_filename, code.co_firstlineno),
+                                  code)
+        return None
+
+    def _generated(self, frame) -> None:
+        # a NamedTuple's __new__ is an eval'd lambda of (_cls, *fields)
+        code = frame.f_code
+        if not code.co_argcount:
+            return
+        first = code.co_varnames[0]
+        if code.co_name == "__init__":
+            self.built.add(type(frame.f_locals[first]))
+        elif first == "_cls":
+            self.built.add(frame.f_locals[first])
+
+    @contextlib.contextmanager
+    def installed(self) -> Iterator[None]:
+        previous = sys.gettrace()
+        threading.settrace(self.hook)
+        sys.settrace(self.hook)
+        try:
+            yield
+        finally:
+            sys.settrace(previous)
+            threading.settrace(previous)
+
+
+def _built_sites(built: set[type], root: Path) -> set[tuple[str, str]]:
+    """``(path, qualname)`` of every ``src/`` class in the MRO of a
+    built class."""
+    src = (root / "src").resolve()
+    out = set()
+    for cls in built:
+        for klass in cls.__mro__:
+            module = sys.modules.get(klass.__module__)
+            filename = getattr(module, "__file__", None)
+            if filename and Path(filename).resolve().is_relative_to(src):
+                path = Path(filename).resolve().relative_to(root.resolve())
+                out.add((path.as_posix(), klass.__qualname__))
+    return out
+
+
+def _class_of(site: Site) -> type | None:
+    """The imported class a site names (None if its module is not
+    imported, or it is local to a function)."""
+    module_name = site.path.removeprefix("src/").removesuffix(
+        ".py").replace("/", ".").removesuffix(".__init__")
+    obj = sys.modules.get(module_name)
+    for part in site.qualname.split("."):
+        obj = getattr(obj, part, None)
+    return obj if isinstance(obj, type) else None
+
+
+def _class_reached(site: Site, ran: set[tuple[str, int]],
+                   built: set[tuple[str, str]], raised: set[str],
+                   loaded: set[str]) -> bool:
+    if any((site.path, line) in ran for line in site.methods):
+        return True
+    if (site.path, site.qualname) in built:
+        return True
+    cls = _class_of(site)
+    name = site.qualname.split(".")[-1]
+    if cls is None:
+        return False
+    if issubclass(cls, BaseException):
+        return name in raised
+    # an enum, a Protocol or a marker subclass: no def of its own can
+    # run and no generated constructor builds it, so code that ran must
+    # load its name
+    return (not site.methods and not dataclasses.is_dataclass(cls)
+            and not hasattr(cls, "_fields") and name in loaded)
+
+
+def unreached(root: Path, trace: Trace) -> list[Site]:
+    """The defs and classes under ``root / "src"`` the trace never saw
+    run."""
+    resolved: dict[str, str] = {}
+    ran: set[tuple[str, int]] = set()
+    base = root.resolve()
+    for filename, line in trace.calls:
+        if filename not in resolved:
+            path = Path(filename).resolve()
+            resolved[filename] = (path.relative_to(base).as_posix()
+                                  if path.is_relative_to(base) else "")
+        ran.add((resolved[filename], line))
+    built = _built_sites(trace.built, root)
+    raised = handled_names(root)
+    loaded = {name for code in trace.calls.values()
+              for name in code.co_names}
+    return [site for site in inventory(root)
+            if not (_class_reached(site, ran, built, raised, loaded)
+                    if site.is_class else (site.path, site.first) in ran)]
+
+
+def verdict(root: Path, trace: Trace,
+            allowed: dict[str, str]) -> list[str]:
+    """One line per failure; empty when every unreached site is
+    allowlisted and every allowlisted one is unreached."""
+    missed = {site.name for site in unreached(root, trace)}
+    known = {site.name for site in inventory(root)}
+    lines = [f"unreached: {name}" for name in sorted(missed - set(allowed))]
+    lines += [f"allowlisted but reached: {name}"
+              for name in sorted(set(allowed) & known - missed)]
+    lines += [f"allowlisted but gone: {name}"
+              for name in sorted(set(allowed) - known)]
+    return lines
+
+
+# -- the workloads ----------------------------------------------------
+
+
+@contextlib.contextmanager
+def _stdout_to(path: Path) -> Iterator[None]:
+    """Point ``sys.stdout`` at a real file (the CLIs may re-point the
+    descriptor on a broken pipe)."""
+    with open(path, "w") as out, contextlib.redirect_stdout(out):
+        yield
+
+
+def _cli(module: str, argv: list[str], out: Path) -> None:
+    main = __import__(f"repro.{module}.cli", fromlist=["main"]).main
+    with _stdout_to(out):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    print(f"  rc={code}  {module} {' '.join(argv)}", file=sys.stderr)
+
+
+def _serial(argv: list[str]) -> list[str]:
+    out = list(argv)
+    if "--workers" in out:
+        out[out.index("--workers") + 1] = "1"
+    return out
+
+
+# the commands of .github/workflows/ci.yml's runner-smoke and
+# flightrec-smoke jobs; keep them in step with it
+_SVC = ["svc_smoke", "--policy", "round_robin,power_aware",
+        "--queries", "2000"]
+RUNNER_SMOKE = [
+    ["list"],
+    ["run", "fig1", "--disks", "36", "--workers", "2"],
+    ["run", "fig1", "--disks", "36", "--workers", "2"],
+    ["trace", "fig2", "--quiet"],
+    ["run", "scan", "--compressed", "false,true", "--scale-factor", "0.006",
+     "--workers", "2", "--no-cache", "--quiet"],
+    ["run", *_SVC, "--trace", "--record", "--workers", "2", "--json",
+     "--no-cache", "--quiet"],
+    ["run", *_SVC, "--epoch-seconds", "30", "--record", "--workers", "2",
+     "--quiet", "--json", "--cache", "splice-cache"],
+    ["run", *_SVC, "--epoch-seconds", "30", "--record", "--workers", "2",
+     "--json", "--cache", "splice-cache"],
+    ["cache", "stats", "--json"],
+]
+FLIGHTREC_POINTS = {
+    "pvc_qed": ["svc_pvc_qed", "--config", "pvc_qed", "--sla_headroom",
+                "0.35", "--queries", "20000"],
+    "etl": ["svc_etl", "--mode", "delayed", "--load", "1.0"],
+}
+DEFAULT_SPECS = ("batching", "proportionality", "svc_fleet",
+                 "chaos_frontier", "svc_policies")
+
+
+def ci_commands(work: Path) -> None:
+    """CI's runner-smoke, flightrec-smoke and observatory-gate jobs."""
+    for serial in (True, False):
+        cwd = work / ("serial" if serial else "pooled")
+        cwd.mkdir()
+        os.chdir(cwd)
+        os.environ["REPRO_CACHE_DIR"] = str(cwd / ".repro-cache")
+        for i, argv in enumerate(RUNNER_SMOKE):
+            if not serial and "--workers" not in argv:
+                continue
+            _cli("runner", _serial(argv) if serial else argv,
+                 cwd / f"runner-{i}.out")
+        _cli("flightrec", ["summarize", str(cwd / "runner-5.out"),
+                           "--point", "1"], cwd / "summary.out")
+    os.chdir(work / "serial")
+    for name, argv in FLIGHTREC_POINTS.items():
+        recording = str(work / f"{name}.json")
+        _cli("runner", ["run", argv[0], "--record", "--no-cache",
+                        "--quiet", "--json", *argv[1:]], Path(recording))
+        for verb in (["summarize", recording], ["slo", recording],
+                     ["timeline", recording, "--out",
+                      str(work / f"flightrec-{name}.html")]):
+            _cli("flightrec", verb, work / "flightrec.out")
+    history = work / "history"
+    history.mkdir()
+    for ledger in ROOT.glob("BENCH_*.json"):
+        shutil.copy(ledger, history)
+    for row in (ROOT / ".github" / "observatory-suites.txt").read_text(
+            ).splitlines():
+        if not row.strip() or row.startswith("#"):
+            continue
+        experiment, suite, *extra = row.split()
+        _cli("observatory", ["record", experiment, "--suite", suite,
+                             "--history", str(history), "--quiet",
+                             "--no-cache", *extra], work / "record.out")
+    _cli("observatory", ["gate", "--history", str(history)],
+         work / "gate.out")
+    _cli("observatory", ["report", "--history", str(history), "--out",
+                         str(work / "observatory.html")],
+         work / "report.out")
+
+
+def perfbench_workloads(work: Path) -> None:
+    """perfbench's six workloads at divisor 20, plain and shimmed."""
+    from perfbench import shims
+    from perfbench.spans import Tracer
+    from perfbench.workloads import WORKLOADS, Job
+    for name, workload in WORKLOADS.items():
+        for traced in (False, True):
+            job = Job(seed=0, divisor=20, tracer=Tracer(name, 0),
+                      scratch=work,
+                      counts=shims.Counts() if traced else None)
+            with (shims.installed(job.tracer, job.counts) if traced
+                  else contextlib.nullcontext()):
+                workload.run(job)
+        print(f"  perfbench {name}", file=sys.stderr)
+
+
+def examples(work: Path) -> None:
+    os.chdir(work)
+    for script in sorted((ROOT / "examples").glob("*.py")):
+        with _stdout_to(work / f"{script.stem}.out"):
+            runpy.run_path(str(script), run_name="__main__")
+        print(f"  example {script.name}", file=sys.stderr)
+
+
+class _Failures:
+    """A pytest plugin that lists the tests that did not pass."""
+
+    def __init__(self) -> None:
+        self.names: list[str] = []
+
+    def pytest_runtest_logreport(self, report) -> None:
+        if report.failed:
+            self.names.append(report.nodeid)
+
+
+def benchmarks(work: Path) -> None:
+    import pytest
+    os.environ["REPRO_BENCH_WORKERS"] = "1"
+    os.environ["REPRO_HISTORY_DIR"] = str(work)
+    os.chdir(ROOT)
+    failures = _Failures()
+    with _stdout_to(work / "pytest.out"):
+        code = pytest.main([str(ROOT / "benchmarks"), "--benchmark-disable",
+                            "-q", "-p", "no:cacheprovider"],
+                           plugins=[failures])
+    print(f"  pytest benchmarks rc={int(code)}", file=sys.stderr)
+    for name in failures.names:
+        print(f"  failed (ignored): {name}", file=sys.stderr)
+
+
+def default_specs(work: Path) -> None:
+    os.chdir(work)
+    for experiment in DEFAULT_SPECS:
+        _cli("runner", ["run", experiment, "--no-cache", "--quiet"],
+             work / f"{experiment}.out")
+
+
+WORKLOADS: dict[str, Callable[[Path], None]] = {
+    "ci": ci_commands, "perfbench": perfbench_workloads,
+    "examples": examples, "benchmarks": benchmarks,
+    "default-specs": default_specs,
+}
+
+
+def _untrace() -> None:
+    sys.settrace(None)
+    threading.settrace(None)
+
+
+def trace_workloads() -> Trace:
+    """Run every workload under one trace, each in a fresh scratch
+    directory and on a fresh ``REPRO_CACHE_DIR``."""
+    trace = Trace()
+    os.register_at_fork(after_in_child=_untrace)
+    home, environ = os.getcwd(), dict(os.environ)
+    with tempfile.TemporaryDirectory(prefix="reach-") as scratch:
+        for name, workload in WORKLOADS.items():
+            work = Path(scratch, name)
+            work.mkdir()
+            os.environ["REPRO_CACHE_DIR"] = str(work / ".repro-cache")
+            print(f"{name}:", file=sys.stderr)
+            try:
+                with trace.installed():
+                    workload(work)
+            finally:
+                os.chdir(home)
+                os.environ.clear()
+                os.environ.update(environ)
+    return trace
+
+
+def main() -> int:
+    failures = verdict(ROOT, trace_workloads(), ALLOWED)
+    for line in failures:
+        print(line)
+    print(f"reach: {len(failures)} failure(s), {len(ALLOWED)} allowlisted",
+          file=sys.stderr)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
