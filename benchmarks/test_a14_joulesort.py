@@ -60,8 +60,7 @@ def sweep():
     results = {}
     for name, (sim, server, array) in contenders().items():
         results[name] = run_joulesort(
-            sim, server, array, logical_records=LOGICAL_RECORDS,
-            physical_records=20_000)
+            sim, server, array, logical_records=LOGICAL_RECORDS)
     return results
 
 

@@ -141,13 +141,13 @@ class PowerCappedScheduler:
         )
 
 
-def _second_marks(start: float, end: float, max_samples: int = 400):
+def _second_marks(start: float, end: float):
     """Sampling marks for the peak-power estimate: fine enough to see
-    concurrency bursts, bounded for long runs."""
+    concurrency bursts, bounded at 400 for long runs."""
     if end <= start:
         yield start
         return
-    step = max(0.01, (end - start) / max_samples)
+    step = max(0.01, (end - start) / 400)
     t = start
     while t < end:
         yield t

@@ -72,22 +72,21 @@ class ClusterReport:
         return proportionality_index(loads, powers)
 
 
-def diurnal_trace(hours: int = 24, peak_fraction: float = 0.9,
-                  trough_fraction: float = 0.15) -> list[float]:
-    """A smooth day/night load curve (fraction of cluster capacity)."""
-    if not 0 <= trough_fraction <= peak_fraction <= 1:
-        raise ConsolidationError("need 0 <= trough <= peak <= 1")
-    mid = (peak_fraction + trough_fraction) / 2
-    amplitude = (peak_fraction - trough_fraction) / 2
+def diurnal_trace() -> list[float]:
+    """A smooth day/night load curve (fraction of cluster capacity),
+    one value per hour of a day: 15 % at the trough, 90 % at the peak."""
+    mid = (0.9 + 0.15) / 2
+    amplitude = (0.9 - 0.15) / 2
     return [mid + amplitude * math.sin(2 * math.pi * (h - 9) / 24)
-            for h in range(hours)]
+            for h in range(24)]
 
 
 def simulate_cluster(trace: Sequence[float], n_servers: int,
                      policy: ClusterPolicy,
-                     model: ServerPowerModel = ServerPowerModel(),
-                     epoch_seconds: float = 3600.0) -> ClusterReport:
-    """Play a load trace (fractions of total cluster capacity)."""
+                     model: ServerPowerModel = ServerPowerModel()
+                     ) -> ClusterReport:
+    """Play a load trace (fractions of total cluster capacity), one
+    value per one-hour epoch."""
     if n_servers < 1:
         raise ConsolidationError("need at least one server")
     if any(not 0.0 <= load <= 1.0 for load in trace):
@@ -107,10 +106,10 @@ def simulate_cluster(trace: Sequence[float], n_servers: int,
             active = min(n_servers, max(1, math.ceil(demand) + 1))
         utilization = min(1.0, demand / active)
         power = active * model.power(utilization)
-        energy += power * epoch_seconds
+        energy += power * 3600.0
         cycles += abs(active - previous_active)
         previous_active = active
-        server_hours += active * epoch_seconds / 3600.0
+        server_hours += active
         curve.append((load, power))
     return ClusterReport(
         policy=policy,

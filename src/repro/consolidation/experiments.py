@@ -46,6 +46,8 @@ def batching_point(policy: str = "batched",
         raise ConsolidationError(
             f"unknown scheduling policy {policy!r}; expected 'fifo' or "
             "'batched'")
+    if queries < 1:
+        raise ConsolidationError("need at least one query")
     sim = Simulation()
     server, array = commodity(sim)
     storage = StorageManager(sim)

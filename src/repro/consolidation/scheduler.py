@@ -106,10 +106,9 @@ def run_fifo(sim: "Simulation", server: "Server", executor: Executor,
 def run_batched(sim: "Simulation", server: "Server", executor: Executor,
                 arrivals: Sequence[Arrival], array: "RaidArray",
                 window_seconds: float,
-                spin_down_between: bool = True,
                 tail_seconds: float = 0.0) -> ScheduleReport:
     """Hold arrivals for up to ``window_seconds``, run them as a batch,
-    and optionally spin the array down between batches."""
+    and spin the array down between batches."""
     if window_seconds <= 0:
         raise ConsolidationError("batch window must be positive")
     latencies: list[float] = []
@@ -133,9 +132,8 @@ def run_batched(sim: "Simulation", server: "Server", executor: Executor,
             for arrival in batch:
                 yield from executor.run_process(arrival.builder())
                 latencies.append(sim.now - arrival.at_seconds)
-            if spin_down_between:
-                yield from array.spin_down()
-                spin_downs += 1
+            yield from array.spin_down()
+            spin_downs += 1
 
     sim.run(until=sim.spawn(dispatcher(), name="batch-dispatcher"))
     if tail_seconds:

@@ -32,23 +32,20 @@ class SpeedDecision:
 class SpeedGovernor:
     """Per-epoch speed selection for a set of multi-speed disks."""
 
-    def __init__(self, disks: Sequence["HardDisk"],
-                 headroom: float = 1.25,
-                 min_epoch_seconds: float = 60.0) -> None:
+    #: bandwidth headroom over the observed demand
+    HEADROOM = 1.25
+    #: shortest epoch the governor will plan for
+    MIN_EPOCH_SECONDS = 60.0
+
+    def __init__(self, disks: Sequence["HardDisk"]) -> None:
         if not disks:
             raise ConsolidationError("governor needs at least one disk")
-        if headroom < 1.0:
-            raise ConsolidationError("headroom must be >= 1.0")
-        if min_epoch_seconds <= 0:
-            raise ConsolidationError("epoch must be positive")
         levels = set(disks[0].spec.speed_levels)
         for disk in disks[1:]:
             if set(disk.spec.speed_levels) != levels:
                 raise ConsolidationError(
                     "governor requires homogeneous speed levels")
         self.disks = list(disks)
-        self.headroom = headroom
-        self.min_epoch_seconds = min_epoch_seconds
         self.decisions: list[SpeedDecision] = []
 
     def choose_speed(self, demand_fraction: float) -> float:
@@ -56,7 +53,7 @@ class SpeedGovernor:
         bandwidth, with headroom."""
         if demand_fraction < 0:
             raise ConsolidationError("negative demand")
-        required = min(1.0, demand_fraction * self.headroom)
+        required = min(1.0, demand_fraction * self.HEADROOM)
         candidates = sorted(self.disks[0].spec.speed_levels)
         for level in candidates:
             if level >= required:
@@ -81,10 +78,10 @@ class SpeedGovernor:
     def apply(self, demand_fraction: float,
               epoch_seconds: float) -> Generator:
         """Set every disk for the coming epoch (process)."""
-        if epoch_seconds < self.min_epoch_seconds:
+        if epoch_seconds < self.MIN_EPOCH_SECONDS:
             raise ConsolidationError(
                 f"epoch {epoch_seconds}s below the governor's minimum "
-                f"{self.min_epoch_seconds}s")
+                f"{self.MIN_EPOCH_SECONDS}s")
         target = self.choose_speed(demand_fraction)
         current = self.disks[0].speed_fraction
         change = self.worth_changing(current, target, epoch_seconds)

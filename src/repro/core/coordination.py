@@ -17,7 +17,6 @@ and both remedies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ReproError
@@ -26,33 +25,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.cpu import Cpu
 
 
-@dataclass(frozen=True)
-class GovernorPolicy:
-    """Reactive ondemand-style thresholds."""
-
-    low_utilization: float = 0.3
-    high_utilization: float = 0.7
-    epoch_seconds: float = 10.0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.low_utilization < self.high_utilization <= 1:
-            raise ReproError("need 0 <= low < high <= 1")
-        if self.epoch_seconds <= 0:
-            raise ReproError("epoch must be positive")
-
-
 class DvfsGovernor:
     """A hardware frequency controller reacting to observed utilization.
 
-    Steps down one P-state after a low-utilization epoch, up one after a
-    high-utilization epoch.  The database does not control it — unless
-    it goes through the :class:`PowerCoordinator`.
+    Steps down one P-state after an epoch under 30 % utilization, up
+    one after an epoch over 70 % (ondemand-style thresholds).  The
+    database does not control it — unless it goes through the
+    :class:`PowerCoordinator`.
     """
 
-    def __init__(self, cpu: "Cpu",
-                 policy: GovernorPolicy = GovernorPolicy()) -> None:
+    def __init__(self, cpu: "Cpu") -> None:
         self.cpu = cpu
-        self.policy = policy
         self._levels = sorted(cpu.spec.dvfs_fractions, reverse=True)
         self._pinned_by: Optional[str] = None
         self._busy_baseline = cpu.busy_seconds()
@@ -84,9 +67,9 @@ class DvfsGovernor:
             return self.cpu.dvfs_fraction
         current = self._levels.index(self.cpu.dvfs_fraction)
         target = current
-        if utilization < self.policy.low_utilization:
+        if utilization < 0.3:
             target = min(len(self._levels) - 1, current + 1)
-        elif utilization > self.policy.high_utilization:
+        elif utilization > 0.7:
             target = max(0, current - 1)
         if target != current:
             self.cpu.set_dvfs(self._levels[target])

@@ -32,7 +32,7 @@ class PageError(StorageError):
 
 
 class BufferPoolError(StorageError):
-    """Buffer-pool misuse, e.g. unpinning a page that is not pinned."""
+    """Buffer-pool misuse, e.g. caching a page that is already cached."""
 
 
 class WalError(StorageError):

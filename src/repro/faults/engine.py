@@ -52,6 +52,7 @@ from repro.service.autoscale import Autoscaler
 from repro.service.dispatch import DispatchContext, DispatchPolicy
 from repro.service.engine import kernel_for, ladder_rows
 from repro.service.fleet import _assemble_report, _prepare
+from repro.service.pvc import FREQUENCY_STEPS
 from repro.service.report import FaultStats, ServiceReport
 from repro.service.spec import FleetSpec
 from repro.service.workload import ArrivalStream
@@ -209,7 +210,7 @@ def simulate_faulty_service(stream: ArrivalStream,
     if run.engine == "event":
         kernel, router, pvc, outer = kernel_for(policy, autoscaler,
                                                 faulted=True)
-    steps = [f for f in pvc.frequency_steps if f < 1.0] if pvc else []
+    steps = [f for f in FREQUENCY_STEPS if f < 1.0] if pvc else []
 
     def recompute(i: int) -> None:
         tf = 1.0

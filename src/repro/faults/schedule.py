@@ -124,8 +124,7 @@ class FaultSchedule(Record):
         return len(self.events)
 
 
-def degraded_speed_factor(raid_width: int,
-                          rebuild_overhead: float = 0.2) -> float:
+def degraded_speed_factor(raid_width: int) -> float:
     """Serving speed of a node whose RAID 5 group lost a member.
 
     A striped read of ``B`` bytes puts ``B / width`` on each member.
@@ -134,20 +133,16 @@ def degraded_speed_factor(raid_width: int,
     survivors reads ``B / width + (B / width) / (width - 1) =
     B / (width - 1)``.  The slowest-member service time therefore
     stretches by ``width / (width - 1)`` and the speed falls to
-    ``(width - 1) / width``.  ``rebuild_overhead`` is the extra
-    slowdown from rebuild traffic competing with serving I/O.
+    ``(width - 1) / width``.  Rebuild traffic competing with serving
+    I/O slows it by a further 20 %.
 
     >>> round(degraded_speed_factor(8), 6)
     0.729167
-    >>> degraded_speed_factor(2, rebuild_overhead=0.0)
-    0.5
     """
     if raid_width < 2:
         raise FaultError("degraded operation needs a RAID width >= 2")
-    if rebuild_overhead < 0:
-        raise FaultError("rebuild overhead cannot be negative")
     reconstruction = (raid_width - 1) / raid_width
-    return reconstruction / (1.0 + rebuild_overhead)
+    return reconstruction / (1.0 + 0.2)
 
 
 @dataclass(frozen=True)

@@ -251,7 +251,7 @@ def _power_strip(rollup: dict[str, Any], width: int) -> str:
             'stroke="var(--accent)" stroke-width="1.5"/></svg>')
 
 
-def _batch_table(recording: FlightRecording, limit: int = 12) -> str:
+def _batch_table(recording: FlightRecording) -> str:
     b = recording.batches
     shared = [i for i in range(len(b["members"])) if b["members"][i] > 1]
     if not shared:
@@ -273,7 +273,7 @@ def _batch_table(recording: FlightRecording, limit: int = 12) -> str:
     shared.sort(key=saved_joules, reverse=True)
     total = sum(saved_joules(i) for i in shared)
     rows = []
-    for i in shared[:limit]:
+    for i in shared[:12]:
         first = b["first"][i]
         held = b["release_at"][i] - arrival[first]
         rows.append(
@@ -299,9 +299,9 @@ def _batch_table(recording: FlightRecording, limit: int = 12) -> str:
 
 def render_timeline(recording: FlightRecording,
                     title: Optional[str] = None,
-                    width: int = 900,
                     slo_window_seconds: float = 60.0) -> str:
     """Render the whole operator console as one HTML string."""
+    width = 900
     meta = recording.meta
     report = meta.get("report", {})
     monitor = SLOMonitor(recording, window_seconds=slo_window_seconds)

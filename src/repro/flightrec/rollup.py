@@ -16,16 +16,16 @@ of the audit, not a second estimate.
 from __future__ import annotations
 
 import math
-from typing import Any, Optional
+from typing import Any
 
 from repro.flightrec.events import FlightRecording
 
 
-def default_window_seconds(end: float, target_windows: int = 60) -> float:
-    """A window width giving ~``target_windows`` windows over the run."""
+def default_window_seconds(end: float) -> float:
+    """A window width giving ~60 windows over the run."""
     if end <= 0:
         return 1.0
-    return end / target_windows
+    return end / 60
 
 
 def window_starts(end: float, window_seconds: float) -> list[float]:
@@ -37,17 +37,16 @@ def _overlap(a0: float, a1: float, b0: float, b1: float) -> float:
     return max(0.0, min(a1, b1) - max(a0, b0))
 
 
-def node_rollup(recording: FlightRecording,
-                window_seconds: Optional[float] = None) -> dict[str, Any]:
-    """Per-node busy-fraction and average-watts curves.
+def node_rollup(recording: FlightRecording) -> dict[str, Any]:
+    """Per-node busy-fraction and average-watts curves, over
+    :func:`default_window_seconds` windows.
 
     Returns ``{"window_seconds", "t": [starts...], "nodes": [{"name",
     "busy_fraction": [...], "watts": [...]}, ...], "fleet_watts":
     [...]}``.
     """
     end = recording.end
-    if window_seconds is None:
-        window_seconds = default_window_seconds(end)
+    window_seconds = default_window_seconds(end)
     starts = window_starts(end, window_seconds)
     n_nodes = recording.n_nodes
     idle = [n["model"]["idle_watts"] for n in recording.meta["nodes"]]

@@ -142,12 +142,12 @@ def flash_scan_node(sim: "Simulation") -> tuple[Server, RaidArray]:
     return server, array
 
 
-def commodity(sim: "Simulation", n_disks: int = 2,
-              n_ssds: int = 1) -> tuple[Server, RaidArray]:
+def commodity(sim: "Simulation",
+              n_disks: int = 2) -> tuple[Server, RaidArray]:
     """A small generic server for examples and tests.
 
     Returns the server and a RAID-0 array over its rotating disks (the
-    SSDs are attached but unarrayed, for tiering experiments).
+    one SSD is attached but unarrayed, for tiering experiments).
     """
     cpu = Cpu(sim, CpuSpec(
         name="cpu", cores=4, frequency_hz=3.0 * GHZ,
@@ -163,13 +163,12 @@ def commodity(sim: "Simulation", n_disks: int = 2,
         spinup_seconds=4.0, spinup_joules=40.0,
         spindown_seconds=1.0, spindown_joules=3.0))
         for i in range(n_disks)]
-    ssds = [FlashSsd(sim, SsdSpec(
-        name=f"nvme{i}", capacity_bytes=256 * GB,
+    ssd = FlashSsd(sim, SsdSpec(
+        name="nvme0", capacity_bytes=256 * GB,
         read_bandwidth_bytes_per_s=500 * MB,
         write_bandwidth_bytes_per_s=400 * MB,
         read_watts=3.0, write_watts=4.0, idle_watts=0.3))
-        for i in range(n_ssds)]
-    server = Server(sim, "commodity", cpu, dram, [*disks, *ssds],
+    server = Server(sim, "commodity", cpu, dram, [*disks, ssd],
                     base_watts=25.0)
     array = RaidArray(sim, disks, level=RaidLevel.RAID0, name="md0")
     return server, array

@@ -55,27 +55,23 @@ class IdealProportionalDevice(Device):
     against real and ideal devices and compare energy (experiment A8).
     """
 
-    def __init__(self, sim: "Simulation", name: str, peak_watts: float,
-                 capacity: int = 1) -> None:
+    def __init__(self, sim: "Simulation", name: str,
+                 peak_watts: float) -> None:
         if peak_watts < 0:
             raise HardwareError("peak power cannot be negative")
-        if capacity < 1:
-            raise HardwareError("capacity must be >= 1")
         super().__init__(sim, name, initial_power_watts=0.0)
         self.peak_watts = peak_watts
-        self._capacity = capacity
 
-    def occupy(self, seconds: float, units: int = 1):
-        """Hold ``units`` of the device busy for ``seconds`` (process)."""
+    def occupy(self, seconds: float):
+        """Hold the device busy for ``seconds`` (process)."""
         if seconds < 0:
             raise HardwareError("negative duration")
-        if not 1 <= units <= self._capacity:
-            raise HardwareError(f"units {units} outside 1..{self._capacity}")
-        self._mark_busy(units)
+        self._mark_busy()
         try:
             yield self.sim.timeout(seconds)
         finally:
-            self._mark_idle(units)
+            self._mark_idle()
 
     def _on_activity_change(self) -> None:
-        self._set_power(self.peak_watts * self.busy_units / self._capacity)
+        # a unit-capacity device: peak draw per busy occupant
+        self._set_power(float(self.peak_watts * self.busy_units))

@@ -135,12 +135,11 @@ def _scale(values: Sequence[float], lo: float, hi: float
     return [lo + (v - vmin) / span * (hi - lo) for v in values]
 
 
-def sparkline_svg(values: Sequence[float], width: int = 150,
-                  height: int = 36,
-                  color: str = "var(--accent)") -> str:
+def sparkline_svg(values: Sequence[float]) -> str:
     """A trend sparkline: 2px line, endpoint dot, no axes."""
     if not values:
         return ""
+    width, height, color = 150, 36, "var(--accent)"
     if len(values) == 1:
         values = [values[0], values[0]]
     xs = _scale(list(range(len(values))), 3, width - 5)
@@ -156,12 +155,12 @@ def sparkline_svg(values: Sequence[float], width: int = 150,
         f'fill="{color}"/></svg>')
 
 
-def timeline_svg(timelines: Sequence[Mapping[str, Any]],
-                 width: int = 560, height: int = 170) -> str:
+def timeline_svg(timelines: Sequence[Mapping[str, Any]]) -> str:
     """Per-device power step functions on one time axis, one y-axis."""
     series = [t for t in timelines if t.get("times") and t.get("watts")]
     if not series:
         return ""
+    width, height = 560, 170
     t_max = max(max(t["times"]) for t in series) or 1.0
     w_max = max(max(t["watts"]) for t in series) or 1.0
     left, right, top, bottom = 42, 10, 8, 22
@@ -209,8 +208,7 @@ def timeline_svg(timelines: Sequence[Mapping[str, Any]],
     return "".join(parts)
 
 
-def frontier_svg(points: Sequence[tuple[str, float, float]],
-                 width: int = 560, height: int = 220) -> str:
+def frontier_svg(points: Sequence[tuple[str, float, float]]) -> str:
     """Joules (y) vs records/s (x): the Figure 1 trade-off restated.
 
     ``points`` are ``(label, records_per_second, joules)``; every dot
@@ -220,6 +218,7 @@ def frontier_svg(points: Sequence[tuple[str, float, float]],
     usable = [(n, x, y) for n, x, y in points if x > 0 and y > 0]
     if not usable:
         return ""
+    width, height = 560, 220
     left, right, top, bottom = 56, 14, 10, 30
     xs = _scale([x for _, x, _ in usable], left, width - right)
     ys = _scale([y for _, _, y in usable], height - bottom, top)

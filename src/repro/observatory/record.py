@@ -21,7 +21,7 @@ import subprocess
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-from repro.records import Record
+from repro.records import Record, RecordError
 
 SCHEMA_VERSION = 1
 
@@ -97,9 +97,10 @@ def point_label(knobs: Mapping[str, Any],
 
 
 @functools.lru_cache(maxsize=1)
-def git_sha(short: bool = True) -> str:
-    """The repo's current commit, or ``"unknown"`` outside a checkout."""
-    cmd = ["git", "rev-parse", "--short" if short else "--verify", "HEAD"]
+def git_sha() -> str:
+    """The repo's current commit (short), or ``"unknown"`` outside a
+    checkout."""
+    cmd = ["git", "rev-parse", "--short", "HEAD"]
     try:
         out = subprocess.run(cmd, capture_output=True, text=True,
                              timeout=5.0)
@@ -147,6 +148,20 @@ class BenchRecord(Record):
     seq: int = -1
     timelines: list[dict[str, Any]] = field(default_factory=list)
     version: int = SCHEMA_VERSION
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "BenchRecord":
+        # a metric the gate cannot subtract is a malformed line, which
+        # the store skips, not a traceback mid-comparison
+        record = super().from_dict(data)
+        for name in ("metrics", "counters"):
+            for key, value in getattr(record, name).items():
+                if isinstance(value, bool) or not isinstance(
+                        value, (int, float)):
+                    raise RecordError(
+                        f"BenchRecord.{name}[{key!r}]: expected a "
+                        f"number, got {type(value).__name__}")
+        return record
 
     def series_key(self) -> tuple[str, str]:
         """Longitudinal identity: records sharing it form one trend."""

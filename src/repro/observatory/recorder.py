@@ -31,12 +31,12 @@ from repro.telemetry.collector import _downsample
 RECORD_TIMELINE_SAMPLES = 64
 
 
-def timelines_of(trace: Any,
-                 limit: int = RECORD_TIMELINE_SAMPLES) -> list[dict]:
+def timelines_of(trace: Any) -> list[dict]:
     """A trace's device power timelines, downsampled for storage."""
     out = []
     for dev in getattr(trace, "devices", []):
-        times, watts = _downsample(dev.times, dev.watts, limit)
+        times, watts = _downsample(dev.times, dev.watts,
+                                   RECORD_TIMELINE_SAMPLES)
         out.append({
             "name": dev.name,
             "times": [round(t, 9) for t in times],
@@ -51,12 +51,10 @@ class Recorder:
     """Builds and appends :class:`BenchRecord` rows for one suite."""
 
     def __init__(self, root: str | HistoryStore = ".",
-                 suite: str = "core",
-                 timeline_samples: int = RECORD_TIMELINE_SAMPLES):
+                 suite: str = "core"):
         self.store = (root if isinstance(root, HistoryStore)
                       else HistoryStore(root))
         self.suite = suite
-        self.timeline_samples = timeline_samples
         # provenance is computed once per recorder, not per record
         self._git_sha = git_sha()
         self._host = host_info()
@@ -73,7 +71,7 @@ class Recorder:
         timelines: list[dict] = []
         if trace is not None:
             counters = dict(trace.counters)
-            timelines = timelines_of(trace, self.timeline_samples)
+            timelines = timelines_of(trace)
         return BenchRecord(
             suite=self.suite, benchmark=benchmark, point=point,
             metrics=point_metrics(sim_seconds, joules, records,
@@ -102,13 +100,12 @@ class Recorder:
 
     def record_report(self, benchmark: str, report: Any, *,
                       point: str = "defaults", host_seconds: float = 0.0,
-                      trace: Any = None,
-                      spec_hash: str = "") -> BenchRecord:
+                      trace: Any = None) -> BenchRecord:
         """Append one record for a bare report object (no spec/run)."""
         from repro.runner.reports import report_metrics
         sim_seconds, joules = report_metrics(report)
         record = self.build(
             benchmark, point=point, sim_seconds=sim_seconds,
             joules=joules, host_seconds=host_seconds, report=report,
-            trace=trace, spec_hash=spec_hash)
+            trace=trace)
         return self.store.append(record)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.observatory.history import HistoryStore
 from repro.observatory.record import BenchRecord
@@ -76,21 +76,12 @@ DEFAULT_POLICIES: dict[str, MetricPolicy] = {
     "records_per_second_per_watt": MetricPolicy(
         direction=HIGHER_IS_BETTER),
     # host wall-clock: real, noisy, and not this repo's claim — never
-    # gate on it (opt back in with a custom policy map if you must)
+    # gate on it
     "host_seconds": MetricPolicy(rel_tol=math.inf, abs_tol=math.inf,
                                  direction=LOWER_IS_BETTER, gate=False),
 }
 
 FALLBACK_POLICY = MetricPolicy()
-
-
-def policy_for(metric: str,
-               policies: Optional[Mapping[str, MetricPolicy]] = None
-               ) -> MetricPolicy:
-    table = DEFAULT_POLICIES if policies is None else policies
-    if metric.startswith("counter:"):
-        return table.get(metric, table.get("counter:*", FALLBACK_POLICY))
-    return table.get(metric, FALLBACK_POLICY)
 
 
 def baseline_of(values: Sequence[float],
@@ -217,8 +208,7 @@ def _series_values(history: Sequence[BenchRecord],
 
 
 def compare_records(history: Sequence[BenchRecord],
-                    window: int = DEFAULT_BASELINE_WINDOW,
-                    policies: Optional[Mapping[str, MetricPolicy]] = None
+                    window: int = DEFAULT_BASELINE_WINDOW
                     ) -> list[RegressionFinding]:
     """Compare a series' newest record against its own past.
 
@@ -236,7 +226,7 @@ def compare_records(history: Sequence[BenchRecord],
         | {f"counter:{c}" for r in history for c in r.counters})
     findings = []
     for metric in metric_names:
-        policy = policy_for(metric, policies)
+        policy = DEFAULT_POLICIES.get(metric, FALLBACK_POLICY)
         cur_value = _series_values([current], metric)[0]
         if not prior:
             findings.append(RegressionFinding(
@@ -263,8 +253,7 @@ def compare_records(history: Sequence[BenchRecord],
 
 def compare_store(store: HistoryStore,
                   suites: Optional[Iterable[str]] = None,
-                  window: int = DEFAULT_BASELINE_WINDOW,
-                  policies: Optional[Mapping[str, MetricPolicy]] = None
+                  window: int = DEFAULT_BASELINE_WINDOW
                   ) -> RegressionReport:
     """Compare every series of the given suites (default: all)."""
     report = RegressionReport(window=window)
@@ -272,7 +261,6 @@ def compare_store(store: HistoryStore,
     for suite in names:
         for _, history in store.series(suite).items():
             report.findings.extend(
-                compare_records(history, window=window,
-                                policies=policies))
+                compare_records(history, window=window))
     report.sort()
     return report

@@ -34,16 +34,21 @@ class CodecChoice:
 class DesignAdvisor:
     """Recommends physical designs under an energy objective."""
 
+    #: CPU cycles a scan spends per plain byte, before decoding
+    SCAN_CYCLES_PER_BYTE = 3.2
+    #: the codecs :meth:`choose_codec` weighs
+    CODECS = ("none", "rle", "dictionary", "delta", "lzlite")
+    #: rows per table :meth:`choose_codecs` samples
+    SAMPLE_ROWS = 4000
+
     def __init__(self, cpu_joules_per_cycle: float,
                  io_joules_per_byte: float,
-                 scan_cycles_per_byte: float = 3.2,
                  cpu_seconds_per_cycle: Optional[float] = None,
                  io_seconds_per_byte: Optional[float] = None) -> None:
         if cpu_joules_per_cycle < 0 or io_joules_per_byte < 0:
             raise OptimizerError("energy prices cannot be negative")
         self.cpu_joules_per_cycle = cpu_joules_per_cycle
         self.io_joules_per_byte = io_joules_per_byte
-        self.scan_cycles_per_byte = scan_cycles_per_byte
         # time prices default to the joule prices, so callers that only
         # care about energy ordering need not supply them
         self.cpu_seconds_per_cycle = (cpu_seconds_per_cycle
@@ -55,8 +60,7 @@ class DesignAdvisor:
 
     # -- construction helpers ----------------------------------------------
     @classmethod
-    def for_server(cls, server,
-                   scan_cycles_per_byte: float = 3.2) -> "DesignAdvisor":
+    def for_server(cls, server) -> "DesignAdvisor":
         """Derive energy prices from a server's device constants."""
         cpu = server.cpu
         joules_per_cycle = (cpu.active_power_per_unit_watts
@@ -77,7 +81,6 @@ class DesignAdvisor:
             raise OptimizerError("server has no readable storage")
         return cls(cpu_joules_per_cycle=joules_per_cycle,
                    io_joules_per_byte=active_watts / bandwidth,
-                   scan_cycles_per_byte=scan_cycles_per_byte,
                    cpu_seconds_per_cycle=1.0 / cpu.effective_frequency_hz,
                    io_seconds_per_byte=1.0 / bandwidth)
 
@@ -86,16 +89,13 @@ class DesignAdvisor:
                     decode_cycles_per_byte: float) -> float:
         """Energy of scanning one column once (the Figure 2 arithmetic)."""
         io = compressed_bytes * self.io_joules_per_byte
-        cpu = (plain_bytes * self.scan_cycles_per_byte
+        cpu = (plain_bytes * self.SCAN_CYCLES_PER_BYTE
                + compressed_bytes * decode_cycles_per_byte) \
             * self.cpu_joules_per_cycle
         return io + cpu
 
     def choose_codec(self, column: str, values: Sequence[Any],
                      dtype: DataType,
-                     candidates: Sequence[str] = ("none", "rle",
-                                                  "dictionary", "delta",
-                                                  "lzlite"),
                      objective: Objective = Objective.ENERGY) -> CodecChoice:
         """Pick the codec minimizing scan energy (or time) for a column.
 
@@ -108,7 +108,7 @@ class DesignAdvisor:
         plain = len(codec_by_name("none").encode(sample, dtype))
         best: Optional[CodecChoice] = None
         best_key = None
-        for name in candidates:
+        for name in self.CODECS:
             codec = codec_by_name(name)
             if not codec.supports(dtype):
                 continue
@@ -121,7 +121,7 @@ class DesignAdvisor:
             if objective is Objective.TIME:
                 # pipelined scan: time ~ max(io time, cpu time)
                 io_s = compressed * self.io_seconds_per_byte
-                cpu_s = (plain * self.scan_cycles_per_byte
+                cpu_s = (plain * self.SCAN_CYCLES_PER_BYTE
                          + compressed * codec.decode_cycles_per_byte) \
                     * self.cpu_seconds_per_cycle
                 key = max(io_s, cpu_s)
@@ -133,14 +133,14 @@ class DesignAdvisor:
         assert best is not None
         return best
 
-    def choose_codecs(self, table, sample_rows: int = 4000,
+    def choose_codecs(self, table,
                       objective: Objective = Objective.ENERGY
                       ) -> dict[str, str]:
         """Per-column codec advice for a whole table."""
         names = table.schema.column_names()
         samples: dict[str, list[Any]] = {n: [] for n in names}
         for i, row in enumerate(table.iterate()):
-            if i >= sample_rows:
+            if i >= self.SAMPLE_ROWS:
                 break
             for name, value in zip(names, row):
                 if value is not None:

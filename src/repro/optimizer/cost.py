@@ -32,6 +32,7 @@ from repro.relational.operators import (
     SortedAggregate,
     TableScan,
 )
+from repro.relational.executor import DEFAULT_CHUNK_BYTES
 from repro.relational.operators.base import CostParameters
 from repro.optimizer.stats import (
     ColumnStats,
@@ -39,7 +40,7 @@ from repro.optimizer.stats import (
     analyze_table,
     estimate_selectivity,
 )
-from repro.units import GIB, MIB
+from repro.units import GIB
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.raid import RaidArray
@@ -78,10 +79,8 @@ class PlanCost:
     out_rows: float
     pipelines: list[PipelineEstimate] = field(default_factory=list)
 
-    def energy_delay_product(self, attributed: bool = False) -> float:
-        energy = (self.energy_attributed_joules if attributed
-                  else self.energy_full_joules)
-        return energy * self.seconds
+    def energy_delay_product(self) -> float:
+        return self.energy_full_joules * self.seconds
 
 
 class _Estimate:
@@ -97,14 +96,12 @@ class CostModel:
 
     def __init__(self, server: "Server",
                  params: Optional[CostParameters] = None,
-                 scale: float = 1.0,
-                 chunk_bytes: float = 4 * MIB) -> None:
+                 scale: float = 1.0) -> None:
         if scale <= 0:
             raise OptimizerError("scale must be positive")
         self.server = server
         self.params = params or CostParameters()
         self.scale = scale
-        self.chunk_bytes = chunk_bytes
         self._stats_cache: dict[str, TableStatistics] = {}
 
     # -- statistics --------------------------------------------------------
@@ -160,7 +157,8 @@ class CostModel:
                     overhead = per_member \
                         * member.spec.per_request_latency_seconds
             else:
-                n_chunks = max(1.0, math.ceil(nbytes / self.chunk_bytes))
+                n_chunks = max(1.0, math.ceil(nbytes
+                                              / DEFAULT_CHUNK_BYTES))
                 if isinstance(member, HardDisk):
                     overhead = (member.spec.positioning_seconds
                                 + n_chunks

@@ -95,11 +95,10 @@ class TableStatistics:
         return self.columns.get(name)
 
 
-def analyze_table(table: Table, histogram_buckets: int = 16,
-                  sample_rows: int = 50_000) -> TableStatistics:
-    """Compute statistics by reading the stored data."""
-    if histogram_buckets < 1:
-        raise OptimizerError("need at least one histogram bucket")
+def analyze_table(table: Table) -> TableStatistics:
+    """Compute statistics by reading the stored data: the first 50,000
+    rows, into 16-bucket equi-depth histograms."""
+    sample_rows = 50_000
     names = table.schema.column_names()
     values_by_column: dict[str, list[Any]] = {n: [] for n in names}
     nulls: dict[str, int] = {n: 0 for n in names}
@@ -127,7 +126,7 @@ def analyze_table(table: Table, histogram_buckets: int = 16,
                 ndv=0, null_fraction=1.0 if sampled else 0.0)
             continue
         ordered = sorted(values)
-        buckets = min(histogram_buckets, len(ordered))
+        buckets = min(16, len(ordered))
         bounds = [ordered[int((i + 1) * len(ordered) / buckets) - 1]
                   for i in range(buckets)]
         stats.columns[name] = ColumnStats(

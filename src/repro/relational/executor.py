@@ -32,6 +32,10 @@ from repro.sim.events import Event
 from repro.sim.resources import Resource
 from repro.units import MIB
 
+#: bytes per replay chunk when a workload sets no request size; the
+#: cost model prices unattributed scans at the same size
+DEFAULT_CHUNK_BYTES = 4 * MIB
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.server import Server
     from repro.sim.engine import Simulation
@@ -47,7 +51,7 @@ class ExecutionContext:
     #: replay inflation: charge costs as if data were this much larger
     scale: float = 1.0
     #: bytes per replay chunk (of scaled I/O)
-    chunk_bytes: float = 4 * MIB
+    chunk_bytes: float = DEFAULT_CHUNK_BYTES
     #: producer lead over the consumer, in chunks
     prefetch_depth: int = 2
 

@@ -135,8 +135,8 @@ class CostCollector:
             IoRequest(array, nbytes * self.scale, stream, is_write))
 
     def charge_random_io(self, array: "RaidArray", nbytes: float,
-                         n_requests: float, is_write: bool = False) -> None:
-        """Add (scaled) random I/O: ``n_requests`` positioned accesses
+                         n_requests: float) -> None:
+        """Add (scaled) random reads: ``n_requests`` positioned accesses
         moving ``nbytes`` in total (index probes, rid fetches)."""
         if nbytes < 0 or n_requests < 0:
             raise PlanError("negative random I/O charge")
@@ -144,7 +144,7 @@ class CostCollector:
             return
         self.current.io.append(
             IoRequest(array, nbytes * self.scale, stream=None,
-                      is_write=is_write,
+                      is_write=False,
                       n_random_requests=n_requests * self.scale))
 
     def charge_dram_grant(self, nbytes: float) -> None:

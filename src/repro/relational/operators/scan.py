@@ -25,8 +25,7 @@ class TableScan(Operator):
 
     def __init__(self, table: Table,
                  columns: Optional[Sequence[str]] = None,
-                 predicate: Optional[Expr] = None,
-                 shared_pass: bool = False) -> None:
+                 predicate: Optional[Expr] = None) -> None:
         names = list(columns) if columns else table.schema.column_names()
         for name in names:
             if name not in table.schema:
@@ -44,7 +43,7 @@ class TableScan(Operator):
         #: piggyback on a concurrent scan of the same table (§5.2 work
         #: sharing): tuples still flow and CPU is charged, but the I/O
         #: belongs to the leader of the shared pass
-        self.shared_pass = shared_pass
+        self.shared_pass = False
         self.stream_id = f"scan-{table.name}-{next(_scan_counter)}"
 
     def children(self) -> list[Operator]:

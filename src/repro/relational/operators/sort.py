@@ -18,13 +18,12 @@ _sort_counter = itertools.count()
 
 
 class Sort(Operator):
-    """Order tuples by key columns (ascending by default)."""
+    """Order tuples by key columns, ascending."""
 
     #: rough per-field in-memory footprint used for spill decisions
     BYTES_PER_FIELD = 16
 
     def __init__(self, child: Operator, keys: Sequence[str],
-                 descending: Optional[Sequence[bool]] = None,
                  memory_grant_bytes: Optional[float] = None,
                  spill_placement=None) -> None:
         if not keys:
@@ -32,13 +31,9 @@ class Sort(Operator):
         missing = set(keys) - set(child.output_columns)
         if missing:
             raise PlanError(f"sort keys {missing} not produced by child")
-        if descending is not None and len(descending) != len(keys):
-            raise PlanError("descending flags must match key count")
         super().__init__(child.output_columns)
         self.child = child
         self.keys = list(keys)
-        self.descending = list(descending) if descending else \
-            [False] * len(keys)
         self.memory_grant_bytes = memory_grant_bytes
         self.spill_placement = spill_placement
         self.stream_id = f"sort-spill-{next(_sort_counter)}"
@@ -93,13 +88,12 @@ class Sort(Operator):
         positions = [layout[k] for k in self.keys]
         ordered = rows
         # Stable multi-key sort: apply keys right-to-left.
-        for position, desc in reversed(list(zip(positions, self.descending))):
-            ordered = sorted(ordered, key=lambda r: r[position], reverse=desc)
+        for position in reversed(positions):
+            ordered = sorted(ordered, key=lambda r: r[position])
         return list(ordered)
 
     def describe(self) -> str:
-        direction = ["desc" if d else "asc" for d in self.descending]
-        return f"Sort({list(zip(self.keys, direction))})"
+        return f"Sort({[(key, 'asc') for key in self.keys]})"
 
 
 def _log_base(n: float, base: float) -> float:

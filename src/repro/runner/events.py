@@ -66,10 +66,10 @@ class RunFinished:
 EventSink = Callable[[Any], None]
 
 
-def _brief_knobs(knobs: Mapping[str, Any], limit: int = 4) -> str:
+def _brief_knobs(knobs: Mapping[str, Any]) -> str:
     items = [f"{k}={v}" for k, v in sorted(knobs.items())]
-    if len(items) > limit:
-        items = items[:limit] + ["..."]
+    if len(items) > 4:
+        items = items[:4] + ["..."]
     return " ".join(items)
 
 

@@ -41,7 +41,7 @@ from repro.service.dispatch import (DISPATCH_POLICIES, CostAware,
                                     policy_knob_names, register_policy)
 from repro.service.fleet import simulate_service
 from repro.service.node import FleetNode, NodePowerModel
-from repro.service.pvc import DEFAULT_FREQUENCY_STEPS, PVCPolicy
+from repro.service.pvc import FREQUENCY_STEPS, PVCPolicy
 from repro.service.qed import QEDPolicy
 from repro.service.report import (ClassStats, FaultStats, NodeStats,
                                   ServiceError, ServiceReport,
@@ -59,11 +59,11 @@ __all__ = [
     "ClassStats",
     "CostAware",
     "DEFAULT_CLASSES",
-    "DEFAULT_FREQUENCY_STEPS",
     "DEFAULT_TENANTS",
     "DISPATCH_POLICIES",
     "DispatchContext",
     "DispatchPolicy",
+    "FREQUENCY_STEPS",
     "FaultStats",
     "FleetNode",
     "FleetSpec",

@@ -34,15 +34,15 @@ class Autoscaler:
     """Epoch-based reactive scaler over a fixed node order.
 
     Every ``epoch_seconds`` it smooths the observed demand (service
-    seconds offered per second, EWMA) into a desired fleet *capacity*
-    at ``target_utilization``, then:
+    seconds offered per second, EWMA with alpha 0.4) into a desired
+    fleet *capacity* at ``target_utilization``, then:
 
     * scales **up** immediately — latency is on the line — booting
       powered-off nodes cheapest-energy-per-work first (index order
       within a class, which on a single-class fleet is plain index
       order);
     * scales **down** only after demand has stayed below the current
-      capacity for both ``cooldown_epochs`` and the candidate's
+      capacity for both a two-epoch cooldown and the candidate's
       break-even time, powering off drained nodes costliest class
       first, from the tail of the index order (the dispatcher packs
       from the head, so the tail is cold).
@@ -54,11 +54,9 @@ class Autoscaler:
     def __init__(self, model: NodePowerModel,
                  epoch_seconds: float = 30.0,
                  target_utilization: float = 0.55,
-                 min_nodes: int = 2,
-                 ewma_alpha: float = 0.4,
-                 cooldown_epochs: int = 2) -> None:
+                 min_nodes: int = 2) -> None:
         # written `not x >= bound` so NaN fails too (a NaN epoch never
-        # steps); an infinite epoch, floor or cooldown is no setting
+        # steps); an infinite epoch or floor is no setting
         if not (epoch_seconds > 0 and math.isfinite(epoch_seconds)):
             raise ServiceError(
                 "epoch must be finite and positive, got "
@@ -71,19 +69,10 @@ class Autoscaler:
             raise ServiceError(
                 "need at least one node powered on, got "
                 f"min_nodes={min_nodes}")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ServiceError(
-                f"EWMA alpha must be in (0, 1], got ewma_alpha={ewma_alpha}")
-        if not (cooldown_epochs >= 0 and math.isfinite(cooldown_epochs)):
-            raise ServiceError(
-                "cooldown must be finite and >= 0 epochs, got "
-                f"cooldown_epochs={cooldown_epochs}")
         self.model = model
         self.epoch_seconds = epoch_seconds
         self.target_utilization = target_utilization
         self.min_nodes = min_nodes
-        self.ewma_alpha = ewma_alpha
-        self.cooldown_epochs = cooldown_epochs
         self._epoch_demand_seconds = 0.0
         self._smoothed_rate: float | None = None
         self._below_since: float | None = None
@@ -119,8 +108,7 @@ class Autoscaler:
         if self._smoothed_rate is None:
             self._smoothed_rate = observed
         else:
-            self._smoothed_rate += self.ewma_alpha * (observed
-                                                     - self._smoothed_rate)
+            self._smoothed_rate += 0.4 * (observed - self._smoothed_rate)
         total_capacity = sum(n.model.speed_factor for n in nodes)
         want = min(total_capacity, self.desired_capacity())
         on_capacity = sum(nodes[i].model.speed_factor for i in on_ids)
@@ -246,7 +234,7 @@ class Autoscaler:
                     on_ids: list[int], on_capacity: float,
                     want: float, log=None) -> None:
         below_for = now - self._below_since
-        cooldown = self.cooldown_epochs * self.epoch_seconds
+        cooldown = 2 * self.epoch_seconds
         # costliest class first, tail-first within a class, and only
         # nodes whose pipes have fully drained — power_off would
         # (rightly) refuse a node with backlog

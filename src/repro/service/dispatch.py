@@ -122,13 +122,12 @@ class DispatchContext:
         model = self.nodes[i].model
         return (model.peak_watts - model.idle_watts) / model.speed_factor
 
-    def fits_sla(self, i: int, slack_fraction: float = 1.0) -> bool:
+    def fits_sla(self, i: int) -> bool:
         """Whether node ``i``'s estimated latency fits the arrival's
         SLA budget (vacuously true when the SLA is unknown)."""
         if self.sla_seconds is None:
             return True
-        return self.estimated_latency_seconds(i) \
-            <= self.sla_seconds * slack_fraction
+        return self.estimated_latency_seconds(i) <= self.sla_seconds
 
 
 (_set_nodes, _set_on_ids, _set_now, _set_service_seconds,
@@ -367,11 +366,11 @@ class CostAware(DispatchPolicy):
 DISPATCH_POLICIES: dict[str, Callable[..., DispatchPolicy]] = {}
 
 
-def register_policy(factory: Callable[..., DispatchPolicy],
-                    name: Optional[str] = None) -> Callable[..., DispatchPolicy]:
-    """Register a policy factory under ``name`` (default: its class
-    ``name`` attribute); usable as a decorator."""
-    DISPATCH_POLICIES[name or factory.name] = factory
+def register_policy(factory: Callable[..., DispatchPolicy]
+                    ) -> Callable[..., DispatchPolicy]:
+    """Register a policy factory under its ``name`` attribute; usable
+    as a decorator."""
+    DISPATCH_POLICIES[factory.name] = factory
     return factory
 
 

@@ -119,7 +119,7 @@ from repro.service.autoscale import Autoscaler
 from repro.service.dispatch import (CostAware, DispatchPolicy, LeastLoaded,
                                     PowerAwarePacking, RoundRobin)
 from repro.service.node import FleetNode, NodePowerModel
-from repro.service.pvc import PVCPolicy
+from repro.service.pvc import FREQUENCY_STEPS, PVCPolicy
 from repro.service.qed import QEDPolicy
 from repro.service.report import ServiceError
 from repro.service.spec import FleetSpec
@@ -302,7 +302,7 @@ def serve_event(stream: ArrivalStream,
         policy, autoscaler, lanes=out.lanes is not None,
         starts=out.starts is not None, batch=cols.batch_flags is not None)
     last = kernel(cols, fleet, router, outer, pvc,
-                  None if pvc is None else _pvc_tables(pvc, nodes),
+                  None if pvc is None else _pvc_tables(nodes),
                   nodes, on_ids, autoscaler, float(stream.times[-1]), out)
     return (*out.hand_over(stream.times, nodes), last)
 
@@ -340,10 +340,10 @@ def ladder_rows(model: NodePowerModel, steps: Sequence[float],
             for f, w in ((f, model.dvfs_watts(throttle * f)) for f in steps)]
 
 
-def _pvc_tables(pvc: PVCPolicy, nodes: Sequence[FleetNode]) -> list[list]:
+def _pvc_tables(nodes: Sequence[FleetNode]) -> list[list]:
     """Per-node :func:`ladder_rows`, computed once per model so
     byte-identity survives the hoisting."""
-    steps = [f for f in pvc.frequency_steps if f < 1.0]
+    steps = [f for f in FREQUENCY_STEPS if f < 1.0]
     by_model: dict = {}
     for node in nodes:
         if node.model not in by_model:

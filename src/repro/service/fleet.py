@@ -320,7 +320,7 @@ def _prepare(stream: ArrivalStream, fleet: Optional[FleetSpec], policy,
     rec = current_recorder()
     engine, engine_reason = _choose_engine(engine, policy)
 
-    nodes = [FleetNode(name, model, on=True, node_class=class_name)
+    nodes = [FleetNode(name, model, node_class=class_name)
              for name, class_name, model in fleet.members()]
     mirror = (None if collector is None
               else _TelemetryMirror(collector, nodes))
@@ -338,9 +338,6 @@ def simulate_service(stream: ArrivalStream,
                      fleet: Optional[FleetSpec] = None,
                      policy: DispatchPolicy | str = "power_aware",
                      autoscaler: Optional[Autoscaler] = None,
-                     faults=None,
-                     retry=None,
-                     shed=None,
                      engine: str = "auto",
                      **policy_kwargs) -> ServiceReport:
     """Serve ``stream`` on the ``fleet``; returns the report.
@@ -363,25 +360,9 @@ def simulate_service(stream: ArrivalStream,
     the loop in :attr:`ServiceReport.engine_reason` (runtime metadata,
     excluded from serialization).
 
-    Passing a :class:`~repro.faults.schedule.FaultSchedule` as
-    ``faults`` hands the run to the chaos engine
-    (:func:`repro.faults.engine.simulate_faulty_service`): same
-    closed-form pipes, but the schedule's crashes, throttles, disk
-    failures, and timeout windows are merged into the timeline, with
-    ``retry`` (:class:`~repro.faults.policies.RetryPolicy`) and
-    ``shed`` (:class:`~repro.faults.policies.ShedPolicy`) steering the
-    degradation.  The returned report then carries a
-    :class:`~repro.service.report.FaultStats` ledger.
+    A run under a :class:`~repro.faults.schedule.FaultSchedule` is
+    :func:`repro.faults.engine.simulate_faulty_service`'s.
     """
-    if faults is not None:
-        from repro.faults.engine import simulate_faulty_service
-        return simulate_faulty_service(
-            stream, faults, fleet=fleet, policy=policy,
-            autoscaler=autoscaler, retry=retry, shed=shed, engine=engine,
-            **policy_kwargs)
-    if retry is not None or shed is not None:
-        raise ServiceError("retry/shed policies only apply to a fault "
-                           "run: pass a FaultSchedule as faults=")
     run = _prepare(stream, fleet, policy, policy_kwargs, autoscaler,
                    engine)
     policy, autoscaler, nodes, on_ids, mirror, rec = run[:6]

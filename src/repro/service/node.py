@@ -98,17 +98,14 @@ class NodePowerModel(Record):
 
     @classmethod
     def from_server(cls, profile: str = "commodity",
-                    boot_seconds: float = 20.0,
-                    drain_seconds: float = 5.0,
                     speed_factor: float = 1.0,
                     **profile_kwargs) -> "NodePowerModel":
         """Calibrate against a :mod:`repro.hardware.profiles` factory.
 
         Builds the named profile in a throwaway simulation and reads its
         spec-arithmetic idle/peak watts, so fleet nodes price energy
-        exactly like the metered server they stand for.  Boot energy
-        defaults to peak draw across the boot window; drain energy to
-        idle draw across the drain window.
+        exactly like the metered server they stand for.  Boot takes
+        20 s at peak draw; drain takes 5 s at idle draw.
         """
         from repro.hardware import profiles
         from repro.sim import Simulation
@@ -128,10 +125,10 @@ class NodePowerModel(Record):
             name=profile,
             idle_watts=idle,
             peak_watts=peak,
-            boot_seconds=boot_seconds,
-            boot_joules=peak * boot_seconds,
-            drain_seconds=drain_seconds,
-            drain_joules=idle * drain_seconds,
+            boot_seconds=20.0,
+            boot_joules=peak * 20.0,
+            drain_seconds=5.0,
+            drain_joules=idle * 5.0,
             speed_factor=speed_factor,
         )
 
@@ -146,15 +143,14 @@ class FleetNode:
                  "_interval_linear_busy", "_finalized", "node_class")
 
     def __init__(self, name: str, model: NodePowerModel,
-                 on: bool = True, at: float = 0.0,
                  node_class: str = "node") -> None:
         self.name = name
         self.model = model
         self.node_class = node_class
-        self.on = on
+        self.on = True
         #: earliest instant the pipe can start the next query
-        self.busy_until = at if on else 0.0
-        self.on_since = at if on else 0.0
+        self.busy_until = 0.0
+        self.on_since = 0.0
         self._interval_busy = 0.0  # busy seconds in the current ON span
         self._interval_boot = 0.0  # boot seconds in the current ON span
         # The ON span's active energy above idle splits into two lanes

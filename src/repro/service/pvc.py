@@ -19,9 +19,7 @@ The engine executes a downclocked query at busy draw
 for ``service / f`` seconds, so the active energy above idle scales by
 ``f**2`` — a 0.55 step spends ~30% of the full-speed active Joules on
 the same query.  At ``f == 1.0`` the engine takes the ordinary
-:meth:`~repro.service.node.FleetNode.serve` path, which is what makes
-``frequency_steps=(1.0,)`` byte-identical to the unwrapped inner
-policy (the property tests pin this).
+:meth:`~repro.service.node.FleetNode.serve` path.
 
 Routing, admission, and autoscaling all delegate to the wrapped
 ``inner`` policy (default ``power_aware``), so PVC composes with every
@@ -55,9 +53,10 @@ from repro.service.dispatch import (DispatchContext, DispatchPolicy,
 from repro.service.node import FleetNode
 from repro.service.report import ServiceError
 
-#: the default governor ladder: full speed plus three downclock steps,
-#: the deepest spending ~30% of full-speed active energy per query
-DEFAULT_FREQUENCY_STEPS: tuple[float, ...] = (1.0, 0.85, 0.7, 0.55)
+#: the governor ladder, ascending so the first fitting step is the
+#: deepest downclock: three downclock steps, the deepest spending ~30%
+#: of full-speed active energy per query, plus full speed
+FREQUENCY_STEPS: tuple[float, ...] = (0.55, 0.7, 0.85, 1.0)
 
 
 class PVCPolicy(DispatchPolicy):
@@ -82,7 +81,6 @@ class PVCPolicy(DispatchPolicy):
     dvfs = True
 
     def __init__(self, inner: DispatchPolicy | str = "power_aware",
-                 frequency_steps: tuple[float, ...] = DEFAULT_FREQUENCY_STEPS,
                  sla_headroom: float = 0.6,
                  admission_limit_seconds: Optional[float] = None,
                  **inner_kwargs) -> None:
@@ -92,15 +90,6 @@ class PVCPolicy(DispatchPolicy):
             raise ServiceError(
                 f"pvc cannot wrap {self.inner.name!r}: wrap the router "
                 "with pvc first, then batch with qed on top")
-        steps = tuple(sorted({float(f) for f in frequency_steps}))
-        if not steps:
-            raise ServiceError("pvc needs at least one frequency step")
-        if not all(0 < f <= 1.0 for f in steps):  # NaN fails too
-            raise ServiceError(
-                "frequency steps must lie in (0, 1], got "
-                f"frequency_steps={tuple(frequency_steps)}")
-        #: ascending, so the first fitting step is the deepest downclock
-        self.frequency_steps = steps
         if not 0 < sla_headroom <= 1.0:
             raise ServiceError(
                 f"SLA headroom must lie in (0, 1], got {sla_headroom}")
@@ -120,7 +109,7 @@ class PVCPolicy(DispatchPolicy):
         budget = ctx.sla_seconds * self.sla_headroom
         backlog = ctx.nodes[i].backlog(ctx.now)
         execution = ctx.scaled_service_seconds(i)
-        for f in self.frequency_steps:
+        for f in FREQUENCY_STEPS:
             if f >= 1.0:
                 break  # full speed is the engine's ordinary path
             if backlog + execution / f <= budget:

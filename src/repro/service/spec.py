@@ -116,14 +116,13 @@ class FleetSpec(Record):
 
     @classmethod
     def homogeneous(cls, n_nodes: int,
-                    model: Optional[NodePowerModel] = None,
-                    name: str = "node") -> "FleetSpec":
-        """The classic single-class fleet (``model`` defaults to the
-        calibrated ``commodity`` profile, as ``simulate_service``
-        always has)."""
+                    model: Optional[NodePowerModel] = None) -> "FleetSpec":
+        """The classic single-class fleet of class ``"node"`` (``model``
+        defaults to the calibrated ``commodity`` profile, as
+        ``simulate_service`` always has)."""
         if model is None:
             model = node_class_model("node")
-        return cls(classes=(NodeClass(name=name, count=n_nodes,
+        return cls(classes=(NodeClass(name="node", count=n_nodes,
                                       model=model),))
 
     @classmethod

@@ -207,13 +207,14 @@ def _tenant_counts(tenants: Sequence[Tenant], total: int) -> list[int]:
 
 def build_stream(queries: int,
                  tenants: Sequence[Tenant] = DEFAULT_TENANTS,
-                 classes: Sequence[QueryClass] = DEFAULT_CLASSES,
                  seed: int = 0) -> ArrivalStream:
-    """Generate a merged multi-tenant Poisson stream of ``queries``."""
+    """Generate a merged multi-tenant Poisson stream of ``queries``
+    over the default query classes."""
     if queries < 1:
         raise ServiceError("need at least one query")
     if not tenants:
         raise ServiceError("need at least one tenant")
+    classes = DEFAULT_CLASSES
     class_of = {c.name: i for i, c in enumerate(classes)}
     service = np.array([c.service_seconds for c in classes])
 
@@ -255,12 +256,11 @@ def build_stream(queries: int,
 
 def build_diurnal_stream(day_seconds: float,
                          peak_seconds: float,
-                         tenants: Sequence[Tenant] = DEFAULT_TENANTS,
-                         classes: Sequence[QueryClass] = DEFAULT_CLASSES,
                          peak_load: float = 1.0,
                          offpeak_load: float = 0.15,
                          seed: int = 0) -> ArrivalStream:
-    """Generate a two-phase diurnal multi-tenant stream.
+    """Generate a two-phase diurnal stream of the default tenants and
+    query classes.
 
     The homogeneous-Poisson :func:`build_stream` has no notion of "off
     peak", which makes the batch-ETL question unanswerable — delaying
@@ -286,8 +286,7 @@ def build_diurnal_stream(day_seconds: float,
             "peak_seconds must fall inside the day window")
     if peak_load < 0 or offpeak_load < 0:
         raise ServiceError("phase load multipliers cannot be negative")
-    if not tenants:
-        raise ServiceError("need at least one tenant")
+    tenants, classes = DEFAULT_TENANTS, DEFAULT_CLASSES
     class_of = {c.name: i for i, c in enumerate(classes)}
     service = np.array([c.service_seconds for c in classes])
     phases = ((0.0, peak_seconds, peak_load),
@@ -296,11 +295,6 @@ def build_diurnal_stream(day_seconds: float,
     kept: list[Tenant] = []
     chunks_t, chunks_c, chunks_tenant = [], [], []
     for i, tenant in enumerate(tenants):
-        for name, _ in tenant.mix:
-            if name not in class_of:
-                raise ServiceError(
-                    f"tenant {tenant.name!r} mixes unknown query class "
-                    f"{name!r}")
         t_chunks, c_chunks = [], []
         for phase, (start, end, load) in enumerate(phases):
             n = int(round(tenant.rate_per_s * load * (end - start)))

@@ -21,10 +21,8 @@ class Clock:
 
     __slots__ = ("_now",)
 
-    def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise SimulationError(f"clock cannot start at negative time {start}")
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     def advance_to(self, t: float) -> None:
         """Move the clock forward to time ``t``.

@@ -97,8 +97,8 @@ class Process(Event):
 class Simulation:
     """Event queue, clock, and process scheduler."""
 
-    def __init__(self, start: float = 0.0) -> None:
-        self.clock = Clock(start)
+    def __init__(self) -> None:
+        self.clock = Clock()
         self._queue: list[tuple[float, int, Event]] = []
         self._seq = 0
         #: failed processes nobody was waiting on when they were dispatched
@@ -111,9 +111,9 @@ class Simulation:
         return self.clock._now
 
     # -- event construction ------------------------------------------------
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float) -> Timeout:
         """Create an event that fires ``delay`` simulated seconds from now."""
-        return Timeout(self, delay, value)
+        return Timeout(self, delay)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """An event that fires once every given event has succeeded."""
@@ -128,15 +128,14 @@ class Simulation:
         return Process(self, generator, name=name)
 
     # -- scheduling (internal) ----------------------------------------------
-    def _schedule_call(self, callback: Callback, delay: float = 0.0) -> None:
-        """Schedule a bare callback; it is handed the event that carries it."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+    def _schedule_call(self, callback: Callback) -> None:
+        """Schedule a bare callback for now; it is handed the event that
+        carries it."""
         carrier = Event(self)
         carrier.callbacks.append(callback)
         carrier._triggered = True
         carrier._ok = True
-        heappush(self._queue, (self.clock._now + delay, self._seq, carrier))
+        heappush(self._queue, (self.clock._now, self._seq, carrier))
         self._seq += 1
 
     # -- running ------------------------------------------------------------

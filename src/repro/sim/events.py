@@ -100,14 +100,13 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim: "Simulation", delay: float, value: Any = None) -> None:
+    def __init__(self, sim: "Simulation", delay: float) -> None:
         if delay < 0:
             raise SimulationError(f"timeout delay must be non-negative, got {delay}")
         super().__init__(sim)
         self.delay = delay
         self._triggered = True  # scheduled at construction, cannot re-trigger
         self._ok = True
-        self._value = value
         heappush(sim._queue, (sim.clock._now + delay, sim._seq, self))
         sim._seq += 1
 

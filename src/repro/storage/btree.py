@@ -148,9 +148,8 @@ class BPlusTree:
             return list(leaf.values[idx])
         return []
 
-    def range_scan(self, low: Any = None, high: Any = None,
-                   include_low: bool = True,
-                   include_high: bool = True) -> Iterator[tuple[Any, Any]]:
+    def range_scan(self, low: Any = None,
+                   high: Any = None) -> Iterator[tuple[Any, Any]]:
         """Yield (key, rid) pairs with low <= key <= high, in key order.
 
         ``None`` bounds are open ends.
@@ -161,12 +160,10 @@ class BPlusTree:
             leaf = self._leftmost_leaf()
         while leaf is not None:
             for key, rids in zip(leaf.keys, leaf.values):
-                if low is not None:
-                    if key < low or (key == low and not include_low):
-                        continue
-                if high is not None:
-                    if key > high or (key == high and not include_high):
-                        return
+                if low is not None and key < low:
+                    continue
+                if high is not None and key > high:
+                    return
                 for rid in rids:
                     yield key, rid
             leaf = leaf.next_leaf

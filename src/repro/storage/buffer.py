@@ -8,8 +8,8 @@ energy *per second of residency* is lowest, so cheap-to-refetch pages
 yield their DRAM to expensive ones.
 
 The pool is pure bookkeeping — it decides hits, misses, and victims;
-the caller performs the simulated I/O for fetches and writebacks (and
-knows each page's fetch energy, since that depends on where it lives).
+the caller performs the simulated I/O for fetches (and knows each
+page's fetch energy, since that depends on where it lives).
 """
 
 from __future__ import annotations
@@ -35,15 +35,14 @@ class ReplacementPolicy(enum.Enum):
 
 @dataclass
 class Evicted:
-    """A page pushed out of the pool; ``dirty`` pages need writeback."""
+    """A page pushed out of the pool."""
 
     key: Hashable
     page: Any
-    dirty: bool
 
 
 class _Frame:
-    __slots__ = ("key", "page", "dirty", "pin_count", "last_access_seq",
+    __slots__ = ("key", "page", "last_access_seq",
                  "last_access_time", "ref_bit", "access_count",
                  "ewma_interval", "fetch_energy_joules")
 
@@ -51,8 +50,6 @@ class _Frame:
                  fetch_energy_joules: float) -> None:
         self.key = key
         self.page = page
-        self.dirty = False
-        self.pin_count = 0
         self.last_access_seq = seq
         self.last_access_time = now
         self.ref_bit = True
@@ -92,7 +89,7 @@ class BufferPool:
     def __len__(self) -> int:
         return len(self._frames)
 
-    def get(self, key: Hashable, pin: bool = False) -> Optional[Any]:
+    def get(self, key: Hashable) -> Optional[Any]:
         """Return the cached page or None (a miss).  Records the access."""
         frame = self._frames.get(key)
         telemetry = current_collector()
@@ -105,14 +102,11 @@ class BufferPool:
         if telemetry is not None:
             telemetry.count("buffer.hit")
         self._touch(frame)
-        if pin:
-            frame.pin_count += 1
         return frame.page
 
     # -- insertion -----------------------------------------------------------
     def put(self, key: Hashable, page: Any,
-            fetch_energy_joules: float = 0.0,
-            dirty: bool = False, pin: bool = False) -> list[Evicted]:
+            fetch_energy_joules: float = 0.0) -> list[Evicted]:
         """Cache a freshly-fetched page; returns any evicted pages.
 
         ``fetch_energy_joules`` is what re-reading this page from its home
@@ -127,9 +121,6 @@ class BufferPool:
             evicted.append(self._evict_one())
         frame = _Frame(key, page, self.sim.now, self._next_seq(),
                        fetch_energy_joules)
-        frame.dirty = dirty
-        if pin:
-            frame.pin_count = 1
         self._frames[key] = frame
         self._clock_order.append(key)
         return evicted
@@ -167,34 +158,29 @@ class BufferPool:
         telemetry = current_collector()
         if telemetry is not None:
             telemetry.count("buffer.eviction")
-        return Evicted(victim_key, frame.page, frame.dirty)
+        return Evicted(victim_key, frame.page)
 
     def _choose_victim(self) -> Hashable:
-        unpinned = [f for f in self._frames.values() if f.pin_count == 0]
-        if not unpinned:
-            raise BufferPoolError("every page is pinned; cannot evict")
         if self.policy is ReplacementPolicy.LRU:
-            return min(unpinned, key=lambda f: f.last_access_seq).key
+            return min(self._frames.values(),
+                       key=lambda f: f.last_access_seq).key
         if self.policy is ReplacementPolicy.CLOCK:
             return self._clock_victim()
-        return self._energy_victim(unpinned)
+        return self._energy_victim()
 
     def _clock_victim(self) -> Hashable:
-        spins = 0
-        limit = 2 * len(self._clock_order) + 1
-        while spins < limit:
+        # one sweep clears every reference bit, so the second finds one
+        while True:
             if self._clock_hand >= len(self._clock_order):
                 self._clock_hand = 0
             key = self._clock_order[self._clock_hand]
             frame = self._frames[key]
-            if frame.pin_count == 0 and not frame.ref_bit:
+            if not frame.ref_bit:
                 return key
             frame.ref_bit = False
             self._clock_hand += 1
-            spins += 1
-        raise BufferPoolError("every page is pinned; cannot evict")
 
-    def _energy_victim(self, unpinned: list[_Frame]) -> Hashable:
+    def _energy_victim(self) -> Hashable:
         """Evict the page with the lowest energy-savings rate.
 
         Keeping a page saves its re-fetch energy once per expected
@@ -212,4 +198,4 @@ class BufferPool:
                       - self.page_residency_watts)
             return (saving, frame.last_access_seq)
 
-        return min(unpinned, key=rate).key
+        return min(self._frames.values(), key=rate).key

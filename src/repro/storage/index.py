@@ -2,7 +2,7 @@
 
 A :class:`TableIndex` wraps a B+tree built over one column of a
 row-store table and models its physical footprint: entries pack into
-``page_size`` leaf pages, upper levels are assumed buffer-resident (the
+8 KiB leaf pages, upper levels are assumed buffer-resident (the
 classic costing assumption), so an exact-match probe reads one leaf
 page and a range scan reads the touched leaves plus the heap pages of
 matching rows — sequentially if the index is clustered, randomly if
@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.errors import StorageError
 from repro.storage.btree import BPlusTree
+from repro.storage.page import DEFAULT_PAGE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.manager import Table
@@ -27,7 +28,6 @@ class TableIndex:
     """A B+tree index on one column of a row-store table."""
 
     def __init__(self, table: "Table", column: str,
-                 page_size: int = 8192,
                  clustered: bool = False) -> None:
         if table.heap is None:
             raise StorageError(
@@ -38,9 +38,9 @@ class TableIndex:
                 f"table {table.name!r} has no column {column!r}")
         self.table = table
         self.column = column
-        self.page_size = page_size
+        self.page_size = DEFAULT_PAGE_SIZE
         self.clustered = clustered
-        order = max(8, page_size // LEAF_ENTRY_BYTES)
+        order = max(8, DEFAULT_PAGE_SIZE // LEAF_ENTRY_BYTES)
         self.tree = BPlusTree(order=order)
         position = table.schema.position(column)
         previous = None
@@ -99,12 +99,10 @@ class TableIndex:
         assert heap is not None
         return [heap.fetch(rid) for rid in self.tree.search(key)]
 
-    def range_rows(self, low: Any = None, high: Any = None,
-                   include_low: bool = True,
-                   include_high: bool = True) -> Iterator[tuple]:
-        """Decoded rows with keys in the given range, in key order."""
+    def range_rows(self, low: Any = None,
+                   high: Any = None) -> Iterator[tuple]:
+        """Decoded rows with keys in ``[low, high]``, in key order."""
         heap = self.table.heap
         assert heap is not None
-        for _key, rid in self.tree.range_scan(low, high, include_low,
-                                              include_high):
+        for _key, rid in self.tree.range_scan(low, high):
             yield heap.fetch(rid)

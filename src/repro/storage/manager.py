@@ -30,9 +30,7 @@ class Table:
 
     def __init__(self, schema: TableSchema, layout: str,
                  placement: "RaidArray",
-                 codecs: Optional[dict[str, Codec | str]] = None,
-                 page_size: int = 8192,
-                 segment_rows: int = 4096) -> None:
+                 codecs: Optional[dict[str, Codec | str]] = None) -> None:
         if layout not in (ROW_LAYOUT, COLUMN_LAYOUT):
             raise StorageError(f"unknown layout {layout!r}")
         if layout == ROW_LAYOUT and codecs:
@@ -44,10 +42,9 @@ class Table:
         self.columnar: Optional[ColumnFile] = None
         self.indexes: dict[str, "TableIndex"] = {}
         if layout == ROW_LAYOUT:
-            self.heap = HeapFile(schema, page_size=page_size)
+            self.heap = HeapFile(schema)
         else:
-            self.columnar = ColumnFile(schema, codecs=codecs,
-                                       segment_rows=segment_rows)
+            self.columnar = ColumnFile(schema, codecs=codecs)
 
     @property
     def name(self) -> str:
@@ -149,12 +146,12 @@ class StorageManager:
 
     def create_table(self, schema: TableSchema, layout: str,
                      placement: "RaidArray",
-                     codecs: Optional[dict[str, Codec | str]] = None,
-                     **kwargs: Any) -> Table:
+                     codecs: Optional[dict[str, Codec | str]] = None
+                     ) -> Table:
         """Register a new table; names are unique."""
         if schema.name in self._tables:
             raise StorageError(f"table {schema.name!r} already exists")
-        table = Table(schema, layout, placement, codecs=codecs, **kwargs)
+        table = Table(schema, layout, placement, codecs=codecs)
         self._tables[schema.name] = table
         return table
 

@@ -81,20 +81,16 @@ class Partitioner:
 
     # -- consolidation --------------------------------------------------------
     def plan_consolidation(self, partitions: Sequence[Partition],
-                           current: dict[str, str],
-                           bandwidth_headroom: float = 0.5
-                           ) -> ConsolidationPlan:
+                           current: dict[str, str]) -> ConsolidationPlan:
         """Pack partitions onto the fewest devices and plan the migration.
 
-        ``current`` maps partition name to its current device.
-        ``bandwidth_headroom`` caps how much of a device's bandwidth the
-        packed access rates may use (leaving room for bursts).
+        ``current`` maps partition name to its current device.  The
+        packed access rates may use half of a device's bandwidth (the
+        rest is room for bursts).
 
         First-fit-decreasing by size; a device accepts a partition if both
         remaining capacity and remaining bandwidth allow it.
         """
-        if not 0 < bandwidth_headroom <= 1:
-            raise ConsolidationError("headroom must be in (0, 1]")
         for part in partitions:
             if part.name not in current:
                 raise ConsolidationError(
@@ -105,7 +101,7 @@ class Partitioner:
                     f"{current[part.name]!r}")
         ordered = sorted(partitions, key=lambda p: p.size_bytes, reverse=True)
         remaining_cap = {d.name: d.capacity_bytes for d in self.devices}
-        remaining_bw = {d.name: d.bandwidth_bytes_per_s * bandwidth_headroom
+        remaining_bw = {d.name: d.bandwidth_bytes_per_s * 0.5
                         for d in self.devices}
         assignments: dict[str, str] = {}
         used: list[str] = []

@@ -44,8 +44,7 @@ class BurstPrefetcher:
     def __init__(self, sim: "Simulation", disk: "HardDisk",
                  buffer_bytes: float,
                  consume_rate_bytes_per_s: float,
-                 dram: Optional["Dram"] = None,
-                 spin_down_between: bool = True) -> None:
+                 dram: Optional["Dram"] = None) -> None:
         if buffer_bytes <= 0:
             raise StorageError("buffer must be positive")
         if consume_rate_bytes_per_s <= 0:
@@ -55,7 +54,6 @@ class BurstPrefetcher:
         self.buffer_bytes = buffer_bytes
         self.consume_rate = consume_rate_bytes_per_s
         self.dram = dram
-        self.spin_down_between = spin_down_between
         self.stats = PrefetchStats(buffer_bytes=buffer_bytes)
 
     # -- planning helpers ---------------------------------------------------
@@ -78,8 +76,7 @@ class BurstPrefetcher:
         return self.idle_period_seconds() > breakeven
 
     # -- streaming -----------------------------------------------------------
-    def stream(self, total_bytes: float,
-               stream_token: str = "prefetch") -> Generator:
+    def stream(self, total_bytes: float) -> Generator:
         """Serve ``total_bytes`` to the rate-limited consumer (process).
 
         Double-buffered: the next burst's spin-up and read overlap the
@@ -95,7 +92,7 @@ class BurstPrefetcher:
             remaining = total_bytes
             while remaining > 0:
                 burst = min(self.buffer_bytes, remaining)
-                yield from self.disk.read(int(burst), stream=stream_token)
+                yield from self.disk.read(int(burst), stream="prefetch")
                 self.stats.bursts += 1
                 telemetry = current_collector()
                 if telemetry is not None:
@@ -111,7 +108,7 @@ class BurstPrefetcher:
                              / self.disk.effective_bandwidth_bytes_per_s)
                 lead = next_fill
                 sleepable = drain_seconds
-                if self.spin_down_between and self.spin_down_pays_off():
+                if self.spin_down_pays_off():
                     lead += self.disk.spec.spinup_seconds
                     quiet = max(0.0, drain_seconds - lead)
                     yield from self.disk.spin_down()
@@ -131,19 +128,17 @@ class BurstPrefetcher:
 
 def trickle_stream(sim: "Simulation", disk: "HardDisk",
                    total_bytes: float,
-                   consume_rate_bytes_per_s: float,
-                   request_bytes: float = 1 << 20,
-                   stream_token: str = "trickle") -> Generator:
+                   consume_rate_bytes_per_s: float) -> Generator:
     """The baseline: read just-in-time at the consumer's rate (process).
 
-    The disk services a small request every ``request_bytes /
-    consume_rate`` seconds and never idles long enough to sleep.
+    The disk services a 1 MiB request every ``1 MiB / consume_rate``
+    seconds and never idles long enough to sleep.
     """
     if total_bytes < 0 or consume_rate_bytes_per_s <= 0:
         raise StorageError("bad trickle parameters")
     remaining = total_bytes
     while remaining > 0:
-        piece = min(request_bytes, remaining)
-        yield from disk.read(int(piece), stream=stream_token)
+        piece = min(1 << 20, remaining)
+        yield from disk.read(int(piece), stream="trickle")
         yield sim.timeout(piece / consume_rate_bytes_per_s)
         remaining -= piece

@@ -27,7 +27,7 @@ hook is one global read, keeping the untraced engine at full speed
 
 from repro.observe import current_collector
 from repro.telemetry.collector import (
-    DEFAULT_TIMELINE_SAMPLES,
+    TIMELINE_SAMPLES,
     TelemetryCollector,
     capture,
 )
@@ -41,11 +41,11 @@ from repro.telemetry.spans import EnergySpan, SpanStack
 from repro.telemetry.trace import DeviceTimeline, SpanNode, TelemetryTrace
 
 __all__ = [
-    "DEFAULT_TIMELINE_SAMPLES",
     "DeviceTimeline",
     "EnergySpan",
     "SpanNode",
     "SpanStack",
+    "TIMELINE_SAMPLES",
     "TelemetryCollector",
     "TelemetrySink",
     "TelemetryTrace",

@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: timeline samples kept per device in the finalized trace; longer
 #: power series are downsampled evenly (energy totals stay exact)
-DEFAULT_TIMELINE_SAMPLES = 1024
+TIMELINE_SAMPLES = 1024
 
 
 def _integrate_clipped(series: "TimeSeries", t0: float, t1: float) -> float:
@@ -60,9 +60,7 @@ def _downsample(times: list[float], values: list[float],
 class TelemetryCollector:
     """Accumulates spans, meters, and counters for one capture."""
 
-    def __init__(self,
-                 timeline_samples: int = DEFAULT_TIMELINE_SAMPLES) -> None:
-        self.timeline_samples = timeline_samples
+    def __init__(self) -> None:
         self.stack = SpanStack()
         self.counters: dict[str, float] = {}
         self._meters: list["EnergyMeter"] = []
@@ -139,7 +137,7 @@ class TelemetryCollector:
         for dev in devices:
             series = dev.power_series
             times, watts = _downsample(series.times, series.values,
-                                       self.timeline_samples)
+                                       TIMELINE_SAMPLES)
             per_unit = getattr(dev, "active_power_per_unit_watts", None)
             busy = dev.busy_seconds()
             timelines.append(DeviceTimeline(
@@ -186,8 +184,7 @@ class TelemetryCollector:
 
 
 @contextmanager
-def capture(timeline_samples: int = DEFAULT_TIMELINE_SAMPLES
-            ) -> Iterator[TelemetryCollector]:
+def capture() -> Iterator[TelemetryCollector]:
     """Enable telemetry for the ``with`` block.
 
     Usage::
@@ -202,13 +199,12 @@ def capture(timeline_samples: int = DEFAULT_TIMELINE_SAMPLES
     block constructs (simulations, servers, executors) feeds it without
     explicit plumbing.  Captures do not nest.
     """
-    with installed("telemetry", TelemetryCollector(
-            timeline_samples=timeline_samples)) as collector:
+    with installed("telemetry", TelemetryCollector()) as collector:
         yield collector
 
 
 __all__ = [
-    "DEFAULT_TIMELINE_SAMPLES",
+    "TIMELINE_SAMPLES",
     "TelemetryCollector",
     "capture",
     "current_collector",

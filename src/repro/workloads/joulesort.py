@@ -58,17 +58,18 @@ class JouleSortReport:
 def run_joulesort(sim: "Simulation", server: "Server",
                   placement: "RaidArray",
                   logical_records: int = 10_000_000,
-                  physical_records: int = 20_000,
-                  memory_grant_bytes: Optional[float] = None,
-                  seed: int = 1757) -> JouleSortReport:
+                  memory_grant_bytes: Optional[float] = None
+                  ) -> JouleSortReport:
     """Sort ``logical_records`` 100-byte records and meter the machine.
 
-    ``physical_records`` rows are materialized and replay-inflated to
-    the logical size; ``memory_grant_bytes`` (logical) below the dataset
-    size forces an external sort with spills to the placement.
+    20,000 rows are materialized and replay-inflated to the logical
+    size; ``memory_grant_bytes`` (logical) below the dataset size
+    forces an external sort with spills to the placement.
     """
-    if logical_records < physical_records or physical_records < 2:
-        raise WorkloadError("need logical >= physical >= 2 records")
+    physical_records = 20_000
+    if logical_records < physical_records:
+        raise WorkloadError(
+            f"need at least {physical_records} logical records")
     scale = logical_records / physical_records
     storage = StorageManager(sim)
     # 10-byte key modeled as int64 + 90-byte payload as fixed varchar

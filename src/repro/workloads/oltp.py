@@ -42,16 +42,14 @@ class OltpReport:
 
 def run_oltp_stream(sim: "Simulation", cpu: "Cpu", wal: WriteAheadLog,
                     n_transactions: int = 500,
-                    arrival_rate_per_s: float = 1000.0,
-                    payload_bytes: int = 160,
-                    cycles_per_transaction: float = 40_000.0,
-                    seed: int = 7) -> OltpReport:
-    """Drive transactions through CPU + WAL and meter the log device."""
+                    arrival_rate_per_s: float = 1000.0) -> OltpReport:
+    """Drive transactions through CPU + WAL and meter the log device:
+    each spends 40,000 CPU cycles and appends a 160-byte log record."""
     if n_transactions < 1:
         raise WorkloadError("need at least one transaction")
     if arrival_rate_per_s <= 0:
         raise WorkloadError("arrival rate must be positive")
-    rng = random.Random(seed)
+    rng = random.Random(7)
     latencies: list[float] = []
     device = wal.device
     energy_start = device.energy_joules(0.0, sim.now)
@@ -61,8 +59,8 @@ def run_oltp_stream(sim: "Simulation", cpu: "Cpu", wal: WriteAheadLog,
 
     def transaction():
         began = sim.now
-        yield from cpu.execute(cycles_per_transaction)
-        yield wal.append(payload_bytes)
+        yield from cpu.execute(40_000.0)
+        yield wal.append(160)
         latencies.append(sim.now - began)
 
     def open_loop_driver():

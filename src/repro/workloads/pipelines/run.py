@@ -57,8 +57,8 @@ def run_pipeline(pipeline: PipelineSpec,
 
     The published :class:`DatasetVersion` entries ride the report's
     ``catalog``.  Fault schedules are not accepted here — batch work
-    under chaos routes through ``simulate_service(faults=...)``
-    directly (see OPERATIONS.md on freshness during incidents).
+    under chaos goes to ``simulate_faulty_service`` directly (see
+    OPERATIONS.md on freshness during incidents).
     """
     if fleet is None:
         fleet = FleetSpec.homogeneous(16)

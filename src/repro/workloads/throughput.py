@@ -8,13 +8,12 @@ the paper plots (work done per Joule).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import WorkloadError
 from repro.records import Record
 from repro.relational.executor import ExecutionContext, Executor
 from repro.relational.operators import Operator
-from repro.relational.operators.base import CostParameters
 from repro.units import MB
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -60,11 +59,9 @@ def run_throughput(sim: "Simulation", server: "Server",
                    mix: Sequence[PlanBuilder],
                    streams: int = 4,
                    queries_per_stream: int = 4,
-                   scale: float = 1.0,
-                   chunk_bytes: float = 56 * MB,
-                   params: Optional[CostParameters] = None
-                   ) -> ThroughputReport:
-    """Run the throughput test to completion and meter it.
+                   scale: float = 1.0) -> ThroughputReport:
+    """Run the throughput test to completion and meter it, in 56 MB
+    I/O requests.
 
     Each stream cycles through ``mix`` starting at its own offset (the
     TPC-H throughput test permutes query order per stream), so different
@@ -76,8 +73,7 @@ def run_throughput(sim: "Simulation", server: "Server",
     if streams < 1 or queries_per_stream < 1:
         raise WorkloadError("need at least one stream and one query")
     ctx = ExecutionContext(sim=sim, server=server, scale=scale,
-                           chunk_bytes=chunk_bytes,
-                           params=params or CostParameters())
+                           chunk_bytes=56 * MB)
     executor = Executor(ctx)
     query_seconds: list[float] = []
 

@@ -10,7 +10,6 @@ Q1 and Q6 are provided as direct operator trees; the join queries as
 from __future__ import annotations
 
 from datetime import date
-from typing import Optional
 
 from repro.relational.expr import Between, Case, InList, Like, col
 from repro.relational.operators import (
@@ -26,14 +25,14 @@ from repro.optimizer.planner import JoinEdge, QuerySpec, TableRef
 from repro.workloads.tpch_gen import TpchDatabase
 
 
-def q1(db: TpchDatabase, ship_cutoff: date = date(1998, 9, 2),
-       parallelism: int = 1) -> Operator:
-    """Pricing summary report: big scan, group by two flags."""
+def q1(db: TpchDatabase, parallelism: int = 1) -> Operator:
+    """Pricing summary report: big scan, group by two flags (the
+    validation cutoff, 1998-09-02)."""
     scan: Operator = TableScan(
         db["lineitem"],
         columns=["l_returnflag", "l_linestatus", "l_quantity",
                  "l_extendedprice", "l_discount", "l_tax", "l_shipdate"],
-        predicate=col("l_shipdate") <= ship_cutoff)
+        predicate=col("l_shipdate") <= date(1998, 9, 2))
     if parallelism > 1:
         scan = Exchange(scan, parallelism)
     disc_price = col("l_extendedprice") * (col("l_discount") * -1.0 + 1.0)
@@ -48,16 +47,14 @@ def q1(db: TpchDatabase, ship_cutoff: date = date(1998, 9, 2),
         ["l_returnflag", "l_linestatus"])
 
 
-def q6(db: TpchDatabase, year_start: date = date(1994, 1, 1),
-       year_end: date = date(1995, 1, 1),
-       discount: float = 0.06, quantity: float = 24.0,
-       parallelism: int = 1) -> Operator:
-    """Forecasting revenue change: selective scan + single aggregate."""
-    predicate = ((col("l_shipdate") >= year_start)
-                 & (col("l_shipdate") < year_end)
-                 & Between(col("l_discount"), round(discount - 0.011, 3),
-                           round(discount + 0.011, 3))
-                 & (col("l_quantity") < quantity))
+def q6(db: TpchDatabase, parallelism: int = 1) -> Operator:
+    """Forecasting revenue change: selective scan + single aggregate
+    (the validation parameters: 1994, discount 0.06, quantity 24)."""
+    predicate = ((col("l_shipdate") >= date(1994, 1, 1))
+                 & (col("l_shipdate") < date(1995, 1, 1))
+                 & Between(col("l_discount"), round(0.06 - 0.011, 3),
+                           round(0.06 + 0.011, 3))
+                 & (col("l_quantity") < 24.0))
     scan: Operator = TableScan(
         db["lineitem"],
         columns=["l_shipdate", "l_discount", "l_quantity",
@@ -187,16 +184,14 @@ def q10_spec(db: TpchDatabase,
     )
 
 
-def throughput_mix(db: TpchDatabase, parallelism: int = 4,
-                   shipmode_filter: Optional[list[str]] = None
-                   ) -> list:
+def throughput_mix(db: TpchDatabase, parallelism: int = 4) -> list:
     """The query mix one throughput-test stream cycles through.
 
     Returns plan *builders* (each call constructs a fresh operator tree,
     since trees are single-use), scan-dominated like the TPC-H
     throughput test.
     """
-    modes = shipmode_filter or ["SHIP", "RAIL"]
+    modes = ["SHIP", "RAIL"]
 
     def q_scan_orders() -> Operator:
         from repro.workloads.tpch_schema import ORDERS_SCAN_COLUMNS

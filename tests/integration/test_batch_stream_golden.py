@@ -10,8 +10,9 @@ holds SHA-256 digests of ``ServiceReport.to_dict()``,
 every case below; it was written by running this file as a script
 against the tree that still served batches one release at a time (a
 batched copy of the reference loop, and release events on the chaos
-engine's heap).  Running the script writes the goldens of the tree on
-``PYTHONPATH``.
+engine's heap); ``qed_epoch_long``'s were re-written from the parent
+tree when the autoscaler's cooldown became a fixed two epochs.  Running
+the script writes the goldens of the tree on ``PYTHONPATH``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.faults import FaultMix, build_fault_schedule
+from repro.faults import (FaultMix, build_fault_schedule,
+                          simulate_faulty_service)
 from repro.flightrec import record
 from repro.service import (DEFAULT_TENANTS, Autoscaler, FleetSpec,
                            NodePowerModel, PVCPolicy, QEDPolicy, build_stream,
@@ -119,10 +121,13 @@ def serve(case: str, observer: str):
 
     def run():
         autoscaler = Autoscaler(fleet.classes[0].model, epoch_seconds=epoch,
-                                target_utilization=0.85, min_nodes=1,
-                                cooldown_epochs=1)
+                                target_utilization=0.85, min_nodes=1)
+        if faults is not None:
+            return simulate_faulty_service(stream, faults, fleet=fleet,
+                                           policy=policy(),
+                                           autoscaler=autoscaler)
         return simulate_service(stream, fleet=fleet, policy=policy(),
-                                autoscaler=autoscaler, faults=faults)
+                                autoscaler=autoscaler)
 
     if observer == "recording":
         with record() as rec:

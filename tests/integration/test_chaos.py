@@ -22,9 +22,8 @@ from repro.runner import ExperimentSpec, ResultCache, Runner
 from repro.runner.registry import list_experiments
 from repro.service import (ArrivalStream, FleetSpec, NodePowerModel,
                            QueryClass,
-                           Tenant, build_stream, simulate_service)
+                           Tenant, build_stream)
 from repro.service.autoscale import Autoscaler
-from repro.service.report import ServiceError
 from repro.telemetry import capture
 
 MODEL = NodePowerModel(name="t", idle_watts=50.0, peak_watts=120.0,
@@ -234,16 +233,11 @@ class TestServiceEntryPoint:
         schedule = build_fault_schedule(
             4, max(stream.duration_seconds, 1.0) * 1.2, seed=0,
             intensity=2.0)
-        report = simulate_service(stream, fleet=FleetSpec.homogeneous(4),
-                                  policy="power_aware", faults=schedule)
+        report = simulate_faulty_service(
+            stream, schedule, fleet=FleetSpec.homogeneous(4),
+            policy="power_aware")
         assert report.faults is not None
         assert report.to_dict()["faults"] is not None
-
-    def test_retry_without_faults_is_an_error(self):
-        stream = build_stream(100, seed=0)
-        with pytest.raises(ServiceError, match="faults"):
-            simulate_service(stream, fleet=FleetSpec.homogeneous(2),
-                             retry=RetryPolicy())
 
     def test_schedule_must_match_fleet_width(self):
         stream = one_tenant_stream([0.1], [1.0])
@@ -257,8 +251,10 @@ class TestServiceEntryPoint:
 class TestAutoscalerEmergency:
     def _fleet(self, n):
         from repro.service.node import FleetNode
-        return [FleetNode(f"svc.node{i:03d}", MODEL, on=(i == 0), at=0.0)
-                for i in range(n)]
+        nodes = [FleetNode(f"svc.node{i:03d}", MODEL) for i in range(n)]
+        for node in nodes[1:]:
+            node.on = False
+        return nodes
 
     def test_short_blip_is_not_worth_a_boot(self):
         # min_nodes=3 leaves the fleet undersized, so the break-even

@@ -154,8 +154,8 @@ def serve(case: str, observer: str, **engine):
     def run():
         autoscaler = Autoscaler(
             fleet.classes[0].model, epoch_seconds=5.0,
-            target_utilization=0.85, min_nodes=1,
-            cooldown_epochs=1) if knobs.get("autoscaled", True) else None
+            target_utilization=0.85,
+            min_nodes=1) if knobs.get("autoscaled", True) else None
         return simulate_faulty_service(
             stream, schedule, fleet=fleet, policy=knobs["policy"](),
             autoscaler=autoscaler,

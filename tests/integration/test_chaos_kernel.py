@@ -100,8 +100,7 @@ def serve(engine, fleet_kind, events, router, limited, qed, observer):
     schedule = FaultSchedule(n_nodes=fleet.n_nodes, horizon_seconds=H,
                              events=tuple(events))
     autoscaler = Autoscaler(fleet.classes[0].model, epoch_seconds=2.5,
-                            target_utilization=0.85, min_nodes=1,
-                            cooldown_epochs=1)
+                            target_utilization=0.85, min_nodes=1)
 
     def run():
         return simulate_faulty_service(

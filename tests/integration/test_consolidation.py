@@ -70,20 +70,18 @@ class TestBatchingScheduler:
         assert batched.mean_latency_seconds > fifo.mean_latency_seconds
         assert batched.spin_down_count >= 1
 
-    def test_batched_without_spindown_saves_nothing(self):
-        sim, server, array, table, executor = build_env()
-        arrivals = self.make_arrivals(table)
-        rep_plain = run_batched(sim, server, executor, arrivals, array,
-                                window_seconds=100.0,
-                                spin_down_between=False)
-        assert rep_plain.spin_down_count == 0
-
     def test_bad_window_rejected(self):
         sim, server, array, table, executor = build_env()
         with pytest.raises(ConsolidationError):
             run_batched(sim, server, executor,
                         self.make_arrivals(table), array,
                         window_seconds=0.0)
+
+    def test_batching_point_without_queries_rejected(self):
+        from repro.consolidation.experiments import batching_point
+        with pytest.raises(ConsolidationError,
+                           match="need at least one query"):
+            batching_point(queries=0)
 
     def test_poisson_arrivals_sorted_and_cycling(self):
         arrivals = poisson_arrivals([lambda: 1, lambda: 2], 10, 1.0)
@@ -185,8 +183,6 @@ class TestCluster:
             simulate_cluster([1.5], 4, ClusterPolicy.ALL_ON)
         with pytest.raises(ConsolidationError):
             simulate_cluster([0.5], 0, ClusterPolicy.ALL_ON)
-        with pytest.raises(ConsolidationError):
-            diurnal_trace(peak_fraction=0.1, trough_fraction=0.5)
 
     def test_power_model_bounds(self):
         model = ServerPowerModel(idle_watts=100, peak_watts=200)

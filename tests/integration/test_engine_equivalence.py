@@ -178,7 +178,7 @@ def _observed(stream, router, pvc, fleet_kind, admission, epoch, engine,
         replace(cls, model=_nimble(cls.model)) for cls in fleet.classes))
     autoscaler = None if epoch is None else Autoscaler(
         fleet.classes[0].model, epoch_seconds=epoch,
-        target_utilization=0.85, min_nodes=1, cooldown_epochs=1)
+        target_utilization=0.85, min_nodes=1)
     with ExitStack() as stack:
         rec = stack.enter_context(record()) \
             if "record" in observers else None
@@ -517,7 +517,9 @@ class TestEngineReason:
             horizon_seconds=stream.duration_seconds, seed=3,
             fleet=_fleet("homogeneous"))
         for policy in ("power_aware", "round_robin"):
-            report = self._auto(stream, faults=schedule, policy=policy)
+            report = simulate_faulty_service(
+                stream, schedule, fleet=_fleet("homogeneous"),
+                policy=policy, engine="auto")
             assert (report.engine, report.engine_reason) == ("event", None)
             loop = simulate_faulty_service(
                 stream, schedule, fleet=_fleet("homogeneous"),

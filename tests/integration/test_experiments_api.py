@@ -112,8 +112,7 @@ class TestJouleSortApi:
         sim = Simulation()
         server, array = commodity(sim)
         report = run_joulesort(sim, server, array,
-                               logical_records=100_000,
-                               physical_records=5_000)
+                               logical_records=100_000)
         assert report.records == 100_000
         assert report.records_per_joule > 0
         assert report.records_per_second > 0
@@ -124,7 +123,6 @@ class TestJouleSortApi:
         server, array = commodity(sim)
         report = run_joulesort(sim, server, array,
                                logical_records=100_000,
-                               physical_records=5_000,
                                memory_grant_bytes=64 * KIB)
         assert report.spilled
 
@@ -133,8 +131,7 @@ class TestJouleSortApi:
         sim = Simulation()
         server, array = commodity(sim)
         with pytest.raises(WorkloadError):
-            run_joulesort(sim, server, array, logical_records=10,
-                          physical_records=100)
+            run_joulesort(sim, server, array, logical_records=10)
 
 
 class TestProfilerIntegration:

@@ -67,8 +67,7 @@ def _serve(stream, router, governor, limit, fleet_kind, observed,
             .admission_limit_seconds = 0.05
     fleet = _fleet(fleet_kind)
     autoscaler = Autoscaler(fleet.classes[0].model, epoch_seconds=4.0,
-                            target_utilization=0.85, min_nodes=1,
-                            cooldown_epochs=1)
+                            target_utilization=0.85, min_nodes=1)
     handed = []
     assemble = fleet_module._assemble_report
 

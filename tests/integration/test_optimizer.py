@@ -28,7 +28,6 @@ from repro.optimizer import (
 from repro.optimizer.planner import JoinEdge, TableRef
 from repro.sim import Simulation
 from repro.storage.manager import StorageManager
-from repro.units import MIB
 
 
 def build_env(n_orders=3000, n_customers=50):
@@ -120,9 +119,10 @@ class TestCostModelAccuracy:
 
     def test_predicted_time_tracks_simulated_time(self):
         sim, server, _, orders, _ = build_env()
-        model = CostModel(server, chunk_bytes=1 * MIB)
+        # the cost model prices the executor's default 4 MiB requests
+        model = CostModel(server)
         predicted = model.cost(TableScan(orders))
-        ctx = ExecutionContext(sim=sim, server=server, chunk_bytes=1 * MIB)
+        ctx = ExecutionContext(sim=sim, server=server)
         result = Executor(ctx).run(TableScan(orders))
         assert predicted.seconds == pytest.approx(
             result.elapsed_seconds, rel=0.35)

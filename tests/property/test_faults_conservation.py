@@ -23,14 +23,13 @@ from hypothesis import strategies as st
 
 from repro.faults import build_fault_schedule, simulate_faulty_service
 from repro.faults.policies import RetryPolicy, ShedPolicy
-from repro.service import (FleetSpec, NodePowerModel, QueryClass, Tenant,
+from repro.service import (FleetSpec, NodePowerModel, Tenant,
                            build_stream)
 from repro.telemetry import capture
 
 #: one tenant and two query shapes: a cheap scan and a heavier one
-SMALL_CLASSES = (QueryClass("small", 0.05), QueryClass("wide", 0.30))
 ONE_TENANT = Tenant("micro", rate_per_s=1.0, sla_p95_seconds=60.0,
-                    mix=(("small", 0.6), ("wide", 0.4)))
+                    mix=(("point", 0.6), ("report", 0.4)))
 
 POLICIES = ("round_robin", "least_loaded", "power_aware")
 #: every policy on the chaos engine's closure, and on the faulted
@@ -53,8 +52,7 @@ def _model():
 
 def _case(queries, n_nodes, seed, intensity):
     # a single tenant so tiny streams cannot starve a tenant
-    stream = build_stream(queries, tenants=(ONE_TENANT,),
-                          classes=SMALL_CLASSES, seed=seed)
+    stream = build_stream(queries, tenants=(ONE_TENANT,), seed=seed)
     horizon = max(stream.duration_seconds, 1.0) * 1.5
     schedule = build_fault_schedule(
         n_nodes, horizon, seed=seed, intensity=intensity,
@@ -130,8 +128,7 @@ def test_faulty_service_is_deterministic(queries, n_nodes, seed,
 def test_empty_schedule_degrades_to_fault_free_bookkeeping(
         queries, n_nodes, seed):
     """With no faults, the engine must report a clean, lossless run."""
-    stream = build_stream(queries, tenants=(ONE_TENANT,),
-                          classes=SMALL_CLASSES, seed=seed)
+    stream = build_stream(queries, tenants=(ONE_TENANT,), seed=seed)
     schedule = build_fault_schedule(
         n_nodes, max(stream.duration_seconds, 1.0), seed=seed,
         intensity=0.0)

@@ -65,15 +65,6 @@ def test_sort_matches_sorted(rows):
     assert got == sorted(rows, key=lambda r: (r[1], r[0]))
 
 
-@settings(max_examples=40, deadline=None)
-@given(rows_strategy)
-def test_sort_descending(rows):
-    table = make_table(rows)
-    got = run(Sort(TableScan(table), ["v"], descending=[True]))
-    assert [r[1] for r in got] == sorted((r[1] for r in rows),
-                                         reverse=True)
-
-
 @settings(max_examples=30, deadline=None)
 @given(rows_strategy)
 def test_aggregate_matches_oracle(rows):

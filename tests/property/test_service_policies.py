@@ -12,15 +12,14 @@ from hypothesis import strategies as st
 
 from repro.flightrec import record
 from repro.flightrec.events import DONE, REJECTED
-from repro.service import (FleetSpec, QueryClass, Tenant, build_stream,
+from repro.service import (FleetSpec, Tenant, build_stream,
                            make_policy, simulate_service)
 
 POLICIES = ("round_robin", "least_loaded", "power_aware")
 
 #: one tenant and two query shapes: a cheap scan and a heavier one
-SMALL_CLASSES = (QueryClass("small", 0.05), QueryClass("wide", 0.30))
 ONE_TENANT = Tenant("micro", rate_per_s=1.0, sla_p95_seconds=60.0,
-                    mix=(("small", 0.6), ("wide", 0.4)))
+                    mix=(("point", 0.6), ("report", 0.4)))
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 query_counts = st.integers(min_value=1, max_value=12)
@@ -28,8 +27,7 @@ node_counts = st.integers(min_value=1, max_value=4)
 
 
 def one_tenant_stream(queries, seed):
-    return build_stream(queries, tenants=(ONE_TENANT,),
-                        classes=SMALL_CLASSES, seed=seed)
+    return build_stream(queries, tenants=(ONE_TENANT,), seed=seed)
 
 
 def recorded_run(stream, n_nodes, policy):
@@ -79,16 +77,17 @@ def _report_dict_sans_policy(report):
        n_nodes=st.integers(min_value=1, max_value=8), seed=seeds)
 def test_pvc_at_full_frequency_is_byte_identical_to_baseline(
         queries, n_nodes, seed):
-    """A governor whose only step is 1.0 never downclocks, so its
-    report must be byte-for-byte the wrapped policy's (modulo the
-    policy name) — the degenerate-configuration law."""
+    """A governor whose headroom no downclock step fits never
+    downclocks, so its report must be byte-for-byte the wrapped
+    policy's (modulo the policy name) — the degenerate-configuration
+    law."""
     from repro.service import PVCPolicy
 
     stream = one_tenant_stream(queries, seed)
     fleet = FleetSpec.homogeneous(n_nodes)
     base = simulate_service(stream, fleet=fleet, policy="power_aware")
     pvc = simulate_service(stream, fleet=fleet,
-                           policy=PVCPolicy(frequency_steps=(1.0,)))
+                           policy=PVCPolicy(sla_headroom=1e-9))
     assert _report_dict_sans_policy(pvc) == _report_dict_sans_policy(base)
 
 

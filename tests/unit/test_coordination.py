@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.coordination import (
     DvfsGovernor,
-    GovernorPolicy,
     PowerCoordinator,
 )
 from repro.errors import ReproError
@@ -118,10 +117,3 @@ def test_effective_frequency_reflects_governor():
     sim.run(until=10.0)
     governor.react()
     assert coordinator.effective_frequency_fraction() == 0.8
-
-
-def test_policy_validation():
-    with pytest.raises(ReproError):
-        GovernorPolicy(low_utilization=0.8, high_utilization=0.3)
-    with pytest.raises(ReproError):
-        GovernorPolicy(epoch_seconds=0.0)

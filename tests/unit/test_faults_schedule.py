@@ -79,15 +79,12 @@ class TestFaultSchedule:
 class TestDegradedSpeedFactor:
     def test_raid5_survivor_arithmetic(self):
         # width 8: survivors serve 7/8 of nominal, minus rebuild drag
-        assert degraded_speed_factor(8, rebuild_overhead=0.0) == 7 / 8
-        assert degraded_speed_factor(2, rebuild_overhead=0.0) == 0.5
         assert degraded_speed_factor(8) == pytest.approx((7 / 8) / 1.2)
+        assert degraded_speed_factor(2) == pytest.approx(0.5 / 1.2)
 
     def test_validation(self):
         with pytest.raises(FaultError, match="width"):
             degraded_speed_factor(1)
-        with pytest.raises(FaultError, match="overhead"):
-            degraded_speed_factor(4, rebuild_overhead=-0.1)
 
 
 class TestBuildFaultSchedule:

@@ -207,26 +207,27 @@ class TestSLOMonitor:
 
 class TestRollups:
     def _one_node_recording(self):
-        # one always-on node, one 10s execution at 150 W in [5, 15)
+        # one always-on node, one 10s execution at 150 W in [5, 15),
+        # over a 600 s run: sixty 10 s windows
         return _recording([{"arrival": 5.0, "start": 5.0,
-                            "completion": 15.0, "watts": 150.0}])
+                            "completion": 15.0, "watts": 150.0}],
+                          meta=_meta(end=600.0))
 
     def test_node_rollup_rebins_the_energy_audit(self):
         rec = self._one_node_recording()
-        rollup = node_rollup(rec, window_seconds=10.0)
+        rollup = node_rollup(rec)
+        assert rollup["window_seconds"] == 10.0
         total = sum(w * 10.0 for w in rollup["nodes"][0]["watts"])
         assert total == pytest.approx(rec.replayed_energy_joules(),
                                       rel=1e-12)
 
     def test_busy_fraction_splits_across_windows(self):
-        rollup = node_rollup(self._one_node_recording(),
-                             window_seconds=10.0)
+        rollup = node_rollup(self._one_node_recording())
         assert rollup["nodes"][0]["busy_fraction"] == \
-            pytest.approx([0.5, 0.5, 0.0, 0.0])
+            pytest.approx([0.5, 0.5] + [0.0] * 58)
 
     def test_fleet_watts_sums_nodes(self):
-        rollup = node_rollup(self._one_node_recording(),
-                             window_seconds=10.0)
+        rollup = node_rollup(self._one_node_recording())
         assert rollup["fleet_watts"] == \
             pytest.approx(rollup["nodes"][0]["watts"])
 

@@ -4,8 +4,8 @@ by name.
 A NaN compares false against every bound, so ``NodePowerModel`` took
 one in every field (``speed_factor=nan`` died much later as "policy
 admitted no queries") and ``Autoscaler`` took ``epoch_seconds=nan``
-(it never stepped), ``min_nodes=nan`` and ``cooldown_epochs=nan`` or
-``-1``.  Each is now a one-line :class:`ServiceError` naming the field.
+(it never stepped) and ``min_nodes=nan``.  Each is now a one-line
+:class:`ServiceError` naming the field.
 """
 
 import pytest
@@ -31,12 +31,10 @@ MODEL_CASES = [
 
 SCALER_CASES = [
     *[({name: bad}, name)
-      for name in ("epoch_seconds", "target_utilization", "min_nodes",
-                   "ewma_alpha", "cooldown_epochs")
+      for name in ("epoch_seconds", "target_utilization", "min_nodes")
       for bad in (NAN, INF, -INF)],
     ({"epoch_seconds": 0.0}, "epoch_seconds"),
     ({"min_nodes": 0}, "min_nodes"),
-    ({"cooldown_epochs": -1}, "cooldown_epochs"),
 ]
 
 
@@ -72,5 +70,4 @@ def test_from_server_speed_factor_nan_is_refused():
 def test_edge_values_still_build():
     NodePowerModel(idle_watts=0.0, peak_watts=0.0, boot_seconds=0.0,
                    boot_joules=0.0, drain_seconds=0.0, drain_joules=0.0)
-    Autoscaler(NodePowerModel(), target_utilization=1.0, min_nodes=1,
-               ewma_alpha=1.0, cooldown_epochs=0)
+    Autoscaler(NodePowerModel(), target_utilization=1.0, min_nodes=1)

@@ -130,8 +130,8 @@ class TestSpeedGovernor:
 
     def test_headroom_respected(self):
         sim = Simulation()
-        gov = SpeedGovernor([make_disk(sim)], headroom=2.0)
-        assert gov.choose_speed(0.35) == 1.0  # 0.35*2 = 0.7 > 0.6
+        gov = SpeedGovernor([make_disk(sim)])
+        assert gov.choose_speed(0.5) == 1.0  # 0.5*1.25 = 0.625 > 0.6
 
     def test_worth_changing_weighs_transition_cost(self):
         sim = Simulation()
@@ -162,8 +162,6 @@ class TestSpeedGovernor:
         sim = Simulation()
         with pytest.raises(ConsolidationError):
             SpeedGovernor([])
-        with pytest.raises(ConsolidationError):
-            SpeedGovernor([make_disk(sim)], headroom=0.5)
         mixed = [make_disk(sim, name="a"),
                  make_disk(sim, name="b", speed_levels=(1.0, 0.3))]
         with pytest.raises(ConsolidationError):

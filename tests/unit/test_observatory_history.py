@@ -10,6 +10,7 @@ from repro.errors import ReproError
 from repro.observatory import (
     BenchRecord,
     HistoryStore,
+    compare_store,
     extract_work_units,
     history_filename,
     point_label,
@@ -135,6 +136,20 @@ class TestHistoryStore:
         store.append(self._record(joules=2.0))
         assert [r.metrics["joules"] for r in store.load("core")] == \
             [1.0, 2.0]
+
+    @pytest.mark.parametrize("bad", ["oops", True, None, [1.0]])
+    def test_non_numeric_metric_lines_are_skipped(self, tmp_path, bad):
+        store = HistoryStore(tmp_path)
+        store.append(self._record(joules=1.0))
+        row = json.loads(store.path("core").read_text())
+        row["metrics"]["joules"] = bad
+        row["counters"] = {"hits": bad}
+        with open(store.path("core"), "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(row) + "\n")
+        store.append(self._record(joules=1.0))
+        assert [r.metrics["joules"] for r in store.load("core")] == \
+            [1.0, 1.0]
+        assert not compare_store(store).has_regressions
 
     def test_suites_listing(self, tmp_path):
         store = HistoryStore(tmp_path)

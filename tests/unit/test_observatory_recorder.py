@@ -53,7 +53,7 @@ class TestRecorder:
         trace = TelemetryTrace(devices=[DeviceTimeline(
             name="cpu", times=[float(i) for i in range(1000)],
             watts=[1.0] * 1000, energy_joules=999.0)])
-        (tl,) = timelines_of(trace, limit=64)
+        (tl,) = timelines_of(trace)
         assert len(tl["times"]) <= 64
         assert tl["times"][0] == 0.0 and tl["times"][-1] == 999.0
         assert tl["energy_joules"] == 999.0

@@ -60,12 +60,12 @@ def test_null_fraction(table):
 
 
 def test_histogram_is_equi_depth(table):
-    stats = analyze_table(table, histogram_buckets=10)
+    stats = analyze_table(table)
     hist = stats.columns["k"].histogram
-    assert len(hist) == 10
+    assert len(hist) == 16
     assert hist[-1] == 999
-    # bucket bounds roughly every 100 values
-    assert hist[0] == pytest.approx(99, abs=2)
+    # bucket bounds roughly every 62 values
+    assert hist[0] == pytest.approx(61, abs=2)
 
 
 def test_equality_selectivity(table):
@@ -75,7 +75,7 @@ def test_equality_selectivity(table):
 
 
 def test_range_selectivity(table):
-    stats = analyze_table(table, histogram_buckets=16)
+    stats = analyze_table(table)
     sel = estimate_selectivity(col("k") < 250, stats)
     assert sel == pytest.approx(0.25, abs=0.08)
     sel = estimate_selectivity(col("k") >= 900, stats)

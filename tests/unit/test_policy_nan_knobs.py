@@ -23,7 +23,6 @@ CASES = [
                    "cost_aware", "pvc", "qed")],
     ("power_aware", {"pack_backlog_seconds": NAN}, "pack_backlog_seconds"),
     ("cost_aware", {"sla_slack_fraction": NAN}, "sla_slack_fraction"),
-    ("pvc", {"frequency_steps": (1.0, NAN, 0.5)}, "frequency_steps"),
     ("qed", {"hold_seconds": NAN}, "hold_seconds"),
     ("qed", {"max_batch": NAN}, "max_batch"),
     ("qed", {"inner": "cost_aware", "sla_slack_fraction": NAN},

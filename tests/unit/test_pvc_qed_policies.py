@@ -9,8 +9,9 @@ engine-level behavior (energy, SLAs, telemetry exactness) lives in
 import numpy as np
 import pytest
 
-from repro.service import (DISPATCH_POLICIES, DispatchContext, FleetNode,
-                           FleetSpec, NodePowerModel, PVCPolicy, QEDPolicy,
+from repro.service import (DISPATCH_POLICIES, FREQUENCY_STEPS,
+                           DispatchContext, FleetNode, FleetSpec,
+                           NodePowerModel, PVCPolicy, QEDPolicy,
                            ServiceError, build_stream, make_policy,
                            simulate_service)
 from repro.service.workload import StreamColumns
@@ -82,18 +83,15 @@ class TestPVCGovernor:
             make_policy("pvc", no_such_knob=1)
 
     def test_knob_validation(self):
-        with pytest.raises(ServiceError, match="frequency step"):
-            PVCPolicy(frequency_steps=())
-        with pytest.raises(ServiceError, match=r"\(0, 1\]"):
-            PVCPolicy(frequency_steps=(0.5, 1.5))
         with pytest.raises(ServiceError, match="headroom"):
             PVCPolicy(sla_headroom=0.0)
         with pytest.raises(ServiceError, match="wrap"):
             PVCPolicy(inner=PVCPolicy())
 
     def test_steps_sorted_ascending_and_deduped(self):
-        pvc = PVCPolicy(frequency_steps=(1.0, 0.55, 0.85, 0.55))
-        assert pvc.frequency_steps == (0.55, 0.85, 1.0)
+        # the engines take the first fitting step as the deepest one
+        assert FREQUENCY_STEPS == tuple(sorted(set(FREQUENCY_STEPS)))
+        assert FREQUENCY_STEPS[-1] == 1.0
 
 
 class TestQEDHoldQueues:
@@ -215,9 +213,10 @@ class TestExecutionHooksUnderFaults:
             json.dumps(b, sort_keys=True)
 
     def test_single_step_pvc_matches_plain_policy_under_faults(self):
+        # no downclock step fits a near-zero headroom: full speed only
         import json
         plain = self._chaos("power_aware")
-        unity = self._chaos(PVCPolicy(frequency_steps=(1.0,)))
+        unity = self._chaos(PVCPolicy(sla_headroom=1e-9))
         a, b = plain.to_dict(), unity.to_dict()
         a.pop("policy"), b.pop("policy")
         assert json.dumps(a, sort_keys=True) == \

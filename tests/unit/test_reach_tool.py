@@ -1,7 +1,8 @@
 """``tools/reach.py``: a def or class is reached when a workload runs it.
 
 The trace runs on a synthetic package, so this file checks the tool's
-rules, not the tree; CI's ``reach`` job runs the tool on the tree.
+rules, not the tree; CI's ``reach`` job runs the tool on the tree.  The
+tool reads CI's smoke commands from ``ci.yml``.
 """
 
 import importlib.util
@@ -132,3 +133,15 @@ def test_allowlist_names_existing_sites_under_the_six_kinds():
     assert sorted(set(reach.ALLOWED) - known) == []
     assert [name for name, reason in reach.ALLOWED.items()
             if not reason.startswith(reach.KINDS)] == []
+
+
+def test_ci_commands_are_read_from_the_workflow():
+    runner = reach.runner_smoke()
+    assert len(runner) == 9
+    assert runner[0] == ["list"]
+    assert runner[-1] == ["cache", "stats", "--json"]
+    assert [argv[argv.index("--cache") + 1] for argv in runner
+            if "--cache" in argv] == ["splice-cache", "splice-cache"]
+    points = reach.flightrec_points()
+    assert sorted(points) == ["etl", "pvc_qed"]
+    assert points["etl"] == ["svc_etl", "--mode", "delayed", "--load", "1.0"]

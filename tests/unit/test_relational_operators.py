@@ -184,10 +184,9 @@ class TestJoins:
 class TestSortAggregateLimit:
     def test_sort_ascending(self, env):
         _, _, orders, _ = env
-        rows, _ = run(Sort(TableScan(orders), ["o_total"],
-                           descending=[True]))
+        rows, _ = run(Sort(TableScan(orders), ["o_total"]))
         totals = [r[2] for r in rows]
-        assert totals == sorted(totals, reverse=True)
+        assert totals == sorted(totals)
 
     def test_sort_multi_key_stable(self, env):
         _, _, orders, _ = env

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ReproError
 from repro.service import (Autoscaler, DispatchContext, FleetNode,
                            FleetSpec, LeastLoaded, NodePowerModel,
-                           PowerAwarePacking, QueryClass, RoundRobin,
+                           PowerAwarePacking, RoundRobin,
                            ServiceError, ServiceReport, Tenant,
                            build_stream, make_policy, simulate_service)
 from repro.service.report import NodeStats, TenantStats, quantile
@@ -52,14 +52,14 @@ class TestNodePowerModel:
 
 class TestFleetNodeEnergy:
     def test_idle_interval_closed_form(self):
-        node = FleetNode("n", make_model(), on=True)
+        node = FleetNode("n", make_model())
         stats = node.finalize(100.0)
         assert stats.energy_joules == pytest.approx(100.0 * 100.0)
         assert stats.on_seconds == pytest.approx(100.0)
         assert stats.busy_seconds == 0.0
 
     def test_busy_interval_adds_peak_minus_idle(self):
-        node = FleetNode("n", make_model(), on=True)
+        node = FleetNode("n", make_model())
         latency = node.serve(10.0, 5.0)
         assert latency == pytest.approx(5.0)
         stats = node.finalize(100.0)
@@ -69,7 +69,7 @@ class TestFleetNodeEnergy:
         assert stats.busy_seconds == pytest.approx(5.0)
 
     def test_fcfs_waits_accumulate(self):
-        node = FleetNode("n", make_model(), on=True)
+        node = FleetNode("n", make_model())
         assert node.serve(0.0, 4.0) == pytest.approx(4.0)
         # arrives at 1.0 behind 3.0 s of backlog
         assert node.backlog(1.0) == pytest.approx(3.0)
@@ -77,7 +77,7 @@ class TestFleetNodeEnergy:
 
     def test_power_cycle_charges_lumps_once(self):
         model = make_model()
-        node = FleetNode("n", model, on=True)
+        node = FleetNode("n", model)
         node.power_off(50.0)
         node.power_on(100.0)
         stats = node.finalize(150.0)
@@ -90,18 +90,20 @@ class TestFleetNodeEnergy:
         assert stats.on_seconds == pytest.approx(100.0)
 
     def test_power_off_refuses_backlogged_pipe(self):
-        node = FleetNode("n", make_model(), on=True)
+        node = FleetNode("n", make_model())
         node.serve(0.0, 100.0)
         with pytest.raises(ServiceError, match="backlog"):
             node.power_off(50.0)
 
     def test_serve_refuses_powered_off_node(self):
-        node = FleetNode("n", make_model(), on=False)
+        node = FleetNode("n", make_model())
+        node.on = False
         with pytest.raises(ServiceError, match="powered-off"):
             node.serve(0.0, 1.0)
 
     def test_boot_delays_service(self):
-        node = FleetNode("n", make_model(), on=False)
+        node = FleetNode("n", make_model())
+        node.on = False
         node.power_on(100.0)
         # arrival during boot waits for boot completion
         assert node.serve(101.0, 1.0) == pytest.approx(9.0 + 1.0)
@@ -131,9 +133,8 @@ class TestWorkloadStream:
                     mix=(("point", 1.0),))
         t2 = Tenant("b", rate_per_s=1.0, sla_p95_seconds=1.0,
                     mix=(("point", 1.0),))
-        classes = (QueryClass("point", 0.05),)
-        both = build_stream(300, tenants=(t1, t2), classes=classes, seed=5)
-        solo = build_stream(200, tenants=(t1,), classes=classes, seed=5)
+        both = build_stream(300, tenants=(t1, t2), seed=5)
+        solo = build_stream(200, tenants=(t1,), seed=5)
         both_a = both.times[both.tenant_index == 0]
         assert (both_a[:100] == solo.times[:100]).all()
 
@@ -160,7 +161,7 @@ class TestDispatchPolicies:
         model = make_model()
         out = []
         for i, b in enumerate(backlogs):
-            node = FleetNode(f"n{i}", model, on=True)
+            node = FleetNode(f"n{i}", model)
             if b:
                 node.serve(0.0, b)
             out.append(node)
@@ -225,14 +226,13 @@ class TestAutoscaler:
     def fleet(self, n=4, model=None):
         model = model or make_model(boot_seconds=0.0, boot_joules=0.0,
                                     drain_seconds=0.0, drain_joules=0.0)
-        nodes = [FleetNode(f"n{i}", model, on=True) for i in range(n)]
+        nodes = [FleetNode(f"n{i}", model) for i in range(n)]
         return nodes, list(range(n))
 
     def test_scales_down_after_hold(self):
         nodes, on_ids = self.fleet()
         scaler = Autoscaler(nodes[0].model, epoch_seconds=10.0,
-                            target_utilization=0.5, min_nodes=1,
-                            cooldown_epochs=1)
+                            target_utilization=0.5, min_nodes=1)
         # demand ~0.5 node-seconds/s wants 1 node at 50% target
         t = 0.0
         for _ in range(20):
@@ -245,15 +245,20 @@ class TestAutoscaler:
     def test_scale_down_waits_for_breakeven(self):
         model = make_model(boot_seconds=0.0, boot_joules=50_000.0,
                            drain_seconds=0.0, drain_joules=50_000.0)
-        nodes = [FleetNode(f"n{i}", model, on=True) for i in range(4)]
+        nodes = [FleetNode(f"n{i}", model) for i in range(4)]
         on_ids = list(range(4))
-        scaler = Autoscaler(model, epoch_seconds=10.0, min_nodes=1,
-                            cooldown_epochs=1)
-        # break-even = 100 kJ / 100 W = 1000 s: two low epochs are not
-        # enough evidence to cycle a node
+        scaler = Autoscaler(model, epoch_seconds=10.0, min_nodes=1)
+        # break-even = 100 kJ / 100 W = 1000 s: three low epochs clear
+        # the two-epoch cooldown but are not enough evidence to cycle
+        # a node
         scaler.step(10.0, nodes, on_ids)
         scaler.step(20.0, nodes, on_ids)
+        scaler.step(30.0, nodes, on_ids)
         assert len(on_ids) == 4
+        # once demand has stayed low for the break-even time, a node
+        # drains
+        scaler.step(1010.0, nodes, on_ids)
+        assert len(on_ids) < 4
 
     def test_scales_up_immediately(self):
         nodes, on_ids = self.fleet()
@@ -269,7 +274,7 @@ class TestAutoscaler:
     def test_respects_min_nodes(self):
         nodes, on_ids = self.fleet()
         scaler = Autoscaler(nodes[0].model, epoch_seconds=10.0,
-                            min_nodes=2, cooldown_epochs=0)
+                            min_nodes=2)
         for t in range(1, 30):
             scaler.step(10.0 * t, nodes, on_ids)
         assert len(on_ids) == 2
@@ -345,13 +350,11 @@ class TestSimulateServiceEdges:
         assert report.n_nodes == 1
 
     def test_admission_limit_rejections_show_per_tenant(self):
-        classes = (QueryClass("point", 0.05),)
         tenants = (Tenant("a", rate_per_s=20.0, sla_p95_seconds=5.0,
                           mix=(("point", 1.0),)),
                    Tenant("b", rate_per_s=20.0, sla_p95_seconds=5.0,
                           mix=(("point", 1.0),)))
-        stream = build_stream(2_000, tenants=tenants, classes=classes,
-                              seed=1)
+        stream = build_stream(2_000, tenants=tenants, seed=1)
         report = simulate_service(
             stream, fleet=FleetSpec.homogeneous(1, make_model()),
             policy="round_robin", admission_limit_seconds=0.05)

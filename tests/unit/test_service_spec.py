@@ -137,8 +137,8 @@ class TestBootJoulesDefault:
 
 class TestDispatchContext:
     def _ctx(self, sla=None):
-        nodes = [FleetNode("a", dear_model(), on=True),
-                 FleetNode("b", cheap_model(), on=True)]
+        nodes = [FleetNode("a", dear_model()),
+                 FleetNode("b", cheap_model())]
         return DispatchContext(nodes, [0, 1], now=0.0,
                                service_seconds=1.0, sla_seconds=sla)
 
@@ -168,8 +168,8 @@ class TestDispatchContext:
 
 class TestCostAware:
     def test_routes_to_cheapest_marginal_joules_within_sla(self):
-        nodes = [FleetNode("a", dear_model(), on=True),
-                 FleetNode("b", cheap_model(), on=True)]
+        nodes = [FleetNode("a", dear_model()),
+                 FleetNode("b", cheap_model())]
         policy = CostAware()
         # generous SLA: the wimpy node's 80 J beat the beefy 150 J
         ctx = DispatchContext(nodes, [0, 1], 0.0, 1.0, sla_seconds=10.0)
@@ -179,8 +179,8 @@ class TestCostAware:
         assert policy.route(ctx) == 0
 
     def test_falls_back_to_fastest_when_nothing_fits(self):
-        nodes = [FleetNode("a", dear_model(), on=True),
-                 FleetNode("b", cheap_model(), on=True)]
+        nodes = [FleetNode("a", dear_model()),
+                 FleetNode("b", cheap_model())]
         ctx = DispatchContext(nodes, [0, 1], 0.0, 1.0, sla_seconds=0.1)
         assert CostAware().route(ctx) == 0
 
@@ -206,7 +206,7 @@ class TestPolicyProtocol:
         class Hollow(DispatchPolicy):
             name = "hollow"
 
-        ctx = DispatchContext([FleetNode("a", cheap_model(), on=True)],
+        ctx = DispatchContext([FleetNode("a", cheap_model())],
                               [0], 0.0, 1.0)
         with pytest.raises(ServiceError, match="does not implement route"):
             Hollow().route(ctx)
@@ -216,10 +216,12 @@ class TestClassAwareAutoscaler:
     def _fleet(self):
         # at target 0.55: cheap 62 W / 0.275 node-eq = 225 J per unit
         # of work vs dear 182.5 W / 0.55 = 332 — cheap wins the rank
-        nodes = [FleetNode("d0", dear_model(), on=False, node_class="d"),
-                 FleetNode("d1", dear_model(), on=False, node_class="d"),
-                 FleetNode("c0", cheap_model(), on=False, node_class="c"),
-                 FleetNode("c1", cheap_model(), on=False, node_class="c")]
+        nodes = [FleetNode("d0", dear_model(), node_class="d"),
+                 FleetNode("d1", dear_model(), node_class="d"),
+                 FleetNode("c0", cheap_model(), node_class="c"),
+                 FleetNode("c1", cheap_model(), node_class="c")]
+        for node in nodes:
+            node.on = False
         return nodes
 
     def test_scale_up_boots_cheapest_work_cost_first(self):
@@ -254,7 +256,9 @@ class TestClassAwareAutoscaler:
     def test_homogeneous_counts_match_desired_nodes(self):
         model = dear_model()
         scaler = Autoscaler(model, min_nodes=2, epoch_seconds=10.0)
-        nodes = [FleetNode(f"n{i}", model, on=(i < 2)) for i in range(6)]
+        nodes = [FleetNode(f"n{i}", model) for i in range(6)]
+        for node in nodes[2:]:
+            node.on = False
         scaler.observe(30.0)             # 3 node-equivalents of demand
         on_ids = [0, 1]
         scaler.step(10.0, nodes, on_ids)
@@ -341,11 +345,13 @@ class TestDeprecatedShims:
         stream = build_stream(100, seed=1)
         schedule = build_fault_schedule(
             2, horizon_seconds=stream.duration_seconds, seed=0)
-        for faults in (None, schedule):  # both entry points
-            with pytest.raises(ServiceError, match="unknown knob"):
-                simulate_service(stream, fleet=FleetSpec.homogeneous(2),
-                                 faults=faults, policy="round_robin",
-                                 **{knob: 2})
+        with pytest.raises(ServiceError, match="unknown knob"):
+            simulate_service(stream, fleet=FleetSpec.homogeneous(2),
+                             policy="round_robin", **{knob: 2})
+        with pytest.raises(ServiceError, match="unknown knob"):
+            simulate_faulty_service(stream, schedule,
+                                    fleet=FleetSpec.homogeneous(2),
+                                    policy="round_robin", **{knob: 2})
 
     def test_fleet_must_be_a_spec(self):
         stream = build_stream(100, seed=1)

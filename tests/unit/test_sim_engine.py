@@ -12,16 +12,6 @@ def test_clock_starts_at_zero():
     assert sim.now == 0.0
 
 
-def test_clock_custom_start():
-    sim = Simulation(start=5.0)
-    assert sim.now == 5.0
-
-
-def test_negative_start_rejected():
-    with pytest.raises(SimulationError):
-        Simulation(start=-1.0)
-
-
 def test_timeout_advances_clock():
     sim = Simulation()
     done = []
@@ -135,7 +125,8 @@ def test_run_until_time_advances_clock_with_empty_queue():
 
 
 def test_run_until_past_time_rejected():
-    sim = Simulation(start=10.0)
+    sim = Simulation()
+    sim.run(until=10.0)
     with pytest.raises(SimulationError):
         sim.run(until=5.0)
 
@@ -440,12 +431,6 @@ def test_event_ok_before_trigger_rejected():
     sim = Simulation()
     with pytest.raises(SimulationError, match="not yet triggered"):
         _ = Event(sim).ok
-
-
-def test_scheduling_into_the_past_rejected():
-    sim = Simulation()
-    with pytest.raises(SimulationError, match="into the past"):
-        sim._schedule_call(lambda _carrier: None, delay=-1.0)
 
 
 def test_yielding_another_simulations_event_fails_process():

@@ -62,14 +62,6 @@ class TestBPlusTree:
         assert [k for k, _ in tree.range_scan(high=2)] == [0, 1, 2]
         assert len(list(tree.range_scan())) == 10
 
-    def test_range_scan_exclusive_bounds(self):
-        tree = BPlusTree(order=4)
-        for key in range(10):
-            tree.insert(key, key)
-        got = [k for k, _ in tree.range_scan(3, 6, include_low=False,
-                                             include_high=False)]
-        assert got == [4, 5]
-
     def test_count_and_leaves(self):
         tree = BPlusTree(order=4)
         for key in range(100):

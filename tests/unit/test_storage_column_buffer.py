@@ -156,25 +156,6 @@ class TestBufferPool:
         # clock clears ref bits on first sweep, evicts first unreferenced
         assert len(evicted) == 1
 
-    def test_pinned_pages_not_evicted(self):
-        _sim, pool = self.make_pool(capacity=2)
-        pool.put("a", 1, pin=True)
-        pool.put("b", 2)
-        evicted = pool.put("c", 3)
-        assert [e.key for e in evicted] == ["b"]
-
-    def test_all_pinned_raises(self):
-        _sim, pool = self.make_pool(capacity=1)
-        pool.put("a", 1, pin=True)
-        with pytest.raises(BufferPoolError):
-            pool.put("b", 2)
-
-    def test_dirty_flag_travels_with_eviction(self):
-        _sim, pool = self.make_pool(capacity=1)
-        pool.put("a", 1, dirty=True)
-        evicted = pool.put("b", 2)
-        assert evicted[0].dirty
-
     def test_duplicate_put_rejected(self):
         _sim, pool = self.make_pool()
         pool.put("a", 1)

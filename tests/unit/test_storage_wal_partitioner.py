@@ -140,7 +140,7 @@ class TestPartitioner:
         parts = [Partition(f"p{i}", 10 * MB, read_bytes_per_s=40 * MB)
                  for i in range(4)]
         current = {f"p{i}": f"d{i}" for i in range(4)}
-        plan = p.plan_consolidation(parts, current, bandwidth_headroom=0.5)
+        plan = p.plan_consolidation(parts, current)
         # 50 MB/s headroom per device -> only one 40 MB/s partition each
         assert len(plan.devices_kept) == 4
 

@@ -38,6 +38,7 @@ import ast
 import contextlib
 import dataclasses
 import os
+import re
 import runpy
 import shutil
 import sys
@@ -531,30 +532,61 @@ def _serial(argv: list[str]) -> list[str]:
     return out
 
 
-# the commands of .github/workflows/ci.yml's runner-smoke and
-# flightrec-smoke jobs; keep them in step with it
-_SVC = ["svc_smoke", "--policy", "round_robin,power_aware",
-        "--queries", "2000"]
-RUNNER_SMOKE = [
-    ["list"],
-    ["run", "fig1", "--disks", "36", "--workers", "2"],
-    ["run", "fig1", "--disks", "36", "--workers", "2"],
-    ["trace", "fig2", "--quiet"],
-    ["run", "scan", "--compressed", "false,true", "--scale-factor", "0.006",
-     "--workers", "2", "--no-cache", "--quiet"],
-    ["run", *_SVC, "--trace", "--record", "--workers", "2", "--json",
-     "--no-cache", "--quiet"],
-    ["run", *_SVC, "--epoch-seconds", "30", "--record", "--workers", "2",
-     "--quiet", "--json", "--cache", "splice-cache"],
-    ["run", *_SVC, "--epoch-seconds", "30", "--record", "--workers", "2",
-     "--json", "--cache", "splice-cache"],
-    ["cache", "stats", "--json"],
-]
-FLIGHTREC_POINTS = {
-    "pvc_qed": ["svc_pvc_qed", "--config", "pvc_qed", "--sla_headroom",
-                "0.35", "--queries", "20000"],
-    "etl": ["svc_etl", "--mode", "delayed", "--load", "1.0"],
-}
+def _ci_job(name: str) -> list[str]:
+    """The lines of one job of ``ci.yml``, read as plain text: the
+    tier-1 job installs no YAML parser."""
+    lines = (ROOT / ".github" / "workflows" / "ci.yml").read_text(
+        ).splitlines()
+    start = lines.index(f"  {name}:") + 1
+    end = next((i for i in range(start, len(lines))
+                if re.match(r"  \S", lines[i])), len(lines))
+    return lines[start:end]
+
+
+def _run_values(job: list[str]) -> list[str]:
+    """Each step's ``run:`` value, its continuation lines joined."""
+    values: list[list[str]] = []
+    current, depth = None, 0
+    for line in job:
+        indent = len(line) - len(line.lstrip())
+        if line.lstrip().startswith("run:"):
+            current = [line.split("run:", 1)[1].strip()]
+            values.append(current)
+            depth = indent
+        elif current is not None and indent > depth and line.strip():
+            current.append(line.strip())
+        else:
+            current = None
+    return [" ".join(value) for value in values]
+
+
+def runner_smoke() -> list[list[str]]:
+    """Every ``python -m repro.runner`` command of CI's runner-smoke
+    job, cut at its first pipe, redirect or ``&&``; a ``--cache`` path
+    keeps only its name, so the cache lands in the working directory."""
+    commands = []
+    for value in _run_values(_ci_job("runner-smoke")):
+        for tail in value.split("python -m repro.runner ")[1:]:
+            for stop in ("|", ">", "&&"):
+                tail = tail.split(stop, 1)[0]
+            argv = tail.split()
+            commands.append([Path(arg).name if prev == "--cache" else arg
+                             for prev, arg in zip([None, *argv], argv)])
+    return commands
+
+
+def flightrec_points() -> dict[str, list[str]]:
+    """The rows of CI's flightrec-smoke heredoc: a name, then the
+    experiment and its knobs."""
+    job = _ci_job("flightrec-smoke")
+    start = next(i for i, line in enumerate(job)
+                 if line.rstrip().endswith("<<'EOF'")) + 1
+    end = next(i for i in range(start, len(job))
+               if job[i].strip() == "EOF")
+    return {name: argv for name, *argv in
+            (line.split() for line in job[start:end])}
+
+
 DEFAULT_SPECS = ("batching", "proportionality", "svc_fleet",
                  "chaos_frontier", "svc_policies")
 
@@ -566,7 +598,7 @@ def ci_commands(work: Path) -> None:
         cwd.mkdir()
         os.chdir(cwd)
         os.environ["REPRO_CACHE_DIR"] = str(cwd / ".repro-cache")
-        for i, argv in enumerate(RUNNER_SMOKE):
+        for i, argv in enumerate(runner_smoke()):
             if not serial and "--workers" not in argv:
                 continue
             _cli("runner", _serial(argv) if serial else argv,
@@ -574,7 +606,7 @@ def ci_commands(work: Path) -> None:
         _cli("flightrec", ["summarize", str(cwd / "runner-5.out"),
                            "--point", "1"], cwd / "summary.out")
     os.chdir(work / "serial")
-    for name, argv in FLIGHTREC_POINTS.items():
+    for name, argv in flightrec_points().items():
         recording = str(work / f"{name}.json")
         _cli("runner", ["run", argv[0], "--record", "--no-cache",
                         "--quiet", "--json", *argv[1:]], Path(recording))
