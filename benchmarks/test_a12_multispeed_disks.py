@@ -28,8 +28,7 @@ def make_disks(sim):
         average_seek_seconds=0.004, rpm=15000,
         per_request_overhead_seconds=0.0,
         active_watts=17.0, idle_watts=12.0, standby_watts=2.0,
-        speed_levels=(1.0, 0.6, 0.4),
-        speed_change_seconds=2.0, speed_change_joules=4.0))
+        speed_levels=(1.0, 0.6, 0.4)))
         for i in range(N_DISKS)]
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Sequence
 
 from repro.errors import ConsolidationError
+from repro.hardware.disk import SPEED_CHANGE_JOULES
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.disk import HardDisk
@@ -72,7 +73,7 @@ class SpeedGovernor:
         spec = self.disks[0].spec
         saving_watts = abs(spec.power_at_speed(spec.idle_watts, current)
                            - spec.power_at_speed(spec.idle_watts, target))
-        round_trip = 2 * spec.speed_change_joules
+        round_trip = 2 * SPEED_CHANGE_JOULES
         return saving_watts * epoch_seconds > round_trip
 
     def apply(self, demand_fraction: float,

@@ -49,12 +49,18 @@ def perf_per_watt(work_rate_per_s: float, power_watts: float) -> float:
     return work_rate_per_s / power_watts
 
 
+#: facility Watts per IT Watt ([PBS+03]'s 0.5-1 W per W)
+COOLING_OVERHEAD = 0.5
+#: the deployment lifetime the TCO is taken over
+LIFETIME_YEARS = 3.0
+
+
 @dataclass(frozen=True)
 class TcoModel:
     """Total cost of ownership over a deployment lifetime (§5.3).
 
-    ``cooling_overhead`` burdens every IT Watt with facility Watts
-    ([PBS+03]'s 0.5-1 W per W).
+    Every IT Watt is burdened with ``COOLING_OVERHEAD`` facility Watts
+    over ``LIFETIME_YEARS``.
 
     A 1 kW server at $0.10/kWh with 0.5 W/W cooling for three years:
 
@@ -67,34 +73,27 @@ class TcoModel:
 
     hardware_cost_dollars: float
     electricity_dollars_per_kwh: float = 0.10
-    cooling_overhead: float = 0.5
-    management_dollars_per_year: float = 0.0
-    lifetime_years: float = 3.0
 
     def __post_init__(self) -> None:
         if self.hardware_cost_dollars < 0:
             raise ReproError("hardware cost cannot be negative")
-        if self.lifetime_years <= 0:
-            raise ReproError("lifetime must be positive")
 
     def energy_cost(self, average_watts: float) -> float:
         """Lifetime electricity + cooling cost at an average draw."""
         if average_watts < 0:
             raise ReproError("power cannot be negative")
-        burdened = average_watts * (1.0 + self.cooling_overhead)
-        joules = burdened * self.lifetime_years * 365.25 * 24 * 3600
+        burdened = average_watts * (1.0 + COOLING_OVERHEAD)
+        joules = burdened * LIFETIME_YEARS * 365.25 * 24 * 3600
         return joules / KWH * self.electricity_dollars_per_kwh
 
     def total_cost(self, average_watts: float) -> float:
-        """Hardware + management + lifetime energy."""
-        return (self.hardware_cost_dollars
-                + self.management_dollars_per_year * self.lifetime_years
-                + self.energy_cost(average_watts))
+        """Hardware + lifetime energy."""
+        return self.hardware_cost_dollars + self.energy_cost(average_watts)
 
     def cost_per_unit_work(self, average_watts: float,
                            work_per_second: float) -> float:
         """Dollars per unit of work over the lifetime."""
         if work_per_second <= 0:
             raise ReproError("work rate must be positive")
-        total_work = work_per_second * self.lifetime_years * 365.25 * 24 * 3600
+        total_work = work_per_second * LIFETIME_YEARS * 365.25 * 24 * 3600
         return self.total_cost(average_watts) / total_work

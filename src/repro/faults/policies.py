@@ -16,6 +16,9 @@ from dataclasses import dataclass
 
 from repro.faults.schedule import FaultError
 
+#: each further failed attempt doubles the pause
+BACKOFF_MULTIPLIER = 2.0
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -28,8 +31,7 @@ class RetryPolicy:
     declaring a dispatch attempt timed out (it is paid in latency on
     every timeout hit).
 
-    >>> policy = RetryPolicy(max_attempts=4, base_backoff_seconds=0.1,
-    ...                      backoff_multiplier=2.0)
+    >>> policy = RetryPolicy(max_attempts=4, base_backoff_seconds=0.1)
     >>> [policy.backoff_seconds(n) for n in (1, 2, 3)]
     [0.1, 0.2, 0.4]
     >>> policy.exhausted(4)
@@ -40,7 +42,6 @@ class RetryPolicy:
 
     max_attempts: int = 4
     base_backoff_seconds: float = 0.05
-    backoff_multiplier: float = 2.0
     timeout_detect_seconds: float = 0.5
 
     def __post_init__(self) -> None:
@@ -49,15 +50,13 @@ class RetryPolicy:
         if self.base_backoff_seconds < 0 or self.timeout_detect_seconds < 0:
             raise FaultError("backoff and timeout detection cannot be "
                              "negative")
-        if self.backoff_multiplier < 1.0:
-            raise FaultError("backoff multiplier must be >= 1")
 
     def backoff_seconds(self, failed_attempts: int) -> float:
         """Pause after ``failed_attempts`` consecutive failures."""
         if failed_attempts < 1:
             raise FaultError("backoff is only defined after a failure")
         return (self.base_backoff_seconds
-                * self.backoff_multiplier ** (failed_attempts - 1))
+                * BACKOFF_MULTIPLIER ** (failed_attempts - 1))
 
     def exhausted(self, attempts: int) -> bool:
         """Whether ``attempts`` dispatch attempts used up the budget."""

@@ -31,40 +31,37 @@ if TYPE_CHECKING:  # pragma: no cover
 class CpuSpec:
     """Static parameters of a CPU package."""
 
-    name: str = "cpu"
     cores: int = 4
     frequency_hz: float = 2.4 * GHZ
     idle_watts: float = 15.0
     peak_watts: float = 90.0
     cstate_watts: float = 3.0
-    cstate_enter_seconds: float = 50e-6
-    cstate_exit_seconds: float = 100e-6
     dvfs_fractions: tuple[float, ...] = (1.0, 0.85, 0.7, 0.55)
 
     def __post_init__(self) -> None:
         if self.cores < 1:
-            raise HardwareError(f"{self.name}: cores must be >= 1")
+            raise HardwareError("cpu: cores must be >= 1")
         if self.frequency_hz <= 0:
-            raise HardwareError(f"{self.name}: frequency must be positive")
+            raise HardwareError("cpu: frequency must be positive")
         if not 0 <= self.idle_watts <= self.peak_watts:
             raise HardwareError(
-                f"{self.name}: need 0 <= idle ({self.idle_watts}) "
+                f"cpu: need 0 <= idle ({self.idle_watts}) "
                 f"<= peak ({self.peak_watts})")
         if self.cstate_watts > self.idle_watts:
-            raise HardwareError(f"{self.name}: C-state power above idle power")
+            raise HardwareError("cpu: C-state power above idle power")
         if not self.dvfs_fractions or any(
                 not 0 < f <= 1.0 for f in self.dvfs_fractions):
             raise HardwareError(
-                f"{self.name}: DVFS fractions must be in (0, 1]")
+                "cpu: DVFS fractions must be in (0, 1]")
 
 
 class Cpu(Device):
     """A multi-core CPU executing cycle-denominated work."""
 
     def __init__(self, sim: "Simulation", spec: CpuSpec) -> None:
-        super().__init__(sim, spec.name, initial_power_watts=spec.idle_watts)
+        super().__init__(sim, "cpu", initial_power_watts=spec.idle_watts)
         self.spec = spec
-        self.cores = Resource(sim, capacity=spec.cores, name=f"{spec.name}.cores")
+        self.cores = Resource(sim, capacity=spec.cores, name="cpu.cores")
         self._dvfs_fraction = spec.dvfs_fractions[0]
         self._update_power()
 

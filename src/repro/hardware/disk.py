@@ -26,6 +26,10 @@ from repro.units import GB, MB
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulation
 
+#: what one shift between two offered RPM fractions costs
+SPEED_CHANGE_SECONDS = 2.0
+SPEED_CHANGE_JOULES = 4.0
+
 
 @dataclass(frozen=True)
 class DiskSpec:
@@ -51,8 +55,6 @@ class DiskSpec:
     #: [ZCT+05]); bandwidth scales linearly with the fraction, spindle
     #: power roughly as fraction^2.5
     speed_levels: tuple[float, ...] = (1.0,)
-    speed_change_seconds: float = 2.0
-    speed_change_joules: float = 4.0
 
     def __post_init__(self) -> None:
         if self.capacity_bytes <= 0 or self.bandwidth_bytes_per_s <= 0:
@@ -68,8 +70,6 @@ class DiskSpec:
             raise HardwareError(
                 f"{self.name}: speed levels must be fractions in (0, 1] "
                 "and include 1.0")
-        if self.speed_change_seconds < 0 or self.speed_change_joules < 0:
-            raise HardwareError(f"{self.name}: negative speed-change cost")
 
     #: spindle power exponent: drag grows superlinearly with RPM
     SPEED_POWER_EXPONENT = 2.5
@@ -159,8 +159,8 @@ class HardDisk(Device):
                     f"{self.name}: cannot change speed while spun down")
             if fraction == self._speed:
                 return
-            self._charge_transition_energy(self.spec.speed_change_joules)
-            yield self.sim.timeout(self.spec.speed_change_seconds)
+            self._charge_transition_energy(SPEED_CHANGE_JOULES)
+            yield self.sim.timeout(SPEED_CHANGE_SECONDS)
             self._speed = fraction
             self.speed_changes += 1
             self._draw_state_power()

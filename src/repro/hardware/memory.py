@@ -24,7 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover
 class DramSpec:
     """Static parameters of a DRAM subsystem."""
 
-    name: str = "dram"
     capacity_bytes: int = 16 * GIB
     background_watts_per_gib: float = 0.6
     #: extra draw per GiB actually allocated (rows kept open / traffic);
@@ -36,13 +35,13 @@ class DramSpec:
 
     def __post_init__(self) -> None:
         if self.capacity_bytes <= 0:
-            raise HardwareError(f"{self.name}: capacity must be positive")
+            raise HardwareError("dram: capacity must be positive")
         if self.background_watts_per_gib < 0 or self.active_extra_watts < 0:
-            raise HardwareError(f"{self.name}: negative power parameter")
+            raise HardwareError("dram: negative power parameter")
         if self.bandwidth_bytes_per_s <= 0:
-            raise HardwareError(f"{self.name}: bandwidth must be positive")
+            raise HardwareError("dram: bandwidth must be positive")
         if self.rank_bytes <= 0 or self.rank_bytes > self.capacity_bytes:
-            raise HardwareError(f"{self.name}: bad rank size")
+            raise HardwareError("dram: bad rank size")
 
 
 class Dram(Device):
@@ -52,7 +51,7 @@ class Dram(Device):
         self.spec = spec
         self._powered_bytes = spec.capacity_bytes
         self._allocated_bytes = 0
-        super().__init__(sim, spec.name,
+        super().__init__(sim, "dram",
                          initial_power_watts=self._background_watts())
 
     # -- capacity management ---------------------------------------------

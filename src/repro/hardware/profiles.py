@@ -86,10 +86,10 @@ def dl785(sim: "Simulation", n_disks: int = 204,
                     if n_disks % d == 0)
         group_factor = n_disks // width
     cpu = Cpu(sim, CpuSpec(
-        name="cpu", cores=32, frequency_hz=2.3 * GHZ,
+        cores=32, frequency_hz=2.3 * GHZ,
         idle_watts=350.0, peak_watts=700.0, cstate_watts=80.0))
     dram = Dram(sim, DramSpec(
-        name="dram", capacity_bytes=64 * GIB,
+        capacity_bytes=64 * GIB,
         background_watts_per_gib=0.6, active_extra_watts=8.0,
         bandwidth_bytes_per_s=20 * GB, rank_bytes=8 * GIB))
     disks = [HardDisk(sim, dl785_disk_spec(i, group_factor))
@@ -113,7 +113,6 @@ def flash_scan_ssd_spec(index: int) -> SsdSpec:
         capacity_bytes=64 * GB,
         read_bandwidth_bytes_per_s=80 * MB,
         write_bandwidth_bytes_per_s=60 * MB,
-        per_request_latency_seconds=60e-6,
         read_watts=FIG2_SSD_TOTAL_WATTS / FIG2_SSD_COUNT,
         write_watts=FIG2_SSD_TOTAL_WATTS / FIG2_SSD_COUNT * 1.3,
         idle_watts=0.05,
@@ -126,12 +125,12 @@ def flash_scan_node(sim: "Simulation") -> tuple[Server, RaidArray]:
     Returns the server and the RAID-0 array holding the scanned table.
     """
     cpu = Cpu(sim, CpuSpec(
-        name="cpu", cores=1, frequency_hz=2.4 * GHZ,
+        cores=1, frequency_hz=2.4 * GHZ,
         idle_watts=30.0, peak_watts=FIG2_CPU_ACTIVE_WATTS,
         cstate_watts=2.0,
         dvfs_fractions=(1.0, 0.85, 0.7, 0.55, 0.4)))
     dram = Dram(sim, DramSpec(
-        name="dram", capacity_bytes=4 * GIB,
+        capacity_bytes=4 * GIB,
         background_watts_per_gib=0.5, active_extra_watts=2.0,
         bandwidth_bytes_per_s=10 * GB, rank_bytes=1 * GIB))
     ssds = [FlashSsd(sim, flash_scan_ssd_spec(i))
@@ -150,10 +149,10 @@ def commodity(sim: "Simulation",
     one SSD is attached but unarrayed, for tiering experiments).
     """
     cpu = Cpu(sim, CpuSpec(
-        name="cpu", cores=4, frequency_hz=3.0 * GHZ,
+        cores=4, frequency_hz=3.0 * GHZ,
         idle_watts=12.0, peak_watts=65.0, cstate_watts=2.0))
     dram = Dram(sim, DramSpec(
-        name="dram", capacity_bytes=8 * GIB,
+        capacity_bytes=8 * GIB,
         background_watts_per_gib=0.5, active_extra_watts=3.0,
         bandwidth_bytes_per_s=12 * GB, rank_bytes=2 * GIB))
     disks = [HardDisk(sim, DiskSpec(

@@ -19,6 +19,9 @@ from repro.units import GB, MB
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulation
 
+#: controller latency added to every request
+REQUEST_LATENCY_SECONDS = 60e-6
+
 
 @dataclass(frozen=True)
 class SsdSpec:
@@ -28,11 +31,9 @@ class SsdSpec:
     capacity_bytes: int = 128 * GB
     read_bandwidth_bytes_per_s: float = 250 * MB
     write_bandwidth_bytes_per_s: float = 180 * MB
-    per_request_latency_seconds: float = 60e-6
     read_watts: float = 1.7
     write_watts: float = 2.2
     idle_watts: float = 0.1
-    channels: int = 1
 
     def __post_init__(self) -> None:
         if self.capacity_bytes <= 0:
@@ -43,17 +44,15 @@ class SsdSpec:
         if not (0 <= self.idle_watts <= min(self.read_watts, self.write_watts)):
             raise HardwareError(
                 f"{self.name}: need idle <= active power")
-        if self.channels < 1:
-            raise HardwareError(f"{self.name}: channels must be >= 1")
 
 
 class FlashSsd(Device):
-    """A flash drive with per-channel queueing."""
+    """A flash drive with one channel: requests queue behind each other."""
 
     def __init__(self, sim: "Simulation", spec: SsdSpec) -> None:
         super().__init__(sim, spec.name, initial_power_watts=spec.idle_watts)
         self.spec = spec
-        self.channels = Resource(sim, capacity=spec.channels,
+        self.channels = Resource(sim, capacity=1,
                                  name=f"{spec.name}.channels")
         self.bytes_read = 0
         self.bytes_written = 0
@@ -66,14 +65,14 @@ class FlashSsd(Device):
         if nbytes < 0:
             raise HardwareError(f"{self.name}: negative transfer size")
         return (nbytes / self.spec.read_bandwidth_bytes_per_s
-                + self.spec.per_request_latency_seconds)
+                + REQUEST_LATENCY_SECONDS)
 
     def write_seconds(self, nbytes: int) -> float:
         """Service time for a write (no queueing)."""
         if nbytes < 0:
             raise HardwareError(f"{self.name}: negative transfer size")
         return (nbytes / self.spec.write_bandwidth_bytes_per_s
-                + self.spec.per_request_latency_seconds)
+                + REQUEST_LATENCY_SECONDS)
 
     # -- transfers --------------------------------------------------------
     def read(self, nbytes: int, stream=None) -> Generator:
@@ -90,7 +89,7 @@ class FlashSsd(Device):
         """A batch of random reads in one simulation step (process)."""
         if nbytes < 0 or n_requests < 0:
             raise HardwareError(f"{self.name}: negative batch transfer")
-        seconds = (n_requests * self.spec.per_request_latency_seconds
+        seconds = (n_requests * REQUEST_LATENCY_SECONDS
                    + nbytes / self.spec.read_bandwidth_bytes_per_s)
         yield self.channels.acquire()
         self._mark_busy()
@@ -141,5 +140,5 @@ class FlashSsd(Device):
 
     @property
     def active_power_per_unit_watts(self) -> float:
-        """Active power charged per busy channel-second (Figure 2 style)."""
-        return self.spec.read_watts / self.spec.channels
+        """Active power charged per busy second (Figure 2 style)."""
+        return self.spec.read_watts

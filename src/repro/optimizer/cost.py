@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.errors import OptimizerError
 from repro.hardware.disk import HardDisk
+from repro.hardware.ssd import REQUEST_LATENCY_SECONDS
 from repro.relational.operators import (
     BlockNestedLoopJoin,
     Exchange,
@@ -33,7 +34,18 @@ from repro.relational.operators import (
     TableScan,
 )
 from repro.relational.executor import DEFAULT_CHUNK_BYTES
-from repro.relational.operators.base import CostParameters
+from repro.relational.operators.base import (
+    CYCLES_PER_AGG_UPDATE,
+    CYCLES_PER_HASH_BUILD_TUPLE,
+    CYCLES_PER_HASH_PROBE_TUPLE,
+    CYCLES_PER_JOIN_PAIR,
+    CYCLES_PER_MERGE_TUPLE,
+    CYCLES_PER_OUTPUT_TUPLE,
+    CYCLES_PER_SORT_COMPARE,
+    HASH_TABLE_OVERHEAD_FACTOR,
+    SORT_RUN_OVERHEAD_FACTOR,
+    CostParameters,
+)
 from repro.optimizer.stats import (
     ColumnStats,
     TableStatistics,
@@ -155,7 +167,7 @@ class CostModel:
                         + member.spec.per_request_overhead_seconds)
                 else:
                     overhead = per_member \
-                        * member.spec.per_request_latency_seconds
+                        * REQUEST_LATENCY_SECONDS
             else:
                 n_chunks = max(1.0, math.ceil(nbytes
                                               / DEFAULT_CHUNK_BYTES))
@@ -165,7 +177,7 @@ class CostModel:
                                 * member.spec.per_request_overhead_seconds)
                 else:
                     overhead = n_chunks \
-                        * member.spec.per_request_latency_seconds
+                        * REQUEST_LATENCY_SECONDS
             total += nbytes / bandwidth + overhead
         return total
 
@@ -266,22 +278,21 @@ class CostModel:
 
     def _hash_join(self, op: HashJoin,
                    pipelines: list[PipelineEstimate]) -> _Estimate:
-        params = self.params
         build = self._walk(op.build, pipelines)
         pipeline = self._current(pipelines)
-        pipeline.cpu_cycles += (build.rows * params.cycles_per_hash_build_tuple
+        pipeline.cpu_cycles += (build.rows * CYCLES_PER_HASH_BUILD_TUPLE
                                 * self.scale)
         self._break(pipelines)
         probe = self._walk(op.probe, pipelines)
         pipeline = self._current(pipelines)
         per_row = 8 * len(op.build.output_columns) + 48
-        grant = (build.rows * per_row * params.hash_table_overhead_factor)
+        grant = (build.rows * per_row * HASH_TABLE_OVERHEAD_FACTOR)
         pipeline.dram_grant_bytes += grant * self.scale
         out_rows = self._join_cardinality(build, probe,
                                           op.build_keys, op.probe_keys)
         pipeline.cpu_cycles += (
-            probe.rows * params.cycles_per_hash_probe_tuple
-            + out_rows * params.cycles_per_output_tuple) * self.scale
+            probe.rows * CYCLES_PER_HASH_PROBE_TUPLE
+            + out_rows * CYCLES_PER_OUTPUT_TUPLE) * self.scale
         return _Estimate(out_rows, {**build.columns, **probe.columns})
 
     def _nlj(self, op: BlockNestedLoopJoin,
@@ -305,7 +316,7 @@ class CostModel:
         ) * (n_blocks - 1)
         pipeline.cpu_cycles += rescan_cpu * self.scale
         pipeline.cpu_cycles += (outer.rows * inner.rows
-                                * params.cycles_per_join_pair
+                                * CYCLES_PER_JOIN_PAIR
                                 * self.scale * self.scale)
         merged = {**outer.columns, **inner.columns}
         fake_stats = TableStatistics(
@@ -314,7 +325,7 @@ class CostModel:
         selectivity = self._join_predicate_selectivity(
             op.predicate, outer, inner, fake_stats)
         out_rows = outer.rows * inner.rows * selectivity
-        pipeline.cpu_cycles += out_rows * params.cycles_per_output_tuple \
+        pipeline.cpu_cycles += out_rows * CYCLES_PER_OUTPUT_TUPLE \
             * self.scale
         return _Estimate(out_rows, merged)
 
@@ -335,7 +346,6 @@ class CostModel:
 
     def _smj(self, op: SortMergeJoin,
              pipelines: list[PipelineEstimate]) -> _Estimate:
-        params = self.params
         left = self._walk(op.left, pipelines)
         self._current(pipelines).cpu_cycles += self._sort_cycles(
             left.rows) * self.scale
@@ -347,19 +357,18 @@ class CostModel:
         out_rows = self._join_cardinality(left, right,
                                           op.left_keys, op.right_keys)
         self._current(pipelines).cpu_cycles += (
-            (left.rows + right.rows) * params.cycles_per_merge_tuple
-            + out_rows * params.cycles_per_output_tuple) * self.scale
+            (left.rows + right.rows) * CYCLES_PER_MERGE_TUPLE
+            + out_rows * CYCLES_PER_OUTPUT_TUPLE) * self.scale
         return _Estimate(out_rows, {**left.columns, **right.columns})
 
     def _sort_cycles(self, rows: float) -> float:
         if rows < 2:
             return 0.0
         return rows * max(1.0, math.log2(rows)) \
-            * self.params.cycles_per_sort_compare
+            * CYCLES_PER_SORT_COMPARE
 
     def _sort(self, op: Sort,
               pipelines: list[PipelineEstimate]) -> _Estimate:
-        params = self.params
         child = self._walk(op.child, pipelines)
         pipeline = self._current(pipelines)
         data_bytes = child.rows * len(op.output_columns) * op.BYTES_PER_FIELD
@@ -372,7 +381,7 @@ class CostModel:
             run_rows = max(1.0, child.rows / n_runs)
             pipeline.cpu_cycles += n_runs * self._sort_cycles(run_rows) \
                 * self.scale
-            spill = data_bytes * params.sort_run_overhead_factor * self.scale
+            spill = data_bytes * SORT_RUN_OVERHEAD_FACTOR * self.scale
             pipeline.io_bytes += spill
             pipeline.arrays.append((op.spill_placement, spill, 0.0))
             self._break(pipelines)
@@ -381,14 +390,14 @@ class CostModel:
             pipeline.arrays.append((op.spill_placement, spill, 0.0))
             passes = max(1.0, math.ceil(math.log(n_runs, 16))
                          if n_runs > 1 else 1.0)
-            pipeline.cpu_cycles += (child.rows * params.cycles_per_merge_tuple
+            pipeline.cpu_cycles += (child.rows * CYCLES_PER_MERGE_TUPLE
                                     * passes * self.scale)
         else:
             pipeline.cpu_cycles += self._sort_cycles(child.rows) * self.scale
             pipeline.dram_grant_bytes += data_bytes * self.scale
             self._break(pipelines)
             self._current(pipelines).cpu_cycles += (
-                child.rows * params.cycles_per_output_tuple * self.scale)
+                child.rows * CYCLES_PER_OUTPUT_TUPLE * self.scale)
         return _Estimate(child.rows, child.columns)
 
     def _group_count(self, child: _Estimate, group_by) -> float:
@@ -403,7 +412,7 @@ class CostModel:
     def _agg_update_cycles(self, op, rows: float) -> float:
         expr_cycles = sum(s.expr.cycles() for s in op.aggregates
                           if s.expr is not None)
-        return rows * (self.params.cycles_per_agg_update
+        return rows * (CYCLES_PER_AGG_UPDATE
                        * max(1, len(op.aggregates)) + expr_cycles)
 
     def _hash_agg(self, op: HashAggregate,
@@ -417,7 +426,7 @@ class CostModel:
             groups * (8 * len(op.output_columns) + 64)) * self.scale
         self._break(pipelines)
         self._current(pipelines).cpu_cycles += (
-            groups * self.params.cycles_per_output_tuple * self.scale)
+            groups * CYCLES_PER_OUTPUT_TUPLE * self.scale)
         kept = {name: stat for name, stat in child.columns.items()
                 if name in op.group_by}
         return _Estimate(groups, kept)
@@ -429,7 +438,7 @@ class CostModel:
         pipeline.cpu_cycles += self._agg_update_cycles(op, child.rows) \
             * self.scale
         groups = self._group_count(child, op.group_by)
-        pipeline.cpu_cycles += groups * self.params.cycles_per_output_tuple \
+        pipeline.cpu_cycles += groups * CYCLES_PER_OUTPUT_TUPLE \
             * self.scale
         kept = {name: stat for name, stat in child.columns.items()
                 if name in op.group_by}
@@ -476,7 +485,6 @@ class CostModel:
             CYCLES_PER_FETCHED_ROW,
             CYCLES_PER_TREE_LEVEL,
         )
-        params = self.params
         outer = self._walk(op.outer, pipelines)
         inner_stats = self.statistics_for(op.inner_table)
         inner_col = inner_stats.column(op.index.column)
@@ -496,7 +504,7 @@ class CostModel:
         pipeline.cpu_cycles += (
             outer.rows * op.index.tree.height * CYCLES_PER_TREE_LEVEL
             + out_rows * CYCLES_PER_FETCHED_ROW
-            + out_rows * params.cycles_per_output_tuple) * self.scale
+            + out_rows * CYCLES_PER_OUTPUT_TUPLE) * self.scale
         inner_columns = {
             name: stat for name, stat in inner_stats.columns.items()
             if name in op.inner_columns}

@@ -215,7 +215,12 @@ class Planner:
                 if bounds is None:
                     continue
                 low, high = bounds
-                residual = conjoin(conjuncts[:position]
+                # the index range is inclusive: a strict bound stays in
+                # the residual filter
+                strict = (isinstance(conjunct, Comparison)
+                          and conjunct.op in ("<", ">"))
+                residual = conjoin(conjuncts if strict else
+                                   conjuncts[:position]
                                    + conjuncts[position + 1:])
 
                 def index_path(low=low, high=high, column=column,

@@ -35,6 +35,8 @@ from repro.units import MIB
 #: bytes per replay chunk when a workload sets no request size; the
 #: cost model prices unattributed scans at the same size
 DEFAULT_CHUNK_BYTES = 4 * MIB
+#: producer lead over the consumer, in chunks
+PREFETCH_DEPTH = 2
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.server import Server
@@ -52,16 +54,12 @@ class ExecutionContext:
     scale: float = 1.0
     #: bytes per replay chunk (of scaled I/O)
     chunk_bytes: float = DEFAULT_CHUNK_BYTES
-    #: producer lead over the consumer, in chunks
-    prefetch_depth: int = 2
 
     def __post_init__(self) -> None:
         if self.scale <= 0:
             raise ExecutionError("scale must be positive")
         if self.chunk_bytes <= 0:
             raise ExecutionError("chunk_bytes must be positive")
-        if self.prefetch_depth < 1:
-            raise ExecutionError("prefetch_depth must be >= 1")
 
 
 @dataclass
@@ -229,7 +227,7 @@ class Executor:
             total_chunks += n
         cpu_per_chunk = pipeline.cpu_cycles / total_chunks
         parallelism = self._parallelism(pipeline)
-        slots = Resource(sim, capacity=ctx.prefetch_depth, name="prefetch")
+        slots = Resource(sim, capacity=PREFETCH_DEPTH, name="prefetch")
         ready: deque[float] = deque()
         waiter: list[Optional[Event]] = [None]
 

@@ -7,7 +7,12 @@ from typing import Any, Optional, Sequence
 
 from repro.errors import PlanError
 from repro.relational.expr import Expr, make_layout
-from repro.relational.operators.base import CostCollector, Operator
+from repro.relational.operators.base import (
+    CYCLES_PER_AGG_UPDATE,
+    CYCLES_PER_OUTPUT_TUPLE,
+    CostCollector,
+    Operator,
+)
 
 _AGG_FUNCS = ("count", "sum", "avg", "min", "max")
 
@@ -110,10 +115,10 @@ class _AggregateBase(Operator):
         return [key + tuple(a.result() for a in groups[key])
                 for key in order]
 
-    def _update_cycles(self, n_rows: int, params) -> float:
+    def _update_cycles(self, n_rows: int) -> float:
         expr_cycles = sum(s.expr.cycles() for s in self.aggregates
                           if s.expr is not None)
-        return n_rows * (params.cycles_per_agg_update
+        return n_rows * (CYCLES_PER_AGG_UPDATE
                          * max(1, len(self.aggregates)) + expr_cycles)
 
 
@@ -121,15 +126,14 @@ class HashAggregate(_AggregateBase):
     """Group by hashing; blocking (results emitted after all input)."""
 
     def execute(self, collector: CostCollector) -> list[tuple]:
-        params = collector.params
         rows = self.child.execute(collector)
-        collector.charge_cpu(self._update_cycles(len(rows), params))
+        collector.charge_cpu(self._update_cycles(len(rows)))
         out = self._compute(rows)
         # group state lives in memory for the input pipeline's duration
         collector.charge_dram_grant(
             len(out) * (8 * len(self.output_columns) + 64))
         collector.break_pipeline(label="hash-aggregate")
-        collector.charge_cpu(len(out) * params.cycles_per_output_tuple)
+        collector.charge_cpu(len(out) * CYCLES_PER_OUTPUT_TUPLE)
         return out
 
     def describe(self) -> str:
@@ -145,7 +149,6 @@ class SortedAggregate(_AggregateBase):
     """
 
     def execute(self, collector: CostCollector) -> list[tuple]:
-        params = collector.params
         rows = self.child.execute(collector)
         layout = make_layout(self.child.output_columns)
         positions = [layout[k] for k in self.group_by]
@@ -153,9 +156,9 @@ class SortedAggregate(_AggregateBase):
         if keys != sorted(keys):
             raise PlanError(
                 "SortedAggregate requires input sorted on group keys")
-        collector.charge_cpu(self._update_cycles(len(rows), params))
+        collector.charge_cpu(self._update_cycles(len(rows)))
         out = self._compute(rows)
-        collector.charge_cpu(len(out) * params.cycles_per_output_tuple)
+        collector.charge_cpu(len(out) * CYCLES_PER_OUTPUT_TUPLE)
         return out
 
     def describe(self) -> str:

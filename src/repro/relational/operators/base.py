@@ -30,7 +30,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class CostParameters:
-    """CPU-cycle constants shared by the executor and the optimizer.
+    """The CPU-cycle constants a workload calibrates, shared by the
+    executor and the optimizer.
 
     ``cycles_per_scan_byte`` is calibrated so the Figure 2 node (2.4 GHz)
     spends 3.2 s of CPU scanning and projecting 2.4 GB: 3.2 cycles/byte.
@@ -38,15 +39,18 @@ class CostParameters:
 
     cycles_per_scan_byte: float = 3.2
     cycles_per_tuple_overhead: float = 16.0
-    cycles_per_hash_build_tuple: float = 120.0
-    cycles_per_hash_probe_tuple: float = 80.0
-    cycles_per_sort_compare: float = 24.0
-    cycles_per_merge_tuple: float = 40.0
-    cycles_per_agg_update: float = 32.0
-    cycles_per_output_tuple: float = 20.0
-    cycles_per_join_pair: float = 8.0
-    hash_table_overhead_factor: float = 1.5
-    sort_run_overhead_factor: float = 1.0
+
+
+# the CPU-cycle constants no workload calibrates
+CYCLES_PER_HASH_BUILD_TUPLE = 120.0
+CYCLES_PER_HASH_PROBE_TUPLE = 80.0
+CYCLES_PER_SORT_COMPARE = 24.0
+CYCLES_PER_MERGE_TUPLE = 40.0
+CYCLES_PER_AGG_UPDATE = 32.0
+CYCLES_PER_OUTPUT_TUPLE = 20.0
+CYCLES_PER_JOIN_PAIR = 8.0
+HASH_TABLE_OVERHEAD_FACTOR = 1.5
+SORT_RUN_OVERHEAD_FACTOR = 1.0
 
 
 @dataclass

@@ -13,7 +13,11 @@ import itertools
 from typing import Any, Optional, Sequence
 
 from repro.errors import PlanError
-from repro.relational.operators.base import CostCollector, Operator
+from repro.relational.operators.base import (
+    CYCLES_PER_OUTPUT_TUPLE,
+    CostCollector,
+    Operator,
+)
 from repro.storage.index import TableIndex
 from repro.storage.manager import Table
 
@@ -142,7 +146,7 @@ class IndexNestedLoopJoin(Operator):
         collector.charge_cpu(
             n_probes * self.index.tree.height * CYCLES_PER_TREE_LEVEL
             + n_matches * CYCLES_PER_FETCHED_ROW
-            + len(out) * collector.params.cycles_per_output_tuple)
+            + len(out) * CYCLES_PER_OUTPUT_TUPLE)
         return out
 
     def describe(self) -> str:

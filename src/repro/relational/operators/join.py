@@ -15,7 +15,17 @@ from typing import Sequence
 
 from repro.errors import PlanError
 from repro.relational.expr import Expr, make_layout
-from repro.relational.operators.base import CostCollector, Operator
+from repro.relational.operators.base import (
+    CYCLES_PER_HASH_BUILD_TUPLE,
+    CYCLES_PER_HASH_PROBE_TUPLE,
+    CYCLES_PER_JOIN_PAIR,
+    CYCLES_PER_MERGE_TUPLE,
+    CYCLES_PER_OUTPUT_TUPLE,
+    CYCLES_PER_SORT_COMPARE,
+    HASH_TABLE_OVERHEAD_FACTOR,
+    CostCollector,
+    Operator,
+)
 from repro.relational.operators.scan import TableScan
 
 
@@ -66,10 +76,9 @@ class HashJoin(Operator):
         return len(build_rows) * per_row
 
     def execute(self, collector: CostCollector) -> list[tuple]:
-        params = collector.params
         build_rows = self.build.execute(collector)
         collector.charge_cpu(
-            len(build_rows) * params.cycles_per_hash_build_tuple)
+            len(build_rows) * CYCLES_PER_HASH_BUILD_TUPLE)
         # The build phase ends its pipeline: the hash table materializes.
         collector.break_pipeline(label=f"build:{self.describe()}")
 
@@ -83,7 +92,7 @@ class HashJoin(Operator):
         probe_rows = self.probe.execute(collector)
         # The probe pipeline holds the hash table in memory end to end.
         grant = (self.hash_table_bytes(build_rows)
-                 * params.hash_table_overhead_factor)
+                 * HASH_TABLE_OVERHEAD_FACTOR)
         collector.charge_dram_grant(grant)
         probe_layout = make_layout(self.probe.output_columns)
         probe_positions = [probe_layout[k] for k in self.probe_keys]
@@ -93,8 +102,8 @@ class HashJoin(Operator):
             for match in table.get(key, ()):
                 out.append(match + row)
         collector.charge_cpu(
-            len(probe_rows) * params.cycles_per_hash_probe_tuple
-            + len(out) * params.cycles_per_output_tuple)
+            len(probe_rows) * CYCLES_PER_HASH_PROBE_TUPLE
+            + len(out) * CYCLES_PER_OUTPUT_TUPLE)
         return out
 
     def describe(self) -> str:
@@ -156,8 +165,8 @@ class BlockNestedLoopJoin(Operator):
                 if predicate.evaluate(combined, layout) is True:
                     out.append(combined)
         collector.charge_cpu_quadratic(
-            len(outer_rows) * len(inner_rows) * params.cycles_per_join_pair)
-        collector.charge_cpu(len(out) * params.cycles_per_output_tuple)
+            len(outer_rows) * len(inner_rows) * CYCLES_PER_JOIN_PAIR)
+        collector.charge_cpu(len(out) * CYCLES_PER_OUTPUT_TUPLE)
         return out
 
     def describe(self) -> str:
@@ -187,20 +196,19 @@ class SortMergeJoin(Operator):
         return [self.left, self.right]
 
     @staticmethod
-    def _sort_cycles(n: int, compare_cycles: float) -> float:
+    def _sort_cycles(n: int) -> float:
         if n < 2:
             return 0.0
-        return n * max(1.0, (n - 1).bit_length()) * compare_cycles
+        return n * max(1.0, (n - 1).bit_length()) * CYCLES_PER_SORT_COMPARE
 
     def execute(self, collector: CostCollector) -> list[tuple]:
-        params = collector.params
         left_rows = self.left.execute(collector)
         collector.charge_cpu(
-            self._sort_cycles(len(left_rows), params.cycles_per_sort_compare))
+            self._sort_cycles(len(left_rows)))
         collector.break_pipeline(label=f"sort-left:{self.describe()}")
         right_rows = self.right.execute(collector)
         collector.charge_cpu(
-            self._sort_cycles(len(right_rows), params.cycles_per_sort_compare))
+            self._sort_cycles(len(right_rows)))
         collector.break_pipeline(label=f"sort-right:{self.describe()}")
 
         left_layout = make_layout(self.left.output_columns)
@@ -233,8 +241,8 @@ class SortMergeJoin(Operator):
                         out.append(left_sorted[li] + right_sorted[rj])
                 i, j = i_end, j_end
         collector.charge_cpu(
-            (len(left_rows) + len(right_rows)) * params.cycles_per_merge_tuple
-            + len(out) * params.cycles_per_output_tuple)
+            (len(left_rows) + len(right_rows)) * CYCLES_PER_MERGE_TUPLE
+            + len(out) * CYCLES_PER_OUTPUT_TUPLE)
         return out
 
     def describe(self) -> str:

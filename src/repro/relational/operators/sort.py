@@ -12,7 +12,14 @@ from typing import Optional, Sequence
 
 from repro.errors import PlanError
 from repro.relational.expr import make_layout
-from repro.relational.operators.base import CostCollector, Operator
+from repro.relational.operators.base import (
+    CYCLES_PER_MERGE_TUPLE,
+    CYCLES_PER_OUTPUT_TUPLE,
+    CYCLES_PER_SORT_COMPARE,
+    SORT_RUN_OVERHEAD_FACTOR,
+    CostCollector,
+    Operator,
+)
 
 _sort_counter = itertools.count()
 
@@ -45,14 +52,13 @@ class Sort(Operator):
     def _estimated_bytes(self, rows: list[tuple]) -> float:
         return len(rows) * len(self.output_columns) * self.BYTES_PER_FIELD
 
-    def _sort_cycles(self, n: int, params) -> float:
+    def _sort_cycles(self, n: int) -> float:
         if n < 2:
             return 0.0
         return n * max(1.0, (n - 1).bit_length()) * \
-            params.cycles_per_sort_compare
+            CYCLES_PER_SORT_COMPARE
 
     def execute(self, collector: CostCollector) -> list[tuple]:
-        params = collector.params
         rows = self.child.execute(collector)
         data_bytes = self._estimated_bytes(rows)
         grant = self.memory_grant_bytes
@@ -64,8 +70,8 @@ class Sort(Operator):
             n_runs = max(2, int(-(-data_bytes // grant)))
             run_rows = max(1, len(rows) // n_runs)
             collector.charge_cpu(
-                n_runs * self._sort_cycles(run_rows, params))
-            spill_bytes = data_bytes * params.sort_run_overhead_factor
+                n_runs * self._sort_cycles(run_rows))
+            spill_bytes = data_bytes * SORT_RUN_OVERHEAD_FACTOR
             collector.charge_io(self.spill_placement, spill_bytes,
                                 self.stream_id, is_write=True)
             collector.break_pipeline(label="sort-runs")
@@ -74,15 +80,15 @@ class Sort(Operator):
                                 self.stream_id)
             merge_passes = max(1.0, _log_base(n_runs, 16))
             collector.charge_cpu(
-                len(rows) * params.cycles_per_merge_tuple * merge_passes)
+                len(rows) * CYCLES_PER_MERGE_TUPLE * merge_passes)
         else:
-            collector.charge_cpu(self._sort_cycles(len(rows), params))
+            collector.charge_cpu(self._sort_cycles(len(rows)))
             # an in-memory sort holds the whole input resident (§4.1:
             # operator memory grants are power-expensive)
             collector.charge_dram_grant(data_bytes)
             collector.break_pipeline(label="sort")
             # emitting the sorted result starts the next pipeline
-            collector.charge_cpu(len(rows) * params.cycles_per_output_tuple)
+            collector.charge_cpu(len(rows) * CYCLES_PER_OUTPUT_TUPLE)
 
         layout = make_layout(self.output_columns)
         positions = [layout[k] for k in self.keys]

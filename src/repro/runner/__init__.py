@@ -25,8 +25,6 @@ from repro.runner.cache import (
 from repro.runner.events import (
     EventPrinter,
     PointFinished,
-    PointObserved,
-    PointStarted,
     RunFinished,
     RunStarted,
 )
@@ -57,9 +55,7 @@ __all__ = [
     "ExperimentSpec",
     "PointExecutionError",
     "PointFinished",
-    "PointObserved",
     "PointResult",
-    "PointStarted",
     "ResultCache",
     "RunFinished",
     "RunResult",

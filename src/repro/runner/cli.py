@@ -216,29 +216,25 @@ def _cmd_run(args: argparse.Namespace, extras: Sequence[str]) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace, extras: Sequence[str]) -> int:
-    from repro.telemetry import (
-        TelemetrySink,
-        counter_rows,
-        device_rows,
-        render_flamegraph,
-    )
+    from repro.telemetry import counter_rows, device_rows, render_flamegraph
 
+    if args.width < 10:
+        raise ReproError("flamegraph width must be >= 10")
     spec, cache = spec_and_cache(args, extras)
     defn = get_experiment(args.experiment)
-    sink = TelemetrySink(forward=None if args.quiet else EventPrinter())
+    on_event = None if args.quiet else EventPrinter()
     result = Runner(workers=args.workers, cache=cache,
-                    on_event=sink, trace=True).run(spec)
+                    on_event=on_event, trace=True).run(spec)
 
     if args.as_json:
         print(result.to_json())
         return 0
 
     axes = list(spec.sweep_axes())
-    for index in sorted(sink.traces):
-        trace = sink.traces[index]
-        knobs = sink.knobs[index]
-        label = " ".join(f"{k}={knobs[k]}" for k in axes) or "defaults"
-        print(f"\n== {defn.name} point {index}: {label} ==")
+    for point in result.points:
+        trace = point.telemetry
+        label = " ".join(f"{k}={point.knobs[k]}" for k in axes) or "defaults"
+        print(f"\n== {defn.name} point {point.index}: {label} ==")
         print(render_flamegraph(trace, width=args.width,
                                 active=args.active))
         print()

@@ -8,8 +8,9 @@ a raising sink aborts the run, so sinks should be cheap and robust.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, TextIO
+import sys
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping
 
 
 @dataclass(frozen=True)
@@ -21,13 +22,6 @@ class RunStarted:
 
 
 @dataclass(frozen=True)
-class PointStarted:
-    index: int
-    total_points: int
-    knobs: Mapping[str, Any]
-
-
-@dataclass(frozen=True)
 class PointFinished:
     index: int
     total_points: int
@@ -35,23 +29,6 @@ class PointFinished:
     sim_seconds: float
     joules: float
     host_seconds: float
-    cache_hit: bool
-
-
-@dataclass(frozen=True)
-class PointObserved:
-    """Follows ``PointFinished`` once per observation an observed
-    point carries (cache hits included); ``kind`` names the observer
-    (see :mod:`repro.observe`) and ``observation`` is the decoded
-    :class:`~repro.telemetry.trace.TelemetryTrace` (``"telemetry"``) or
-    :class:`~repro.flightrec.events.FlightRecording`
-    (``"flightrec"``)."""
-
-    index: int
-    total_points: int
-    knobs: Mapping[str, Any]
-    kind: str
-    observation: Any
     cache_hit: bool
 
 
@@ -73,23 +50,15 @@ def _brief_knobs(knobs: Mapping[str, Any]) -> str:
     return " ".join(items)
 
 
-@dataclass
 class EventPrinter:
-    """The CLI's default sink: one line per event on ``stream``."""
-
-    stream: TextIO = field(default_factory=lambda: __import__("sys").stderr)
-    verbose: bool = False
+    """The CLI's default sink: one line per event on stderr."""
 
     def __call__(self, event: Any) -> None:
-        out = self.stream
+        out = sys.stderr
         if isinstance(event, RunStarted):
             print(f"run {event.experiment}: {event.total_points} point(s)"
                   f" on {event.workers} worker(s)"
                   f" [spec {event.spec_hash[:12]}]", file=out)
-        elif isinstance(event, PointStarted):
-            if self.verbose:
-                print(f"  [{event.index + 1}/{event.total_points}] "
-                      f"start  {_brief_knobs(event.knobs)}", file=out)
         elif isinstance(event, PointFinished):
             tag = "cache " if event.cache_hit else ""
             print(f"  [{event.index + 1}/{event.total_points}] {tag}done"
@@ -97,19 +66,6 @@ class EventPrinter:
                   f"  sim={event.sim_seconds:.3g}s"
                   f"  E={event.joules:.4g}J"
                   f"  host={event.host_seconds:.2f}s", file=out)
-        elif isinstance(event, PointObserved):
-            if self.verbose:
-                seen = event.observation
-                if event.kind == "telemetry":
-                    brief = "trace  " + " ".join(
-                        f"{k}={v:.4g}J" for k, v
-                        in sorted(seen.device_totals().items()))
-                else:
-                    brief = (f"rec  {seen.n_nodes} node(s)"
-                             f"  {seen.n_queries} query(ies)"
-                             f"  {len(seen.events)} event(s)")
-                print(f"  [{event.index + 1}/{event.total_points}] "
-                      f"{brief}", file=out)
         elif isinstance(event, RunFinished):
             print(f"run {event.experiment}: {event.total_points} point(s)"
                   f" in {event.host_seconds:.2f}s host time"

@@ -1,12 +1,12 @@
 """The report round trip and the type registry behind it.
 
 Every experiment's per-point measurement object (``ThroughputReport``,
-``ScanReport``, ``DutyCycleReport``, ...) and every figure-level
-container (``Figure1Result``, ``Figure2Result``, ``EnergyProfile``)
-speaks one protocol: ``to_dict()`` producing a JSON-safe dict and a
-``from_dict()`` classmethod inverting it.  That round-trip is what
-makes the on-disk cache, the process-pool hand-off, and the CLI's JSON
-output all share one code path.
+``ScanReport``, ``DutyCycleReport``, ...) speaks one protocol:
+``to_dict()`` producing a JSON-safe dict and a ``from_dict()``
+classmethod inverting it.  That round-trip is what makes the on-disk
+cache, the process-pool hand-off, and the CLI's JSON output all share
+one code path.  Figure-level aggregates are never a point's report, so
+they are not registered here.
 """
 
 from __future__ import annotations
@@ -29,22 +29,15 @@ def register_report(cls: type) -> type:
 
 def _register_builtin_reports() -> None:
     from repro.consolidation.scheduler import ScheduleReport
-    from repro.core.experiments import Figure1Result, Figure2Result
-    from repro.core.profiler import EnergyProfile
-    from repro.faults.experiments import ChaosSweepResult
-    from repro.service.experiments import (HeteroSweepResult,
-                                           MegaCalibrationReport,
-                                           PVCQEDSweepResult)
-    from repro.service.report import ServiceReport, ServiceSweepResult
+    from repro.service.experiments import MegaCalibrationReport
+    from repro.service.report import ServiceReport
     from repro.workloads.duty_cycle import DutyCycleReport
-    from repro.workloads.pipelines.report import EtlReport, EtlSweepResult
+    from repro.workloads.pipelines.report import EtlReport
     from repro.workloads.scan_workload import ScanReport
     from repro.workloads.throughput import ThroughputReport
     for cls in (ThroughputReport, ScanReport, DutyCycleReport,
-                EnergyProfile, Figure1Result, Figure2Result,
-                ScheduleReport, ServiceReport, ServiceSweepResult,
-                ChaosSweepResult, HeteroSweepResult, PVCQEDSweepResult,
-                MegaCalibrationReport, EtlReport, EtlSweepResult):
+                ScheduleReport, ServiceReport, MegaCalibrationReport,
+                EtlReport):
         register_report(cls)
 
 

@@ -25,8 +25,6 @@ from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache, point_key
 from repro.runner.events import (
     EventSink,
     PointFinished,
-    PointObserved,
-    PointStarted,
     RunFinished,
     RunStarted,
 )
@@ -238,9 +236,7 @@ class Runner:
     ``trace=True`` runs every point under a telemetry capture —
     results gain ``PointResult.telemetry``; ``record=True`` runs every
     point under a fleet flight recorder the same way — results gain
-    ``PointResult.recording``.  Each observation a point carries is
-    also emitted as a :class:`~repro.runner.events.PointObserved`.
-    Tracing and recording are runtime options, not part of the spec:
+    ``PointResult.recording``.  Tracing and recording are runtime options, not part of the spec:
     traced/recorded and plain runs of the same spec produce identical
     reports (and cache separately).
     """
@@ -293,10 +289,6 @@ class Runner:
             index=index, total_points=total, knobs=result.knobs,
             sim_seconds=result.sim_seconds, joules=result.joules,
             host_seconds=host_seconds, cache_hit=cache_hit))
-        for kind, seen in result.observed.items():
-            self._emit(PointObserved(
-                index=index, total_points=total, knobs=result.knobs,
-                kind=kind, observation=seen, cache_hit=cache_hit))
         return result
 
     # -- the entry point ---------------------------------------------
@@ -342,11 +334,6 @@ class Runner:
                                host_seconds=run.host_seconds))
         return run
 
-    def _started(self, item: PointItem, total: int) -> None:
-        index, (_, knobs, _) = item[:2]
-        self._emit(PointStarted(index=index, total_points=total,
-                                knobs=knobs))
-
     def _computed(self, spec: ExperimentSpec, total: int,
                   done: tuple[int, dict[str, Any]],
                   results: dict[int, PointResult]) -> None:
@@ -359,7 +346,6 @@ class Runner:
                     pending: Sequence[PointItem], total: int,
                     results: dict[int, PointResult]) -> None:
         for item in pending:
-            self._started(item, total)
             self._computed(spec, total, execute_indexed(item), results)
 
     def _run_pool(self, spec: ExperimentSpec,
@@ -369,8 +355,6 @@ class Runner:
         # and ~20 ms that every `import repro.runner` would carry)
         from concurrent.futures import ProcessPoolExecutor, as_completed
         from concurrent.futures.process import BrokenProcessPool
-        for item in pending:
-            self._started(item, total)
         # the default context: under fork the executor launches every
         # worker on the first submit, before its manager thread exists
         pool = ProcessPoolExecutor(

@@ -41,6 +41,13 @@ def _check_scalar(name: str, value: Any) -> None:
             "bool/int/finite float/str/None or lists of those")
 
 
+def _check_seed(seed: Any) -> int:
+    # numpy's generators take no negative seed
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise SpecError(f"seed must be a non-negative int, got {seed!r}")
+    return seed
+
+
 def canonical_json(obj: Any) -> str:
     """The one canonical text form used for hashing and cache keys."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -70,6 +77,7 @@ class ExperimentSpec(Record):
     def __post_init__(self) -> None:
         if not self.experiment:
             raise SpecError("experiment name cannot be empty")
+        _check_seed(self.seed)
         for name, value in self.knobs.items():
             if isinstance(value, (list, tuple)):
                 if not value:
@@ -131,7 +139,4 @@ class ExperimentSpec(Record):
     def point_seed(self, point: Mapping[str, Any]) -> int:
         """The deterministic seed a point runs with: an explicit
         ``seed`` knob wins, else the spec's base seed."""
-        seed = point.get("seed", self.seed)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise SpecError(f"seed must be an int, got {seed!r}")
-        return seed
+        return _check_seed(point.get("seed", self.seed))

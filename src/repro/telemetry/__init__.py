@@ -36,7 +36,6 @@ from repro.telemetry.export import (
     device_rows,
     render_flamegraph,
 )
-from repro.telemetry.sink import TelemetrySink
 from repro.telemetry.spans import EnergySpan, SpanStack
 from repro.telemetry.trace import DeviceTimeline, SpanNode, TelemetryTrace
 
@@ -47,7 +46,6 @@ __all__ = [
     "SpanStack",
     "TIMELINE_SAMPLES",
     "TelemetryCollector",
-    "TelemetrySink",
     "TelemetryTrace",
     "capture",
     "counter_rows",

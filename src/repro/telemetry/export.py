@@ -8,7 +8,6 @@ capture's metered energy, indented by tree depth.
 
 from __future__ import annotations
 
-from repro.errors import ReproError
 from repro.telemetry.trace import TelemetryTrace
 
 
@@ -19,8 +18,6 @@ def render_flamegraph(trace: TelemetryTrace, width: int = 60,
     Bar lengths are proportional to each span's share of the capture's
     total energy — metered by default, busy-time with ``active=True``.
     """
-    if width < 10:
-        raise ReproError("flamegraph width must be >= 10")
     total = trace.active_total_joules if active else trace.total_joules
     kind = "busy-time" if active else "metered"
     lines = [f"energy flamegraph ({kind}; 100% = {total:.4g} J over "

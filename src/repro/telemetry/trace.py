@@ -90,10 +90,6 @@ class TelemetryTrace(Record):
     def duration(self) -> float:
         return self.ended_at - self.started_at
 
-    def device_totals(self) -> dict[str, float]:
-        """Metered Joules per device over the whole capture."""
-        return {d.name: d.energy_joules for d in self.devices}
-
     def active_totals(self) -> dict[str, float]:
         """Busy-time Joules per device over the whole capture."""
         return {d.name: d.active_energy_joules for d in self.devices}

@@ -54,7 +54,6 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -112,9 +111,8 @@ class EtlScheduler:
     """Plans stage releases for one pipeline under one mode.
 
     ``slack_fraction`` inflates every duration estimate (default 25%),
-    and every estimate additionally absorbs one fleet boot time
-    (``queue_headroom_seconds``, defaulting to the slowest node
-    class's ``boot_seconds``) — a stage's burst can force the
+    and every estimate additionally absorbs one fleet boot time (the
+    slowest node class's ``boot_seconds``) — a stage's burst can force the
     autoscaler to boot nodes, and its tasks queue for the full boot
     before any of them runs.  A child stage never releases before its
     parents' *inflated* estimated completions, which is what keeps
@@ -130,9 +128,6 @@ class EtlScheduler:
     offpeak_start_seconds: float = 0.0
     #: fractional inflation applied to every duration estimate
     slack_fraction: float = 0.25
-    #: additive per-stage headroom against boot waves and queueing;
-    #: ``None`` means "the fleet's slowest boot time"
-    queue_headroom_seconds: Optional[float] = None
     #: offered-demand ceiling (node-equivalents) for paced arrivals in
     #: ``consolidated`` mode
     consolidation_node_equivalents: float = 1.5
@@ -148,10 +143,6 @@ class EtlScheduler:
             raise PipelineError("offpeak_start_seconds cannot be negative")
         if self.slack_fraction < 0:
             raise PipelineError("slack_fraction cannot be negative")
-        if self.queue_headroom_seconds is not None \
-                and self.queue_headroom_seconds < 0:
-            raise PipelineError(
-                "queue_headroom_seconds cannot be negative")
         if self.consolidation_node_equivalents <= 0:
             raise PipelineError(
                 "consolidation_node_equivalents must be positive")
@@ -166,9 +157,8 @@ class EtlScheduler:
         """Compute the release plan; raises :class:`PipelineError` when
         the freshness SLA cannot be met even from time 0."""
         inflate = 1.0 + self.slack_fraction
-        headroom = self.queue_headroom_seconds
-        if headroom is None:
-            headroom = max(c.model.boot_seconds for c in fleet.classes)
+        # per-stage headroom against boot waves and queueing
+        headroom = max(c.model.boot_seconds for c in fleet.classes)
         release: dict[str, float] = {}
         duration: dict[str, float] = {}
         planned: dict[str, PlannedStage] = {}

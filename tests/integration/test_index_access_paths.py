@@ -228,6 +228,16 @@ class TestPlannerAccessPaths:
         result = Executor(ExecutionContext(sim=sim, server=server)).run(
             planned.root)
         assert result.row_count == 50
+        # the index range is inclusive: a strict bound must still hold
+        selective = Planner(CostModel(server, scale=500.0), Objective.TIME)
+        for predicate in (col("o_id") < 50, col("o_id") > 4949,
+                          col("o_id") <= 49, Literal(50) > col("o_id")):
+            planned = selective.plan(QuerySpec(
+                tables=[TableRef(orders, predicate=predicate)]))
+            assert "IndexScan" in explain(planned.root)
+            result = Executor(ExecutionContext(sim=sim, server=server)).run(
+                planned.root)
+            assert result.row_count == 50, predicate
 
     def test_planner_considers_inlj(self, env):
         """With an index on the join key and a selective outer, the

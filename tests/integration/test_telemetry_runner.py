@@ -8,14 +8,14 @@ import pytest
 
 from repro.runner import (
     ExperimentSpec,
-    PointObserved,
+    PointFinished,
     Runner,
     RunResult,
     get_experiment,
     point_key,
 )
 from repro.runner.cli import main as cli_main
-from repro.telemetry import TelemetrySink, capture
+from repro.telemetry import capture
 from repro.workloads.scan_workload import run_scan
 
 #: fast scan knobs for runner-transport tests
@@ -75,11 +75,8 @@ class TestRunnerTransport:
                      on_event=events.append).run(
             ExperimentSpec("scan", knobs=TINY_SCAN))
         assert all(p.telemetry is not None for p in run.points)
-        traced = [e for e in events if isinstance(e, PointObserved)]
-        assert [(e.index, e.kind) for e in traced] == [
-            (0, "telemetry"), (1, "telemetry")]
-        for p, e in zip(run.points, traced):
-            assert e.observation is p.telemetry
+        finished = [e for e in events if isinstance(e, PointFinished)]
+        assert [e.index for e in finished] == [0, 1]
 
     def test_untraced_run_has_no_telemetry(self):
         from repro.runner import ExperimentSpec
@@ -100,13 +97,10 @@ class TestRunnerTransport:
         spec = ExperimentSpec("scan", knobs=TINY_SCAN)
         cache = tmp_path / "cache"
         fresh = Runner(cache=cache, trace=True).run(spec)
-        sink = TelemetrySink()
-        again = Runner(cache=cache, trace=True, on_event=sink).run(spec)
+        again = Runner(cache=cache, trace=True).run(spec)
         assert again.cache_hits == len(again.points) == 2
         assert all(p.telemetry is not None for p in again.points)
         assert again.to_dict() == fresh.to_dict()
-        # the sink sees cache-hit traces too
-        assert sorted(sink.traces) == [0, 1]
         # an untraced run of the same spec misses the traced entries
         bare = Runner(cache=cache).run(spec)
         assert bare.cache_hits == 0
@@ -129,21 +123,12 @@ class TestRunnerTransport:
         assert again.points[0].telemetry is not None
 
     def test_fig2_trace_matches_energy_profile_within_1e9(self):
-        sink = TelemetrySink()
-        run = Runner(cache=False, trace=True,
-                     on_event=sink).run(ExperimentSpec(
-                         "fig2", profile=get_experiment("fig2").profile))
+        run = Runner(cache=False, trace=True).run(ExperimentSpec(
+            "fig2", profile=get_experiment("fig2").profile))
         profile = run.profile()
         for point, ppoint in zip(run.points, profile.points):
             active = sum(point.telemetry.active_totals().values())
             assert abs(active - ppoint.energy_joules) < 1e-9
-
-    def test_sink_rollups(self):
-        from repro.runner import ExperimentSpec
-        sink = TelemetrySink()
-        Runner(cache=False, trace=True, on_event=sink).run(
-            ExperimentSpec("scan", knobs=TINY_SCAN))
-        assert sorted(sink.traces) == [0, 1]
 
 
 class TestTraceCli:
@@ -161,3 +146,24 @@ class TestTraceCli:
         assert cli_main([*self.ARGS, "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert all("telemetry" in p for p in data["points"])
+
+    def test_warm_cache_prints_what_the_cold_run_printed(self, capsys,
+                                                         tmp_path):
+        args = ["trace", "scan", "--quiet", "--cache", str(tmp_path / "c"),
+                "--scale-factor", "0.0005,0.001"]
+        assert cli_main(args) == 0
+        cold = capsys.readouterr().out
+        assert cli_main([*args[:2], *args[3:]]) == 0
+        warm = capsys.readouterr()
+        assert "(2 cache hit(s))" in warm.err
+        assert warm.out == cold
+
+    def test_tiny_width_fails_before_any_point_runs(self, capsys,
+                                                    tmp_path):
+        cache = tmp_path / "c"
+        assert cli_main(["trace", "scan", "--width", "5",
+                         "--cache", str(cache)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: flamegraph width must be >= 10\n"
+        assert not cache.exists()

@@ -76,7 +76,6 @@ def test_wal_commits_everything_exactly_once(payload_sizes, batch,
         name="log", capacity_bytes=1000 * MB,
         read_bandwidth_bytes_per_s=100 * MB,
         write_bandwidth_bytes_per_s=100 * MB,
-        per_request_latency_seconds=0.0,
         read_watts=2.0, write_watts=2.0, idle_watts=0.0))
     wal = WriteAheadLog(sim, device, batch_records=batch,
                         batch_timeout_seconds=timeout)

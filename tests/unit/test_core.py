@@ -40,8 +40,7 @@ class TestMetrics:
 class TestTco:
     def make(self):
         return TcoModel(hardware_cost_dollars=10_000.0,
-                        electricity_dollars_per_kwh=0.10,
-                        cooling_overhead=0.5, lifetime_years=3.0)
+                        electricity_dollars_per_kwh=0.10)
 
     def test_energy_cost_arithmetic(self):
         tco = self.make()

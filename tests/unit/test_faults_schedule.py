@@ -139,10 +139,9 @@ class TestBuildFaultSchedule:
 
 class TestRetryPolicy:
     def test_backoff_is_exponential(self):
-        policy = RetryPolicy(base_backoff_seconds=0.1,
-                             backoff_multiplier=3.0)
+        policy = RetryPolicy(base_backoff_seconds=0.1)
         assert policy.backoff_seconds(1) == pytest.approx(0.1)
-        assert policy.backoff_seconds(3) == pytest.approx(0.9)
+        assert policy.backoff_seconds(3) == pytest.approx(0.4)
         with pytest.raises(FaultError, match="after a failure"):
             policy.backoff_seconds(0)
 
@@ -157,8 +156,6 @@ class TestRetryPolicy:
             RetryPolicy(max_attempts=0)
         with pytest.raises(FaultError, match="negative"):
             RetryPolicy(base_backoff_seconds=-1.0)
-        with pytest.raises(FaultError, match="multiplier"):
-            RetryPolicy(backoff_multiplier=0.5)
 
 
 class TestShedPolicy:

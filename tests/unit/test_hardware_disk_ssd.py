@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import HardwareError
 from repro.hardware.disk import DiskSpec, HardDisk
-from repro.hardware.ssd import FlashSsd, SsdSpec
+from repro.hardware.ssd import REQUEST_LATENCY_SECONDS, FlashSsd, SsdSpec
 from repro.sim import Simulation
 from repro.units import MB
 
@@ -169,7 +169,6 @@ class TestFlashSsd:
             name="s0", capacity_bytes=1000 * MB,
             read_bandwidth_bytes_per_s=100 * MB,
             write_bandwidth_bytes_per_s=50 * MB,
-            per_request_latency_seconds=0.0,
             read_watts=2.0, write_watts=3.0, idle_watts=0.1,
         )
         defaults.update(overrides)
@@ -179,13 +178,13 @@ class TestFlashSsd:
         sim = Simulation()
         ssd = self.make(sim)
         run(sim, ssd.read(100 * MB))
-        assert sim.now == pytest.approx(1.0)
+        assert sim.now == pytest.approx(1.0 + REQUEST_LATENCY_SECONDS)
 
     def test_write_slower_than_read(self):
         sim = Simulation()
         ssd = self.make(sim)
         run(sim, ssd.write(100 * MB))
-        assert sim.now == pytest.approx(2.0)
+        assert sim.now == pytest.approx(2.0 + REQUEST_LATENCY_SECONDS)
 
     def test_no_positioning_cost_between_streams(self):
         sim = Simulation()
@@ -196,7 +195,7 @@ class TestFlashSsd:
             yield from ssd.read(50 * MB, stream="b")
 
         run(sim, scenario())
-        assert sim.now == pytest.approx(1.0)
+        assert sim.now == pytest.approx(1.0 + 2 * REQUEST_LATENCY_SECONDS)
 
     def test_power_during_read_and_write(self):
         sim = Simulation()
@@ -224,17 +223,18 @@ class TestFlashSsd:
         ssd = self.make(sim)
 
         def scenario():
-            yield from ssd.read(100 * MB)   # 1 s at 2 W
+            yield from ssd.read(100 * MB)   # 1 s (+ latency) at 2 W
             yield sim.timeout(1.0)          # 1 s at 0.1 W
 
         run(sim, scenario())
-        assert ssd.energy_joules(0.0, sim.now) == pytest.approx(2.1)
+        assert ssd.energy_joules(0.0, sim.now) == pytest.approx(
+            2.0 * (1.0 + REQUEST_LATENCY_SECONDS) + 0.1)
 
     def test_per_request_latency_added(self):
         sim = Simulation()
-        ssd = self.make(sim, per_request_latency_seconds=0.01)
-        run(sim, ssd.read(100 * MB))
-        assert sim.now == pytest.approx(1.01)
+        ssd = self.make(sim)
+        run(sim, ssd.read(0))
+        assert sim.now == REQUEST_LATENCY_SECONDS
 
     def test_channel_serialization(self):
         sim = Simulation()
@@ -242,18 +242,8 @@ class TestFlashSsd:
         sim.spawn(ssd.read(100 * MB))
         sim.spawn(ssd.read(100 * MB))
         sim.run()
-        assert sim.now == pytest.approx(2.0)
-
-    def test_multi_channel_parallelism(self):
-        sim = Simulation()
-        ssd = self.make(sim, channels=2)
-        sim.spawn(ssd.read(100 * MB))
-        sim.spawn(ssd.read(100 * MB))
-        sim.run()
-        assert sim.now == pytest.approx(1.0)
+        assert sim.now == pytest.approx(2.0 + 2 * REQUEST_LATENCY_SECONDS)
 
     def test_spec_validation(self):
         with pytest.raises(HardwareError):
             SsdSpec(idle_watts=5.0, read_watts=2.0, write_watts=9.0)
-        with pytest.raises(HardwareError):
-            SsdSpec(channels=0)

@@ -16,7 +16,6 @@ def make_ssd(sim, i, bw=100 * MB):
     return FlashSsd(sim, SsdSpec(
         name=f"s{i}", capacity_bytes=1000 * MB,
         read_bandwidth_bytes_per_s=bw, write_bandwidth_bytes_per_s=bw,
-        per_request_latency_seconds=0.0,
         read_watts=2.0, write_watts=2.0, idle_watts=0.0))
 
 

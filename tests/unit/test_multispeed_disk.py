@@ -19,7 +19,6 @@ def make_disk(sim, **overrides):
         spinup_seconds=6.0, spinup_joules=90.0,
         spindown_seconds=1.5, spindown_joules=6.0,
         speed_levels=(1.0, 0.6, 0.4),
-        speed_change_seconds=2.0, speed_change_joules=4.0,
     )
     defaults.update(overrides)
     return HardDisk(sim, DiskSpec(**defaults))
@@ -151,10 +150,11 @@ class TestSpeedGovernor:
 
     def test_apply_skips_unprofitable_change(self):
         sim = Simulation()
-        disks = [make_disk(sim, name="d0",
-                           speed_change_joules=100_000.0)]
+        # 0.999 of full speed saves ~0.02 W: 60 s of it is not worth
+        # the 8 J round trip
+        disks = [make_disk(sim, name="d0", speed_levels=(1.0, 0.999))]
         gov = SpeedGovernor(disks)
-        sim.run(until=sim.spawn(gov.apply(0.1, epoch_seconds=600.0)))
+        sim.run(until=sim.spawn(gov.apply(0.1, epoch_seconds=60.0)))
         assert disks[0].speed_fraction == 1.0
         assert not gov.decisions[-1].changed
 

@@ -147,8 +147,6 @@ class TestSchedulerValidation:
         with pytest.raises(PipelineError):
             EtlScheduler(slack_fraction=-0.1)
         with pytest.raises(PipelineError):
-            EtlScheduler(queue_headroom_seconds=-1.0)
-        with pytest.raises(PipelineError):
             EtlScheduler(consolidation_node_equivalents=0.0)
 
     def test_impossible_freshness_raises(self):

@@ -51,6 +51,14 @@ class TestErrorPaths:
         line = _one_line_error(capsys)
         assert "not_a_knob" in line
 
+    def test_negative_seed_is_one_line(self, capsys, tmp_path):
+        cache = tmp_path / "c"
+        assert cli.main(["run", "svc_smoke", "--queries", "100",
+                         "--seed", "-1", "--cache", str(cache)]) == 2
+        line = _one_line_error(capsys)
+        assert "seed" in line and "-1" in line
+        assert not cache.exists()
+
     def test_knob_missing_value_is_one_line(self, capsys):
         assert cli.main(["run", "fig1", "--quiet", "--no-cache",
                          "--disks"]) == 2

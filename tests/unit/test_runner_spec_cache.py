@@ -305,15 +305,13 @@ class TestRunnerToy:
         assert [p.knob_value for p in profile.points] == [3, 1, 2]
 
     def test_events_are_streamed(self, tmp_path):
-        from repro.runner import (PointFinished, PointStarted,
-                                  RunFinished, RunStarted)
+        from repro.runner import PointFinished, RunFinished, RunStarted
         events = []
         spec = ExperimentSpec("unit_toy")
         Runner(workers=1, cache=tmp_path / "c",
                on_event=events.append).run(spec)
         kinds = [type(e) for e in events]
         assert kinds[0] is RunStarted and kinds[-1] is RunFinished
-        assert kinds.count(PointStarted) == 2
         assert kinds.count(PointFinished) == 2
         assert not any(e.cache_hit for e in events
                        if isinstance(e, PointFinished))

@@ -22,7 +22,6 @@ def make_log_device(sim, bw=100 * MB):
     return FlashSsd(sim, SsdSpec(
         name="log", capacity_bytes=1000 * MB,
         read_bandwidth_bytes_per_s=bw, write_bandwidth_bytes_per_s=bw,
-        per_request_latency_seconds=0.0,
         read_watts=2.0, write_watts=2.0, idle_watts=0.0))
 
 

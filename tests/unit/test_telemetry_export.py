@@ -4,7 +4,6 @@ about totals."""
 
 import pytest
 
-from repro.errors import ReproError
 from repro.telemetry import (
     DeviceTimeline,
     SpanNode,
@@ -39,7 +38,6 @@ class TestTraceModel:
         trace = make_trace()
         assert trace.total_joules == pytest.approx(120.0)
         assert trace.active_total_joules == pytest.approx(40.0)
-        assert trace.device_totals() == {"cpu": 90.0, "disk": 30.0}
         assert trace.attributed_joules() == pytest.approx(80.0)
         assert trace.unattributed_joules() == pytest.approx(40.0)
         assert trace.devices[0].busy_seconds == pytest.approx(1.6)
@@ -72,10 +70,6 @@ class TestRendering:
         out = render_flamegraph(make_trace(), active=True)
         assert "busy-time" in out
         assert "40 J" in out
-
-    def test_flamegraph_rejects_tiny_width(self):
-        with pytest.raises(ReproError):
-            render_flamegraph(make_trace(), width=5)
 
     def test_flamegraph_empty_trace(self):
         out = render_flamegraph(TelemetryTrace())

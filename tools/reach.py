@@ -281,8 +281,6 @@ ALLOWED: dict[str, str] = {_SRC + path: reason for path, reason in {
         "input-reachable: `runner trace --active`",
     "telemetry/trace.py::TelemetryTrace.active_totals":
         "oracle: the totals the energy-conservation tests compare against",
-    "telemetry/trace.py::TelemetryTrace.device_totals":
-        "input-reachable: the verbose event printer's per-point line",
     "workloads/tpch_queries.py::q14":
         "fixture: TPC-H plan builders the operator and oracle tests run",
     "workloads/tpch_queries.py::q3_spec":
