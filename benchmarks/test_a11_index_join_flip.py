@@ -43,8 +43,7 @@ SCALE = 2000.0
 
 def fbdimm_server(sim):
     cpu = Cpu(sim, CpuSpec(cores=4, frequency_hz=2.4 * GHZ,
-                           idle_watts=20.0, peak_watts=80.0,
-                           cstate_watts=3.0))
+                           idle_watts=20.0, peak_watts=80.0))
     dram = Dram(sim, DramSpec(capacity_bytes=16 * GIB,
                               background_watts_per_gib=1.0,
                               allocated_watts_per_gib=9.0,

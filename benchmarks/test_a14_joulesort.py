@@ -27,8 +27,7 @@ def wimpy_flash_node(sim):
     """Laptop-class CPU + several flash drives (the JouleSort winner's
     recipe)."""
     cpu = Cpu(sim, CpuSpec(cores=2, frequency_hz=1.8 * GHZ,
-                           idle_watts=4.0, peak_watts=18.0,
-                           cstate_watts=0.5))
+                           idle_watts=4.0, peak_watts=18.0))
     dram = Dram(sim, DramSpec(capacity_bytes=4 * GIB,
                               background_watts_per_gib=0.4,
                               bandwidth_bytes_per_s=6 * GB,

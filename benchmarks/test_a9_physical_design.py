@@ -29,8 +29,7 @@ from repro.workloads.tpch_schema import ORDERS_SCAN_COLUMNS
 def wimpy_disk_node(sim):
     """Low-power CPU in front of power-hungry spindles."""
     cpu = Cpu(sim, CpuSpec(cores=2, frequency_hz=1.6 * GHZ,
-                           idle_watts=3.0, peak_watts=12.0,
-                           cstate_watts=0.5))
+                           idle_watts=3.0, peak_watts=12.0))
     dram = Dram(sim, DramSpec(capacity_bytes=4 * GIB))
     disks = [HardDisk(sim, DiskSpec(
         name=f"d{i}", capacity_bytes=500 * GB,

@@ -35,7 +35,6 @@ class CpuSpec:
     frequency_hz: float = 2.4 * GHZ
     idle_watts: float = 15.0
     peak_watts: float = 90.0
-    cstate_watts: float = 3.0
     dvfs_fractions: tuple[float, ...] = (1.0, 0.85, 0.7, 0.55)
 
     def __post_init__(self) -> None:
@@ -47,8 +46,6 @@ class CpuSpec:
             raise HardwareError(
                 f"cpu: need 0 <= idle ({self.idle_watts}) "
                 f"<= peak ({self.peak_watts})")
-        if self.cstate_watts > self.idle_watts:
-            raise HardwareError("cpu: C-state power above idle power")
         if not self.dvfs_fractions or any(
                 not 0 < f <= 1.0 for f in self.dvfs_fractions):
             raise HardwareError(
@@ -63,6 +60,7 @@ class Cpu(Device):
         self.spec = spec
         self.cores = Resource(sim, capacity=spec.cores, name="cpu.cores")
         self._dvfs_fraction = spec.dvfs_fractions[0]
+        self._dynamic_watts = self._dynamic_range_watts()
         self._update_power()
 
     # -- frequency scaling -------------------------------------------------
@@ -92,6 +90,7 @@ class Cpu(Device):
                 f"{self.name}: cannot change DVFS while {self.busy_units} "
                 "cores are busy")
         self._dvfs_fraction = fraction
+        self._dynamic_watts = self._dynamic_range_watts()
         self._update_power()
 
     # -- execution -----------------------------------------------------------
@@ -127,9 +126,9 @@ class Cpu(Device):
                 * self._dvfs_fraction ** 3)
 
     def _update_power(self) -> None:
-        busy_fraction = self.busy_units / self.spec.cores
+        busy_fraction = self._busy_units / self.spec.cores
         self._set_power(self.spec.idle_watts
-                        + self._dynamic_range_watts() * busy_fraction)
+                        + self._dynamic_watts * busy_fraction)
 
     def _on_activity_change(self) -> None:
         self._update_power()
@@ -141,5 +140,5 @@ class Cpu(Device):
         One busy core on a c-core package is charged peak/c at the current
         P-state, so a fully-busy package is charged exactly its peak power.
         """
-        full = self.spec.idle_watts + self._dynamic_range_watts()
+        full = self.spec.idle_watts + self._dynamic_watts
         return full / self.spec.cores

@@ -8,7 +8,8 @@ Its power draw is a right-continuous step function of time, recorded in a
 
 holds exactly.  Subclasses change power by calling :meth:`_set_power`,
 and account for activity via :meth:`_mark_busy` / :meth:`_mark_idle`
-(which tracks unit-seconds of busy time — e.g. core-seconds for a CPU).
+(which tracks unit-seconds of busy time — e.g. core-seconds for a CPU,
+and calls the subclass's ``_on_activity_change()`` to recompute power).
 """
 
 from __future__ import annotations
@@ -89,9 +90,6 @@ class Device:
         now = self.sim.clock._now
         self._busy_integral += self._busy_units * (now - self._last_busy_change)
         self._last_busy_change = now
-
-    def _on_activity_change(self) -> None:
-        """Hook: subclasses recompute power when activity changes."""
 
     @property
     def busy_units(self) -> int:

@@ -100,12 +100,11 @@ class HardDisk(Device):
 
     def __init__(self, sim: "Simulation", spec: DiskSpec) -> None:
         self.spec = spec
+        states = [PowerState(self.ACTIVE, spec.active_watts),
+                  PowerState(self.IDLE, spec.idle_watts),
+                  PowerState(self.STANDBY, spec.standby_watts)]
         self._psm = PowerStateMachine(
-            states=[
-                PowerState(self.ACTIVE, spec.active_watts),
-                PowerState(self.IDLE, spec.idle_watts),
-                PowerState(self.STANDBY, spec.standby_watts),
-            ],
+            states=states,
             transitions=[
                 Transition(self.ACTIVE, self.IDLE),
                 Transition(self.IDLE, self.ACTIVE),
@@ -116,13 +115,18 @@ class HardDisk(Device):
             ],
             initial=self.IDLE,
         )
+        #: (state, speed) -> watts for every offered speed, so a state
+        #: change is one lookup (standby is not scaled: the spindle is
+        #: stopped)
+        self._state_watts = {
+            (state.name, fraction):
+                (state.power_watts if state.name == self.STANDBY
+                 else spec.power_at_speed(state.power_watts, fraction))
+            for state in states for fraction in spec.speed_levels}
         super().__init__(sim, spec.name, initial_power_watts=spec.idle_watts)
         self.spindle = Resource(sim, capacity=1, name=f"{spec.name}.spindle")
         self._last_stream: Optional[Hashable] = None
         self._speed = 1.0
-        #: (state, speed) -> watts: a transfer enters ACTIVE and IDLE
-        #: once each, and the scaling is a float power
-        self._state_watts: dict[tuple[str, float], float] = {}
         self.bytes_read = 0
         self.bytes_written = 0
         self.requests_served = 0
@@ -167,11 +171,6 @@ class HardDisk(Device):
         finally:
             self.spindle.release()
 
-    def _scaled_power(self, full_watts: float) -> float:
-        if self._psm.current == self.STANDBY:
-            return full_watts
-        return self.spec.power_at_speed(full_watts, self._speed)
-
     @property
     def effective_bandwidth_bytes_per_s(self) -> float:
         """Media rate at the current speed (linear in RPM)."""
@@ -203,12 +202,12 @@ class HardDisk(Device):
         from the same stream skip the positioning cost; interleaved
         streams pay a seek each time the head switches between them.
         """
-        yield from self._transfer(nbytes, stream, is_write=False)
+        return self._transfer(nbytes, stream, False)
 
     def write(self, nbytes: int,
               stream: Optional[Hashable] = None) -> Generator:
         """Write ``nbytes`` (process).  Same streaming rules as reads."""
-        yield from self._transfer(nbytes, stream, is_write=True)
+        return self._transfer(nbytes, stream, True)
 
     def read_batch(self, nbytes: float, n_requests: float) -> Generator:
         """Serve a batch of random reads in one simulation step (process).
@@ -228,13 +227,11 @@ class HardDisk(Device):
             seconds = (n_requests * (self.effective_positioning_seconds
                                      + self.spec.per_request_overhead_seconds)
                        + nbytes / self.effective_bandwidth_bytes_per_s)
-            self._enter(self.ACTIVE)
-            self._mark_busy()
+            self._start_service()
             try:
                 yield self.sim.timeout(seconds)
             finally:
-                self._mark_idle()
-                self._enter(self.IDLE)
+                self._end_service()
             self.requests_served += int(round(n_requests))
             self.bytes_read += int(nbytes)
         finally:
@@ -246,19 +243,18 @@ class HardDisk(Device):
             raise HardwareError(f"{self.name}: negative transfer size")
         yield self.spindle.acquire()
         try:
-            if self._psm.current == self.STANDBY:
+            if self._psm._current == self.STANDBY:
                 yield from self._spin_up_locked()
             positioned = stream is not None and stream == self._last_stream
             self._last_stream = stream
             if not positioned:
                 self.positioning_count += 1
-            self._enter(self.ACTIVE)
-            self._mark_busy()
+            seconds = self.service_seconds(nbytes, positioned)
+            self._start_service()
             try:
-                yield self.sim.timeout(self.service_seconds(nbytes, positioned))
+                yield self.sim.timeout(seconds)
             finally:
-                self._mark_idle()
-                self._enter(self.IDLE)
+                self._end_service()
             self.requests_served += 1
             if is_write:
                 self.bytes_written += nbytes
@@ -298,21 +294,40 @@ class HardDisk(Device):
         self._draw_state_power()
         self._last_stream = None  # head position is stale after standby
 
-    def _enter(self, state: str) -> None:
-        if self._psm.current != state:
-            self._psm.transition(state)
-            self._draw_state_power()
+    def _start_service(self) -> None:
+        """IDLE -> ACTIVE with the spindle busy, in one call.
+
+        The caller holds the spindle, so the disk is idle here; the
+        IDLE <-> ACTIVE transitions cost no time or energy, so the state
+        is set in place and the watts read from the table rather than
+        through ``PowerStateMachine.transition`` and ``_set_power``."""
+        now = self.sim.clock._now
+        self._psm._current = self.ACTIVE
+        self.power_series.record(
+            now, self._state_watts[self.ACTIVE, self._speed])
+        self._busy_integral += self._busy_units * (
+            now - self._last_busy_change)
+        self._last_busy_change = now
+        self._busy_units += 1
+
+    def _end_service(self) -> None:
+        """ACTIVE -> IDLE with the spindle free again."""
+        now = self.sim.clock._now
+        self._busy_integral += self._busy_units * (
+            now - self._last_busy_change)
+        self._last_busy_change = now
+        self._busy_units -= 1
+        self._psm._current = self.IDLE
+        self.power_series.record(
+            now, self._state_watts[self.IDLE, self._speed])
 
     def _draw_state_power(self) -> None:
         """Draw the current state's power at the current speed."""
-        key = (self._psm.current, self._speed)
-        watts = self._state_watts.get(key)
-        if watts is None:
-            watts = self._state_watts[key] = self._scaled_power(
-                self._psm.power_watts)
-        self._set_power(watts)
+        self._set_power(self._state_watts[self._psm.current, self._speed])
 
     @property
     def active_power_per_unit_watts(self) -> float:
         """Active power charged per busy spindle-second (Figure 2 style)."""
-        return self._scaled_power(self.spec.active_watts)
+        if self._psm.current == self.STANDBY:
+            return self.spec.active_watts
+        return self._state_watts[self.ACTIVE, self._speed]

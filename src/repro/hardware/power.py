@@ -71,11 +71,6 @@ class PowerStateMachine:
         """Name of the current state."""
         return self._current
 
-    @property
-    def power_watts(self) -> float:
-        """Steady-state power of the current state."""
-        return self._states[self._current].power_watts
-
     def transition(self, target: str) -> Transition:
         """Move to ``target``; returns the transition (latency + energy).
 

@@ -87,7 +87,7 @@ def dl785(sim: "Simulation", n_disks: int = 204,
         group_factor = n_disks // width
     cpu = Cpu(sim, CpuSpec(
         cores=32, frequency_hz=2.3 * GHZ,
-        idle_watts=350.0, peak_watts=700.0, cstate_watts=80.0))
+        idle_watts=350.0, peak_watts=700.0))
     dram = Dram(sim, DramSpec(
         capacity_bytes=64 * GIB,
         background_watts_per_gib=0.6, active_extra_watts=8.0,
@@ -127,7 +127,6 @@ def flash_scan_node(sim: "Simulation") -> tuple[Server, RaidArray]:
     cpu = Cpu(sim, CpuSpec(
         cores=1, frequency_hz=2.4 * GHZ,
         idle_watts=30.0, peak_watts=FIG2_CPU_ACTIVE_WATTS,
-        cstate_watts=2.0,
         dvfs_fractions=(1.0, 0.85, 0.7, 0.55, 0.4)))
     dram = Dram(sim, DramSpec(
         capacity_bytes=4 * GIB,
@@ -150,7 +149,7 @@ def commodity(sim: "Simulation",
     """
     cpu = Cpu(sim, CpuSpec(
         cores=4, frequency_hz=3.0 * GHZ,
-        idle_watts=12.0, peak_watts=65.0, cstate_watts=2.0))
+        idle_watts=12.0, peak_watts=65.0))
     dram = Dram(sim, DramSpec(
         capacity_bytes=8 * GIB,
         background_watts_per_gib=0.5, active_extra_watts=3.0,

@@ -48,6 +48,8 @@ class RaidArray:
         self.level = level
         self.stripe_unit_bytes = stripe_unit_bytes
         self.name = name
+        #: names of the processes that serve each member's share
+        self._member_names = [f"{name}.{m.name}" for m in self.members]
 
     # -- geometry ------------------------------------------------------------
     @property
@@ -127,14 +129,13 @@ class RaidArray:
 
     def _fan_out(self, shares: list[int], stream: Optional[Hashable],
                  is_write: bool) -> Generator:
-        children = []
-        for member, share in zip(self.members, shares):
-            if share <= 0:
-                continue
-            op = member.write if is_write else member.read
-            children.append(self.sim.spawn(
-                op(share, stream=stream),
-                name=f"{self.name}.{member.name}"))
+        spawn = self.sim.spawn
+        children = [
+            spawn((member.write if is_write else member.read)(share, stream),
+                  name)
+            for member, name, share in zip(self.members,
+                                           self._member_names, shares)
+            if share > 0]
         if children:
             yield self.sim.all_of(children)
 

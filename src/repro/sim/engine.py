@@ -39,39 +39,46 @@ class Process(Event):
     return value when the generator finishes, or fails with the exception
     that escaped it.  This lets processes wait on each other by yielding
     the :class:`Process` object.
+
+    The process is also the callback it registers on the event it waits
+    on: dispatching that event calls the process, which resumes its
+    generator with the event's outcome.  No bound method is made per
+    wait, and the process keeps no reference to itself.
     """
 
     __slots__ = ("name", "_generator", "_spawn_seq", "__weakref__")
 
     def __init__(self, sim: "Simulation", generator: ProcessGenerator,
                  name: str = "") -> None:
-        super().__init__(sim)
         if not hasattr(generator, "send"):
             raise SimulationError(
                 f"spawn() needs a generator, got {type(generator).__name__}"
             )
+        self.sim = sim
+        self.callbacks = []
+        self._triggered = False
+        self._ok = None
+        self._value = None
+        self._dispatched = False
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
         #: spawn order, which picks among several orphaned failures
         self._spawn_seq = sim._seq
-        # Kick the process off at the current time.
-        sim._schedule_call(self._resume_first)
+        # Kick the process off at the current time: the carrier is a
+        # succeeded event with no value, so the first resume sends None.
+        sim._schedule_call(self)
 
-    def _resume_first(self, _carrier: Event) -> None:
-        self._step(None, ok=True)
-
-    def _on_event(self, event: Event) -> None:
-        # only a dispatched, hence triggered, event gets here
-        self._step(event._value, event._ok)
-
-    def _step(self, value: Any, ok: bool) -> None:
+    def __call__(self, event: Event) -> None:
+        """Resume the generator with ``event``'s outcome and wait on
+        what it yields next (only a dispatched, hence triggered, event
+        gets here)."""
         if self._triggered:
             return
         try:
-            if ok:
-                target = self._generator.send(value)
+            if event._ok:
+                target = self._generator.send(event._value)
             else:
-                target = self._generator.throw(value)
+                target = self._generator.throw(event._value)
         except StopIteration as stop:
             self._trigger(True, stop.value)
             return
@@ -87,11 +94,10 @@ class Process(Event):
             self.fail(SimulationError(
                 f"process {self.name!r} yielded an event from another simulation"))
             return
-        # add_callback, without the call on the path every wait takes
         if target._dispatched:
-            target.add_callback(self._on_event)
+            target.add_callback(self)
         else:
-            target.callbacks.append(self._on_event)
+            target.callbacks.append(self)
 
 
 class Simulation:
@@ -150,7 +156,7 @@ class Simulation:
         clock._now = when
         event._dispatched = True
         callbacks = event.callbacks
-        event.callbacks = []
+        event.callbacks = None
         if not (event._ok or callbacks) and isinstance(event, Process):
             # Nobody is handling this failure; run() re-raises it.
             self._orphans.append(event)
@@ -181,11 +187,13 @@ class Simulation:
         return None
 
     def _run_until_event(self, until: Event) -> Any:
+        queue = self._queue
+        step = self.step
         while not until._triggered:
-            if not self._queue:
+            if not queue:
                 raise SimulationError(
                     "event queue drained before the awaited event triggered")
-            self.step()
+            step()
         if until.ok:
             return until.value
         raise until.value

@@ -31,8 +31,12 @@ class Event:
                  "_dispatched")
 
     def __init__(self, sim: "Simulation") -> None:
+        # Timeout, AllOf, Process and the resource request set these
+        # six slots themselves (one call less per event): keep them in
+        # step with this list.
         self.sim = sim
-        self.callbacks: list[Callback] = []
+        #: ``None`` once dispatched: a later waiter is scheduled instead
+        self.callbacks: list[Callback] | None = []
         self._triggered = False
         self._ok: bool | None = None
         self._value: Any = None
@@ -103,10 +107,13 @@ class Timeout(Event):
     def __init__(self, sim: "Simulation", delay: float) -> None:
         if delay < 0:
             raise SimulationError(f"timeout delay must be non-negative, got {delay}")
-        super().__init__(sim)
-        self.delay = delay
+        self.sim = sim
+        self.callbacks = []
         self._triggered = True  # scheduled at construction, cannot re-trigger
         self._ok = True
+        self._value = None
+        self._dispatched = False
+        self.delay = delay
         heappush(sim._queue, (sim.clock._now + delay, sim._seq, self))
         sim._seq += 1
 
@@ -121,24 +128,33 @@ class AllOf(Event):
     __slots__ = ("_children", "_pending")
 
     def __init__(self, sim: "Simulation", events: Iterable[Event]) -> None:
-        super().__init__(sim)
-        self._children = list(events)
-        self._pending = len(self._children)
-        if self._pending == 0:
+        self.sim = sim
+        self.callbacks = []
+        self._triggered = False
+        self._ok = None
+        self._value = None
+        self._dispatched = False
+        self._children = children = list(events)
+        self._pending = len(children)
+        if not children:
             self.succeed([])
             return
-        for child in self._children:
-            child.add_callback(self._on_child)
+        on_child = self._on_child
+        for child in children:
+            if child._dispatched:
+                child.add_callback(on_child)
+            else:
+                child.callbacks.append(on_child)
 
     def _on_child(self, child: Event) -> None:
         if self._triggered:
             return
-        if not child.ok:
-            self.fail(child.value)
+        if not child._ok:
+            self.fail(child._value)
             return
         self._pending -= 1
         if self._pending == 0:
-            self.succeed([c.value for c in self._children])
+            self._trigger(True, [c._value for c in self._children])
 
 
 class AnyOf(Event):

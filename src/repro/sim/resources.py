@@ -26,6 +26,7 @@ Example
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
@@ -37,13 +38,27 @@ from repro.sim.events import Event
 
 
 class _Request(Event):
-    """The event handed to a waiting process; succeeds on grant."""
+    """The event handed to a waiting process; succeeds on grant, with
+    the resource as its value."""
 
     __slots__ = ()
 
+    def __init__(self, sim: "Simulation") -> None:
+        self.sim = sim
+        self.callbacks = []
+        self._triggered = False
+        self._ok = None
+        self._value = None
+        self._dispatched = False
+
 
 class Resource:
-    """A FIFO multi-server resource."""
+    """A FIFO multi-server resource.
+
+    A grant triggers its request in place: :meth:`acquire` and
+    :meth:`release` push the request's heap entry themselves, exactly
+    as ``Event.succeed`` would.
+    """
 
     def __init__(self, sim: "Simulation", capacity: int = 1, name: str = "") -> None:
         if capacity < 1:
@@ -57,9 +72,15 @@ class Resource:
     # -- acquisition ---------------------------------------------------
     def acquire(self) -> _Request:
         """Request one unit.  Yield the returned event to wait for grant."""
-        request = _Request(self.sim)
+        sim = self.sim
+        request = _Request(sim)
         if self._in_use < self.capacity:
-            self._grant(request)
+            self._in_use += 1
+            request._triggered = True
+            request._ok = True
+            request._value = self
+            heappush(sim._queue, (sim.clock._now, sim._seq, request))
+            sim._seq += 1
         else:
             self._waiting.append(request)
         return request
@@ -68,10 +89,14 @@ class Resource:
         """Return one unit, granting it to the longest waiter if any."""
         if self._in_use <= 0:
             raise SimulationError(f"{self.name}: release() without acquire()")
-        self._in_use -= 1
         if self._waiting:
-            self._grant(self._waiting.popleft())
-
-    def _grant(self, request: _Request) -> None:
-        self._in_use += 1
-        request.succeed(self)
+            # the unit passes straight to the waiter: in use stays put
+            request = self._waiting.popleft()
+            request._triggered = True
+            request._ok = True
+            request._value = self
+            sim = self.sim
+            heappush(sim._queue, (sim.clock._now, sim._seq, request))
+            sim._seq += 1
+        else:
+            self._in_use -= 1

@@ -15,7 +15,6 @@ from repro.units import GHZ
 def make_cpu(sim):
     return Cpu(sim, CpuSpec(cores=2, frequency_hz=2 * GHZ,
                             idle_watts=10.0, peak_watts=60.0,
-                            cstate_watts=2.0,
                             dvfs_fractions=(1.0, 0.8, 0.6)))
 
 

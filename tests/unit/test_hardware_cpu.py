@@ -10,8 +10,7 @@ from repro.units import GHZ
 
 def make_cpu(sim, cores=2, freq=1 * GHZ, idle=10.0, peak=50.0):
     return Cpu(sim, CpuSpec(cores=cores, frequency_hz=freq,
-                            idle_watts=idle, peak_watts=peak,
-                            cstate_watts=min(1.0, idle)))
+                            idle_watts=idle, peak_watts=peak))
 
 
 def test_execute_time_equals_cycles_over_frequency():
@@ -101,7 +100,7 @@ def test_core_contention_serializes():
 def test_dvfs_slows_and_cheapens():
     sim = Simulation()
     spec = CpuSpec(cores=1, frequency_hz=1 * GHZ, idle_watts=10.0,
-                   peak_watts=50.0, cstate_watts=1.0,
+                   peak_watts=50.0,
                    dvfs_fractions=(1.0, 0.5))
     cpu = Cpu(sim, spec)
     cpu.set_dvfs(0.5)
@@ -125,7 +124,7 @@ def test_dvfs_rejects_unoffered_fraction():
 def test_dvfs_rejected_while_busy():
     sim = Simulation()
     spec = CpuSpec(cores=1, frequency_hz=1 * GHZ, idle_watts=10.0,
-                   peak_watts=50.0, cstate_watts=1.0,
+                   peak_watts=50.0,
                    dvfs_fractions=(1.0, 0.5))
     cpu = Cpu(sim, spec)
 
@@ -180,5 +179,3 @@ def test_spec_validation():
         CpuSpec(idle_watts=100.0, peak_watts=50.0)
     with pytest.raises(HardwareError):
         CpuSpec(dvfs_fractions=(1.5,))
-    with pytest.raises(HardwareError):
-        CpuSpec(cstate_watts=99.0)

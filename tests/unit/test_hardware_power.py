@@ -30,7 +30,6 @@ def make_psm():
 def test_initial_state_and_power():
     psm = make_psm()
     assert psm.current == "idle"
-    assert psm.power_watts == 12.0
 
 
 def test_transition_moves_state():
@@ -38,7 +37,6 @@ def test_transition_moves_state():
     t = psm.transition("active")
     assert psm.current == "active"
     assert t.latency_seconds == 0.0
-    assert psm.power_watts == 17.0
 
 
 def test_transition_carries_costs():

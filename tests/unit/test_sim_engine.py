@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Simulation
+from repro.sim import Resource, Simulation
 from repro.sim.events import Event
 
 
@@ -425,6 +425,39 @@ def test_finished_processes_are_not_retained():
     sim.run()
     gc.collect()
     assert not any(ref() is not None for ref in refs)
+
+
+def test_finished_processes_die_by_reference_counting():
+    """No process keeps a reference cycle (a bound method of itself in
+    a slot, say): with the cycle collector off, every finished process
+    is freed as soon as the last reference to it goes."""
+    import gc
+    import weakref
+
+    sim = Simulation()
+    disk = Resource(sim, capacity=2)
+
+    def child(delay):
+        yield sim.timeout(delay)
+        return delay
+
+    def worker(delay):
+        yield disk.acquire()
+        try:
+            yield sim.spawn(child(delay))
+            yield sim.all_of([sim.spawn(child(delay)), sim.timeout(delay)])
+        finally:
+            disk.release()
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        refs = [weakref.ref(sim.spawn(worker(i % 7))) for i in range(1_000)]
+        sim.run()
+        assert not any(ref() is not None for ref in refs)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_event_ok_before_trigger_rejected():
