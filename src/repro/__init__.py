@@ -32,8 +32,8 @@ from repro.service.spec import FleetSpec, NodeClass
 from repro.service.workload import build_diurnal_stream
 from repro.sim import Simulation
 from repro.workloads.pipelines import (BatchTenant, EtlReport,
-                                       EtlScheduler, EtlSweepResult,
-                                       PipelineSpec, Stage, run_pipeline)
+                                       EtlScheduler, PipelineSpec, Stage,
+                                       run_pipeline)
 
 __version__ = "2.1.0"
 
@@ -41,7 +41,6 @@ __all__ = [
     "BatchTenant",
     "EtlReport",
     "EtlScheduler",
-    "EtlSweepResult",
     "ExecutionContext",
     "Executor",
     "ExperimentSpec",

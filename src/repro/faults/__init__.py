@@ -18,7 +18,8 @@ Quick start::
                                     horizon_seconds=stream.duration_seconds,
                                     seed=0)
     report = simulate_faulty_service(stream, schedule, fleet=fleet)
-    print(report.availability, report.faults.crashes)
+    print(report.queries_completed / report.queries_offered,  # availability
+          report.faults.crashes)
 
 or, the registered experiments::
 
@@ -27,8 +28,7 @@ or, the registered experiments::
 """
 
 from repro.faults.engine import simulate_faulty_service
-from repro.faults.experiments import (ChaosSweepResult, chaos_aggregate,
-                                      chaos_point)
+from repro.faults.experiments import chaos_point
 from repro.faults.policies import RetryPolicy, ShedPolicy
 from repro.faults.schedule import (FAULT_KINDS, FaultError, FaultEvent,
                                    FaultMix, FaultSchedule,
@@ -37,7 +37,6 @@ from repro.faults.schedule import (FAULT_KINDS, FaultError, FaultEvent,
 
 __all__ = [
     "FAULT_KINDS",
-    "ChaosSweepResult",
     "FaultError",
     "FaultEvent",
     "FaultMix",
@@ -45,7 +44,6 @@ __all__ = [
     "RetryPolicy",
     "ShedPolicy",
     "build_fault_schedule",
-    "chaos_aggregate",
     "chaos_point",
     "degraded_speed_factor",
     "simulate_faulty_service",

@@ -8,21 +8,15 @@ every other registered experiment::
 
     python -m repro.runner run chaos_smoke
     python -m repro.runner run chaos_frontier      # intensity sweep
-
-:func:`chaos_aggregate` folds an intensity sweep into a
-:class:`ChaosSweepResult` — the availability-vs-energy frontier the
-operator's handbook (OPERATIONS.md) reads chaos reports against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Optional
 
 from repro.faults.engine import simulate_faulty_service
 from repro.faults.policies import RetryPolicy, ShedPolicy
-from repro.faults.schedule import FaultError, FaultMix, build_fault_schedule
-from repro.records import Record
+from repro.faults.schedule import FaultMix, build_fault_schedule
 from repro.service.experiments import _policy_and_autoscaler
 from repro.service.node import NodePowerModel
 from repro.service.report import ServiceReport
@@ -90,59 +84,3 @@ def chaos_point(policy: str = "power_aware",
         stream, schedule, fleet=fleet, policy=dispatch,
         autoscaler=autoscaler, retry=retry, shed=shed)
 
-
-@dataclass
-class ChaosSweepResult(Record):
-    """A fault-intensity sweep folded into one frontier.
-
-    The chaos analogue of
-    :class:`~repro.service.report.ServiceSweepResult`: the axis is the
-    fault intensity multiplier, and the reading is the paper's
-    energy-vs-availability trade-off measured — how many Joules per
-    query the fleet pays, and how much availability it keeps, as the
-    failure rate climbs.
-    """
-
-    intensities: list[float]
-    reports: list[ServiceReport]
-
-    def __post_init__(self) -> None:
-        if len(self.intensities) != len(self.reports):
-            raise FaultError("one report per intensity, "
-                             f"got {len(self.reports)} reports for "
-                             f"{len(self.intensities)} intensities")
-
-    def headline(self) -> dict[str, float]:
-        """The acceptance numbers at the highest swept intensity."""
-        worst = self.reports[-1]
-        assert worst.faults is not None
-        return {
-            "intensity": self.intensities[-1],
-            "availability": worst.availability,
-            "downtime_fraction": worst.faults.downtime_fraction,
-            "queries_lost": float(worst.faults.queries_lost),
-            "joules_per_query": worst.joules_per_query,
-            "p95_seconds": worst.p95_latency_seconds,
-        }
-
-    def rows(self) -> list[tuple]:
-        """Frontier rows: intensity, availability, lost, J/query,
-        p95, surviving-tenant SLA verdict."""
-        out = []
-        for x, r in zip(self.intensities, self.reports):
-            faults = r.faults
-            out.append((
-                x, r.availability,
-                faults.queries_lost if faults is not None else 0,
-                r.joules_per_query, r.p95_latency_seconds,
-                "met" if r.surviving_slas_met else "MISSED",
-            ))
-        return out
-
-
-def chaos_aggregate(points: Sequence[Any]) -> ChaosSweepResult:
-    """Fold finished chaos points into the intensity frontier."""
-    ordered = sorted(points, key=lambda p: float(p.knobs["intensity"]))
-    return ChaosSweepResult(
-        intensities=[float(p.knobs["intensity"]) for p in ordered],
-        reports=[p.report for p in ordered])

@@ -327,7 +327,6 @@ class HardDisk(Device):
 
     @property
     def active_power_per_unit_watts(self) -> float:
-        """Active power charged per busy spindle-second (Figure 2 style)."""
-        if self._psm.current == self.STANDBY:
-            return self.spec.active_watts
+        """Active power charged per busy spindle-second (Figure 2 style),
+        at the current speed in every state."""
         return self._state_watts[self.ACTIVE, self._speed]

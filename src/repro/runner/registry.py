@@ -151,12 +151,11 @@ def _fig2_aggregate(points: Sequence["PointResult"]) -> Any:
 def _register_builtin_experiments() -> None:
     from repro.consolidation.experiments import batching_point
     from repro.core.experiments import figure1_point, figure2_point
-    from repro.faults.experiments import chaos_aggregate, chaos_point
+    from repro.faults.experiments import chaos_point
     from repro.hardware.profiles import FIG1_DISK_COUNTS
     from repro.service import experiments as svc
     from repro.workloads.duty_cycle import run_duty_cycle
-    from repro.workloads.pipelines.experiments import (etl_aggregate,
-                                                       etl_point)
+    from repro.workloads.pipelines.experiments import etl_point
     from repro.workloads.scan_workload import run_scan
 
     # each registration declares its sweep axes and its own scale; every
@@ -213,7 +212,7 @@ def _register_builtin_experiments() -> None:
         point_fn=svc.hetero_point,
         defaults={"composition": ["beefy", "wimpy", "mixed"],
                   "load": [0.05, 0.2, 0.6, 1.2], "sla_scale": [1.0, 0.35]},
-        aggregate=svc.hetero_aggregate, profile="commodity"))
+        profile="commodity"))
     register_experiment(ExperimentDef(
         name="svc_pvc_qed",
         title="Serving: PVC frequency governor x QED batching, "
@@ -222,7 +221,7 @@ def _register_builtin_experiments() -> None:
         point_fn=svc.pvc_qed_point,
         defaults={"config": ["power_aware", "pvc", "qed", "pvc_qed"],
                   "sla_headroom": [0.35, 0.7]},
-        aggregate=svc.pvc_qed_aggregate, profile="commodity"))
+        profile="commodity"))
     register_experiment(ExperimentDef(
         name="svc_etl",
         title="Serving: batch ETL as scheduled tenants — eager vs. "
@@ -231,7 +230,7 @@ def _register_builtin_experiments() -> None:
         point_fn=etl_point,
         defaults={"mode": ["none", "eager", "delayed", "consolidated"],
                   "load": [1.0, 1.6]},
-        aggregate=etl_aggregate, profile="commodity"))
+        profile="commodity"))
     # load and engine: late knobs the two mega sweeps were pinned with
     mega = {"policy": policies, "nodes": 256, "load": 30.0, "engine": "auto"}
     register_experiment(ExperimentDef(
@@ -258,15 +257,14 @@ def _register_builtin_experiments() -> None:
         title="Chaos: small fault-injection run for CI smoke / "
               "observatory gating (crashes, throttling, disk, timeouts)",
         point_fn=chaos_point,
-        defaults={"queries": 20_000, "nodes": 8},
-        aggregate=chaos_aggregate, profile="commodity"))
+        defaults={"queries": 20_000, "nodes": 8}, profile="commodity"))
     register_experiment(ExperimentDef(
         name="chaos_frontier",
         title="Chaos: availability-vs-energy frontier, 500k queries on "
               "16 nodes across fault intensities",
         point_fn=chaos_point,
         defaults={"queries": 500_000, "intensity": [0.5, 1.0, 2.0]},
-        aggregate=chaos_aggregate, profile="commodity"))
+        profile="commodity"))
     register_experiment(ExperimentDef(
         name="proportionality",
         title="A8: duty-cycle utilization sweep, real vs. ideal "

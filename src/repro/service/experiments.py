@@ -14,22 +14,19 @@ structured events, optional telemetry traces.
 
 :func:`hetero_point` is the heterogeneous-fleet analogue — one named
 fleet *composition* (:data:`COMPOSITIONS`) serving one load- and
-SLA-scaled stream — and :func:`hetero_aggregate` folds the
-``svc_hetero`` composition × load × SLA grid into a
-:class:`HeteroSweepResult`, the experiment that reproduces the
-wimpy-vs-beefy crossover of Lang et al. (arXiv 1208.1933): wimpy
-fleets win Joules-per-query at low utilization on their lower idle
-floor, beefy fleets win once utilization (or a tightened SLA) makes
-the wimpy marginal cost — watts divided by a sub-unity speed factor —
-the dominant term.
+SLA-scaled stream.  The ``svc_hetero`` composition × load × SLA grid
+reproduces the wimpy-vs-beefy crossover of Lang et al. (arXiv
+1208.1933): wimpy fleets win Joules-per-query at low utilization on
+their lower idle floor, beefy fleets win once utilization (or a
+tightened SLA) makes the wimpy marginal cost — watts divided by a
+sub-unity speed factor — the dominant term.
 
 :func:`pvc_qed_point` runs the Lang & Patel (arXiv 0909.1767)
 mechanism sweep — the ``power_aware`` baseline against the PVC
-frequency governor, the QED batcher, and their composition — and
-:func:`pvc_qed_aggregate` folds the config × SLA-headroom grid into a
-:class:`PVCQEDSweepResult` whose :meth:`~PVCQEDSweepResult.headline`
-states the acceptance verdict: some mechanism config strictly beats
-the baseline on Joules/query while every tenant SLA holds.
+frequency governor, the QED batcher, and their composition.  The
+claim read off the config × SLA-headroom grid: some mechanism config
+strictly beats the baseline on Joules/query while every tenant SLA
+holds.
 
 ``svc_mega`` is :func:`service_point` at fleet scale — 10M+ queries
 over 256+ nodes at ``load=30``, tractable because ``engine="auto"``
@@ -396,204 +393,3 @@ def mega_calibration_point(policy: str = "power_aware",
 def svc_aggregate(points: Sequence[Any]) -> ServiceSweepResult:
     """Fold a finished policy sweep into one comparable result."""
     return ServiceSweepResult(reports=[p.report for p in points])
-
-
-@dataclass
-class HeteroSweepResult(Record):
-    """A composition × load × SLA sweep folded into one frontier.
-
-    Parallel arrays: point *k* ran ``compositions[k]`` at load
-    multiplier ``loads[k]`` and SLA scale ``sla_scales[k]`` and
-    produced ``reports[k]``.  :meth:`crossover_rows` reads the
-    arXiv 1208.1933 verdict off the grid — which composition wins
-    Joules per query at each operating point — and :meth:`headline`
-    states whether the winner actually flips across the load axis.
-    """
-
-    compositions: list[str]
-    loads: list[float]
-    sla_scales: list[float]
-    reports: list[ServiceReport]
-
-    def __post_init__(self) -> None:
-        n = len(self.reports)
-        if not (len(self.compositions) == len(self.loads)
-                == len(self.sla_scales) == n):
-            raise ServiceError(
-                "hetero sweep arrays disagree: "
-                f"{len(self.compositions)} compositions, "
-                f"{len(self.loads)} loads, {len(self.sla_scales)} "
-                f"sla_scales, {n} reports")
-
-    def report_at(self, composition: str, load: float,
-                  sla_scale: float) -> ServiceReport:
-        for c, l, s, report in zip(self.compositions, self.loads,
-                                   self.sla_scales, self.reports):
-            if c == composition and l == load and s == sla_scale:
-                return report
-        ran = ", ".join(f"({c}, {l}, {s})"
-                        for c, l, s in zip(self.compositions, self.loads,
-                                           self.sla_scales))
-        raise ServiceError(
-            f"sweep has no point ({composition!r}, {load!r}, "
-            f"{sla_scale!r}); ran: {ran}")
-
-    def operating_points(self) -> list[tuple[float, float]]:
-        """Distinct (load, sla_scale) pairs, relaxed-SLA first, then
-        ascending load."""
-        pairs = sorted({(l, s) for l, s in zip(self.loads,
-                                               self.sla_scales)},
-                       key=lambda p: (-p[1], p[0]))
-        return pairs
-
-    def rows(self) -> list[tuple]:
-        """Catalog rows: composition, load, sla_scale, J/query, p95,
-        SLA verdict, energy."""
-        out = []
-        for c, l, s, r in zip(self.compositions, self.loads,
-                              self.sla_scales, self.reports):
-            out.append((c, l, s, r.joules_per_query,
-                        r.p95_latency_seconds,
-                        "met" if r.slas_met else "MISSED",
-                        r.energy_joules))
-        return out
-
-    def crossover_rows(self) -> list[tuple]:
-        """Per operating point: beefy J/q, wimpy J/q, and the winner
-        (SLA-respecting: a composition that misses SLAs cannot win)."""
-        rows = []
-        for load, sla_scale in self.operating_points():
-            try:
-                beefy = self.report_at("beefy", load, sla_scale)
-                wimpy = self.report_at("wimpy", load, sla_scale)
-            except ServiceError:
-                continue
-            if wimpy.slas_met and not beefy.slas_met:
-                winner = "wimpy"
-            elif beefy.slas_met and not wimpy.slas_met:
-                winner = "beefy"
-            else:
-                winner = ("wimpy" if wimpy.joules_per_query
-                          < beefy.joules_per_query else "beefy")
-            rows.append((load, sla_scale, beefy.joules_per_query,
-                         wimpy.joules_per_query, winner))
-        return rows
-
-    def headline(self) -> dict[str, Any]:
-        """The acceptance numbers: winners at the load extremes of the
-        most relaxed SLA, and whether the crossover actually happens."""
-        rows = self.crossover_rows()
-        if not rows:
-            raise ServiceError(
-                "sweep has no (beefy, wimpy) pair at any operating "
-                "point; nothing to cross over")
-        relaxed = max(r[1] for r in rows)
-        at_relaxed = [r for r in rows if r[1] == relaxed]
-        low, high = at_relaxed[0], at_relaxed[-1]
-        return {
-            "low_load": low[0],
-            "low_load_winner": low[4],
-            "high_load": high[0],
-            "high_load_winner": high[4],
-            "crossover": low[4] != high[4],
-            "sla_scale": relaxed,
-        }
-
-
-@dataclass
-class PVCQEDSweepResult(Record):
-    """A mechanism × SLA-headroom sweep.
-
-    Parallel arrays: point *k* ran mechanism ``configs[k]`` with
-    latency budget ``sla_headrooms[k]`` and produced ``reports[k]``.
-    :meth:`headline` states the 0909.1767 verdict the CI gate pins: the
-    best mechanism config's Joules/query against the ``power_aware``
-    baseline's, with every tenant SLA met.
-    """
-
-    configs: list[str]
-    sla_headrooms: list[float]
-    reports: list[ServiceReport]
-
-    def __post_init__(self) -> None:
-        n = len(self.reports)
-        if not (len(self.configs) == len(self.sla_headrooms) == n):
-            raise ServiceError(
-                f"pvc_qed sweep arrays disagree: {len(self.configs)} "
-                f"configs, {len(self.sla_headrooms)} sla_headrooms, "
-                f"{n} reports")
-
-    def baseline(self) -> ServiceReport:
-        """The ``power_aware`` reference report (headroom-invariant:
-        the baseline ignores the knob, so any instance serves)."""
-        for config, report in zip(self.configs, self.reports):
-            if config == "power_aware":
-                return report
-        raise ServiceError(
-            "sweep ran no power_aware baseline; nothing to dominate")
-
-    def rows(self) -> list[tuple]:
-        """Catalog rows: config, sla_headroom, J/query, p95, SLA
-        verdict, energy."""
-        return [(c, h, r.joules_per_query, r.p95_latency_seconds,
-                 "met" if r.slas_met else "MISSED", r.energy_joules)
-                for c, h, r in zip(self.configs, self.sla_headrooms,
-                                   self.reports)]
-
-    def headline(self) -> dict[str, Any]:
-        """The acceptance numbers: the cheapest SLA-respecting
-        mechanism config vs. the ``power_aware`` baseline."""
-        base = self.baseline()
-        best = None
-        for c, h, r in zip(self.configs, self.sla_headrooms,
-                           self.reports):
-            if c == "power_aware" or not r.slas_met:
-                continue
-            if best is None or r.joules_per_query \
-                    < best[2].joules_per_query:
-                best = (c, h, r)
-        if best is None:
-            raise ServiceError(
-                "no mechanism config met every tenant SLA; the sweep "
-                "has no admissible challenger")
-        config, headroom, report = best
-        return {
-            "baseline_joules_per_query": base.joules_per_query,
-            "baseline_p95_seconds": base.p95_latency_seconds,
-            "best_config": config,
-            "best_sla_headroom": headroom,
-            "best_joules_per_query": report.joules_per_query,
-            "best_p95_seconds": report.p95_latency_seconds,
-            "savings_fraction": 1.0 - report.joules_per_query
-            / base.joules_per_query,
-            "dominates_power_aware": report.joules_per_query
-            < base.joules_per_query,
-        }
-
-
-def pvc_qed_aggregate(points: Sequence[Any]) -> PVCQEDSweepResult:
-    """Fold finished mechanism points into the Pareto sweep result."""
-    order = {name: i for i, name in enumerate(PVC_QED_CONFIGS)}
-    ordered = sorted(
-        points,
-        key=lambda p: (order.get(str(p.knobs["config"]), len(order)),
-                       float(p.knobs["sla_headroom"])))
-    return PVCQEDSweepResult(
-        configs=[str(p.knobs["config"]) for p in ordered],
-        sla_headrooms=[float(p.knobs["sla_headroom"]) for p in ordered],
-        reports=[p.report for p in ordered])
-
-
-def hetero_aggregate(points: Sequence[Any]) -> HeteroSweepResult:
-    """Fold finished hetero points into the composition frontier."""
-    order = {name: i for i, name in enumerate(COMPOSITIONS)}
-    ordered = sorted(
-        points,
-        key=lambda p: (order.get(str(p.knobs["composition"]), len(order)),
-                       float(p.knobs["load"]),
-                       -float(p.knobs["sla_scale"])))
-    return HeteroSweepResult(
-        compositions=[str(p.knobs["composition"]) for p in ordered],
-        loads=[float(p.knobs["load"]) for p in ordered],
-        sla_scales=[float(p.knobs["sla_scale"]) for p in ordered],
-        reports=[p.report for p in ordered])

@@ -233,24 +233,9 @@ class ServiceReport(Record):
         return self.node_seconds_on / self.makespan_seconds
 
     @property
-    def availability(self) -> float:
-        """Completed fraction of offered queries — the paper's
-        Joules-vs-availability trade-off, measured."""
-        if self.queries_offered <= 0:
-            raise ServiceError("empty run: availability undefined")
-        return self.queries_completed / self.queries_offered
-
-    @property
     def slas_met(self) -> bool:
         """True when every tenant's p95 target held."""
         return all(t.sla_met for t in self.tenants)
-
-    @property
-    def surviving_slas_met(self) -> bool:
-        """True when every tenant that completed anything met its SLA
-        (the degraded-mode acceptance reading: lost tenants are
-        counted by availability, survivors by latency)."""
-        return all(t.sla_met for t in self.tenants if t.survived)
 
 
 @dataclass

@@ -16,9 +16,9 @@ See PIPELINES.md for the author-facing guide.
 
 from repro.workloads.pipelines.catalog import DatasetVersion
 from repro.workloads.pipelines.experiments import (default_pipeline,
-                                                   etl_aggregate, etl_point)
+                                                   etl_point)
 from repro.workloads.pipelines.report import (ETL_MODES, EtlReport,
-                                              EtlSweepResult, StageStats)
+                                              StageStats)
 from repro.workloads.pipelines.run import run_pipeline
 from repro.workloads.pipelines.schedule import (MODES, EtlScheduler,
                                                 PlannedStage, StagePlan)
@@ -32,7 +32,6 @@ __all__ = [
     "ETL_MODES",
     "EtlReport",
     "EtlScheduler",
-    "EtlSweepResult",
     "KINDS",
     "MODES",
     "PipelineError",
@@ -42,7 +41,6 @@ __all__ = [
     "StagePlan",
     "StageStats",
     "default_pipeline",
-    "etl_aggregate",
     "etl_point",
     "run_pipeline",
     "stage_tenant_name",

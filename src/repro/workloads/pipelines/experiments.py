@@ -20,15 +20,14 @@ stays under the trough fleet's existing capacity and books nothing.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Optional
 
 from repro.service.experiments import _policy_and_autoscaler
 from repro.service.fleet import simulate_service
 from repro.service.node import NodePowerModel
 from repro.service.spec import FleetSpec
 from repro.service.workload import build_diurnal_stream
-from repro.workloads.pipelines.report import (ETL_MODES, EtlReport,
-                                              EtlSweepResult)
+from repro.workloads.pipelines.report import ETL_MODES, EtlReport
 from repro.workloads.pipelines.run import run_pipeline
 from repro.workloads.pipelines.schedule import EtlScheduler
 from repro.workloads.pipelines.spec import (PipelineError, PipelineSpec,
@@ -163,15 +162,3 @@ def etl_point(mode: str = "eager",
                         interactive=interactive, policy=dispatch,
                         autoscaler=autoscaler)
 
-
-def etl_aggregate(points: Sequence[Any]) -> EtlSweepResult:
-    """Fold finished mode × load points into the sweep result."""
-    order = {name: i for i, name in enumerate(ETL_MODES)}
-    ordered = sorted(
-        points,
-        key=lambda p: (float(p.knobs["load"]),
-                       order.get(str(p.knobs["mode"]), len(order))))
-    return EtlSweepResult(
-        modes=[str(p.knobs["mode"]) for p in ordered],
-        loads=[float(p.knobs["load"]) for p in ordered],
-        reports=[p.report for p in ordered])

@@ -53,40 +53,45 @@ class TestSpanAttribution:
 
 class TestSvcEtlExperiment:
     @pytest.fixture(scope="class")
-    def sweep(self):
+    def grid(self):
+        """(mode, load) -> EtlReport over the registered sweep."""
         run = Runner(workers=4).run(ExperimentSpec("svc_etl"))
-        return run.aggregate()
+        return {(p.knobs["mode"], p.knobs["load"]): p.report
+                for p in run.points}
 
-    def test_headline_measures_a_joules_delta(self, sweep):
-        h = sweep.headline()
-        assert h["eager_marginal_joules"] > 0
-        assert h["delayed_marginal_joules"] != h["eager_marginal_joules"]
-        assert (h["consolidated_marginal_joules"]
-                != h["eager_marginal_joules"])
+    @pytest.fixture(scope="class")
+    def marginal(self, grid):
+        """Joules each mode adds over the same day's no-ETL baseline,
+        summed across load levels."""
+        return {mode: sum(r.energy_joules - grid["none", load].energy_joules
+                          for (m, load), r in grid.items() if m == mode)
+                for mode in ("eager", "delayed", "consolidated")}
+
+    def test_headline_measures_a_joules_delta(self, marginal):
+        assert marginal["eager"] > 0
         # the ROADMAP answer: spending the freshness window is worth
         # real Joules — both alternatives beat eager in aggregate
-        assert h["delayed_savings_fraction"] > 0
-        assert h["consolidated_savings_fraction"] > 0
+        assert marginal["delayed"] < marginal["eager"]
+        assert marginal["consolidated"] < marginal["eager"]
 
-    def test_all_freshness_and_slas_met(self, sweep):
-        h = sweep.headline()
-        assert h["all_freshness_met"] is True
-        assert h["interactive_slas_met"] is True
-        assert h["precedence_violations"] == 0
+    def test_all_freshness_and_slas_met(self, grid):
+        for (mode, _load), r in grid.items():
+            batch = {s.tenant for s in r.stages}
+            assert all(t.sla_met for t in r.service.tenants
+                       if t.tenant not in batch)
+            if mode != "none":
+                assert r.freshness_met
+                assert r.precedence_violations == 0
 
-    def test_marginal_arithmetic_uses_the_none_baseline(self, sweep):
-        for load in sweep.load_levels():
-            base = sweep.report("none", load).energy_joules
-            for mode in ("eager", "delayed", "consolidated"):
-                r = sweep.report(mode, load)
-                assert sweep.marginal_joules(mode, load) == pytest.approx(
-                    r.energy_joules - base)
-
-    def test_rows_cover_the_grid(self, sweep):
-        rows = sweep.rows()
-        assert len(rows) == 8  # 4 modes x 2 loads
-        assert {row[0] for row in rows} == {"none", "eager", "delayed",
-                                            "consolidated"}
+    def test_marginal_arithmetic_uses_the_none_baseline(self, grid):
+        # the baseline is the same day with no pipeline, so every mode
+        # adds Joules over it at every load
+        for (mode, load), r in grid.items():
+            base = grid["none", load]
+            if mode == "none":
+                assert not r.stages and r.plan is None
+            else:
+                assert r.energy_joules > base.energy_joules
 
 
 class TestBatchTenantSurface:

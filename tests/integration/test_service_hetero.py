@@ -1,16 +1,15 @@
 """Integration tests for the heterogeneous-fleet frontier experiment:
 the arXiv 1208.1933 wimpy-vs-beefy crossover must actually appear
-across the ``svc_hetero`` load axis, the SLA axis must price wimpy
-nodes out of latency-tight regimes, and the sweep result must
-round-trip through its own ``from_dict``."""
+across the ``svc_hetero`` load axis, and the SLA axis must price wimpy
+nodes out of latency-tight regimes."""
 
 import pytest
 
 from repro.runner import ExperimentSpec
 from repro.runner.registry import get_experiment
 from repro.service import ServiceError
-from repro.service.experiments import (COMPOSITIONS, HeteroSweepResult,
-                                       composition_fleet, hetero_point)
+from repro.service.experiments import (COMPOSITIONS, composition_fleet,
+                                       hetero_point)
 
 QUERIES = 20_000
 SEED = 2009
@@ -23,6 +22,15 @@ def corner_reports():
         (comp, load): hetero_point(comp, load=load, queries=QUERIES,
                                    seed=SEED)
         for comp in ("beefy", "wimpy") for load in (0.05, 1.2)}
+
+
+def winner(beefy, wimpy):
+    """The SLA-respecting verdict: a composition that misses an SLA
+    cannot win; otherwise the cheaper Joules/query wins."""
+    if beefy.slas_met != wimpy.slas_met:
+        return "beefy" if beefy.slas_met else "wimpy"
+    return ("wimpy" if wimpy.joules_per_query < beefy.joules_per_query
+            else "beefy")
 
 
 class TestCompositions:
@@ -51,15 +59,9 @@ class TestCrossover:
             < corner_reports[("wimpy", 1.2)].joules_per_query
 
     def test_headline_reports_the_sign_flip(self, corner_reports):
-        sweep = HeteroSweepResult(
-            compositions=[c for c, _l in corner_reports],
-            loads=[l for _c, l in corner_reports],
-            sla_scales=[1.0] * len(corner_reports),
-            reports=list(corner_reports.values()))
-        head = sweep.headline()
-        assert head["low_load_winner"] == "wimpy"
-        assert head["high_load_winner"] == "beefy"
-        assert head["crossover"] is True
+        assert [winner(corner_reports[("beefy", load)],
+                       corner_reports[("wimpy", load)])
+                for load in (0.05, 1.2)] == ["wimpy", "beefy"]
 
     def test_tight_sla_prices_wimpy_out(self):
         beefy = hetero_point("beefy", load=0.6, sla_scale=0.35,
@@ -68,13 +70,9 @@ class TestCrossover:
                              queries=QUERIES, seed=SEED)
         assert beefy.slas_met
         assert not wimpy.slas_met
-        # the SLA-respecting verdict: beefy wins even though its raw
-        # Joules/query may lose, because a missed SLA cannot win
-        sweep = HeteroSweepResult(
-            compositions=["beefy", "wimpy"], loads=[0.6, 0.6],
-            sla_scales=[0.35, 0.35], reports=[beefy, wimpy])
-        ((_l, _s, _bj, _wj, winner),) = sweep.crossover_rows()
-        assert winner == "beefy"
+        # beefy wins even though its raw Joules/query may lose,
+        # because a missed SLA cannot win
+        assert winner(beefy, wimpy) == "beefy"
 
     def test_per_class_rollups_cover_the_mixed_fleet(self):
         report = hetero_point("mixed", load=0.6, queries=QUERIES,
@@ -98,26 +96,3 @@ class TestRunnerTransport:
             len(exp.defaults["composition"]) * len(exp.defaults["load"])
             * len(exp.defaults["sla_scale"]))
 
-    def test_hetero_sweep_result_round_trips(self, corner_reports):
-        sweep = HeteroSweepResult(
-            compositions=[c for c, _l in corner_reports],
-            loads=[l for _c, l in corner_reports],
-            sla_scales=[1.0] * len(corner_reports),
-            reports=list(corner_reports.values()))
-        back = HeteroSweepResult.from_dict(sweep.to_dict())
-        assert isinstance(back, HeteroSweepResult)
-        assert back.to_dict() == sweep.to_dict()
-
-    def test_parallel_arrays_must_agree(self):
-        with pytest.raises(ServiceError, match="arrays disagree"):
-            HeteroSweepResult(compositions=["beefy"], loads=[],
-                              sla_scales=[1.0], reports=[])
-
-    def test_report_at_unknown_point_lists_what_ran(self, corner_reports):
-        sweep = HeteroSweepResult(
-            compositions=[c for c, _l in corner_reports],
-            loads=[l for _c, l in corner_reports],
-            sla_scales=[1.0] * len(corner_reports),
-            reports=list(corner_reports.values()))
-        with pytest.raises(ServiceError, match="no point"):
-            sweep.report_at("mixed", 9.9, 1.0)

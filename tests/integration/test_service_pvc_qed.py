@@ -11,8 +11,7 @@ import pytest
 
 from repro.service import (FleetSpec, PVCPolicy, QEDPolicy, build_stream,
                            simulate_service)
-from repro.service.experiments import (PVC_QED_CONFIGS, PVCQEDSweepResult,
-                                       pvc_qed_point)
+from repro.service.experiments import PVC_QED_CONFIGS, pvc_qed_point
 from repro.telemetry import capture
 
 QUERIES = 20_000
@@ -91,13 +90,12 @@ class TestRunnerIntegration:
         from repro.runner.spec import ExperimentSpec
         res = Runner().run(ExperimentSpec(
             "svc_pvc_qed", knobs={"queries": QUERIES}))
-        sweep = res.aggregate()
-        assert isinstance(sweep, PVCQEDSweepResult)
-        assert len(sweep.reports) == 8  # 4 configs x 2 headrooms
-        headline = sweep.headline()
-        assert headline["dominates_power_aware"] is True
-        assert headline["best_config"] != "power_aware"
-        assert headline["savings_fraction"] > 0.0
-        # round-trips through its own from_dict
-        restored = PVCQEDSweepResult.from_dict(sweep.to_dict())
-        assert restored.to_dict() == sweep.to_dict()
+        assert len(res.points) == 8  # 4 configs x 2 headrooms
+        ran = [(p.knobs["config"], p.report) for p in res.points]
+        # the cheapest mechanism point that meets every SLA beats the
+        # baseline (headroom-invariant: power_aware ignores the knob)
+        baseline = min(r.joules_per_query for c, r in ran
+                       if c == "power_aware")
+        admissible = [r.joules_per_query for c, r in ran
+                      if c != "power_aware" and r.slas_met]
+        assert min(admissible) < baseline

@@ -101,6 +101,24 @@ class TestMultiSpeedDisk:
 
         run(sim, scenario())
 
+    def test_standby_keeps_the_active_price_of_its_speed(self):
+        # a slowed disk spun down prices its busy seconds at the speed
+        # it spins back up to, not at full speed
+        sim = Simulation()
+        disk = make_disk(sim, speed_levels=(1.0, 0.5))
+        seen = {}
+
+        def scenario():
+            yield from disk.set_speed(0.5)
+            yield from disk.spin_down()
+            seen["standby"] = disk.active_power_per_unit_watts
+            yield from disk.spin_up()
+            seen["spun_up"] = disk.active_power_per_unit_watts
+
+        run(sim, scenario())
+        assert seen["standby"] == seen["spun_up"]
+        assert seen["spun_up"] < disk.spec.active_watts
+
     def test_spec_requires_full_speed_level(self):
         with pytest.raises(HardwareError):
             DiskSpec(speed_levels=(0.5,))

@@ -6,6 +6,7 @@ tool reads CI's smoke commands from ``ci.yml``.
 """
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -128,11 +129,22 @@ def test_verdict_fails_on_unlisted_reached_and_stale_entries(traced):
     ]
 
 
-def test_allowlist_names_existing_sites_under_the_six_kinds():
+def test_allowlist_names_existing_sites_under_the_five_kinds():
     known = {site.name for site in reach.inventory(ROOT)}
     assert sorted(set(reach.ALLOWED) - known) == []
     assert [name for name, reason in reach.ALLOWED.items()
             if not reason.startswith(reach.KINDS)] == []
+
+
+def test_architecture_glosses_exactly_the_kinds():
+    """ARCHITECTURE.md's reach section glosses each kind as `kind` (...),
+    so a kind added to or dropped from the tool fails until the doc
+    follows."""
+    text = (ROOT / "ARCHITECTURE.md").read_text()
+    section = text.split("## Reach from the workloads\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    glossed = re.findall(r"`([a-z][a-z -]*)` \(", section)
+    assert sorted(glossed) == sorted(reach.KINDS)
 
 
 def test_ci_commands_are_read_from_the_workflow():

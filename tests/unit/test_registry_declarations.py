@@ -10,20 +10,16 @@ from __future__ import annotations
 
 import inspect
 import json
-from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import ReproError
-from repro.faults.experiments import chaos_aggregate
 from repro.runner import (ExperimentDef, ExperimentSpec, ResultCache,
                           Runner, SpecError, UnknownKnobError,
                           get_experiment, list_experiments,
                           register_experiment)
 from repro.runner.cli import main
 from repro.runner.spec import canonical_json
-from repro.service.experiments import hetero_aggregate, pvc_qed_aggregate
-from repro.workloads.pipelines.experiments import etl_aggregate
 from repro.workloads.throughput import ThroughputReport
 
 
@@ -152,32 +148,3 @@ class TestNonFiniteKnob:
         assert captured.err.startswith("error: knob 'load'")
         assert captured.err.count("\n") == 1 and not captured.out
 
-
-def _point(**knobs):
-    return SimpleNamespace(knobs=knobs, report=None)
-
-
-class TestAggregatorsReadResolvedPoints:
-    """A point reaches an aggregator fully resolved; one that lacks its
-    axis knob is an error, not a row filed under a guessed default."""
-
-    @pytest.mark.parametrize("aggregate, knobs, axis", [
-        (pvc_qed_aggregate,
-         {"config": "pvc", "sla_headroom": 0.35}, "config"),
-        (pvc_qed_aggregate,
-         {"config": "pvc", "sla_headroom": 0.35}, "sla_headroom"),
-        (hetero_aggregate,
-         {"composition": "mixed", "load": 1, "sla_scale": 1.0}, "load"),
-        (chaos_aggregate, {"intensity": 2}, "intensity"),
-        (etl_aggregate, {"mode": "eager", "load": 1}, "mode"),
-    ], ids=["pvc_qed-config", "pvc_qed-headroom", "hetero", "chaos", "etl"])
-    def test_a_missing_axis_knob_raises(self, aggregate, knobs, axis):
-        aggregate([_point(**knobs)])  # complete: folds
-        del knobs[axis]
-        with pytest.raises(KeyError, match=axis):
-            aggregate([_point(**knobs)])
-
-    def test_an_int_axis_value_is_still_coerced(self):
-        result = hetero_aggregate(
-            [_point(composition="mixed", load=1, sla_scale=1)])
-        assert result.loads == [1.0] and isinstance(result.loads[0], float)

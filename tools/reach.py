@@ -52,18 +52,10 @@ from typing import Callable, Iterator
 ROOT = Path(__file__).resolve().parents[1]
 
 #: the closed set of reasons a def may stay unreached
-KINDS = ("fixture", "oracle", "error path", "input-reachable", "claim",
+KINDS = ("fixture", "oracle", "error path", "input-reachable",
          "perfbench")
 
 # the reasons, one per shared cause
-_CHAOS = ("claim: test_chaos asserts the availability frontier through "
-          "the chaos sweep")
-_HETERO = ("claim: test_service_hetero asserts the beefy/wimpy crossover "
-           "through the hetero sweep")
-_PVC_QED = ("claim: test_service_pvc_qed asserts that PVC and QED stack "
-            "through the sweep")
-_ETL = ("claim: test_pipelines_etl asserts the delayed-ETL saving through "
-        "the ETL sweep")
 _PLANNED = ("input-reachable: the planner enumerates and costs it; a plan "
             "it wins (or a spec that asks for it) runs it")
 _EXPLAIN = ("input-reachable: explain() and operator descriptions print "
@@ -79,36 +71,6 @@ _ROUND_TRIP = ("oracle: the runner's JSON tests hold to_json() to it and "
 _SRC = "src/repro/"
 
 ALLOWED: dict[str, str] = {_SRC + path: reason for path, reason in {
-    "faults/experiments.py::ChaosSweepResult": _CHAOS,
-    "faults/experiments.py::ChaosSweepResult.__post_init__": _CHAOS,
-    "faults/experiments.py::ChaosSweepResult.headline": _CHAOS,
-    "faults/experiments.py::ChaosSweepResult.rows": _CHAOS,
-    "faults/experiments.py::chaos_aggregate": _CHAOS,
-    "service/report.py::ServiceReport.availability": _CHAOS,
-    "service/report.py::ServiceReport.surviving_slas_met": _CHAOS,
-    "service/experiments.py::HeteroSweepResult": _HETERO,
-    "service/experiments.py::HeteroSweepResult.__post_init__": _HETERO,
-    "service/experiments.py::HeteroSweepResult.crossover_rows": _HETERO,
-    "service/experiments.py::HeteroSweepResult.headline": _HETERO,
-    "service/experiments.py::HeteroSweepResult.operating_points": _HETERO,
-    "service/experiments.py::HeteroSweepResult.report_at": _HETERO,
-    "service/experiments.py::HeteroSweepResult.rows": _HETERO,
-    "service/experiments.py::hetero_aggregate": _HETERO,
-    "service/experiments.py::PVCQEDSweepResult": _PVC_QED,
-    "service/experiments.py::PVCQEDSweepResult.__post_init__": _PVC_QED,
-    "service/experiments.py::PVCQEDSweepResult.baseline": _PVC_QED,
-    "service/experiments.py::PVCQEDSweepResult.headline": _PVC_QED,
-    "service/experiments.py::PVCQEDSweepResult.rows": _PVC_QED,
-    "service/experiments.py::pvc_qed_aggregate": _PVC_QED,
-    "workloads/pipelines/experiments.py::etl_aggregate": _ETL,
-    "workloads/pipelines/report.py::EtlSweepResult": _ETL,
-    "workloads/pipelines/report.py::EtlSweepResult.headline": _ETL,
-    "workloads/pipelines/report.py::EtlSweepResult.load_levels": _ETL,
-    "workloads/pipelines/report.py::EtlSweepResult.marginal_joules": _ETL,
-    "workloads/pipelines/report.py::EtlSweepResult.report": _ETL,
-    "workloads/pipelines/report.py::EtlSweepResult.rows": _ETL,
-    "workloads/pipelines/report.py::EtlReport.batch_tenant_names": _ETL,
-    "workloads/pipelines/report.py::EtlReport.interactive_slas_met": _ETL,
     "service/experiments.py::MegaCalibrationReport.to_dict":
         "input-reachable: `runner run svc_mega_calibration` caches the "
         "report through it",
