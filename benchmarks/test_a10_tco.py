@@ -26,8 +26,7 @@ DISK_DOLLARS = 350.0           # one 15K SCSI spindle + tray share
 def measure():
     spec = ExperimentSpec("fig1", knobs={"disks": [66, 204]},
                           profile="dl785")
-    result = run_spec(spec).aggregate()
-    eff, fast = result.reports
+    eff, fast = run_spec(spec).reports
     options = {
         "1x 204-disk (waste energy)": {
             "watts": fast.average_power_watts,

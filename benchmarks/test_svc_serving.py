@@ -22,35 +22,32 @@ from repro.runner import ExperimentSpec
 def test_svc_policy_sweep(benchmark):
     spec = ExperimentSpec("svc_smoke", profile="commodity")
     run = run_once(benchmark, lambda: run_spec(spec))
-    sweep = run.aggregate()
-    headline = sweep.headline()
+    by_policy = {r.policy: r for r in run.reports}
+    rr, ll, packing = (by_policy[name] for name in
+                       ("round_robin", "least_loaded", "power_aware"))
+    savings = 1.0 - packing.joules_per_query / rr.joules_per_query
     emit(benchmark,
          "Serving: dispatch policies on a 16-node fleet "
          "(packing + autoscaling vs. all-on baselines)",
          ["policy", "completed", "J_per_query", "p95_s", "avg_nodes_on",
           "SLAs"],
-         [(policy, completed, round(jpq, 3), round(p95, 3),
-           round(nodes_on, 2), slas)
-          for (policy, completed, jpq, p95, nodes_on, slas)
-          in sweep.rows()],
-         savings_vs_round_robin_pct=round(
-             headline["savings_fraction"] * 100, 1),
-         power_aware_p95_s=round(headline["power_aware_p95_seconds"], 3),
-         round_robin_p95_s=round(headline["round_robin_p95_seconds"], 3),
+         [(r.policy, r.queries_completed, round(r.joules_per_query, 3),
+           round(r.p95_latency_seconds, 3),
+           round(r.average_active_nodes, 2),
+           "met" if r.slas_met else "MISSED") for r in run.reports],
+         savings_vs_round_robin_pct=round(savings * 100, 1),
+         power_aware_p95_s=round(packing.p95_latency_seconds, 3),
+         round_robin_p95_s=round(rr.p95_latency_seconds, 3),
          spec_hash=spec.spec_hash()[:12],
          cache_hits=run.cache_hits)
 
     # the all-on baselines pay for the whole fleet either way
-    rr = sweep.report("round_robin")
-    ll = sweep.report("least_loaded")
     assert abs(1.0 - ll.joules_per_query / rr.joules_per_query) < 0.02
     # packing + autoscaling: the acceptance ordering
-    assert headline["savings_fraction"] >= 0.15
-    assert headline["power_aware_p95_seconds"] <= \
-        headline["round_robin_p95_seconds"]
+    assert savings >= 0.15
+    assert packing.p95_latency_seconds <= rr.p95_latency_seconds
     # consolidation is visible in the duty ledger, not just the Joules
-    assert sweep.report("power_aware").average_active_nodes < \
-        rr.average_active_nodes
+    assert packing.average_active_nodes < rr.average_active_nodes
     # and no policy buys energy with a missed SLA
-    for report in sweep.reports:
+    for report in run.reports:
         assert report.slas_met

@@ -13,6 +13,7 @@ disk counts are simulated on a 4-process pool and memoized in
 """
 
 from repro.core.metrics import TcoModel
+from repro.core.profiler import EnergyProfile, ProfilePoint
 from repro.core.report import format_table
 from repro.runner import EventPrinter, ExperimentSpec, Runner
 
@@ -22,31 +23,35 @@ def main() -> None:
           "minute; repeats hit the cache)...\n")
     spec = ExperimentSpec("fig1", profile="dl785")
     run = Runner(workers=4, cache=True, on_event=EventPrinter()).run(spec)
-    result = run.aggregate()
+    reports = {p.knobs["disks"]: p.report for p in run.points}
     print(format_table(
         ["disks", "time_s", "avg_W", "queries_per_MJ"],
-        [(n, round(t, 0), round(p, 0), round(ee * 1e6, 2))
-         for n, t, p, ee in result.rows()],
+        [(n, round(r.makespan_seconds, 0), round(r.average_power_watts, 0),
+          round(r.energy_efficiency * 1e6, 2))
+         for n, r in reports.items()],
         title="Figure 1: throughput test vs number of disks"))
-    gain, drop = result.tradeoff()
-    print(f"\nmost efficient point : {result.most_efficient_disks} disks")
-    print(f"fastest point        : {result.fastest_disks} disks")
+    profile = EnergyProfile("disks", [
+        ProfilePoint(n, r.makespan_seconds, r.energy_joules,
+                     r.queries_completed) for n, r in reports.items()])
+    most_efficient = profile.best_efficiency().knob_value
+    fastest = profile.best_performance().knob_value
+    gain, drop = profile.tradeoff()
+    print(f"\nmost efficient point : {most_efficient} disks")
+    print(f"fastest point        : {fastest} disks")
     print(f"trade-off            : +{gain * 100:.0f}% efficiency for "
           f"-{drop * 100:.0f}% performance "
           "(paper reported +14% for -45%)")
 
     # §5.3: when do two efficient nodes beat one over-provisioned node?
-    reports = dict(zip(result.disk_counts, result.reports))
-    eff = reports[result.most_efficient_disks]
-    fast = reports[result.fastest_disks]
+    eff = reports[most_efficient]
+    fast = reports[fastest]
     chassis, disk = 90_000.0, 350.0
     print("\nTCO: 1x fast node vs 2x efficient nodes")
     rows = []
     for price in (0.05, 0.10, 0.20, 0.40, 0.80):
-        single = TcoModel(chassis + result.fastest_disks * disk,
+        single = TcoModel(chassis + fastest * disk,
                           electricity_dollars_per_kwh=price)
-        double = TcoModel(2 * (chassis
-                               + result.most_efficient_disks * disk),
+        double = TcoModel(2 * (chassis + most_efficient * disk),
                           electricity_dollars_per_kwh=price)
         cost_single = single.cost_per_unit_work(
             fast.average_power_watts, fast.performance)

@@ -12,7 +12,8 @@ Quick start::
 
     from repro import ExperimentSpec, Runner
     run = Runner(workers=4).run(ExperimentSpec("fig2"))
-    print(run.aggregate().rows())     # Figure 2, regenerated
+    for p in run.points:              # Figure 2, regenerated
+        print(p.knobs["compressed"], p.sim_seconds, p.joules)
 
 or, from a shell::
 
@@ -27,7 +28,7 @@ from repro.faults import (FaultSchedule, RetryPolicy, ShedPolicy,
 from repro.relational.executor import ExecutionContext, Executor, QueryResult
 from repro.runner import ExperimentSpec, Runner, RunResult
 from repro.service.fleet import simulate_service
-from repro.service.report import ServiceReport, ServiceSweepResult
+from repro.service.report import ServiceReport
 from repro.service.spec import FleetSpec, NodeClass
 from repro.service.workload import build_diurnal_stream
 from repro.sim import Simulation
@@ -54,7 +55,6 @@ __all__ = [
     "Runner",
     "ScheduleReport",
     "ServiceReport",
-    "ServiceSweepResult",
     "ShedPolicy",
     "Simulation",
     "Stage",

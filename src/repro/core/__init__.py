@@ -16,8 +16,6 @@ from repro.core.profiler import (
     ProfilePoint,
 )
 from repro.core.experiments import (
-    Figure1Result,
-    Figure2Result,
     figure1_point,
     figure2_point,
 )
@@ -27,8 +25,6 @@ from repro.core.report import format_table
 __all__ = [
     "DvfsGovernor",
     "EnergyProfile",
-    "Figure1Result",
-    "Figure2Result",
     "PowerCoordinator",
     "ProfilePoint",
     "TcoModel",

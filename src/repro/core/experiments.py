@@ -6,61 +6,19 @@ path.
 
 The sweep *machinery* lives in :mod:`repro.runner`: this module only
 defines the physics of a single sweep point (:func:`figure1_point`,
-:func:`figure2_point`) and the figure-level result containers.
+:func:`figure2_point`); each figure's claims are read off the
+points' reports by the code that asserts them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.core.profiler import EnergyProfile, ProfilePoint
 from repro.hardware.profiles import dl785
-from repro.records import Record
 from repro.sim import Simulation
 from repro.storage.manager import StorageManager
 from repro.workloads.scan_workload import ScanReport, run_scan
 from repro.workloads.throughput import ThroughputReport, run_throughput
 from repro.workloads.tpch_gen import generate_tpch
 from repro.workloads.tpch_queries import throughput_mix
-
-
-@dataclass
-class Figure1Result(Record):
-    """Time and energy efficiency vs. number of disks."""
-
-    disk_counts: list[int]
-    reports: list[ThroughputReport]
-    profile: EnergyProfile = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.profile = EnergyProfile(knob_name="disks")
-        for n, report in zip(self.disk_counts, self.reports):
-            self.profile.points.append(ProfilePoint(
-                knob_value=n,
-                seconds=report.makespan_seconds,
-                energy_joules=report.energy_joules,
-                work_done=report.queries_completed,
-            ))
-
-    @property
-    def most_efficient_disks(self) -> int:
-        return self.profile.best_efficiency().knob_value
-
-    @property
-    def fastest_disks(self) -> int:
-        return self.profile.best_performance().knob_value
-
-    def tradeoff(self) -> tuple[float, float]:
-        """(efficiency gain, performance drop) of best-EE vs. fastest."""
-        return self.profile.tradeoff()
-
-    def rows(self) -> list[tuple]:
-        """Paper-style rows: disks, time, power, energy efficiency."""
-        return [
-            (n, r.makespan_seconds, r.average_power_watts,
-             r.energy_efficiency)
-            for n, r in zip(self.disk_counts, self.reports)
-        ]
 
 
 def figure1_point(disks: int,
@@ -88,43 +46,6 @@ def figure1_point(disks: int,
         sim, server, mix, streams=streams,
         queries_per_stream=queries_per_stream,
         scale=logical_scale_factor / physical_scale_factor)
-
-
-@dataclass
-class Figure2Result(Record):
-    """Uncompressed vs. compressed scan on the flash node."""
-
-    uncompressed: ScanReport
-    compressed: ScanReport
-
-    @property
-    def speedup(self) -> float:
-        """How much faster the compressed scan runs (paper: ~2x)."""
-        return self.uncompressed.total_seconds / self.compressed.total_seconds
-
-    @property
-    def energy_ratio(self) -> float:
-        """Compressed / uncompressed energy (paper: 487/338 = 1.44)."""
-        return self.compressed.energy_joules / self.uncompressed.energy_joules
-
-    @property
-    def inversion_holds(self) -> bool:
-        """The paper's headline: the faster plan uses more energy."""
-        return (self.compressed.total_seconds
-                < self.uncompressed.total_seconds
-                and self.compressed.energy_joules
-                > self.uncompressed.energy_joules)
-
-    def rows(self) -> list[tuple]:
-        """Paper-style rows: config, total s, CPU s, Joules."""
-        return [
-            ("uncompressed", self.uncompressed.total_seconds,
-             self.uncompressed.cpu_seconds,
-             self.uncompressed.energy_joules),
-            ("compressed", self.compressed.total_seconds,
-             self.compressed.cpu_seconds,
-             self.compressed.energy_joules),
-        ]
 
 
 def figure2_point(compressed: bool, scale_factor: float = 0.002,

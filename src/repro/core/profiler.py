@@ -1,7 +1,7 @@
 """Knob-sweep profiler: Figure 1 generalized to any knob.
 
-A sweep of any configuration knob (a runner sweep's
-:meth:`~repro.runner.runner.RunResult.profile`) gives the performance /
+A sweep of any configuration knob (one :class:`ProfilePoint` per
+setting, e.g. per point of a runner sweep) gives the performance /
 power / efficiency curves and locates the diminishing-returns point —
 "in configuring and tuning a system for energy efficiency, one ought
 to balance system components such that the incremental benefits among
@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import ReproError
-from repro.records import Record
 
 
 @dataclass(frozen=True)
-class ProfilePoint(Record):
+class ProfilePoint:
     """One evaluated knob setting.
 
     >>> p = ProfilePoint(knob_value=12, seconds=2.0,
@@ -46,7 +45,7 @@ class ProfilePoint(Record):
 
 
 @dataclass
-class EnergyProfile(Record):
+class EnergyProfile:
     """A full sweep plus its derived summary.
 
     Two disk counts, where the smaller one is slower but thriftier —

@@ -5,9 +5,8 @@ dataclass whose dict form crosses the process pool, the on-disk result
 cache and the ``BENCH_*.json`` ledgers — and outlives the code that
 wrote it.  The wire format is stated here, once: a :class:`Record`
 dataclass serializes exactly its ``init=True, compare=True`` fields
-under their own names, so a field is kept off the wire by the flags it
-already carries (``ServiceReport.engine`` is ``compare=False``,
-``Figure1Result.profile`` is ``init=False``).
+under their own names, so a field is kept off the wire by the flag it
+already carries (``ServiceReport.engine`` is ``compare=False``).
 
 Field annotations drive the recursion: another :class:`Record` nests
 as its own dict, ``list[T]`` and ``tuple[T, ...]`` become JSON lists

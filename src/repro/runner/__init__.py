@@ -8,7 +8,8 @@ One surface replaces the repo's historical per-figure entry points:
   with deterministic per-point seeds and an on-disk result cache,
   streaming structured progress events;
 * :class:`RunResult` / :class:`PointResult` — grid-ordered results with
-  a byte-stable ``to_dict()`` and figure-level ``aggregate()``;
+  a byte-stable ``to_dict()``; a figure's claims read the points'
+  reports;
 * the registry (:func:`register_experiment`, :func:`get_experiment`,
   :func:`list_experiments`) for adding new
   experiments;

@@ -1,11 +1,11 @@
 """The experiment registry: names the runner can execute.
 
 Each entry binds an experiment name to a *point function* (the physics
-of one sweep point) and an optional aggregator that folds the finished
-points back into the figure-level result object the paper-facing code
-expects.  The point function's signature is the one statement of the
-experiment's knob defaults; a registration declares only what the
-experiment sets differently — its sweep axes and its scale.
+of one sweep point).  A run is its points: the code that asserts a
+figure's claims reads them off the points' reports.  The point
+function's signature is the one statement of the experiment's knob
+defaults; a registration declares only what the experiment sets
+differently — its sweep axes and its scale.
 """
 
 from __future__ import annotations
@@ -14,14 +14,9 @@ import inspect
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import (TYPE_CHECKING, Any, Callable, Mapping, NamedTuple,
-                    Optional, Sequence)
+from typing import Any, Callable, Mapping, NamedTuple
 
 from repro.errors import ReproError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.runner.runner import PointResult
-    from repro.runner.spec import ExperimentSpec
 
 
 class UnknownExperimentError(ReproError):
@@ -54,7 +49,6 @@ class ExperimentDef:
     title: str
     point_fn: Callable[..., Any]
     defaults: Mapping[str, Any] = field(default_factory=dict)
-    aggregate: Optional[Callable[[Sequence["PointResult"]], Any]] = None
     profile: str = ""
 
     @cached_property
@@ -131,23 +125,6 @@ def list_experiments() -> list[ExperimentDef]:
 
 # -- built-in experiments -------------------------------------------------
 
-def _fig1_aggregate(points: Sequence["PointResult"]) -> Any:
-    from repro.core.experiments import Figure1Result
-    return Figure1Result(
-        disk_counts=[p.knobs["disks"] for p in points],
-        reports=[p.report for p in points])
-
-
-def _fig2_aggregate(points: Sequence["PointResult"]) -> Any:
-    from repro.core.experiments import Figure2Result
-    by_codec = {bool(p.knobs["compressed"]): p.report for p in points}
-    if set(by_codec) != {False, True}:
-        raise ReproError("fig2 needs exactly the compressed={False,True}"
-                         " sweep to aggregate")
-    return Figure2Result(uncompressed=by_codec[False],
-                         compressed=by_codec[True])
-
-
 def _register_builtin_experiments() -> None:
     from repro.consolidation.experiments import batching_point
     from repro.core.experiments import figure1_point, figure2_point
@@ -167,13 +144,13 @@ def _register_builtin_experiments() -> None:
               "(DL785, RAID 5)",
         point_fn=figure1_point,
         defaults={"disks": list(FIG1_DISK_COUNTS)},
-        aggregate=_fig1_aggregate, profile="dl785"))
+        profile="dl785"))
     register_experiment(ExperimentDef(
         name="fig2",
         title="Figure 2: uncompressed vs. compressed scan on the flash node",
         point_fn=figure2_point,
         defaults={"compressed": [False, True]},
-        aggregate=_fig2_aggregate, profile="flash_scan_node"))
+        profile="flash_scan_node"))
     register_experiment(ExperimentDef(
         name="scan",
         title="Flash column-scan microbenchmark (free knob grid over "
@@ -191,20 +168,20 @@ def _register_builtin_experiments() -> None:
               "16-node fleet (consolidation in space, §4.2)",
         point_fn=svc.service_point,
         defaults={"policy": policies},
-        aggregate=svc.svc_aggregate, profile="commodity"))
+        profile="commodity"))
     register_experiment(ExperimentDef(
         name="svc_smoke",
         title="Serving: small dispatch-policy sweep for CI smoke / "
               "observatory gating",
         point_fn=svc.service_point,
         defaults={"policy": policies, "queries": 20_000},
-        aggregate=svc.svc_aggregate, profile="commodity"))
+        profile="commodity"))
     register_experiment(ExperimentDef(
         name="svc_fleet",
         title="Serving: power-aware packing vs. fleet size",
         point_fn=svc.service_point,
         defaults={"queries": 150_000, "nodes": [8, 16, 32, 64]},
-        aggregate=svc.svc_aggregate, profile="commodity"))
+        profile="commodity"))
     register_experiment(ExperimentDef(
         name="svc_hetero",
         title="Serving: heterogeneous fleet composition x load x SLA "
@@ -239,14 +216,14 @@ def _register_builtin_experiments() -> None:
               "nodes on the vectorized array-of-events core",
         point_fn=svc.service_point,
         defaults={**mega, "queries": 10_000_000},
-        aggregate=svc.svc_aggregate, profile="commodity"))
+        profile="commodity"))
     register_experiment(ExperimentDef(
         name="svc_mega_smoke",
         title="Serving: scaled-down svc_mega for CI smoke / "
               "observatory gating (same fleet and load shape)",
         point_fn=svc.service_point,
         defaults={**mega, "queries": 200_000},
-        aggregate=svc.svc_aggregate, profile="commodity"))
+        profile="commodity"))
     register_experiment(ExperimentDef(
         name="svc_mega_calibration",
         title="Serving: reference loop vs. event core on one 1M-query "

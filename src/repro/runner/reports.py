@@ -5,8 +5,7 @@ Every experiment's per-point measurement object (``ThroughputReport``,
 ``to_dict()`` producing a JSON-safe dict and a ``from_dict()``
 classmethod inverting it.  That round-trip is what makes the on-disk
 cache, the process-pool hand-off, and the CLI's JSON output all share
-one code path.  Figure-level aggregates are never a point's report, so
-they are not registered here.
+one code path.
 """
 
 from __future__ import annotations

@@ -138,30 +138,6 @@ class RunResult:
     def cache_hits(self) -> int:
         return sum(1 for p in self.points if p.cache_hit)
 
-    def aggregate(self) -> Any:
-        """Fold the points into the experiment's figure-level result
-        (e.g. ``Figure1Result``), or a generic
-        :class:`~repro.core.profiler.EnergyProfile` when the experiment
-        registers no aggregator."""
-        defn = get_experiment(self.spec.experiment)
-        if defn.aggregate is not None:
-            return defn.aggregate(self.points)
-        return self.profile()
-
-    def profile(self) -> Any:
-        """The sweep as an :class:`~repro.core.profiler.EnergyProfile`
-        over the spec's (single) sweep axis."""
-        from repro.core.profiler import EnergyProfile, ProfilePoint
-        axes = list(self.spec.sweep_axes())
-        knob = axes[0] if len(axes) == 1 else None
-        profile = EnergyProfile(knob_name=knob or "point")
-        for p in self.points:
-            profile.points.append(ProfilePoint(
-                knob_value=p.knobs[knob] if knob else p.index,
-                seconds=p.sim_seconds,
-                energy_joules=p.joules))
-        return profile
-
     def rows(self) -> list[tuple]:
         """(index, swept knobs, sim seconds, Joules) summary rows."""
         axes = list(self.spec.sweep_axes())

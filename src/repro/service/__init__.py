@@ -45,8 +45,7 @@ from repro.service.pvc import FREQUENCY_STEPS, PVCPolicy
 from repro.service.qed import QEDPolicy
 from repro.service.report import (ClassStats, FaultStats, NodeStats,
                                   ServiceError, ServiceReport,
-                                  ServiceSweepResult, TenantStats,
-                                  rollup_classes)
+                                  TenantStats, rollup_classes)
 from repro.service.spec import (NODE_CLASS_REGISTRY, FleetSpec, NodeClass,
                                 node_class_model, register_node_class)
 from repro.service.workload import (DEFAULT_CLASSES, DEFAULT_TENANTS,
@@ -79,7 +78,6 @@ __all__ = [
     "RoundRobin",
     "ServiceError",
     "ServiceReport",
-    "ServiceSweepResult",
     "Tenant",
     "TenantStats",
     "build_stream",

@@ -1,10 +1,8 @@
 """Runner-facing entry points for the serving subsystem.
 
 :func:`service_point` is the physics of one ``svc_*`` sweep point —
-one dispatch policy over one generated arrival stream — and
-:func:`svc_aggregate` folds a policy sweep back into the
-figure-level :class:`~repro.service.report.ServiceSweepResult`.  Both
-are registered in :mod:`repro.runner.registry`, so::
+one dispatch policy over one generated arrival stream.  It is
+registered in :mod:`repro.runner.registry`, so::
 
     python -m repro.runner run svc_policies
 
@@ -39,7 +37,7 @@ their reports byte-identical, and returns a
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional
 
 from repro.observe import current_collector, current_recorder
 from repro.records import Record
@@ -48,8 +46,7 @@ from repro.service.dispatch import (DispatchPolicy, make_policy,
                                     policy_knob_names)
 from repro.service.fleet import simulate_service
 from repro.service.node import NodePowerModel
-from repro.service.report import (ServiceError, ServiceReport,
-                                  ServiceSweepResult)
+from repro.service.report import ServiceError, ServiceReport
 from repro.service.spec import FleetSpec
 from repro.service.workload import DEFAULT_TENANTS, build_stream
 
@@ -388,8 +385,3 @@ def mega_calibration_point(policy: str = "power_aware",
         energy_joules=loop_report.energy_joules,
         queries_completed=loop_report.queries_completed,
         p95_latency_seconds=loop_report.p95_latency_seconds)
-
-
-def svc_aggregate(points: Sequence[Any]) -> ServiceSweepResult:
-    """Fold a finished policy sweep into one comparable result."""
-    return ServiceSweepResult(reports=[p.report for p in points])

@@ -8,11 +8,6 @@ against, and per-node utilization so the consolidation story ("idle
 nodes sleep") is visible in the numbers.  It speaks the unified report
 protocol — ``to_dict``/``from_dict`` invert exactly — so serving sweeps
 cache, pool, and serialize like every other experiment.
-
-:class:`ServiceSweepResult` is the figure-level container a policy
-sweep aggregates into: the cluster-scale analogue of Figure 1's
-"fastest vs. most efficient" framing, comparing Joules/query at equal
-SLA across dispatch policies.
 """
 
 from __future__ import annotations
@@ -236,55 +231,3 @@ class ServiceReport(Record):
     def slas_met(self) -> bool:
         """True when every tenant's p95 target held."""
         return all(t.sla_met for t in self.tenants)
-
-
-@dataclass
-class ServiceSweepResult(Record):
-    """A policy sweep folded into one comparable result.
-
-    The serving analogue of :class:`~repro.core.experiments.Figure1Result`:
-    instead of disk counts, the axis is the dispatch policy, and the
-    paper's "diminishing returns" reading becomes "equal SLA, fewer
-    Joules" — consolidation in space at cluster scale (§4.2, [TWM+08]).
-    """
-
-    reports: list[ServiceReport]
-
-    def report(self, policy: str) -> ServiceReport:
-        for r in self.reports:
-            if r.policy == policy:
-                return r
-        raise ServiceError(f"sweep has no policy {policy!r}; "
-                           f"ran: {', '.join(self.policies())}")
-
-    def savings_vs(self, policy: str, baseline: str) -> float:
-        """Fractional Joules/query saving of ``policy`` over ``baseline``."""
-        base = self.report(baseline).joules_per_query
-        return 1.0 - self.report(policy).joules_per_query / base
-
-    def headline(self) -> dict[str, float]:
-        """The acceptance numbers: packing vs. round-robin.
-
-        Returns the Joules/query of both policies, the fractional
-        saving, and both p95s (packing must not be worse to claim the
-        paper's consolidation story at equal SLA).
-        """
-        packing = self.report("power_aware")
-        rr = self.report("round_robin")
-        return {
-            "power_aware_joules_per_query": packing.joules_per_query,
-            "round_robin_joules_per_query": rr.joules_per_query,
-            "savings_fraction": self.savings_vs("power_aware",
-                                                "round_robin"),
-            "power_aware_p95_seconds": packing.p95_latency_seconds,
-            "round_robin_p95_seconds": rr.p95_latency_seconds,
-        }
-
-    def rows(self) -> list[tuple]:
-        """Paper-style rows: policy, J/query, p95, avg nodes on."""
-        return [
-            (r.policy, r.queries_completed, r.joules_per_query,
-             r.p95_latency_seconds, r.average_active_nodes,
-             "met" if r.slas_met else "MISSED")
-            for r in self.reports
-        ]

@@ -3,6 +3,7 @@ the replay machinery for random I/O and shared passes."""
 
 import pytest
 
+from repro.core.profiler import EnergyProfile, ProfilePoint
 from repro.hardware.profiles import commodity
 from repro.relational.executor import ExecutionContext, Executor
 from repro.relational.operators import CostCollector, TableScan
@@ -18,7 +19,14 @@ from repro.units import KIB, MB
 
 def run_figure(experiment: str, knobs: dict):
     return Runner(workers=1, cache=False).run(
-        ExperimentSpec(experiment, knobs=knobs)).aggregate()
+        ExperimentSpec(experiment, knobs=knobs))
+
+
+def disk_profile(run) -> EnergyProfile:
+    return EnergyProfile("disks", [
+        ProfilePoint(p.knobs["disks"], p.report.makespan_seconds,
+                     p.report.energy_joules, p.report.queries_completed)
+        for p in run.points])
 
 
 #: the tiny Figure 1 settings (two disk counts, one query per stream)
@@ -29,23 +37,24 @@ TINY_FIG1 = {"disks": [6, 24], "streams": 2, "queries_per_stream": 1,
 
 class TestFigureApis:
     def test_run_figure2_structure(self):
-        result = run_figure("fig2", {"scale_factor": 0.001})
-        assert result.inversion_holds
-        assert result.speedup > 1.5
-        rows = result.rows()
-        assert rows[0][0] == "uncompressed"
-        assert rows[1][0] == "compressed"
+        run = run_figure("fig2", {"scale_factor": 0.001})
+        assert [p.knobs["compressed"] for p in run.points] == [False, True]
+        u, c = run.reports
+        assert not u.compressed and c.compressed
+        # the inversion: faster, yet hungrier
+        assert c.total_seconds < u.total_seconds
+        assert c.energy_joules > u.energy_joules
+        assert u.total_seconds / c.total_seconds > 1.5
 
     def test_run_figure1_tiny_settings(self):
-        result = run_figure("fig1", TINY_FIG1)
-        assert result.fastest_disks == 24
-        assert len(result.rows()) == 2
-        times = [r.makespan_seconds for r in result.reports]
+        run = run_figure("fig1", TINY_FIG1)
+        assert disk_profile(run).best_performance().knob_value == 24
+        assert len(run.points) == 2
+        times = [r.makespan_seconds for r in run.reports]
         assert times[1] < times[0]
 
-    def test_profile_rows_exposed(self):
-        result = run_figure("fig1", TINY_FIG1)
-        gain, drop = result.tradeoff()
+    def test_profile_tradeoff(self):
+        gain, drop = disk_profile(run_figure("fig1", TINY_FIG1)).tradeoff()
         assert isinstance(gain, float)
         assert 0.0 <= drop < 1.0
 

@@ -34,7 +34,7 @@ from repro.workloads.pipelines import (DatasetVersion, EtlScheduler,
 GOLDEN = Path(__file__).parent / "golden_records"
 
 #: one small run per experiment family (knobs shrink the registered
-#: defaults; the swept axes stay, so the figure-level aggregate exists)
+#: defaults; the swept axes stay)
 FAMILIES: dict[str, dict] = {
     "fig1": {"disks": [6, 24], "streams": 2, "queries_per_stream": 1,
              "physical_scale_factor": 0.0005,
@@ -108,7 +108,6 @@ def harvest(runs) -> dict[type, list]:
     into: dict[type, list] = {}
     for run in runs.values():
         _walk(run.spec, into)
-        _walk(run.aggregate(), into)
         for point in run.points:
             _walk(point.report, into)
             _walk(point.telemetry, into)

@@ -205,22 +205,21 @@ class TestWorkerDeath:
             "error: a pool worker died"), done.stderr
 
 
-class TestAggregation:
-    def test_fig1_aggregate_is_figure1result(self, tmp_path):
+class TestPooledPoints:
+    def test_fig1_points_carry_their_reports(self, tmp_path):
         run = Runner(workers=2, cache=tmp_path / "cache").run(
             ExperimentSpec("fig1", knobs=TINY_FIG1))
-        result = run.aggregate()
-        assert result.fastest_disks == 24
-        assert [r.to_dict() for r in result.reports] == \
-            [r.to_dict() for r in run.reports]
+        assert [p.knobs["disks"] for p in run.points] == [6, 24]
+        fastest = min(run.points, key=lambda p: p.report.makespan_seconds)
+        assert fastest.knobs["disks"] == 24
+        assert [p.sim_seconds for p in run.points] == \
+            [r.makespan_seconds for r in run.reports]
 
-    def test_proportionality_profile_fallback(self, tmp_path):
+    def test_watts_rise_with_utilization(self, tmp_path):
         run = Runner(workers=2, cache=tmp_path / "cache").run(
             ExperimentSpec("proportionality", knobs={
                 "utilization": [0.5, 1.0],
                 "window_seconds": 10.0,
             }))
-        profile = run.aggregate()
-        assert profile.knob_name == "utilization"
-        watts = [p.energy_joules / p.seconds for p in profile.points]
+        watts = [p.joules / p.sim_seconds for p in run.points]
         assert watts[1] > watts[0] > 0

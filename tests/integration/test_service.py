@@ -11,7 +11,7 @@ from repro.runner import ExperimentSpec, Runner, RunResult
 from repro.runner.registry import list_experiments
 from repro.runner.reports import REPORT_TYPES, decode_report, encode_report
 from repro.service import (FleetSpec, NodePowerModel,
-                           ServiceSweepResult, build_stream,
+                           build_stream,
                            simulate_service)
 
 #: small-but-real sweep: 3 policies x 20k queries on a 16-node fleet
@@ -21,39 +21,37 @@ SMOKE_KNOBS = {"queries": 20_000}
 @pytest.fixture(scope="module")
 def smoke_sweep():
     """One svc_smoke run through the real Runner, shared below."""
-    run = Runner(workers=1, cache=False).run(ExperimentSpec("svc_smoke"))
-    return run, run.aggregate()
+    return Runner(workers=1, cache=False).run(ExperimentSpec("svc_smoke"))
+
+
+def by_policy(run) -> dict:
+    return {r.policy: r for r in run.reports}
 
 
 class TestAcceptanceOrdering:
     def test_packing_beats_round_robin_at_equal_or_better_p95(
             self, smoke_sweep):
-        _, sweep = smoke_sweep
-        headline = sweep.headline()
-        assert headline["savings_fraction"] >= 0.15
-        assert headline["power_aware_p95_seconds"] <= \
-            headline["round_robin_p95_seconds"]
+        packing = by_policy(smoke_sweep)["power_aware"]
+        rr = by_policy(smoke_sweep)["round_robin"]
+        assert 1.0 - packing.joules_per_query / rr.joules_per_query >= 0.15
+        assert packing.p95_latency_seconds <= rr.p95_latency_seconds
 
     def test_all_slas_hold_for_every_policy(self, smoke_sweep):
-        _, sweep = smoke_sweep
-        for report in sweep.reports:
+        for report in smoke_sweep.reports:
             assert report.slas_met, (
                 f"{report.policy} missed an SLA: {report.tenants}")
             assert report.queries_completed == 20_000
 
     def test_packing_runs_fewer_node_seconds(self, smoke_sweep):
-        _, sweep = smoke_sweep
-        packing = sweep.report("power_aware")
-        rr = sweep.report("round_robin")
+        packing = by_policy(smoke_sweep)["power_aware"]
+        rr = by_policy(smoke_sweep)["round_robin"]
         assert packing.average_active_nodes < rr.average_active_nodes
         assert rr.average_active_nodes == pytest.approx(16.0, rel=1e-6)
 
-    def test_aggregate_is_a_sweep_result(self, smoke_sweep):
-        run, sweep = smoke_sweep
-        assert isinstance(sweep, ServiceSweepResult)
-        assert [r.policy for r in sweep.reports] == [
+    def test_run_is_its_policy_points(self, smoke_sweep):
+        run = smoke_sweep
+        assert [r.policy for r in run.reports] == [
             "round_robin", "least_loaded", "power_aware"]
-        assert ServiceSweepResult.from_dict(sweep.to_dict()) == sweep
         # JSON transport of the whole run inverts exactly
         assert RunResult.from_dict(run.to_dict()).to_json() == \
             run.to_json()
@@ -161,10 +159,9 @@ class TestFacade:
     def test_reports_export_eagerly_from_repro(self):
         import repro
         from repro.consolidation.scheduler import ScheduleReport
-        from repro.service.report import ServiceReport, ServiceSweepResult
+        from repro.service.report import ServiceReport
         assert repro.ScheduleReport is ScheduleReport
         assert repro.ServiceReport is ServiceReport
-        assert repro.ServiceSweepResult is ServiceSweepResult
 
     def test_unknown_attribute_still_raises(self):
         import repro

@@ -88,7 +88,7 @@ class TestRunnerIntegration:
     def test_sweep_aggregation_and_headline(self):
         from repro.runner.runner import Runner
         from repro.runner.spec import ExperimentSpec
-        res = Runner().run(ExperimentSpec(
+        res = Runner(cache=False).run(ExperimentSpec(
             "svc_pvc_qed", knobs={"queries": QUERIES}))
         assert len(res.points) == 8  # 4 configs x 2 headrooms
         ran = [(p.knobs["config"], p.report) for p in res.points]

@@ -122,13 +122,12 @@ class TestRunnerTransport:
         assert again.to_json() == run.to_json()
         assert again.points[0].telemetry is not None
 
-    def test_fig2_trace_matches_energy_profile_within_1e9(self):
+    def test_fig2_trace_matches_point_joules_within_1e9(self):
         run = Runner(cache=False, trace=True).run(ExperimentSpec(
             "fig2", profile=get_experiment("fig2").profile))
-        profile = run.profile()
-        for point, ppoint in zip(run.points, profile.points):
+        for point in run.points:
             active = sum(point.telemetry.active_totals().values())
-            assert abs(active - ppoint.energy_joules) < 1e-9
+            assert abs(active - point.joules) < 1e-9
 
 
 class TestTraceCli:

@@ -78,7 +78,7 @@ class TestDeclaredOnce:
 
     def test_positional_and_keyword_construction(self):
         by_position = ExperimentDef("decl_pos", "t", decl_point,
-                                    {"x": [1, 2]}, None, "commodity")
+                                    {"x": [1, 2]}, "commodity")
         by_keyword = ExperimentDef(name="decl_pos", title="t",
                                    point_fn=decl_point,
                                    defaults={"x": [1, 2]},

@@ -71,6 +71,14 @@ class TestErrorPaths:
                          "--compressed", "false", "--codec", "delta"]) == 2
         assert "codec" in _one_line_error(capsys)
 
+    def test_compressed_that_is_not_a_bool_is_one_line(self, capsys):
+        # "no" parses as a string, which is truthy: it must not run
+        # the compressed scan
+        assert cli.main(["run", "scan", "--no-cache", "--quiet",
+                         "--compressed", "no"]) == 2
+        assert "compressed must be true or false" in \
+            _one_line_error(capsys)
+
     def test_cache_clear_missing_dir_is_one_line(self, capsys,
                                                  tmp_path):
         missing = tmp_path / "never-created"

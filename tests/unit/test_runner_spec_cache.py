@@ -7,8 +7,6 @@ import os
 import pytest
 
 import repro
-from repro.core.experiments import Figure1Result, Figure2Result
-from repro.core.profiler import EnergyProfile, ProfilePoint
 from repro.runner import (
     ExperimentDef,
     ExperimentSpec,
@@ -268,8 +266,6 @@ class TestReportRoundTrip:
         DutyCycleReport(kind="real", utilization=0.5,
                         window_seconds=100.0, average_watts=150.0,
                         work_seconds=50.0),
-        EnergyProfile(knob_name="disks",
-                      points=[ProfilePoint(36, 10.0, 100.0, 3.0)]),
     ]
 
     @pytest.mark.parametrize("report", CASES,
@@ -281,28 +277,16 @@ class TestReportRoundTrip:
         assert type(again) is type(report)
         assert again.to_dict() == report.to_dict()
 
-    def test_figure_results_round_trip(self):
-        tr = self.CASES[0]
-        fig1 = Figure1Result(disk_counts=[36], reports=[tr])
-        again = decode_report(encode_report(fig1))
-        assert again.to_dict() == fig1.to_dict()
-        assert again.profile.points[0].energy_joules == 30.0
-        sr = self.CASES[1]
-        fig2 = Figure2Result(uncompressed=sr, compressed=sr)
-        assert decode_report(
-            encode_report(fig2)).to_dict() == fig2.to_dict()
-
 
 class TestRunnerToy:
-    def test_grid_order_and_profile(self, tmp_path):
+    def test_grid_order(self, tmp_path):
         spec = ExperimentSpec("unit_toy", knobs={"x": [3, 1, 2]})
         run = Runner(workers=1, cache=False).run(spec)
         assert [p.knobs["x"] for p in run.points] == [3, 1, 2]
         assert [p.report.makespan_seconds for p in run.points] == \
             [3.0, 1.0, 2.0]
-        profile = run.aggregate()     # no aggregator -> EnergyProfile
-        assert profile.knob_name == "x"
-        assert [p.knob_value for p in profile.points] == [3, 1, 2]
+        assert [(p.sim_seconds, p.joules) for p in run.points] == \
+            [(3.0, 6.0), (1.0, 2.0), (2.0, 4.0)]
 
     def test_events_are_streamed(self, tmp_path):
         from repro.runner import PointFinished, RunFinished, RunStarted

@@ -211,12 +211,6 @@ ALLOWED: dict[str, str] = {_SRC + path: reason for path, reason in {
     "runner/runner.py::PointResult.to_dict": _ROUND_TRIP,
     "runner/runner.py::RunResult.to_dict": _ROUND_TRIP,
     "runner/runner.py::RunResult.from_dict": _ROUND_TRIP,
-    "runner/runner.py::RunResult.reports":
-        "oracle: the runner tests compare pooled and serial reports "
-        "through it",
-    "runner/runner.py::RunResult.profile":
-        "input-reachable: aggregate() of an experiment that registers "
-        "no aggregator",
     "service/dispatch.py::DispatchContext.marginal_cost_rate":
         "oracle: the class-ranking rate the packing-router oracle "
         "re-derives PowerAwarePacking.route from",
