@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import ReproError
+from repro.records import Record
 
 
 @dataclass(frozen=True)
-class ProfilePoint:
+class ProfilePoint(Record):
     """One evaluated knob setting.
 
     >>> p = ProfilePoint(knob_value=12, seconds=2.0,
@@ -45,7 +46,7 @@ class ProfilePoint:
 
 
 @dataclass
-class EnergyProfile:
+class EnergyProfile(Record):
     """A full sweep plus its derived summary.
 
     Two disk counts, where the smaller one is slower but thriftier —

@@ -53,7 +53,7 @@ class TestFigureApis:
         times = [r.makespan_seconds for r in run.reports]
         assert times[1] < times[0]
 
-    def test_profile_tradeoff(self):
+    def test_profile_rows_exposed(self):
         gain, drop = disk_profile(run_figure("fig1", TINY_FIG1)).tradeoff()
         assert isinstance(gain, float)
         assert 0.0 <= drop < 1.0

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.core.profiler import EnergyProfile, ProfilePoint
 from repro.faults import build_fault_schedule
 from repro.observatory import (BenchRecord, HistoryStore,
                                RegressionReport, compare_records)
@@ -119,10 +120,14 @@ def harvest(runs) -> dict[type, list]:
     catalog = [DatasetVersion.from_dict(entry) for entry in next(
         p.report.catalog for p in runs["svc_etl"].points
         if p.report.catalog)]
+    profile = EnergyProfile("disks", [
+        ProfilePoint(p.knobs["disks"], p.report.makespan_seconds,
+                     p.report.energy_joules, p.report.queries_completed)
+        for p in runs["fig1"].points])
     row = _bench_records(runs["proportionality"])[0]
     drifted = dataclasses.replace(row, metrics={
         **row.metrics, "joules": row.metrics["joules"] * 1.5})
-    _walk([fleet, pipeline, plan, catalog, row,
+    _walk([fleet, pipeline, plan, catalog, profile, row,
            build_fault_schedule(n_nodes=4, horizon_seconds=600.0,
                                 seed=3, intensity=20.0),
            RegressionReport(findings=compare_records([row, drifted]))],

@@ -205,7 +205,7 @@ class TestWorkerDeath:
             "error: a pool worker died"), done.stderr
 
 
-class TestPooledPoints:
+class TestAggregation:
     def test_fig1_points_carry_their_reports(self, tmp_path):
         run = Runner(workers=2, cache=tmp_path / "cache").run(
             ExperimentSpec("fig1", knobs=TINY_FIG1))
@@ -215,7 +215,7 @@ class TestPooledPoints:
         assert [p.sim_seconds for p in run.points] == \
             [r.makespan_seconds for r in run.reports]
 
-    def test_watts_rise_with_utilization(self, tmp_path):
+    def test_proportionality_profile_fallback(self, tmp_path):
         run = Runner(workers=2, cache=tmp_path / "cache").run(
             ExperimentSpec("proportionality", knobs={
                 "utilization": [0.5, 1.0],

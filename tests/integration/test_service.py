@@ -48,7 +48,7 @@ class TestAcceptanceOrdering:
         assert packing.average_active_nodes < rr.average_active_nodes
         assert rr.average_active_nodes == pytest.approx(16.0, rel=1e-6)
 
-    def test_run_is_its_policy_points(self, smoke_sweep):
+    def test_aggregate_is_a_sweep_result(self, smoke_sweep):
         run = smoke_sweep
         assert [r.policy for r in run.reports] == [
             "round_robin", "least_loaded", "power_aware"]

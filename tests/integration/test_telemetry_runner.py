@@ -122,7 +122,7 @@ class TestRunnerTransport:
         assert again.to_json() == run.to_json()
         assert again.points[0].telemetry is not None
 
-    def test_fig2_trace_matches_point_joules_within_1e9(self):
+    def test_fig2_trace_matches_energy_profile_within_1e9(self):
         run = Runner(cache=False, trace=True).run(ExperimentSpec(
             "fig2", profile=get_experiment("fig2").profile))
         for point in run.points:

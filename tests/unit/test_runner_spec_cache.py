@@ -7,6 +7,7 @@ import os
 import pytest
 
 import repro
+from repro.core.profiler import EnergyProfile, ProfilePoint
 from repro.runner import (
     ExperimentDef,
     ExperimentSpec,
@@ -266,6 +267,8 @@ class TestReportRoundTrip:
         DutyCycleReport(kind="real", utilization=0.5,
                         window_seconds=100.0, average_watts=150.0,
                         work_seconds=50.0),
+        EnergyProfile(knob_name="disks",
+                      points=[ProfilePoint(36, 10.0, 100.0, 3.0)]),
     ]
 
     @pytest.mark.parametrize("report", CASES,
@@ -277,9 +280,23 @@ class TestReportRoundTrip:
         assert type(again) is type(report)
         assert again.to_dict() == report.to_dict()
 
+    def test_figure_results_round_trip(self):
+        # a figure's result is its points' reports: Figure 1's profile
+        # is built from them, Figure 2's pair is two scan reports
+        tr = self.CASES[0]
+        fig1 = EnergyProfile("disks", [ProfilePoint(
+            36, tr.makespan_seconds, tr.energy_joules,
+            tr.queries_completed)])
+        again = decode_report(encode_report(fig1))
+        assert again == fig1
+        assert again.points[0].energy_joules == 30.0
+        sr = self.CASES[1]
+        assert [decode_report(encode_report(r)) for r in (sr, sr)] == \
+            [sr, sr]
+
 
 class TestRunnerToy:
-    def test_grid_order(self, tmp_path):
+    def test_grid_order_and_profile(self, tmp_path):
         spec = ExperimentSpec("unit_toy", knobs={"x": [3, 1, 2]})
         run = Runner(workers=1, cache=False).run(spec)
         assert [p.knobs["x"] for p in run.points] == [3, 1, 2]
@@ -287,6 +304,11 @@ class TestRunnerToy:
             [3.0, 1.0, 2.0]
         assert [(p.sim_seconds, p.joules) for p in run.points] == \
             [(3.0, 6.0), (1.0, 2.0), (2.0, 4.0)]
+        profile = EnergyProfile("x", [
+            ProfilePoint(p.knobs["x"], p.sim_seconds, p.joules)
+            for p in run.points])
+        assert [p.knob_value for p in profile.points] == [3, 1, 2]
+        assert profile.best_performance().knob_value == 1
 
     def test_events_are_streamed(self, tmp_path):
         from repro.runner import PointFinished, RunFinished, RunStarted
