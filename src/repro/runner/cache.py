@@ -4,24 +4,27 @@ Keys are SHA-256 digests over (package version, experiment name,
 fully-resolved point knobs, point seed); values are the exact payload
 the worker produced (typed report dict + simulated seconds/Joules).
 A repeated benchmark or CI run therefore skips every point it has
-already simulated, and a version bump invalidates everything without
-touching the store.
+already simulated, and a source change opens a new namespace.
 
-Layout: ``<root>/<first two hex chars>/<digest>.json``, written
-atomically (a writer-unique tmp file + rename) so neither a killed run
-nor two writers of one key ever leave a corrupt entry behind;
-unreadable entries degrade to cache misses.
+Layout: ``<root>/<fingerprint[:12]>/<key[:2]>/<key>.json``, the
+namespace named by SHA-256 over the package's module paths and bytes
+plus numpy's version.  An entry under another fingerprint, or in the
+un-namespaced ``<root>/<key[:2]>/`` layout, is stale: never read,
+counted by ``stats``, removed by ``clear``.  Writes are atomic (a
+writer-unique tmp file + rename) so neither a killed run nor two
+writers of one key ever leave a corrupt entry behind; unreadable
+entries degrade to cache misses.
 
 An entry's text is the payload's canonical JSON (the form
 :func:`~repro.runner.spec.stable_hash` hashes), so :meth:`ResultCache.read`
 can hand back a field's stored text alongside its value and a later
 serialization splices that text in instead of encoding the value again.
-Entries written with ``json.dump``'s default separators still read,
-as values only.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -43,8 +46,8 @@ def _canonical_fields(text: str, keep: Collection[str]
     is not an object in canonical form (whitespace between tokens, or
     anything after the closing brace).  One pass of json's C scanner
     yields both each value and where its text ends."""
-    if text[:1] != "{":
-        return None
+    if text[:1] != "{" or text == "{}":
+        return ({}, {}) if text == "{}" else None
     payload: dict[str, Any] = {}
     texts: dict[str, str] = {}
     end = 1
@@ -63,6 +66,19 @@ def _canonical_fields(text: str, keep: Collection[str]
             return (payload, texts) if end == len(text) else None
         if sep != ",":
             return None
+
+
+@functools.lru_cache(maxsize=None)
+def _source_fingerprint() -> str:
+    """SHA-256 over the package's sorted module paths and bytes, plus
+    numpy's version: the code a cache namespace answers for."""
+    import numpy
+    package = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256(numpy.__version__.encode())
+    for path in sorted(package.rglob("*.py")):
+        digest.update(f"{path.relative_to(package)}\0".encode()
+                      + hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
 
 
 def _package_version() -> str:
@@ -93,17 +109,19 @@ def point_key(experiment: str, knobs: Mapping[str, Any], seed: int,
 class CacheStats:
     root: str
     entries: int
+    stale_entries: int
     total_bytes: int
 
 
 class ResultCache:
-    """A dictionary of point payloads, persisted under ``root``."""
+    """Point payloads under ``root``, in its constructor's namespace."""
 
     def __init__(self, root: str | os.PathLike = DEFAULT_CACHE_DIR):
         self.root = Path(root)
+        self.namespace = self.root / _source_fingerprint()[:12]
 
     def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        return self.namespace / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> Optional[dict[str, Any]]:
         entry = self.read(key)
@@ -113,21 +131,13 @@ class ResultCache:
              ) -> Optional[tuple[dict[str, Any], dict[str, str]]]:
         """The payload stored under ``key`` and the canonical JSON text
         of each of its top-level fields named in ``texts_of``, or
-        ``None`` for a missing or unreadable entry.  An entry not in
-        canonical form decodes as ever and carries no texts."""
+        ``None`` for a missing entry or one not in canonical form."""
         try:
             with open(self._path(key), encoding="utf-8") as fh:
-                text = fh.read()
-            try:
-                entry = _canonical_fields(text, texts_of)
-            except (json.JSONDecodeError, StopIteration):
-                entry = None
-            if entry is None:
-                entry = json.loads(text), {}
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError,
-                RecursionError):
+                return _canonical_fields(fh.read(), texts_of)
+        except (OSError, json.JSONDecodeError, StopIteration,
+                UnicodeDecodeError, RecursionError):
             return None
-        return entry if isinstance(entry[0], dict) else None
 
     def put(self, key: str, payload: Mapping[str, Any]) -> None:
         text = canonical_json(payload)
@@ -142,30 +152,29 @@ class ResultCache:
             tmp.unlink(missing_ok=True)
             raise
 
-    def _entries(self) -> list[Path]:
-        if not self.root.is_dir():
-            return []
-        return sorted(self.root.glob("??/*.json"))
+    def _files(self, pattern: str) -> list[Path]:
+        """The files matching ``pattern`` in every shard under the root:
+        each namespace's, and the un-namespaced layout's."""
+        return sorted(path for shards in ("*/??", "??")
+                      for path in self.root.glob(f"{shards}/{pattern}"))
 
     def stats(self) -> CacheStats:
-        entries = self._entries()
+        entries = self._files("*.json")
+        current = sum(p.parent.parent == self.namespace for p in entries)
         return CacheStats(
-            root=str(self.root),
-            entries=len(entries),
+            root=str(self.root), entries=current,
+            stale_entries=len(entries) - current,
             total_bytes=sum(p.stat().st_size for p in entries))
 
     def clear(self) -> int:
-        """Delete every entry, and any temp file a killed writer left
-        behind; returns how many entries were removed."""
-        removed = 0
-        for path in self._entries():
+        """Delete every entry, stale ones too, and any temp file a killed
+        writer left behind; returns how many entries were removed."""
+        entries = self._files("*.json")
+        for path in [*entries, *self._files("*.tmp")]:
             path.unlink(missing_ok=True)
-            removed += 1
-        for stale in self.root.glob("??/*.tmp"):
-            stale.unlink(missing_ok=True)
-        for sub in self.root.glob("??"):
+        for sub in [*self.root.glob("*/??"), *self.root.glob("*")]:
             try:
                 sub.rmdir()
             except OSError:
                 pass
-        return removed
+        return len(entries)

@@ -27,6 +27,7 @@ knob a sweep axis (``--disks 36,66,108`` sweeps three points).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Any, Optional, Sequence
@@ -34,10 +35,10 @@ from typing import Any, Optional, Sequence
 from repro.cli import run_guarded
 from repro.core.report import format_table
 from repro.errors import ReproError
-from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache
+from repro.runner.cache import DEFAULT_CACHE_DIR
 from repro.runner.events import EventPrinter
 from repro.runner.registry import get_experiment, list_experiments
-from repro.runner.runner import Runner
+from repro.runner.runner import Runner, _resolve_cache
 from repro.runner.spec import ExperimentSpec
 
 
@@ -152,17 +153,15 @@ def _cmd_list() -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    cache = ResultCache(args.cache or DEFAULT_CACHE_DIR)
+    cache = _resolve_cache(args.cache or True)
     if args.action == "stats":
         stats = cache.stats()
         if args.as_json:
-            print(json.dumps({"root": stats.root,
-                              "entries": stats.entries,
-                              "total_bytes": stats.total_bytes},
-                             sort_keys=True))
+            print(json.dumps(dataclasses.asdict(stats), sort_keys=True))
         else:
             print(f"cache root : {stats.root}")
             print(f"entries    : {stats.entries}")
+            print(f"stale      : {stats.stale_entries}")
             print(f"total bytes: {stats.total_bytes}")
     else:
         if not cache.root.is_dir():

@@ -31,6 +31,7 @@ class _Knobs(NamedTuple):
     """What an experiment's point-function signature says, read once."""
     resolved: Mapping[str, Any]  # signature defaults, declared on top
     names: frozenset[str]     # the point function's named parameters
+    types: Mapping[str, type]  # default's type: bool/int/float/str
     open: bool                # a ``**kwargs`` point function takes any knob
 
 
@@ -67,7 +68,9 @@ class ExperimentDef:
                     if p.kind is p.POSITIONAL_OR_KEYWORD
                     and p.default is not p.empty and p.name != "seed"}
         resolved.update(self.defaults)
-        return _Knobs(MappingProxyType(resolved), frozenset(names),
+        types = {p.name: type(p.default) for p in params
+                 if type(p.default) in (bool, int, float, str)}
+        return _Knobs(MappingProxyType(resolved), frozenset(names), types,
                       takes_any)
 
     @property
@@ -80,15 +83,22 @@ class ExperimentDef:
         return self._knobs.names | {"seed"}
 
     def validate_knobs(self, knobs: Mapping[str, Any]) -> None:
-        """Reject knobs the point function can't take, by name."""
-        if self._knobs.open:
-            return
+        """Reject knobs the point function can't take, by name, and values
+        not of their signature default's type (a float takes an int)."""
         unknown = sorted(set(knobs) - self.knob_names())
-        if unknown:
+        if unknown and not self._knobs.open:
             known = ", ".join(sorted(self.knob_names()))
             raise UnknownKnobError(
                 f"unknown knob(s) {', '.join(map(repr, unknown))} for "
                 f"experiment {self.name!r}; valid knobs: {known}")
+        for name in sorted(knobs.keys() & self._knobs.types.keys()):
+            want, value = self._knobs.types[name], knobs[name]
+            takes = (int, float) if want is float else want
+            for v in value if isinstance(value, (list, tuple)) else [value]:
+                if not isinstance(v, takes) or (
+                        isinstance(v, bool) != (want is bool)):
+                    raise ReproError(
+                        f"knob {name} must be {want.__name__}, got {v!r}")
 
     def call_point(self, knobs: Mapping[str, Any], seed: int) -> Any:
         """Invoke the point function, passing ``seed`` iff it takes one."""

@@ -55,7 +55,7 @@ class TestSvcEtlExperiment:
     @pytest.fixture(scope="class")
     def grid(self):
         """(mode, load) -> EtlReport over the registered sweep."""
-        run = Runner(workers=4, cache=False).run(ExperimentSpec("svc_etl"))
+        run = Runner(workers=4).run(ExperimentSpec("svc_etl"))
         return {(p.knobs["mode"], p.knobs["load"]): p.report
                 for p in run.points}
 

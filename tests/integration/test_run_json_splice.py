@@ -1,9 +1,7 @@
 """``RunResult.to_json`` splices a cache hit's stored observation text
 instead of encoding the observation again; the result must be exactly
 ``canonical_json(run.to_dict())`` on every path a point can take —
-computed in the parent or a pool worker, read back warm, or a mix —
-and a cache written in the older ``json.dump`` byte form must read as
-all hits with the same run JSON."""
+computed in the parent or a pool worker, read back warm, or a mix."""
 
 import json
 
@@ -111,26 +109,6 @@ def test_recorded_points_splice_a_stored_text(tmp_path):
         assert text == canonical_json(point.recording.to_dict())
 
 
-def test_older_byte_form_reads_as_all_hits(tmp_path):
-    """Entries written with ``json.dump``'s default separators (the
-    form before entries were canonical JSON) are hits with no stored
-    texts, and the run JSON is byte-identical to a cold run's."""
-    spec = ExperimentSpec("svc_smoke", knobs={
-        "policy": ["round_robin", "power_aware"], "queries": 2000})
-    cache = ResultCache(tmp_path / "c")
-    cold = Runner(workers=2, cache=cache, trace=True, record=True).run(spec)
-    for path in cache._entries():
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-        assert path.read_text(encoding="utf-8").startswith(
-            '{"experiment": "svc_smoke"')
-    warm = Runner(workers=2, cache=cache, trace=True, record=True).run(spec)
-    assert warm.cache_hits == 2
-    assert all(p.observed_json == {} for p in warm.points)
-    assert warm.to_json() == cold.to_json()
-
-
 class TestRead:
     """``ResultCache.read``: one reader under ``get``."""
 
@@ -147,18 +125,16 @@ class TestRead:
         assert cache.read("k" * 64)[1] == {}
         assert canonical_json(cache.get("k" * 64)) == \
             canonical_json(payload)
+        cache.put("e" * 64, {})
+        assert cache.read("e" * 64, ("a",)) == ({}, {})
 
     @pytest.mark.parametrize("text, texts", [
         ('{"a":1,"b":[2]}', {"a": "1", "b": "[2]"}),
         ('{"b":[2],"a":1}', {"a": "1", "b": "[2]"}),
-        ('{"a": 1, "b": [2]}', {}),
-        ('{"a":1 ,"b":[2]}', {}),
-        ('{"a":1,"b":[2]}\n', {}),
-        (' {"a":1,"b":[2]}', {}),
     ])
     def test_any_valid_json_object_reads(self, tmp_path, text, texts):
-        """Only an entry with no whitespace between its top-level
-        tokens carries texts; every other spelling still reads."""
+        """An object with no whitespace between its top-level tokens
+        reads in any key order, and carries its fields' texts."""
         cache = ResultCache(tmp_path / "c")
         path = cache._path("k" * 64)
         path.parent.mkdir(parents=True)
@@ -168,7 +144,10 @@ class TestRead:
 
     @pytest.mark.parametrize("text", [
         '{"a":1,"b":[2]}x', '{"a":1,"b":[2]', '{"a":1,}', '{"a"1}',
-        '{"a":', '{', '{"a":1}{"b":2}', '["a"]'])
+        '{"a":', '{', '{"a":1}{"b":2}', '["a"]',
+        # valid JSON, but not the canonical text ``put`` writes
+        '{"a": 1, "b": [2]}', '{"a":1 ,"b":[2]}', '{"a":1,"b":[2]}\n',
+        ' {"a":1,"b":[2]}'])
     def test_malformed_text_is_a_miss(self, tmp_path, text):
         cache = ResultCache(tmp_path / "c")
         path = cache._path("k" * 64)

@@ -64,7 +64,7 @@ def _keys(spec, observe=()):
 def _entries(cache):
     """Decoded entries by key, the one host-dependent field masked."""
     out = {}
-    for path in cache._entries():
+    for path in cache._files("*.json"):
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload.pop("host_seconds") >= 0.0
         out[path.stem] = payload
@@ -81,7 +81,7 @@ class TestPoolTransport:
         cold = Runner(workers=2, cache=cache).run(spec)
         assert cold.cache_hits == 0
         assert sorted(_entries(cache)) == sorted(_keys(spec))
-        assert not list(cache.root.glob("??/*.tmp"))
+        assert not cache._files("*.tmp")
         warm = Runner(workers=2, cache=cache).run(spec)
         assert warm.cache_hits == len(warm.points) == 4
         assert warm.to_json() == cold.to_json()
@@ -112,13 +112,13 @@ class TestPoolTransport:
         half = ExperimentSpec("proportionality", knobs={
             **DUTY, "utilization": DUTY["utilization"][:2]})
         Runner(workers=2, cache=cache).run(half)
-        before = {p.stem: p.stat().st_ino for p in cache._entries()}
+        before = {p.stem: p.stat().st_ino for p in cache._files("*.json")}
         assert sorted(before) == sorted(_keys(half))
         spec = ExperimentSpec("proportionality", knobs=DUTY)
         run = Runner(workers=2, cache=cache).run(spec)
         assert [p.cache_hit for p in run.points] == \
             [True, True, False, False]
-        after = {p.stem: p.stat().st_ino for p in cache._entries()}
+        after = {p.stem: p.stat().st_ino for p in cache._files("*.json")}
         assert sorted(after) == sorted(_keys(spec))
         # the two warm entries were not rewritten
         assert {k: after[k] for k in before} == before
@@ -133,7 +133,7 @@ class TestPoolTransport:
         cache = ResultCache(tmp_path / "cache")
         run = Runner(workers=2, cache=cache, record=True).run(spec)
         assert all(p.recording is not None for p in run.points)
-        entries = cache._entries()
+        entries = cache._files("*.json")
         assert sorted(p.stem for p in entries) == \
             sorted(_keys(spec, observe=("flightrec",)))
         for path in entries:

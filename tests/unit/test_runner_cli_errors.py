@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.runner import cli
+from repro.runner import cli, get_experiment
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -76,8 +76,32 @@ class TestErrorPaths:
         # the compressed scan
         assert cli.main(["run", "scan", "--no-cache", "--quiet",
                          "--compressed", "no"]) == 2
-        assert "compressed must be true or false" in \
+        assert "knob compressed must be bool" in _one_line_error(capsys)
+
+    @pytest.mark.parametrize("argv, knob, want", [
+        # a bool for an int knob used to serve a 1-node fleet
+        (["svc_smoke", "--nodes", "true"], "nodes", "int"),
+        (["svc_smoke", "--nodes", "8,false"], "nodes", "int"),
+        (["svc_smoke", "--queries", "2000.5"], "queries", "int"),
+        (["svc_smoke", "--load", "true"], "load", "float"),
+        (["svc_smoke", "--policy", "round_robin,3"], "policy", "str"),
+        (["scan", "--scale-factor", "nan"], "scale_factor", "float"),
+        (["scan", "--compressed", "1"], "compressed", "bool"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_knob_of_the_wrong_type_is_one_line(self, capsys, argv, knob,
+                                                want):
+        assert cli.main(["run", *argv, "--no-cache", "--quiet"]) == 2
+        assert f"knob {knob} must be {want}, got " in \
             _one_line_error(capsys)
+
+    @pytest.mark.parametrize("experiment, knobs", [
+        # the suite table's chaos rows pass an int for a float default
+        ("chaos_smoke", {"timeout_rate_per_node_hour": 5}),
+        ("svc_smoke", {"load": [1, 2.5], "nodes": 8}),
+        ("scan", {"codec": "delta", "compressed": True}),  # None default
+    ])
+    def test_knob_of_the_right_type_passes(self, experiment, knobs):
+        get_experiment(experiment).validate_knobs(knobs)
 
     def test_cache_clear_missing_dir_is_one_line(self, capsys,
                                                  tmp_path):
@@ -101,7 +125,7 @@ class TestCacheStatsJson:
                          "--cache", str(tmp_path)]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats == {"root": str(tmp_path), "entries": 0,
-                         "total_bytes": 0}
+                         "stale_entries": 0, "total_bytes": 0}
 
     def test_json_counts_entries(self, capsys, tmp_path):
         from repro.runner import ResultCache
@@ -112,6 +136,17 @@ class TestCacheStatsJson:
         stats = json.loads(capsys.readouterr().out)
         assert stats["entries"] == 1
         assert stats["total_bytes"] > 0
+
+    def test_reads_the_runs_cache_dir(self, capsys, tmp_path,
+                                      monkeypatch):
+        """Without ``--cache``, ``cache stats`` reads the store a plain
+        ``run`` writes: ``$REPRO_CACHE_DIR`` when it is set."""
+        from repro.runner import ResultCache
+        ResultCache(tmp_path).put("ab" + "0" * 62, {"payload": 1})
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert cli.main(["cache", "stats", "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert (stats["root"], stats["entries"]) == (str(tmp_path), 1)
 
     def test_plain_output_unchanged(self, capsys, tmp_path):
         assert cli.main(["cache", "stats",
