@@ -93,8 +93,8 @@ def point_key(experiment: str, knobs: Mapping[str, Any], seed: int,
 
     Observed points live under distinct keys, one per set of observer
     kinds (their payloads carry the observations); the unobserved key
-    is unchanged from before observers existed, so existing caches
-    stay valid.
+    is unchanged from before observers existed, as the pinned keys in
+    ``experiment_identity.json`` require.
     """
     return stable_hash({
         "version": version if version is not None else _package_version(),
