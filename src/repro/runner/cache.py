@@ -7,13 +7,13 @@ A repeated benchmark or CI run therefore skips every point it has
 already simulated, and a source change opens a new namespace.
 
 Layout: ``<root>/<fingerprint[:12]>/<key[:2]>/<key>.json``, the
-namespace named by SHA-256 over the package's module paths and bytes
-plus numpy's version.  An entry under another fingerprint, or in the
-un-namespaced ``<root>/<key[:2]>/`` layout, is stale: never read,
-counted by ``stats``, removed by ``clear``.  Writes are atomic (a
-writer-unique tmp file + rename) so neither a killed run nor two
-writers of one key ever leave a corrupt entry behind; unreadable
-entries degrade to cache misses.
+fingerprint a SHA-256 of this package's modules and numpy's version
+(code registered from outside the package is not hashed: after editing
+it, use ``--no-cache`` or ``cache clear``).  Entries in another
+namespace, or in the older ``<root>/<key[:2]>/`` layout, are stale:
+never read, counted by ``stats``, removed by ``clear``.  Writes are
+atomic (a writer-unique tmp file + rename), so neither a killed run nor
+two writers of one key leave a corrupt entry; an unreadable one is a miss.
 
 An entry's text is the payload's canonical JSON (the form
 :func:`~repro.runner.spec.stable_hash` hashes), so :meth:`ResultCache.read`
@@ -35,6 +35,7 @@ from typing import Any, Collection, Mapping, Optional
 from repro.runner.spec import canonical_json, stable_hash
 
 DEFAULT_CACHE_DIR = ".repro-cache"
+_NAMESPACE = "?" * 12  # a glob for a namespace's directory name
 
 _scan_value = json.JSONDecoder().scan_once
 
@@ -46,8 +47,10 @@ def _canonical_fields(text: str, keep: Collection[str]
     is not an object in canonical form (whitespace between tokens, or
     anything after the closing brace).  One pass of json's C scanner
     yields both each value and where its text ends."""
-    if text[:1] != "{" or text == "{}":
-        return ({}, {}) if text == "{}" else None
+    if text == "{}":
+        return {}, {}
+    if text[:1] != "{":
+        return None
     payload: dict[str, Any] = {}
     texts: dict[str, str] = {}
     end = 1
@@ -70,8 +73,7 @@ def _canonical_fields(text: str, keep: Collection[str]
 
 @functools.lru_cache(maxsize=None)
 def _source_fingerprint() -> str:
-    """SHA-256 over the package's sorted module paths and bytes, plus
-    numpy's version: the code a cache namespace answers for."""
+    """SHA-256 over the package's module paths and bytes, and numpy's."""
     import numpy
     package = Path(__file__).resolve().parent.parent
     digest = hashlib.sha256(numpy.__version__.encode())
@@ -153,9 +155,8 @@ class ResultCache:
             raise
 
     def _files(self, pattern: str) -> list[Path]:
-        """The files matching ``pattern`` in every shard under the root:
-        each namespace's, and the un-namespaced layout's."""
-        return sorted(path for shards in ("*/??", "??")
+        """Files matching ``pattern`` in any namespace's or old shard."""
+        return sorted(path for shards in (f"{_NAMESPACE}/??", "??")
                       for path in self.root.glob(f"{shards}/{pattern}"))
 
     def stats(self) -> CacheStats:
@@ -172,7 +173,8 @@ class ResultCache:
         entries = self._files("*.json")
         for path in [*entries, *self._files("*.tmp")]:
             path.unlink(missing_ok=True)
-        for sub in [*self.root.glob("*/??"), *self.root.glob("*")]:
+        for sub in [*self.root.glob(f"{_NAMESPACE}/??"),
+                    *self.root.glob("??"), *self.root.glob(_NAMESPACE)]:
             try:
                 sub.rmdir()
             except OSError:

@@ -80,6 +80,8 @@ def run_scan(compressed: bool = False,
     """
     if scale_factor <= 0 or target_plain_bytes <= 0:
         raise WorkloadError("scale factor and target bytes must be positive")
+    if not isinstance(compressed, bool):
+        raise WorkloadError(f"compressed must be bool, got {compressed!r}")
     if codec is not None and not compressed:
         raise WorkloadError(
             f"codec={codec!r} applies to the compressed scan only: pass "

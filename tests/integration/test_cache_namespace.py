@@ -99,3 +99,19 @@ def test_pool_workers_write_the_parents_namespace(tmp_path, monkeypatch):
     assert len(entries) == 4
     assert {p.parent.parent for p in entries} == {cache.namespace}
     assert cache.stats().stale_entries == 0
+
+
+def test_stats_and_clear_leave_what_is_not_the_caches(tmp_path):
+    """A root shared with other files (``--cache .``): only directories
+    named like a namespace or a shard are the cache's."""
+    cache = ResultCache(tmp_path)
+    cache.put("a" * 64, {"ok": True})
+    foreign = tmp_path / "docs" / "ab" / "notes.json"
+    foreign.parent.mkdir(parents=True)
+    foreign.write_text("{}", encoding="utf-8")
+    (tmp_path / "empty").mkdir()
+
+    assert (cache.stats().entries, cache.stats().stale_entries) == (1, 0)
+    assert cache.clear() == 1
+    assert foreign.exists() and (tmp_path / "empty").is_dir()
+    assert not cache.namespace.exists()

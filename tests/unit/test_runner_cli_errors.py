@@ -87,12 +87,13 @@ class TestErrorPaths:
         (["svc_smoke", "--policy", "round_robin,3"], "policy", "str"),
         (["scan", "--scale-factor", "nan"], "scale_factor", "float"),
         (["scan", "--compressed", "1"], "compressed", "bool"),
+        # fig2's compressed has no default: run_scan itself checks it
+        (["fig2", "--compressed", "no"], "compressed", "bool"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_knob_of_the_wrong_type_is_one_line(self, capsys, argv, knob,
                                                 want):
         assert cli.main(["run", *argv, "--no-cache", "--quiet"]) == 2
-        assert f"knob {knob} must be {want}, got " in \
-            _one_line_error(capsys)
+        assert f"{knob} must be {want}, got " in _one_line_error(capsys)
 
     @pytest.mark.parametrize("experiment, knobs", [
         # the suite table's chaos rows pass an int for a float default
