@@ -75,7 +75,7 @@ SHED_STATE = "shed"
 LOST_STATE = "lost"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FleetEvent:
     """One timestamped, typed record of a fleet decision or incident.
 
@@ -83,7 +83,7 @@ class FleetEvent:
     tenant, and arrival tables; each is ``None`` when the event is not
     about one (an autoscaler verdict has no tenant, a hold-open no
     node).  ``data`` carries the kind-specific payload and is always
-    JSON-safe.
+    JSON-safe (``None`` stands for an empty one).
     """
 
     t: float
@@ -93,6 +93,19 @@ class FleetEvent:
     query: Optional[int] = None
     data: Mapping[str, Any] = field(default_factory=dict)
 
+    def __init__(self, t: float, kind: str, node: Optional[int] = None,
+                 tenant: Optional[int] = None, query: Optional[int] = None,
+                 data: Optional[Mapping[str, Any]] = None) -> None:
+        # built once per event by the recorder and again by every
+        # decode: storing through the slots' own descriptors skips the
+        # six object.__setattr__ calls a frozen dataclass's __init__ makes
+        _set_t(self, t)
+        _set_kind(self, kind)
+        _set_node(self, node)
+        _set_tenant(self, tenant)
+        _set_query(self, query)
+        _set_data(self, {} if data is None else data)
+
     def to_row(self) -> list:
         return [self.t, self.kind, self.node, self.tenant, self.query,
                 dict(self.data)]
@@ -100,11 +113,15 @@ class FleetEvent:
     @classmethod
     def from_row(cls, row) -> "FleetEvent":
         t, kind, node, tenant, query, data = row
-        return cls(t=float(t), kind=str(kind),
-                   node=None if node is None else int(node),
-                   tenant=None if tenant is None else int(tenant),
-                   query=None if query is None else int(query),
-                   data=dict(data))
+        return cls(float(t), str(kind),
+                   None if node is None else int(node),
+                   None if tenant is None else int(tenant),
+                   None if query is None else int(query), dict(data))
+
+
+(_set_t, _set_kind, _set_node, _set_tenant, _set_query,
+ _set_data) = (FleetEvent.__dict__[name].__set__
+               for name in FleetEvent.__slots__)
 
 
 #: the parallel per-query columns, in serialization order

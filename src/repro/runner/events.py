@@ -38,6 +38,9 @@ class RunFinished:
     total_points: int
     cache_hits: int
     host_seconds: float
+    #: cache entries that were readable but the wrong point or shape,
+    #: re-simulated and stored again
+    healed: int = 0
 
 
 EventSink = Callable[[Any], None]
@@ -69,4 +72,6 @@ class EventPrinter:
         elif isinstance(event, RunFinished):
             print(f"run {event.experiment}: {event.total_points} point(s)"
                   f" in {event.host_seconds:.2f}s host time"
-                  f" ({event.cache_hits} cache hit(s))", file=out)
+                  f" ({event.cache_hits} cache hit(s))"
+                  + (f" ({event.healed} healed)" if event.healed else ""),
+                  file=out)

@@ -47,7 +47,14 @@ CacheLike = Union[ResultCache, str, os.PathLike, bool, None]
 
 @dataclass
 class PointResult:
-    """One finished sweep point."""
+    """One finished sweep point.
+
+    A point computed in this run keeps each observation as the payload
+    dict its worker harvested, which ``to_dict`` returns as is, and
+    decodes it on first read; a cache hit's are decoded when it is read.
+    ``==`` leaves out host timing, cache provenance and the
+    observations, so a computed point equals its own cache hit.
+    """
 
     index: int
     knobs: dict[str, Any]
@@ -55,26 +62,41 @@ class PointResult:
     report: Any
     sim_seconds: float
     joules: float
-    host_seconds: float = 0.0
-    cache_hit: bool = False
-    #: observer kind (see :mod:`repro.observe`) -> decoded observation
-    observed: dict[str, Any] = field(default_factory=dict)
+    host_seconds: float = field(default=0.0, compare=False)
+    cache_hit: bool = field(default=False, compare=False)
+    #: observer kind (see :mod:`repro.observe`) -> harvested payload
+    payloads: dict[str, Mapping[str, Any]] = field(
+        default_factory=dict, compare=False, repr=False)
+    #: observer kind -> decoded observation (a payload's once read)
+    decoded: dict[str, Any] = field(
+        default_factory=dict, compare=False, repr=False)
     #: observer kind -> the canonical JSON text a cache hit's
     #: observation was stored as, spliced by :meth:`RunResult.to_json`
-    #: in place of encoding ``observed[kind]`` again
+    #: in place of encoding ``decoded[kind]`` again
     observed_json: dict[str, str] = field(
         default_factory=dict, compare=False, repr=False)
+
+    def _observation(self, kind: str) -> Any:
+        if kind not in self.decoded and kind in self.payloads:
+            self.decoded[kind] = observe.decode(kind, self.payloads[kind])
+        return self.decoded.get(kind)
+
+    @property
+    def observed(self) -> dict[str, Any]:
+        """Observer kind -> decoded observation, in ``KINDS`` order."""
+        return {kind: self._observation(kind) for kind in observe.KINDS
+                if kind in self.payloads or kind in self.decoded}
 
     @property
     def telemetry(self) -> Optional["TelemetryTrace"]:
         """The point's telemetry trace, if it ran traced."""
-        return self.observed.get("telemetry")
+        return self._observation("telemetry")
 
     @property
     def recording(self) -> Optional["FlightRecording"]:
         """The point's flight recording, if it ran recorded (and
         entered a serving engine)."""
-        return self.observed.get("flightrec")
+        return self._observation("flightrec")
 
     def to_dict(self) -> dict[str, Any]:
         """Deterministic content only — host timing and cache
@@ -95,8 +117,9 @@ class PointResult:
                        "data": self.report.to_dict()},
             "sim_seconds": self.sim_seconds,
             "joules": self.joules,
-            **{kind: seen.to_dict()
-               for kind, seen in self.observed.items()
+            **{kind: seen.to_dict() for kind, seen in self.decoded.items()
+               if kind not in skip and kind not in self.payloads},
+            **{kind: data for kind, data in self.payloads.items()
                if kind not in skip},
         }
 
@@ -113,13 +136,26 @@ class PointResult:
         out.append("}")
 
 
-def _decode_observed(payload: Mapping[str, Any]) -> dict[str, Any]:
-    """The observations a point payload carries, by kind: an entry is
-    decoded iff it is not ``None`` (a recorded point that never entered
-    a serving engine stores ``None``); a wrong-shaped one raises
-    :class:`~repro.records.RecordError`."""
-    return {kind: observe.decode(kind, payload[kind])
-            for kind in observe.KINDS if payload.get(kind) is not None}
+def _point(payload: Mapping[str, Any], index: int,
+           texts: Optional[Mapping[str, str]] = None,
+           **provenance: Any) -> PointResult:
+    """The point a payload describes.  A worker's (no ``texts``) keeps
+    its observations as harvested; a stored one's are decoded now, as
+    its shape check (RecordError), and ``texts`` replace the payloads.
+    A ``None`` entry is a recorded point that never entered a serving
+    engine: no observation."""
+    point = PointResult(
+        index=index, knobs=dict(payload["knobs"]), seed=payload["seed"],
+        report=decode_report(payload["report"]),
+        sim_seconds=payload["sim_seconds"], joules=payload["joules"],
+        payloads={kind: payload[kind] for kind in observe.KINDS
+                  if payload.get(kind) is not None}, **provenance)
+    if texts is not None:
+        observed = point.observed
+        point.payloads = {}
+        point.observed_json = {kind: text for kind, text in texts.items()
+                               if kind in observed}
+    return point
 
 
 @dataclass
@@ -177,14 +213,7 @@ class RunResult:
         # bulk (see to_dict): "spec_hash" is derived and ignored
         try:
             spec = ExperimentSpec.from_dict(data["spec"])
-            points = [
-                PointResult(
-                    index=p["index"], knobs=dict(p["knobs"]),
-                    seed=p["seed"], report=decode_report(p["report"]),
-                    sim_seconds=p["sim_seconds"], joules=p["joules"],
-                    observed=_decode_observed(p))
-                for p in data["points"]
-            ]
+            points = [_point(p, p["index"], {}) for p in data["points"]]
         except (KeyError, TypeError, AttributeError) as exc:
             raise RecordError(f"malformed run result: {exc!r}") from None
         return cls(spec=spec, points=points)
@@ -246,21 +275,12 @@ class Runner:
         return tasks
 
     def _finish(self, spec: ExperimentSpec, index: int, total: int,
-                payload: Mapping[str, Any], cache_hit: bool,
-                host_seconds: float,
+                payload: Mapping[str, Any],
                 texts: Optional[Mapping[str, str]] = None) -> PointResult:
-        observed = _decode_observed(payload)
-        result = PointResult(
-            index=index, knobs=dict(payload["knobs"]),
-            seed=payload["seed"],
-            report=decode_report(payload["report"]),
-            sim_seconds=payload["sim_seconds"],
-            joules=payload["joules"],
-            host_seconds=host_seconds, cache_hit=cache_hit,
-            observed=observed,
-            observed_json={kind: text
-                           for kind, text in (texts or {}).items()
-                           if kind in observed})
+        cache_hit = texts is not None  # else computed in this run
+        host_seconds = 0.0 if cache_hit else payload["host_seconds"]
+        result = _point(payload, index, texts, host_seconds=host_seconds,
+                        cache_hit=cache_hit)
         self._emit(PointFinished(
             index=index, total_points=total, knobs=result.knobs,
             sim_seconds=result.sim_seconds, joules=result.joules,
@@ -281,6 +301,7 @@ class Runner:
 
         results: dict[int, PointResult] = {}
         pending: list[PointItem] = []
+        healed = 0
         for index, (task, key) in enumerate(tasks):
             entry = self.cache.read(key, self.observe) if self.cache \
                 else None
@@ -288,11 +309,12 @@ class Runner:
                     entry[0], task, self.observe):
                 try:
                     results[index] = self._finish(
-                        spec, index, total, entry[0], cache_hit=True,
-                        host_seconds=0.0, texts=entry[1])
+                        spec, index, total, entry[0], texts=entry[1])
                     continue
                 except RecordError:
                     pass  # valid JSON, wrong shape: a miss like any other
+            # a readable entry turned down is re-simulated and rewritten
+            healed += entry is not None
             pending.append((index, task, self.observe, self.cache, key))
 
         if self.workers > 1 and len(pending) > 1:
@@ -307,16 +329,15 @@ class Runner:
         self._emit(RunFinished(experiment=spec.experiment,
                                total_points=total,
                                cache_hits=run.cache_hits,
-                               host_seconds=run.host_seconds))
+                               host_seconds=run.host_seconds,
+                               healed=healed))
         return run
 
     def _computed(self, spec: ExperimentSpec, total: int,
                   done: tuple[int, dict[str, Any]],
                   results: dict[int, PointResult]) -> None:
         index, payload = done
-        results[index] = self._finish(
-            spec, index, total, payload, cache_hit=False,
-            host_seconds=payload["host_seconds"])
+        results[index] = self._finish(spec, index, total, payload)
 
     def _run_serial(self, spec: ExperimentSpec,
                     pending: Sequence[PointItem], total: int,

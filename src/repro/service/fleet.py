@@ -272,6 +272,12 @@ class _Run(NamedTuple):
     cols: StreamColumns
 
 
+#: the most autoscaler epochs a run may step over its arrivals: the
+#: longest committed stream (chaos_frontier's 3 h) needs 360 at 30 s,
+#: ~10^5 at 0.1 s; at 20-30 us a step, 10^6 take under a minute
+MAX_EPOCH_STEPS = 1_000_000
+
+
 def _choose_engine(engine: str,
                    policy: DispatchPolicy) -> tuple[str, Optional[str]]:
     """Pick the serving core: ``(ServiceReport.engine,
@@ -315,6 +321,14 @@ def _prepare(stream: ArrivalStream, fleet: Optional[FleetSpec], policy,
         autoscaler = None
     elif autoscaler is None:
         autoscaler = Autoscaler(fleet.classes[0].model)
+    if autoscaler is not None:
+        smallest = float(stream.times[-1]) / MAX_EPOCH_STEPS
+        if autoscaler.epoch_seconds < smallest:
+            raise ServiceError(
+                f"epoch_seconds={autoscaler.epoch_seconds!r} would step "
+                f"the autoscaler more than {MAX_EPOCH_STEPS:,} times over "
+                f"this stream; the smallest epoch_seconds it accepts is "
+                f"{smallest!r}")
 
     collector = current_collector()
     rec = current_recorder()

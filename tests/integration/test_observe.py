@@ -14,10 +14,12 @@ from repro.runner import (
     ExperimentSpec,
     ResultCache,
     Runner,
+    RunFinished,
     RunResult,
     point_key,
 )
 from repro.runner.cli import main as cli_main
+from repro.runner.spec import canonical_json
 from repro.service.report import ServiceError
 from repro.telemetry import TelemetryTrace
 
@@ -130,3 +132,105 @@ def test_engine_calibration_refuses_an_observer(flag, capsys):
                      "--quiet", "--queries", "1000", "--nodes", "4"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+class TestDecodeOnRead:
+    """A point computed in this run keeps each observation as the
+    payload dict its worker harvested and decodes it on first read; a
+    cache hit decodes each once, when it is read, as its shape check."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        calls = []
+        decode = repro.observe.decode
+
+        def counted(kind, data):
+            calls.append(kind)
+            return decode(kind, data)
+
+        monkeypatch.setattr(repro.observe, "decode", counted)
+        return calls
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cold_run_and_its_json_decode_nothing(self, tmp_path, decodes,
+                                                  workers):
+        run = Runner(workers=workers, cache=tmp_path / "c", trace=True,
+                     record=True).run(TINY_SVC)
+        assert canonical_json(run.to_dict()) == run.to_json()
+        assert decodes == []
+
+    def test_first_read_decodes_once_and_keeps_it(self, decodes):
+        point = Runner(cache=False, trace=True,
+                       record=True).run(TINY_SVC).points[1]
+        recording = point.recording
+        assert isinstance(recording, FlightRecording)
+        assert decodes == ["flightrec"]
+        assert point.recording is recording
+        assert list(point.observed) == list(repro.observe.KINDS)
+        assert point.observed["flightrec"] is recording
+        assert decodes == ["flightrec", "telemetry"]
+
+    def test_all_hit_warm_run_decodes_each_observation_once(
+            self, tmp_path, decodes):
+        runner = Runner(cache=tmp_path / "c", trace=True, record=True)
+        cold = runner.run(TINY_SVC)
+        warm = runner.run(TINY_SVC)
+        assert warm.cache_hits == 2
+        assert warm.to_json() == cold.to_json()
+        for point in warm.points:
+            assert isinstance(point.recording, FlightRecording)
+            assert isinstance(point.telemetry, TelemetryTrace)
+        assert sorted(decodes) == sorted(repro.observe.KINDS * 2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_computed_point_equals_its_hit_before_and_after_reads(
+            self, tmp_path, workers):
+        runner = Runner(workers=workers, cache=tmp_path / "c", trace=True,
+                        record=True)
+        cold = runner.run(TINY_SVC).points
+        warm = runner.run(TINY_SVC).points
+        assert [p.cache_hit for p in cold + warm] == [False] * 2 + [True] * 2
+
+        def same():
+            for computed, hit in zip(cold, warm):
+                assert computed == hit
+                assert computed.to_dict() == hit.to_dict()
+
+        same()
+        for point in cold:
+            assert point.observed
+        same()
+        for point in warm:
+            assert point.observed
+        same()
+
+
+def test_healed_hits_are_counted(tmp_path, capsys):
+    """An entry that reads but is the wrong shape, or the wrong point,
+    is re-simulated and rewritten: the run counts it, and the CLI line
+    says so only when the count is not zero."""
+    argv = ["run", "svc_smoke", "--policy", "round_robin", "--queries",
+            "500", "--record", "--cache", str(tmp_path / "c")]
+    spec = ExperimentSpec("svc_smoke", knobs={
+        "policy": "round_robin", "queries": 500})
+    cache = ResultCache(tmp_path / "c")
+    key = point_key("svc_smoke", spec.points()[0], spec.seed,
+                    observe=("flightrec",))
+    events = []
+    runner = Runner(cache=cache, record=True, on_event=events.append)
+    runner.run(spec)
+    stored = cache.get(key)
+    for bad in ({**stored, "flightrec": []}, {**stored, "seed": -1}):
+        cache.put(key, bad)
+        runner.run(spec)
+    runner.run(spec)
+    assert [e.healed for e in events if isinstance(e, RunFinished)] == \
+        [0, 1, 1, 0]
+
+    cache.put(key, {**stored, "flightrec": {"x": 1}})
+    assert cli_main(argv) == 0
+    assert cli_main(argv) == 0
+    healed, clean = [line for line in capsys.readouterr().err.splitlines()
+                     if line.startswith("run svc_smoke: 1 point(s) in")]
+    assert healed.endswith(" (0 cache hit(s)) (1 healed)")
+    assert clean.endswith(" (1 cache hit(s))")

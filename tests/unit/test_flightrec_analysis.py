@@ -8,12 +8,13 @@ runs and the energy-reconciliation acceptance bar.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.errors import ReproError
-from repro.flightrec import FlightRecording, record
+from repro.flightrec import FleetEvent, FlightRecording, record
 from repro.observe import current_recorder
 from repro.flightrec.rollup import (default_window_seconds, node_rollup,
                                     summarize, window_starts)
@@ -70,6 +71,39 @@ def _recording(rows, meta=None, batches=None, events=None):
         queries=columns,
         batches=batches or empty_batches,
         events=events or [])
+
+
+class TestFleetEvent:
+    EVENT = FleetEvent(12.5, "hold_join", 3, 1, 17, {"window": 0.5})
+
+    def test_row_round_trip(self):
+        assert FleetEvent.from_row(self.EVENT.to_row()) == self.EVENT
+        assert FleetEvent.from_row(json.loads(json.dumps(
+            self.EVENT.to_row()))) == self.EVENT
+
+    def test_immutable(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.EVENT.t = 0.0
+        # no new attribute either: the class has slots, no __dict__
+        # (CPython 3.11's frozen __setattr__ on a slots-rebuilt class
+        # raises TypeError rather than FrozenInstanceError)
+        with pytest.raises((AttributeError, TypeError)):
+            self.EVENT.extra = 1
+        assert not hasattr(self.EVENT, "__dict__")
+
+    def test_keyword_and_positional_construction_agree(self):
+        assert FleetEvent(t=12.5, kind="hold_join", node=3, tenant=1,
+                          query=17, data={"window": 0.5}) == self.EVENT
+        assert FleetEvent(12.5, "hold_join", 3, 1, 17,
+                          {"window": 0.5}) != FleetEvent(12.5, "hold_join")
+
+    def test_defaults(self):
+        event = FleetEvent(1.0, "boot")
+        assert (event.node, event.tenant, event.query, event.data) == \
+            (None, None, None, {})
+        assert event.data is not FleetEvent(1.0, "boot").data
+        assert [(f.name, f.default) for f in dataclasses.fields(event)][
+            2:5] == [("node", None), ("tenant", None), ("query", None)]
 
 
 class TestContext:

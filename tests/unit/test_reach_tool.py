@@ -149,11 +149,12 @@ def test_architecture_glosses_exactly_the_kinds():
 
 def test_ci_commands_are_read_from_the_workflow():
     runner = reach.runner_smoke()
-    assert len(runner) == 9
+    assert len(runner) == 11
     assert runner[0] == ["list"]
     assert runner[-1] == ["cache", "stats", "--json"]
     assert [argv[argv.index("--cache") + 1] for argv in runner
-            if "--cache" in argv] == ["splice-cache", "splice-cache"]
+            if "--cache" in argv] == ["splice-cache", "splice-cache",
+                                      "qed-cache", "qed-cache"]
     points = reach.flightrec_points()
     assert sorted(points) == ["etl", "pvc_qed"]
     assert points["etl"] == ["svc_etl", "--mode", "delayed", "--load", "1.0"]

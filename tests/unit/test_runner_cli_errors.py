@@ -51,6 +51,20 @@ class TestErrorPaths:
         line = _one_line_error(capsys)
         assert "not_a_knob" in line
 
+    def test_tiny_autoscaler_epoch_is_one_line_and_quick(self):
+        """An epoch that would step the autoscaler ~10^303 times is
+        refused before serving, not left to spin."""
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.runner", "run", "svc_smoke",
+             "--policy", "power_aware", "--queries", "2000",
+             "--epoch-seconds", "1e-300", "--no-cache", "--quiet"],
+            env={**os.environ, "PYTHONPATH": REPO_SRC},
+            capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        lines = done.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "smallest epoch_seconds it accepts" in lines[0]
+
     def test_negative_seed_is_one_line(self, capsys, tmp_path):
         cache = tmp_path / "c"
         assert cli.main(["run", "svc_smoke", "--queries", "100",

@@ -1,6 +1,8 @@
 """Unit tests for the fleet-serving layer: power models, node energy
 accounting, workload streams, dispatch policies, and the autoscaler."""
 
+import re
+
 import pytest
 
 from repro.errors import ReproError
@@ -278,6 +280,39 @@ class TestAutoscaler:
         for t in range(1, 30):
             scaler.step(10.0 * t, nodes, on_ids)
         assert len(on_ids) == 2
+
+    @pytest.mark.parametrize("engine", ["event", "loop"])
+    def test_epoch_cap_is_refused_one_epoch_past_it(self, engine,
+                                                    monkeypatch):
+        """The front door refuses a run whose autoscaler would step more
+        than ``MAX_EPOCH_STEPS`` epochs over its arrivals, and names the
+        smallest epoch it accepts; that epoch serves."""
+        import repro.service.fleet as fleet_module
+        monkeypatch.setattr(fleet_module, "MAX_EPOCH_STEPS", 50)
+        stream = build_stream(200, seed=3)
+        smallest = float(stream.times[-1]) / 50
+
+        def serve(epoch):
+            return simulate_service(
+                stream, fleet=FleetSpec.homogeneous(4, make_model()),
+                policy="power_aware", engine=engine,
+                autoscaler=Autoscaler(make_model(), epoch_seconds=epoch))
+
+        with pytest.raises(ServiceError, match=re.escape(repr(smallest))):
+            serve(smallest * (1 - 1e-9))
+        assert serve(smallest).queries_offered == 200
+
+    def test_chaos_engine_enters_the_same_cap(self):
+        from repro.faults import build_fault_schedule, \
+            simulate_faulty_service
+        stream = build_stream(200, seed=3)
+        model = make_model()
+        schedule = build_fault_schedule(4, stream.duration_seconds, seed=1)
+        with pytest.raises(ServiceError, match="smallest epoch_seconds"):
+            simulate_faulty_service(
+                stream, schedule, fleet=FleetSpec.homogeneous(4, model),
+                policy="power_aware",
+                autoscaler=Autoscaler(model, epoch_seconds=1e-300))
 
 
 class TestReports:
