@@ -88,9 +88,11 @@ class SLOMonitor:
     def __init__(self, recording: FlightRecording,
                  window_seconds: float = DEFAULT_WINDOW_SECONDS,
                  error_budget: float = DEFAULT_ERROR_BUDGET) -> None:
-        if window_seconds <= 0:
+        if not 0 < window_seconds < float("inf"):     # nan fails too
             from repro.errors import ReproError
-            raise ReproError("SLO window must be positive")
+            raise ReproError(
+                f"SLO window must be finite and positive, got "
+                f"{window_seconds}")
         if not 0 < error_budget <= 1.0:
             from repro.errors import ReproError
             raise ReproError(

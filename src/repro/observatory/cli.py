@@ -90,6 +90,21 @@ def _history_root(args: argparse.Namespace) -> str:
     return os.environ.get("REPRO_HISTORY_DIR", DEFAULT_HISTORY_DIR)
 
 
+def _ledgers(args: argparse.Namespace):
+    """The history store and the suites ``gate`` / ``report`` read: a
+    gate over no ledger would pass having compared nothing."""
+    from repro.observatory.history import HistoryStore
+    store = HistoryStore(_history_root(args))
+    suites = args.suite if args.suite is not None else store.suites()
+    if not suites:
+        raise ReproError(f"no BENCH_<suite>.json ledger under {store.root}")
+    missing = [s for s in suites if not store.path(s).is_file()]
+    if missing:
+        raise ReproError(f"no ledger for suite(s) {', '.join(missing)} "
+                         f"under {store.root}")
+    return store, suites
+
+
 def _cmd_record(args: argparse.Namespace,
                 extras: Sequence[str]) -> int:
     from repro.runner import Runner
@@ -123,17 +138,16 @@ def _cmd_record(args: argparse.Namespace,
 
 
 def _cmd_gate(args: argparse.Namespace) -> int:
-    from repro.observatory.history import HistoryStore
     from repro.observatory.regression import (
         DEFAULT_BASELINE_WINDOW,
         compare_store,
     )
-    store = HistoryStore(_history_root(args))
+    store, suites = _ledgers(args)
     window = (args.window if args.window is not None
               else DEFAULT_BASELINE_WINDOW)
     if window < 1:
         raise ReproError("--window must be >= 1")
-    report = compare_store(store, suites=args.suite, window=window)
+    report = compare_store(store, suites=suites, window=window)
     if args.as_json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
@@ -154,13 +168,11 @@ def _cmd_gate(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.observatory.dashboard import render_dashboard
-    from repro.observatory.history import HistoryStore
     from repro.observatory.regression import compare_store
 
-    store = HistoryStore(_history_root(args))
-    suites = args.suite if args.suite is not None else store.suites()
-    regressions = compare_store(store, suites=suites) if suites else None
-    html = render_dashboard(store, suites=suites, report=regressions,
+    store, suites = _ledgers(args)
+    html = render_dashboard(store, suites=suites,
+                            report=compare_store(store, suites=suites),
                             title=args.title)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(html)

@@ -31,7 +31,7 @@ class _Knobs(NamedTuple):
     """What an experiment's point-function signature says, read once."""
     resolved: Mapping[str, Any]  # signature defaults, declared on top
     names: frozenset[str]     # the point function's named parameters
-    types: Mapping[str, type]  # default's type: bool/int/float/str
+    types: Mapping[str, type]  # default's (or declared) type
     open: bool                # a ``**kwargs`` point function takes any knob
 
 
@@ -68,8 +68,13 @@ class ExperimentDef:
                     if p.kind is p.POSITIONAL_OR_KEYWORD
                     and p.default is not p.empty and p.name != "seed"}
         resolved.update(self.defaults)
-        types = {p.name: type(p.default) for p in params
-                 if type(p.default) in (bool, int, float, str)}
+        # a knob with no signature default takes its declared value's
+        # type (a sweep's first element's)
+        declared = {k: v[0] if isinstance(v, (list, tuple)) and v else v
+                    for k, v in self.defaults.items()}
+        types = {p.name: t for p in params
+                 if (t := type(declared.get(p.name) if p.default is p.empty
+                               else p.default)) in (bool, int, float, str)}
         return _Knobs(MappingProxyType(resolved), frozenset(names), types,
                       takes_any)
 
@@ -84,7 +89,7 @@ class ExperimentDef:
 
     def validate_knobs(self, knobs: Mapping[str, Any]) -> None:
         """Reject knobs the point function can't take, by name, and values
-        not of their signature default's type (a float takes an int)."""
+        not of their default's type (a float takes an int)."""
         unknown = sorted(set(knobs) - self.knob_names())
         if unknown and not self._knobs.open:
             known = ", ".join(sorted(self.knob_names()))
@@ -98,7 +103,8 @@ class ExperimentDef:
                 if not isinstance(v, takes) or (
                         isinstance(v, bool) != (want is bool)):
                     raise ReproError(
-                        f"knob {name} must be {want.__name__}, got {v!r}")
+                        f"{self.name}: knob {name} must be "
+                        f"{want.__name__}, got {v!r}")
 
     def call_point(self, knobs: Mapping[str, Any], seed: int) -> Any:
         """Invoke the point function, passing ``seed`` iff it takes one."""

@@ -137,3 +137,29 @@ class TestReportRoundTrip:
         assert all(r.spec_hash for r in records)
         lines = store.path("it").read_text().strip().splitlines()
         assert all(json.loads(ln) for ln in lines)
+
+
+class TestNothingToCompare:
+    """A mistyped history path or suite must not pass a gate that
+    compared nothing."""
+
+    @pytest.mark.parametrize("verb", ["gate", "report"])
+    def test_missing_history_root_is_one_line(self, tmp_path, capsys,
+                                              verb):
+        missing = tmp_path / "nonexistent"
+        assert cli.main([verb, "--history", str(missing)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0 and err.startswith("error:")
+        assert str(missing) in err
+
+    @pytest.mark.parametrize("verb", ["gate", "report"])
+    def test_missing_suite_is_one_line(self, tmp_path, capsys, verb):
+        _record(tmp_path)
+        capsys.readouterr()
+        out = ["--out", str(tmp_path / "dash.html")] if verb == "report" \
+            else []
+        assert cli.main([verb, "--history", str(tmp_path),
+                         "--suite", "nosuch", *out]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0 and "nosuch" in err
+        assert not (tmp_path / "dash.html").exists()

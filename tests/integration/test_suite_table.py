@@ -1,72 +1,79 @@
 """The tables that name experiments outside the code, checked here.
 
-``.github/observatory-suites.txt`` drives the ``observatory-gate`` CI
-job: a misspelt experiment or knob flag in a row would otherwise be
-found only when that job runs.  EXPERIMENTS.md's *Catalog* paragraph
-lists the registered sweeps by name.
+``.github/workloads.txt`` is CI's workload table (``tools/ci.py`` runs
+it): a misspelt experiment or knob flag in a row would otherwise be
+found only when CI runs it.  EXPERIMENTS.md's *Catalog* paragraph lists
+the registered sweeps by name.
 """
 
 from __future__ import annotations
 
 import re
-import shlex
 from pathlib import Path
 
 import pytest
 
-from repro.observatory.cli import _build_parser
+from repro.observatory.cli import _build_parser as observatory_parser
 from repro.runner import get_experiment, list_experiments
+from repro.runner.cli import _build_parser as runner_parser
 from repro.runner.cli import spec_and_cache
 from repro.service import PVCPolicy, QEDPolicy, make_policy
 from repro.service.engine import (_ROUTERS, CHUNK, _layers,
                                   event_core_unsupported)
+from tools import ci
 
 ROOT = Path(__file__).resolve().parents[2]
-SUITE_ROWS = [line.split(None, 2)
-              for line in (ROOT / ".github" / "observatory-suites.txt")
-              .read_text().splitlines()
-              if line.strip() and not line.startswith("#")]
+ROWS = ci.rows()
+RECORD_ROWS = [row for row in ROWS if row.check == "ledger"
+               and row.argv[0] == "observatory"]
+PARSERS = {"runner": runner_parser, "observatory": observatory_parser}
 
 
-def series_name(row: list[str]) -> str:
-    """The ledger series a row appends to: its ``--benchmark`` when it
-    names one, else the experiment."""
-    extra = shlex.split(row[2]) if len(row) > 2 else []
-    if "--benchmark" in extra:
-        return extra[extra.index("--benchmark") + 1]
-    return row[0]
+def command(row: ci.Row):
+    """The parsed argv of the row's own command, as its check runs it,
+    and its spec (None for a verb that runs no experiment)."""
+    cli, *argv = ci.steps(row, Path("out"), Path("history"))[0].argv
+    args, extras = PARSERS[cli]().parse_known_args(argv)
+    if not hasattr(args, "experiment"):
+        assert not extras
+        return args, None
+    return args, spec_and_cache(args, extras)[0]
 
 
 def test_the_suite_table_has_rows():
-    assert len(SUITE_ROWS) >= 8
-    assert all(len(row) >= 2 for row in SUITE_ROWS)
+    assert len(ROWS) >= 20 and len(RECORD_ROWS) >= 8
+    assert len({row.name for row in ROWS}) == len(ROWS)
 
 
 def test_rows_append_to_distinct_series():
     """Two rows on one series would gate one configuration against
     the other's baseline."""
-    series = [(row[1], series_name(row)) for row in SUITE_ROWS]
+    series = [(args.suite, args.benchmark)
+              for args, _ in map(command, RECORD_ROWS)]
     assert len(series) == len(set(series))
 
 
-def row_spec(row: list[str]):
-    """The parsed argv CI builds from the row, and its spec."""
-    experiment, suite, *extra = row
-    args, knob_flags = _build_parser().parse_known_args(
-        ["record", experiment, "--suite", suite, "--history", ".",
-         "--quiet", "--no-cache", *shlex.split(" ".join(extra))])
-    spec, _cache = spec_and_cache(args, knob_flags)
-    return args, spec
-
-
-@pytest.mark.parametrize("row", SUITE_ROWS, ids=series_name)
+@pytest.mark.parametrize("row", [row for row in ROWS
+                                 if row.argv[0] != "pytest"],
+                         ids=lambda row: row.name)
 def test_suite_row_names_a_runnable_spec(row):
-    """The argv CI builds from the row parses, names a registered
-    experiment, and sets only knobs its point function takes."""
-    args, spec = row_spec(row)
-    assert args.suite == row[1]
-    get_experiment(row[0]).validate_knobs(spec.knobs)
-    assert spec.points()
+    """The row's command parses under its CLI's parser; one that runs
+    an experiment names a registered one and sets only knobs of the
+    right type its point function takes."""
+    args, spec = command(row)
+    if spec is not None:
+        get_experiment(spec.experiment).validate_knobs(spec.knobs)
+        assert spec.points()
+    if row.check == "ledger":
+        assert args.suite == row.arg and args.no_cache
+    if row.check in ("twice", "recording"):
+        # the check reads the --json; a warm run must print its hits
+        assert args.as_json and (row.check != "twice" or not args.quiet)
+
+
+def test_the_pytest_row_is_the_benchmarks():
+    (core,) = [row for row in ROWS if row.argv[0] == "pytest"]
+    assert core.check == "ledger" and (ROOT / core.argv[1]).is_dir()
 
 
 def test_mega_rows_gate_every_kernel_past_one_chunk():
@@ -74,9 +81,9 @@ def test_mega_rows_gate_every_kernel_past_one_chunk():
     event core: together they serve every router with a kernel, and
     the PVC governor, on streams longer than one chunk."""
     served = set()
-    for row in SUITE_ROWS:
-        if row[0] == "svc_mega_smoke":
-            for point in row_spec(row)[1].points():
+    for row in RECORD_ROWS:
+        if row.argv[2:3] == ["svc_mega_smoke"]:
+            for point in command(row)[1].points():
                 assert point["queries"] > CHUNK
                 served.update(map(type, _layers(make_policy(
                     point["policy"]))))
@@ -88,9 +95,9 @@ def test_faults_rows_gate_every_faulted_kernel():
     they serve every router's faulted kernel, the PVC governor and
     QED, and each such point runs on the kernel."""
     served = set()
-    for row in SUITE_ROWS:
-        if row[1] == "faults":
-            for point in row_spec(row)[1].points():
+    for row in RECORD_ROWS:
+        if row.arg == "faults":
+            for point in command(row)[1].points():
                 policy = make_policy(point["policy"])
                 assert event_core_unsupported(policy) is None
                 served.update(map(type, _layers(policy)))

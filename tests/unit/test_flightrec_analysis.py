@@ -294,6 +294,24 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "BREACHED" in out
 
+    @pytest.mark.parametrize("verb, flags", [
+        ("slo", ["--window", "nan"]), ("slo", ["--window", "inf"]),
+        ("slo", ["--window", "0"]),
+        ("timeline", ["--slo-window", "nan", "--out", "dash.html"]),
+        ("timeline", ["--slo-window", "inf", "--out", "dash.html"])])
+    def test_non_finite_slo_window_is_a_one_line_error(
+            self, tmp_path, monkeypatch, capsys, verb, flags):
+        from repro.flightrec.cli import main
+        monkeypatch.chdir(tmp_path)
+        rec = _recording([{"arrival": 0.0, "start": 0.0,
+                           "completion": 0.5}])
+        path = self._write(tmp_path, "rec.json", rec.to_dict())
+        assert main([verb, path, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: SLO window must be finite")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "dash.html").exists()
+
     def test_missing_file_is_a_one_line_error(self, capsys):
         from repro.flightrec.cli import main
         assert main(["summarize", "/nonexistent/rec.json"]) == 2

@@ -2,7 +2,7 @@
 
 The trace runs on a synthetic package, so this file checks the tool's
 rules, not the tree; CI's ``reach`` job runs the tool on the tree.  The
-tool reads CI's smoke commands from ``ci.yml``.
+tool runs CI's workload table as ``tools/ci.py`` expands it.
 """
 
 import importlib.util
@@ -147,14 +147,28 @@ def test_architecture_glosses_exactly_the_kinds():
     assert sorted(glossed) == sorted(reach.KINDS)
 
 
-def test_ci_commands_are_read_from_the_workflow():
-    runner = reach.runner_smoke()
-    assert len(runner) == 11
-    assert runner[0] == ["list"]
-    assert runner[-1] == ["cache", "stats", "--json"]
-    assert [argv[argv.index("--cache") + 1] for argv in runner
-            if "--cache" in argv] == ["splice-cache", "splice-cache",
-                                      "qed-cache", "qed-cache"]
-    points = reach.flightrec_points()
-    assert sorted(points) == ["etl", "pvc_qed"]
-    assert points["etl"] == ["svc_etl", "--mode", "delayed", "--load", "1.0"]
+def test_the_ci_workload_is_the_table(tmp_path):
+    """Reach runs every row of the table as CI expands it: each step
+    once at --workers 1, then the pooled ones as written, and each
+    ``twice`` row as a cold and a warm run on one cache."""
+    (serial, plan), (pooled, pool_plan) = reach.ci_passes(tmp_path)
+    history = tmp_path / "history"
+    rows = reach.ci.rows()
+    expected = [step for row in rows
+                for step in reach.ci.steps(row, serial, history)]
+    assert [step.argv for step in plan] == [
+        reach._serial(step.argv)
+        for step in expected + reach.ci.finale(serial, history)]
+    assert not any(step.argv[i + 1] != "1" for step in plan
+                   for i, arg in enumerate(step.argv) if arg == "--workers")
+    assert [step.argv for step in pool_plan] == [
+        step.argv for row in rows
+        for step in reach.ci.steps(row, pooled, history)
+        if "--workers" in step.argv]
+    assert any("--workers" in row.argv for row in rows)
+    for row in rows:
+        if row.check == "twice":
+            cold, warm = reach.ci.steps(row, serial, history)
+            assert cold.argv == warm.argv and "--cache" in cold.argv
+            assert cold.out != warm.out
+            assert sum(step.argv == cold.argv for step in expected) == 2

@@ -101,8 +101,14 @@ class TestErrorPaths:
         (["svc_smoke", "--policy", "round_robin,3"], "policy", "str"),
         (["scan", "--scale-factor", "nan"], "scale_factor", "float"),
         (["scan", "--compressed", "1"], "compressed", "bool"),
-        # fig2's compressed has no default: run_scan itself checks it
+        # knobs with no signature default take their declared type: a
+        # float disk count used to run (and cache) a point of its own
         (["fig2", "--compressed", "no"], "compressed", "bool"),
+        (["fig2", "--compressed", "1"], "compressed", "bool"),
+        (["fig1", "--disks", "36.0"], "disks", "int"),
+        (["fig1", "--disks", "true"], "disks", "int"),
+        (["proportionality", "--utilization", "true"], "utilization",
+         "float"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_knob_of_the_wrong_type_is_one_line(self, capsys, argv, knob,
                                                 want):
@@ -114,6 +120,8 @@ class TestErrorPaths:
         ("chaos_smoke", {"timeout_rate_per_node_hour": 5}),
         ("svc_smoke", {"load": [1, 2.5], "nodes": 8}),
         ("scan", {"codec": "delta", "compressed": True}),  # None default
+        ("fig1", {"disks": [36, 66]}),              # declared, no default
+        ("proportionality", {"utilization": [0, 0.5]}),
     ])
     def test_knob_of_the_right_type_passes(self, experiment, knobs):
         get_experiment(experiment).validate_knobs(knobs)

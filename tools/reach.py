@@ -6,15 +6,15 @@ a fixed workload set, or be allowlisted with a reason.
 One process installs a ``sys.settrace`` hook that notes each code
 object it sees called and returns ``None`` (no line tracing), then runs:
 
-- every command of CI's runner-smoke, flightrec-smoke and
-  observatory-gate jobs in process, through each CLI's ``main(argv)`` at
-  ``--workers 1``, plus CI's pooled runs as written, so the parent's
-  pool path is traced (pool workers run untraced);
+- every row of CI's workload table (``.github/workloads.txt``), as
+  ``tools/ci.py`` expands it, checks ignored: in process, through each
+  CLI's ``main(argv)``, once at ``--workers 1`` and then the pooled runs
+  as written, so the parent's pool path is traced (pool workers run
+  untraced); its ``core`` row is ``pytest benchmarks``, whose test
+  outcomes are ignored;
 - perfbench's six workloads at divisor 20, plain and under
   ``perfbench.shims.installed``;
 - the six examples;
-- ``pytest benchmarks --benchmark-disable`` with
-  ``REPRO_BENCH_WORKERS=1`` (its test outcomes are ignored);
 - the default spec of ``batching``, ``proportionality``, ``svc_fleet``,
   ``chaos_frontier`` and ``svc_policies``.
 
@@ -38,8 +38,8 @@ import ast
 import contextlib
 import dataclasses
 import os
-import re
 import runpy
+import shlex
 import shutil
 import sys
 import tempfile
@@ -48,6 +48,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from types import CodeType
 from typing import Callable, Iterator
+
+from tools import ci
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -469,14 +471,21 @@ def _stdout_to(path: Path) -> Iterator[None]:
         yield
 
 
-def _cli(module: str, argv: list[str], out: Path) -> None:
-    main = __import__(f"repro.{module}.cli", fromlist=["main"]).main
+def _run(argv: list[str], out: Path) -> None:
+    """One command in process, through its CLI's ``main(argv)``."""
+    cli, *args = argv
+    main = (__import__("pytest").main if cli == "pytest" else
+            __import__(f"repro.{cli}.cli", fromlist=["main"]).main)
     with _stdout_to(out):
         try:
-            code = main(argv)
+            code = main(args)
         except SystemExit as exc:
             code = exc.code
-    print(f"  rc={code}  {module} {' '.join(argv)}", file=sys.stderr)
+    print(f"  rc={code}  {shlex.join(argv)}", file=sys.stderr)
+
+
+DEFAULT_SPECS = ("batching", "proportionality", "svc_fleet",
+                 "chaos_frontier", "svc_policies")
 
 
 def _serial(argv: list[str]) -> list[str]:
@@ -486,105 +495,36 @@ def _serial(argv: list[str]) -> list[str]:
     return out
 
 
-def _ci_job(name: str) -> list[str]:
-    """The lines of one job of ``ci.yml``, read as plain text: the
-    tier-1 job installs no YAML parser."""
-    lines = (ROOT / ".github" / "workflows" / "ci.yml").read_text(
-        ).splitlines()
-    start = lines.index(f"  {name}:") + 1
-    end = next((i for i in range(start, len(lines))
-                if re.match(r"  \S", lines[i])), len(lines))
-    return lines[start:end]
+def ci_passes(work: Path) -> list[tuple[Path, list[ci.Step]]]:
+    """CI's table as reach runs it, each pass in its own directory:
+    every step at ``--workers 1``, then the steps that ask for a pool as
+    written.  Ledgers append under ``work / "history"``."""
+    def plan(out: Path) -> list[ci.Step]:
+        return [*(step for row in ci.rows()
+                  for step in ci.steps(row, out, work / "history")),
+                *ci.finale(out, work / "history")]
+
+    serial, pooled = work / "serial", work / "pooled"
+    return [(serial, [step._replace(argv=_serial(step.argv))
+                      for step in plan(serial)]),
+            (pooled, [step for step in plan(pooled)
+                      if "--workers" in step.argv])]
 
 
-def _run_values(job: list[str]) -> list[str]:
-    """Each step's ``run:`` value, its continuation lines joined."""
-    values: list[list[str]] = []
-    current, depth = None, 0
-    for line in job:
-        indent = len(line) - len(line.lstrip())
-        if line.lstrip().startswith("run:"):
-            current = [line.split("run:", 1)[1].strip()]
-            values.append(current)
-            depth = indent
-        elif current is not None and indent > depth and line.strip():
-            current.append(line.strip())
-        else:
-            current = None
-    return [" ".join(value) for value in values]
-
-
-def runner_smoke() -> list[list[str]]:
-    """Every ``python -m repro.runner`` command of CI's runner-smoke
-    job, cut at its first pipe, redirect or ``&&``; a ``--cache`` path
-    keeps only its name, so the cache lands in the working directory."""
-    commands = []
-    for value in _run_values(_ci_job("runner-smoke")):
-        for tail in value.split("python -m repro.runner ")[1:]:
-            for stop in ("|", ">", "&&"):
-                tail = tail.split(stop, 1)[0]
-            argv = tail.split()
-            commands.append([Path(arg).name if prev == "--cache" else arg
-                             for prev, arg in zip([None, *argv], argv)])
-    return commands
-
-
-def flightrec_points() -> dict[str, list[str]]:
-    """The rows of CI's flightrec-smoke heredoc: a name, then the
-    experiment and its knobs."""
-    job = _ci_job("flightrec-smoke")
-    start = next(i for i, line in enumerate(job)
-                 if line.rstrip().endswith("<<'EOF'")) + 1
-    end = next(i for i in range(start, len(job))
-               if job[i].strip() == "EOF")
-    return {name: argv for name, *argv in
-            (line.split() for line in job[start:end])}
-
-
-DEFAULT_SPECS = ("batching", "proportionality", "svc_fleet",
-                 "chaos_frontier", "svc_policies")
-
-
-def ci_commands(work: Path) -> None:
-    """CI's runner-smoke, flightrec-smoke and observatory-gate jobs."""
-    for serial in (True, False):
-        cwd = work / ("serial" if serial else "pooled")
-        cwd.mkdir()
-        os.chdir(cwd)
-        os.environ["REPRO_CACHE_DIR"] = str(cwd / ".repro-cache")
-        for i, argv in enumerate(runner_smoke()):
-            if not serial and "--workers" not in argv:
-                continue
-            _cli("runner", _serial(argv) if serial else argv,
-                 cwd / f"runner-{i}.out")
-        _cli("flightrec", ["summarize", str(cwd / "runner-5.out"),
-                           "--point", "1"], cwd / "summary.out")
-    os.chdir(work / "serial")
-    for name, argv in flightrec_points().items():
-        recording = str(work / f"{name}.json")
-        _cli("runner", ["run", argv[0], "--record", "--no-cache",
-                        "--quiet", "--json", *argv[1:]], Path(recording))
-        for verb in (["summarize", recording], ["slo", recording],
-                     ["timeline", recording, "--out",
-                      str(work / f"flightrec-{name}.html")]):
-            _cli("flightrec", verb, work / "flightrec.out")
-    history = work / "history"
-    history.mkdir()
+def ci_table(work: Path) -> None:
+    """CI's workload table, from the checkout root as CI runs it; the
+    benchmarks' pool is serial too."""
+    os.environ["REPRO_BENCH_WORKERS"] = "1"
+    (work / "history").mkdir()
     for ledger in ROOT.glob("BENCH_*.json"):
-        shutil.copy(ledger, history)
-    for row in (ROOT / ".github" / "observatory-suites.txt").read_text(
-            ).splitlines():
-        if not row.strip() or row.startswith("#"):
-            continue
-        experiment, suite, *extra = row.split()
-        _cli("observatory", ["record", experiment, "--suite", suite,
-                             "--history", str(history), "--quiet",
-                             "--no-cache", *extra], work / "record.out")
-    _cli("observatory", ["gate", "--history", str(history)],
-         work / "gate.out")
-    _cli("observatory", ["report", "--history", str(history), "--out",
-                         str(work / "observatory.html")],
-         work / "report.out")
+        shutil.copy(ledger, work / "history")
+    os.chdir(ROOT)
+    for out, plan in ci_passes(work):
+        out.mkdir()
+        os.environ["REPRO_CACHE_DIR"] = str(out / ".repro-cache")
+        for step in plan:
+            os.environ.update(step.env)
+            _run(step.argv, step.out or out / "step.out")
 
 
 def perfbench_workloads(work: Path) -> None:
@@ -611,43 +551,16 @@ def examples(work: Path) -> None:
         print(f"  example {script.name}", file=sys.stderr)
 
 
-class _Failures:
-    """A pytest plugin that lists the tests that did not pass."""
-
-    def __init__(self) -> None:
-        self.names: list[str] = []
-
-    def pytest_runtest_logreport(self, report) -> None:
-        if report.failed:
-            self.names.append(report.nodeid)
-
-
-def benchmarks(work: Path) -> None:
-    import pytest
-    os.environ["REPRO_BENCH_WORKERS"] = "1"
-    os.environ["REPRO_HISTORY_DIR"] = str(work)
-    os.chdir(ROOT)
-    failures = _Failures()
-    with _stdout_to(work / "pytest.out"):
-        code = pytest.main([str(ROOT / "benchmarks"), "--benchmark-disable",
-                            "-q", "-p", "no:cacheprovider"],
-                           plugins=[failures])
-    print(f"  pytest benchmarks rc={int(code)}", file=sys.stderr)
-    for name in failures.names:
-        print(f"  failed (ignored): {name}", file=sys.stderr)
-
-
 def default_specs(work: Path) -> None:
     os.chdir(work)
     for experiment in DEFAULT_SPECS:
-        _cli("runner", ["run", experiment, "--no-cache", "--quiet"],
+        _run(["runner", "run", experiment, "--no-cache", "--quiet"],
              work / f"{experiment}.out")
 
 
 WORKLOADS: dict[str, Callable[[Path], None]] = {
-    "ci": ci_commands, "perfbench": perfbench_workloads,
-    "examples": examples, "benchmarks": benchmarks,
-    "default-specs": default_specs,
+    "ci": ci_table, "perfbench": perfbench_workloads,
+    "examples": examples, "default-specs": default_specs,
 }
 
 
