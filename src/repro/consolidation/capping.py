@@ -67,8 +67,8 @@ class PowerCappedScheduler:
         degree = min(degree, cpu.spec.cores)
         cpu_extra = (cpu.spec.peak_watts - cpu.spec.idle_watts) \
             * degree / cpu.spec.cores
-        arrays = {id(array): array
-                  for p in cost.pipelines for array, _b, _r in p.arrays}
+        arrays = {id(req.array): req.array
+                  for p in cost.pipelines for req in p.io}
         storage_extra = 0.0
         for array in arrays.values():
             for member in array.members:

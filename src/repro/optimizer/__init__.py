@@ -1,10 +1,12 @@
 """Energy-aware query optimization (paper §4.1).
 
-The optimizer mirrors the executor's cost arithmetic: a time model and a
-power model over the same device constants, combined under a selectable
-objective (time, energy, or energy-delay product).  "To improve energy
-efficiency, query optimizers will need power models to estimate energy
-costs" — this package is that machinery.
+The cost model charges a plan through the operators' own charge
+statements (the ones the executor runs) with estimated cardinalities,
+converts the charges to seconds and prices them in Joules on the target
+server; a selectable objective (time, energy, or energy-delay product)
+scores the result.  "To improve energy efficiency, query optimizers
+will need power models to estimate energy costs" — this package is that
+machinery.
 """
 
 from repro.optimizer.stats import ColumnStats, TableStatistics, analyze_table

@@ -15,9 +15,14 @@ from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from repro.errors import OptimizerError
+from repro.relational.operators import CostParameters
+from repro.relational.operators.scan import _byte_cycles
 from repro.relational.types import DataType
 from repro.storage.compression import codec_by_name
 from repro.optimizer.objective import Objective
+
+#: the scan's byte arithmetic the advisor prices, at its defaults
+_PARAMS = CostParameters()
 
 
 @dataclass
@@ -34,8 +39,6 @@ class CodecChoice:
 class DesignAdvisor:
     """Recommends physical designs under an energy objective."""
 
-    #: CPU cycles a scan spends per plain byte, before decoding
-    SCAN_CYCLES_PER_BYTE = 3.2
     #: the codecs :meth:`choose_codec` weighs
     CODECS = ("none", "rle", "dictionary", "delta", "lzlite")
     #: rows per table :meth:`choose_codecs` samples
@@ -89,8 +92,8 @@ class DesignAdvisor:
                     decode_cycles_per_byte: float) -> float:
         """Energy of scanning one column once (the Figure 2 arithmetic)."""
         io = compressed_bytes * self.io_joules_per_byte
-        cpu = (plain_bytes * self.SCAN_CYCLES_PER_BYTE
-               + compressed_bytes * decode_cycles_per_byte) \
+        cpu = _byte_cycles(_PARAMS, plain_bytes, compressed_bytes,
+                           decode_cycles_per_byte) \
             * self.cpu_joules_per_cycle
         return io + cpu
 
@@ -121,8 +124,8 @@ class DesignAdvisor:
             if objective is Objective.TIME:
                 # pipelined scan: time ~ max(io time, cpu time)
                 io_s = compressed * self.io_seconds_per_byte
-                cpu_s = (plain * self.SCAN_CYCLES_PER_BYTE
-                         + compressed * codec.decode_cycles_per_byte) \
+                cpu_s = _byte_cycles(_PARAMS, plain, compressed,
+                                     codec.decode_cycles_per_byte) \
                     * self.cpu_seconds_per_cycle
                 key = max(io_s, cpu_s)
             else:

@@ -115,7 +115,7 @@ class _AggregateBase(Operator):
         return [key + tuple(a.result() for a in groups[key])
                 for key in order]
 
-    def _update_cycles(self, n_rows: int) -> float:
+    def _update_cycles(self, n_rows: float) -> float:
         expr_cycles = sum(s.expr.cycles() for s in self.aggregates
                           if s.expr is not None)
         return n_rows * (CYCLES_PER_AGG_UPDATE
@@ -125,15 +125,19 @@ class _AggregateBase(Operator):
 class HashAggregate(_AggregateBase):
     """Group by hashing; blocking (results emitted after all input)."""
 
-    def execute(self, collector: CostCollector) -> list[tuple]:
-        rows = self.child.execute(collector)
-        collector.charge_cpu(self._update_cycles(len(rows)))
-        out = self._compute(rows)
+    def _charge(self, collector: CostCollector, n_in: float,
+                n_groups: float) -> None:
+        collector.charge_cpu(self._update_cycles(n_in))
         # group state lives in memory for the input pipeline's duration
         collector.charge_dram_grant(
-            len(out) * (8 * len(self.output_columns) + 64))
+            n_groups * (8 * len(self.output_columns) + 64))
         collector.break_pipeline(label="hash-aggregate")
-        collector.charge_cpu(len(out) * CYCLES_PER_OUTPUT_TUPLE)
+        collector.charge_cpu(n_groups * CYCLES_PER_OUTPUT_TUPLE)
+
+    def execute(self, collector: CostCollector) -> list[tuple]:
+        rows = self.child.execute(collector)
+        out = self._compute(rows)
+        self._charge(collector, len(rows), len(out))
         return out
 
     def describe(self) -> str:
@@ -148,6 +152,11 @@ class SortedAggregate(_AggregateBase):
     sorted input — the classic optimizer alternative to hashing.
     """
 
+    def _charge(self, collector: CostCollector, n_in: float,
+                n_groups: float) -> None:
+        collector.charge_cpu(self._update_cycles(n_in))
+        collector.charge_cpu(n_groups * CYCLES_PER_OUTPUT_TUPLE)
+
     def execute(self, collector: CostCollector) -> list[tuple]:
         rows = self.child.execute(collector)
         layout = make_layout(self.child.output_columns)
@@ -156,9 +165,8 @@ class SortedAggregate(_AggregateBase):
         if keys != sorted(keys):
             raise PlanError(
                 "SortedAggregate requires input sorted on group keys")
-        collector.charge_cpu(self._update_cycles(len(rows)))
         out = self._compute(rows)
-        collector.charge_cpu(len(out) * CYCLES_PER_OUTPUT_TUPLE)
+        self._charge(collector, len(rows), len(out))
         return out
 
     def describe(self) -> str:

@@ -180,6 +180,11 @@ class Operator:
     line for plan printing).  Results are materialized lists (not
     generators) so the cost accounting is complete when execute returns
     — the simulation replay needs totals.
+
+    What an operator charges is stated once, in its ``_charge`` methods,
+    as a function of row counts: ``execute`` calls them with the counts
+    it produced, and :class:`~repro.optimizer.cost.CostModel` with the
+    cardinalities it estimates.
     """
 
     def __init__(self, output_columns: Sequence[str]) -> None:

@@ -27,9 +27,12 @@ class Exchange(Operator):
     def children(self) -> list[Operator]:
         return [self.child]
 
+    def _charge(self, collector: CostCollector) -> None:
+        collector.set_parallelism(self.degree)
+
     def execute(self, collector: CostCollector) -> list[tuple]:
         rows = self.child.execute(collector)
-        collector.set_parallelism(self.degree)
+        self._charge(collector)
         return rows
 
     def describe(self) -> str:

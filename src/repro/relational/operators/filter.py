@@ -23,9 +23,12 @@ class Filter(Operator):
     def children(self) -> list[Operator]:
         return [self.child]
 
+    def _charge(self, collector: CostCollector, n_in: float) -> None:
+        collector.charge_cpu(n_in * self.predicate.cycles())
+
     def execute(self, collector: CostCollector) -> list[tuple]:
         rows = self.child.execute(collector)
-        collector.charge_cpu(len(rows) * self.predicate.cycles())
+        self._charge(collector, len(rows))
         layout = make_layout(self.output_columns)
         predicate = self.predicate
         return [row for row in rows

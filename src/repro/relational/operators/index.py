@@ -60,14 +60,14 @@ class IndexScan(Operator):
     def children(self) -> list[Operator]:
         return []
 
-    def execute(self, collector: CostCollector) -> list[tuple]:
-        rows = list(self.index.range_rows(self.low, self.high))
+    def _charge(self, collector: CostCollector, n: float) -> None:
         # leaf pages stream sequentially along the leaf chain
         leaf_bytes = self.index.range_leaf_bytes(self.low, self.high)
         collector.charge_io(self.table.placement, leaf_bytes,
                             self.stream_id)
-        # heap fetches: sequential if clustered, random otherwise
-        fetch_bytes, random_requests = self.index.heap_fetch_plan(len(rows))
+        # heap fetches: sequential if clustered, random otherwise (an
+        # estimated count fetches whole rows)
+        fetch_bytes, random_requests = self.index.heap_fetch_plan(int(n))
         if random_requests:
             collector.charge_random_io(self.table.placement, fetch_bytes,
                                        random_requests)
@@ -75,9 +75,13 @@ class IndexScan(Operator):
             collector.charge_io(self.table.placement, fetch_bytes,
                                 self.stream_id)
         collector.charge_cpu(
-            len(rows) * (CYCLES_PER_FETCHED_ROW
-                         + self.index.tree.height * CYCLES_PER_TREE_LEVEL
-                         / max(1, len(rows))))
+            n * (CYCLES_PER_FETCHED_ROW
+                 + self.index.tree.height * CYCLES_PER_TREE_LEVEL
+                 / max(1, n)))
+
+    def execute(self, collector: CostCollector) -> list[tuple]:
+        rows = list(self.index.range_rows(self.low, self.high))
+        self._charge(collector, len(rows))
         positions = [self.table.schema.position(c)
                      for c in self.output_columns]
         return [tuple(row[p] for p in positions) for row in rows]
@@ -123,30 +127,32 @@ class IndexNestedLoopJoin(Operator):
     def children(self) -> list[Operator]:
         return [self.outer]
 
-    def execute(self, collector: CostCollector) -> list[tuple]:
-        outer_rows = self.outer.execute(collector)
-        key_pos = self.outer.output_columns.index(self.outer_key)
-        inner_positions = [self.inner_table.schema.position(c)
-                           for c in self.inner_columns]
-        out: list[tuple] = []
-        n_matches = 0
-        for outer_row in outer_rows:
-            for match in self.index.search_rows(outer_row[key_pos]):
-                n_matches += 1
-                out.append(outer_row
-                           + tuple(match[p] for p in inner_positions))
+    def _charge(self, collector: CostCollector, n_probes: float,
+                n_out: float) -> None:
         # each probe reads one leaf page; each match fetches a heap row
-        n_probes = len(outer_rows)
+        # (an estimated count fetches whole rows)
         probe_bytes = n_probes * self.index.probe_io_bytes()
-        fetch_bytes, random_fetches = self.index.heap_fetch_plan(n_matches)
+        fetch_bytes, random_fetches = self.index.heap_fetch_plan(int(n_out))
         collector.charge_random_io(
             self.inner_table.placement,
             probe_bytes + fetch_bytes,
             n_probes + random_fetches)
         collector.charge_cpu(
             n_probes * self.index.tree.height * CYCLES_PER_TREE_LEVEL
-            + n_matches * CYCLES_PER_FETCHED_ROW
-            + len(out) * CYCLES_PER_OUTPUT_TUPLE)
+            + n_out * CYCLES_PER_FETCHED_ROW
+            + n_out * CYCLES_PER_OUTPUT_TUPLE)
+
+    def execute(self, collector: CostCollector) -> list[tuple]:
+        outer_rows = self.outer.execute(collector)
+        key_pos = self.outer.output_columns.index(self.outer_key)
+        inner_positions = [self.inner_table.schema.position(c)
+                           for c in self.inner_columns]
+        out: list[tuple] = []
+        for outer_row in outer_rows:
+            for match in self.index.search_rows(outer_row[key_pos]):
+                out.append(outer_row
+                           + tuple(match[p] for p in inner_positions))
+        self._charge(collector, len(outer_rows), len(out))
         return out
 
     def describe(self) -> str:

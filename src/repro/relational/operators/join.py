@@ -21,12 +21,12 @@ from repro.relational.operators.base import (
     CYCLES_PER_JOIN_PAIR,
     CYCLES_PER_MERGE_TUPLE,
     CYCLES_PER_OUTPUT_TUPLE,
-    CYCLES_PER_SORT_COMPARE,
     HASH_TABLE_OVERHEAD_FACTOR,
     CostCollector,
     Operator,
 )
 from repro.relational.operators.scan import TableScan
+from repro.relational.operators.sort import _sort_cycles
 
 
 def _check_keys(side: Operator, keys: Sequence[str], role: str) -> None:
@@ -67,21 +67,25 @@ class HashJoin(Operator):
     def children(self) -> list[Operator]:
         return [self.build, self.probe]
 
-    def hash_table_bytes(self, build_rows: list[tuple]) -> float:
-        """Estimated resident size of the hash table."""
-        if not build_rows:
-            return 0.0
-        # rough per-row footprint: 8 bytes/field + bucket overhead
-        per_row = 8 * len(self.build.output_columns) + 48
-        return len(build_rows) * per_row
-
-    def execute(self, collector: CostCollector) -> list[tuple]:
-        build_rows = self.build.execute(collector)
-        collector.charge_cpu(
-            len(build_rows) * CYCLES_PER_HASH_BUILD_TUPLE)
+    def _charge_build(self, collector: CostCollector,
+                      n_build: float) -> None:
+        collector.charge_cpu(n_build * CYCLES_PER_HASH_BUILD_TUPLE)
         # The build phase ends its pipeline: the hash table materializes.
         collector.break_pipeline(label=f"build:{self.describe()}")
 
+    def _charge_probe(self, collector: CostCollector, n_build: float,
+                      n_probe: float, n_out: float) -> None:
+        # The probe pipeline holds the hash table in memory end to end;
+        # rough per-row footprint: 8 bytes/field + bucket overhead.
+        per_row = 8 * len(self.build.output_columns) + 48
+        collector.charge_dram_grant(
+            n_build * per_row * HASH_TABLE_OVERHEAD_FACTOR)
+        collector.charge_cpu(n_probe * CYCLES_PER_HASH_PROBE_TUPLE
+                             + n_out * CYCLES_PER_OUTPUT_TUPLE)
+
+    def execute(self, collector: CostCollector) -> list[tuple]:
+        build_rows = self.build.execute(collector)
+        self._charge_build(collector, len(build_rows))
         build_layout = make_layout(self.build.output_columns)
         build_positions = [build_layout[k] for k in self.build_keys]
         table: dict[tuple, list[tuple]] = {}
@@ -90,10 +94,6 @@ class HashJoin(Operator):
             table.setdefault(key, []).append(row)
 
         probe_rows = self.probe.execute(collector)
-        # The probe pipeline holds the hash table in memory end to end.
-        grant = (self.hash_table_bytes(build_rows)
-                 * HASH_TABLE_OVERHEAD_FACTOR)
-        collector.charge_dram_grant(grant)
         probe_layout = make_layout(self.probe.output_columns)
         probe_positions = [probe_layout[k] for k in self.probe_keys]
         out: list[tuple] = []
@@ -101,9 +101,8 @@ class HashJoin(Operator):
             key = tuple(row[p] for p in probe_positions)
             for match in table.get(key, ()):
                 out.append(match + row)
-        collector.charge_cpu(
-            len(probe_rows) * CYCLES_PER_HASH_PROBE_TUPLE
-            + len(out) * CYCLES_PER_OUTPUT_TUPLE)
+        self._charge_probe(collector, len(build_rows), len(probe_rows),
+                           len(out))
         return out
 
     def describe(self) -> str:
@@ -138,24 +137,28 @@ class BlockNestedLoopJoin(Operator):
     def children(self) -> list[Operator]:
         return [self.outer, self.inner]
 
-    def execute(self, collector: CostCollector) -> list[tuple]:
+    def _charge(self, collector: CostCollector, n_outer: float,
+                n_inner: float, n_out: float) -> None:
+        # The inner scan charged its own single read + CPU.  Charge the
+        # (n_blocks - 1) re-reads.
         params = collector.params
-        outer_rows = self.outer.execute(collector)
-        n_blocks = max(1, -(-len(outer_rows) // self.block_rows))
-        # Evaluate the inner scan once for correctness; it charged its
-        # own single read + CPU.  Charge the (n_blocks - 1) re-reads.
-        inner_rows = self.inner.execute(collector)
-        rescan_bytes = self.inner.table.scan_bytes(
-            self.inner.output_columns) * (n_blocks - 1)
-        collector.charge_io(self.inner.table.placement, rescan_bytes,
+        table, columns = self.inner.table, self.inner.output_columns
+        rereads = max(1, -(-n_outer // self.block_rows)) - 1
+        collector.charge_io(table.placement,
+                            table.scan_bytes(columns) * rereads,
                             self.inner.stream_id)
-        rescan_cpu = (
-            self.inner.table.plain_bytes(self.inner.output_columns)
-            * params.cycles_per_scan_byte
-            + self.inner.table.row_count * params.cycles_per_tuple_overhead
-        ) * (n_blocks - 1)
-        collector.charge_cpu(rescan_cpu)
+        collector.charge_cpu(
+            (table.plain_bytes(columns) * params.cycles_per_scan_byte
+             + table.row_count * params.cycles_per_tuple_overhead)
+            * rereads)
+        collector.charge_cpu_quadratic(
+            n_outer * n_inner * CYCLES_PER_JOIN_PAIR)
+        collector.charge_cpu(n_out * CYCLES_PER_OUTPUT_TUPLE)
 
+    def execute(self, collector: CostCollector) -> list[tuple]:
+        outer_rows = self.outer.execute(collector)
+        # Evaluate the inner scan once, for correctness.
+        inner_rows = self.inner.execute(collector)
         layout = make_layout(self.output_columns)
         predicate = self.predicate
         out = []
@@ -164,9 +167,7 @@ class BlockNestedLoopJoin(Operator):
                 combined = outer_row + inner_row
                 if predicate.evaluate(combined, layout) is True:
                     out.append(combined)
-        collector.charge_cpu_quadratic(
-            len(outer_rows) * len(inner_rows) * CYCLES_PER_JOIN_PAIR)
-        collector.charge_cpu(len(out) * CYCLES_PER_OUTPUT_TUPLE)
+        self._charge(collector, len(outer_rows), len(inner_rows), len(out))
         return out
 
     def describe(self) -> str:
@@ -195,21 +196,21 @@ class SortMergeJoin(Operator):
     def children(self) -> list[Operator]:
         return [self.left, self.right]
 
-    @staticmethod
-    def _sort_cycles(n: int) -> float:
-        if n < 2:
-            return 0.0
-        return n * max(1.0, (n - 1).bit_length()) * CYCLES_PER_SORT_COMPARE
+    def _charge_sort(self, collector: CostCollector, n: float,
+                     side: str) -> None:
+        collector.charge_cpu(_sort_cycles(n))
+        collector.break_pipeline(label=f"sort-{side}:{self.describe()}")
+
+    def _charge_merge(self, collector: CostCollector, n_left: float,
+                      n_right: float, n_out: float) -> None:
+        collector.charge_cpu((n_left + n_right) * CYCLES_PER_MERGE_TUPLE
+                             + n_out * CYCLES_PER_OUTPUT_TUPLE)
 
     def execute(self, collector: CostCollector) -> list[tuple]:
         left_rows = self.left.execute(collector)
-        collector.charge_cpu(
-            self._sort_cycles(len(left_rows)))
-        collector.break_pipeline(label=f"sort-left:{self.describe()}")
+        self._charge_sort(collector, len(left_rows), "left")
         right_rows = self.right.execute(collector)
-        collector.charge_cpu(
-            self._sort_cycles(len(right_rows)))
-        collector.break_pipeline(label=f"sort-right:{self.describe()}")
+        self._charge_sort(collector, len(right_rows), "right")
 
         left_layout = make_layout(self.left.output_columns)
         right_layout = make_layout(self.right.output_columns)
@@ -240,9 +241,8 @@ class SortMergeJoin(Operator):
                     for rj in range(j, j_end):
                         out.append(left_sorted[li] + right_sorted[rj])
                 i, j = i_end, j_end
-        collector.charge_cpu(
-            (len(left_rows) + len(right_rows)) * CYCLES_PER_MERGE_TUPLE
-            + len(out) * CYCLES_PER_OUTPUT_TUPLE)
+        self._charge_merge(collector, len(left_rows), len(right_rows),
+                           len(out))
         return out
 
     def describe(self) -> str:

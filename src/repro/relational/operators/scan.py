@@ -14,7 +14,11 @@ from typing import Optional, Sequence
 
 from repro.errors import PlanError
 from repro.relational.expr import Expr, make_layout
-from repro.relational.operators.base import CostCollector, Operator
+from repro.relational.operators.base import (
+    CostCollector,
+    CostParameters,
+    Operator,
+)
 from repro.storage.manager import Table
 
 _scan_counter = itertools.count()
@@ -49,19 +53,18 @@ class TableScan(Operator):
     def children(self) -> list[Operator]:
         return []
 
-    def execute(self, collector: CostCollector) -> list[tuple]:
+    def _charge(self, collector: CostCollector) -> None:
         params = collector.params
         # I/O: physical (possibly compressed) bytes of the projection.
         scan_bytes = self.table.scan_bytes(self.output_columns)
         if not self.shared_pass:
             collector.charge_io(self.table.placement, scan_bytes,
                                 self.stream_id)
-        # CPU: byte-proportional processing of the plain data...
-        plain_bytes = self.table.plain_bytes(self.output_columns)
-        cpu = plain_bytes * params.cycles_per_scan_byte
-        # ...plus decompression of the stored bytes...
-        cpu += scan_bytes * self.table.decode_cycles_per_scan_byte(
-            self.output_columns)
+        # CPU: processing the plain bytes and decoding the stored ones...
+        cpu = _byte_cycles(
+            params, self.table.plain_bytes(self.output_columns),
+            scan_bytes,
+            self.table.decode_cycles_per_scan_byte(self.output_columns))
         # ...plus per-tuple overhead and predicate evaluation.
         row_count = self.table.row_count
         cpu += row_count * params.cycles_per_tuple_overhead
@@ -69,6 +72,8 @@ class TableScan(Operator):
             cpu += row_count * self.predicate.cycles()
         collector.charge_cpu(cpu)
 
+    def execute(self, collector: CostCollector) -> list[tuple]:
+        self._charge(collector)
         rows = self.table.iterate(self.output_columns)
         if self.predicate is None:
             return list(rows)
@@ -83,3 +88,11 @@ class TableScan(Operator):
                 if self.predicate is not None else "")
         return (f"TableScan({self.table.name}, {layout}, "
                 f"cols={self.output_columns}{pred})")
+
+
+def _byte_cycles(params: CostParameters, plain_bytes: float,
+                 stored_bytes: float, decode_cycles_per_byte: float) -> float:
+    """A scan's byte-proportional CPU: processing the plain data plus
+    decompressing the stored (possibly compressed) bytes."""
+    return (plain_bytes * params.cycles_per_scan_byte
+            + stored_bytes * decode_cycles_per_byte)

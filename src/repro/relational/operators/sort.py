@@ -8,6 +8,7 @@ the optimizer's memory-grant knob (§4.1) has a real energy consequence.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Optional, Sequence
 
 from repro.errors import PlanError
@@ -49,47 +50,37 @@ class Sort(Operator):
     def children(self) -> list[Operator]:
         return [self.child]
 
-    def _estimated_bytes(self, rows: list[tuple]) -> float:
-        return len(rows) * len(self.output_columns) * self.BYTES_PER_FIELD
-
-    def _sort_cycles(self, n: int) -> float:
-        if n < 2:
-            return 0.0
-        return n * max(1.0, (n - 1).bit_length()) * \
-            CYCLES_PER_SORT_COMPARE
-
-    def execute(self, collector: CostCollector) -> list[tuple]:
-        rows = self.child.execute(collector)
-        data_bytes = self._estimated_bytes(rows)
+    def _charge(self, collector: CostCollector, n: float) -> bool:
+        """Charge sorting ``n`` rows; True when the input spills."""
+        data_bytes = n * len(self.output_columns) * self.BYTES_PER_FIELD
         grant = self.memory_grant_bytes
-        self.spilled = (grant is not None and data_bytes > grant
-                        and self.spill_placement is not None)
-        if self.spilled:
-            # Run generation: sort grant-sized chunks, write them out.
-            assert grant is not None
-            n_runs = max(2, int(-(-data_bytes // grant)))
-            run_rows = max(1, len(rows) // n_runs)
-            collector.charge_cpu(
-                n_runs * self._sort_cycles(run_rows))
-            spill_bytes = data_bytes * SORT_RUN_OVERHEAD_FACTOR
-            collector.charge_io(self.spill_placement, spill_bytes,
-                                self.stream_id, is_write=True)
-            collector.break_pipeline(label="sort-runs")
-            # Merge phase: read runs back, k-way merge.
-            collector.charge_io(self.spill_placement, spill_bytes,
-                                self.stream_id)
-            merge_passes = max(1.0, _log_base(n_runs, 16))
-            collector.charge_cpu(
-                len(rows) * CYCLES_PER_MERGE_TUPLE * merge_passes)
-        else:
-            collector.charge_cpu(self._sort_cycles(len(rows)))
+        if (grant is None or data_bytes <= grant
+                or self.spill_placement is None):
+            collector.charge_cpu(_sort_cycles(n))
             # an in-memory sort holds the whole input resident (§4.1:
             # operator memory grants are power-expensive)
             collector.charge_dram_grant(data_bytes)
             collector.break_pipeline(label="sort")
             # emitting the sorted result starts the next pipeline
-            collector.charge_cpu(len(rows) * CYCLES_PER_OUTPUT_TUPLE)
+            collector.charge_cpu(n * CYCLES_PER_OUTPUT_TUPLE)
+            return False
+        # Run generation: sort grant-sized chunks, write them out.
+        n_runs = max(2, int(-(-data_bytes // grant)))
+        collector.charge_cpu(n_runs * _sort_cycles(max(1, n // n_runs)))
+        spill_bytes = data_bytes * SORT_RUN_OVERHEAD_FACTOR
+        collector.charge_io(self.spill_placement, spill_bytes,
+                            self.stream_id, is_write=True)
+        collector.break_pipeline(label="sort-runs")
+        # Merge phase: read runs back, k-way merge.
+        collector.charge_io(self.spill_placement, spill_bytes,
+                            self.stream_id)
+        merge_passes = max(1.0, math.ceil(math.log(n_runs, 16)))
+        collector.charge_cpu(n * CYCLES_PER_MERGE_TUPLE * merge_passes)
+        return True
 
+    def execute(self, collector: CostCollector) -> list[tuple]:
+        rows = self.child.execute(collector)
+        self.spilled = self._charge(collector, len(rows))
         layout = make_layout(self.output_columns)
         positions = [layout[k] for k in self.keys]
         ordered = rows
@@ -102,8 +93,11 @@ class Sort(Operator):
         return f"Sort({[(key, 'asc') for key in self.keys]})"
 
 
-def _log_base(n: float, base: float) -> float:
-    import math
-    if n <= 1:
-        return 1.0
-    return math.ceil(math.log(n, base))
+
+def _sort_cycles(n: float) -> float:
+    """Comparison cycles to sort ``n`` rows (a count, or an estimate of
+    one): ``ceil(log2 n)`` compares a row, at least one."""
+    if n < 2:
+        return 0.0
+    return n * max(1.0, (math.ceil(n) - 1).bit_length()) \
+        * CYCLES_PER_SORT_COMPARE

@@ -7,11 +7,18 @@ from repro.relational.expr import col
 from repro.relational.executor import ExecutionContext, Executor
 from repro.relational.operators import (
     AggregateSpec,
+    BlockNestedLoopJoin,
     CostCollector,
+    Exchange,
     Filter,
     HashAggregate,
     HashJoin,
+    IndexNestedLoopJoin,
+    IndexScan,
+    Limit,
+    Sort,
     SortMergeJoin,
+    SortedAggregate,
     TableScan,
 )
 from repro.relational.schema import Column, TableSchema
@@ -25,6 +32,7 @@ from repro.optimizer import (
     WeightedObjective,
     score,
 )
+from repro.optimizer.cost import _HANDLERS, PlanCost
 from repro.optimizer.planner import JoinEdge, TableRef
 from repro.sim import Simulation
 from repro.storage.manager import StorageManager
@@ -135,6 +143,78 @@ class TestCostModelAccuracy:
         assert cost.energy_attributed_joules != cost.energy_full_joules
 
 
+def exact_plans(orders, customers):
+    """Plans over inputs whose cardinalities the statistics know
+    exactly (full scans, unique or exact-NDV keys, every order matching
+    one customer), covering every operator type the model prices."""
+    array = orders.placement
+    orders.create_index("o_id", clustered=True)
+    customers.create_index("c_id")
+
+    def scan():
+        return TableScan(orders)
+
+    return {
+        "scan": scan,
+        "filter": lambda: Filter(scan(), col("o_total") > 100.0),
+        "sort": lambda: Sort(scan(), ["o_total"]),
+        "sort_spilled": lambda: Sort(scan(), ["o_total"],
+                                     memory_grant_bytes=16_000,
+                                     spill_placement=array),
+        "hash_aggregate": lambda: HashAggregate(
+            scan(), ["o_cust"], [AggregateSpec("sum", col("o_total"), "t")]),
+        "sorted_aggregate": lambda: SortedAggregate(
+            Sort(scan(), ["o_cust"]), ["o_cust"],
+            [AggregateSpec("count", None, "n")]),
+        "exchange": lambda: Exchange(scan(), 4),
+        "limit": lambda: Limit(scan(), 10),
+        "hash_join": lambda: HashJoin(TableScan(customers), scan(),
+                                      ["c_id"], ["o_cust"]),
+        "sort_merge_join": lambda: SortMergeJoin(
+            TableScan(customers), scan(), ["c_id"], ["o_cust"]),
+        "nested_loop_join": lambda: BlockNestedLoopJoin(
+            TableScan(customers), scan(), col("c_id") == col("o_cust"),
+            block_rows=16),
+        "index_scan": lambda: IndexScan(orders, "o_id", low=0),
+        "empty_index_scan": lambda: IndexScan(orders, "o_id",
+                                              low=5000, high=6000),
+        "index_nested_loop_join": lambda: IndexNestedLoopJoin(
+            scan(), customers, "c_id", "o_cust"),
+    }
+
+
+def charges(pipelines):
+    return [(p.cpu_cycles, p.io_bytes, p.dram_grant_bytes, p.parallelism)
+            for p in pipelines]
+
+
+class TestOneStatement:
+    """The model charges through the operators' own statements, so where
+    the statistics know every cardinality exactly, each predicted
+    pipeline equals the one the executor's collector builds."""
+
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    @pytest.mark.parametrize("case", sorted(exact_plans(
+        *build_env()[3:])))
+    def test_prediction_is_the_charge(self, case, scale):
+        _, server, _, orders, customers = build_env()
+        plan = exact_plans(orders, customers)[case]()
+        predicted = CostModel(server, scale=scale).cost(plan)
+        collector = CostCollector(scale=scale)
+        plan.execute(collector)
+        assert charges(predicted.pipelines) == charges(collector.pipelines)
+
+    def test_every_priced_operator_is_pinned(self):
+        _, _, _, orders, customers = build_env()
+
+        def types(op):
+            return {type(op)}.union(*map(types, op.children()))
+
+        pinned = set().union(*(types(build()) for build in exact_plans(
+            orders, customers).values()))
+        assert pinned == set(_HANDLERS)
+
+
 class TestPlanner:
     def make_spec(self, orders, customers, predicate=None):
         return QuerySpec(
@@ -220,6 +300,45 @@ class TestPlanner:
             planned.root)
         assert result.row_count == 5
         assert sum(r[1] for r in result.rows) == 3000
+
+
+class _TiedSeconds:
+    """Prices every plan at one second, and each plan it is asked about
+    at one Joule less than the one before."""
+
+    def __init__(self) -> None:
+        self.joules = 1000.0
+
+    def cost(self, root) -> PlanCost:
+        self.joules -= 1.0
+        return PlanCost(seconds=1.0, cpu_seconds=1.0, io_seconds=0.0,
+                        energy_full_joules=self.joules,
+                        energy_attributed_joules=self.joules, out_rows=1.0)
+
+
+class TestTieRule:
+    """Among candidates of equal score, the first enumerated wins: TIME
+    does not break a tie on seconds by energy (DESIGN.md §3.5)."""
+
+    def plan(self, objective):
+        _, _, _, orders, customers = build_env()
+        spec = TestPlanner().make_spec(orders, customers)
+        return Planner(_TiedSeconds(), objective).plan(spec).root
+
+    def test_time_keeps_the_first_enumerated_candidates(self):
+        root = self.plan(Objective.TIME)
+        # hash aggregation before sort-based; the hash join that builds
+        # on the relation joined in first
+        assert isinstance(root, HashAggregate)
+        join = root.child
+        assert isinstance(join, HashJoin)
+        assert join.build.table.name == "customers"
+
+    def test_energy_reads_the_joules_the_tie_leaves_out(self):
+        root = self.plan(Objective.ENERGY)
+        # the last enumerated candidates are the cheapest in Joules
+        assert isinstance(root, SortedAggregate)
+        assert isinstance(root.child.child, BlockNestedLoopJoin)
 
 
 class TestAdvisor:

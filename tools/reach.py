@@ -136,11 +136,8 @@ ALLOWED: dict[str, str] = {_SRC + path: reason for path, reason in {
     "relational/expr.py::Expr.__or__": _DSL,
     "relational/expr.py::Expr.__sub__": _DSL,
     "relational/expr.py::Expr.__truediv__": _DSL,
-    "relational/operators/aggregate.py::SortedAggregate": _PLANNED,
     "relational/operators/aggregate.py::SortedAggregate.describe": _EXPLAIN,
     "relational/operators/aggregate.py::SortedAggregate.execute": _PLANNED,
-    "relational/operators/base.py::CostCollector.charge_cpu_quadratic":
-        _PLANNED,
     "relational/operators/base.py::CostCollector.total_cpu_cycles":
         "oracle: the totals the cost-model and energy-conservation "
         "tests compare against",
@@ -148,8 +145,6 @@ ALLOWED: dict[str, str] = {_SRC + path: reason for path, reason in {
         "oracle: the totals the cost-model and energy-conservation "
         "tests compare against",
     "relational/operators/base.py::Operator.execute": _ABSTRACT,
-    "relational/operators/base.py::PipelineCost.io_bytes":
-        "oracle: CostCollector.total_io_bytes sums it",
     "relational/operators/exchange.py::Exchange.children": _EXPLAIN,
     "relational/operators/exchange.py::Exchange.describe": _EXPLAIN,
     "relational/operators/index.py::IndexNestedLoopJoin.children": _EXPLAIN,
@@ -157,7 +152,6 @@ ALLOWED: dict[str, str] = {_SRC + path: reason for path, reason in {
     "relational/operators/join.py::BlockNestedLoopJoin.children": _EXPLAIN,
     "relational/operators/join.py::BlockNestedLoopJoin.describe": _EXPLAIN,
     "relational/operators/join.py::BlockNestedLoopJoin.execute": _PLANNED,
-    "relational/operators/join.py::SortMergeJoin._sort_cycles": _PLANNED,
     "relational/operators/join.py::SortMergeJoin.children": _EXPLAIN,
     "relational/operators/join.py::SortMergeJoin.describe": _EXPLAIN,
     "relational/operators/join.py::SortMergeJoin.execute": _PLANNED,
@@ -168,9 +162,6 @@ ALLOWED: dict[str, str] = {_SRC + path: reason for path, reason in {
     "relational/operators/limit.py::Limit.execute": _PLANNED,
     "relational/operators/sort.py::Sort.children": _EXPLAIN,
     "relational/operators/sort.py::Sort.describe": _EXPLAIN,
-    "relational/operators/sort.py::_log_base":
-        "input-reachable: a sort too big for its memory grant merges "
-        "runs",
     "relational/schema.py::TableSchema._decode_with_nulls":
         "input-reachable: a row holding a NULL",
     "relational/schema.py::TableSchema.validate_row":
