@@ -74,10 +74,9 @@ class IndexScan(Operator):
         elif fetch_bytes:
             collector.charge_io(self.table.placement, fetch_bytes,
                                 self.stream_id)
-        collector.charge_cpu(
-            n * (CYCLES_PER_FETCHED_ROW
-                 + self.index.tree.height * CYCLES_PER_TREE_LEVEL
-                 / max(1, n)))
+        # one descent to the range's first leaf, then a decode a row
+        collector.charge_cpu(n * CYCLES_PER_FETCHED_ROW
+                             + self.index.tree.height * CYCLES_PER_TREE_LEVEL)
 
     def execute(self, collector: CostCollector) -> list[tuple]:
         rows = list(self.index.range_rows(self.low, self.high))

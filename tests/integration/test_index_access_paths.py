@@ -21,6 +21,7 @@ from repro.relational.operators import (
     IndexScan,
     TableScan,
 )
+from repro.relational.operators.index import CYCLES_PER_TREE_LEVEL
 from repro.relational.plan import explain
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import DataType
@@ -98,6 +99,21 @@ class TestIndexScanOperator:
         random_requests = sum(req.n_random_requests
                               for p in collector.pipelines for req in p.io)
         assert random_requests == 0
+
+    def test_empty_range_charges_the_tree_descent(self, env):
+        """A range past the last key still descends the tree and reads
+        a leaf; the model predicts the same charges."""
+        _, server, orders, _ = env
+        op = IndexScan(orders, "o_id", low=5000, high=6000)
+        rows, collector = run(op)
+        assert rows == []
+        assert collector.total_cpu_cycles() == \
+            op.index.tree.height * CYCLES_PER_TREE_LEVEL > 0
+        assert collector.total_io_bytes() == op.index.range_leaf_bytes(
+            5000, 6000) > 0
+        predicted = CostModel(server).cost(op)
+        assert [(p.cpu_cycles, p.io_bytes) for p in predicted.pipelines] \
+            == [(p.cpu_cycles, p.io_bytes) for p in collector.pipelines]
 
     def test_requires_bound(self, env):
         _, _, orders, _ = env
