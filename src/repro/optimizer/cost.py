@@ -110,12 +110,11 @@ class CostModel:
         estimate = self._walk(root, collector)
         pipelines = collector.pipelines
         timings = [self._seconds(pipeline) for pipeline in pipelines]
-        cpu_seconds = sum(cpu for cpu, _io in timings)
-        io_seconds = sum(io for _cpu, io in timings)
         full, attributed = self._energy(pipelines, timings)
         return PlanCost(
             seconds=sum(max(cpu, io) for cpu, io in timings),
-            cpu_seconds=cpu_seconds, io_seconds=io_seconds,
+            cpu_seconds=sum(cpu for cpu, _io in timings),
+            io_seconds=sum(io for _cpu, io in timings),
             energy_full_joules=full, energy_attributed_joules=attributed,
             out_rows=estimate.rows, pipelines=pipelines)
 

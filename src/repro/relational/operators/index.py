@@ -74,7 +74,7 @@ class IndexScan(Operator):
         elif fetch_bytes:
             collector.charge_io(self.table.placement, fetch_bytes,
                                 self.stream_id)
-        # one descent to the range's first leaf, then a decode a row
+        # one descent to the range's first leaf, then one decode a row
         collector.charge_cpu(n * CYCLES_PER_FETCHED_ROW
                              + self.index.tree.height * CYCLES_PER_TREE_LEVEL)
 

@@ -3,7 +3,8 @@
 ``.github/workloads.txt`` is CI's workload table (``tools/ci.py`` runs
 it): a misspelt experiment or knob flag in a row would otherwise be
 found only when CI runs it.  EXPERIMENTS.md's *Catalog* paragraph lists
-the registered sweeps by name.
+the registered sweeps by name.  The committed ``BENCH_*.json`` ledgers
+hold the series the table's ledger rows append to.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.observatory.cli import _build_parser as observatory_parser
+from repro.observatory.history import HistoryStore
 from repro.runner import get_experiment, list_experiments
 from repro.runner.cli import _build_parser as runner_parser
 from repro.runner.cli import spec_and_cache
@@ -27,6 +29,23 @@ ROWS = ci.rows()
 RECORD_ROWS = [row for row in ROWS if row.check == "ledger"
                and row.argv[0] == "observatory"]
 PARSERS = {"runner": runner_parser, "observatory": observatory_parser}
+
+#: committed ledger series, ``(suite, benchmark)``, that no row of the
+#: table appends to: the gate reads each one ``new`` on every run
+UNGATED_SERIES = {
+    ("mega", "svc_mega"):
+        "10M queries a point on 256 nodes, minutes a run; recorded by "
+        "hand as the full-scale reference",
+    ("mega", "svc_mega_calibration"):
+        "races both serving engines on a 1M-query stream, minutes a "
+        "run; recorded by hand",
+    ("mega", "svc_mega_calibration_engines"):
+        "the same race's loop and event points; recorded by hand",
+    ("svc", "test_svc_policy_sweep"):
+        "written by benchmarks/test_svc_serving.py before `pytest "
+        "benchmarks` recorded into the core suite, which now holds "
+        "the series",
+}
 
 
 def command(row: ci.Row):
@@ -69,6 +88,19 @@ def test_suite_row_names_a_runnable_spec(row):
     if row.check in ("twice", "recording"):
         # the check reads the --json; a warm run must print its hits
         assert args.as_json and (row.check != "twice" or not args.quiet)
+
+
+def test_every_committed_series_is_appended_to_or_named():
+    """Outside ``core`` (the pytest row's suite), each committed series
+    is appended to by a ledger row or named in ``UNGATED_SERIES`` with
+    its reason, so a new series that nothing gates fails here."""
+    appended = {(args.suite, args.benchmark or args.experiment)
+                for args, _ in map(command, RECORD_ROWS)}
+    store = HistoryStore(ROOT)
+    committed = {(suite, benchmark) for suite in store.suites()
+                 if suite != "core"
+                 for benchmark, _point in store.series(suite)}
+    assert committed - appended == set(UNGATED_SERIES)
 
 
 def test_the_pytest_row_is_the_benchmarks():

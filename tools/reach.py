@@ -153,7 +153,6 @@ ALLOWED: dict[str, str] = {_SRC + path: reason for path, reason in {
     "relational/operators/join.py::BlockNestedLoopJoin.describe": _EXPLAIN,
     "relational/operators/join.py::BlockNestedLoopJoin.execute": _PLANNED,
     "relational/operators/join.py::SortMergeJoin.children": _EXPLAIN,
-    "relational/operators/join.py::SortMergeJoin.describe": _EXPLAIN,
     "relational/operators/join.py::SortMergeJoin.execute": _PLANNED,
     "relational/operators/limit.py::Limit": _PLANNED,
     "relational/operators/limit.py::Limit.__init__": _PLANNED,
