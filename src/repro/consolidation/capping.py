@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import ConsolidationError
-from repro.hardware.disk import HardDisk
 from repro.relational.executor import Executor, QueryResult
 from repro.relational.operators import Operator
 from repro.sim.resources import Resource
@@ -60,25 +59,15 @@ class PowerCappedScheduler:
         Conservative: the CPU's share for the widest pipeline plus the
         active-idle delta of every storage device the plan touches.
         """
-        server = self.executor.ctx.server
+        cpu = self.executor.ctx.server.cpu
         cost = self.cost_model.cost(plan)
-        cpu = server.cpu
-        degree = max(p.parallelism for p in cost.pipelines)
-        degree = min(degree, cpu.spec.cores)
-        cpu_extra = (cpu.spec.peak_watts - cpu.spec.idle_watts) \
-            * degree / cpu.spec.cores
-        arrays = {id(req.array): req.array
-                  for p in cost.pipelines for req in p.io}
-        storage_extra = 0.0
-        for array in arrays.values():
-            for member in array.members:
-                if isinstance(member, HardDisk):
-                    storage_extra += (member.spec.active_watts
-                                      - member.spec.idle_watts)
-                else:
-                    storage_extra += (member.spec.read_watts
-                                      - member.spec.idle_watts)
-        return cpu_extra + storage_extra
+        degree = min(max(p.parallelism for p in cost.pipelines),
+                     cpu.spec.cores)
+        members = {id(member): member for p in cost.pipelines
+                   for req in p.io for member in req.array.members}
+        return cpu.dynamic_watts(degree) + sum(
+            member.active_power_per_unit_watts - member.idle_power_watts
+            for member in members.values())
 
     # -- execution -----------------------------------------------------------
     def run_batch(self, builders: Sequence[PlanBuilder]) -> CappedRunReport:

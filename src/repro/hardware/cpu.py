@@ -113,22 +113,28 @@ class Cpu(Device):
             yield self.cores.acquire()
         self._mark_busy(parallelism)
         try:
-            seconds = cycles / (self.effective_frequency_hz * parallelism)
-            yield self.sim.timeout(seconds)
+            yield self.sim.timeout(self.execute_seconds(cycles, parallelism))
         finally:
             self._mark_idle(parallelism)
             for _ in range(parallelism):
                 self.cores.release()
+
+    def execute_seconds(self, cycles: float, parallelism: int = 1) -> float:
+        """Seconds :meth:`execute` takes (no queueing)."""
+        return cycles / (self.effective_frequency_hz * parallelism)
 
     # -- power ---------------------------------------------------------------
     def _dynamic_range_watts(self) -> float:
         return ((self.spec.peak_watts - self.spec.idle_watts)
                 * self._dvfs_fraction ** 3)
 
+    def dynamic_watts(self, busy_cores: float) -> float:
+        """What ``busy_cores`` busy cores add above idle."""
+        return self._dynamic_watts * (busy_cores / self.spec.cores)
+
     def _update_power(self) -> None:
-        busy_fraction = self._busy_units / self.spec.cores
         self._set_power(self.spec.idle_watts
-                        + self._dynamic_watts * busy_fraction)
+                        + self.dynamic_watts(self._busy_units))
 
     def _on_activity_change(self) -> None:
         self._update_power()

@@ -85,11 +85,6 @@ class DiskSpec:
         """Average rotational delay: half a revolution."""
         return 0.5 * 60.0 / self.rpm
 
-    @property
-    def positioning_seconds(self) -> float:
-        """Average positioning cost for a non-streaming request."""
-        return self.average_seek_seconds + self.rotational_latency_seconds
-
 
 class HardDisk(Device):
     """One spindle with queueing, stream-aware positioning, and spin-down."""
@@ -183,8 +178,10 @@ class HardDisk(Device):
                 + self.spec.rotational_latency_seconds / self._speed)
 
     # -- service-time arithmetic ----------------------------------------------
-    def service_seconds(self, nbytes: int, positioned: bool) -> float:
-        """Raw service time for one request (no queueing, no spin-up)."""
+    def service_seconds(self, nbytes: int, positioned: bool,
+                        is_write: bool = False) -> float:
+        """Raw service time for one request (no queueing, no spin-up);
+        a write takes a read's time."""
         if nbytes < 0:
             raise HardwareError(f"{self.name}: negative transfer size")
         seconds = (nbytes / self.effective_bandwidth_bytes_per_s
@@ -192,6 +189,12 @@ class HardDisk(Device):
         if not positioned:
             seconds += self.effective_positioning_seconds
         return seconds
+
+    def batch_seconds(self, nbytes: float, n_requests: float) -> float:
+        """Raw service time of :meth:`read_batch` (no queueing)."""
+        return (n_requests * (self.effective_positioning_seconds
+                              + self.spec.per_request_overhead_seconds)
+                + nbytes / self.effective_bandwidth_bytes_per_s)
 
     # -- transfers ----------------------------------------------------------
     def read(self, nbytes: int,
@@ -224,9 +227,7 @@ class HardDisk(Device):
                 yield from self._spin_up_locked()
             self._last_stream = None  # the head ends up somewhere random
             self.positioning_count += int(round(n_requests))
-            seconds = (n_requests * (self.effective_positioning_seconds
-                                     + self.spec.per_request_overhead_seconds)
-                       + nbytes / self.effective_bandwidth_bytes_per_s)
+            seconds = self.batch_seconds(nbytes, n_requests)
             self._start_service()
             try:
                 yield self.sim.timeout(seconds)
@@ -330,3 +331,8 @@ class HardDisk(Device):
         """Active power charged per busy spindle-second (Figure 2 style),
         at the current speed in every state."""
         return self._state_watts[self.ACTIVE, self._speed]
+
+    @property
+    def idle_power_watts(self) -> float:
+        """What the spindle draws idle at the current speed."""
+        return self._state_watts[self.IDLE, self._speed]

@@ -101,10 +101,13 @@ class Dram(Device):
             raise HardwareError(f"{self.name}: negative residency size")
         return self.spec.background_watts_per_gib * nbytes / GIB
 
+    def allocation_watts(self, nbytes: float) -> float:
+        """What allocating ``nbytes`` adds to the background draw."""
+        return self.spec.allocated_watts_per_gib * nbytes / GIB
+
     def _background_watts(self) -> float:
         return self.spec.background_watts_per_gib * self._powered_bytes / GIB
 
     def _update_power(self) -> None:
-        power = self._background_watts()
-        power += self.spec.allocated_watts_per_gib * self._allocated_bytes / GIB
-        self._set_power(power)
+        self._set_power(self._background_watts()
+                        + self.allocation_watts(self._allocated_bytes))

@@ -100,13 +100,16 @@ class RaidArray:
             raise HardwareError(f"{self.name}: negative write size")
         if nbytes == 0:
             return
-        if self.level is RaidLevel.RAID5:
-            if full_stripe:
-                amplified = nbytes * self.width / (self.width - 1)
-            else:
-                amplified = nbytes * 4
-            nbytes = int(round(amplified))
-        yield from self._fan_out(self._split(nbytes), stream, is_write=True)
+        yield from self._fan_out(
+            self._split(self._written_bytes(nbytes, full_stripe)), stream,
+            is_write=True)
+
+    def _written_bytes(self, nbytes: float, full_stripe: bool = True):
+        """Bytes the members write for ``nbytes`` of data (parity in)."""
+        if self.level is not RaidLevel.RAID5:
+            return nbytes
+        return int(round(nbytes * self.width / (self.width - 1)
+                         if full_stripe else nbytes * 4))
 
     def read_batch(self, nbytes: float, n_requests: float) -> Generator:
         """A batch of random reads striped across the array (process).
@@ -126,6 +129,28 @@ class RaidArray:
                 member.read_batch(share_bytes, share_requests),
                 name=f"{self.name}.{member.name}.batch"))
         yield self.sim.all_of(children)
+
+    # -- service-time arithmetic ---------------------------------------------
+    def stream_seconds(self, nbytes: float, chunks: int = 1,
+                       is_write: bool = False) -> float:
+        """Seconds an idle array takes to serve ``chunks`` back-to-back
+        requests of ``nbytes`` from one stream: each waits for its
+        slowest member share, and only the first positions the heads."""
+        shares = self._split(self._written_bytes(nbytes) if is_write
+                             else nbytes)
+        served = [(m, s) for m, s in zip(self.members, shares) if s > 0]
+        first = max((m.service_seconds(s, False, is_write)
+                     for m, s in served), default=0.0)
+        rest = max((m.service_seconds(s, True, is_write)
+                    for m, s in served), default=0.0)
+        return first + (chunks - 1) * rest
+
+    def batch_seconds(self, nbytes: float, n_requests: float) -> float:
+        """Seconds an idle array takes to serve :meth:`read_batch`."""
+        share_bytes = nbytes / self.width
+        share_requests = n_requests / self.width
+        return max(member.batch_seconds(share_bytes, share_requests)
+                   for member in self.members)
 
     def _fan_out(self, shares: list[int], stream: Optional[Hashable],
                  is_write: bool) -> Generator:

@@ -55,21 +55,16 @@ class Server:
 
     def idle_power_watts(self) -> float:
         """Component power when every device is idle (spec arithmetic)."""
-        disks = sum(
-            d.spec.idle_watts if isinstance(d, HardDisk) else d.spec.idle_watts
-            for d in self.storage)
+        disks = sum(d.spec.idle_watts for d in self.storage)
         return (self.cpu.spec.idle_watts
                 + self.dram.residency_watts(self.dram.powered_bytes)
                 + self.base._watts + disks)
 
     def peak_power_watts(self) -> float:
         """Component power with every device active (spec arithmetic)."""
-        disks = 0.0
-        for d in self.storage:
-            if isinstance(d, HardDisk):
-                disks += d.spec.active_watts
-            else:
-                disks += max(d.spec.read_watts, d.spec.write_watts)
+        disks = sum(d.spec.active_watts if isinstance(d, HardDisk)
+                    else max(d.spec.read_watts, d.spec.write_watts)
+                    for d in self.storage)
         return (self.cpu.spec.peak_watts
                 + self.dram.residency_watts(self.dram.capacity_bytes)
                 + self.dram.spec.active_extra_watts

@@ -61,11 +61,10 @@ class FlashSsd(Device):
 
     # -- service-time arithmetic ---------------------------------------------
     def read_seconds(self, nbytes: int) -> float:
-        """Service time for a read (no queueing)."""
+        """Service time for a read (no queueing): a batch of one."""
         if nbytes < 0:
             raise HardwareError(f"{self.name}: negative transfer size")
-        return (nbytes / self.spec.read_bandwidth_bytes_per_s
-                + REQUEST_LATENCY_SECONDS)
+        return self.batch_seconds(nbytes, 1)
 
     def write_seconds(self, nbytes: int) -> float:
         """Service time for a write (no queueing)."""
@@ -73,6 +72,22 @@ class FlashSsd(Device):
             raise HardwareError(f"{self.name}: negative transfer size")
         return (nbytes / self.spec.write_bandwidth_bytes_per_s
                 + REQUEST_LATENCY_SECONDS)
+
+    def batch_seconds(self, nbytes: float, n_requests: float) -> float:
+        """Service time of :meth:`read_batch` (no queueing)."""
+        return (n_requests * REQUEST_LATENCY_SECONDS
+                + nbytes / self.spec.read_bandwidth_bytes_per_s)
+
+    def service_seconds(self, nbytes: int, positioned: bool,
+                        is_write: bool = False) -> float:
+        """One request; flash has no positioning to skip."""
+        return (self.write_seconds(nbytes) if is_write
+                else self.read_seconds(nbytes))
+
+    @property
+    def effective_bandwidth_bytes_per_s(self) -> float:
+        """Streaming read rate."""
+        return self.spec.read_bandwidth_bytes_per_s
 
     # -- transfers --------------------------------------------------------
     def read(self, nbytes: int, stream=None) -> Generator:
@@ -89,8 +104,7 @@ class FlashSsd(Device):
         """A batch of random reads in one simulation step (process)."""
         if nbytes < 0 or n_requests < 0:
             raise HardwareError(f"{self.name}: negative batch transfer")
-        seconds = (n_requests * REQUEST_LATENCY_SECONDS
-                   + nbytes / self.spec.read_bandwidth_bytes_per_s)
+        seconds = self.batch_seconds(nbytes, n_requests)
         yield self.channels.acquire()
         self._mark_busy()
         self._update_power()
@@ -142,3 +156,8 @@ class FlashSsd(Device):
     def active_power_per_unit_watts(self) -> float:
         """Active power charged per busy second (Figure 2 style)."""
         return self.spec.read_watts
+
+    @property
+    def idle_power_watts(self) -> float:
+        """What the drive draws idle."""
+        return self.spec.idle_watts

@@ -64,22 +64,14 @@ class DesignAdvisor:
     # -- construction helpers ----------------------------------------------
     @classmethod
     def for_server(cls, server) -> "DesignAdvisor":
-        """Derive energy prices from a server's device constants."""
+        """Derive energy and time prices from the server's devices."""
         cpu = server.cpu
         joules_per_cycle = (cpu.active_power_per_unit_watts
                             / cpu.effective_frequency_hz)
-        active_watts = 0.0
-        bandwidth = 0.0
-        for device in server.storage:
-            spec = device.spec
-            watts = getattr(spec, "active_watts", None)
-            if watts is None:
-                watts = spec.read_watts
-            active_watts += watts
-            bw = getattr(spec, "bandwidth_bytes_per_s", None)
-            if bw is None:
-                bw = spec.read_bandwidth_bytes_per_s
-            bandwidth += bw
+        active_watts = sum(device.active_power_per_unit_watts
+                           for device in server.storage)
+        bandwidth = sum(device.effective_bandwidth_bytes_per_s
+                        for device in server.storage)
         if bandwidth <= 0:
             raise OptimizerError("server has no readable storage")
         return cls(cpu_joules_per_cycle=joules_per_cycle,

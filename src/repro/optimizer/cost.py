@@ -4,9 +4,14 @@ The model walks an operator tree *without executing it*.  It estimates
 each operator's input and output cardinalities from table statistics,
 and hands them to the operator's own charge statement (the ``_charge``
 methods its ``execute()`` calls with the counts it produced), which
-charges a :class:`CostCollector` at the model's scale.  It then converts
-each pipeline's cycles and bytes to seconds against the target server's
-devices, and prices energy under two accounting conventions:
+charges a :class:`CostCollector` at the model's scale.  It then asks
+the target server's devices what each pipeline takes: a request costs
+what its array says a lone request takes in the simulation
+(``RaidArray.stream_seconds`` in the executor's default chunks, or
+``batch_seconds``), cycles what ``Cpu.execute_seconds`` says, and power
+is the devices' own watts at their current speed and P-state.  The
+replay's pipeline fill, other chunk sizes and requests contending for an
+array are not modelled.  Energy is priced under two conventions:
 
 * ``energy_full_joules`` — whole-system energy for the query's duration
   (idle draw included), what a wall meter would see;
@@ -21,8 +26,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import OptimizerError
-from repro.hardware.disk import HardDisk
-from repro.hardware.ssd import REQUEST_LATENCY_SECONDS
 from repro.relational.expr import ColumnRef, Comparison
 from repro.relational.operators import (
     BlockNestedLoopJoin,
@@ -49,7 +52,6 @@ from repro.optimizer.stats import (
     analyze_table,
     estimate_selectivity,
 )
-from repro.units import GIB
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.server import Server
@@ -108,94 +110,56 @@ class CostModel:
         """Predict the full cost of a plan."""
         collector = CostCollector(params=self.params, scale=self.scale)
         estimate = self._walk(root, collector)
-        pipelines = collector.pipelines
-        timings = [self._seconds(pipeline) for pipeline in pipelines]
-        full, attributed = self._energy(pipelines, timings)
+        priced = [self._price(pipeline) for pipeline in collector.pipelines]
         return PlanCost(
-            seconds=sum(max(cpu, io) for cpu, io in timings),
-            cpu_seconds=sum(cpu for cpu, _io in timings),
-            io_seconds=sum(io for _cpu, io in timings),
-            energy_full_joules=full, energy_attributed_joules=attributed,
-            out_rows=estimate.rows, pipelines=pipelines)
+            seconds=sum(max(p[0], p[1]) for p in priced),
+            cpu_seconds=sum(p[0] for p in priced),
+            io_seconds=sum(p[1] for p in priced),
+            energy_full_joules=sum(p[2] for p in priced),
+            energy_attributed_joules=sum(p[3] for p in priced),
+            out_rows=estimate.rows, pipelines=collector.pipelines)
 
     # -- per-pipeline conversion ------------------------------------------------
-    def _seconds(self, pipeline: PipelineCost) -> tuple[float, float]:
-        """(CPU, I/O) seconds of a pipeline; it takes the larger."""
-        cpu = self.server.cpu
-        degree = min(pipeline.parallelism, cpu.spec.cores)
-        return (pipeline.cpu_cycles / (cpu.effective_frequency_hz * degree),
-                self._io_seconds(pipeline))
-
-    def _io_seconds(self, pipeline: PipelineCost) -> float:
-        total = 0.0
-        for req in pipeline.io:
-            members = req.array.members
-            bandwidth = sum(
-                getattr(m.spec, "bandwidth_bytes_per_s", None)
-                or m.spec.read_bandwidth_bytes_per_s
-                for m in members)
-            member = members[0]
-            if req.n_random_requests > 0:
-                # random requests spread over the members in parallel
-                per_member = req.n_random_requests / req.array.width
-                if isinstance(member, HardDisk):
-                    overhead = per_member * (
-                        member.spec.positioning_seconds
-                        + member.spec.per_request_overhead_seconds)
-                else:
-                    overhead = per_member \
-                        * REQUEST_LATENCY_SECONDS
-            else:
-                n_chunks = max(1.0, math.ceil(req.nbytes
-                                              / DEFAULT_CHUNK_BYTES))
-                if isinstance(member, HardDisk):
-                    overhead = (member.spec.positioning_seconds
-                                + n_chunks
-                                * member.spec.per_request_overhead_seconds)
-                else:
-                    overhead = n_chunks \
-                        * REQUEST_LATENCY_SECONDS
-            total += req.nbytes / bandwidth + overhead
-        return total
-
-    # -- energy pricing -----------------------------------------------------
-    def _energy(self, pipelines: list[PipelineCost],
-                timings: list[tuple[float, float]]) -> tuple[float, float]:
+    def _price(self, pipeline: PipelineCost
+               ) -> tuple[float, float, float, float]:
+        """(CPU s, I/O s, whole-system J, attributed J) of a pipeline."""
         server = self.server
         cpu = server.cpu
-        idle_watts = server.idle_power_watts()
-        full = 0.0
-        attributed = 0.0
-        cpu_active_extra = cpu.spec.peak_watts - cpu.spec.idle_watts
-        for pipeline, (cpu_seconds, io_seconds) in zip(pipelines, timings):
-            duration = max(cpu_seconds, io_seconds)
-            degree = min(pipeline.parallelism, cpu.spec.cores)
-            busy_fraction = degree / cpu.spec.cores
-            grant_watts = (server.dram.spec.allocated_watts_per_gib
-                           * pipeline.dram_grant_bytes / GIB)
-            storage_extra = 0.0
-            storage_active = 0.0
-            if io_seconds > 0:
-                io_bytes = pipeline.io_bytes
-                for req in pipeline.io:
-                    share = req.nbytes / io_bytes
-                    for member in req.array.members:
-                        if isinstance(member, HardDisk):
-                            active = member.spec.active_watts
-                            idle = member.spec.idle_watts
-                        else:
-                            active = member.spec.read_watts
-                            idle = member.spec.idle_watts
-                        storage_extra += (active - idle) * \
-                            io_seconds * share
-                        storage_active += active * io_seconds * share
-            full += (idle_watts * duration
-                     + cpu_active_extra * busy_fraction * cpu_seconds
-                     + storage_extra + grant_watts * duration)
-            attributed += (cpu.active_power_per_unit_watts * degree
-                           * cpu_seconds
-                           + storage_active + grant_watts * duration)
-        return full, attributed
+        degree = min(pipeline.parallelism, cpu.spec.cores)
+        cpu_seconds = cpu.execute_seconds(pipeline.cpu_cycles, degree)
+        io_seconds = self._io_seconds(pipeline)
+        duration = max(cpu_seconds, io_seconds)
+        grant_watts = server.dram.allocation_watts(pipeline.dram_grant_bytes)
+        storage_extra = 0.0
+        storage_active = 0.0
+        if io_seconds > 0:
+            io_bytes = pipeline.io_bytes
+            for req in pipeline.io:
+                share = req.nbytes / io_bytes
+                for member in req.array.members:
+                    active = member.active_power_per_unit_watts
+                    storage_extra += (active - member.idle_power_watts) \
+                        * io_seconds * share
+                    storage_active += active * io_seconds * share
+        full = (server.idle_power_watts() * duration
+                + cpu.dynamic_watts(degree) * cpu_seconds
+                + storage_extra + grant_watts * duration)
+        attributed = (cpu.active_power_per_unit_watts * degree * cpu_seconds
+                      + storage_active + grant_watts * duration)
+        return cpu_seconds, io_seconds, full, attributed
+
+    def _io_seconds(self, pipeline: PipelineCost) -> float:
+        """Each request alone on its array, in the executor's chunks."""
+        total = 0.0
+        for req in pipeline.io:
+            if req.n_random_requests > 0:
+                total += req.array.batch_seconds(req.nbytes,
+                                                 req.n_random_requests)
+            else:
+                chunks = max(1, math.ceil(req.nbytes / DEFAULT_CHUNK_BYTES))
+                total += req.array.stream_seconds(req.nbytes / chunks,
+                                                  chunks, req.is_write)
+        return total
 
     # -- tree walk -----------------------------------------------------------
     def _walk(self, op: Operator, collector: CostCollector) -> _Estimate:

@@ -168,23 +168,17 @@ class Executor:
     # -- busy accounting ----------------------------------------------------
     def _busy_snapshot(self) -> dict[str, float]:
         server = self.ctx.server
-        snap = {"cpu": server.cpu.busy_seconds()}
-        for device in server.storage:
-            snap[device.name] = device.busy_seconds()
-        return snap
+        return {device.name: device.busy_seconds()
+                for device in (server.cpu, *server.storage)}
 
     def _active_energy(self, before: dict[str, float],
                        after: dict[str, float]) -> float:
         """Busy-time x active-power accounting (the paper's Figure 2
         convention: idle components are free)."""
         server = self.ctx.server
-        total = (after["cpu"] - before["cpu"]) * \
-            server.cpu.active_power_per_unit_watts
-        for device in server.storage:
-            per_unit = getattr(device, "active_power_per_unit_watts", None)
-            if per_unit is not None:
-                total += (after[device.name] - before[device.name]) * per_unit
-        return total
+        return sum((after[device.name] - before[device.name])
+                   * device.active_power_per_unit_watts
+                   for device in (server.cpu, *server.storage))
 
     # -- pipeline replay ----------------------------------------------------
     def _replay_pipeline(self, pipeline: PipelineCost) -> Generator:

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.hardware.profiles import commodity, flash_scan_node
+from repro.hardware.cpu import Cpu, CpuSpec
+from repro.hardware.disk import DiskSpec, HardDisk
+from repro.hardware.memory import Dram, DramSpec
+from repro.hardware.profiles import commodity, dl785, flash_scan_node
+from repro.hardware.raid import RaidArray
+from repro.hardware.server import Server
 from repro.relational.expr import col
 from repro.relational.executor import ExecutionContext, Executor
 from repro.relational.operators import (
@@ -15,7 +20,9 @@ from repro.relational.operators import (
     HashJoin,
     IndexNestedLoopJoin,
     IndexScan,
+    IoRequest,
     Limit,
+    PipelineCost,
     Sort,
     SortMergeJoin,
     SortedAggregate,
@@ -36,6 +43,7 @@ from repro.optimizer.cost import _HANDLERS, PlanCost
 from repro.optimizer.planner import JoinEdge, TableRef
 from repro.sim import Simulation
 from repro.storage.manager import StorageManager
+from repro.units import KIB, MIB
 
 
 def build_env(n_orders=3000, n_customers=50):
@@ -213,6 +221,81 @@ class TestOneStatement:
         pinned = set().union(*(types(build()) for build in exact_plans(
             orders, customers).values()))
         assert pinned == set(_HANDLERS)
+
+
+def half_speed_pair(sim):
+    """Two disks in RAID 0, shifted to half their nominal speed."""
+    disks = [HardDisk(sim, DiskSpec(name=f"d{i}", speed_levels=(1.0, 0.5)))
+             for i in range(2)]
+    for disk in disks:
+        sim.run(until=sim.spawn(disk.set_speed(0.5)))
+    server = Server(sim, "half", Cpu(sim, CpuSpec()), Dram(sim, DramSpec()),
+                    disks)
+    return server, RaidArray(sim, disks, name="pair")
+
+
+def replay(sim, server, pipeline):
+    """Seconds a simulation takes to replay one pipeline."""
+    start = sim.now
+    ctx = ExecutionContext(sim=sim, server=server)
+    sim.run(until=sim.spawn(Executor(ctx)._replay_pipeline(pipeline)))
+    return sim.now - start
+
+
+LONE_REQUESTS = {
+    "sequential_64MiB": dict(nbytes=64 * MIB, stream="s"),
+    "sequential_3MiB": dict(nbytes=3 * MIB, stream="s"),
+    "random_500": dict(nbytes=500 * 8 * KIB, stream=None,
+                       n_random_requests=500),
+    "spill_write_64MiB": dict(nbytes=64 * MIB, stream="s", is_write=True),
+}
+MACHINES = {"commodity": commodity, "flash_scan_node": flash_scan_node,
+            "dl785_36": lambda sim: dl785(sim, 36)}
+
+
+class TestLoneRequest:
+    """The model's I/O seconds are the devices' own: a request alone on
+    its array costs what a fresh simulation replays."""
+
+    @pytest.mark.parametrize("request_kind", sorted(LONE_REQUESTS))
+    @pytest.mark.parametrize("machine", sorted(MACHINES))
+    def test_costs_what_it_replays(self, machine, request_kind):
+        self.check(MACHINES[machine], LONE_REQUESTS[request_kind])
+
+    @pytest.mark.parametrize("request_kind",
+                             ["sequential_64MiB", "random_500"])
+    def test_at_half_speed(self, request_kind):
+        self.check(half_speed_pair, LONE_REQUESTS[request_kind])
+
+    def check(self, machine, request):
+        sim = Simulation()
+        server, array = machine(sim)
+        pipeline = PipelineCost(0, io=[IoRequest(array, **request)])
+        predicted = CostModel(server)._io_seconds(pipeline)
+        assert predicted == pytest.approx(replay(sim, server, pipeline),
+                                          rel=1e-9)
+
+
+DVFS_POINTS = [(name, fraction)
+               for name, profile in (("commodity", commodity),
+                                     ("flash_scan_node", flash_scan_node))
+               for fraction in profile(Simulation())[0].cpu.spec
+               .dvfs_fractions]
+
+
+@pytest.mark.parametrize("machine,fraction", DVFS_POINTS)
+def test_whole_system_joules_follow_the_p_state(machine, fraction):
+    """A CPU-only pipeline's predicted wall-plug Joules are the metered
+    ones at every offered P-state."""
+    sim = Simulation()
+    server, _ = MACHINES[machine](sim)
+    server.cpu.set_dvfs(fraction)
+    pipeline = PipelineCost(0, cpu_cycles=5e9, parallelism=2)
+    full = CostModel(server)._price(pipeline)[2]
+    start = sim.now
+    replay(sim, server, pipeline)
+    assert full == pytest.approx(server.meter.energy_joules(start, sim.now),
+                                 rel=1e-9)
 
 
 class TestPlanner:

@@ -32,7 +32,7 @@ class TestHardDisk:
         sim = Simulation()
         disk = make_disk(sim)
         run(sim, disk.read(100 * MB, stream="s1"))
-        expected = disk.spec.positioning_seconds + 1.0
+        expected = disk.effective_positioning_seconds + 1.0
         assert sim.now == pytest.approx(expected)
 
     def test_same_stream_skips_positioning(self):
@@ -59,7 +59,7 @@ class TestHardDisk:
             return sim.now - t0
 
         duration = run(sim, scenario())
-        assert duration == pytest.approx(disk.spec.positioning_seconds + 1.0)
+        assert duration == pytest.approx(disk.effective_positioning_seconds + 1.0)
 
     def test_anonymous_requests_always_position(self):
         sim = Simulation()
@@ -125,7 +125,7 @@ class TestHardDisk:
             return sim.now - t0
 
         duration = run(sim, scenario())
-        expected = 6.0 + disk.spec.positioning_seconds + 1.0
+        expected = 6.0 + disk.effective_positioning_seconds + 1.0
         assert duration == pytest.approx(expected)
         assert disk.state == HardDisk.IDLE
 
@@ -149,6 +149,26 @@ class TestHardDisk:
         assert disk.bytes_read == 10 * MB
         assert disk.bytes_written == 5 * MB
         assert disk.requests_served == 2
+
+    def test_read_batch_time(self):
+        sim = Simulation()
+        disk = make_disk(sim, per_request_overhead_seconds=0.0002)
+        run(sim, disk.read_batch(50 * MB, 20))
+        assert sim.now == disk.batch_seconds(50 * MB, 20)
+        assert sim.now == pytest.approx(
+            20 * (disk.effective_positioning_seconds + 0.0002) + 0.5)
+        assert disk.positioning_count == 20
+
+    def test_read_batch_time_at_half_speed(self):
+        sim = Simulation()
+        disk = make_disk(sim, speed_levels=(1.0, 0.5))
+        run(sim, disk.set_speed(0.5))
+        start = sim.now
+        run(sim, disk.read_batch(50 * MB, 20))
+        assert sim.now - start == pytest.approx(
+            disk.batch_seconds(50 * MB, 20), rel=1e-12)
+        assert disk.batch_seconds(50 * MB, 20) == pytest.approx(
+            20 * (0.004 + disk.spec.rotational_latency_seconds / 0.5) + 1.0)
 
     def test_spec_validation(self):
         with pytest.raises(HardwareError):
@@ -235,6 +255,15 @@ class TestFlashSsd:
         ssd = self.make(sim)
         run(sim, ssd.read(0))
         assert sim.now == REQUEST_LATENCY_SECONDS
+
+    def test_read_batch_time(self):
+        sim = Simulation()
+        ssd = self.make(sim)
+        run(sim, ssd.read_batch(50 * MB, 20))
+        assert sim.now == ssd.batch_seconds(50 * MB, 20)
+        assert sim.now == pytest.approx(0.5 + 20 * REQUEST_LATENCY_SECONDS)
+        # a read is a batch of one request
+        assert ssd.read_seconds(50 * MB) == ssd.batch_seconds(50 * MB, 1)
 
     def test_channel_serialization(self):
         sim = Simulation()

@@ -42,8 +42,9 @@ class TestMultiSpeedDisk:
         assert disk.speed_fraction == 0.4
         assert disk.effective_bandwidth_bytes_per_s == \
             pytest.approx(40 * MB)
-        assert disk.effective_positioning_seconds > \
-            disk.spec.positioning_seconds
+        assert disk.effective_positioning_seconds > (
+            disk.spec.average_seek_seconds
+            + disk.spec.rotational_latency_seconds)
 
     def test_set_speed_pays_latency_and_energy(self):
         sim = Simulation()
